@@ -15,17 +15,24 @@ import (
 	"sync"
 
 	"softcache/internal/core"
+	"softcache/internal/loopir"
 	"softcache/internal/metrics"
+	"softcache/internal/timing"
 	"softcache/internal/trace"
+	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
 
 // Context carries experiment-wide state: the workload scale, the trace
-// seed, and a trace cache so the nine benchmarks are generated once per
-// process instead of once per configuration. It is safe for concurrent
-// use: the experiment harness runs several figures at once against one
-// shared Context, and each workload's trace is still generated exactly
-// once.
+// seed, and a cache of the named workload traces (the ones requested
+// through Trace), so each of them is generated once per process instead
+// of once per configuration. The parameterised variants some figures
+// sweep (block size, leading dimension, issue gap, prefetch distance) are
+// read by a single experiment: they are generated where they are used and
+// dropped after their simulation, never cached. Context is safe for
+// concurrent use: the experiment harness runs several figures at once
+// against one shared Context, and each named trace is still generated
+// exactly once.
 type Context struct {
 	Scale workloads.Scale
 	Seed  uint64
@@ -86,27 +93,20 @@ func (c *Context) context() context.Context {
 	return context.Background()
 }
 
-// cached returns the trace stored under key, building it at most once
-// process-wide even when experiments race for it.
-func (c *Context) cached(key string, build func() (*trace.Trace, error)) (*trace.Trace, error) {
+// Trace returns the tagged trace of the named workload, building it at
+// most once process-wide even when experiments race for it.
+func (c *Context) Trace(name string) (*trace.Trace, error) {
 	c.traces.mu.Lock()
-	e, ok := c.traces.m[key]
+	e, ok := c.traces.m[name]
 	if !ok {
 		e = &traceEntry{}
-		c.traces.m[key] = e
+		c.traces.m[name] = e
 	}
 	c.traces.mu.Unlock()
 	e.once.Do(func() {
-		e.t, e.err = build()
+		e.t, e.err = workloads.Trace(name, c.Scale, c.Seed)
 	})
 	return e.t, e.err
-}
-
-// Trace returns the (cached) tagged trace of the named workload.
-func (c *Context) Trace(name string) (*trace.Trace, error) {
-	return c.cached(name, func() (*trace.Trace, error) {
-		return workloads.Trace(name, c.Scale, c.Seed)
-	})
 }
 
 // Simulate runs cfg over the named workload's trace, honouring the
@@ -126,15 +126,23 @@ func (c *Context) Simulate(name string, cfg core.Config) (core.Result, error) {
 }
 
 // SimulateMany runs every configuration over the named workload's trace
-// in one fused pass (core.SimulateManyTrace): each record batch is
-// decoded/walked once and fed to all simulators, so a figure's whole
-// config axis costs one trace traversal. Results are index-aligned with
+// in one fused pass (see simulateTrace). Results are index-aligned with
 // cfgs and identical to len(cfgs) Simulate calls.
 func (c *Context) SimulateMany(name string, cfgs []core.Config) ([]core.Result, error) {
 	t, err := c.Trace(name)
 	if err != nil {
 		return nil, err
 	}
+	return c.simulateTrace(t, cfgs...)
+}
+
+// simulateTrace runs every configuration over t in one fused pass
+// (core.SimulateManyTrace), honouring the context's cancellation and
+// invariant-check settings: each record batch is walked once and fed to
+// all simulators, so a figure's whole config axis costs one trace
+// traversal. It is the entry point for the single-use variant traces
+// figures generate themselves as well as for the cached named ones.
+func (c *Context) simulateTrace(t *trace.Trace, cfgs ...core.Config) ([]core.Result, error) {
 	if c.Check {
 		cfgs = append([]core.Config(nil), cfgs...)
 		for i := range cfgs {
@@ -142,6 +150,20 @@ func (c *Context) SimulateMany(name string, cfgs []core.Config) ([]core.Result, 
 		}
 	}
 	return core.SimulateManyTrace(c.context(), cfgs, t)
+}
+
+// simulateProgram generates p's trace with the context's seed and the
+// given gap model (nil selects the paper's fig. 4b distribution) and runs
+// cfgs over it through simulateTrace. It serves the single-use variants
+// figures sweep (block size, leading dimension, issue gap, prefetch
+// distance): the trace is not cached, so it is dropped as soon as the
+// simulation returns.
+func (c *Context) simulateProgram(p *loopir.Program, gaps *timing.GapModel, cfgs ...core.Config) ([]core.Result, error) {
+	t, err := tracegen.Generate(p, tracegen.Options{Seed: c.Seed, Gaps: gaps})
+	if err != nil {
+		return nil, err
+	}
+	return c.simulateTrace(t, cfgs...)
 }
 
 // Check is one qualitative shape assertion.

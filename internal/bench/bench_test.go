@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -112,6 +114,56 @@ func TestContextCachesTraces(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("trace must be cached (same pointer)")
+	}
+}
+
+// TestVariantFiguresHonourContext: the figures that generate their own
+// variant traces (block size, leading dimension, issue gap, prefetch
+// distance) run them through the context, so a canceled context stops
+// each of them with an error wrapping context.Canceled.
+func TestVariantFiguresHonourContext(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := NewContext(workloads.ScaleTest, 1).WithContext(canceled)
+	for _, id := range []string{"11a", "11b", "issue", "12sw"} {
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("figure %s on a canceled context: err = %v, want context.Canceled", id, err)
+		}
+	}
+}
+
+// TestTraceCacheHoldsOnlyNamedWorkloads guards the figure pipeline's
+// memory: after a full pass the cache holds exactly the named workload
+// traces the figures share (the nine benchmarks and the fig. 10a kernels),
+// and none of the single-use variants ("/" suffixed keys
+// such as MV/gap=1) the sweeping figures generate.
+func TestTraceCacheHoldsOnlyNamedWorkloads(t *testing.T) {
+	ctx := NewContext(workloads.ScaleTest, 1)
+	if _, err := RunAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ctx.traces.mu.Lock()
+	defer ctx.traces.mu.Unlock()
+	named := append(workloads.Benchmarks(), workloads.Kernels()...)
+	for _, name := range named {
+		if _, ok := ctx.traces.m[name]; !ok {
+			t.Errorf("trace cache lacks %s", name)
+		}
+	}
+	if len(ctx.traces.m) != len(named) {
+		for key := range ctx.traces.m {
+			t.Logf("cached: %s", key)
+		}
+		t.Errorf("trace cache holds %d traces, want the %d named workloads", len(ctx.traces.m), len(named))
+	}
+	for key := range ctx.traces.m {
+		if strings.Contains(key, "/") {
+			t.Errorf("trace cache holds variant %q", key)
+		}
 	}
 }
 

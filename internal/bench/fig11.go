@@ -5,8 +5,6 @@ import (
 
 	"softcache/internal/core"
 	"softcache/internal/metrics"
-	"softcache/internal/trace"
-	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
 
@@ -21,11 +19,6 @@ func init() {
 		Title: "Data copying in blocked matrix-matrix multiply vs leading dimension (AMAT)",
 		Run:   runFig11b,
 	})
-}
-
-// blockedTrace generates (and caches) a parameterised workload's trace.
-func (c *Context) blockedTrace(key string, build func() (*trace.Trace, error)) (*trace.Trace, error) {
-	return c.cached(key, build)
 }
 
 // fig11aBlocks returns the block-size sweep for the scale (every block must
@@ -48,25 +41,15 @@ func runFig11a(ctx *Context) (*Report, error) {
 	type point struct{ std, soft float64 }
 	points := make([]point, len(blocks))
 	for i, b := range blocks {
-		key := fmt.Sprintf("BlockedMV/b=%d", b)
-		t, err := ctx.blockedTrace(key, func() (*trace.Trace, error) {
-			p, err := workloads.BlockedMV(ctx.Scale, b)
-			if err != nil {
-				return nil, err
-			}
-			return tracegen.Generate(p, tracegen.Options{Seed: ctx.Seed})
-		})
+		p, err := workloads.BlockedMV(ctx.Scale, b)
 		if err != nil {
 			return nil, err
 		}
-		std, err := core.Simulate(core.Standard(), t)
+		res, err := ctx.simulateProgram(p, nil, core.Standard(), core.Soft())
 		if err != nil {
 			return nil, err
 		}
-		soft, err := core.Simulate(core.Soft(), t)
-		if err != nil {
-			return nil, err
-		}
+		std, soft := res[0], res[1]
 		points[i] = point{std.AMAT(), soft.AMAT()}
 		tbl.AddRow(fmt.Sprintf("%d", b), points[i].std, points[i].soft)
 	}
@@ -107,25 +90,15 @@ func runFig11b(ctx *Context) (*Report, error) {
 	for _, ld := range fig11bLDs {
 		var vals runRes
 		for _, copying := range []bool{false, true} {
-			key := fmt.Sprintf("BlockedMM/ld=%d,copy=%v", ld, copying)
-			t, err := ctx.blockedTrace(key, func() (*trace.Trace, error) {
-				p, err := workloads.BlockedMM(ctx.Scale, ld, copying)
-				if err != nil {
-					return nil, err
-				}
-				return tracegen.Generate(p, tracegen.Options{Seed: ctx.Seed})
-			})
+			p, err := workloads.BlockedMM(ctx.Scale, ld, copying)
 			if err != nil {
 				return nil, err
 			}
-			std, err := core.Simulate(core.Standard(), t)
+			res, err := ctx.simulateProgram(p, nil, core.Standard(), core.Soft())
 			if err != nil {
 				return nil, err
 			}
-			soft, err := core.Simulate(core.Soft(), t)
-			if err != nil {
-				return nil, err
-			}
+			std, soft := res[0], res[1]
 			if copying {
 				vals.cS, vals.cF = std.AMAT(), soft.AMAT()
 			} else {

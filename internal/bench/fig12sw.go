@@ -6,8 +6,6 @@ import (
 	"softcache/internal/core"
 	"softcache/internal/locality"
 	"softcache/internal/metrics"
-	"softcache/internal/trace"
-	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
 
@@ -16,21 +14,6 @@ func init() {
 		ID:    "12sw",
 		Title: "Software prefetching (§4.4 extension): explicit PREFETCH instructions vs the hardware scheme",
 		Run:   runFig12SW,
-	})
-}
-
-// swPrefetchTrace builds the named workload with compiler-inserted prefetch
-// instructions at the given iteration distance.
-func (c *Context) swPrefetchTrace(name string, distance int) (*trace.Trace, error) {
-	return c.cached(fmt.Sprintf("%s/swpf=%d", name, distance), func() (*trace.Trace, error) {
-		p, err := workloads.BuildProgram(name, c.Scale)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := locality.InsertPrefetches(p, distance); err != nil {
-			return nil, err
-		}
-		return tracegen.Generate(p, tracegen.Options{Seed: c.Seed})
 	})
 }
 
@@ -57,15 +40,18 @@ func runFig12SW(ctx *Context) (*Report, error) {
 		}
 		row = append(row, base[0].AMAT(), base[1].AMAT())
 		for _, d := range distances {
-			t, err := ctx.swPrefetchTrace(name, d)
+			p, err := workloads.BuildProgram(name, ctx.Scale)
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.Simulate(core.Soft(), t)
+			if _, err := locality.InsertPrefetches(p, d); err != nil {
+				return nil, err
+			}
+			res, err := ctx.simulateProgram(p, nil, core.Soft())
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, res.AMAT())
+			row = append(row, res[0].AMAT())
 		}
 		tbl.AddRow(name, row...)
 	}

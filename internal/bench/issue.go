@@ -6,8 +6,6 @@ import (
 	"softcache/internal/core"
 	"softcache/internal/metrics"
 	"softcache/internal/timing"
-	"softcache/internal/trace"
-	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
 
@@ -43,20 +41,11 @@ func runIssueRate(ctx *Context) (*Report, error) {
 		}
 		row := make([]float64, len(gaps))
 		for i, g := range gaps {
-			t, err := ctx.cached(fmt.Sprintf("%s/gap=%d", name, g), func() (*trace.Trace, error) {
-				return tracegen.Generate(p, tracegen.Options{Seed: ctx.Seed, Gaps: timing.Constant(g)})
-			})
+			res, err := ctx.simulateProgram(p, timing.Constant(g), core.Standard(), core.Soft())
 			if err != nil {
 				return nil, err
 			}
-			std, err := core.Simulate(core.Standard(), t)
-			if err != nil {
-				return nil, err
-			}
-			soft, err := core.Simulate(core.Soft(), t)
-			if err != nil {
-				return nil, err
-			}
+			std, soft := res[0], res[1]
 			row[i] = std.AMAT() - soft.AMAT()
 			if i == 0 {
 				lockStallShare += float64(soft.Stats.LockStallCycles) / float64(soft.Stats.CostCycles)

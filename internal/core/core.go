@@ -241,25 +241,30 @@ func Simulate(cfg Config, t *trace.Trace) (Result, error) {
 	return SimulateContext(context.Background(), cfg, t)
 }
 
-// cancelCheckInterval is how many records SimulateContext processes
-// between context polls: rare enough to be free, frequent enough that a
-// canceled multi-million-record run stops within milliseconds.
+// cancelCheckInterval is how many records SimulateContext hands the
+// batched kernel between context polls: rare enough to be free, frequent
+// enough that a canceled multi-million-record run stops within
+// milliseconds.
 const cancelCheckInterval = 1 << 15
 
 // SimulateContext runs the whole trace through a fresh simulator built
-// from cfg, checking ctx periodically so a timeout or interrupt aborts a
-// long simulation promptly. On cancellation the partial statistics are
-// discarded and ctx's error is returned wrapped.
+// from cfg, feeding it to the batched kernel (cache.Simulator.AccessAll)
+// in chunks of at most cancelCheckInterval records and checking ctx
+// between chunks, so a timeout or interrupt aborts a long simulation
+// promptly. On cancellation the partial statistics are discarded and
+// ctx's error is returned wrapped.
 func SimulateContext(ctx context.Context, cfg Config, t *trace.Trace) (Result, error) {
 	sim, err := cache.New(cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
-	for i, r := range t.Records {
-		if i%cancelCheckInterval == 0 && ctx.Err() != nil {
-			return Result{}, fmt.Errorf("core: simulating %s: %w", t.Name, ctx.Err())
+	for recs := t.Records; len(recs) > 0; {
+		if err := ctx.Err(); err != nil {
+			return Result{}, fmt.Errorf("core: simulating %s: %w", t.Name, err)
 		}
-		sim.Access(r)
+		n := min(len(recs), cancelCheckInterval)
+		sim.AccessAll(recs[:n])
+		recs = recs[n:]
 	}
 	return Result{Trace: t.Name, Config: Describe(cfg), Stats: sim.Stats()}, nil
 }
@@ -282,57 +287,11 @@ func SimulateWarm(cfg Config, t *trace.Trace, warmup int) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
-	if warmup > len(t.Records) {
-		warmup = len(t.Records)
-	}
-	for _, r := range t.Records[:warmup] {
-		sim.Access(r)
-	}
+	warmup = min(warmup, len(t.Records))
+	sim.AccessAll(t.Records[:warmup])
 	sim.ResetStats()
-	for _, r := range t.Records[warmup:] {
-		sim.Access(r)
-	}
+	sim.AccessAll(t.Records[warmup:])
 	return Result{Trace: t.Name, Config: Describe(cfg), Stats: sim.Stats()}, nil
-}
-
-// Windows runs the trace and returns the AMAT of each consecutive window
-// of windowSize references — the phase profile of the workload under cfg
-// (a partial final window is included when at least one reference lands in
-// it). Software-prefetch records do not advance the window.
-func Windows(cfg Config, t *trace.Trace, windowSize int) ([]float64, error) {
-	if windowSize <= 0 {
-		return nil, fmt.Errorf("core: window size must be positive, got %d", windowSize)
-	}
-	sim, err := cache.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	var out []float64
-	var prev cache.Stats
-	flush := func() {
-		cur := sim.Stats()
-		refs := cur.References - prev.References
-		if refs > 0 {
-			out = append(out, float64(cur.CostCycles-prev.CostCycles)/float64(refs))
-		}
-		prev = cur
-	}
-	inWindow := 0
-	for _, r := range t.Records {
-		sim.Access(r)
-		if r.SoftwarePrefetch {
-			continue
-		}
-		inWindow++
-		if inWindow == windowSize {
-			flush()
-			inWindow = 0
-		}
-	}
-	if inWindow > 0 {
-		flush()
-	}
-	return out, nil
 }
 
 // SimulateStream runs a serialised trace through a fresh simulator without

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -295,39 +297,41 @@ func TestSimulateWarm(t *testing.T) {
 	}
 }
 
-// TestWindows: the phase profile has one entry per window, the first window
-// (cold) is the most expensive for a scanning workload, and the
-// reference-weighted mean matches the overall AMAT.
-func TestWindows(t *testing.T) {
-	tr, err := workloads.Trace("MV", workloads.ScaleTest, 1)
+// TestSimulateContextMatchesAccessLoop pins SimulateContext, which hands
+// the batched kernel cancelCheckInterval-record chunks, to a plain
+// per-record Access loop for every named design, with and without the
+// runtime invariant checker. The random trace spans several chunks and
+// carries software prefetches; MV is a structured workload.
+func TestSimulateContextMatchesAccessLoop(t *testing.T) {
+	mv, err := workloads.Trace("MV", workloads.ScaleTest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const w = 1000
-	windows, err := Windows(Soft(), tr, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWindows := (tr.Len() + w - 1) / w
-	if len(windows) != wantWindows {
-		t.Fatalf("windows = %d, want %d", len(windows), wantWindows)
-	}
-	overall, err := Simulate(Soft(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for i, v := range windows {
-		n := w
-		if i == len(windows)-1 && tr.Len()%w != 0 {
-			n = tr.Len() % w
+	traces := []*trace.Trace{mv, fusedRandomTrace(7, 2*cancelCheckInterval+17)}
+	for _, name := range ConfigNames() {
+		for _, checks := range []bool{false, true} {
+			base, err := ConfigByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := WithRuntimeChecks(base, checks)
+			for _, tr := range traces {
+				got, err := SimulateContext(context.Background(), cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim, err := cache.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range tr.Records {
+					sim.Access(r)
+				}
+				if want := sim.Stats(); !reflect.DeepEqual(got.Stats, want) {
+					t.Errorf("%s (checks=%v) on %s: SimulateContext diverges from the Access loop:\ngot:  %+v\nwant: %+v",
+						name, checks, tr.Name, got.Stats, want)
+				}
+			}
 		}
-		sum += v * float64(n)
-	}
-	if got := sum / float64(tr.Len()); got < overall.AMAT()*0.999 || got > overall.AMAT()*1.001 {
-		t.Fatalf("window-weighted AMAT %.4f != overall %.4f", got, overall.AMAT())
-	}
-	if _, err := Windows(Soft(), tr, 0); err == nil {
-		t.Fatal("zero window size must be rejected")
 	}
 }

@@ -11,6 +11,7 @@
 package tracegen
 
 import (
+	"errors"
 	"fmt"
 
 	"softcache/internal/locality"
@@ -71,7 +72,11 @@ func GenerateTagged(p *loopir.Program, tags locality.Tagging, opts Options) (*tr
 	if err != nil {
 		return nil, err
 	}
+	bound := g.compileCount(p.Body)
 	g.env = make([]int, len(g.slots))
+	if n, err := bound(g); err == nil && n <= g.max {
+		g.out.Records = make([]trace.Record, 0, n)
+	}
 	if err := seq(g); err != nil {
 		return nil, err
 	}
@@ -211,6 +216,115 @@ func (g *generator) compileLoop(l *loopir.Loop) (action, error) {
 		}
 		return nil
 	}, nil
+}
+
+// countFn evaluates an upper bound on the records a compiled statement
+// list emits from the current environment.
+type countFn func(*generator) (int, error)
+
+// errBoundTooLarge stops the counting pass once the bound passes
+// MaxRecords: generation then grows Records as it goes and reports the
+// overflow itself, so a mis-sized workload allocates nothing up front.
+var errBoundTooLarge = errors.New("tracegen: record bound exceeds MaxRecords")
+
+// compileCount compiles the counting pass that sizes Records before
+// generation. It walks the loop nest like the generator but counts each
+// access and prefetch once per iteration instead of emitting it, and
+// computes innermost loops in closed form, so it costs a small fraction of
+// the generation it sizes. The bound is exact except for non-faulting
+// prefetches that turn out to be dropped. Any error it meets (a loop bound
+// reading a data array out of range, or errBoundTooLarge) makes the caller
+// fall back to growing Records, so generation reports its errors exactly
+// as it would without the pass.
+func (g *generator) compileCount(body []loopir.Stmt) countFn {
+	static := countStatic(body)
+	var loops []countFn
+	for _, st := range body {
+		if l, ok := st.(*loopir.Loop); ok {
+			loops = append(loops, g.compileLoopCount(l))
+		}
+	}
+	return func(g *generator) (int, error) {
+		n := static
+		for _, l := range loops {
+			c, err := l(g)
+			if err != nil {
+				return 0, err
+			}
+			if n += c; n > g.max {
+				return 0, errBoundTooLarge
+			}
+		}
+		return n, nil
+	}
+}
+
+// compileLoopCount bounds one loop: an innermost loop as trips times its
+// statements, any other by running its iterations over the counting body.
+func (g *generator) compileLoopCount(l *loopir.Loop) countFn {
+	lo := g.compileSub(l.Lower)
+	hi := g.compileSub(l.Upper)
+	slot := g.slot(l.Var)
+	step := l.Step
+	if step == 0 {
+		step = 1
+	}
+	body := g.compileCount(l.Body)
+	per, innermost := countStatic(l.Body), !containsLoop(l.Body)
+	return func(g *generator) (int, error) {
+		from, err := lo(g)
+		if err != nil {
+			return 0, err
+		}
+		to, err := hi(g)
+		if err != nil {
+			return 0, err
+		}
+		if from > to {
+			return 0, nil
+		}
+		if innermost {
+			trips := (to-from)/step + 1
+			if per > 0 && trips > g.max/per {
+				return 0, errBoundTooLarge
+			}
+			return trips * per, nil
+		}
+		n := 0
+		for i := from; i <= to; i += step {
+			g.env[slot] = i
+			c, err := body(g)
+			if err != nil {
+				return 0, err
+			}
+			if n += c; n > g.max {
+				return 0, errBoundTooLarge
+			}
+		}
+		return n, nil
+	}
+}
+
+// countStatic counts the accesses and prefetches directly in body: the
+// records one execution of it emits, not counting nested loops.
+func countStatic(body []loopir.Stmt) int {
+	n := 0
+	for _, st := range body {
+		switch st.(type) {
+		case *loopir.Access, *loopir.Prefetch:
+			n++
+		}
+	}
+	return n
+}
+
+func containsLoop(body []loopir.Stmt) bool {
+	for _, st := range body {
+		if _, ok := st.(*loopir.Loop); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // compilePrefetch compiles a §4.4 software-prefetch instruction. Unlike a

@@ -200,9 +200,7 @@ func TestOutOfRangeSubscript(t *testing.T) {
 	p.Add(loopir.Do("i", loopir.C(0), loopir.C(10),
 		loopir.Read("X", loopir.V("i")),
 	))
-	if _, err := Generate(p, Options{Seed: 1}); err == nil {
-		t.Fatal("out-of-range subscript must be reported")
-	}
+	requireError(t, p, Options{Seed: 1}, "tracegen: subscript 4 out of range [0,4) in dim 0 of X (ref 1)")
 }
 
 func TestOutOfRangeIndirectIndex(t *testing.T) {
@@ -212,9 +210,7 @@ func TestOutOfRangeIndirectIndex(t *testing.T) {
 	p.Add(loopir.Do("i", loopir.C(0), loopir.C(5),
 		loopir.Read("X", loopir.Load("Idx", loopir.V("i"))),
 	))
-	if _, err := Generate(p, Options{Seed: 1}); err == nil {
-		t.Fatal("out-of-range indirect index must be reported")
-	}
+	requireError(t, p, Options{Seed: 1}, "tracegen: index 1 out of range for data array Idx (len 1)")
 }
 
 func TestMaxRecordsGuard(t *testing.T) {
@@ -225,8 +221,32 @@ func TestMaxRecordsGuard(t *testing.T) {
 			loopir.Read("X", loopir.V("j")),
 		),
 	))
-	if _, err := Generate(p, Options{Seed: 1, MaxRecords: 50}); err == nil {
-		t.Fatal("MaxRecords must abort oversized generation")
+	requireError(t, p, Options{Seed: 1, MaxRecords: 50}, "tracegen: trace exceeds MaxRecords=50 (workload mis-sized?)")
+}
+
+// TestOutOfRangeLoopBound: a loop bound that reads a data array out of
+// range also defeats the counting pass that sizes Records. Generation then
+// grows Records as it goes and reports the error itself, unchanged.
+func TestOutOfRangeLoopBound(t *testing.T) {
+	p := loopir.NewProgram("badbound")
+	p.DeclareArray("A", 6)
+	p.DeclareData("D", []int{0, 2, 6})
+	p.Add(loopir.Do("i", loopir.C(0), loopir.C(2),
+		loopir.Do("j", loopir.Load("D", loopir.V("i")),
+			loopir.Plus(loopir.Load("D", loopir.Plus(loopir.V("i"), 1)), -1),
+			loopir.Read("A", loopir.V("j")),
+		),
+	))
+	requireError(t, p, Options{Seed: 1}, "tracegen: index 3 out of range for data array D (len 3)")
+}
+
+// requireError asserts that generating p fails with exactly want: the
+// counting pass that sizes Records must never change what generation
+// reports.
+func requireError(t *testing.T, p *loopir.Program, opts Options, want string) {
+	t.Helper()
+	if _, err := Generate(p, opts); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
