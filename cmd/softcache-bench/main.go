@@ -5,14 +5,17 @@
 //	softcache-bench -all                   # every figure, paper scale
 //	softcache-bench -fig 6a -fig 7b        # selected figures
 //	softcache-bench -all -scale test       # quick pass at test scale
-//	softcache-bench -all -workers 4        # figures in parallel
+//	softcache-bench -all -workers 4        # four figures in flight
 //	softcache-bench -all -journal run.jsonl -resume   # checkpoint/resume
 //	softcache-bench -faults                # fault-injection corpus
 //	softcache-bench -list                  # list figure ids
 //
 // Each figure prints its table(s) — same rows and series as the paper's
-// plot — followed by the qualitative shape checks. Figures run on the
-// experiment harness (internal/harness): in parallel under -workers, each
+// plot — followed by the qualitative shape checks. The simulations inside
+// a figure already use every core: the rows of all figures in flight
+// share one process-wide budget of GOMAXPROCS workers, so -workers sets
+// how many figures are in flight, not how many cores they use. Figures
+// run on the experiment harness (internal/harness): -workers at once, each
 // bounded by -timeout, with panics converted into structured failed-run
 // records on stderr and completed figures checkpointed to -journal so an
 // interrupted run resumes with -resume instead of recomputing. Reports are
@@ -67,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mdPath := fs.String("md", "", "also write a Markdown report (EXPERIMENTS.md format) to this file")
 	csvDir := fs.String("csv", "", "also write one CSV per figure table into this directory")
 	htmlPath := fs.String("html", "", "also write an HTML report with SVG charts to this file")
-	workers := fs.Int("workers", 1, "figures simulated in parallel")
+	workers := fs.Int("workers", 1, "figures in flight")
 	timeout := fs.Duration("timeout", 0, "per-figure timeout (0 = none)")
 	journal := fs.String("journal", "", "append completed figures to this JSONL checkpoint file")
 	resume := fs.Bool("resume", false, "replay figures already completed in -journal instead of re-running them")

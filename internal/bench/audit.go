@@ -30,20 +30,28 @@ func runTagAudit(ctx *Context) (*Report, error) {
 	r := &Report{ID: "tag-audit", Title: "Tag-Precision Audit"}
 	tbl := metrics.NewTable("Static-tag precision/recall vs observed reuse", "benchmark",
 		"T-precision", "T-recall", "S-precision", "S-recall")
+	names := workloads.Benchmarks()
+	audits := make([]*vet.AuditReport, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		p, err := workloads.BuildProgram(names[i], rc.Scale)
+		if err != nil {
+			return err
+		}
+		res, err := vet.Run(p, vet.Options{Audit: true, Seed: rc.Seed})
+		if err != nil {
+			return fmt.Errorf("tag-audit: %s: %w", names[i], err)
+		}
+		audits[i] = res.Audit
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	minPrec := 1.0
 	byName := map[string]*vet.AuditReport{}
-	for _, name := range workloads.Benchmarks() {
-		p, err := workloads.BuildProgram(name, ctx.Scale)
-		if err != nil {
-			return nil, err
-		}
-		res, err := vet.Run(p, vet.Options{Audit: true, Seed: ctx.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("tag-audit: %s: %w", name, err)
-		}
-		a := res.Audit
-		byName[name] = a
-		tbl.AddRow(name, a.Temporal.Precision, a.Temporal.Recall,
+	for i, a := range audits {
+		byName[names[i]] = a
+		tbl.AddRow(names[i], a.Temporal.Precision, a.Temporal.Recall,
 			a.Spatial.Precision, a.Spatial.Recall)
 		for _, p := range []float64{a.Temporal.Precision, a.Spatial.Precision} {
 			if p < minPrec {

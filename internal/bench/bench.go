@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"softcache/internal/core"
 	"softcache/internal/loopir"
@@ -24,15 +26,19 @@ import (
 )
 
 // Context carries experiment-wide state: the workload scale, the trace
-// seed, and a cache of the named workload traces (the ones requested
-// through Trace), so each of them is generated once per process instead
-// of once per configuration. The parameterised variants some figures
-// sweep (block size, leading dimension, issue gap, prefetch distance) are
-// read by a single experiment: they are generated where they are used and
-// dropped after their simulation, never cached. Context is safe for
-// concurrent use: the experiment harness runs several figures at once
-// against one shared Context, and each named trace is still generated
-// exactly once.
+// seed, a cache of the named workload traces (the ones requested through
+// Trace), so each of them is generated once per process instead of once
+// per configuration, and the worker budget every figure's rows share.
+//
+// The parameterised variants some figures sweep (block size, leading
+// dimension, issue gap, prefetch distance) are read by a single
+// experiment: they are never materialised but streamed from the running
+// generator (tracegen.Reader) into the fused kernel, one batch at a time.
+//
+// Context is safe for concurrent use: the experiment harness runs several
+// figures at once against one shared Context, each named trace is still
+// generated exactly once, and the rows of every figure in flight run on
+// one budget of runtime.GOMAXPROCS(0) workers (see each).
 type Context struct {
 	Scale workloads.Scale
 	Seed  uint64
@@ -48,6 +54,12 @@ type Context struct {
 
 	ctx    context.Context
 	traces *traceCache
+	// budget holds one token per row running anywhere on this Context or
+	// its WithContext copies; its capacity is the worker count.
+	budget chan struct{}
+	// inRow marks the copy each hands its rows: the goroutine running it
+	// already holds a token, so a nested each must not wait for another.
+	inRow bool
 }
 
 // traceCache deduplicates trace generation across concurrent experiments:
@@ -74,12 +86,14 @@ func NewContext(scale workloads.Scale, seed uint64) *Context {
 		Scale:  scale,
 		Seed:   seed,
 		traces: &traceCache{m: make(map[string]*traceEntry)},
+		budget: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 }
 
 // WithContext returns a copy of c whose simulations are canceled when ctx
-// is. The trace cache is shared with c, so per-experiment contexts handed
-// out by the harness still generate each workload once.
+// is. The trace cache and the worker budget are shared with c, so
+// per-experiment contexts handed out by the harness still generate each
+// workload once and together never run more rows than there are workers.
 func (c *Context) WithContext(ctx context.Context) *Context {
 	c2 := *c
 	c2.ctx = ctx
@@ -126,44 +140,129 @@ func (c *Context) Simulate(name string, cfg core.Config) (core.Result, error) {
 }
 
 // SimulateMany runs every configuration over the named workload's trace
-// in one fused pass (see simulateTrace). Results are index-aligned with
-// cfgs and identical to len(cfgs) Simulate calls.
+// in one fused pass (core.SimulateManyTrace), honouring the context's
+// cancellation and invariant-check settings: each record batch is walked
+// once and fed to all simulators, so a figure's whole config axis costs
+// one trace traversal. Results are index-aligned with cfgs and identical
+// to len(cfgs) Simulate calls.
 func (c *Context) SimulateMany(name string, cfgs []core.Config) ([]core.Result, error) {
 	t, err := c.Trace(name)
 	if err != nil {
 		return nil, err
 	}
-	return c.simulateTrace(t, cfgs...)
+	return core.SimulateManyTrace(c.context(), c.checked(cfgs), t)
 }
 
-// simulateTrace runs every configuration over t in one fused pass
-// (core.SimulateManyTrace), honouring the context's cancellation and
-// invariant-check settings: each record batch is walked once and fed to
-// all simulators, so a figure's whole config axis costs one trace
-// traversal. It is the entry point for the single-use variant traces
-// figures generate themselves as well as for the cached named ones.
-func (c *Context) simulateTrace(t *trace.Trace, cfgs ...core.Config) ([]core.Result, error) {
-	if c.Check {
-		cfgs = append([]core.Config(nil), cfgs...)
-		for i := range cfgs {
-			cfgs[i].RuntimeChecks = true
-		}
-	}
-	return core.SimulateManyTrace(c.context(), cfgs, t)
-}
-
-// simulateProgram generates p's trace with the context's seed and the
-// given gap model (nil selects the paper's fig. 4b distribution) and runs
-// cfgs over it through simulateTrace. It serves the single-use variants
-// figures sweep (block size, leading dimension, issue gap, prefetch
-// distance): the trace is not cached, so it is dropped as soon as the
-// simulation returns.
+// simulateProgram streams p's trace, generated with the context's seed and
+// the given gap model (nil selects the paper's fig. 4b distribution), into
+// one fused pass over cfgs (core.SimulateMany). It serves the single-use
+// variants figures sweep (block size, leading dimension, issue gap,
+// prefetch distance): the trace is never materialised, so a variant in
+// flight holds one record batch, not its whole trace.
 func (c *Context) simulateProgram(p *loopir.Program, gaps *timing.GapModel, cfgs ...core.Config) ([]core.Result, error) {
-	t, err := tracegen.Generate(p, tracegen.Options{Seed: c.Seed, Gaps: gaps})
+	r, err := tracegen.NewReader(p, tracegen.Options{Seed: c.Seed, Gaps: gaps})
 	if err != nil {
 		return nil, err
 	}
-	return c.simulateTrace(t, cfgs...)
+	defer r.Close()
+	return core.SimulateMany(c.context(), c.checked(cfgs), r)
+}
+
+// checked returns cfgs with the runtime invariant checker armed when the
+// context asks for it (Check), copying rather than editing the caller's
+// slice.
+func (c *Context) checked(cfgs []core.Config) []core.Config {
+	if !c.Check {
+		return cfgs
+	}
+	cfgs = append([]core.Config(nil), cfgs...)
+	for i := range cfgs {
+		cfgs[i].RuntimeChecks = true
+	}
+	return cfgs
+}
+
+// each runs fn(rc, i) for every row i in [0, n) on the context's worker
+// budget and returns the error of the lowest failing row. Rows must be
+// independent: each writes its own slot of a caller-owned slice, and the
+// caller builds tables, sums and geomeans from those slots afterwards, in
+// index order, so the output does not depend on how rows were scheduled.
+//
+// The caller works through rows itself, on a token it waits for unless it
+// is already inside a row, and adds a helper goroutine only when it can
+// take a free token without waiting. Rows are handed out in index order,
+// and after a failure no new row starts. A row that nests each must pass
+// it rc, the copy it was given: rc marks the token its goroutine holds, so
+// nested and concurrent use can neither deadlock nor run more rows than
+// the budget has tokens. A panicking row is re-raised on the caller's
+// goroutine once the other rows have finished.
+func (c *Context) each(n int, fn func(rc *Context, i int) error) error {
+	if n == 0 {
+		return nil
+	}
+	rc := c
+	if !c.inRow {
+		select {
+		case c.budget <- struct{}{}:
+		case <-c.context().Done():
+			return fmt.Errorf("bench: waiting for a worker: %w", c.context().Err())
+		}
+		defer func() { <-c.budget }()
+		cp := *c
+		cp.inRow = true
+		rc = &cp
+	}
+	errs := make([]error, n)
+	panics := make([]any, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	claim := func() (int, bool) {
+		if failed.Load() {
+			return 0, false
+		}
+		i := int(next.Add(1) - 1)
+		return i, i < n
+	}
+	run := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				panics[i] = p
+				failed.Store(true)
+			}
+		}()
+		if errs[i] = fn(rc, i); errs[i] != nil {
+			failed.Store(true)
+		}
+	}
+	var wg sync.WaitGroup
+	helper := func() {
+		defer wg.Done()
+		defer func() { <-c.budget }()
+		for i, ok := claim(); ok; i, ok = claim() {
+			run(i)
+		}
+	}
+	for i, ok := claim(); ok; i, ok = claim() {
+		if int(next.Load()) < n {
+			select {
+			case c.budget <- struct{}{}:
+				wg.Add(1)
+				go helper()
+			default:
+			}
+		}
+		run(i)
+	}
+	wg.Wait()
+	for i := range errs {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if errs[i] != nil {
+			return errs[i]
+		}
+	}
+	return nil
 }
 
 // Check is one qualitative shape assertion.
@@ -275,7 +374,7 @@ func RunAll(ctx *Context) ([]*Report, error) {
 // amatTable runs the given configurations over the given workloads and
 // returns a workloads × configs AMAT table (the shape of most figures).
 // The config axis is fused: each workload's trace is walked once for the
-// whole row rather than once per column.
+// whole row rather than once per column; the rows run in parallel (each).
 func amatTable(ctx *Context, title string, names []string, configs []namedConfig, metric func(core.Result) float64) (*metrics.Table, error) {
 	cols := make([]string, len(configs))
 	cfgs := make([]core.Config, len(configs))
@@ -283,17 +382,24 @@ func amatTable(ctx *Context, title string, names []string, configs []namedConfig
 		cols[i] = c.label
 		cfgs[i] = c.cfg
 	}
-	tbl := metrics.NewTable(title, "benchmark", cols...)
-	for _, name := range names {
-		results, err := ctx.SimulateMany(name, cfgs)
+	rows := make([][]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		results, err := rc.SimulateMany(names[i], cfgs)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", names[i], err)
 		}
-		row := make([]float64, len(configs))
-		for i, res := range results {
-			row[i] = metric(res)
+		rows[i] = make([]float64, len(configs))
+		for j, res := range results {
+			rows[i][j] = metric(res)
 		}
-		tbl.AddRow(name, row...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tbl := metrics.NewTable(title, "benchmark", cols...)
+	for i, name := range names {
+		tbl.AddRow(name, rows[i]...)
 	}
 	return tbl, nil
 }

@@ -3,10 +3,15 @@ package bench
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"softcache/internal/core"
+	"softcache/internal/harness"
 	"softcache/internal/workloads"
 )
 
@@ -209,4 +214,147 @@ func TestColumnHelpers(t *testing.T) {
 	if g := columnGeomean(tbl, 0); g <= 0 {
 		t.Fatalf("geomean = %v", g)
 	}
+}
+
+// TestRowsShareOneWorkerBudget drives several experiments at once on one
+// shared Context, the way softcache-bench -workers does through the
+// harness, with rows that nest each. Rows in flight never exceed
+// GOMAXPROCS, the budget is actually used, and at GOMAXPROCS=1 the nested
+// callers still finish: they run their rows themselves instead of waiting
+// for a token their own goroutine holds.
+func TestRowsShareOneWorkerBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx := NewContext(workloads.ScaleTest, 1)
+		var inFlight, peak atomic.Int64
+		work := func(rc *Context, name string) error {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			_, err := rc.SimulateMany(name, []core.Config{core.Standard(), core.Soft()})
+			return err
+		}
+		names := workloads.Benchmarks()
+		row := func(rc *Context, i int) error {
+			if err := work(rc, names[i%len(names)]); err != nil {
+				return err
+			}
+			if i%3 != 0 {
+				return nil
+			}
+			return rc.each(3, func(rc *Context, j int) error { return work(rc, names[j]) })
+		}
+		var units []harness.Unit[int]
+		for u := 0; u < 6; u++ {
+			units = append(units, harness.Unit[int]{
+				Key: fmt.Sprint("experiment-", u),
+				Run: func(runCtx context.Context) (int, error) {
+					return 0, ctx.WithContext(runCtx).each(8, row)
+				},
+			})
+		}
+		finished := make(chan []harness.Result[int])
+		go func() {
+			results, err := harness.Run(context.Background(), units, harness.Options{Workers: len(units)})
+			if err != nil {
+				t.Error(err)
+			}
+			finished <- results
+		}()
+		select {
+		case results := <-finished:
+			for _, r := range results {
+				if !r.OK() {
+					t.Errorf("GOMAXPROCS=%d: %s", procs, r.FailureRecord())
+				}
+			}
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("GOMAXPROCS=%d: experiments deadlocked on the worker budget", procs)
+		}
+		if p := peak.Load(); p > int64(procs) {
+			t.Errorf("GOMAXPROCS=%d: %d rows in flight", procs, p)
+		} else if procs > 1 && p < 2 {
+			t.Errorf("GOMAXPROCS=%d: rows never ran in parallel (peak %d)", procs, p)
+		}
+	}
+}
+
+// TestFiguresFinishOnOneWorker runs the figures with the most rows
+// concurrently, as softcache-bench -workers does, on a budget of one
+// worker: they must finish, with the tables a sequential run produces.
+func TestFiguresFinishOnOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := NewContext(workloads.ScaleTest, 1)
+	ids := []string{"11b", "12sw", "issue", "10a", "summary"}
+	var units []harness.Unit[*Report]
+	for _, id := range ids {
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, harness.Unit[*Report]{
+			Key: id,
+			Run: func(runCtx context.Context) (*Report, error) { return e.Run(ctx.WithContext(runCtx)) },
+		})
+	}
+	finished := make(chan []harness.Result[*Report])
+	go func() {
+		results, err := harness.Run(context.Background(), units, harness.Options{Workers: len(units)})
+		if err != nil {
+			t.Error(err)
+		}
+		finished <- results
+	}()
+	select {
+	case results := <-finished:
+		for i, r := range results {
+			if !r.OK() {
+				t.Fatalf("%s", r.FailureRecord())
+			}
+			e, _ := Get(ids[i])
+			want, err := e.Run(sharedCtx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Value.String(); got != want.String() {
+				t.Errorf("figure %s on one worker differs from the shared run:\n%s\nwant:\n%s", ids[i], got, want)
+			}
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("figures deadlocked on a one-worker budget")
+	}
+}
+
+// TestEachReportsLowestFailingRow: whichever row fails first in time,
+// each returns the error of the lowest failing row, and a row's panic is
+// re-raised on the caller's goroutine.
+func TestEachReportsLowestFailingRow(t *testing.T) {
+	ctx := NewContext(workloads.ScaleTest, 1)
+	err := ctx.each(16, func(rc *Context, i int) error {
+		switch i {
+		case 3:
+			time.Sleep(20 * time.Millisecond)
+			return errors.New("row 3")
+		case 5:
+			return errors.New("row 5")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "row 3" {
+		t.Fatalf("each = %v, want row 3's error", err)
+	}
+	defer func() {
+		if p := recover(); p != "row 2 panicked" {
+			t.Fatalf("recovered %v, want row 2's panic", p)
+		}
+	}()
+	_ = ctx.each(4, func(rc *Context, i int) error {
+		if i == 2 {
+			panic("row 2 panicked")
+		}
+		return nil
+	})
+	t.Fatal("each returned instead of re-raising the row's panic")
 }

@@ -28,14 +28,22 @@ func init() {
 func runFig1a(ctx *Context) (*Report, error) {
 	r := &Report{ID: "1a", Title: "Distance of Reuse"}
 	tbl := metrics.NewTable("Fraction of references per reuse distance", "benchmark", metrics.ReuseBuckets...)
-	longShare := 0.0
-	for _, name := range workloads.Benchmarks() {
-		t, err := ctx.Trace(name)
+	names := workloads.Benchmarks()
+	dists := make([][5]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		t, err := rc.Trace(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d := metrics.ReuseDistances(t, 8)
-		tbl.AddRow(name, d[0], d[1], d[2], d[3], d[4])
+		dists[i] = metrics.ReuseDistances(t, 8)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	longShare := 0.0
+	for i, d := range dists {
+		tbl.AddRow(names[i], d[0], d[1], d[2], d[3], d[4])
 		longShare += d[3] + d[4]
 	}
 	longShare /= float64(tbl.Rows())
@@ -56,14 +64,22 @@ func runFig1a(ctx *Context) (*Report, error) {
 func runFig1b(ctx *Context) (*Report, error) {
 	r := &Report{ID: "1b", Title: "Vector Length of Reference Streams"}
 	tbl := metrics.NewTable("Fraction of references per vector length", "benchmark", metrics.VectorBuckets...)
-	beyondLine := 0.0
-	for _, name := range workloads.Benchmarks() {
-		t, err := ctx.Trace(name)
+	names := workloads.Benchmarks()
+	dists := make([][6]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		t, err := rc.Trace(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d := metrics.VectorLengths(t, metrics.VectorParams{})
-		tbl.AddRow(name, d[0], d[1], d[2], d[3], d[4], d[5])
+		dists[i] = metrics.VectorLengths(t, metrics.VectorParams{})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	beyondLine := 0.0
+	for i, d := range dists {
+		tbl.AddRow(names[i], d[0], d[1], d[2], d[3], d[4], d[5])
 		beyondLine += d[1] + d[2] + d[3] + d[4] + d[5]
 	}
 	beyondLine /= float64(tbl.Rows())

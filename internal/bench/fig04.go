@@ -29,15 +29,23 @@ func init() {
 func runFig4a(ctx *Context) (*Report, error) {
 	r := &Report{ID: "4a", Title: "Software Tag Fractions"}
 	tbl := metrics.NewTable("Fraction of trace entries per tag class", "benchmark", metrics.TagClasses...)
-	byName := map[string][4]float64{}
-	for _, name := range workloads.Benchmarks() {
-		t, err := ctx.Trace(name)
+	names := workloads.Benchmarks()
+	fracs := make([][4]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		t, err := rc.Trace(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		f := metrics.TagFractions(t)
-		byName[name] = f
-		tbl.AddRow(name, f[0], f[1], f[2], f[3])
+		fracs[i] = metrics.TagFractions(t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	byName := map[string][4]float64{}
+	for i, f := range fracs {
+		byName[names[i]] = f
+		tbl.AddRow(names[i], f[0], f[1], f[2], f[3])
 	}
 	r.Tables = append(r.Tables, tbl)
 
@@ -77,13 +85,21 @@ func runFig4b(ctx *Context) (*Report, error) {
 	modelDist := modelBuckets(model)
 	tbl.AddRow("model", modelDist[:]...)
 
-	for _, name := range []string{"MV", "LIV"} {
-		t, err := ctx.Trace(name)
+	names := []string{"MV", "LIV"}
+	dists := make([][9]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		t, err := rc.Trace(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d := metrics.GapDistribution(t)
-		tbl.AddRow("measured/"+name, d[:]...)
+		dists[i] = metrics.GapDistribution(t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range dists {
+		tbl.AddRow("measured/"+names[i], d[:]...)
 	}
 	r.Tables = append(r.Tables, tbl)
 

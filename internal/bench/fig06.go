@@ -67,14 +67,22 @@ func runFig6a(ctx *Context) (*Report, error) {
 func runFig6b(ctx *Context) (*Report, error) {
 	r := &Report{ID: "6b", Title: "Repartition of Cache Hits"}
 	tbl := metrics.NewTable("Share of hits per structure (Soft)", "benchmark", "main cache", "bounce-back")
-	minMain := 1.0
-	for _, name := range workloads.Benchmarks() {
-		res, err := ctx.Simulate(name, core.Soft())
+	names := workloads.Benchmarks()
+	shares := make([]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		res, err := rc.Simulate(names[i], core.Soft())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		mf := res.Stats.MainHitFraction()
-		tbl.AddRow(name, mf, 1-mf)
+		shares[i] = res.Stats.MainHitFraction()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	minMain := 1.0
+	for i, mf := range shares {
+		tbl.AddRow(names[i], mf, 1-mf)
 		if mf < minMain {
 			minMain = mf
 		}

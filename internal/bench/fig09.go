@@ -55,10 +55,12 @@ func runFig9a(ctx *Context) (*Report, error) {
 			core.WithGeometry(core.Standard(), g.cacheSize, g.lineSize, 0),
 			core.WithGeometry(core.Soft(), g.cacheSize, g.lineSize, 2*g.lineSize))
 	}
-	for _, name := range workloads.Benchmarks() {
-		results, err := ctx.SimulateMany(name, cfgs)
+	names := workloads.Benchmarks()
+	rows := make([][]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, b int) error {
+		results, err := rc.SimulateMany(names[b], cfgs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row := make([]float64, len(fig9aGeometries))
 		for i := range fig9aGeometries {
@@ -67,7 +69,14 @@ func runFig9a(ctx *Context) (*Report, error) {
 				row[i] = 100 * (sres.MissRatio() - fres.MissRatio()) / sres.MissRatio()
 			}
 		}
-		tbl.AddRow(name, row...)
+		rows[b] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for b, row := range rows {
+		tbl.AddRow(names[b], row...)
 	}
 	r.Tables = append(r.Tables, tbl)
 

@@ -38,26 +38,31 @@ func runFig10a(ctx *Context) (*Report, error) {
 
 	// Compare the mean relative gain against the whole-program runs for
 	// the codes present in both experiments.
-	kernelGain, fullGain := 0.0, 0.0
-	n := 0
-	for _, base := range []string{"MDG", "BDN", "DYF", "TRF"} {
-		pair := []core.Config{core.Standard(), core.Soft()}
-		kernel, err := ctx.SimulateMany(base+"-kernel", pair)
-		if err != nil {
-			return nil, err
+	// Rows 2i and 2i+1 are base i's kernel and whole program.
+	bases := []string{"MDG", "BDN", "DYF", "TRF"}
+	gains := make([]float64, 2*len(bases))
+	err = ctx.each(len(gains), func(rc *Context, i int) error {
+		name := bases[i/2]
+		if i%2 == 0 {
+			name += "-kernel"
 		}
-		full, err := ctx.SimulateMany(base, pair)
+		res, err := rc.SimulateMany(name, []core.Config{core.Standard(), core.Soft()})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		kStd, kSoft := kernel[0], kernel[1]
-		fStd, fSoft := full[0], full[1]
-		kernelGain += 1 - kSoft.AMAT()/kStd.AMAT()
-		fullGain += 1 - fSoft.AMAT()/fStd.AMAT()
-		n++
+		gains[i] = 1 - res[1].AMAT()/res[0].AMAT()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	kernelGain /= float64(n)
-	fullGain /= float64(n)
+	kernelGain, fullGain := 0.0, 0.0
+	for i := range bases {
+		kernelGain += gains[2*i]
+		fullGain += gains[2*i+1]
+	}
+	kernelGain /= float64(len(bases))
+	fullGain /= float64(len(bases))
 	r.check("full instrumentation yields larger relative gains than whole programs",
 		kernelGain > fullGain,
 		fmt.Sprintf("mean gain kernels %.0f%% vs whole programs %.0f%%", kernelGain*100, fullGain*100))
@@ -86,16 +91,25 @@ func runFig10b(ctx *Context) (*Report, error) {
 			core.WithLatency(core.Standard(), lat),
 			core.WithLatency(core.Soft(), lat))
 	}
-	for _, name := range workloads.Benchmarks() {
-		results, err := ctx.SimulateMany(name, cfgs)
+	names := workloads.Benchmarks()
+	rows := make([][]float64, len(names))
+	err := ctx.each(len(names), func(rc *Context, b int) error {
+		results, err := rc.SimulateMany(names[b], cfgs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row := make([]float64, len(fig10bLatencies))
 		for i := range fig10bLatencies {
 			row[i] = results[2*i].AMAT() - results[2*i+1].AMAT()
 		}
-		tbl.AddRow(name, row...)
+		rows[b] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for b, row := range rows {
+		tbl.AddRow(names[b], row...)
 	}
 	r.Tables = append(r.Tables, tbl)
 

@@ -40,17 +40,22 @@ func runFig11a(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable("AMAT (cycles) vs block size", "block", "Standard", "Soft")
 	type point struct{ std, soft float64 }
 	points := make([]point, len(blocks))
+	err := ctx.each(len(blocks), func(rc *Context, i int) error {
+		p, err := workloads.BlockedMV(rc.Scale, blocks[i])
+		if err != nil {
+			return err
+		}
+		res, err := rc.simulateProgram(p, nil, core.Standard(), core.Soft())
+		if err != nil {
+			return err
+		}
+		points[i] = point{res[0].AMAT(), res[1].AMAT()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	for i, b := range blocks {
-		p, err := workloads.BlockedMV(ctx.Scale, b)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ctx.simulateProgram(p, nil, core.Standard(), core.Soft())
-		if err != nil {
-			return nil, err
-		}
-		std, soft := res[0], res[1]
-		points[i] = point{std.AMAT(), soft.AMAT()}
 		tbl.AddRow(fmt.Sprintf("%d", b), points[i].std, points[i].soft)
 	}
 	r.Tables = append(r.Tables, tbl)
@@ -86,27 +91,29 @@ func runFig11b(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable("AMAT (cycles) vs leading dimension", "LD",
 		"NoCopy(stand)", "Copy(stand)", "NoCopy(soft)", "Copy(soft)")
 	type runRes struct{ ncS, cS, ncF, cF float64 }
-	var rows []runRes
-	for _, ld := range fig11bLDs {
-		var vals runRes
-		for _, copying := range []bool{false, true} {
-			p, err := workloads.BlockedMM(ctx.Scale, ld, copying)
-			if err != nil {
-				return nil, err
-			}
-			res, err := ctx.simulateProgram(p, nil, core.Standard(), core.Soft())
-			if err != nil {
-				return nil, err
-			}
-			std, soft := res[0], res[1]
-			if copying {
-				vals.cS, vals.cF = std.AMAT(), soft.AMAT()
-			} else {
-				vals.ncS, vals.ncF = std.AMAT(), soft.AMAT()
-			}
+	// Run 2k is leading dimension k without copying, run 2k+1 with it;
+	// each yields its (Standard, Soft) AMAT pair.
+	runs := make([][2]float64, 2*len(fig11bLDs))
+	err := ctx.each(len(runs), func(rc *Context, i int) error {
+		p, err := workloads.BlockedMM(rc.Scale, fig11bLDs[i/2], i%2 == 1)
+		if err != nil {
+			return err
 		}
-		rows = append(rows, vals)
-		tbl.AddRow(fmt.Sprintf("%d", ld), vals.ncS, vals.cS, vals.ncF, vals.cF)
+		res, err := rc.simulateProgram(p, nil, core.Standard(), core.Soft())
+		if err != nil {
+			return err
+		}
+		runs[i] = [2]float64{res[0].AMAT(), res[1].AMAT()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]runRes, len(fig11bLDs))
+	for k, ld := range fig11bLDs {
+		noCopy, copying := runs[2*k], runs[2*k+1]
+		rows[k] = runRes{ncS: noCopy[0], cS: copying[0], ncF: noCopy[1], cF: copying[1]}
+		tbl.AddRow(fmt.Sprintf("%d", ld), rows[k].ncS, rows[k].cS, rows[k].ncF, rows[k].cF)
 	}
 	r.Tables = append(r.Tables, tbl)
 

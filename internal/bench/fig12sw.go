@@ -32,26 +32,42 @@ func runFig12SW(ctx *Context) (*Report, error) {
 	}
 	tbl := metrics.NewTable("AMAT (cycles)", "benchmark", cols...)
 
-	for _, name := range workloads.Benchmarks() {
-		row := make([]float64, 0, len(cols))
-		base, err := ctx.SimulateMany(name, []core.Config{core.Soft(), core.WithPrefetch(core.Soft(), true)})
-		if err != nil {
-			return nil, err
+	// Each benchmark is 1+len(distances) runs: the cached trace under
+	// Soft and Soft+HWpf, then one prefetching variant per distance.
+	names := workloads.Benchmarks()
+	per := 1 + len(distances)
+	runs := make([][]float64, len(names)*per)
+	err := ctx.each(len(runs), func(rc *Context, i int) error {
+		name, k := names[i/per], i%per
+		if k == 0 {
+			base, err := rc.SimulateMany(name, []core.Config{core.Soft(), core.WithPrefetch(core.Soft(), true)})
+			if err != nil {
+				return err
+			}
+			runs[i] = []float64{base[0].AMAT(), base[1].AMAT()}
+			return nil
 		}
-		row = append(row, base[0].AMAT(), base[1].AMAT())
-		for _, d := range distances {
-			p, err := workloads.BuildProgram(name, ctx.Scale)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := locality.InsertPrefetches(p, d); err != nil {
-				return nil, err
-			}
-			res, err := ctx.simulateProgram(p, nil, core.Soft())
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res[0].AMAT())
+		p, err := workloads.BuildProgram(name, rc.Scale)
+		if err != nil {
+			return err
+		}
+		if _, err := locality.InsertPrefetches(p, distances[k-1]); err != nil {
+			return err
+		}
+		res, err := rc.simulateProgram(p, nil, core.Soft())
+		if err != nil {
+			return err
+		}
+		runs[i] = []float64{res[0].AMAT()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for b, name := range names {
+		row := make([]float64, 0, len(cols))
+		for _, run := range runs[b*per : (b+1)*per] {
+			row = append(row, run...)
 		}
 		tbl.AddRow(name, row...)
 	}

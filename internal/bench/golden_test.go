@@ -30,9 +30,12 @@ const goldenScaleEnv = "SOFTCACHE_GOLDEN_SCALE"
 // TestGoldenFigures regenerates every figure experiment and compares the
 // CSV output byte for byte against the committed goldens. Any behavioural
 // change to the simulator — however small — shows up here as a numeric
-// diff, pinned to the figure and table cell that moved.
+// diff, pinned to the figure and table cell that moved. The context is
+// fresh, so its worker budget follows the test's GOMAXPROCS: CI runs it
+// with -cpu 1,4 to pin the output byte for byte whether every figure's
+// rows run on one worker or on four.
 func TestGoldenFigures(t *testing.T) {
-	ctx := sharedCtx
+	ctx := NewContext(workloads.ScaleTest, 1)
 	goldenDir := filepath.Join("testdata", "golden")
 	paperScale := os.Getenv(goldenScaleEnv) == "paper"
 	if paperScale {

@@ -33,19 +33,27 @@ func runIssueRate(ctx *Context) (*Report, error) {
 	}
 	tbl := metrics.NewTable("AMAT(Standard) - AMAT(Soft) at constant issue gaps", "benchmark", cols...)
 
-	lockStallShare := 0.0
-	for _, name := range workloads.Benchmarks() {
-		p, err := workloads.BuildProgram(name, ctx.Scale)
+	// Run b*len(gaps)+i is benchmark b at gaps[i]. Every run builds its
+	// own program: generation finalises and analyses it, so concurrent
+	// runs must not share one.
+	names := workloads.Benchmarks()
+	runs := make([][]core.Result, len(names)*len(gaps))
+	err := ctx.each(len(runs), func(rc *Context, i int) error {
+		p, err := workloads.BuildProgram(names[i/len(gaps)], rc.Scale)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		runs[i], err = rc.simulateProgram(p, timing.Constant(gaps[i%len(gaps)]), core.Standard(), core.Soft())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	lockStallShare := 0.0
+	for b, name := range names {
 		row := make([]float64, len(gaps))
-		for i, g := range gaps {
-			res, err := ctx.simulateProgram(p, timing.Constant(g), core.Standard(), core.Soft())
-			if err != nil {
-				return nil, err
-			}
-			std, soft := res[0], res[1]
+		for i := range gaps {
+			std, soft := runs[b*len(gaps)+i][0], runs[b*len(gaps)+i][1]
 			row[i] = std.AMAT() - soft.AMAT()
 			if i == 0 {
 				lockStallShare += float64(soft.Stats.LockStallCycles) / float64(soft.Stats.CostCycles)

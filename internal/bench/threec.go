@@ -32,22 +32,34 @@ func runThreeC(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Standard-cache misses per 1000 references (%d-line capacity)", capacityLines),
 		"benchmark", "compulsory", "capacity", "conflict", "removed by Soft")
-	sumRemoved, sumCompCap := 0.0, 0.0
-	for _, name := range workloads.Benchmarks() {
-		t, err := ctx.Trace(name)
+	names := workloads.Benchmarks()
+	type row struct {
+		split     stackdist.Classification
+		std, soft core.Result
+	}
+	rows := make([]row, len(names))
+	err := ctx.each(len(names), func(rc *Context, i int) error {
+		t, err := rc.Trace(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		profile := stackdist.Analyze(t, std.LineSize, 4*capacityLines)
-		results, err := ctx.SimulateMany(name, []core.Config{std, core.Soft()})
+		results, err := rc.SimulateMany(names[i], []core.Config{std, core.Soft()})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		stdRes, softRes := results[0], results[1]
-		c := profile.Classify(capacityLines, stdRes.Stats.Misses)
-		per := 1000.0 / float64(stdRes.Stats.References)
-		removed := float64(stdRes.Stats.Misses-softRes.Stats.Misses) * per
-		tbl.AddRow(name,
+		rows[i] = row{profile.Classify(capacityLines, results[0].Stats.Misses), results[0], results[1]}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sumRemoved, sumCompCap := 0.0, 0.0
+	for i, r := range rows {
+		c := r.split
+		per := 1000.0 / float64(r.std.Stats.References)
+		removed := float64(r.std.Stats.Misses-r.soft.Stats.Misses) * per
+		tbl.AddRow(names[i],
 			float64(c.Compulsory)*per,
 			float64(c.Capacity)*per,
 			float64(c.Conflict)*per,

@@ -7,7 +7,8 @@
 //
 // The program is first compiled to a small closure tree with loop variables
 // held in integer slots, which keeps generation fast enough for
-// multi-million-reference traces.
+// multi-million-reference traces. Generate materialises the trace;
+// NewReader streams the same records batch by batch.
 package tracegen
 
 import (
@@ -36,10 +37,7 @@ const defaultMaxRecords = 64 << 20
 
 // Generate analyses the program (unless a tagging is supplied) and runs it.
 func Generate(p *loopir.Program, opts Options) (*trace.Trace, error) {
-	if err := p.Finalize(); err != nil {
-		return nil, err
-	}
-	tags, err := locality.Analyze(p)
+	tags, err := analyze(p)
 	if err != nil {
 		return nil, err
 	}
@@ -50,8 +48,33 @@ func Generate(p *loopir.Program, opts Options) (*trace.Trace, error) {
 // compare the analyser's tags against hand tags, or to strip tags at the
 // source level).
 func GenerateTagged(p *loopir.Program, tags locality.Tagging, opts Options) (*trace.Trace, error) {
+	g, run, err := newGenerator(p, tags, opts)
+	if err != nil {
+		return nil, err
+	}
+	if g.count >= 0 {
+		g.recs = make([]trace.Record, 0, g.count)
+	}
+	if err := run(g); err != nil {
+		return nil, err
+	}
+	return &trace.Trace{Name: p.Name, Records: g.recs}, nil
+}
+
+func analyze(p *loopir.Program) (locality.Tagging, error) {
 	if err := p.Finalize(); err != nil {
 		return nil, err
+	}
+	return locality.Analyze(p)
+}
+
+// newGenerator compiles p into a generator and the action that runs it,
+// then runs the counting pass: g.count is the exact record count, or -1
+// when the pass failed or passed MaxRecords (generation then reports the
+// problem itself, exactly as it would without the pass).
+func newGenerator(p *loopir.Program, tags locality.Tagging, opts Options) (*generator, action, error) {
+	if err := p.Finalize(); err != nil {
+		return nil, nil, err
 	}
 	if opts.Gaps == nil {
 		opts.Gaps = timing.PaperGapModel()
@@ -65,22 +88,19 @@ func GenerateTagged(p *loopir.Program, tags locality.Tagging, opts Options) (*tr
 		rng:   timing.NewRNG(opts.Seed),
 		gaps:  opts.Gaps,
 		max:   opts.MaxRecords,
-		out:   &trace.Trace{Name: p.Name},
 		slots: map[string]int{},
 	}
-	seq, err := g.compileBody(p.Body)
+	run, err := g.compileBody(p.Body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	bound := g.compileCount(p.Body)
+	count := g.compileCount(p.Body)
 	g.env = make([]int, len(g.slots))
-	if n, err := bound(g); err == nil && n <= g.max {
-		g.out.Records = make([]trace.Record, 0, n)
+	g.count = -1
+	if n, err := count(g); err == nil {
+		g.count = n
 	}
-	if err := seq(g); err != nil {
-		return nil, err
-	}
-	return g.out, nil
+	return g, run, nil
 }
 
 // generator is the execution context.
@@ -90,10 +110,35 @@ type generator struct {
 	rng   *timing.RNG
 	gaps  *timing.GapModel
 	max   int
-	out   *trace.Trace
+	count int            // records the program emits (counting pass); -1 if unknown
 	slots map[string]int // loop variable -> env slot
 	env   []int
-	first bool
+	n     int            // records emitted so far
+	recs  []trace.Record // emit's destination: the whole trace, or a Reader's batch
+	// flush, when set, is called by emit when recs is full: a Reader hands
+	// the batch to its consumer and gets an empty one back.
+	flush func() error
+}
+
+// emit draws r's gap and appends r to recs. It is the one record path of
+// both Generate and Reader, so the two yield identical records and fail
+// at the same record when the trace outgrows MaxRecords.
+func (g *generator) emit(r trace.Record) error {
+	if g.n >= g.max {
+		return fmt.Errorf("tracegen: trace exceeds MaxRecords=%d (workload mis-sized?)", g.max)
+	}
+	if g.flush != nil && len(g.recs) == cap(g.recs) {
+		if err := g.flush(); err != nil {
+			return err
+		}
+	}
+	r.Gap = uint8(g.gaps.Sample(g.rng))
+	if g.n == 0 {
+		r.Gap = 0
+	}
+	g.recs = append(g.recs, r)
+	g.n++
+	return nil
 }
 
 // action is a compiled statement: it executes against the generator state.
@@ -218,36 +263,46 @@ func (g *generator) compileLoop(l *loopir.Loop) (action, error) {
 	}, nil
 }
 
-// countFn evaluates an upper bound on the records a compiled statement
-// list emits from the current environment.
+// countFn evaluates the number of records a compiled statement list emits
+// from the current environment.
 type countFn func(*generator) (int, error)
 
-// errBoundTooLarge stops the counting pass once the bound passes
+// errBoundTooLarge stops the counting pass once the count passes
 // MaxRecords: generation then grows Records as it goes and reports the
 // overflow itself, so a mis-sized workload allocates nothing up front.
 var errBoundTooLarge = errors.New("tracegen: record bound exceeds MaxRecords")
 
-// compileCount compiles the counting pass that sizes Records before
+// compileCount compiles the counting pass that sizes the trace before
 // generation. It walks the loop nest like the generator but counts each
-// access and prefetch once per iteration instead of emitting it, and
-// computes innermost loops in closed form, so it costs a small fraction of
-// the generation it sizes. The bound is exact except for non-faulting
-// prefetches that turn out to be dropped. Any error it meets (a loop bound
-// reading a data array out of range, or errBoundTooLarge) makes the caller
-// fall back to growing Records, so generation reports its errors exactly
-// as it would without the pass.
+// access once per iteration instead of emitting it, and computes
+// prefetch-free innermost loops in closed form, so it costs a small
+// fraction of the generation it sizes. Prefetches are counted only when
+// their target is in range, exactly as the generator drops them, so the
+// count is exact. Any error it meets (a loop bound or prefetch subscript
+// reading a data array out of range, or errBoundTooLarge) makes the
+// caller fall back to growing Records, so generation reports its errors
+// exactly as it would without the pass.
 func (g *generator) compileCount(body []loopir.Stmt) countFn {
-	static := countStatic(body)
-	var loops []countFn
+	static := countAccesses(body)
+	var parts []countFn
 	for _, st := range body {
-		if l, ok := st.(*loopir.Loop); ok {
-			loops = append(loops, g.compileLoopCount(l))
+		switch s := st.(type) {
+		case *loopir.Loop:
+			parts = append(parts, g.compileLoopCount(s))
+		case *loopir.Prefetch:
+			target := g.compilePrefetchTarget(s)
+			parts = append(parts, func(g *generator) (int, error) {
+				if _, ok, err := target(g); !ok || err != nil {
+					return 0, err
+				}
+				return 1, nil
+			})
 		}
 	}
 	return func(g *generator) (int, error) {
 		n := static
-		for _, l := range loops {
-			c, err := l(g)
+		for _, part := range parts {
+			c, err := part(g)
 			if err != nil {
 				return 0, err
 			}
@@ -259,8 +314,9 @@ func (g *generator) compileCount(body []loopir.Stmt) countFn {
 	}
 }
 
-// compileLoopCount bounds one loop: an innermost loop as trips times its
-// statements, any other by running its iterations over the counting body.
+// compileLoopCount counts one loop: an innermost loop without prefetches
+// as trips times its accesses, any other by running its iterations over
+// the counting body.
 func (g *generator) compileLoopCount(l *loopir.Loop) countFn {
 	lo := g.compileSub(l.Lower)
 	hi := g.compileSub(l.Upper)
@@ -270,7 +326,8 @@ func (g *generator) compileLoopCount(l *loopir.Loop) countFn {
 		step = 1
 	}
 	body := g.compileCount(l.Body)
-	per, innermost := countStatic(l.Body), !containsLoop(l.Body)
+	per := countAccesses(l.Body)
+	closed := !containsLoopOrPrefetch(l.Body)
 	return func(g *generator) (int, error) {
 		from, err := lo(g)
 		if err != nil {
@@ -283,7 +340,7 @@ func (g *generator) compileLoopCount(l *loopir.Loop) countFn {
 		if from > to {
 			return 0, nil
 		}
-		if innermost {
+		if closed {
 			trips := (to-from)/step + 1
 			if per > 0 && trips > g.max/per {
 				return 0, errBoundTooLarge
@@ -305,68 +362,72 @@ func (g *generator) compileLoopCount(l *loopir.Loop) countFn {
 	}
 }
 
-// countStatic counts the accesses and prefetches directly in body: the
-// records one execution of it emits, not counting nested loops.
-func countStatic(body []loopir.Stmt) int {
+// countAccesses counts the accesses directly in body: the demand records
+// one execution of it emits, not counting nested loops.
+func countAccesses(body []loopir.Stmt) int {
 	n := 0
 	for _, st := range body {
-		switch st.(type) {
-		case *loopir.Access, *loopir.Prefetch:
+		if _, ok := st.(*loopir.Access); ok {
 			n++
 		}
 	}
 	return n
 }
 
-func containsLoop(body []loopir.Stmt) bool {
+func containsLoopOrPrefetch(body []loopir.Stmt) bool {
 	for _, st := range body {
-		if _, ok := st.(*loopir.Loop); ok {
+		switch st.(type) {
+		case *loopir.Loop, *loopir.Prefetch:
 			return true
 		}
 	}
 	return false
 }
 
-// compilePrefetch compiles a §4.4 software-prefetch instruction. Unlike a
-// demand access, an out-of-range address drops the prefetch silently
-// (non-faulting semantics) instead of aborting generation.
-func (g *generator) compilePrefetch(pf *loopir.Prefetch) (action, error) {
-	arr := g.prog.Arrays[pf.Array]
-	strides := arr.Strides()
-	dims := arr.Dims
+// compilePrefetchTarget compiles the element index a prefetch targets. ok
+// is false when a subscript falls outside its dimension: the prefetch is
+// then dropped (non-faulting semantics), by the generator and the counting
+// pass alike.
+func (g *generator) compilePrefetchTarget(pf *loopir.Prefetch) func(*generator) (idx int, ok bool, err error) {
+	strides := g.prog.Arrays[pf.Array].Strides()
+	dims := g.prog.Arrays[pf.Array].Dims
 	subs := make([]valueFn, len(pf.Index))
 	for i, s := range pf.Index {
 		subs[i] = g.compileSub(s)
 	}
-	base := arr.Base
-	elem := arr.ElemSize
-	return func(g *generator) error {
+	return func(g *generator) (int, bool, error) {
 		idx := 0
 		for d, fn := range subs {
 			v, err := fn(g)
 			if err != nil {
-				return err
+				return 0, false, err
 			}
 			if v < 0 || v >= dims[d] {
-				return nil // non-faulting: drop the prefetch
+				return 0, false, nil
 			}
 			idx += v * strides[d]
 		}
-		if len(g.out.Records) >= g.max {
-			return fmt.Errorf("tracegen: trace exceeds MaxRecords=%d (workload mis-sized?)", g.max)
+		return idx, true, nil
+	}
+}
+
+// compilePrefetch compiles a §4.4 software-prefetch instruction. Unlike a
+// demand access, an out-of-range address drops the prefetch silently
+// (non-faulting semantics) instead of aborting generation.
+func (g *generator) compilePrefetch(pf *loopir.Prefetch) (action, error) {
+	target := g.compilePrefetchTarget(pf)
+	base := g.prog.Arrays[pf.Array].Base
+	elem := g.prog.Arrays[pf.Array].ElemSize
+	return func(g *generator) error {
+		idx, ok, err := target(g)
+		if !ok || err != nil {
+			return err
 		}
-		gap := uint8(g.gaps.Sample(g.rng))
-		if !g.first {
-			g.first = true
-			gap = 0
-		}
-		g.out.Append(trace.Record{
+		return g.emit(trace.Record{
 			Addr:             base + uint64(idx*elem),
-			Gap:              gap,
 			Size:             uint8(elem),
 			SoftwarePrefetch: true,
 		})
-		return nil
 	}, nil
 }
 
@@ -405,24 +466,14 @@ func (g *generator) compileAccess(a *loopir.Access) (action, error) {
 		if idx < 0 || idx >= size {
 			return fmt.Errorf("tracegen: linear index %d out of range for %s", idx, name)
 		}
-		if len(g.out.Records) >= g.max {
-			return fmt.Errorf("tracegen: trace exceeds MaxRecords=%d (workload mis-sized?)", g.max)
-		}
-		gap := uint8(g.gaps.Sample(g.rng))
-		if !g.first {
-			g.first = true
-			gap = 0
-		}
-		g.out.Append(trace.Record{
+		return g.emit(trace.Record{
 			Addr:        base + uint64(idx*elem),
 			RefID:       refID,
-			Gap:         gap,
 			Size:        uint8(elem),
 			Write:       write,
 			Temporal:    t.Temporal,
 			Spatial:     t.Spatial,
 			VirtualHint: vlHint,
 		})
-		return nil
 	}, nil
 }
