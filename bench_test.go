@@ -155,8 +155,8 @@ func BenchmarkSimulateMany(b *testing.B) {
 }
 
 // BenchmarkSimulateManyLooped is the unfused baseline for
-// BenchmarkSimulateMany: one SimulateStream pass per configuration, so the
-// trace is decoded len(cfgs) times.
+// BenchmarkSimulateMany: one single-config SimulateMany pass per
+// configuration, so the trace is decoded len(cfgs) times.
 func BenchmarkSimulateManyLooped(b *testing.B) {
 	cfgs := fusedBenchGroup()
 	data := fusedBenchData(b)
@@ -167,7 +167,7 @@ func BenchmarkSimulateManyLooped(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.SimulateStream(cfg, r); err != nil {
+			if _, err := core.SimulateMany(stdcontext.Background(), []core.Config{cfg}, r); err != nil {
 				b.Fatal(err)
 			}
 		}

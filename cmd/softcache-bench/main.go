@@ -75,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	journal := fs.String("journal", "", "append completed figures to this JSONL checkpoint file")
 	resume := fs.Bool("resume", false, "replay figures already completed in -journal instead of re-running them")
 	check := fs.Bool("check", false, "enable runtime invariant checking in every simulation (slower)")
-	shards := fs.Int("shards", 0, "run single-config simulations on N set-sharded workers (0 = sequential; see docs/PERF.md)")
 	faults := fs.Bool("faults", false, "run the fault-injection corpus through the pipeline instead of figures")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -129,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	bctx := bench.NewContext(scale, *seed)
 	bctx.Check = *check
-	bctx.Shards = *shards
 	units := make([]harness.Unit[*bench.Report], 0, len(ids))
 	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {
@@ -142,22 +140,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		seen[id] = true
 		id := id
-		key := fmt.Sprintf("fig:%s/scale=%s/seed=%d", id, *scaleName, *seed)
-		meta := map[string]string{
-			"figure": id,
-			"scale":  *scaleName,
-			"seed":   fmt.Sprint(*seed),
-		}
-		if *shards > 1 {
-			// Sharded figures journal under a distinct key: coupled
-			// configurations diverge boundedly from the sequential kernel,
-			// so a sequential journal must not resume into a sharded run.
-			key += fmt.Sprintf("/shards=%d", *shards)
-			meta["shards"] = fmt.Sprint(*shards)
-		}
 		units = append(units, harness.Unit[*bench.Report]{
-			Key:  key,
-			Meta: meta,
+			Key: fmt.Sprintf("fig:%s/scale=%s/seed=%d", id, *scaleName, *seed),
+			Meta: map[string]string{
+				"figure": id,
+				"scale":  *scaleName,
+				"seed":   fmt.Sprint(*seed),
+			},
 			Run: func(runCtx context.Context) (*bench.Report, error) {
 				return e.Run(bctx.WithContext(runCtx))
 			},

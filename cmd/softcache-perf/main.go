@@ -2,14 +2,12 @@
 // benchmark matrix over the streaming simulation kernel (trace size ×
 // virtual-line size × bounce-back on/off), a fused multi-configuration
 // matrix (core.SimulateMany vs the per-config loop, with the measured
-// speedup), a set-sharded matrix (core.SimulateShardedStream at shard
-// counts {1, 2, 4, …} with the speedup over the single-shard row), and a
-// trace-codec decode matrix (flat SCTR vs compressed SCTZ streaming
-// decode, with the compression factor and an always-on corpus-weighted
-// "sctz at or below flat" gate), producing the machine-readable
-// BENCH_kernel.json artifact, an optional markdown delta report, and —
-// when a baseline is given — a ns/record regression gate over all four
-// matrices.
+// speedup), and a trace-codec decode matrix (flat SCTR vs compressed
+// SCTZ streaming decode, with the compression factor and an always-on
+// corpus-weighted "sctz at or below flat" gate), producing the
+// machine-readable BENCH_kernel.json artifact, an optional markdown delta
+// report, and — when a baseline is given — a ns/record regression gate
+// over all three matrices.
 //
 // Usage:
 //
@@ -18,7 +16,6 @@
 //	softcache-perf -baseline BENCH_kernel.json -out /tmp/now.json
 //	softcache-perf -quick -max-regress 0.15 # fail >15% ns/record regressions
 //	softcache-perf -md report.md            # write the delta report to a file
-//	softcache-perf -shards 8                # widen the sharded matrix; 0 skips it
 //
 // With no -baseline, an existing -out file from a previous run is used as
 // the baseline before being overwritten. The delta report goes to stdout
@@ -57,22 +54,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	md := fs.String("md", "", "write the markdown delta report to this file (default: stdout)")
 	minTime := fs.Duration("min-time", 0, "minimum measurement time per case (default 300ms, 100ms with -quick)")
 	seed := fs.Uint64("seed", 1, "workload trace seed")
-	shards := fs.Int("shards", 4, "widest shard count of the set-sharded matrix (0 skips it)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
 	if fs.NArg() > 0 {
 		return cli.Exit(stderr, tool, cli.UsageErrorf("unexpected arguments: %v", fs.Args()))
 	}
-	return cli.Exit(stderr, tool, runPerf(*quick, *out, *baseline, *maxRegress, *md, *minTime, *seed, *shards, stdout, stderr))
+	return cli.Exit(stderr, tool, runPerf(*quick, *out, *baseline, *maxRegress, *md, *minTime, *seed, stdout, stderr))
 }
 
-func runPerf(quick bool, out, baseline string, maxRegress float64, md string, minTime time.Duration, seed uint64, shards int, stdout, stderr io.Writer) error {
+func runPerf(quick bool, out, baseline string, maxRegress float64, md string, minTime time.Duration, seed uint64, stdout, stderr io.Writer) error {
 	if maxRegress < 0 {
 		return cli.UsageErrorf("-max-regress must be >= 0, got %g", maxRegress)
-	}
-	if shards < 0 {
-		return cli.UsageErrorf("-shards must be >= 0, got %d", shards)
 	}
 
 	// Load the baseline before the run (and before -out is overwritten).
@@ -104,7 +97,7 @@ func runPerf(quick bool, out, baseline string, maxRegress float64, md string, mi
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	report, err := runner.Run(ctx, perf.Matrix(quick), perf.FusedMatrix(quick), perf.ShardedMatrix(shards), perf.DecodeMatrix(quick))
+	report, err := runner.Run(ctx, perf.Matrix(quick), perf.FusedMatrix(quick), perf.DecodeMatrix(quick))
 	if err != nil {
 		return err
 	}

@@ -22,8 +22,13 @@ func TestQuickRunAndGate(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "BENCH_kernel.json")
 
+	// Each row is timed over at least 20ms: long enough that one scheduler
+	// stall on a loaded host cannot inflate a row tenfold and trip the
+	// gate below, short enough to keep the two runs near a second.
+	const minTime = "20ms"
+
 	// First run: no baseline exists yet; plain report to stdout.
-	out, errb, code := runPerfCmd(t, "-quick", "-min-time", "1ms", "-out", jsonPath)
+	out, errb, code := runPerfCmd(t, "-quick", "-min-time", minTime, "-out", jsonPath)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
@@ -38,7 +43,7 @@ func TestQuickRunAndGate(t *testing.T) {
 	// column appears, and the gate runs (two back-to-back runs of the same
 	// binary stay within a generous budget).
 	mdPath := filepath.Join(dir, "delta.md")
-	out, errb, code = runPerfCmd(t, "-quick", "-min-time", "1ms", "-out", jsonPath,
+	out, errb, code = runPerfCmd(t, "-quick", "-min-time", minTime, "-out", jsonPath,
 		"-max-regress", "9", "-md", mdPath)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)

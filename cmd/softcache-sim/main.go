@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stripT := flag.Bool("strip-temporal", false, "clear temporal tags in the trace")
 	stripS := flag.Bool("strip-spatial", false, "clear spatial tags in the trace")
 	warmup := flag.Int("warmup", 0, "exclude the first N references from the statistics (steady state)")
-	shards := flag.Int("shards", 0, "simulate on N set-sharded workers (0 = sequential; see docs/PERF.md)")
 	stream := flag.Bool("stream", false, "stream -trace through the simulator in O(batch) memory (no materialising)")
 	listW := flag.Bool("workloads", false, "list workloads and exit")
 	if err := flag.Parse(args); err != nil {
@@ -92,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *stream {
-		return runStream(stdout, stderr, cfg, *traceFile, *shards, *warmup, *stripT, *stripS)
+		return runStream(stdout, stderr, cfg, *traceFile, *warmup, *stripT, *stripS)
 	}
 
 	t, err := loadTrace(*workload, *source, *traceFile, *scaleName, *seed)
@@ -104,26 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var res core.Result
-	switch {
-	case *shards > 1 && *warmup > 0:
-		// Warm-up truncation is a prefix operation on the sequential stream;
-		// it has no well-defined equivalent once the trace is set-partitioned.
-		return cli.Exit(stderr, tool, cli.UsageErrorf("-warmup and -shards are mutually exclusive"))
-	case *shards > 1:
-		plan, perr := core.PlanShards(cfg, *shards)
-		if perr != nil {
-			return cli.Exit(stderr, tool, perr)
-		}
-		mode := "bounded-divergence"
-		if plan.Exact {
-			mode = "exact"
-		}
-		fmt.Fprintf(stderr, "%s: set-sharded run: %d shard(s) (%d requested), %s vs sequential\n",
-			tool, plan.Shards, *shards, mode)
-		res, err = core.SimulateSharded(context.Background(), cfg, t, *shards)
-	case *warmup > 0:
+	if *warmup > 0 {
 		res, err = core.SimulateWarm(cfg, t, *warmup)
-	default:
+	} else {
 		res, err = core.Simulate(cfg, t)
 	}
 	if err != nil {
@@ -136,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runStream simulates -trace without materialising it: the file (any
 // sniffed format, mmapped when binary) feeds the simulator in pooled
 // batches, with tags tallied on the way past for the report.
-func runStream(stdout, stderr io.Writer, cfg core.Config, traceFile string, shards, warmup int, stripT, stripS bool) int {
+func runStream(stdout, stderr io.Writer, cfg core.Config, traceFile string, warmup int, stripT, stripS bool) int {
 	if traceFile == "" {
 		return cli.Exit(stderr, tool, cli.UsageErrorf("-stream needs -trace"))
 	}
@@ -152,16 +134,11 @@ func runStream(stdout, stderr io.Writer, cfg core.Config, traceFile string, shar
 	}
 	defer f.Close()
 	tr := &tagCountingReader{BatchReader: f}
-	var res core.Result
-	if shards > 1 {
-		res, err = core.SimulateShardedStream(context.Background(), cfg, tr, shards)
-	} else {
-		res, err = core.SimulateStream(cfg, tr)
-	}
+	results, err := core.SimulateMany(context.Background(), []core.Config{cfg}, tr)
 	if err != nil {
 		return cli.Exit(stderr, tool, err)
 	}
-	metrics.SimulationReport(stdout, tr.tags, res)
+	metrics.SimulationReport(stdout, tr.tags, results[0])
 	return cli.ExitOK
 }
 

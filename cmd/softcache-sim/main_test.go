@@ -120,36 +120,6 @@ func TestOutputIsSharedReport(t *testing.T) {
 	}
 }
 
-// TestSharded pins the -shards flag: an exact config's sharded report is
-// byte-identical to the sequential one, the stderr note states the
-// effective shard count and divergence class, and -warmup is rejected.
-func TestSharded(t *testing.T) {
-	seq, _, code := runSim(t, "-workload", "MV", "-scale", "test", "-config", "standard")
-	if code != 0 {
-		t.Fatalf("sequential exit %d", code)
-	}
-	shd, errb, code := runSim(t, "-workload", "MV", "-scale", "test", "-config", "standard", "-shards", "4")
-	if code != 0 {
-		t.Fatalf("sharded exit %d: %s", code, errb)
-	}
-	if shd != seq {
-		t.Fatalf("exact config diverged under -shards 4:\n--- sharded\n%s--- sequential\n%s", shd, seq)
-	}
-	if !strings.Contains(errb, "4 shard(s) (4 requested), exact vs sequential") {
-		t.Fatalf("stderr note missing shard count/class:\n%s", errb)
-	}
-	_, errb, code = runSim(t, "-workload", "MV", "-scale", "test", "-config", "soft", "-shards", "4")
-	if code != 0 {
-		t.Fatalf("soft sharded exit %d: %s", code, errb)
-	}
-	if !strings.Contains(errb, "bounded-divergence vs sequential") {
-		t.Fatalf("coupled config not reported as bounded-divergence:\n%s", errb)
-	}
-	if _, _, code := runSim(t, "-workload", "MV", "-scale", "test", "-shards", "2", "-warmup", "100"); code != 2 {
-		t.Fatalf("-warmup with -shards: exit %d, want 2", code)
-	}
-}
-
 func TestBadFlag(t *testing.T) {
 	if _, _, code := runSim(t, "-definitely-not-a-flag"); code != 2 {
 		t.Fatal("unknown flag should exit 2")
@@ -197,7 +167,6 @@ func TestStreamMatchesMaterialised(t *testing.T) {
 		{"-trace", sctzPath, "-config", "soft"},
 		{"-trace", flatPath, "-config", "soft", "-stream"},
 		{"-trace", sctzPath, "-config", "soft", "-stream"},
-		{"-trace", sctzPath, "-config", "soft", "-stream", "-shards", "2"},
 	} {
 		if got := runOne(args...); got != base {
 			t.Errorf("%v diverged from the flat materialised run:\n%s\nvs\n%s", args, got, base)

@@ -27,11 +27,6 @@
 // cell: to row:). The matrix is printed in row-major order regardless of
 // worker count.
 //
-// -shards N trades the fused walk for the set-sharded kernel: each cell
-// simulates its one configuration on N set-partitioned workers
-// (core.SimulateSharded). Sharded rows journal under keys suffixed
-// /shards=N, so fused and sharded sweeps never resume into each other.
-//
 // The process exits 0 on success, 1 when any cell fails, and 2 on usage
 // errors (bad axes, unknown metric or config).
 package main
@@ -78,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	journal := fs.String("journal", "", "append completed rows to this JSONL checkpoint file")
 	resume := fs.Bool("resume", false, "replay rows already completed in -journal instead of re-running them")
 	check := fs.Bool("check", false, "enable runtime invariant checking in every simulation (slower)")
-	shards := fs.Int("shards", 0, "simulate each cell on N set-sharded workers instead of fusing the row (0 = fused; see docs/PERF.md)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
@@ -164,34 +158,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			key = fmt.Sprintf("row:%s=%d,%s", yAxis.Key, y, xAxis.Key)
 			meta[yAxis.Key] = fmt.Sprint(y)
 		}
-		if *shards > 1 {
-			// Sharded rows journal under a distinct key so a fused journal
-			// never resumes into a sharded sweep (or vice versa): coupled
-			// configurations diverge boundedly between the two kernels.
-			key += fmt.Sprintf("/shards=%d", *shards)
-			meta["shards"] = fmt.Sprint(*shards)
-		}
 		units = append(units, harness.FusedUnit(key, meta, xLabels,
 			func(runCtx context.Context) ([]float64, error) {
-				row := make([]float64, len(cfgs))
-				if *shards > 1 {
-					// Set-sharded rows give up the fused single-pass walk:
-					// each cell runs its own sharded simulation.
-					for i, cfg := range cfgs {
-						res, err := core.SimulateSharded(runCtx, cfg, t, *shards)
-						if err != nil {
-							return nil, err
-						}
-						if row[i], err = core.MetricOf(*metric, res); err != nil {
-							return nil, err
-						}
-					}
-					return row, nil
-				}
 				results, err := core.SimulateManyTrace(runCtx, cfgs, t)
 				if err != nil {
 					return nil, err
 				}
+				row := make([]float64, len(cfgs))
 				for i, res := range results {
 					if row[i], err = core.MetricOf(*metric, res); err != nil {
 						return nil, err

@@ -179,78 +179,6 @@ func TestSweepResume(t *testing.T) {
 	}
 }
 
-// TestSweepShardedMatchesFused: for an exact-plan configuration (standard
-// cache, no side structures) the set-sharded kernel must print the same
-// matrix as the fused single-pass walk, at any shard count.
-func TestSweepShardedMatchesFused(t *testing.T) {
-	args := []string{"-workload", "MV", "-scale", "test", "-config", "standard",
-		"-x", "latency=5,10,20", "-metric", "amat"}
-	fused, errb, code := runSweep(t, args...)
-	if code != 0 {
-		t.Fatalf("fused: exit %d: %s", code, errb)
-	}
-	for _, shards := range []string{"2", "4"} {
-		sharded, errb, code := runSweep(t, append(args, "-shards", shards)...)
-		if code != 0 {
-			t.Fatalf("-shards %s: exit %d: %s", shards, code, errb)
-		}
-		if sharded != fused {
-			t.Fatalf("-shards %s matrix differs from fused:\n%s\nvs\n%s", shards, sharded, fused)
-		}
-	}
-}
-
-// TestSweepShardedResume: an interrupted sharded sweep resumes from the
-// journal byte-identically — the satellite guarantee that -shards composes
-// with the harness.FusedUnit checkpointing the fused sweeps already rely on.
-func TestSweepShardedResume(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	args := []string{"-workload", "MV", "-scale", "test",
-		"-x", "latency=5,10,20", "-y", "cache=4,8", "-shards", "2", "-journal", journal}
-	first, errb, code := runSweep(t, args...)
-	if code != 0 {
-		t.Fatalf("first run: exit %d: %s", code, errb)
-	}
-	second, errb, code := runSweep(t, append(args, "-resume")...)
-	if code != 0 {
-		t.Fatalf("resume run: exit %d: %s", code, errb)
-	}
-	if first != second {
-		t.Fatalf("resumed sharded matrix differs:\n%s\nvs\n%s", first, second)
-	}
-	if !strings.Contains(errb, "resumed") {
-		t.Fatalf("resume not reported on stderr: %q", errb)
-	}
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "/shards=2") {
-		t.Fatalf("journal keys lack the /shards suffix:\n%s", data)
-	}
-}
-
-// TestSweepShardedJournalIsolation: a journal written by a fused sweep must
-// not resume into a sharded one (and vice versa) — coupled configurations
-// produce boundedly different metrics under the two kernels, so replaying
-// across them would silently mix results.
-func TestSweepShardedJournalIsolation(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	fusedArgs := []string{"-workload", "MV", "-scale", "test",
-		"-x", "latency=5,10", "-journal", journal}
-	if _, errb, code := runSweep(t, fusedArgs...); code != 0 {
-		t.Fatalf("fused run: exit %d: %s", code, errb)
-	}
-	shardedArgs := append(fusedArgs, "-shards", "2", "-resume")
-	_, errb, code := runSweep(t, shardedArgs...)
-	if code != 0 {
-		t.Fatalf("sharded run: exit %d: %s", code, errb)
-	}
-	if strings.Contains(errb, "resumed row:") {
-		t.Fatalf("fused journal resumed into a sharded sweep: %q", errb)
-	}
-}
-
 // TestSweepResumeRejectsReshapedAxis: a journaled row is keyed by its row
 // identity but carries its config group; editing -x between runs must
 // re-run the row with the new group rather than replaying a stale value.

@@ -14,7 +14,7 @@
 // count — it runs once, after which cancellation goes unnoticed for
 // the rest of the trace.
 //
-// Functions with no context in scope (SimulateStream, SimulateWarm)
+// Functions with no context in scope (Simulate, SimulateWarm)
 // are out of scope by design: they advertise no cancellation contract.
 // Loops that merely iterate without touching trace input — unit
 // deduplication, result assembly — are not consumption loops and are

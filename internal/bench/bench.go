@@ -45,12 +45,6 @@ type Context struct {
 	// Check enables the runtime invariant checker (cache.RuntimeChecks) on
 	// every simulation run through this context.
 	Check bool
-	// Shards, when > 1, routes single-config simulations through the
-	// set-sharded kernel (core.SimulateSharded). Fused multi-config passes
-	// (SimulateMany) are unaffected: the fused walk and the sharded kernel
-	// are alternative parallel strategies, not composable ones. The default
-	// 0 keeps every figure byte-identical to the sequential kernel.
-	Shards int
 
 	ctx    context.Context
 	traces *traceCache
@@ -132,9 +126,6 @@ func (c *Context) Simulate(name string, cfg core.Config) (core.Result, error) {
 	}
 	if c.Check {
 		cfg.RuntimeChecks = true
-	}
-	if c.Shards > 1 {
-		return core.SimulateSharded(c.context(), cfg, t, c.Shards)
 	}
 	return core.SimulateContext(c.context(), cfg, t)
 }

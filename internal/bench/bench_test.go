@@ -172,37 +172,6 @@ func TestTraceCacheHoldsOnlyNamedWorkloads(t *testing.T) {
 	}
 }
 
-// TestContextShardedSimulate pins Context.Shards: single-config runs go
-// through the set-sharded kernel (identical results for an exact-plan
-// config), and fused SimulateMany stays on the sequential kernel.
-func TestContextShardedSimulate(t *testing.T) {
-	seqCtx := NewContext(workloads.ScaleTest, 1)
-	seq, err := seqCtx.Simulate("MV", core.Standard())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shCtx := NewContext(workloads.ScaleTest, 1)
-	shCtx.Shards = 4
-	sh, err := shCtx.Simulate("MV", core.Standard())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Stats != seq.Stats {
-		t.Fatalf("sharded context diverged on an exact config:\nsharded:    %+v\nsequential: %+v", sh.Stats, seq.Stats)
-	}
-	many, err := shCtx.SimulateMany("MV", []core.Config{core.Soft()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMany, err := seqCtx.SimulateMany("MV", []core.Config{core.Soft()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if many[0].Stats != wantMany[0].Stats {
-		t.Fatal("SimulateMany must ignore Shards (fused walk is its own strategy)")
-	}
-}
-
 func TestColumnHelpers(t *testing.T) {
 	tbl, err := amatTable(sharedCtx, "t", []string{"MV"}, fourConfigs(), amat)
 	if err != nil {

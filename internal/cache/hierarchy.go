@@ -129,7 +129,7 @@ func (s *Simulator) Run(t *trace.Trace) Stats {
 
 // AccessAll processes recs in order, exactly as len(recs) Access calls
 // would (the refmodel differential suite pins the equivalence). It is the
-// per-batch entry point of the streaming kernels (core.SimulateStream,
+// per-batch entry point of the batched kernels (core.SimulateContext,
 // core.SimulateMany): besides removing the per-record call boundary, it
 // runs the paper's default organisation — plain direct-mapped hits, the
 // bulk of every trace — in a register-resident loop: the cycle clock, the

@@ -1,6 +1,7 @@
 package refmodel_test
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -206,6 +207,89 @@ func TestSimulateManyDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedDifferential pins "one configuration, one answer": every
+// core entry point that runs a whole trace — Simulate, SimulateContext,
+// SimulateWarm without warm-up, a one-config SimulateMany over the
+// serialised trace and a one-config SimulateManyTrace — must return the
+// reference model's statistics bit for bit, with and without runtime
+// checks, over paper workloads and adversarial random traces. The suite
+// keeps its name from when it also ran the set-sharded kernel, which gave
+// coupled configurations a second, per-shard-count answer; that kernel is
+// gone, and the one-shard cell it was measured against is what stays.
+func TestShardedDifferential(t *testing.T) {
+	sources := map[string][]trace.Record{}
+	for _, w := range []string{"MV", "SpMV"} {
+		tr, err := workloads.Trace(w, workloads.ScaleTest, 1)
+		if err != nil {
+			t.Fatalf("workloads.Trace(%s): %v", w, err)
+		}
+		sources[w] = tr.Records
+	}
+	sources["random1"] = randomRecords(21, 20_000)
+	sources["random2"] = randomRecords(22, 20_000)
+	ctx := context.Background()
+	for _, v := range variants() {
+		for srcName, records := range sources {
+			if testing.Short() && !(srcName == "MV" || v.name == "Soft") {
+				continue
+			}
+			t.Run(v.name+"/"+srcName, func(t *testing.T) {
+				ref, err := refmodel.New(v.cfg)
+				if err != nil {
+					t.Fatalf("refmodel.New: %v", err)
+				}
+				for _, r := range records {
+					ref.Access(r)
+				}
+				want := ref.Stats()
+				tr := &trace.Trace{Name: srcName, Records: records}
+				var encoded bytes.Buffer
+				if err := trace.Write(&encoded, tr); err != nil {
+					t.Fatalf("trace.Write: %v", err)
+				}
+				entries := []struct {
+					name string
+					run  func(core.Config) (core.Result, error)
+				}{
+					{"Simulate", func(cfg core.Config) (core.Result, error) { return core.Simulate(cfg, tr) }},
+					{"SimulateContext", func(cfg core.Config) (core.Result, error) { return core.SimulateContext(ctx, cfg, tr) }},
+					{"SimulateWarm", func(cfg core.Config) (core.Result, error) { return core.SimulateWarm(cfg, tr, 0) }},
+					{"SimulateMany", func(cfg core.Config) (core.Result, error) {
+						r, err := trace.NewReaderBytes(encoded.Bytes())
+						if err != nil {
+							return core.Result{}, err
+						}
+						res, err := core.SimulateMany(ctx, []core.Config{cfg}, r)
+						if err != nil {
+							return core.Result{}, err
+						}
+						return res[0], nil
+					}},
+					{"SimulateManyTrace", func(cfg core.Config) (core.Result, error) {
+						res, err := core.SimulateManyTrace(ctx, []core.Config{cfg}, tr)
+						if err != nil {
+							return core.Result{}, err
+						}
+						return res[0], nil
+					}},
+				}
+				for _, e := range entries {
+					for _, checks := range []bool{false, true} {
+						got, err := e.run(core.WithRuntimeChecks(v.cfg, checks))
+						if err != nil {
+							t.Fatalf("%s (checks=%v): %v", e.name, checks, err)
+						}
+						if !reflect.DeepEqual(got.Stats, want) {
+							t.Errorf("%s (checks=%v) diverges from reference model:\ngot:       %+v\nreference: %+v",
+								e.name, checks, got.Stats, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -65,9 +65,9 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestSimulateStreamAllocsFlat pins the complementary property for the
-// streaming entry point: SimulateStream's allocation count is a constant
-// (simulator construction plus one pooled batch at worst) and does not
-// scale with trace length.
+// streaming entry point: a one-config SimulateMany's allocation count is a
+// constant (simulator construction plus one pooled batch at worst) and
+// does not scale with trace length.
 func TestSimulateStreamAllocsFlat(t *testing.T) {
 	small, err := workloads.Trace("MV", workloads.ScaleTest, 1)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestSimulateStreamAllocsFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := SimulateStream(cfg, r); err != nil {
+			if _, err := SimulateMany(context.Background(), []Config{cfg}, r); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -108,7 +108,7 @@ func TestSimulateStreamAllocsFlat(t *testing.T) {
 	// Allow a little jitter from sync.Pool refills after GC; per-record
 	// allocation would show up as ~1.0 here.
 	if perRecord > 0.001 {
-		t.Errorf("SimulateStream allocations scale with trace length: %.1f allocs at %d records vs %.1f at %d (%.4f/record)",
+		t.Errorf("streaming allocations scale with trace length: %.1f allocs at %d records vs %.1f at %d (%.4f/record)",
 			allocsBig, len(big.Records), allocsSmall, len(small.Records), perRecord)
 	}
 }

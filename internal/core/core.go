@@ -2,7 +2,10 @@
 // It ties together the trace format, the cache/memory model and the
 // canonical configurations evaluated in the paper, so that a user can write
 //
-//	res := core.Simulate(core.Soft(), tr)
+//	res, err := core.Simulate(core.Soft(), tr)
+//	if err != nil {
+//		return err
+//	}
 //	fmt.Println(res.AMAT())
 //
 // without touching the lower layers. The configuration constructors mirror
@@ -294,33 +297,6 @@ func SimulateWarm(cfg Config, t *trace.Trace, warmup int) (Result, error) {
 	return Result{Trace: t.Name, Config: Describe(cfg), Stats: sim.Stats()}, nil
 }
 
-// SimulateStream runs a serialised trace through a fresh simulator without
-// materialising it in memory, so multi-gigabyte trace files stream at I/O
-// speed. Any trace.BatchReader drives it — the flat reader, the
-// compressed SCTZ StreamReader, a din import — with records decoded in
-// pooled BatchSize chunks, so the per-record cost is the simulator's alone
-// and the loop performs no steady-state allocations
-// (TestSimulateStreamAllocsFlat).
-func SimulateStream(cfg Config, r trace.BatchReader) (Result, error) {
-	sim, err := cache.New(cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
-	}
-	batch := trace.GetBatch()
-	defer trace.PutBatch(batch)
-	for {
-		n, err := r.ReadBatch(*batch)
-		sim.AccessAll((*batch)[:n])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("core: %w", err)
-		}
-	}
-	return Result{Trace: r.Name(), Config: Describe(cfg), Stats: sim.Stats()}, nil
-}
-
 // SimulateMany is the fused multi-configuration kernel: one streaming
 // pass of the trace drives a fresh simulator per configuration, feeding
 // each decoded BatchSize chunk to every simulator before the next chunk is
@@ -331,9 +307,13 @@ func SimulateStream(cfg Config, r trace.BatchReader) (Result, error) {
 //
 // The simulators are fully independent — each owns its cache state and
 // scratch buffers — so the results are index-aligned with cfgs and
-// byte-identical to running SimulateStream once per configuration
-// (TestSimulateManyMatchesStream pins this). Like SimulateStream, the loop
-// performs no steady-state allocations (TestSimulateManyAllocsFlat).
+// byte-identical to running SimulateMany once per configuration
+// (TestSimulateManyMatchesStream pins this). With a single configuration
+// it is the streaming kernel: a serialised trace — flat, compressed SCTZ,
+// a din import — runs through the simulator without being materialised,
+// so multi-gigabyte trace files stream at I/O speed. The loop performs no
+// steady-state allocations (TestSimulateStreamAllocsFlat,
+// TestSimulateManyAllocsFlat).
 //
 // ctx is polled between batches (every BatchSize records); on cancellation
 // or any decode error the partial results are discarded and the error is

@@ -199,8 +199,9 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamMatchesInMemory: the streaming path must produce
-// byte-identical statistics to the in-memory path.
+// TestSimulateStreamMatchesInMemory: the streaming path (a one-config
+// SimulateMany over a serialised trace) must produce byte-identical
+// statistics to the in-memory path.
 func TestSimulateStreamMatchesInMemory(t *testing.T) {
 	tr, err := workloads.Trace("SpMV", workloads.ScaleTest, 1)
 	if err != nil {
@@ -214,10 +215,11 @@ func TestSimulateStreamMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := SimulateStream(Soft(), r)
+	results, err := SimulateMany(context.Background(), []Config{Soft()}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	streamed := results[0]
 	inMemory, err := Simulate(Soft(), tr)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,6 @@ package core
 //
 // Bump this whenever a change alters any simulated statistic, the set of
 // fields in a response, or the rendered bytes of a response for an
-// otherwise identical request. Pure performance work (sharding, fusion,
-// pooling) that is proven byte-identical does not need a bump.
+// otherwise identical request. Pure performance work (fusion, pooling)
+// that is proven byte-identical does not need a bump.
 const KernelVersion = "softcache-kernel/1"

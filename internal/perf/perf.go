@@ -53,9 +53,9 @@ func (c CaseSpec) Config() core.Config {
 
 // MatrixSpec is one pinned fused-matrix point: a config group simulated
 // over one (workload, scale) trace both fused (core.SimulateMany — one
-// decode pass feeds every config) and looped (one SimulateStream pass per
-// config). The pair quantifies the decode amortisation the fused kernel
-// buys, and pins it against regression.
+// decode pass feeds every config) and looped (one single-config
+// SimulateMany pass per config). The pair quantifies the decode
+// amortisation the fused kernel buys, and pins it against regression.
 type MatrixSpec struct {
 	Name      string          `json:"name"`
 	Workload  string          `json:"workload"`
@@ -137,75 +137,6 @@ func FusedMatrix(quick bool) []MatrixSpec {
 	return specs
 }
 
-// ShardedSpec is one pinned point of the set-sharded matrix: a named
-// configuration simulated through core.SimulateShardedStream at a fixed
-// shard count. The shards=1 row of each group is the sequential kernel
-// and the speedup denominator.
-type ShardedSpec struct {
-	Name      string          `json:"name"`
-	Workload  string          `json:"workload"`
-	Scale     workloads.Scale `json:"-"`
-	ScaleName string          `json:"scale"`
-	// Config names the pinned design point: "standard" (an exact
-	// sharding plan) or "soft" (coupled structures, bounded divergence).
-	Config string `json:"config"`
-	Shards int    `json:"shards"`
-}
-
-// BuildConfig resolves the spec's pinned configuration name.
-func (s ShardedSpec) BuildConfig() (core.Config, error) {
-	switch s.Config {
-	case "standard":
-		return core.Standard(), nil
-	case "soft":
-		return core.Soft(), nil
-	default:
-		return core.Config{}, fmt.Errorf("perf: unknown sharded config %q", s.Config)
-	}
-}
-
-// groupKey identifies the interleaved measurement group: every shard
-// count of one (workload, scale, config) is timed in one harness unit.
-func (s ShardedSpec) groupKey() string {
-	return fmt.Sprintf("sharded/%s/%s/%s", s.Workload, s.ScaleName, s.Config)
-}
-
-// ShardedMatrix returns the pinned sharded matrix: MV at paper scale
-// (sharding exists for big single-config runs; there is no quick
-// variant) on the standard (exact) and soft (coupled) designs, at shard
-// counts 1, 2, 4 capped by maxShards — plus maxShards itself when it
-// exceeds 4, so a wide host records its full scaling row. maxShards <=
-// 0 disables the matrix.
-func ShardedMatrix(maxShards int) []ShardedSpec {
-	if maxShards <= 0 {
-		return nil
-	}
-	counts := []int{1}
-	for _, c := range []int{2, 4} {
-		if c <= maxShards {
-			counts = append(counts, c)
-		}
-	}
-	if maxShards > 4 {
-		counts = append(counts, maxShards)
-	}
-	var specs []ShardedSpec
-	for _, config := range []string{"standard", "soft"} {
-		for _, shards := range counts {
-			s := ShardedSpec{
-				Workload:  "MV",
-				Scale:     workloads.ScalePaper,
-				ScaleName: workloads.ScalePaper.String(),
-				Config:    config,
-				Shards:    shards,
-			}
-			s.Name = fmt.Sprintf("%s/s%d", s.groupKey(), shards)
-			specs = append(specs, s)
-		}
-	}
-	return specs
-}
-
 // Matrix returns the pinned benchmark matrix. quick drops the paper-scale
 // rows (CI smoke runs); the full matrix is the release measurement.
 func Matrix(quick bool) []CaseSpec {
@@ -272,33 +203,6 @@ type MatrixMeasurement struct {
 	MeanAMAT float64 `json:"mean_amat"`
 }
 
-// ShardedMeasurement is the result of one sharded-matrix row.
-type ShardedMeasurement struct {
-	ShardedSpec
-	// EffectiveShards is the plan's actual shard count (cache.PlanShards
-	// may clamp the requested one); Exact mirrors the plan's exactness.
-	EffectiveShards int  `json:"effective_shards"`
-	Exact           bool `json:"exact"`
-	Records         int  `json:"records"`
-	Iters           int  `json:"iters"`
-	// NsPerRecord / RecordsPerSec are wall-clock, so they show the
-	// parallel speedup directly (unlike the fused rows, which normalise
-	// per config).
-	NsPerRecord   float64 `json:"ns_per_record"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-	// Speedup is this row's records/s over its group's shards=1 row,
-	// measured interleaved in the same unit. Bounded by the host's CPU
-	// count (the report's cpus field).
-	Speedup float64 `json:"speedup"`
-	// AllocsPerOp counts one whole sharded pass (simulators, router,
-	// workers; the steady-state loop is alloc-free).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// AMAT fingerprints behaviour: exact rows must match the sequential
-	// row's AMAT bit for bit, coupled rows stay within the divergence
-	// bounds pinned in the refmodel suite.
-	AMAT float64 `json:"amat"`
-}
-
 // Report is the whole suite's output, the schema of BENCH_kernel.json.
 type Report struct {
 	Schema    string        `json:"schema"`
@@ -310,8 +214,6 @@ type Report struct {
 	Cases     []Measurement `json:"cases"`
 	// Matrix holds the fused-vs-looped rows; absent in v1 reports.
 	Matrix []MatrixMeasurement `json:"matrix,omitempty"`
-	// Sharded holds the set-sharded kernel rows; absent before v3.
-	Sharded []ShardedMeasurement `json:"sharded,omitempty"`
 	// Decode holds the trace-codec rows (flat vs SCTZ streaming decode);
 	// absent before v4.
 	Decode []DecodeMeasurement `json:"decode,omitempty"`
@@ -320,6 +222,8 @@ type Report struct {
 // SchemaID identifies the BENCH_kernel.json layout this package writes.
 // v4 added the decode matrix (flat vs SCTZ codec rows); v3 (no decode
 // rows), v2 (no sharded rows either) and v1 (cases only) still load.
+// Reports from v3 on may carry a "sharded" array of the since-removed
+// set-sharded kernel; it is ignored on load.
 const SchemaID = "softcache-perf/v4"
 
 // schemaV3 added the set-sharded rows.
@@ -350,10 +254,9 @@ type Runner struct {
 // experiment harness, so a panicking or failing case yields a structured
 // failure record instead of torpedoing the suite. The fused rows are
 // measured after the cases, one harness unit per (workload, config-group),
-// the sharded rows next, one unit per (workload, scale, config) with all
-// of that group's shard counts interleaved, and the decode rows last, one
-// unit per corpus trace with both codecs interleaved.
-func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, sharded []ShardedSpec, decode []DecodeSpec) (*Report, error) {
+// and the decode rows last, one unit per corpus trace with both codecs
+// interleaved.
+func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, decode []DecodeSpec) (*Report, error) {
 	minIters := r.MinIters
 	if minIters <= 0 {
 		minIters = 3
@@ -396,11 +299,6 @@ func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, s
 	}
 	for _, m := range fused {
 		if err := ensureTrace(m.Workload, m.ScaleName, m.Scale); err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range sharded {
-		if err := ensureTrace(s.Workload, s.ScaleName, s.Scale); err != nil {
 			return nil, err
 		}
 	}
@@ -468,39 +366,6 @@ func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, s
 		return nil, fmt.Errorf("perf: %w", err)
 	}
 
-	// Group the sharded specs so every shard count of one configuration
-	// is measured interleaved inside one unit (drift biases no count).
-	shardGroups := map[string][]ShardedSpec{}
-	var shardGroupOrder []string
-	for _, s := range sharded {
-		k := s.groupKey()
-		if _, ok := shardGroups[k]; !ok {
-			shardGroupOrder = append(shardGroupOrder, k)
-		}
-		shardGroups[k] = append(shardGroups[k], s)
-	}
-	shardedUnits := make([]harness.Unit[[]ShardedMeasurement], len(shardGroupOrder))
-	for i, k := range shardGroupOrder {
-		group := shardGroups[k]
-		key := group[0].Workload + "/" + group[0].ScaleName
-		shardedUnits[i] = harness.Unit[[]ShardedMeasurement]{
-			Key: k,
-			Meta: map[string]string{
-				"workload": group[0].Workload,
-				"scale":    group[0].ScaleName,
-				"config":   group[0].Config,
-				"seed":     fmt.Sprint(seed),
-			},
-			Run: func(ctx context.Context) ([]ShardedMeasurement, error) {
-				return measureSharded(ctx, group, encoded[key], records[key], minIters, minTime)
-			},
-		}
-	}
-	shardedResults, err := harness.Run(ctx, shardedUnits, harness.Options{Workers: 1, Log: r.Log})
-	if err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
-
 	decodeUnits := make([]harness.Unit[DecodeMeasurement], len(decode))
 	for i, d := range decode {
 		d := d
@@ -546,13 +411,6 @@ func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, s
 		}
 		report.Matrix = append(report.Matrix, res.Value)
 	}
-	for _, res := range shardedResults {
-		if !res.OK() {
-			failures = append(failures, res.FailureRecord())
-			continue
-		}
-		report.Sharded = append(report.Sharded, res.Value...)
-	}
 	for _, res := range decodeResults {
 		if !res.OK() {
 			failures = append(failures, res.FailureRecord())
@@ -575,7 +433,11 @@ func measure(ctx context.Context, spec CaseSpec, data []byte, n, minIters int, m
 		if err != nil {
 			return core.Result{}, err
 		}
-		return core.SimulateStream(cfg, tr)
+		results, err := core.SimulateMany(ctx, []core.Config{cfg}, tr)
+		if err != nil {
+			return core.Result{}, err
+		}
+		return results[0], nil
 	}
 
 	// Warm-up: page the trace in, grow the pools, JIT the branch history.
@@ -637,7 +499,7 @@ func measureMatrix(ctx context.Context, spec MatrixSpec, data []byte, n, minIter
 			if err != nil {
 				return err
 			}
-			if _, err := core.SimulateStream(cfg, r); err != nil {
+			if _, err := core.SimulateMany(ctx, []core.Config{cfg}, r); err != nil {
 				return err
 			}
 		}
@@ -701,91 +563,6 @@ func measureMatrix(ctx context.Context, spec MatrixSpec, data []byte, n, minIter
 		AllocsPerOp:      allocsPerOp,
 		MeanAMAT:         meanAMAT,
 	}, nil
-}
-
-// measureSharded times one sharded group: every shard count of one
-// (workload, scale, config), interleaved round-robin so machine drift
-// biases no count, each pass running the full streaming sharded kernel
-// (decode producer + shard workers). Speedup is computed against the
-// group's shards=1 row after the loop.
-func measureSharded(ctx context.Context, group []ShardedSpec, data []byte, n, minIters int, minTime time.Duration) ([]ShardedMeasurement, error) {
-	cfg, err := group[0].BuildConfig()
-	if err != nil {
-		return nil, err
-	}
-	run := func(shards int) (core.Result, error) {
-		r, err := trace.NewReaderBytes(data)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return core.SimulateShardedStream(ctx, cfg, r, shards)
-	}
-
-	out := make([]ShardedMeasurement, len(group))
-	allocs := make([]float64, len(group))
-	lasts := make([]core.Result, len(group))
-	for i, s := range group {
-		plan, err := core.PlanShards(cfg, s.Shards)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ShardedMeasurement{
-			ShardedSpec:     s,
-			EffectiveShards: plan.Shards,
-			Exact:           plan.Exact,
-			Records:         n,
-		}
-		// Warm-up (pools, page cache, branch history), then one isolated
-		// pass for the allocation count.
-		if _, err := run(s.Shards); err != nil {
-			return nil, err
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if lasts[i], err = run(s.Shards); err != nil {
-			return nil, err
-		}
-		runtime.ReadMemStats(&after)
-		allocs[i] = float64(after.Mallocs - before.Mallocs)
-	}
-
-	times := make([]time.Duration, len(group))
-	iters := 0
-	start := time.Now()
-	for iters < minIters || time.Since(start) < time.Duration(len(group))*minTime {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for i, s := range group {
-			t0 := time.Now()
-			res, err := run(s.Shards)
-			if err != nil {
-				return nil, err
-			}
-			times[i] += time.Since(t0)
-			lasts[i] = res
-		}
-		iters++
-	}
-
-	for i := range out {
-		totalRecords := float64(n) * float64(iters)
-		out[i].Iters = iters
-		out[i].NsPerRecord = float64(times[i].Nanoseconds()) / totalRecords
-		out[i].RecordsPerSec = totalRecords / times[i].Seconds()
-		out[i].AllocsPerOp = allocs[i]
-		out[i].AMAT = lasts[i].AMAT()
-	}
-	for i := range out {
-		for j := range out {
-			if out[j].Shards == 1 && out[j].NsPerRecord > 0 {
-				out[i].Speedup = out[j].NsPerRecord / out[i].NsPerRecord
-				break
-			}
-		}
-	}
-	return out, nil
 }
 
 func joinLines(lines []string) string {

@@ -2,7 +2,7 @@ package perf
 
 import (
 	"context"
-	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,24 +11,6 @@ import (
 	"softcache/internal/cache"
 	"softcache/internal/workloads"
 )
-
-// testShardedGroup is a test-scale sharded group (the pinned matrix is
-// paper-scale, too slow for unit tests).
-func testShardedGroup(config string, counts ...int) []ShardedSpec {
-	var specs []ShardedSpec
-	for _, shards := range counts {
-		s := ShardedSpec{
-			Workload:  "MV",
-			Scale:     workloads.ScaleTest,
-			ScaleName: workloads.ScaleTest.String(),
-			Config:    config,
-			Shards:    shards,
-		}
-		s.Name = fmt.Sprintf("%s/s%d", s.groupKey(), shards)
-		specs = append(specs, s)
-	}
-	return specs
-}
 
 func TestMatrixPinned(t *testing.T) {
 	full := Matrix(false)
@@ -62,10 +44,9 @@ func TestMatrixPinned(t *testing.T) {
 func TestRunnerReportAndGate(t *testing.T) {
 	specs := Matrix(true)[:2]
 	fused := FusedMatrix(true)[:1]
-	sharded := testShardedGroup("standard", 1, 2)
 	decode := DecodeMatrix(true)[:2]
 	r := Runner{MinIters: 1, MinTime: time.Millisecond}
-	report, err := r.Run(context.Background(), specs, fused, sharded, decode)
+	report, err := r.Run(context.Background(), specs, fused, decode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,29 +65,6 @@ func TestRunnerReportAndGate(t *testing.T) {
 		if m.Configs <= 1 || m.Records <= 0 || m.Iters <= 0 ||
 			m.FusedNsPerRecord <= 0 || m.LoopNsPerRecord <= 0 || m.Speedup <= 0 || m.MeanAMAT <= 0 {
 			t.Errorf("matrix row %s has implausible measurement: %+v", m.Name, m)
-		}
-	}
-	if len(report.Sharded) != len(sharded) {
-		t.Fatalf("got %d sharded rows, want %d", len(report.Sharded), len(sharded))
-	}
-	var seqAMAT float64
-	for _, s := range report.Sharded {
-		if s.Records <= 0 || s.Iters <= 0 || s.NsPerRecord <= 0 || s.RecordsPerSec <= 0 ||
-			s.AMAT <= 0 || s.Speedup <= 0 || s.EffectiveShards < 1 {
-			t.Errorf("sharded row %s has implausible measurement: %+v", s.Name, s)
-		}
-		if !s.Exact {
-			t.Errorf("sharded row %s: the standard config must plan exactly", s.Name)
-		}
-		if s.Shards == 1 {
-			seqAMAT = s.AMAT
-		}
-	}
-	// Exact rows are behaviour-identical: the AMAT fingerprint must not
-	// move across shard counts.
-	for _, s := range report.Sharded {
-		if s.AMAT != seqAMAT {
-			t.Errorf("sharded row %s: AMAT %v differs from sequential %v on an exact plan", s.Name, s.AMAT, seqAMAT)
 		}
 	}
 	if len(report.Decode) != len(decode) {
@@ -179,19 +137,6 @@ func TestRunnerReportAndGate(t *testing.T) {
 		t.Fatalf("gate error does not name the regressed matrix row: %v", err)
 	}
 
-	// A sharded-row regression trips the gate too.
-	slowSharded := *report
-	slowSharded.Cases = append([]Measurement(nil), report.Cases...)
-	slowSharded.Sharded = append([]ShardedMeasurement(nil), report.Sharded...)
-	slowSharded.Sharded[0].NsPerRecord *= 2
-	err = Gate(loaded, &slowSharded, 0.15)
-	if err == nil {
-		t.Fatal("2x sharded regression passed the 15% gate")
-	}
-	if !strings.Contains(err.Error(), slowSharded.Sharded[0].Name) {
-		t.Fatalf("gate error does not name the regressed sharded row: %v", err)
-	}
-
 	// A decode-row sctz regression trips the gate too.
 	slowDecode := *report
 	slowDecode.Cases = append([]Measurement(nil), report.Cases...)
@@ -235,18 +180,10 @@ func TestRunnerReportAndGate(t *testing.T) {
 			t.Errorf("markdown report missing matrix row %s", m.Name)
 		}
 	}
-	for _, s := range report.Sharded {
-		if !strings.Contains(mdPlain, s.Name) || !strings.Contains(mdDelta, s.Name) {
-			t.Errorf("markdown report missing sharded row %s", s.Name)
-		}
-	}
 	for _, d := range report.Decode {
 		if !strings.Contains(mdPlain, d.Name) || !strings.Contains(mdDelta, d.Name) {
 			t.Errorf("markdown report missing decode row %s", d.Name)
 		}
-	}
-	if !strings.Contains(mdPlain, "Set-sharded kernel") {
-		t.Error("report lacks the sharded section")
 	}
 	if !strings.Contains(mdPlain, "Trace codec decode matrix") || !strings.Contains(mdPlain, "Corpus-weighted:") {
 		t.Error("report lacks the decode section or its corpus-weighted summary")
@@ -302,62 +239,6 @@ func TestFusedMatrixPinned(t *testing.T) {
 	}
 }
 
-// TestShardedMatrixPinned mirrors TestMatrixPinned for the sharded rows:
-// names are unique, every config builds and plans, the shards=1 speedup
-// denominator is present in every group, and the cap semantics hold.
-func TestShardedMatrixPinned(t *testing.T) {
-	if got := ShardedMatrix(0); got != nil {
-		t.Fatalf("ShardedMatrix(0) = %d rows, want none", len(got))
-	}
-	four := ShardedMatrix(4)
-	if len(four) != 6 {
-		t.Fatalf("ShardedMatrix(4) has %d rows, want 6 (2 configs x shards {1,2,4})", len(four))
-	}
-	names := map[string]bool{}
-	ones := map[string]bool{}
-	for _, s := range four {
-		if names[s.Name] {
-			t.Fatalf("duplicate sharded row name %q", s.Name)
-		}
-		names[s.Name] = true
-		if !strings.Contains(s.Name, "paper") {
-			t.Errorf("sharded row %s is not paper-scale", s.Name)
-		}
-		cfg, err := s.BuildConfig()
-		if err != nil {
-			t.Fatalf("row %s: %v", s.Name, err)
-		}
-		if _, err := cache.PlanShards(cfg, s.Shards); err != nil {
-			t.Errorf("row %s does not plan: %v", s.Name, err)
-		}
-		if s.Shards == 1 {
-			ones[s.groupKey()] = true
-		}
-	}
-	for _, s := range four {
-		if !ones[s.groupKey()] {
-			t.Errorf("group %s lacks its shards=1 speedup denominator", s.groupKey())
-		}
-	}
-	if got := ShardedMatrix(2); len(got) != 4 {
-		t.Errorf("ShardedMatrix(2) has %d rows, want 4", len(got))
-	}
-	// A wide host appends its own full-width row.
-	wide := ShardedMatrix(8)
-	found := false
-	for _, s := range wide {
-		if s.Shards == 8 {
-			found = true
-		}
-	}
-	if !found || len(wide) != 8 {
-		t.Errorf("ShardedMatrix(8) = %d rows (s8 present: %v), want 8 rows with s8", len(wide), found)
-	}
-	if _, err := (ShardedSpec{Config: "no-such"}).BuildConfig(); err == nil {
-		t.Error("unknown sharded config accepted")
-	}
-}
-
 // TestDecodeMatrixPinned mirrors TestMatrixPinned for the decode rows:
 // names are unique, quick is the test-scale subset of full, and every
 // workload names a known corpus trace.
@@ -390,41 +271,72 @@ func TestDecodeMatrixPinned(t *testing.T) {
 	}
 }
 
-// TestReadJSONAcceptsV3 keeps pre-decode baselines loadable: cases, fused
-// and sharded rows still gate, decode rows are simply baseline-less (the
-// absolute corpus-weighted budget still applies to the current run).
+// TestReadJSONAcceptsV3 keeps older baselines loadable, including the
+// "sharded" rows that v3 and v4 files written before the set-sharded
+// kernel was removed still carry: those rows are ignored, and the cases,
+// fused and decode rows each still gate. Rows a baseline lacks (decode in
+// v3) are simply baseline-less.
 func TestReadJSONAcceptsV3(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v3.json")
-	v3 := &Report{Schema: "softcache-perf/v3",
-		Cases:   []Measurement{{CaseSpec: CaseSpec{Name: "MV/test/vl0/bb0"}, NsPerRecord: 10}},
-		Sharded: []ShardedMeasurement{{ShardedSpec: ShardedSpec{Name: "sharded/x/s4"}, NsPerRecord: 3}},
-	}
-	if err := WriteJSON(path, v3); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJSON(path)
-	if err != nil {
-		t.Fatalf("v3 baseline rejected: %v", err)
-	}
-	cur := &Report{Schema: SchemaID,
-		Cases:   v3.Cases,
-		Sharded: []ShardedMeasurement{{ShardedSpec: ShardedSpec{Name: "sharded/x/s4"}, NsPerRecord: 9}},
-		Decode: []DecodeMeasurement{{
-			DecodeSpec:      DecodeSpec{Name: "decode/MV/test"},
-			Records:         100,
-			FlatNsPerRecord: 10, SCTZNsPerRecord: 8, Ratio: 0.8,
-		}},
-	}
-	if err := Gate(loaded, cur, 0.15); err == nil {
-		t.Fatal("sharded regression against v3 baseline passed the gate")
-	}
-	if err := Gate(loaded, &Report{Schema: SchemaID, Decode: cur.Decode}, 0.15); err != nil {
-		t.Fatalf("decode rows without v3 baseline tripped the gate: %v", err)
+	const rows = `
+  "cases": [{"name": "MV/test/vl0/bb0", "ns_per_record": 10}],
+  "matrix": [{"name": "fused/x", "fused_ns_per_record": 5}],
+  "sharded": [{"name": "sharded/MV/paper/standard/s1", "shards": 1, "effective_shards": 1,
+    "exact": true, "ns_per_record": 28.6, "speedup": 1, "amat": 9.9}]`
+	for _, tc := range []struct {
+		name, json string
+		decode     bool
+	}{
+		{"v3", `{"schema": "softcache-perf/v3",` + rows + `}`, false},
+		{"v4", `{"schema": "softcache-perf/v4",` + rows + `,
+  "decode": [{"name": "decode/MV/test", "records": 100, "flat_ns_per_record": 10,
+    "sctz_ns_per_record": 8, "ratio": 0.8}]}`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tc.name+".json")
+			if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadJSON(path)
+			if err != nil {
+				t.Fatalf("%s baseline with sharded rows rejected: %v", tc.name, err)
+			}
+			if len(loaded.Cases) != 1 || len(loaded.Matrix) != 1 {
+				t.Fatalf("%s round trip: %+v", tc.name, loaded)
+			}
+			decode := []DecodeMeasurement{{
+				DecodeSpec:      DecodeSpec{Name: "decode/MV/test"},
+				Records:         100,
+				FlatNsPerRecord: 10, SCTZNsPerRecord: 8, Ratio: 0.8,
+			}}
+			same := &Report{Schema: SchemaID, Cases: loaded.Cases, Matrix: loaded.Matrix, Decode: decode}
+			if err := Gate(loaded, same, 0.15); err != nil {
+				t.Fatalf("unchanged rows tripped the gate against %s: %v", tc.name, err)
+			}
+			slowCase := &Report{Schema: SchemaID,
+				Cases: []Measurement{{CaseSpec: CaseSpec{Name: "MV/test/vl0/bb0"}, NsPerRecord: 30}}}
+			if err := Gate(loaded, slowCase, 0.15); err == nil {
+				t.Fatalf("case regression against %s baseline passed the gate", tc.name)
+			}
+			slowFused := &Report{Schema: SchemaID,
+				Matrix: []MatrixMeasurement{{MatrixSpec: MatrixSpec{Name: "fused/x"}, FusedNsPerRecord: 20}}}
+			if err := Gate(loaded, slowFused, 0.15); err == nil {
+				t.Fatalf("fused regression against %s baseline passed the gate", tc.name)
+			}
+			slowDecode := &Report{Schema: SchemaID, Decode: append([]DecodeMeasurement(nil), decode...)}
+			slowDecode.Decode[0].SCTZNsPerRecord = 9.5
+			err = Gate(loaded, slowDecode, 0.15)
+			if tc.decode && err == nil {
+				t.Fatalf("decode regression against %s baseline passed the gate", tc.name)
+			}
+			if !tc.decode && err != nil {
+				t.Fatalf("decode rows without %s baseline tripped the gate: %v", tc.name, err)
+			}
+		})
 	}
 }
 
 // TestReadJSONAcceptsV2 keeps pre-sharded baselines loadable: cases and
-// fused rows still gate, sharded rows are simply baseline-less.
+// fused rows still gate, decode rows are simply baseline-less.
 func TestReadJSONAcceptsV2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v2.json")
 	v2 := &Report{Schema: "softcache-perf/v2",
@@ -439,15 +351,19 @@ func TestReadJSONAcceptsV2(t *testing.T) {
 		t.Fatalf("v2 baseline rejected: %v", err)
 	}
 	cur := &Report{Schema: SchemaID,
-		Cases:   v2.Cases,
-		Matrix:  []MatrixMeasurement{{MatrixSpec: MatrixSpec{Name: "fused/x"}, FusedNsPerRecord: 20}},
-		Sharded: []ShardedMeasurement{{ShardedSpec: ShardedSpec{Name: "sharded/x/s4"}, NsPerRecord: 3}},
+		Cases:  v2.Cases,
+		Matrix: []MatrixMeasurement{{MatrixSpec: MatrixSpec{Name: "fused/x"}, FusedNsPerRecord: 20}},
+		Decode: []DecodeMeasurement{{
+			DecodeSpec:      DecodeSpec{Name: "decode/MV/test"},
+			Records:         100,
+			FlatNsPerRecord: 10, SCTZNsPerRecord: 8, Ratio: 0.8,
+		}},
 	}
 	if err := Gate(loaded, cur, 0.15); err == nil {
 		t.Fatal("fused regression against v2 baseline passed the gate")
 	}
-	if err := Gate(loaded, &Report{Schema: SchemaID, Sharded: cur.Sharded}, 0.15); err != nil {
-		t.Fatalf("sharded rows without v2 baseline tripped the gate: %v", err)
+	if err := Gate(loaded, &Report{Schema: SchemaID, Decode: cur.Decode}, 0.15); err != nil {
+		t.Fatalf("decode rows without v2 baseline tripped the gate: %v", err)
 	}
 }
 

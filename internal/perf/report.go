@@ -100,42 +100,10 @@ func (d MatrixDelta) PctNs() float64 {
 	return (d.Current.FusedNsPerRecord/d.Base.FusedNsPerRecord - 1) * 100
 }
 
-// ShardedDelta is one sharded row's comparison against a baseline run.
-type ShardedDelta struct {
-	Name    string
-	Base    *ShardedMeasurement // nil when the row is new (or the baseline predates v3)
-	Current ShardedMeasurement
-}
-
-// PctNs returns the ns/record change in percent (positive = slower).
-func (d ShardedDelta) PctNs() float64 {
-	if d.Base == nil || d.Base.NsPerRecord == 0 {
-		return 0
-	}
-	return (d.Current.NsPerRecord/d.Base.NsPerRecord - 1) * 100
-}
-
-// CompareSharded matches the current report's sharded rows against a
-// baseline by name, mirroring Compare. Pre-v3 baselines have no sharded
-// rows, so every row comes back baseline-less.
-func CompareSharded(base, cur *Report) []ShardedDelta {
-	byName := map[string]*ShardedMeasurement{}
-	if base != nil {
-		for i := range base.Sharded {
-			byName[base.Sharded[i].Name] = &base.Sharded[i]
-		}
-	}
-	deltas := make([]ShardedDelta, 0, len(cur.Sharded))
-	for _, s := range cur.Sharded {
-		deltas = append(deltas, ShardedDelta{Name: s.Name, Base: byName[s.Name], Current: s})
-	}
-	return deltas
-}
-
 // Gate returns an error listing every case whose ns/record regressed by
 // more than maxRegress (a fraction: 0.15 = 15%) against the baseline; the
-// fused matrix rows are gated on their fused ns/record and the sharded
-// rows on their wall-clock ns/record the same way. Cases absent from the
+// fused matrix rows are gated on their fused ns/record and the decode
+// rows on their SCTZ ns/record the same way. Cases absent from the
 // baseline pass by definition.
 func Gate(base, cur *Report, maxRegress float64) error {
 	var bad []string
@@ -155,15 +123,6 @@ func Gate(base, cur *Report, maxRegress float64) error {
 		if d.Current.FusedNsPerRecord > d.Base.FusedNsPerRecord*(1+maxRegress) {
 			bad = append(bad, fmt.Sprintf("  %s: %.2f -> %.2f fused ns/record (%+.1f%%, budget %+.0f%%)",
 				d.Name, d.Base.FusedNsPerRecord, d.Current.FusedNsPerRecord, d.PctNs(), maxRegress*100))
-		}
-	}
-	for _, d := range CompareSharded(base, cur) {
-		if d.Base == nil {
-			continue
-		}
-		if d.Current.NsPerRecord > d.Base.NsPerRecord*(1+maxRegress) {
-			bad = append(bad, fmt.Sprintf("  %s: %.2f -> %.2f ns/record (%+.1f%%, budget %+.0f%%)",
-				d.Name, d.Base.NsPerRecord, d.Current.NsPerRecord, d.PctNs(), maxRegress*100))
 		}
 	}
 	for _, d := range CompareDecode(base, cur) {
@@ -252,33 +211,6 @@ func Markdown(base, cur *Report) string {
 			} else {
 				fmt.Fprintf(&b, "| %s | %d | %d | %.2f | %.2f | %.2fx |\n",
 					m.Name, m.Configs, m.Records, m.FusedNsPerRecord, m.LoopNsPerRecord, m.Speedup)
-			}
-		}
-	}
-	if len(cur.Sharded) > 0 {
-		b.WriteString("\n## Set-sharded kernel\n\n")
-		b.WriteString("Wall-clock per record; speedup is over the group's shards=1 row. ")
-		b.WriteString("Scaling is bounded by the host's CPU count above.\n\n")
-		if base != nil {
-			b.WriteString("| row | shards | exact | records | ns/record | baseline | Δ ns/record | records/s | speedup |\n")
-			b.WriteString("|---|---:|---|---:|---:|---:|---:|---:|---:|\n")
-		} else {
-			b.WriteString("| row | shards | exact | records | ns/record | records/s | speedup |\n")
-			b.WriteString("|---|---:|---|---:|---:|---:|---:|\n")
-		}
-		for _, d := range CompareSharded(base, cur) {
-			s := d.Current
-			if base != nil {
-				baseNs, delta := "–", "new"
-				if d.Base != nil {
-					baseNs = fmt.Sprintf("%.2f", d.Base.NsPerRecord)
-					delta = fmt.Sprintf("%+.1f%%", d.PctNs())
-				}
-				fmt.Fprintf(&b, "| %s | %d | %v | %d | %.2f | %s | %s | %s | %.2fx |\n",
-					s.Name, s.EffectiveShards, s.Exact, s.Records, s.NsPerRecord, baseNs, delta, human(s.RecordsPerSec), s.Speedup)
-			} else {
-				fmt.Fprintf(&b, "| %s | %d | %v | %d | %.2f | %s | %.2fx |\n",
-					s.Name, s.EffectiveShards, s.Exact, s.Records, s.NsPerRecord, human(s.RecordsPerSec), s.Speedup)
 			}
 		}
 	}

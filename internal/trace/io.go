@@ -174,7 +174,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // NewReaderBytes is NewReader for a trace already resident in memory: the
 // records are decoded straight from data with no intermediate buffer, the
-// fastest way to drive SimulateStream (used by the perf harness, where the
+// fastest way to drive SimulateMany (used by the perf harness, where the
 // trace bytes are pinned in RAM so disk speed cannot pollute the kernel
 // measurement).
 func NewReaderBytes(data []byte) (*Reader, error) {
@@ -276,7 +276,7 @@ var flagProto = func() (t [256]Record) {
 const BatchSize = 2048
 
 // batchPool recycles ReadBatch destination slices so that streaming
-// consumers (core.SimulateStream, Read, the perf harness) perform no
+// consumers (core.SimulateMany, Read, the perf harness) perform no
 // per-chunk allocations in steady state. Pointers-to-slice avoid the
 // allocation that storing a bare slice header in an interface would cost.
 var batchPool = sync.Pool{

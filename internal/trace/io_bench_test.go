@@ -46,8 +46,8 @@ func BenchmarkNext(b *testing.B) {
 	}
 }
 
-// BenchmarkReadBatch measures the chunked decode path that SimulateStream
-// and SimulateMany use, across destination sizes bracketing the pooled
+// BenchmarkReadBatch measures the chunked decode path that SimulateMany
+// uses, across destination sizes bracketing the pooled
 // BatchSize: the decode cost per record should be flat once the per-call
 // overhead is amortised, which is what justifies 2048 as the pool shape.
 func BenchmarkReadBatch(b *testing.B) {

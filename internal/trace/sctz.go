@@ -21,8 +21,8 @@ import (
 // end-of-stream marker (its payload length must also be zero). Chunks are
 // self-delimiting and independently decodable: the decoder state — the
 // 256-entry address history ring, the previous refID, the record position
-// — resets at every chunk boundary, so streaming, seeking and shard
-// routing need no lookahead.
+// — resets at every chunk boundary, so streaming and seeking need no
+// lookahead.
 //
 // Records compress because the paper's premise holds at the I/O boundary
 // too: reference streams walk compiler-visible strides, so the step from a
