@@ -27,12 +27,14 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Full kernel benchmark matrix; refreshes the committed BENCH_kernel.json
-# baseline (run on a quiet machine). See docs/PERF.md.
+# Every pinned perf row (kernel, fused and decode layers at test and paper
+# scale); refreshes the committed BENCH_kernel.json baseline (run on a quiet
+# machine). See docs/PERF.md.
 perf:
 	$(GO) run ./cmd/softcache-perf -out BENCH_kernel.json
 
-# Quick matrix gated against the committed baseline (what CI runs).
+# The test-scale rows gated against the committed baseline: every row's
+# ns/record within 15% (what CI runs).
 perf-check:
 	$(GO) run ./cmd/softcache-perf -quick -baseline BENCH_kernel.json \
 		-out /tmp/bench-current.json -max-regress 0.15

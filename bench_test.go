@@ -1,7 +1,8 @@
 // Package softcache_test hosts the repository-level benchmark harness: one
 // testing.B target per figure of the paper (BenchmarkFig01a …
 // BenchmarkFig12, BenchmarkAblations) plus micro-benchmarks of the
-// simulator and trace generator.
+// simulator and trace generator. Kernel, fused and decode throughput are
+// measured and gated by cmd/softcache-perf instead (docs/PERF.md).
 //
 // The figure benchmarks run at test scale by default so `go test -bench=.`
 // stays fast; set SOFTCACHE_BENCH_SCALE=paper to regenerate the figures at
@@ -10,8 +11,6 @@
 package softcache_test
 
 import (
-	"bytes"
-	stdcontext "context"
 	"os"
 	"sync"
 	"testing"
@@ -19,7 +18,6 @@ import (
 	"softcache/internal/bench"
 	"softcache/internal/core"
 	"softcache/internal/locality"
-	"softcache/internal/trace"
 	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
@@ -108,70 +106,6 @@ func benchmarkSimulator(b *testing.B, cfg core.Config) {
 	}
 	b.ReportMetric(amat, "AMAT-cycles")
 	b.ReportMetric(float64(tr.Len()), "refs/op")
-}
-
-// fusedBenchGroup is the cache-size axis of figure 3 as a fused config
-// group: the kind of one-workload many-configuration sweep SimulateMany
-// exists for.
-func fusedBenchGroup() []core.Config {
-	var cfgs []core.Config
-	for _, kb := range []int{8, 16, 32, 64, 128, 256} {
-		cfg := core.Standard()
-		cfg.CacheSize = kb << 10
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
-func fusedBenchData(b *testing.B) []byte {
-	tr, err := workloads.Trace("MV", benchScale(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// BenchmarkSimulateMany measures the fused kernel: the trace is decoded
-// once per iteration and every configuration consumes each decoded batch.
-// Compare ns/op against BenchmarkSimulateManyLooped — the gap is the
-// decode cost the fusion amortises (tracked in BENCH_kernel.json).
-func BenchmarkSimulateMany(b *testing.B) {
-	cfgs := fusedBenchGroup()
-	data := fusedBenchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewReaderBytes(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.SimulateMany(stdcontext.Background(), cfgs, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateManyLooped is the unfused baseline for
-// BenchmarkSimulateMany: one single-config SimulateMany pass per
-// configuration, so the trace is decoded len(cfgs) times.
-func BenchmarkSimulateManyLooped(b *testing.B) {
-	cfgs := fusedBenchGroup()
-	data := fusedBenchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cfg := range cfgs {
-			r, err := trace.NewReaderBytes(data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.SimulateMany(stdcontext.Background(), []core.Config{cfg}, r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 func BenchmarkSimulateStandard(b *testing.B) { benchmarkSimulator(b, core.Standard()) }

@@ -1,17 +1,16 @@
-// softcache-perf runs the kernel performance-regression suite: a pinned
-// benchmark matrix over the streaming simulation kernel (trace size ×
-// virtual-line size × bounce-back on/off), a fused multi-configuration
-// matrix (core.SimulateMany vs the per-config loop, with the measured
-// speedup), and a trace-codec decode matrix (flat SCTR vs compressed
-// SCTZ streaming decode, with the compression factor and an always-on
-// corpus-weighted "sctz at or below flat" gate), producing the
-// machine-readable BENCH_kernel.json artifact, an optional markdown delta
-// report, and — when a baseline is given — a ns/record regression gate
-// over all three matrices.
+// softcache-perf runs the kernel performance-regression suite: pinned
+// rows, each the ns/record of one pass over one trace, across three layers
+// (kernel: one single-config pass per config; fused: one core.SimulateMany
+// pass for a whole config set; decode: one flat SCTR or compressed SCTZ
+// streaming drain). It writes the machine-readable BENCH_kernel.json
+// artifact and a markdown delta report with the derived fused speedups and
+// codec ratios and, when a baseline is given, gates every row's ns/record
+// against it, plus a corpus-weighted "sctz at or below flat" budget that
+// holds the run to itself.
 //
 // Usage:
 //
-//	softcache-perf                          # full matrix -> BENCH_kernel.json
+//	softcache-perf                          # all rows -> BENCH_kernel.json
 //	softcache-perf -quick                   # test-scale rows only (CI smoke)
 //	softcache-perf -baseline BENCH_kernel.json -out /tmp/now.json
 //	softcache-perf -quick -max-regress 0.15 # fail >15% ns/record regressions
@@ -21,7 +20,7 @@
 // the baseline before being overwritten. The delta report goes to stdout
 // unless -md names a file.
 //
-// The process exits 0 on success, 1 when a case fails or the regression
+// The process exits 0 on success, 1 when a row fails or the regression
 // gate trips, and 2 on usage errors.
 package main
 
@@ -47,23 +46,22 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "run only the test-scale rows of the matrix (CI smoke)")
+	quick := fs.Bool("quick", false, "run only the test-scale rows (CI smoke)")
 	out := fs.String("out", "BENCH_kernel.json", "write the JSON report here")
 	baseline := fs.String("baseline", "", "compare against this previous JSON report (default: the pre-existing -out file)")
-	maxRegress := fs.Float64("max-regress", 0, "fail when any case's ns/record regresses by more than this fraction vs the baseline (0 disables)")
+	maxRegress := fs.Float64("max-regress", 0, "fail when any row's ns/record regresses by more than this fraction vs the baseline (0 disables)")
 	md := fs.String("md", "", "write the markdown delta report to this file (default: stdout)")
-	minTime := fs.Duration("min-time", 0, "minimum measurement time per case (default 300ms, 100ms with -quick)")
-	seed := fs.Uint64("seed", 1, "workload trace seed")
+	minTime := fs.Duration("min-time", 0, "minimum measurement time per row (default 300ms, 100ms with -quick)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
 	if fs.NArg() > 0 {
 		return cli.Exit(stderr, tool, cli.UsageErrorf("unexpected arguments: %v", fs.Args()))
 	}
-	return cli.Exit(stderr, tool, runPerf(*quick, *out, *baseline, *maxRegress, *md, *minTime, *seed, stdout, stderr))
+	return cli.Exit(stderr, tool, runPerf(*quick, *out, *baseline, *maxRegress, *md, *minTime, stdout, stderr))
 }
 
-func runPerf(quick bool, out, baseline string, maxRegress float64, md string, minTime time.Duration, seed uint64, stdout, stderr io.Writer) error {
+func runPerf(quick bool, out, baseline string, maxRegress float64, md string, minTime time.Duration, stdout, stderr io.Writer) error {
 	if maxRegress < 0 {
 		return cli.UsageErrorf("-max-regress must be >= 0, got %g", maxRegress)
 	}
@@ -90,14 +88,14 @@ func runPerf(quick bool, out, baseline string, maxRegress float64, md string, mi
 		return fmt.Errorf("baseline %s not loaded", baseline)
 	}
 
-	runner := perf.Runner{Seed: seed, MinTime: minTime, Log: stderr}
+	runner := perf.Runner{MinTime: minTime, Log: stderr}
 	if quick && minTime == 0 {
 		runner.MinTime = 100 * time.Millisecond
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	report, err := runner.Run(ctx, perf.Matrix(quick), perf.FusedMatrix(quick), perf.DecodeMatrix(quick))
+	report, err := runner.Run(ctx, perf.Rows(quick))
 	if err != nil {
 		return err
 	}
@@ -105,7 +103,7 @@ func runPerf(quick bool, out, baseline string, maxRegress float64, md string, mi
 	if err := perf.WriteJSON(out, report); err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "%s: wrote %s (%d cases)\n", tool, out, len(report.Cases))
+	fmt.Fprintf(stderr, "%s: wrote %s (%d rows)\n", tool, out, len(report.Rows))
 
 	rendered := perf.Markdown(base, report)
 	if md != "" {

@@ -17,7 +17,7 @@ func runPerfCmd(t *testing.T, args ...string) (string, string, int) {
 
 func TestQuickRunAndGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the quick benchmark matrix twice")
+		t.Skip("runs the quick rows twice")
 	}
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "BENCH_kernel.json")
@@ -32,8 +32,8 @@ func TestQuickRunAndGate(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
-	if !strings.Contains(out, "MV/test/vl64/bb1") {
-		t.Fatalf("report missing matrix case:\n%s", out)
+	if !strings.Contains(out, "kernel/MV/test/vl64-bb1") {
+		t.Fatalf("report missing kernel row:\n%s", out)
 	}
 	if _, err := os.Stat(jsonPath); err != nil {
 		t.Fatalf("JSON artifact not written: %v", err)

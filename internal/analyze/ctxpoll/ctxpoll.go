@@ -3,9 +3,9 @@
 // context.Context parameter, or an *http.Request to take one from) and
 // loops over trace input — trace.Reader.ReadBatch decode loops,
 // Simulator.Access/AccessAll feed loops — must poll that context from
-// the loop: the softcache convention is a ctx.Err() check per batch
-// (see core.SimulateMany) or per cancelCheckInterval records (see
-// core.SimulateContext).
+// the loop: the softcache convention is a ctx.Err() check per batch of
+// trace.BatchSize records (see core.SimulateMany and
+// core.SimulateManyTrace).
 //
 // The poll may live in an enclosing loop of the same function: in the
 // fused kernels the outer per-batch loop polls once and the inner

@@ -40,8 +40,8 @@ func fused(ctx context.Context, sims []*cache.Simulator, r *trace.Reader, buf []
 	}
 }
 
-// interval is the core.SimulateContext shape: an every-N-records poll
-// still counts — any context expression in the body does.
+// interval polls every N records rather than per batch, which still
+// counts — any context expression in the body does.
 func interval(ctx context.Context, sim *cache.Simulator, recs []trace.Record) error {
 	for i, rec := range recs {
 		if i%1024 == 0 && ctx.Err() != nil {

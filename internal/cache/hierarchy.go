@@ -129,8 +129,8 @@ func (s *Simulator) Run(t *trace.Trace) Stats {
 
 // AccessAll processes recs in order, exactly as len(recs) Access calls
 // would (the refmodel differential suite pins the equivalence). It is the
-// per-batch entry point of the batched kernels (core.SimulateContext,
-// core.SimulateMany): besides removing the per-record call boundary, it
+// per-batch entry point of the batched kernels (core.SimulateMany,
+// core.SimulateManyTrace): besides removing the per-record call boundary, it
 // runs the paper's default organisation — plain direct-mapped hits, the
 // bulk of every trace — in a register-resident loop: the cycle clock, the
 // LRU tick and the statistics counters live in locals across each run of

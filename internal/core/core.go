@@ -244,32 +244,17 @@ func Simulate(cfg Config, t *trace.Trace) (Result, error) {
 	return SimulateContext(context.Background(), cfg, t)
 }
 
-// cancelCheckInterval is how many records SimulateContext hands the
-// batched kernel between context polls: rare enough to be free, frequent
-// enough that a canceled multi-million-record run stops within
-// milliseconds.
-const cancelCheckInterval = 1 << 15
-
 // SimulateContext runs the whole trace through a fresh simulator built
-// from cfg, feeding it to the batched kernel (cache.Simulator.AccessAll)
-// in chunks of at most cancelCheckInterval records and checking ctx
-// between chunks, so a timeout or interrupt aborts a long simulation
-// promptly. On cancellation the partial statistics are discarded and
-// ctx's error is returned wrapped.
+// from cfg: it is SimulateManyTrace with one configuration, so ctx is
+// polled every BatchSize records and a timeout or interrupt aborts a long
+// simulation promptly. On cancellation the partial statistics are
+// discarded and ctx's error is returned wrapped.
 func SimulateContext(ctx context.Context, cfg Config, t *trace.Trace) (Result, error) {
-	sim, err := cache.New(cfg)
+	results, err := SimulateManyTrace(ctx, []Config{cfg}, t)
 	if err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
+		return Result{}, err
 	}
-	for recs := t.Records; len(recs) > 0; {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("core: simulating %s: %w", t.Name, err)
-		}
-		n := min(len(recs), cancelCheckInterval)
-		sim.AccessAll(recs[:n])
-		recs = recs[n:]
-	}
-	return Result{Trace: t.Name, Config: Describe(cfg), Stats: sim.Stats()}, nil
+	return results[0], nil
 }
 
 // WithRuntimeChecks returns cfg with the runtime invariant checker toggled

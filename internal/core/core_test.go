@@ -300,16 +300,16 @@ func TestSimulateWarm(t *testing.T) {
 }
 
 // TestSimulateContextMatchesAccessLoop pins SimulateContext, which hands
-// the batched kernel cancelCheckInterval-record chunks, to a plain
-// per-record Access loop for every named design, with and without the
-// runtime invariant checker. The random trace spans several chunks and
+// the batched kernel BatchSize-record chunks, to a plain per-record Access
+// loop for every named design, with and without the runtime invariant
+// checker. The random trace spans many chunks and a partial last one, and
 // carries software prefetches; MV is a structured workload.
 func TestSimulateContextMatchesAccessLoop(t *testing.T) {
 	mv, err := workloads.Trace("MV", workloads.ScaleTest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := []*trace.Trace{mv, fusedRandomTrace(7, 2*cancelCheckInterval+17)}
+	traces := []*trace.Trace{mv, fusedRandomTrace(7, 65553)}
 	for _, name := range ConfigNames() {
 		for _, checks := range []bool{false, true} {
 			base, err := ConfigByName(name)

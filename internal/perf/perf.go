@@ -1,14 +1,21 @@
-// Package perf is the kernel performance-regression suite: a pinned
-// benchmark matrix over the streaming simulation kernel (trace size ×
-// virtual-line size × bounce-back on/off), run through the experiment
-// harness and emitted as machine-readable JSON (BENCH_kernel.json) plus a
-// markdown delta report against a previous run.
+// Package perf is the kernel performance-regression suite: a pinned set
+// of rows, each the cost of one pass over one trace in ns/record, run
+// through the experiment harness and emitted as machine-readable JSON
+// (BENCH_kernel.json) plus a markdown delta report against a previous run.
 //
-// The matrix is deliberately small and fixed: its job is not design-space
+// A row is (layer, workload, scale, set). Three layers are measured:
+//
+//   - kernel: one single-config core.SimulateMany pass per config in the
+//     set;
+//   - fused: one core.SimulateMany pass for the whole set;
+//   - decode: one drain of the trace through one codec, so the set is
+//     "flat" or "sctz".
+//
+// The rows are deliberately few and fixed: their job is not design-space
 // exploration (softcache-sweep does that) but catching throughput and
-// allocation regressions in the hot loop — Reader.ReadBatch, the
-// direct-mapped hit path, the miss/eviction scan — under the mechanisms
-// that stress each of them.
+// allocation regressions in the hot loops — Reader.ReadBatch, the SCTZ
+// decoder, the direct-mapped hit path, the miss/eviction scan — under the
+// mechanisms that stress each of them.
 package perf
 
 import (
@@ -17,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"softcache/internal/core"
@@ -25,54 +33,82 @@ import (
 	"softcache/internal/workloads"
 )
 
-// CaseSpec is one pinned point of the benchmark matrix.
-type CaseSpec struct {
-	Name        string          `json:"name"`
-	Workload    string          `json:"workload"`
-	Scale       workloads.Scale `json:"-"`
-	ScaleName   string          `json:"scale"`
-	VirtualLine int             `json:"virtual_line"` // bytes; 0 = plain lines
-	BounceBack  bool            `json:"bounce_back"`
+// The measured layers.
+const (
+	layerKernel = "kernel"
+	layerFused  = "fused"
+	layerDecode = "decode"
+)
+
+// The decode layer's sets: the flat SCTR codec and the compressed SCTZ one.
+const (
+	codecFlat = "flat"
+	codecSCTZ = "sctz"
+)
+
+// Spec is one pinned row: a layer's pass over one (workload, scale)
+// trace with one config set (kernel, fused) or one codec (decode).
+type Spec struct {
+	Layer    string
+	Workload string
+	Scale    workloads.Scale
+	Set      string
 }
 
-// Config builds the design point for the case: the paper's soft cache with
-// the virtual-line and bounce-back axes set per the spec.
-func (c CaseSpec) Config() core.Config {
-	cfg := core.Soft()
-	cfg.VirtualLineSize = c.VirtualLine
-	cfg.UseSpatialTags = c.VirtualLine > core.DefaultLineSize
-	if !c.BounceBack {
-		cfg.BounceBackLines = 0
-		cfg.BounceBackEnabled = false
-		cfg.UseTemporalTags = false
-		cfg.BounceBackCycles = 0
-		cfg.SwapLockCycles = 0
+// Name is the row's stable identity, layer/workload/scale/set: baselines
+// match rows by it.
+func (s Spec) Name() string {
+	return rowName(s.Layer, s.Workload, s.Scale.String(), s.Set)
+}
+
+func rowName(layer, workload, scale, set string) string {
+	return layer + "/" + workload + "/" + scale + "/" + set
+}
+
+// unit keys the rows that are timed together because the report compares
+// them: the kernel and fused legs of one set, the two codecs of one trace.
+func (s Spec) unit() string {
+	set := s.Set
+	if s.Layer == layerDecode {
+		set = layerDecode
 	}
-	return cfg
+	return s.Workload + "/" + s.Scale.String() + "/" + set
 }
 
-// MatrixSpec is one pinned fused-matrix point: a config group simulated
-// over one (workload, scale) trace both fused (core.SimulateMany — one
-// decode pass feeds every config) and looped (one single-config
-// SimulateMany pass per config). The pair quantifies the decode
-// amortisation the fused kernel buys, and pins it against regression.
-type MatrixSpec struct {
-	Name      string          `json:"name"`
-	Workload  string          `json:"workload"`
-	Scale     workloads.Scale `json:"-"`
-	ScaleName string          `json:"scale"`
-	Group     string          `json:"group"`
+// softGrid is the soft cache over the virtual-line × bounce-back axes,
+// each point named as its one-config set ("vl64-bb1").
+func softGrid() (names []string, cfgs []core.Config) {
+	for _, vl := range []int{0, 64, 256} {
+		for _, bb := range []bool{false, true} {
+			cfg := core.Soft()
+			cfg.VirtualLineSize = vl
+			cfg.UseSpatialTags = vl > core.DefaultLineSize
+			bbTag := 0
+			if bb {
+				bbTag = 1
+			} else {
+				cfg.BounceBackLines = 0
+				cfg.BounceBackEnabled = false
+				cfg.UseTemporalTags = false
+				cfg.BounceBackCycles = 0
+				cfg.SwapLockCycles = 0
+			}
+			names = append(names, fmt.Sprintf("vl%d-bb%d", vl, bbTag))
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return names, cfgs
 }
 
-// Configs builds the spec's config group. Group ids are pinned: the same
+// Configs builds the row's config set. Set names are pinned: the same
 // name always denotes the same ordered config list, so baseline rows stay
 // comparable across runs.
-func (m MatrixSpec) Configs() ([]core.Config, error) {
-	switch m.Group {
+func (s Spec) Configs() ([]core.Config, error) {
+	switch s.Set {
 	case "size-line-12":
 		// The joint cache-size x line-size axis of the paper's standard
-		// cache: a hit-dominated group where decode is a large share of
-		// the record budget, so fusion pays the most.
+		// cache: a hit-dominated set where decode is a large share of the
+		// record budget, so fusion pays the most.
 		var cfgs []core.Config
 		for _, kb := range []int{32, 64, 128, 256} {
 			for _, ln := range []int{32, 64, 128} {
@@ -93,296 +129,158 @@ func (m MatrixSpec) Configs() ([]core.Config, error) {
 		}
 		return cfgs, nil
 	case "soft-matrix-6":
-		// The case matrix's own axes (virtual line x bounce-back) on the
-		// soft cache: a miss- and mechanism-heavy group where simulation
-		// dominates and fusion helps least. Kept as the honest lower
-		// bound of the speedup column.
-		var cfgs []core.Config
-		for _, vl := range []int{0, 64, 256} {
-			for _, bb := range []bool{false, true} {
-				cfgs = append(cfgs, CaseSpec{VirtualLine: vl, BounceBack: bb}.Config())
-			}
-		}
+		// The whole soft grid: a miss- and mechanism-heavy set where
+		// simulation dominates and fusion helps least. Kept as the honest
+		// lower bound of the fused speedup.
+		_, cfgs := softGrid()
 		return cfgs, nil
-	default:
-		return nil, fmt.Errorf("perf: unknown fused matrix group %q", m.Group)
 	}
+	names, cfgs := softGrid()
+	for i, name := range names {
+		if name == s.Set {
+			return cfgs[i : i+1], nil
+		}
+	}
+	return nil, fmt.Errorf("perf: unknown config set %q", s.Set)
 }
 
-// FusedMatrix returns the pinned fused-vs-looped matrix. quick drops the
-// paper-scale rows, mirroring Matrix.
-func FusedMatrix(quick bool) []MatrixSpec {
+// Rows returns the pinned rows. quick drops the paper-scale rows (CI
+// smoke runs); the full set is the release measurement.
+//
+//   - kernel over each one-config point of the soft grid on MV;
+//   - fused and kernel on the same multi-config set, the pair whose ratio
+//     is the fused speedup;
+//   - decode flat and sctz on one corpus trace: a dense strided kernel
+//     (MV, the compressor's best case), an irregular sparse one (SpMV, its
+//     escape-heavy worst) and a butterfly (FFT, in between).
+func Rows(quick bool) []Spec {
 	scales := []workloads.Scale{workloads.ScaleTest, workloads.ScalePaper}
 	if quick {
 		scales = scales[:1]
 	}
-	rows := []struct{ workload, group string }{
+	points, _ := softGrid()
+	sets := []struct{ workload, set string }{
 		{"MDG", "size-line-12"},
 		{"MV", "cache-size-6"},
 		{"MV", "soft-matrix-6"},
 	}
-	var specs []MatrixSpec
+	var specs []Spec
 	for _, scale := range scales {
-		for _, r := range rows {
-			s := MatrixSpec{
-				Workload:  r.workload,
-				Scale:     scale,
-				ScaleName: scale.String(),
-				Group:     r.group,
-			}
-			s.Name = fmt.Sprintf("fused/%s/%s/%s", s.Workload, s.ScaleName, s.Group)
-			specs = append(specs, s)
+		for _, p := range points {
+			specs = append(specs, Spec{layerKernel, "MV", scale, p})
+		}
+	}
+	for _, scale := range scales {
+		for _, s := range sets {
+			specs = append(specs, Spec{layerFused, s.workload, scale, s.set}, Spec{layerKernel, s.workload, scale, s.set})
+		}
+	}
+	for _, scale := range scales {
+		for _, w := range []string{"MV", "SpMV", "FFT"} {
+			specs = append(specs, Spec{layerDecode, w, scale, codecFlat}, Spec{layerDecode, w, scale, codecSCTZ})
 		}
 	}
 	return specs
 }
 
-// Matrix returns the pinned benchmark matrix. quick drops the paper-scale
-// rows (CI smoke runs); the full matrix is the release measurement.
-func Matrix(quick bool) []CaseSpec {
-	scales := []workloads.Scale{workloads.ScaleTest, workloads.ScalePaper}
-	if quick {
-		scales = scales[:1]
-	}
-	var specs []CaseSpec
-	for _, scale := range scales {
-		for _, vl := range []int{0, 64, 256} {
-			for _, bb := range []bool{false, true} {
-				s := CaseSpec{
-					Workload:    "MV",
-					Scale:       scale,
-					ScaleName:   scale.String(),
-					VirtualLine: vl,
-					BounceBack:  bb,
-				}
-				bbTag := "bb0"
-				if bb {
-					bbTag = "bb1"
-				}
-				s.Name = fmt.Sprintf("%s/%s/vl%d/%s", s.Workload, s.ScaleName, vl, bbTag)
-				specs = append(specs, s)
-			}
-		}
-	}
-	return specs
-}
-
-// Measurement is the result of one case.
-type Measurement struct {
-	CaseSpec
-	Records       int     `json:"records"`
-	Iters         int     `json:"iters"`
-	NsPerRecord   float64 `json:"ns_per_record"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-	BytesPerOp    float64 `json:"bytes_per_op"`
-	// AMAT fingerprints the simulated behaviour: a perf run whose AMAT
-	// moved did not just get slower, it changed results.
-	AMAT float64 `json:"amat"`
-}
-
-// MatrixMeasurement is the result of one fused-matrix row: the whole
-// config group's per-record cost under the fused kernel and under the
-// per-config loop, and the wall-clock speedup between them.
-type MatrixMeasurement struct {
-	MatrixSpec
-	Configs int `json:"configs"`
-	Records int `json:"records"`
-	Iters   int `json:"iters"`
-	// FusedNsPerRecord and LoopNsPerRecord are normalised per record per
-	// config, so they are comparable to the case matrix's ns_per_record.
-	FusedNsPerRecord float64 `json:"fused_ns_per_record"`
-	LoopNsPerRecord  float64 `json:"loop_ns_per_record"`
-	// Speedup is loop wall-clock over fused wall-clock for the whole group.
-	Speedup float64 `json:"speedup"`
-	// AllocsPerOp counts allocations of one whole fused pass (simulator
-	// construction included; the steady-state loop itself is alloc-free).
+// Row is one measured spec.
+type Row struct {
+	Name     string `json:"name"`
+	Layer    string `json:"layer"`
+	Workload string `json:"workload"`
+	Scale    string `json:"scale"`
+	Set      string `json:"set"`
+	Configs  int    `json:"configs"`
+	Records  int    `json:"records"`
+	Iters    int    `json:"iters"`
+	// NsPerRecord is per record per config, so a fused set, its kernel
+	// loop and a one-config row are comparable.
+	NsPerRecord float64 `json:"ns_per_record"`
+	// AllocsPerOp counts the allocations of one whole pass: readers,
+	// pooled batches and simulator construction. The steady-state loop
+	// itself is allocation-free.
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// MeanAMAT fingerprints behaviour across the group, like Measurement's
-	// AMAT does for one config.
-	MeanAMAT float64 `json:"mean_amat"`
+	// AMAT is the mean AMAT over the set (kernel and fused rows). It
+	// fingerprints the simulated behaviour: a run whose AMAT moved did not
+	// just get slower, it changed results.
+	AMAT float64 `json:"amat,omitempty"`
+	// Bytes is the encoded trace size (decode rows).
+	Bytes int `json:"bytes,omitempty"`
+}
+
+// sibling names the row of another layer or set on the same trace.
+func (r Row) sibling(layer, set string) string {
+	return rowName(layer, r.Workload, r.Scale, set)
 }
 
 // Report is the whole suite's output, the schema of BENCH_kernel.json.
 type Report struct {
-	Schema    string        `json:"schema"`
-	GoVersion string        `json:"go_version"`
-	GOOS      string        `json:"goos"`
-	GOARCH    string        `json:"goarch"`
-	CPUs      int           `json:"cpus"`
-	Quick     bool          `json:"quick"`
-	Cases     []Measurement `json:"cases"`
-	// Matrix holds the fused-vs-looped rows; absent in v1 reports.
-	Matrix []MatrixMeasurement `json:"matrix,omitempty"`
-	// Decode holds the trace-codec rows (flat vs SCTZ streaming decode);
-	// absent before v4.
-	Decode []DecodeMeasurement `json:"decode,omitempty"`
+	Schema    string `json:"schema"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	CPUs      int    `json:"cpus"`
+	Quick     bool   `json:"quick"`
+	Rows      []Row  `json:"rows"`
 }
 
-// SchemaID identifies the BENCH_kernel.json layout this package writes.
-// v4 added the decode matrix (flat vs SCTZ codec rows); v3 (no decode
-// rows), v2 (no sharded rows either) and v1 (cases only) still load.
-// Reports from v3 on may carry a "sharded" array of the since-removed
-// set-sharded kernel; it is ignored on load.
-const SchemaID = "softcache-perf/v4"
+// SchemaID identifies the BENCH_kernel.json layout this package writes
+// and the only one it reads.
+const SchemaID = "softcache-perf/v5"
 
-// schemaV3 added the set-sharded rows.
-const schemaV3 = "softcache-perf/v3"
+// minIters bounds each unit's timed loop from below, with Runner.MinTime.
+const minIters = 3
 
-// schemaV2 added the fused matrix rows to v1's cases.
-const schemaV2 = "softcache-perf/v2"
+// seed is the workload trace seed: the paper's. A baseline taken at
+// another seed would gate a different trace.
+const seed = 1
 
-// schemaV1 is the original layout: the case matrix alone. ReadJSON
-// keeps accepting old schemas so pre-bump baselines gate what they have.
-const schemaV1 = "softcache-perf/v1"
-
-// Runner executes the matrix. The zero value uses sensible defaults.
+// Runner executes the rows. The zero value uses sensible defaults.
 type Runner struct {
-	// MinIters and MinTime bound each case's measurement loop from below:
-	// the loop runs until both are met. Zero values default to 3 iterations
-	// and 300ms (1 and 50ms in quick runs — set them explicitly).
-	MinIters int
-	MinTime  time.Duration
-	// Seed selects the workload trace seed (0 = 1, the paper's).
-	Seed uint64
+	// MinTime bounds each leg's share of its unit's timed loop from below
+	// (0 = 300ms); the loop also runs at least three iterations.
+	MinTime time.Duration
 	// Log receives one-line progress notes when non-nil.
 	Log io.Writer
 }
 
-// Run measures every case of the matrix sequentially (Workers is pinned to
-// 1: timing runs must not share the machine with each other) through the
-// experiment harness, so a panicking or failing case yields a structured
-// failure record instead of torpedoing the suite. The fused rows are
-// measured after the cases, one harness unit per (workload, config-group),
-// and the decode rows last, one unit per corpus trace with both codecs
-// interleaved.
-func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, decode []DecodeSpec) (*Report, error) {
-	minIters := r.MinIters
-	if minIters <= 0 {
-		minIters = 3
-	}
+// Run measures the specs through one harness pass with Workers pinned to
+// 1 (timing runs must not share the machine), so a panicking or failing
+// unit yields a structured failure record instead of torpedoing the suite.
+// Specs that the report compares with each other (see Spec.unit) form one
+// unit and are timed interleaved.
+func (r Runner) Run(ctx context.Context, specs []Spec) (*Report, error) {
 	minTime := r.MinTime
 	if minTime <= 0 {
 		minTime = 300 * time.Millisecond
 	}
-	seed := r.Seed
-	if seed == 0 {
-		seed = 1
-	}
 
-	// Encode each distinct (workload, scale) trace once; every case replays
-	// the same bytes through trace.NewReaderBytes, so the measurement sees
-	// the full streaming path (header parse, batched decode, simulate).
-	encoded := map[string][]byte{}
-	records := map[string]int{}
-	ensureTrace := func(workload, scaleName string, scale workloads.Scale) error {
-		key := workload + "/" + scaleName
-		if _, ok := encoded[key]; ok {
-			return nil
-		}
-		tr, err := workloads.Trace(workload, scale, seed)
-		if err != nil {
-			return fmt.Errorf("perf: generating %s: %w", key, err)
-		}
-		var buf bytes.Buffer
-		if err := trace.Write(&buf, tr); err != nil {
-			return fmt.Errorf("perf: encoding %s: %w", key, err)
-		}
-		encoded[key] = buf.Bytes()
-		records[key] = len(tr.Records)
-		return nil
-	}
+	var order []string
+	legs := map[string][]Spec{}
 	for _, s := range specs {
-		if err := ensureTrace(s.Workload, s.ScaleName, s.Scale); err != nil {
-			return nil, err
+		k := s.unit()
+		if _, ok := legs[k]; !ok {
+			order = append(order, k)
 		}
+		legs[k] = append(legs[k], s)
 	}
-	for _, m := range fused {
-		if err := ensureTrace(m.Workload, m.ScaleName, m.Scale); err != nil {
-			return nil, err
-		}
-	}
-	// Decode rows need both encodings of their corpus trace.
-	encodedZ := map[string][]byte{}
-	for _, d := range decode {
-		key := d.Workload + "/" + d.ScaleName
-		if err := ensureTrace(d.Workload, d.ScaleName, d.Scale); err != nil {
-			return nil, err
-		}
-		if _, ok := encodedZ[key]; ok {
-			continue
-		}
-		tr, err := workloads.Trace(d.Workload, d.Scale, seed)
-		if err != nil {
-			return nil, fmt.Errorf("perf: generating %s: %w", key, err)
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteSCTZ(&buf, tr); err != nil {
-			return nil, fmt.Errorf("perf: encoding %s as sctz: %w", key, err)
-		}
-		encodedZ[key] = buf.Bytes()
-	}
-
-	units := make([]harness.Unit[Measurement], len(specs))
-	for i, s := range specs {
-		s := s
-		key := s.Workload + "/" + s.ScaleName
-		units[i] = harness.Unit[Measurement]{
-			Key: s.Name,
+	traces := corpus{}
+	units := make([]harness.Unit[[]Row], len(order))
+	for i, k := range order {
+		unit := legs[k]
+		units[i] = harness.Unit[[]Row]{
+			Key: k,
 			Meta: map[string]string{
-				"workload": s.Workload,
-				"scale":    s.ScaleName,
+				"workload": unit[0].Workload,
+				"scale":    unit[0].Scale.String(),
 				"seed":     fmt.Sprint(seed),
 			},
-			Run: func(ctx context.Context) (Measurement, error) {
-				return measure(ctx, s, encoded[key], records[key], minIters, minTime)
+			Run: func(ctx context.Context) ([]Row, error) {
+				return measure(ctx, unit, traces, minTime)
 			},
 		}
 	}
 	results, err := harness.Run(ctx, units, harness.Options{Workers: 1, Log: r.Log})
-	if err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
-
-	matrixUnits := make([]harness.Unit[MatrixMeasurement], len(fused))
-	for i, m := range fused {
-		m := m
-		key := m.Workload + "/" + m.ScaleName
-		matrixUnits[i] = harness.Unit[MatrixMeasurement]{
-			Key: m.Name,
-			Meta: map[string]string{
-				"workload": m.Workload,
-				"scale":    m.ScaleName,
-				"group":    m.Group,
-				"seed":     fmt.Sprint(seed),
-			},
-			Run: func(ctx context.Context) (MatrixMeasurement, error) {
-				return measureMatrix(ctx, m, encoded[key], records[key], minIters, minTime)
-			},
-		}
-	}
-	matrixResults, err := harness.Run(ctx, matrixUnits, harness.Options{Workers: 1, Log: r.Log})
-	if err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
-
-	decodeUnits := make([]harness.Unit[DecodeMeasurement], len(decode))
-	for i, d := range decode {
-		d := d
-		key := d.Workload + "/" + d.ScaleName
-		decodeUnits[i] = harness.Unit[DecodeMeasurement]{
-			Key: d.Name,
-			Meta: map[string]string{
-				"workload": d.Workload,
-				"scale":    d.ScaleName,
-				"seed":     fmt.Sprint(seed),
-			},
-			Run: func(ctx context.Context) (DecodeMeasurement, error) {
-				return measureDecode(ctx, d, encoded[key], encodedZ[key], records[key], minIters, minTime)
-			},
-		}
-	}
-	decodeResults, err := harness.Run(ctx, decodeUnits, harness.Options{Workers: 1, Log: r.Log})
 	if err != nil {
 		return nil, fmt.Errorf("perf: %w", err)
 	}
@@ -393,8 +291,7 @@ func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, d
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		CPUs:      runtime.NumCPU(),
-		Cases:     make([]Measurement, 0, len(results)),
-		Matrix:    make([]MatrixMeasurement, 0, len(matrixResults)),
+		Rows:      make([]Row, 0, len(specs)),
 	}
 	var failures []string
 	for _, res := range results {
@@ -402,176 +299,213 @@ func (r Runner) Run(ctx context.Context, specs []CaseSpec, fused []MatrixSpec, d
 			failures = append(failures, res.FailureRecord())
 			continue
 		}
-		report.Cases = append(report.Cases, res.Value)
-	}
-	for _, res := range matrixResults {
-		if !res.OK() {
-			failures = append(failures, res.FailureRecord())
-			continue
-		}
-		report.Matrix = append(report.Matrix, res.Value)
-	}
-	for _, res := range decodeResults {
-		if !res.OK() {
-			failures = append(failures, res.FailureRecord())
-			continue
-		}
-		report.Decode = append(report.Decode, res.Value)
+		report.Rows = append(report.Rows, res.Value...)
 	}
 	if len(failures) > 0 {
-		return report, fmt.Errorf("perf: %d case(s) failed:\n%s", len(failures), joinLines(failures))
+		return report, fmt.Errorf("perf: %d unit(s) failed:\n%s", len(failures), strings.Join(failures, "\n"))
 	}
 	return report, nil
 }
 
-// measure times repeated replays of the encoded trace through the
-// streaming kernel and reads the allocator's counters around the loop.
-func measure(ctx context.Context, spec CaseSpec, data []byte, n, minIters int, minTime time.Duration) (Measurement, error) {
-	cfg := spec.Config()
-	run := func() (core.Result, error) {
-		tr, err := trace.NewReaderBytes(data)
-		if err != nil {
-			return core.Result{}, err
-		}
-		results, err := core.SimulateMany(ctx, []core.Config{cfg}, tr)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return results[0], nil
-	}
+// corpus memoises each (workload, scale, codec) encoding, so every row
+// replays the same bytes.
+type corpus map[string]encoded
 
-	// Warm-up: page the trace in, grow the pools, JIT the branch history.
-	last, err := run()
-	if err != nil {
-		return Measurement{}, err
-	}
-
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	iters := 0
-	for iters < minIters || time.Since(start) < minTime {
-		if err := ctx.Err(); err != nil {
-			return Measurement{}, err
-		}
-		if last, err = run(); err != nil {
-			return Measurement{}, err
-		}
-		iters++
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	totalRecords := float64(n) * float64(iters)
-	m := Measurement{
-		CaseSpec:      spec,
-		Records:       n,
-		Iters:         iters,
-		NsPerRecord:   float64(elapsed.Nanoseconds()) / totalRecords,
-		RecordsPerSec: totalRecords / elapsed.Seconds(),
-		AllocsPerOp:   float64(after.Mallocs-before.Mallocs) / float64(iters),
-		BytesPerOp:    float64(after.TotalAlloc-before.TotalAlloc) / float64(iters),
-		AMAT:          last.AMAT(),
-	}
-	return m, nil
+type encoded struct {
+	data    []byte
+	records int
 }
 
-// measureMatrix times the fused kernel (one decode pass for the whole
-// config group) against the per-config loop over the same encoded bytes,
-// interleaving the two so drift (thermal, cache pressure from a neighbour)
-// biases neither side.
-func measureMatrix(ctx context.Context, spec MatrixSpec, data []byte, n, minIters int, minTime time.Duration) (MatrixMeasurement, error) {
-	cfgs, err := spec.Configs()
-	if err != nil {
-		return MatrixMeasurement{}, err
+func (c corpus) get(workload string, scale workloads.Scale, codec string) (encoded, error) {
+	key := workload + "/" + scale.String() + "/" + codec
+	if e, ok := c[key]; ok {
+		return e, nil
 	}
-	fusedPass := func() ([]core.Result, error) {
-		r, err := trace.NewReaderBytes(data)
+	tr, err := workloads.Trace(workload, scale, seed)
+	if err != nil {
+		return encoded{}, fmt.Errorf("perf: generating %s: %w", key, err)
+	}
+	write := trace.Write
+	if codec == codecSCTZ {
+		write = trace.WriteSCTZ
+	}
+	var buf bytes.Buffer
+	if err := write(&buf, tr); err != nil {
+		return encoded{}, fmt.Errorf("perf: encoding %s: %w", key, err)
+	}
+	c[key] = encoded{buf.Bytes(), len(tr.Records)}
+	return c[key], nil
+}
+
+// leg is one spec's pass over its trace. pass returns the simulation
+// results (none for decode) so the row can fingerprint them.
+type leg struct {
+	row  Row
+	pass func() ([]core.Result, error)
+}
+
+// measure times one unit. Each leg is warmed up, its allocations are read
+// around one isolated pass, and then the legs run interleaved in one
+// timed loop, so drift (thermal, a neighbour's cache pressure) biases
+// none of them. The loop runs at least minIters iterations and at least
+// minTime per leg.
+func measure(ctx context.Context, specs []Spec, traces corpus, minTime time.Duration) ([]Row, error) {
+	legs := make([]leg, len(specs))
+	for i, s := range specs {
+		l, err := newLeg(ctx, s, traces)
 		if err != nil {
 			return nil, err
 		}
-		return core.SimulateMany(ctx, cfgs, r)
+		legs[i] = l
 	}
-	loopPass := func() error {
-		for _, cfg := range cfgs {
-			r, err := trace.NewReaderBytes(data)
-			if err != nil {
-				return err
-			}
-			if _, err := core.SimulateMany(ctx, []core.Config{cfg}, r); err != nil {
-				return err
-			}
+
+	for _, l := range legs {
+		if _, err := l.pass(); err != nil {
+			return nil, err
 		}
-		return nil
+	}
+	for i := range legs {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		results, err := legs[i].pass()
+		if err != nil {
+			return nil, err
+		}
+		runtime.ReadMemStats(&after)
+		legs[i].row.AllocsPerOp = float64(after.Mallocs - before.Mallocs)
+		if len(results) > 0 {
+			amat := 0.0
+			for _, res := range results {
+				amat += res.AMAT()
+			}
+			legs[i].row.AMAT = amat / float64(len(results))
+		}
 	}
 
-	// Warm-up both paths.
-	last, err := fusedPass()
-	if err != nil {
-		return MatrixMeasurement{}, err
-	}
-	if err := loopPass(); err != nil {
-		return MatrixMeasurement{}, err
-	}
-
-	// Allocation count of one whole fused pass, measured in isolation so
-	// the loop pass's own allocations don't blur it.
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if last, err = fusedPass(); err != nil {
-		return MatrixMeasurement{}, err
-	}
-	runtime.ReadMemStats(&after)
-	allocsPerOp := float64(after.Mallocs - before.Mallocs)
-
-	var fusedTime, loopTime time.Duration
+	elapsed := make([]time.Duration, len(legs))
+	budget := time.Duration(len(legs)) * minTime
 	iters := 0
 	start := time.Now()
-	for iters < minIters || time.Since(start) < 2*minTime {
+	for iters < minIters || time.Since(start) < budget {
 		if err := ctx.Err(); err != nil {
-			return MatrixMeasurement{}, err
+			return nil, err
 		}
-		t0 := time.Now()
-		if last, err = fusedPass(); err != nil {
-			return MatrixMeasurement{}, err
+		for i, l := range legs {
+			t0 := time.Now()
+			if _, err := l.pass(); err != nil {
+				return nil, err
+			}
+			elapsed[i] += time.Since(t0)
 		}
-		t1 := time.Now()
-		if err := loopPass(); err != nil {
-			return MatrixMeasurement{}, err
-		}
-		fusedTime += t1.Sub(t0)
-		loopTime += time.Since(t1)
 		iters++
 	}
 
-	totalRecords := float64(n) * float64(iters) * float64(len(cfgs))
-	meanAMAT := 0.0
-	for _, res := range last {
-		meanAMAT += res.AMAT()
+	rows := make([]Row, len(legs))
+	for i, l := range legs {
+		row := l.row
+		row.Iters = iters
+		row.NsPerRecord = float64(elapsed[i].Nanoseconds()) / (float64(row.Records) * float64(iters) * float64(row.Configs))
+		rows[i] = row
 	}
-	meanAMAT /= float64(len(cfgs))
-	return MatrixMeasurement{
-		MatrixSpec:       spec,
-		Configs:          len(cfgs),
-		Records:          n,
-		Iters:            iters,
-		FusedNsPerRecord: float64(fusedTime.Nanoseconds()) / totalRecords,
-		LoopNsPerRecord:  float64(loopTime.Nanoseconds()) / totalRecords,
-		Speedup:          float64(loopTime) / float64(fusedTime),
-		AllocsPerOp:      allocsPerOp,
-		MeanAMAT:         meanAMAT,
-	}, nil
+	return rows, nil
 }
 
-func joinLines(lines []string) string {
-	var b bytes.Buffer
-	for i, l := range lines {
-		if i > 0 {
-			b.WriteByte('\n')
+// newLeg builds a spec's pass. Kernel and fused legs replay the flat
+// encoding through trace.NewReaderBytes, so they see the full streaming
+// path (header parse, batched decode, simulate). Decode legs stream their
+// codec over a buffered source, exactly what a file or socket feeds, and
+// drain it through the pooled batch path every streaming consumer uses.
+func newLeg(ctx context.Context, s Spec, traces corpus) (leg, error) {
+	var cfgs []core.Config
+	var open func(io.Reader) (trace.BatchReader, error)
+	codec := codecFlat
+	switch {
+	case s.Layer == layerKernel || s.Layer == layerFused:
+		var err error
+		if cfgs, err = s.Configs(); err != nil {
+			return leg{}, err
 		}
-		b.WriteString(l)
+	case s.Layer == layerDecode && s.Set == codecFlat:
+		open = func(r io.Reader) (trace.BatchReader, error) { return trace.NewReader(r) }
+	case s.Layer == layerDecode && s.Set == codecSCTZ:
+		open = func(r io.Reader) (trace.BatchReader, error) { return trace.NewStreamReader(r) }
+		codec = codecSCTZ
+	default:
+		return leg{}, fmt.Errorf("perf: unknown row %s", s.Name())
 	}
-	return b.String()
+	enc, err := traces.get(s.Workload, s.Scale, codec)
+	if err != nil {
+		return leg{}, err
+	}
+	l := leg{row: Row{
+		Name:     s.Name(),
+		Layer:    s.Layer,
+		Workload: s.Workload,
+		Scale:    s.Scale.String(),
+		Set:      s.Set,
+		Configs:  max(len(cfgs), 1),
+		Records:  enc.records,
+	}}
+
+	switch s.Layer {
+	case layerFused:
+		l.pass = func() ([]core.Result, error) {
+			r, err := trace.NewReaderBytes(enc.data)
+			if err != nil {
+				return nil, err
+			}
+			return core.SimulateMany(ctx, cfgs, r)
+		}
+	case layerKernel:
+		l.pass = func() ([]core.Result, error) {
+			out := make([]core.Result, 0, len(cfgs))
+			for _, cfg := range cfgs {
+				r, err := trace.NewReaderBytes(enc.data)
+				if err != nil {
+					return nil, err
+				}
+				res, err := core.SimulateMany(ctx, []core.Config{cfg}, r)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, res...)
+			}
+			return out, nil
+		}
+	default:
+		l.row.Bytes = len(enc.data)
+		l.pass = func() ([]core.Result, error) {
+			r, err := open(bytes.NewReader(enc.data))
+			if err != nil {
+				return nil, err
+			}
+			return nil, drain(ctx, r, enc.records)
+		}
+	}
+	return l, nil
+}
+
+// drain reads r to EOF and checks it yielded n records.
+func drain(ctx context.Context, r trace.BatchReader, n int) error {
+	batch := trace.GetBatch()
+	defer trace.PutBatch(batch)
+	total := 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		m, err := r.ReadBatch(*batch)
+		total += m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if total != n {
+		return fmt.Errorf("perf: %s decoded %d records, want %d", r.Name(), total, n)
+	}
+	return nil
 }

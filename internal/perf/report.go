@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"softcache/internal/workloads"
 )
 
 // WriteJSON writes the report as indented JSON (the BENCH_kernel.json
@@ -17,7 +19,9 @@ func WriteJSON(path string, r *Report) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadJSON loads a previously written report.
+// ReadJSON loads a previously written report. Only the current schema
+// loads: a baseline in another layout has other row names, so it would
+// gate nothing.
 func ReadJSON(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -27,20 +31,16 @@ func ReadJSON(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("perf: parsing %s: %w", path, err)
 	}
-	switch r.Schema {
-	case SchemaID, schemaV3, schemaV2, schemaV1:
-	default:
-		return nil, fmt.Errorf("perf: %s has schema %q, want %q (or the older %q / %q / %q)",
-			path, r.Schema, SchemaID, schemaV3, schemaV2, schemaV1)
+	if r.Schema != SchemaID {
+		return nil, fmt.Errorf("perf: %s has schema %q, want %q (regenerate it with softcache-perf)", path, r.Schema, SchemaID)
 	}
 	return &r, nil
 }
 
-// Delta is one case's comparison against a baseline run.
+// Delta is one row's comparison against a baseline run.
 type Delta struct {
-	Name    string
-	Base    *Measurement // nil when the case is new
-	Current Measurement
+	Base    *Row // nil when the row is new
+	Current Row
 }
 
 // PctNs returns the ns/record change in percent (positive = slower).
@@ -51,198 +51,150 @@ func (d Delta) PctNs() float64 {
 	return (d.Current.NsPerRecord/d.Base.NsPerRecord - 1) * 100
 }
 
-// Compare matches the current report's cases against a baseline by name.
-// Baseline-only cases are ignored: the matrix is pinned in code, so a
-// vanished case means the matrix changed on purpose.
+// Compare matches the current report's rows against a baseline by name.
+// Baseline-only rows are ignored: the rows are pinned in code, so a
+// vanished row means the set changed on purpose.
 func Compare(base, cur *Report) []Delta {
-	byName := map[string]*Measurement{}
+	byName := map[string]*Row{}
 	if base != nil {
-		for i := range base.Cases {
-			byName[base.Cases[i].Name] = &base.Cases[i]
+		for i := range base.Rows {
+			byName[base.Rows[i].Name] = &base.Rows[i]
 		}
 	}
-	deltas := make([]Delta, 0, len(cur.Cases))
-	for _, c := range cur.Cases {
-		deltas = append(deltas, Delta{Name: c.Name, Base: byName[c.Name], Current: c})
+	deltas := make([]Delta, 0, len(cur.Rows))
+	for _, r := range cur.Rows {
+		deltas = append(deltas, Delta{Base: byName[r.Name], Current: r})
 	}
 	return deltas
 }
 
-// CompareMatrix matches the current report's fused rows against a
-// baseline by name, mirroring Compare. v1 baselines have no matrix, so
-// every row comes back baseline-less.
-func CompareMatrix(base, cur *Report) []MatrixDelta {
-	byName := map[string]*MatrixMeasurement{}
-	if base != nil {
-		for i := range base.Matrix {
-			byName[base.Matrix[i].Name] = &base.Matrix[i]
+// codecWeighted aggregates the paper-scale sctz rows and their flat
+// siblings record-weighted: the corpus-wide ns/record of each codec and
+// sctz's ratio against flat. ok is false when no such pair was measured.
+// Test-scale traces are too small to amortise SCTZ's per-chunk setup, so
+// they stay out.
+func codecWeighted(rows []Row) (flatNs, sctzNs, ratio float64, ok bool) {
+	byName := map[string]Row{}
+	for _, r := range rows {
+		byName[r.Name] = r
+	}
+	var records float64
+	for _, r := range rows {
+		if r.Layer != layerDecode || r.Set != codecSCTZ || r.Scale != workloads.ScalePaper.String() {
+			continue
 		}
+		flat, found := byName[r.sibling(layerDecode, codecFlat)]
+		if !found {
+			continue
+		}
+		w := float64(r.Records)
+		records += w
+		flatNs += flat.NsPerRecord * w
+		sctzNs += r.NsPerRecord * w
 	}
-	deltas := make([]MatrixDelta, 0, len(cur.Matrix))
-	for _, m := range cur.Matrix {
-		deltas = append(deltas, MatrixDelta{Name: m.Name, Base: byName[m.Name], Current: m})
+	if records == 0 || flatNs == 0 {
+		return 0, 0, 0, false
 	}
-	return deltas
+	return flatNs / records, sctzNs / records, sctzNs / flatNs, true
 }
 
-// MatrixDelta is one fused row's comparison against a baseline run.
-type MatrixDelta struct {
-	Name    string
-	Base    *MatrixMeasurement // nil when the row is new (or the baseline is v1)
-	Current MatrixMeasurement
-}
-
-// PctNs returns the fused ns/record change in percent (positive = slower).
-func (d MatrixDelta) PctNs() float64 {
-	if d.Base == nil || d.Base.FusedNsPerRecord == 0 {
-		return 0
-	}
-	return (d.Current.FusedNsPerRecord/d.Base.FusedNsPerRecord - 1) * 100
-}
-
-// Gate returns an error listing every case whose ns/record regressed by
-// more than maxRegress (a fraction: 0.15 = 15%) against the baseline; the
-// fused matrix rows are gated on their fused ns/record and the decode
-// rows on their SCTZ ns/record the same way. Cases absent from the
-// baseline pass by definition.
+// Gate returns an error listing every row whose ns/record regressed by
+// more than maxRegress (a fraction: 0.15 = 15%) against the baseline.
+// Rows absent from the baseline pass the relative check by definition.
+//
+// One check needs no baseline: corpus-weighted, paper-scale SCTZ decode
+// must run at or below the flat decode measured in the same run. SCTZ's
+// licence to exist is "smaller and no slower", so a codec change that
+// breaks either half fails here even on a fresh machine.
 func Gate(base, cur *Report, maxRegress float64) error {
 	var bad []string
 	for _, d := range Compare(base, cur) {
-		if d.Base == nil {
-			continue
-		}
-		if d.Current.NsPerRecord > d.Base.NsPerRecord*(1+maxRegress) {
+		if d.Base != nil && d.Current.NsPerRecord > d.Base.NsPerRecord*(1+maxRegress) {
 			bad = append(bad, fmt.Sprintf("  %s: %.2f -> %.2f ns/record (%+.1f%%, budget %+.0f%%)",
-				d.Name, d.Base.NsPerRecord, d.Current.NsPerRecord, d.PctNs(), maxRegress*100))
+				d.Current.Name, d.Base.NsPerRecord, d.Current.NsPerRecord, d.PctNs(), maxRegress*100))
 		}
 	}
-	for _, d := range CompareMatrix(base, cur) {
-		if d.Base == nil {
-			continue
-		}
-		if d.Current.FusedNsPerRecord > d.Base.FusedNsPerRecord*(1+maxRegress) {
-			bad = append(bad, fmt.Sprintf("  %s: %.2f -> %.2f fused ns/record (%+.1f%%, budget %+.0f%%)",
-				d.Name, d.Base.FusedNsPerRecord, d.Current.FusedNsPerRecord, d.PctNs(), maxRegress*100))
-		}
-	}
-	for _, d := range CompareDecode(base, cur) {
-		if d.Base == nil {
-			continue
-		}
-		if d.Current.SCTZNsPerRecord > d.Base.SCTZNsPerRecord*(1+maxRegress) {
-			bad = append(bad, fmt.Sprintf("  %s: %.2f -> %.2f sctz ns/record (%+.1f%%, budget %+.0f%%)",
-				d.Name, d.Base.SCTZNsPerRecord, d.Current.SCTZNsPerRecord, d.PctNs(), maxRegress*100))
-		}
-	}
-	// The decode matrix also carries an absolute gate, independent of any
-	// baseline: corpus-weighted SCTZ streaming decode must run at or below
-	// the flat-format ReadBatch cost measured in the same run. SCTZ's
-	// licence to exist is "smaller and no slower"; a codec change that
-	// breaks either half fails here even on a fresh machine with no
-	// committed baseline. The budget is held at the paper-scale corpus:
-	// test-scale smoke traces are too small to amortise the per-chunk
-	// setup cost and would make quick runs flaky.
-	if rows := paperDecodeRows(cur.Decode); len(rows) > 0 {
-		if flatNs, sctzNs, ratio := DecodeWeighted(rows); ratio > 1.0 {
-			bad = append(bad, fmt.Sprintf(
-				"  decode (corpus-weighted): sctz %.2f ns/record vs flat %.2f (%.2fx, budget 1.00x)",
-				sctzNs, flatNs, ratio))
-		}
+	if flatNs, sctzNs, ratio, ok := codecWeighted(cur.Rows); ok && ratio > 1.0 {
+		bad = append(bad, fmt.Sprintf(
+			"  decode (corpus-weighted): sctz %.2f ns/record vs flat %.2f (%.2fx, budget 1.00x)",
+			sctzNs, flatNs, ratio))
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("perf: %d case(s) regressed beyond the %.0f%% ns/record budget:\n%s",
+		return fmt.Errorf("perf: %d row(s) over budget (%.0f%% ns/record vs baseline; sctz <= flat):\n%s",
 			len(bad), maxRegress*100, strings.Join(bad, "\n"))
 	}
 	return nil
 }
 
 // Markdown renders the run as a markdown report; with a baseline it adds
-// the delta column (the "delta report" of docs/PERF.md).
+// the baseline's host and the delta columns (the "delta report" of
+// docs/PERF.md). Below the table come the figures derived from pairs of
+// rows: each fused set's speedup over its kernel loop and each trace's
+// sctz÷flat decode ratio and compression.
 func Markdown(base, cur *Report) string {
 	var b strings.Builder
-	b.WriteString("# Kernel benchmark matrix\n\n")
-	fmt.Fprintf(&b, "%s, %s/%s, %d CPUs", cur.GoVersion, cur.GOOS, cur.GOARCH, cur.CPUs)
-	if cur.Quick {
-		b.WriteString(", quick matrix")
+	b.WriteString("# Kernel benchmark rows\n\n")
+	host := func(label string, r *Report) {
+		fmt.Fprintf(&b, "%s: %s, %s/%s, %d CPUs", label, r.GoVersion, r.GOOS, r.GOARCH, r.CPUs)
+		if r.Quick {
+			b.WriteString(", quick rows")
+		}
+		b.WriteString("\n")
 	}
-	b.WriteString("\n\n")
+	host("Run", cur)
 	if base != nil {
-		b.WriteString("| case | records | ns/record | baseline | Δ ns/record | records/s | allocs/op |\n")
-		b.WriteString("|---|---:|---:|---:|---:|---:|---:|\n")
+		b.WriteString("\n")
+		host("Baseline", base)
+	}
+	b.WriteString("\nns/record and records/s are per record per config.\n\n")
+	if base != nil {
+		b.WriteString("| row | configs | records | ns/record | baseline | Δ ns/record | records/s | allocs/op |\n")
+		b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|\n")
 	} else {
-		b.WriteString("| case | records | ns/record | records/s | allocs/op |\n")
-		b.WriteString("|---|---:|---:|---:|---:|\n")
+		b.WriteString("| row | configs | records | ns/record | records/s | allocs/op |\n")
+		b.WriteString("|---|---:|---:|---:|---:|---:|\n")
 	}
 	for _, d := range Compare(base, cur) {
-		c := d.Current
+		r := d.Current
+		fmt.Fprintf(&b, "| %s | %d | %d | %.2f |", r.Name, r.Configs, r.Records, r.NsPerRecord)
 		if base != nil {
-			baseNs, delta := "–", "new"
 			if d.Base != nil {
-				baseNs = fmt.Sprintf("%.2f", d.Base.NsPerRecord)
-				delta = fmt.Sprintf("%+.1f%%", d.PctNs())
-			}
-			fmt.Fprintf(&b, "| %s | %d | %.2f | %s | %s | %s | %.0f |\n",
-				c.Name, c.Records, c.NsPerRecord, baseNs, delta, human(c.RecordsPerSec), c.AllocsPerOp)
-		} else {
-			fmt.Fprintf(&b, "| %s | %d | %.2f | %s | %.0f |\n",
-				c.Name, c.Records, c.NsPerRecord, human(c.RecordsPerSec), c.AllocsPerOp)
-		}
-	}
-	if len(cur.Matrix) > 0 {
-		b.WriteString("\n## Fused multi-configuration matrix\n\n")
-		b.WriteString("ns/record are per record per config; speedup is looped wall-clock over fused.\n\n")
-		if base != nil {
-			b.WriteString("| matrix | configs | records | fused ns/record | baseline | Δ fused | loop ns/record | speedup |\n")
-			b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|\n")
-		} else {
-			b.WriteString("| matrix | configs | records | fused ns/record | loop ns/record | speedup |\n")
-			b.WriteString("|---|---:|---:|---:|---:|---:|\n")
-		}
-		for _, d := range CompareMatrix(base, cur) {
-			m := d.Current
-			if base != nil {
-				baseNs, delta := "–", "new"
-				if d.Base != nil {
-					baseNs = fmt.Sprintf("%.2f", d.Base.FusedNsPerRecord)
-					delta = fmt.Sprintf("%+.1f%%", d.PctNs())
-				}
-				fmt.Fprintf(&b, "| %s | %d | %d | %.2f | %s | %s | %.2f | %.2fx |\n",
-					m.Name, m.Configs, m.Records, m.FusedNsPerRecord, baseNs, delta, m.LoopNsPerRecord, m.Speedup)
+				fmt.Fprintf(&b, " %.2f | %+.1f%% |", d.Base.NsPerRecord, d.PctNs())
 			} else {
-				fmt.Fprintf(&b, "| %s | %d | %d | %.2f | %.2f | %.2fx |\n",
-					m.Name, m.Configs, m.Records, m.FusedNsPerRecord, m.LoopNsPerRecord, m.Speedup)
+				b.WriteString(" – | new |")
+			}
+		}
+		fmt.Fprintf(&b, " %s | %.0f |\n", human(1e9/r.NsPerRecord), r.AllocsPerOp)
+	}
+
+	byName := map[string]Row{}
+	for _, r := range cur.Rows {
+		byName[r.Name] = r
+	}
+	var derived []string
+	for _, r := range cur.Rows {
+		switch {
+		case r.Layer == layerFused:
+			if k, ok := byName[r.sibling(layerKernel, r.Set)]; ok {
+				derived = append(derived, fmt.Sprintf("- %s: fused speedup %.2fx (kernel ÷ fused)",
+					r.Name, k.NsPerRecord/r.NsPerRecord))
+			}
+		case r.Layer == layerDecode && r.Set == codecSCTZ:
+			if f, ok := byName[r.sibling(layerDecode, codecFlat)]; ok {
+				derived = append(derived, fmt.Sprintf("- %s: %.2fx flat ns/record, compression %.2fx",
+					r.Name, r.NsPerRecord/f.NsPerRecord, float64(f.Bytes)/float64(r.Bytes)))
 			}
 		}
 	}
-	if len(cur.Decode) > 0 {
-		b.WriteString("\n## Trace codec decode matrix\n\n")
-		b.WriteString("Source-backed streaming decode (buffered reader, pooled ReadBatch); ")
-		b.WriteString("ratio is sctz over flat, gated at or below 1.00x corpus-weighted.\n\n")
-		if base != nil {
-			b.WriteString("| trace | records | compression | flat ns/record | sctz ns/record | baseline | Δ sctz | ratio |\n")
-			b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|\n")
-		} else {
-			b.WriteString("| trace | records | compression | flat ns/record | sctz ns/record | ratio |\n")
-			b.WriteString("|---|---:|---:|---:|---:|---:|\n")
-		}
-		for _, d := range CompareDecode(base, cur) {
-			c := d.Current
-			if base != nil {
-				baseNs, delta := "–", "new"
-				if d.Base != nil {
-					baseNs = fmt.Sprintf("%.2f", d.Base.SCTZNsPerRecord)
-					delta = fmt.Sprintf("%+.1f%%", d.PctNs())
-				}
-				fmt.Fprintf(&b, "| %s | %d | %.2fx | %.2f | %.2f | %s | %s | %.2fx |\n",
-					c.Name, c.Records, c.Compression, c.FlatNsPerRecord, c.SCTZNsPerRecord, baseNs, delta, c.Ratio)
-			} else {
-				fmt.Fprintf(&b, "| %s | %d | %.2fx | %.2f | %.2f | %.2fx |\n",
-					c.Name, c.Records, c.Compression, c.FlatNsPerRecord, c.SCTZNsPerRecord, c.Ratio)
-			}
-		}
-		flatNs, sctzNs, ratio := DecodeWeighted(cur.Decode)
-		fmt.Fprintf(&b, "\nCorpus-weighted: flat %.2f ns/record, sctz %.2f ns/record (%.2fx).\n",
-			flatNs, sctzNs, ratio)
+	if flatNs, sctzNs, ratio, ok := codecWeighted(cur.Rows); ok {
+		derived = append(derived, fmt.Sprintf(
+			"- decode, corpus-weighted at paper scale: flat %.2f ns/record, sctz %.2f (%.2fx, budget 1.00x)",
+			flatNs, sctzNs, ratio))
+	}
+	if len(derived) > 0 {
+		b.WriteString("\n## Derived\n\n")
+		b.WriteString(strings.Join(derived, "\n"))
+		b.WriteString("\n")
 	}
 	return b.String()
 }

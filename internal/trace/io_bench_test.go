@@ -81,7 +81,8 @@ func BenchmarkReadBatch(b *testing.B) {
 
 // BenchmarkStreamReadBatch measures the SCTZ chunked decode against the
 // same synthetic stream BenchmarkReadBatch uses, so the two paths compare
-// directly (the official gate is the softcache-perf decode matrix).
+// directly (the official gate is softcache-perf's decode/*/flat and
+// decode/*/sctz rows).
 func BenchmarkStreamReadBatch(b *testing.B) {
 	t := synthTrace(1 << 20)
 	var buf bytes.Buffer
