@@ -11,6 +11,7 @@
 package softcache_test
 
 import (
+	"context"
 	"os"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func benchScale() workloads.Scale {
 	return workloads.ScaleTest
 }
 
-func context() *bench.Context {
+func benchContext() *bench.Context {
 	ctxOnce.Do(func() { benchCtx = bench.NewContext(benchScale(), 1) })
 	return benchCtx
 }
@@ -46,7 +47,7 @@ func runFigure(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context()
+	ctx := benchContext()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := e.Run(ctx)
@@ -98,11 +99,11 @@ func benchmarkSimulator(b *testing.B, cfg core.Config) {
 	b.ResetTimer()
 	var amat float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Simulate(cfg, tr)
+		res, err := core.Run(context.Background(), core.Job{Configs: []core.Config{cfg}}, tr.Reader())
 		if err != nil {
 			b.Fatal(err)
 		}
-		amat = res.AMAT()
+		amat = res[0].AMAT()
 	}
 	b.ReportMetric(amat, "AMAT-cycles")
 	b.ReportMetric(float64(tr.Len()), "refs/op")

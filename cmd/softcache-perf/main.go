@@ -1,6 +1,6 @@
 // softcache-perf runs the kernel performance-regression suite: pinned
 // rows, each the ns/record of one pass over one trace, across three layers
-// (kernel: one single-config pass per config; fused: one core.SimulateMany
+// (kernel: one single-config pass per config; fused: one core.Run
 // pass for a whole config set; decode: one flat SCTR or compressed SCTZ
 // streaming drain). It writes the machine-readable BENCH_kernel.json
 // artifact and a markdown delta report with the derived fused speedups and

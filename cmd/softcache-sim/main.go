@@ -1,5 +1,9 @@
 // softcache-sim runs one cache configuration over one workload (or a saved
-// trace) and prints the full statistics.
+// trace, or a loop-nest source) and prints the full statistics. Every
+// source streams through the simulator one batch at a time and is never
+// held in memory whole: a saved trace (flat, SCTZ or din) is read, and a
+// workload or source program generated, as it is simulated. -warmup and
+// -strip-* work with every source.
 //
 // Usage:
 //
@@ -7,6 +11,7 @@
 //	softcache-sim -workload SpMV -config standard   # the baseline cache
 //	softcache-sim -workload LIV -config soft -latency 30 -vline 128
 //	softcache-sim -trace mv.trace -config victim    # from a saved trace
+//	softcache-sim -trace mv.sctz -warmup 100000     # steady state only
 //	softcache-sim -source kernel.loop -config soft  # from loop-nest source
 //	softcache-sim -workloads                        # list workloads
 //
@@ -25,6 +30,7 @@ import (
 	"softcache/internal/cli"
 	"softcache/internal/core"
 	"softcache/internal/lang"
+	"softcache/internal/loopir"
 	"softcache/internal/metrics"
 	"softcache/internal/trace"
 	"softcache/internal/tracegen"
@@ -56,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stripT := flag.Bool("strip-temporal", false, "clear temporal tags in the trace")
 	stripS := flag.Bool("strip-spatial", false, "clear spatial tags in the trace")
 	warmup := flag.Int("warmup", 0, "exclude the first N references from the statistics (steady state)")
-	stream := flag.Bool("stream", false, "stream -trace through the simulator in O(batch) memory (no materialising)")
 	listW := flag.Bool("workloads", false, "list workloads and exit")
 	if err := flag.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -90,51 +95,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Assoc = *assoc
 	}
 
-	if *stream {
-		return runStream(stdout, stderr, cfg, *traceFile, *warmup, *stripT, *stripS)
+	if *warmup < 0 {
+		return cli.Exit(stderr, tool, cli.UsageErrorf("-warmup %d is negative", *warmup))
 	}
 
-	t, err := loadTrace(*workload, *source, *traceFile, *scaleName, *seed)
+	src, err := openSource(*workload, *source, *traceFile, *scaleName, *seed)
 	if err != nil {
 		return cli.Exit(stderr, tool, err)
 	}
-	if *stripT || *stripS {
-		t = t.StripTags(*stripT, *stripS)
-	}
-
-	var res core.Result
-	if *warmup > 0 {
-		res, err = core.SimulateWarm(cfg, t, *warmup)
-	} else {
-		res, err = core.Simulate(cfg, t)
-	}
-	if err != nil {
-		return cli.Exit(stderr, tool, err)
-	}
-	metrics.SimulationReport(stdout, t.CountTags(), res)
-	return cli.ExitOK
-}
-
-// runStream simulates -trace without materialising it: the file (any
-// sniffed format, mmapped when binary) feeds the simulator in pooled
-// batches, with tags tallied on the way past for the report.
-func runStream(stdout, stderr io.Writer, cfg core.Config, traceFile string, warmup int, stripT, stripS bool) int {
-	if traceFile == "" {
-		return cli.Exit(stderr, tool, cli.UsageErrorf("-stream needs -trace"))
-	}
-	if warmup > 0 {
-		return cli.Exit(stderr, tool, cli.UsageErrorf("-warmup needs the materialised path; drop -stream"))
-	}
-	if stripT || stripS {
-		return cli.Exit(stderr, tool, cli.UsageErrorf("-strip-temporal/-strip-spatial need the materialised path; drop -stream"))
-	}
-	f, err := trace.OpenFile(traceFile)
-	if err != nil {
-		return cli.Exit(stderr, tool, err)
-	}
-	defer f.Close()
-	tr := &tagCountingReader{BatchReader: f}
-	results, err := core.SimulateMany(context.Background(), []core.Config{cfg}, tr)
+	defer src.Close()
+	tr := &tagReader{BatchReader: src, stripT: *stripT, stripS: *stripS}
+	results, err := core.Run(context.Background(), core.Job{Configs: []core.Config{cfg}, Warmup: *warmup}, tr)
 	if err != nil {
 		return cli.Exit(stderr, tool, err)
 	}
@@ -142,22 +113,40 @@ func runStream(stdout, stderr io.Writer, cfg core.Config, traceFile string, warm
 	return cli.ExitOK
 }
 
-// tagCountingReader tallies tag classes as batches stream past, standing
-// in for Trace.CountTags on the non-materialising path.
-type tagCountingReader struct {
+// tagReader clears the tags -strip-temporal and -strip-spatial ask for
+// (as Trace.StripTags does), then tallies the tag classes of every record
+// streaming past for the report.
+type tagReader struct {
 	trace.BatchReader
-	tags trace.TagCounts
+	stripT, stripS bool
+	tags           trace.TagCounts
 }
 
-func (r *tagCountingReader) ReadBatch(dst []trace.Record) (int, error) {
+func (r *tagReader) ReadBatch(dst []trace.Record) (int, error) {
 	n, err := r.BatchReader.ReadBatch(dst)
-	r.tags.AddRecords(dst[:n])
+	recs := dst[:n]
+	if r.stripT || r.stripS {
+		for i := range recs {
+			recs[i].Temporal = recs[i].Temporal && !r.stripT
+			recs[i].Spatial = recs[i].Spatial && !r.stripS
+		}
+	}
+	r.tags.AddRecords(recs)
 	return n, err
 }
 
-func loadTrace(workload, source, traceFile, scaleName string, seed uint64) (*trace.Trace, error) {
+// source is a streamed trace: a saved file or a running generator.
+type source interface {
+	trace.BatchReader
+	io.Closer
+}
+
+// openSource opens the one selected trace source as a stream: a saved
+// file through trace.OpenFile, a workload or loop-nest program through
+// tracegen.NewReader. No source is ever materialised.
+func openSource(workload, src, traceFile, scaleName string, seed uint64) (source, error) {
 	selected := 0
-	for _, s := range []string{workload, source, traceFile} {
+	for _, s := range []string{workload, src, traceFile} {
 		if s != "" {
 			selected++
 		}
@@ -165,24 +154,18 @@ func loadTrace(workload, source, traceFile, scaleName string, seed uint64) (*tra
 	if selected > 1 {
 		return nil, cli.UsageErrorf("-workload, -source and -trace are mutually exclusive")
 	}
+	var p *loopir.Program
 	switch {
-	case source != "":
-		data, err := os.ReadFile(source)
+	case src != "":
+		data, err := os.ReadFile(src)
 		if err != nil {
 			return nil, err
 		}
-		p, err := lang.Parse(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", source, err)
+		if p, err = lang.Parse(string(data)); err != nil {
+			return nil, fmt.Errorf("%s: %w", src, err)
 		}
-		return tracegen.Generate(p, tracegen.Options{Seed: seed})
 	case traceFile != "":
-		f, err := trace.OpenFile(traceFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadAll(f)
+		return trace.OpenFile(traceFile)
 	case workload != "":
 		var scale workloads.Scale
 		switch scaleName {
@@ -193,8 +176,12 @@ func loadTrace(workload, source, traceFile, scaleName string, seed uint64) (*tra
 		default:
 			return nil, cli.UsageErrorf("unknown scale %q", scaleName)
 		}
-		return workloads.Trace(workload, scale, seed)
+		var err error
+		if p, err = workloads.BuildProgram(workload, scale); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, cli.UsageErrorf("need -workload or -trace (or -workloads to list)")
 	}
+	return tracegen.NewReader(p, tracegen.Options{Seed: seed})
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,6 +96,15 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("args %v should fail", args)
 		}
 	}
+	// A negative warmup is a usage error on every source, not a cold run.
+	for _, args := range [][]string{
+		{"-workload", "MV", "-scale", "test", "-warmup", "-5"},
+		{"-trace", "/nonexistent/file", "-warmup", "-1"},
+	} {
+		if _, errb, code := runSim(t, args...); code != 2 || !strings.Contains(errb, "-warmup") {
+			t.Fatalf("args %v: exit %d (%q), want usage error 2", args, code, errb)
+		}
+	}
 }
 
 // TestOutputIsSharedReport pins the CLI's output to the shared
@@ -109,12 +120,12 @@ func TestOutputIsSharedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Simulate(core.Soft(), tr)
+	res, err := core.Run(context.Background(), core.Job{Configs: []core.Config{core.Soft()}}, tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	metrics.SimulationReport(&want, tr.CountTags(), res)
+	metrics.SimulationReport(&want, tr.CountTags(), res[0])
 	if out != want.String() {
 		t.Fatalf("CLI output diverged from metrics.SimulationReport:\n--- CLI\n%s--- shared\n%s", out, want.String())
 	}
@@ -126,50 +137,51 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesMaterialised pins -stream against the in-memory path:
-// both must produce identical statistics from the same compressed trace,
-// and the flat/sctz/streamed answers must all agree.
-func TestStreamMatchesMaterialised(t *testing.T) {
+// TestEverySourceSameReport pins the streamed sources to one another: a
+// saved flat trace, the same trace saved as SCTZ, and the workload
+// generated on the fly must print the same report, with and without a
+// warmup and tag stripping.
+func TestEverySourceSameReport(t *testing.T) {
 	dir := t.TempDir()
-	gen := func(ext string) string { return filepath.Join(dir, "mv"+ext) }
 	tr, err := workloads.Trace("MV", workloads.ScaleTest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatPath, sctzPath := gen(".trace"), gen(".sctz")
-	ff, err := os.Create(flatPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Write(ff, tr); err != nil {
-		t.Fatal(err)
-	}
-	ff.Close()
-	zf, err := os.Create(sctzPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteSCTZ(zf, tr); err != nil {
-		t.Fatal(err)
-	}
-	zf.Close()
-
-	runOne := func(args ...string) string {
-		t.Helper()
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("exit %d: %s", code, errb.String())
+	save := func(name string, write func(io.Writer, *trace.Trace) error) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out.String()
+		if err := write(f, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	base := runOne("-trace", flatPath, "-config", "soft")
-	for _, args := range [][]string{
-		{"-trace", sctzPath, "-config", "soft"},
-		{"-trace", flatPath, "-config", "soft", "-stream"},
-		{"-trace", sctzPath, "-config", "soft", "-stream"},
-	} {
-		if got := runOne(args...); got != base {
-			t.Errorf("%v diverged from the flat materialised run:\n%s\nvs\n%s", args, got, base)
+	sources := [][]string{
+		{"-trace", save("mv.trace", trace.Write)},
+		{"-trace", save("mv.sctz", trace.WriteSCTZ)},
+		{"-workload", "MV", "-scale", "test"},
+	}
+	for _, extra := range [][]string{nil, {"-warmup", "500", "-strip-temporal"}} {
+		var base string
+		for i, src := range sources {
+			args := append(append([]string{"-config", "soft"}, src...), extra...)
+			out, errb, code := runSim(t, args...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d: %s", args, code, errb)
+			}
+			if i == 0 {
+				base = out
+			} else if out != base {
+				t.Errorf("%v diverged from the flat trace:\n%s\nvs\n%s", args, out, base)
+			}
+		}
+		if extra != nil && !strings.Contains(base, "temporal=0 both=0") {
+			t.Errorf("-strip-temporal left temporal tags:\n%s", base)
 		}
 	}
 }

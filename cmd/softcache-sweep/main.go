@@ -15,7 +15,7 @@
 // Metrics: amat, miss, traffic.
 //
 // The x axis is fused: each matrix row is one unit that simulates all of
-// its configurations in a single pass over the trace (core.SimulateManyTrace),
+// its configurations in a single pass over the trace (core.Run),
 // so the trace is decoded once per row instead of once per cell. Rows run
 // on the experiment harness (internal/harness): in parallel under
 // -workers, each bounded by -timeout, with panics converted into
@@ -122,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One fused unit per matrix row: the x axis becomes a config group
-	// simulated in a single trace pass (core.SimulateManyTrace), so the
+	// simulated in a single trace pass (core.Run), so the
 	// trace is walked once per row instead of once per cell. -workers
 	// parallelism spans rows; the journal records one entry per
 	// (row, config-group), and resume validates the recorded group against
@@ -160,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		units = append(units, harness.FusedUnit(key, meta, xLabels,
 			func(runCtx context.Context) ([]float64, error) {
-				results, err := core.SimulateManyTrace(runCtx, cfgs, t)
+				results, err := core.Run(runCtx, core.Job{Configs: cfgs}, t.Reader())
 				if err != nil {
 					return nil, err
 				}

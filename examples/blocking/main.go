@@ -7,13 +7,32 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+
+	"softcache/internal/loopir"
 
 	"softcache/internal/core"
 	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
+
+// amats streams p's trace through one fused Run over Standard and Soft and
+// returns their AMATs.
+func amats(p *loopir.Program) (std, soft float64, err error) {
+	r, err := tracegen.NewReader(p, tracegen.Options{Seed: 1})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer r.Close()
+	job := core.Job{Configs: []core.Config{core.Standard(), core.Soft()}}
+	results, err := core.Run(context.Background(), job, r)
+	if err != nil {
+		return 0, 0, err
+	}
+	return results[0].AMAT(), results[1].AMAT(), nil
+}
 
 func main() {
 	fmt.Println("Blocked matrix-vector multiply: AMAT vs block size (§4.2, fig. 11a)")
@@ -23,19 +42,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, err := tracegen.Generate(p, tracegen.Options{Seed: 1})
+		std, soft, err := amats(p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		std, err := core.Simulate(core.Standard(), tr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		soft, err := core.Simulate(core.Soft(), tr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%8d %12.3f %10.3f\n", b, std.AMAT(), soft.AMAT())
+		fmt.Printf("%8d %12.3f %10.3f\n", b, std, soft)
 	}
 
 	fmt.Println()
@@ -48,19 +59,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			tr, err := tracegen.Generate(p, tracegen.Options{Seed: 1})
+			std, soft, err := amats(p)
 			if err != nil {
 				log.Fatal(err)
 			}
-			std, err := core.Simulate(core.Standard(), tr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			soft, err := core.Simulate(core.Soft(), tr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			row = append(row, std.AMAT(), soft.AMAT())
+			row = append(row, std, soft)
 		}
 		// row = [noCopyStd, noCopySoft, copyStd, copySoft]
 		fmt.Printf("%4d %15.3f %13.3f %14.3f %12.3f\n", ld, row[0], row[2], row[1], row[3])

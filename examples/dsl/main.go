@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	_ "embed"
 	"fmt"
 	"log"
@@ -38,18 +39,13 @@ func main() {
 	}
 	fmt.Printf("trace: %d references\n\n", tr.Len())
 
-	for _, c := range []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"Standard", core.Standard()},
-		{"Soft", core.Soft()},
-		{"Soft + variable virtual lines", core.SoftVariable()},
-	} {
-		res, err := core.Simulate(c.cfg, tr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-32s AMAT %.3f cycles, miss ratio %.4f\n", c.label, res.AMAT(), res.MissRatio())
+	labels := []string{"Standard", "Soft", "Soft + variable virtual lines"}
+	job := core.Job{Configs: []core.Config{core.Standard(), core.Soft(), core.SoftVariable()}}
+	results, err := core.Run(context.Background(), job, tr.Reader())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, res := range results {
+		fmt.Printf("%-32s AMAT %.3f cycles, miss ratio %.4f\n", labels[i], res.AMAT(), res.MissRatio())
 	}
 }

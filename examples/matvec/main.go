@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,14 +37,18 @@ func main() {
 		{"Soft spatial only", core.SoftSpatial()},
 		{"Soft (combined)", core.Soft()},
 	}
-	fmt.Printf("%-20s %8s %12s %12s %14s\n", "design", "AMAT", "miss ratio", "BB hits", "bounced back")
+	var job core.Job
 	for _, c := range configs {
-		res, err := core.Simulate(c.cfg, tr)
-		if err != nil {
-			log.Fatal(err)
-		}
+		job.Configs = append(job.Configs, c.cfg)
+	}
+	results, err := core.Run(context.Background(), job, tr.Reader())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%-20s %8s %12s %12s %14s\n", "design", "AMAT", "miss ratio", "BB hits", "bounced back")
+	for i, res := range results {
 		fmt.Printf("%-20s %8.3f %12.4f %12d %14d\n",
-			c.name, res.AMAT(), res.MissRatio(), res.Stats.BounceBackHits, res.Stats.BouncedBack)
+			configs[i].name, res.AMAT(), res.MissRatio(), res.Stats.BounceBackHits, res.Stats.BouncedBack)
 	}
 
 	// Now follow one line of X through the Soft hierarchy: it is loaded,

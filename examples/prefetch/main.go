@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,20 +32,19 @@ func main() {
 			res.Stats.PrefetchesIssued, res.Stats.PrefetchHits)
 	}
 
-	for _, c := range []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"Standard", core.Standard()},
-		{"Standard + unguided prefetch", core.WithPrefetch(core.Standard(), false)},
-		{"Soft", core.Soft()},
-		{"Soft + hint-guided hw prefetch", core.WithPrefetch(core.Soft(), true)},
-	} {
-		res, err := core.Simulate(c.cfg, tr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		show(c.label, res)
+	labels := []string{"Standard", "Standard + unguided prefetch", "Soft", "Soft + hint-guided hw prefetch"}
+	job := core.Job{Configs: []core.Config{
+		core.Standard(),
+		core.WithPrefetch(core.Standard(), false),
+		core.Soft(),
+		core.WithPrefetch(core.Soft(), true),
+	}}
+	results, err := core.Run(context.Background(), job, tr.Reader())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, res := range results {
+		show(labels[i], res)
 	}
 
 	// The software variant: the compiler inserts PREFETCH instructions a
@@ -62,15 +62,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pfTrace, err := tracegen.Generate(p, tracegen.Options{Seed: 1})
+		pf, err := tracegen.NewReader(p, tracegen.Options{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Simulate(core.Soft(), pfTrace)
+		results, err := core.Run(context.Background(), core.Job{Configs: []core.Config{core.Soft()}}, pf)
+		pf.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		show(fmt.Sprintf("Soft + sw prefetch d=%-2d (%d sites)", d, inserted), res)
+		show(fmt.Sprintf("Soft + sw prefetch d=%-2d (%d sites)", d, inserted), results[0])
 	}
 	fmt.Println()
 	fmt.Println("The hint-guided hardware scheme needs no new instructions; the")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,19 +54,16 @@ func main() {
 	}
 	fmt.Printf("trace: %d references\n\n", tr.Len())
 
-	// The hardware side: same trace, two cache designs.
-	for _, c := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"Standard (8K direct-mapped, 32B lines)", core.Standard()},
-		{"Soft (64B virtual lines + 256B bounce-back)", core.Soft()},
-	} {
-		res, err := core.Simulate(c.cfg, tr)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// The hardware side: same trace, two cache designs, simulated together
+	// in one pass.
+	names := []string{"Standard (8K direct-mapped, 32B lines)", "Soft (64B virtual lines + 256B bounce-back)"}
+	job := core.Job{Configs: []core.Config{core.Standard(), core.Soft()}}
+	results, err := core.Run(context.Background(), job, tr.Reader())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, res := range results {
 		fmt.Printf("%-45s AMAT %.3f cycles, miss ratio %.4f, traffic %.3f words/ref\n",
-			c.name, res.AMAT(), res.MissRatio(), res.Stats.WordsPerReference())
+			names[i], res.AMAT(), res.MissRatio(), res.Stats.WordsPerReference())
 	}
 }

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -101,14 +102,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, err := tracegen.Generate(p, tracegen.Options{Seed: 1})
+		r, err := tracegen.NewReader(p, tracegen.Options{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Simulate(core.Soft(), tr)
+		results, err := core.Run(context.Background(), core.Job{Configs: []core.Config{core.Soft()}}, r)
+		r.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := results[0]
 		fmt.Printf("%-22s %8.3f %12.4f %10.3f\n",
 			mode, res.AMAT(), res.MissRatio(), res.Stats.WordsPerReference())
 	}

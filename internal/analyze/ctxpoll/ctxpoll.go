@@ -4,8 +4,7 @@
 // loops over trace input — trace.Reader.ReadBatch decode loops,
 // Simulator.Access/AccessAll feed loops — must poll that context from
 // the loop: the softcache convention is a ctx.Err() check per batch of
-// trace.BatchSize records (see core.SimulateMany and
-// core.SimulateManyTrace).
+// trace.BatchSize records (see core.Run).
 //
 // The poll may live in an enclosing loop of the same function: in the
 // fused kernels the outer per-batch loop polls once and the inner
@@ -14,8 +13,9 @@
 // count — it runs once, after which cancellation goes unnoticed for
 // the rest of the trace.
 //
-// Functions with no context in scope (Simulate, SimulateWarm)
-// are out of scope by design: they advertise no cancellation contract.
+// Functions with no context in scope (cache.Simulator.AccessAll, a
+// test's reference Access loop) are out of scope by design: they
+// advertise no cancellation contract.
 // Loops that merely iterate without touching trace input — unit
 // deduplication, result assembly — are not consumption loops and are
 // never flagged.

@@ -10,7 +10,7 @@ import (
 	"softcache/internal/trace"
 )
 
-// perBatch is the core.SimulateMany shape: one poll per decoded batch.
+// perBatch is the core.Run shape: one poll per decoded batch.
 func perBatch(ctx context.Context, r *trace.Reader, buf []trace.Record) error {
 	for {
 		if err := ctx.Err(); err != nil {

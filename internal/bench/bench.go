@@ -117,36 +117,22 @@ func (c *Context) Trace(name string) (*trace.Trace, error) {
 	return e.t, e.err
 }
 
-// Simulate runs cfg over the named workload's trace, honouring the
-// context's cancellation and invariant-check settings.
-func (c *Context) Simulate(name string, cfg core.Config) (core.Result, error) {
-	t, err := c.Trace(name)
-	if err != nil {
-		return core.Result{}, err
-	}
-	if c.Check {
-		cfg.RuntimeChecks = true
-	}
-	return core.SimulateContext(c.context(), cfg, t)
-}
-
 // SimulateMany runs every configuration over the named workload's trace
-// in one fused pass (core.SimulateManyTrace), honouring the context's
-// cancellation and invariant-check settings: each record batch is walked
-// once and fed to all simulators, so a figure's whole config axis costs
-// one trace traversal. Results are index-aligned with cfgs and identical
-// to len(cfgs) Simulate calls.
+// in one fused pass (core.Run over the cached trace), honouring the
+// context's cancellation and invariant-check settings: each record batch
+// is walked once and fed to all simulators, so a figure's whole config
+// axis costs one trace traversal. Results are index-aligned with cfgs.
 func (c *Context) SimulateMany(name string, cfgs []core.Config) ([]core.Result, error) {
 	t, err := c.Trace(name)
 	if err != nil {
 		return nil, err
 	}
-	return core.SimulateManyTrace(c.context(), c.checked(cfgs), t)
+	return core.Run(c.context(), core.Job{Configs: c.checked(cfgs)}, t.Reader())
 }
 
 // simulateProgram streams p's trace, generated with the context's seed and
 // the given gap model (nil selects the paper's fig. 4b distribution), into
-// one fused pass over cfgs (core.SimulateMany). It serves the single-use
+// one fused pass over cfgs (core.Run). It serves the single-use
 // variants figures sweep (block size, leading dimension, issue gap,
 // prefetch distance): the trace is never materialised, so a variant in
 // flight holds one record batch, not its whole trace.
@@ -156,7 +142,7 @@ func (c *Context) simulateProgram(p *loopir.Program, gaps *timing.GapModel, cfgs
 		return nil, err
 	}
 	defer r.Close()
-	return core.SimulateMany(c.context(), c.checked(cfgs), r)
+	return core.Run(c.context(), core.Job{Configs: c.checked(cfgs)}, r)
 }
 
 // checked returns cfgs with the runtime invariant checker armed when the

@@ -70,11 +70,11 @@ func runFig6b(ctx *Context) (*Report, error) {
 	names := workloads.Benchmarks()
 	shares := make([]float64, len(names))
 	err := ctx.each(len(names), func(rc *Context, i int) error {
-		res, err := rc.Simulate(names[i], core.Soft())
+		res, err := rc.SimulateMany(names[i], []core.Config{core.Soft()})
 		if err != nil {
 			return err
 		}
-		shares[i] = res.Stats.MainHitFraction()
+		shares[i] = res[0].Stats.MainHitFraction()
 		return nil
 	})
 	if err != nil {

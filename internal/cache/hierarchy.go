@@ -121,22 +121,16 @@ func (s *Simulator) ResetStats() {
 	s.memory.ResetStats()
 }
 
-// Run processes every record of the trace and returns the final stats.
-func (s *Simulator) Run(t *trace.Trace) Stats {
-	s.AccessAll(t.Records)
-	return s.Stats()
-}
-
 // AccessAll processes recs in order, exactly as len(recs) Access calls
 // would (the refmodel differential suite pins the equivalence). It is the
-// per-batch entry point of the batched kernels (core.SimulateMany,
-// core.SimulateManyTrace): besides removing the per-record call boundary, it
-// runs the paper's default organisation — plain direct-mapped hits, the
-// bulk of every trace — in a register-resident loop: the cycle clock, the
-// LRU tick and the statistics counters live in locals across each run of
-// consecutive fast hits and are flushed back to the simulator only when a
-// record needs the general path (a miss, a software prefetch) or the batch
-// ends. That keeps roughly a dozen per-record memory read-modify-writes
+// per-batch entry point of the batched kernel (core.Run): besides
+// removing the per-record call boundary, it runs the paper's default
+// organisation — plain direct-mapped hits, the bulk of every trace — in
+// a register-resident loop: the cycle clock, the LRU tick and the
+// statistics counters live in locals across each run of consecutive fast
+// hits and are flushed back to the simulator only when a record needs
+// the general path (a miss, a software prefetch) or the batch ends. That
+// keeps roughly a dozen per-record memory read-modify-writes
 // out of the hit path, which is what makes the trace decode a visible
 // fraction of the record budget — and therefore what the fused
 // multi-configuration pass (decode once, simulate N times) can win back.

@@ -568,10 +568,9 @@ func TestBypassModeString(t *testing.T) {
 func TestRunAndConfigAccessors(t *testing.T) {
 	cfg := softTestConfig()
 	s := mustSim(t, cfg)
-	tr := &trace.Trace{Records: []trace.Record{rec(0), rec(8), rec(1024)}}
-	st := s.Run(tr)
-	if st.References != 3 {
-		t.Fatalf("Run processed %d references", st.References)
+	s.AccessAll([]trace.Record{rec(0), rec(8), rec(1024)})
+	if st := s.Stats(); st.References != 3 {
+		t.Fatalf("AccessAll processed %d references", st.References)
 	}
 	if s.Config().CacheSize != cfg.CacheSize {
 		t.Fatal("Config accessor broken")

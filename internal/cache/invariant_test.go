@@ -105,8 +105,8 @@ func TestRuntimeChecksPassOnHealthySimulations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats := s.Run(tr)
-			if stats.References == 0 {
+			s.AccessAll(tr.Records)
+			if s.Stats().References == 0 {
 				t.Fatal("no references simulated")
 			}
 		})

@@ -163,7 +163,7 @@ func TestDifferentialRandomTraces(t *testing.T) {
 	}
 }
 
-// TestSimulateManyDifferential replays one fused core.SimulateMany pass
+// TestSimulateManyDifferential replays one fused core.Run pass
 // across the entire variant matrix and checks every configuration's final
 // statistics against an independent reference-model replay. This closes
 // the loop the per-config differential leaves open: the fused kernel's
@@ -188,10 +188,10 @@ func TestSimulateManyDifferential(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			fused, err := core.SimulateManyTrace(context.Background(), cfgs,
-				&trace.Trace{Name: name, Records: records})
+			tr := &trace.Trace{Name: name, Records: records}
+			fused, err := core.Run(context.Background(), core.Job{Configs: cfgs}, tr.Reader())
 			if err != nil {
-				t.Fatalf("SimulateManyTrace: %v", err)
+				t.Fatalf("core.Run: %v", err)
 			}
 			for i, v := range vs {
 				ref, err := refmodel.New(v.cfg)
@@ -210,12 +210,13 @@ func TestSimulateManyDifferential(t *testing.T) {
 	}
 }
 
-// TestShardedDifferential pins "one configuration, one answer": every
-// core entry point that runs a whole trace — Simulate, SimulateContext,
-// SimulateWarm without warm-up, a one-config SimulateMany over the
-// serialised trace and a one-config SimulateManyTrace — must return the
-// reference model's statistics bit for bit, with and without runtime
-// checks, over paper workloads and adversarial random traces. The suite
+// TestShardedDifferential pins "one configuration, one answer": a
+// one-config core.Run over every trace source — the in-memory
+// Trace.Reader, flat bytes and SCTZ bytes — with and without an explicit
+// zero warmup, and the two in-memory wrappers kept for the benchmark
+// harness (SimulateContext, SimulateManyTrace), must return the reference
+// model's statistics bit for bit, with and without runtime checks, over
+// paper workloads and adversarial random traces. The suite
 // keeps its name from when it also ran the set-sharded kernel, which gave
 // coupled configurations a second, per-shard-count answer; that kernel is
 // gone, and the one-shard cell it was measured against is what stays.
@@ -246,28 +247,41 @@ func TestShardedDifferential(t *testing.T) {
 				}
 				want := ref.Stats()
 				tr := &trace.Trace{Name: srcName, Records: records}
-				var encoded bytes.Buffer
-				if err := trace.Write(&encoded, tr); err != nil {
+				var flat, sctz bytes.Buffer
+				if err := trace.Write(&flat, tr); err != nil {
 					t.Fatalf("trace.Write: %v", err)
 				}
+				if err := trace.WriteSCTZ(&sctz, tr); err != nil {
+					t.Fatalf("trace.WriteSCTZ: %v", err)
+				}
+				run := func(job core.Job, r trace.BatchReader, err error) (core.Result, error) {
+					if err != nil {
+						return core.Result{}, err
+					}
+					res, err := core.Run(ctx, job, r)
+					if err != nil {
+						return core.Result{}, err
+					}
+					return res[0], nil
+				}
+				one := func(cfg core.Config) core.Job { return core.Job{Configs: []core.Config{cfg}} }
 				entries := []struct {
 					name string
 					run  func(core.Config) (core.Result, error)
 				}{
-					{"Simulate", func(cfg core.Config) (core.Result, error) { return core.Simulate(cfg, tr) }},
-					{"SimulateContext", func(cfg core.Config) (core.Result, error) { return core.SimulateContext(ctx, cfg, tr) }},
-					{"SimulateWarm", func(cfg core.Config) (core.Result, error) { return core.SimulateWarm(cfg, tr, 0) }},
-					{"SimulateMany", func(cfg core.Config) (core.Result, error) {
-						r, err := trace.NewReaderBytes(encoded.Bytes())
-						if err != nil {
-							return core.Result{}, err
-						}
-						res, err := core.SimulateMany(ctx, []core.Config{cfg}, r)
-						if err != nil {
-							return core.Result{}, err
-						}
-						return res[0], nil
+					{"Run/memory", func(cfg core.Config) (core.Result, error) { return run(one(cfg), tr.Reader(), nil) }},
+					{"Run/flat", func(cfg core.Config) (core.Result, error) {
+						r, err := trace.NewReaderBytes(flat.Bytes())
+						return run(one(cfg), r, err)
 					}},
+					{"Run/sctz", func(cfg core.Config) (core.Result, error) {
+						r, err := trace.NewStreamReaderBytes(sctz.Bytes())
+						return run(one(cfg), r, err)
+					}},
+					{"Run/warmup0", func(cfg core.Config) (core.Result, error) {
+						return run(core.Job{Configs: []core.Config{cfg}, Warmup: 0}, tr.Reader(), nil)
+					}},
+					{"SimulateContext", func(cfg core.Config) (core.Result, error) { return core.SimulateContext(ctx, cfg, tr) }},
 					{"SimulateManyTrace", func(cfg core.Config) (core.Result, error) {
 						res, err := core.SimulateManyTrace(ctx, []core.Config{cfg}, tr)
 						if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -64,11 +63,26 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamAllocsFlat pins the complementary property for the
-// streaming entry point: a one-config SimulateMany's allocation count is a
-// constant (simulator construction plus one pooled batch at worst) and
-// does not scale with trace length.
+// TestSimulateStreamAllocsFlat pins the complementary property for a
+// one-config Run: its allocation count is a constant (simulator
+// construction plus one pooled batch at worst) and does not scale with
+// trace length, over serialised bytes and over an in-memory Trace.Reader.
 func TestSimulateStreamAllocsFlat(t *testing.T) {
+	requireFlatAllocs(t, []Config{Soft()})
+}
+
+// TestSimulateManyAllocsFlat extends the flat-allocation guarantee to the
+// fused path: one Run pass allocates a constant amount (the simulators,
+// the result slice and one pooled batch) regardless of trace length — the
+// per-batch fan-out over N simulators allocates nothing.
+func TestSimulateManyAllocsFlat(t *testing.T) {
+	requireFlatAllocs(t, []Config{Standard(), Soft(), SoftVariable(), Victim()})
+}
+
+// requireFlatAllocs measures Run's allocations over test- and paper-scale
+// MV from each source and fails if they grow with the record count.
+func requireFlatAllocs(t *testing.T, cfgs []Config) {
+	t.Helper()
 	small, err := workloads.Trace("MV", workloads.ScaleTest, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -81,78 +95,35 @@ func TestSimulateStreamAllocsFlat(t *testing.T) {
 		t.Fatalf("paper-scale trace (%d records) is not meaningfully larger than test scale (%d)",
 			len(big.Records), len(small.Records))
 	}
-	encode := func(tr *trace.Trace) []byte {
-		var buf bytes.Buffer
-		if err := trace.Write(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	smallData, bigData := encode(small), encode(big)
-	cfg := Soft()
-	measure := func(data []byte) float64 {
-		return testing.AllocsPerRun(10, func() {
+	smallData, bigData := encodeTrace(t, small), encodeTrace(t, big)
+	sources := map[string]func(tr *trace.Trace, data []byte) trace.BatchReader{
+		"flat": func(_ *trace.Trace, data []byte) trace.BatchReader {
 			r, err := trace.NewReaderBytes(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := SimulateMany(context.Background(), []Config{cfg}, r); err != nil {
-				t.Fatal(err)
-			}
-		})
+			return r
+		},
+		"memory": func(tr *trace.Trace, _ []byte) trace.BatchReader { return tr.Reader() },
 	}
-	allocsSmall := measure(smallData)
-	allocsBig := measure(bigData)
-	extraRecords := float64(len(big.Records) - len(small.Records))
-	perRecord := (allocsBig - allocsSmall) / extraRecords
-	// Allow a little jitter from sync.Pool refills after GC; per-record
-	// allocation would show up as ~1.0 here.
-	if perRecord > 0.001 {
-		t.Errorf("streaming allocations scale with trace length: %.1f allocs at %d records vs %.1f at %d (%.4f/record)",
-			allocsBig, len(big.Records), allocsSmall, len(small.Records), perRecord)
-	}
-}
-
-// TestSimulateManyAllocsFlat extends the flat-allocation guarantee to the
-// fused path: one SimulateMany pass allocates a constant amount (the
-// simulators, the result slice and one pooled batch) regardless of trace
-// length — the per-batch fan-out over N simulators allocates nothing.
-func TestSimulateManyAllocsFlat(t *testing.T) {
-	small, err := workloads.Trace("MV", workloads.ScaleTest, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := workloads.Trace("MV", workloads.ScalePaper, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encode := func(tr *trace.Trace) []byte {
-		var buf bytes.Buffer
-		if err := trace.Write(&buf, tr); err != nil {
-			t.Fatal(err)
+	job := Job{Configs: cfgs}
+	for name, open := range sources {
+		measure := func(tr *trace.Trace, data []byte) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, err := Run(context.Background(), job, open(tr, data)); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-		return buf.Bytes()
-	}
-	smallData, bigData := encode(small), encode(big)
-	cfgs := []Config{Standard(), Soft(), SoftVariable(), Victim()}
-	ctx := context.Background()
-	measure := func(data []byte) float64 {
-		return testing.AllocsPerRun(10, func() {
-			r, err := trace.NewReaderBytes(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := SimulateMany(ctx, cfgs, r); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	allocsSmall := measure(smallData)
-	allocsBig := measure(bigData)
-	extraRecords := float64(len(big.Records) - len(small.Records))
-	perRecord := (allocsBig - allocsSmall) / extraRecords
-	if perRecord > 0.001 {
-		t.Errorf("SimulateMany allocations scale with trace length: %.1f allocs at %d records vs %.1f at %d (%.4f/record)",
-			allocsBig, len(big.Records), allocsSmall, len(small.Records), perRecord)
+		allocsSmall := measure(small, smallData)
+		allocsBig := measure(big, bigData)
+		extraRecords := float64(len(big.Records) - len(small.Records))
+		perRecord := (allocsBig - allocsSmall) / extraRecords
+		// Allow a little jitter from sync.Pool refills after GC; per-record
+		// allocation would show up as ~1.0 here.
+		if perRecord > 0.001 {
+			t.Errorf("%s: Run allocations scale with trace length: %.1f allocs at %d records vs %.1f at %d (%.4f/record)",
+				name, allocsBig, len(big.Records), allocsSmall, len(small.Records), perRecord)
+		}
 	}
 }

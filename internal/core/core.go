@@ -2,14 +2,18 @@
 // It ties together the trace format, the cache/memory model and the
 // canonical configurations evaluated in the paper, so that a user can write
 //
-//	res, err := core.Simulate(core.Soft(), tr)
+//	job := core.Job{Configs: []core.Config{core.Standard(), core.Soft()}}
+//	results, err := core.Run(ctx, job, tr.Reader())
 //	if err != nil {
 //		return err
 //	}
-//	fmt.Println(res.AMAT())
+//	fmt.Println(results[0].AMAT(), results[1].AMAT())
 //
-// without touching the lower layers. The configuration constructors mirror
-// the paper's named design points:
+// without touching the lower layers. Run is the one way to simulate: any
+// number of configurations over one pass of any trace source, in-memory
+// (Trace.Reader) or streamed from a file (trace.OpenFile) or a generator
+// (tracegen.NewReader), with an optional warmup prefix. The configuration
+// constructors mirror the paper's named design points:
 //
 //	Standard()        8 KiB direct-mapped, 32 B lines — the DEC Alpha /
 //	                  R4000 / Pentium-class baseline ("Stand.")
@@ -239,24 +243,6 @@ func WithGeometry(cfg Config, cacheSize, lineSize, virtualLine int) Config {
 // NewSimulator builds a simulator for cfg.
 func NewSimulator(cfg Config) (*cache.Simulator, error) { return cache.New(cfg) }
 
-// Simulate runs the whole trace through a fresh simulator built from cfg.
-func Simulate(cfg Config, t *trace.Trace) (Result, error) {
-	return SimulateContext(context.Background(), cfg, t)
-}
-
-// SimulateContext runs the whole trace through a fresh simulator built
-// from cfg: it is SimulateManyTrace with one configuration, so ctx is
-// polled every BatchSize records and a timeout or interrupt aborts a long
-// simulation promptly. On cancellation the partial statistics are
-// discarded and ctx's error is returned wrapped.
-func SimulateContext(ctx context.Context, cfg Config, t *trace.Trace) (Result, error) {
-	results, err := SimulateManyTrace(ctx, []Config{cfg}, t)
-	if err != nil {
-		return Result{}, err
-	}
-	return results[0], nil
-}
-
 // WithRuntimeChecks returns cfg with the runtime invariant checker toggled
 // (see cache.Config.RuntimeChecks): state corruption then surfaces as an
 // immediate *cache.InvariantError panic, which the experiment harness
@@ -266,48 +252,35 @@ func WithRuntimeChecks(cfg Config, on bool) Config {
 	return cfg
 }
 
-// SimulateWarm runs the trace like Simulate but resets the statistics
-// after the first warmup records, so the result reflects steady-state
-// behaviour (cold compulsory misses excluded). warmup is clamped to the
-// trace length.
-func SimulateWarm(cfg Config, t *trace.Trace, warmup int) (Result, error) {
-	sim, err := cache.New(cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: %w", err)
-	}
-	warmup = min(warmup, len(t.Records))
-	sim.AccessAll(t.Records[:warmup])
-	sim.ResetStats()
-	sim.AccessAll(t.Records[warmup:])
-	return Result{Trace: t.Name, Config: Describe(cfg), Stats: sim.Stats()}, nil
+// Job is one simulation: the configurations fused over one pass of the
+// trace, and how many leading records only warm the caches (a warmup at
+// least as long as the trace leaves empty statistics).
+type Job struct {
+	Configs []Config
+	Warmup  int
 }
 
-// SimulateMany is the fused multi-configuration kernel: one streaming
-// pass of the trace drives a fresh simulator per configuration, feeding
-// each decoded BatchSize chunk to every simulator before the next chunk is
-// decoded. A whole configuration matrix therefore pays the trace decode
-// (and the memory streaming of the serialised bytes) once instead of once
-// per configuration, while the decoded batch stays cache-resident for all
-// simulators.
+// Run is the simulation entry point: one pass of r drives a fresh
+// simulator per configuration, each batch fed to every simulator before
+// the next is read, so a configuration matrix pays the trace decode once.
+// The results are index-aligned with job.Configs and identical to one Run
+// per configuration. r is Trace.Reader for an in-memory trace, or any
+// streamed source (trace.OpenFile, tracegen.NewReader), which is never
+// materialised. The loop allocates nothing in steady state.
 //
-// The simulators are fully independent — each owns its cache state and
-// scratch buffers — so the results are index-aligned with cfgs and
-// byte-identical to running SimulateMany once per configuration
-// (TestSimulateManyMatchesStream pins this). With a single configuration
-// it is the streaming kernel: a serialised trace — flat, compressed SCTZ,
-// a din import — runs through the simulator without being materialised,
-// so multi-gigabyte trace files stream at I/O speed. The loop performs no
-// steady-state allocations (TestSimulateStreamAllocsFlat,
-// TestSimulateManyAllocsFlat).
-//
-// ctx is polled between batches (every BatchSize records); on cancellation
-// or any decode error the partial results are discarded and the error is
-// returned wrapped, so callers never observe a half-simulated matrix.
-func SimulateMany(ctx context.Context, cfgs []Config, r trace.BatchReader) ([]Result, error) {
-	sims, err := buildSimulators(cfgs)
+// Once job.Warmup records have run, the batch is split there and every
+// simulator's statistics are reset, excluding cold misses. ctx is polled
+// once per batch; on cancellation or a read error the partial results are
+// discarded and the error is returned wrapped.
+func Run(ctx context.Context, job Job, r trace.BatchReader) ([]Result, error) {
+	if job.Warmup < 0 {
+		return nil, fmt.Errorf("core: negative warmup %d", job.Warmup)
+	}
+	sims, err := buildSimulators(job.Configs)
 	if err != nil {
 		return nil, err
 	}
+	warm := job.Warmup // records left before the statistics reset
 	batch := trace.GetBatch()
 	defer trace.PutBatch(batch)
 	for {
@@ -316,6 +289,16 @@ func SimulateMany(ctx context.Context, cfgs []Config, r trace.BatchReader) ([]Re
 		}
 		n, err := r.ReadBatch(*batch)
 		recs := (*batch)[:n]
+		if warm > 0 {
+			k := min(warm, n)
+			for _, sim := range sims {
+				sim.AccessAll(recs[:k])
+				if k == warm || err == io.EOF { // warmup done, or it outlasted the trace
+					sim.ResetStats()
+				}
+			}
+			recs, warm = recs[k:], warm-k
+		}
 		for _, sim := range sims {
 			sim.AccessAll(recs)
 		}
@@ -326,33 +309,23 @@ func SimulateMany(ctx context.Context, cfgs []Config, r trace.BatchReader) ([]Re
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	return manyResults(r.Name(), cfgs, sims), nil
+	return manyResults(r.Name(), job.Configs, sims), nil
 }
 
-// SimulateManyTrace is SimulateMany for a trace already materialised in
-// memory: the records are fed to every simulator in BatchSize chunks (so
-// the chunk being simulated stays cache-resident across configurations)
-// with the same cancellation and identical-results contracts.
-func SimulateManyTrace(ctx context.Context, cfgs []Config, t *trace.Trace) ([]Result, error) {
-	sims, err := buildSimulators(cfgs)
+// SimulateContext is a one-config Run over an in-memory trace, kept only
+// for the benchmark harness (benchmark/layers.go). New code calls Run.
+func SimulateContext(ctx context.Context, cfg Config, t *trace.Trace) (Result, error) {
+	results, err := Run(ctx, Job{Configs: []Config{cfg}}, t.Reader())
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	recs := t.Records
-	for len(recs) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: simulating %s: %w", t.Name, err)
-		}
-		chunk := recs
-		if len(chunk) > trace.BatchSize {
-			chunk = chunk[:trace.BatchSize]
-		}
-		for _, sim := range sims {
-			sim.AccessAll(chunk)
-		}
-		recs = recs[len(chunk):]
-	}
-	return manyResults(t.Name, cfgs, sims), nil
+	return results[0], nil
+}
+
+// SimulateManyTrace is Run over an in-memory trace, kept only for the
+// benchmark harness (benchmark/layers.go). New code calls Run.
+func SimulateManyTrace(ctx context.Context, cfgs []Config, t *trace.Trace) ([]Result, error) {
+	return Run(ctx, Job{Configs: cfgs}, t.Reader())
 }
 
 // buildSimulators constructs one fresh simulator per configuration. Any

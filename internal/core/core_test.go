@@ -100,14 +100,14 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(Soft(), tr)
+	res, err := runOne(Soft(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace != "MV" || res.AMAT() < 1 || res.MissRatio() <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if _, err := Simulate(Config{}, tr); err == nil {
+	if _, err := runOne(Config{}, tr); err == nil {
 		t.Fatal("zero config must be rejected")
 	}
 }
@@ -121,7 +121,7 @@ func TestSoftIsSafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		std, err := Simulate(Standard(), tr)
+		std, err := runOne(Standard(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestSoftIsSafe(t *testing.T) {
 			"SoftTemp": SoftTemporal(),
 			"SoftSpat": SoftSpatial(),
 		} {
-			res, err := Simulate(cfg, tr)
+			res, err := runOne(cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,14 +150,14 @@ func TestStrippedTagsEqualStandardBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped, err := Simulate(Soft(), tr.StripTags(true, true))
+	stripped, err := runOne(Soft(), tr.StripTags(true, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gated := Soft()
 	gated.UseTemporalTags = false
 	gated.UseSpatialTags = false
-	gatedRes, err := Simulate(gated, tr)
+	gatedRes, err := runOne(gated, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +179,85 @@ func TestVictimEqualsSoftWithoutTags(t *testing.T) {
 	soft.UseTemporalTags = false
 	soft.UseSpatialTags = false
 	soft.BounceBackEnabled = false
-	a, err := Simulate(soft, tr)
+	a, err := runOne(soft, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(Victim(), tr)
+	b, err := runOne(Victim(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Stats.CostCycles != b.Stats.CostCycles {
 		t.Fatalf("degenerate Soft %.4f != Victim %.4f", a.AMAT(), b.AMAT())
+	}
+}
+
+// TestMetamorphicOracles checks relations that hold between runs without
+// consulting either simulator's reading of the paper, over every
+// test-scale workload through Run:
+//
+//   - a virtual line as long as the physical line fetches nothing extra,
+//     so Standard with spatial tags honoured equals Standard, and Soft
+//     equals SoftTemporal;
+//   - a direct-mapped or set-associative cache indexes by address modulo
+//     its size, so adding k x CacheSize to every address changes no
+//     statistic of any named design.
+func TestMetamorphicOracles(t *testing.T) {
+	stdVL := Standard()
+	stdVL.VirtualLineSize = stdVL.LineSize
+	stdVL.UseSpatialTags = true
+	softVL := Soft()
+	softVL.VirtualLineSize = softVL.LineSize
+	pairs := []struct {
+		name      string
+		got, want Config
+	}{
+		{"Standard+vline=line", stdVL, Standard()},
+		{"Soft+vline=line", softVL, SoftTemporal()},
+	}
+	named := []Config{
+		Standard(), Victim(), Soft(), SoftTemporal(), SoftSpatial(),
+		SoftVariable(), BypassPlain(), BypassBuffered(),
+		SetAssoc(Standard(), 2), SimplifiedSoftAssoc(4),
+		StandardStreamBuffers(), ColumnAssociative(), Subblocked(),
+		WithPrefetch(Soft(), true), WithPrefetch(Standard(), false),
+	}
+	run := func(tr *trace.Trace, cfgs []Config) []Result {
+		t.Helper()
+		res, err := Run(context.Background(), Job{Configs: cfgs}, tr.Reader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, w := range workloads.Names() {
+		tr, err := workloads.Trace(w, workloads.ScaleTest, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs {
+			res := run(tr, []Config{p.got, p.want})
+			if res[0].Stats != res[1].Stats {
+				t.Errorf("%s on %s: %+v\nwant %+v", p.name, w, res[0].Stats, res[1].Stats)
+			}
+		}
+		base := run(tr, named)
+		for _, k := range []uint64{1, 3} {
+			shift := k * DefaultCacheSize
+			moved := &trace.Trace{Name: tr.Name, Records: make([]trace.Record, len(tr.Records))}
+			for i, r := range tr.Records {
+				r.Addr += shift
+				moved.Records[i] = r
+			}
+			for i, res := range run(moved, named) {
+				if named[i].CacheSize != DefaultCacheSize {
+					t.Fatalf("%s: cache size %d, shift assumes %d", Describe(named[i]), named[i].CacheSize, DefaultCacheSize)
+				}
+				if res.Stats != base[i].Stats {
+					t.Errorf("%s on %s, addresses + %d: %+v\nwant %+v", Describe(named[i]), w, shift, res.Stats, base[i].Stats)
+				}
+			}
+		}
 	}
 }
 
@@ -199,9 +268,8 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamMatchesInMemory: the streaming path (a one-config
-// SimulateMany over a serialised trace) must produce byte-identical
-// statistics to the in-memory path.
+// TestSimulateStreamMatchesInMemory: Run over a serialised trace must
+// produce byte-identical statistics to Run over the same trace in memory.
 func TestSimulateStreamMatchesInMemory(t *testing.T) {
 	tr, err := workloads.Trace("SpMV", workloads.ScaleTest, 1)
 	if err != nil {
@@ -215,12 +283,12 @@ func TestSimulateStreamMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := SimulateMany(context.Background(), []Config{Soft()}, r)
+	results, err := Run(context.Background(), Job{Configs: []Config{Soft()}}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamed := results[0]
-	inMemory, err := Simulate(Soft(), tr)
+	inMemory, err := runOne(Soft(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +312,7 @@ func TestSeedStability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Simulate(Soft(), tr)
+			res, err := runOne(Soft(), tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,6 +326,20 @@ func TestSeedStability(t *testing.T) {
 	}
 }
 
+// runOne is Run with one configuration over an in-memory trace.
+func runOne(cfg Config, tr *trace.Trace) (Result, error) {
+	return runWarm(cfg, tr, 0)
+}
+
+// runWarm is runOne with a warmup prefix.
+func runWarm(cfg Config, tr *trace.Trace, warmup int) (Result, error) {
+	results, err := Run(context.Background(), Job{Configs: []Config{cfg}, Warmup: warmup}, tr.Reader())
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], nil
+}
+
 // TestSimulateWarm: warm-cache measurement must exclude the cold misses.
 // Two identical passes over a cache-fitting array: the cold pass misses on
 // every line, the warm pass not at all.
@@ -269,14 +351,14 @@ func TestSimulateWarm(t *testing.T) {
 			tr.Append(trace.Record{Addr: 0x10000 + uint64(8*i), Size: 8, Gap: 1})
 		}
 	}
-	cold, err := Simulate(Standard(), tr)
+	cold, err := runOne(Standard(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.Misses == 0 {
 		t.Fatal("cold pass should miss")
 	}
-	warm, err := SimulateWarm(Standard(), tr, words)
+	warm, err := runWarm(Standard(), tr, words)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,17 +372,85 @@ func TestSimulateWarm(t *testing.T) {
 		t.Fatalf("warm AMAT = %v, want 1.0", warm.AMAT())
 	}
 	// Warmup beyond the trace length is clamped, yielding empty stats.
-	empty, err := SimulateWarm(Standard(), tr, tr.Len()+10)
+	empty, err := runWarm(Standard(), tr, tr.Len()+10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if empty.Stats.References != 0 {
 		t.Fatalf("over-long warmup should leave nothing measured: %+v", empty.Stats)
 	}
+	if _, err := runWarm(Standard(), tr, -1); err == nil {
+		t.Fatal("negative warmup must be rejected")
+	}
 }
 
-// TestSimulateContextMatchesAccessLoop pins SimulateContext, which hands
-// the batched kernel BatchSize-record chunks, to a plain per-record Access
+// TestRunWarmup pins Run's warmup split on every source: around the batch
+// boundary (BatchSize = 2048), inside a later batch, exactly at and past
+// the trace's end, for one and three fused configs, over Trace.Reader and
+// flat and SCTZ bytes. Each result must equal a plain Access loop that
+// calls ResetStats after min(Warmup, len) records.
+func TestRunWarmup(t *testing.T) {
+	tr, err := workloads.Trace("MV", workloads.ScaleTest, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tr.Len()
+	if n < 3000 {
+		t.Fatalf("MV has %d records; the table needs more than 3000", n)
+	}
+	var sctz bytes.Buffer
+	if err := trace.WriteSCTZ(&sctz, tr); err != nil {
+		t.Fatal(err)
+	}
+	flat := encodeTrace(t, tr)
+	sources := []struct {
+		name string
+		open func() (trace.BatchReader, error)
+	}{
+		{"memory", func() (trace.BatchReader, error) { return tr.Reader(), nil }},
+		{"flat", func() (trace.BatchReader, error) { return trace.NewReaderBytes(flat) }},
+		{"sctz", func() (trace.BatchReader, error) { return trace.NewStreamReaderBytes(sctz.Bytes()) }},
+	}
+	for _, cfgs := range [][]Config{{Soft()}, {Standard(), Soft(), Victim()}} {
+		for _, warmup := range []int{0, 1, 2047, 2048, 3000, n, n + 10} {
+			want := make([]cache.Stats, len(cfgs))
+			for i, cfg := range cfgs {
+				sim, err := cache.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := min(warmup, n)
+				for _, r := range tr.Records[:w] {
+					sim.Access(r)
+				}
+				sim.ResetStats()
+				for _, r := range tr.Records[w:] {
+					sim.Access(r)
+				}
+				want[i] = sim.Stats()
+			}
+			for _, src := range sources {
+				r, err := src.open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run(context.Background(), Job{Configs: cfgs, Warmup: warmup}, r)
+				if err != nil {
+					t.Fatalf("%s, warmup %d: %v", src.name, warmup, err)
+				}
+				for i := range cfgs {
+					if !reflect.DeepEqual(got[i].Stats, want[i]) {
+						t.Errorf("%s, %d configs, warmup %d, config %s: Run diverges from the Access loop:\ngot:  %+v\nwant: %+v",
+							src.name, len(cfgs), warmup, Describe(cfgs[i]), got[i].Stats, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSimulateContextMatchesAccessLoop pins Run, which hands the batched
+// kernel BatchSize-record chunks, to a plain per-record Access
 // loop for every named design, with and without the runtime invariant
 // checker. The random trace spans many chunks and a partial last one, and
 // carries software prefetches; MV is a structured workload.
@@ -318,7 +468,7 @@ func TestSimulateContextMatchesAccessLoop(t *testing.T) {
 			}
 			cfg := WithRuntimeChecks(base, checks)
 			for _, tr := range traces {
-				got, err := SimulateContext(context.Background(), cfg, tr)
+				got, err := runOne(cfg, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -330,7 +480,7 @@ func TestSimulateContextMatchesAccessLoop(t *testing.T) {
 					sim.Access(r)
 				}
 				if want := sim.Stats(); !reflect.DeepEqual(got.Stats, want) {
-					t.Errorf("%s (checks=%v) on %s: SimulateContext diverges from the Access loop:\ngot:  %+v\nwant: %+v",
+					t.Errorf("%s (checks=%v) on %s: Run diverges from the Access loop:\ngot:  %+v\nwant: %+v",
 						name, checks, tr.Name, got.Stats, want)
 				}
 			}

@@ -57,10 +57,10 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// streamOne runs cfg alone through the streaming kernel: the single-config
-// SimulateMany call that is the looped reference for the fused pass.
+// streamOne runs cfg alone through Run: the single-config pass that is the
+// looped reference for the fused one.
 func streamOne(cfg Config, r trace.BatchReader) (Result, error) {
-	results, err := SimulateMany(context.Background(), []Config{cfg}, r)
+	results, err := Run(context.Background(), Job{Configs: []Config{cfg}}, r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -79,12 +79,12 @@ func requireIdenticalResults(t *testing.T, cfgs []Config, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := SimulateMany(context.Background(), cfgs, r)
+	fused, err := Run(context.Background(), Job{Configs: cfgs}, r)
 	if err != nil {
-		t.Fatalf("SimulateMany: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(fused) != len(cfgs) {
-		t.Fatalf("SimulateMany returned %d results for %d configs", len(fused), len(cfgs))
+		t.Fatalf("Run returned %d results for %d configs", len(fused), len(cfgs))
 	}
 	for i, cfg := range cfgs {
 		r, err := trace.NewReaderBytes(data)
@@ -103,7 +103,7 @@ func requireIdenticalResults(t *testing.T, cfgs []Config, data []byte) {
 }
 
 // TestSimulateManyMatchesStream is the fused kernel's core contract: over
-// every workload, the result of one SimulateMany pass across the full
+// every workload, the result of one Run pass across the full
 // variant matrix is byte-identical to streaming each configuration on its
 // own. -short trims the sweep to one workload.
 func TestSimulateManyMatchesStream(t *testing.T) {
@@ -173,8 +173,8 @@ func TestSimulateManyRandomTraces(t *testing.T) {
 	}
 }
 
-// TestSimulateManyTraceMatchesStream pins the in-memory fused entry point
-// to the same contract as the streaming one.
+// TestSimulateManyTraceMatchesStream pins the in-memory wrapper kept for
+// the benchmark harness (Run over Trace.Reader) to the streaming contract.
 func TestSimulateManyTraceMatchesStream(t *testing.T) {
 	tr, err := workloads.Trace("SpMV", workloads.ScaleTest, 1)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestSimulateManyTraceMatchesStream(t *testing.T) {
 
 // TestSimulateManyCancellation verifies that cancellation discards partial
 // results consistently: the caller gets a nil slice and an error wrapping
-// context.Canceled, from both fused entry points.
+// context.Canceled, from Run and from the in-memory wrapper.
 func TestSimulateManyCancellation(t *testing.T) {
 	tr, err := workloads.Trace("MV", workloads.ScaleTest, 1)
 	if err != nil {
@@ -218,12 +218,12 @@ func TestSimulateManyCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateMany(ctx, cfgs, r)
+	res, err := Run(ctx, Job{Configs: cfgs}, r)
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("SimulateMany on cancelled ctx: err = %v, want context.Canceled", err)
+		t.Errorf("Run on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Errorf("SimulateMany on cancelled ctx returned partial results: %+v", res)
+		t.Errorf("Run on cancelled ctx returned partial results: %+v", res)
 	}
 
 	res, err = SimulateManyTrace(ctx, cfgs, tr)
@@ -249,12 +249,12 @@ func TestSimulateManyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateMany(context.Background(), nil, r)
+	res, err := Run(context.Background(), Job{}, r)
 	if err != nil {
-		t.Fatalf("SimulateMany with no configs: %v", err)
+		t.Fatalf("Run with no configs: %v", err)
 	}
 	if len(res) != 0 {
-		t.Fatalf("SimulateMany with no configs returned %d results", len(res))
+		t.Fatalf("Run with no configs returned %d results", len(res))
 	}
 
 	bad := Standard()
@@ -263,7 +263,7 @@ func TestSimulateManyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateMany(context.Background(), []Config{Standard(), bad}, r); err == nil {
-		t.Fatal("SimulateMany accepted an invalid config")
+	if _, err := Run(context.Background(), Job{Configs: []Config{Standard(), bad}}, r); err == nil {
+		t.Fatal("Run accepted an invalid config")
 	}
 }

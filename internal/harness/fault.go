@@ -140,7 +140,7 @@ func (o FaultOutcome) Contained(wantParseError bool) bool {
 }
 
 // RunFaults pushes every corpus case through trace.Read and — when the
-// stream parses — core.SimulateContext with runtime invariant checks
+// stream parses — core.Run with runtime invariant checks
 // enabled, all under the harness's panic containment. It returns the
 // outcomes in corpus order plus the failed-run results for any case that
 // panicked or was mishandled.
@@ -168,12 +168,12 @@ func RunFaults(ctx context.Context, corpus []FaultCase, cfg core.Config, opts Op
 				if fc.WantParseError {
 					return out, fmt.Errorf("harness: case %s: corrupt stream accepted by parser", fc.Name)
 				}
-				res, err := core.SimulateContext(runCtx, cfg, tr)
+				res, err := core.Run(runCtx, core.Job{Configs: []core.Config{cfg}}, tr.Reader())
 				if err != nil {
 					out.SimErr = err.Error()
 					return out, nil
 				}
-				out.References = res.Stats.References
+				out.References = res[0].Stats.References
 				return out, nil
 			},
 		}

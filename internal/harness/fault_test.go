@@ -108,7 +108,7 @@ func TestInvariantPanicBecomesFailedRun(t *testing.T) {
 		Run: func(ctx context.Context) (core.Result, error) {
 			// Simulate with checks on; then inject an impossible state by
 			// panicking the way the checker does.
-			_, err := core.SimulateContext(ctx, core.WithRuntimeChecks(core.Soft(), true), tr)
+			_, err := core.Run(ctx, core.Job{Configs: []core.Config{core.WithRuntimeChecks(core.Soft(), true)}}, tr.Reader())
 			if err != nil {
 				return core.Result{}, err
 			}

@@ -7,7 +7,7 @@ import (
 
 // Fused is the journal value of a fused multi-configuration unit: one
 // value per configuration of a group that was simulated in a single trace
-// pass (core.SimulateMany). The config descriptions ride along in the
+// pass (core.Run). The config descriptions ride along in the
 // journal so a resume can verify the group behind a key still has the
 // same shape and order — without them, editing a sweep axis between runs
 // would silently replay stale values under matching keys.

@@ -16,7 +16,7 @@ import (
 
 // TestFaultCorpusFused pushes the fault-injection corpus through the fused
 // kernel: each corpus case becomes one FusedUnit whose single trace pass
-// drives a whole config group (core.SimulateManyTrace). The containment
+// drives a whole config group (core.Run). The containment
 // contract is the same as the per-config pipeline's — framing faults are
 // rejected by the parser, semantic faults simulate or fail with an error,
 // and no case may escape as a panic — but the code path is the fused
@@ -57,7 +57,7 @@ func TestFaultCorpusFused(t *testing.T) {
 				if fc.WantParseError {
 					return nil, fmt.Errorf("corrupt stream accepted by parser")
 				}
-				results, err := core.SimulateManyTrace(runCtx, cfgs, parsed)
+				results, err := core.Run(runCtx, core.Job{Configs: cfgs}, parsed.Reader())
 				if err != nil {
 					// A structured simulation failure is contained too.
 					return make([]float64, len(cfgs)), nil

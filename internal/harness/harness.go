@@ -42,7 +42,7 @@ type Unit[T any] struct {
 	// crash report alone is enough to replay the unit deterministically.
 	Meta map[string]string
 	// Run computes the unit's value. It must honour ctx cancellation for
-	// timeouts to take effect (see core.SimulateContext).
+	// timeouts to take effect (see core.Run).
 	Run func(ctx context.Context) (T, error)
 	// Validate, when non-nil, vets a journal value before it is replayed
 	// on resume. A non-nil error rejects the entry and the unit re-runs —

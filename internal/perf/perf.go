@@ -5,9 +5,9 @@
 //
 // A row is (layer, workload, scale, set). Three layers are measured:
 //
-//   - kernel: one single-config core.SimulateMany pass per config in the
+//   - kernel: one single-config core.Run pass per config in the
 //     set;
-//   - fused: one core.SimulateMany pass for the whole set;
+//   - fused: one core.Run pass for the whole set;
 //   - decode: one drain of the trace through one codec, so the set is
 //     "flat" or "sctz".
 //
@@ -455,7 +455,7 @@ func newLeg(ctx context.Context, s Spec, traces corpus) (leg, error) {
 			if err != nil {
 				return nil, err
 			}
-			return core.SimulateMany(ctx, cfgs, r)
+			return core.Run(ctx, core.Job{Configs: cfgs}, r)
 		}
 	case layerKernel:
 		l.pass = func() ([]core.Result, error) {
@@ -465,7 +465,7 @@ func newLeg(ctx context.Context, s Spec, traces corpus) (leg, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := core.SimulateMany(ctx, []core.Config{cfg}, r)
+				res, err := core.Run(ctx, core.Job{Configs: []core.Config{cfg}}, r)
 				if err != nil {
 					return nil, err
 				}

@@ -1,5 +1,5 @@
 // Package serve is the simulation-as-a-service layer: an HTTP JSON API
-// over the fused simulation kernel (core.SimulateManyTrace), fronted by a
+// over the fused simulation kernel (core.Run), fronted by a
 // byte-budgeted decoded-trace cache with request coalescing and a bounded
 // worker pool with backpressure. softcache-served is the daemon binary;
 // everything here is importable so tests can spin the whole service on a

@@ -104,7 +104,7 @@ func TestWorkloadsEndpoint(t *testing.T) {
 }
 
 // TestSimulateTextMatchesSharedReport pins /v1/simulate?format=text to the
-// shared renderer over an independently computed core.Simulate run. The
+// shared renderer over an independently computed core.Run. The
 // CLI side of the bridge (cmd/softcache-sim's TestOutputIsSharedReport)
 // pins softcache-sim to the same renderer, making daemon and CLI output
 // byte-identical for identical runs.
@@ -120,12 +120,12 @@ func TestSimulateTextMatchesSharedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Simulate(core.Soft(), tr)
+	res, err := core.Run(context.Background(), core.Job{Configs: []core.Config{core.Soft()}}, tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	metrics.SimulationReport(&want, tr.CountTags(), res)
+	metrics.SimulationReport(&want, tr.CountTags(), res[0])
 	if string(body) != want.String() {
 		t.Fatalf("text output diverged from metrics.SimulationReport:\n--- server\n%s--- shared\n%s", body, want.String())
 	}
@@ -152,18 +152,18 @@ func TestSimulateJSON(t *testing.T) {
 	}
 	soft := core.Soft()
 	soft.VirtualLineSize = 128
-	for i, cfg := range []core.Config{core.Standard(), soft} {
-		want, err := core.Simulate(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
+	wants, err := core.Run(context.Background(), core.Job{Configs: []core.Config{core.Standard(), soft}}, tr.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range wants {
 		got := resp.Results[i]
 		if got.Config != want.Config || got.AMAT != want.AMAT() || got.MissRatio != want.MissRatio() {
 			t.Fatalf("result %d: got %+v want config=%s amat=%v miss=%v",
 				i, got, want.Config, want.AMAT(), want.MissRatio())
 		}
 		if got.Stats != want.Stats {
-			t.Fatalf("result %d: stats diverged from core.Simulate", i)
+			t.Fatalf("result %d: stats diverged from core.Run", i)
 		}
 	}
 	if resp.References != uint64(len(tr.Records)) {
@@ -426,12 +426,12 @@ func TestSweepEndpoint(t *testing.T) {
 			if cfg, err = core.ApplyAxis(cfg, "cache", kb); err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.Simulate(cfg, tr)
+			want, err := core.Run(context.Background(), core.Job{Configs: []core.Config{cfg}}, tr.Reader())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := resp.Rows[i][j]; got != want.AMAT() {
-				t.Fatalf("cell [%d][%d]: got %v, want %v", i, j, got, want.AMAT())
+			if got := resp.Rows[i][j]; got != want[0].AMAT() {
+				t.Fatalf("cell [%d][%d]: got %v, want %v", i, j, got, want[0].AMAT())
 			}
 		}
 	}

@@ -237,8 +237,8 @@ func (s *Server) loadTrace(ctx context.Context, key string, load func() (*trace.
 }
 
 // runFused executes one config group as a single harness unit: one fused
-// trace pass (run is core.SimulateManyTrace over a cached trace, or
-// core.SimulateMany over a streamed body) with panic containment and the
+// trace pass (run is core.Run over a cached trace's Reader or over a
+// streamed body) with panic containment and the
 // per-request deadline, mapped to an HTTP outcome. onErr, when non-nil,
 // maps a run error to its status; nil means run errors are the server's
 // fault (500) — the cached path validated everything up front.
@@ -327,7 +327,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// from a vanished client.
 		results, aerr := s.runFused(r.Context(), deadline, plan.traceKey, plan.descs,
 			func(runCtx context.Context) ([]core.Result, error) {
-				return core.SimulateManyTrace(runCtx, plan.cfgs, tr)
+				return core.Run(runCtx, core.Job{Configs: plan.cfgs}, tr.Reader())
 			}, nil)
 		if aerr != nil {
 			return nil, aerr
@@ -401,7 +401,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			rowCfgs := cfgs
 			results, aerr := s.runFused(r.Context(), deadline, key, plan.rowDescs[i],
 				func(runCtx context.Context) ([]core.Result, error) {
-					return core.SimulateManyTrace(runCtx, rowCfgs, tr)
+					return core.Run(runCtx, core.Job{Configs: rowCfgs}, tr.Reader())
 				}, nil)
 			if aerr != nil {
 				return nil, aerr

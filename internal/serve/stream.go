@@ -281,7 +281,7 @@ func (s *Server) streamSimulate(rctx context.Context, plan *streamPlan, body io.
 
 	results, aerr := s.runFused(rctx, deadline, "stream:"+rd.Name(), plan.descs,
 		func(runCtx context.Context) ([]core.Result, error) {
-			return core.SimulateMany(runCtx, plan.cfgs, rd)
+			return core.Run(runCtx, core.Job{Configs: plan.cfgs}, rd)
 		}, streamBodyError)
 	if aerr != nil {
 		return nil, aerr

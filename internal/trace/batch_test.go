@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,7 +30,7 @@ func randomTrace(seed int64, n int) *Trace {
 
 // drainBatch decodes a whole stream through ReadBatch with the given
 // destination size.
-func drainBatch(t *testing.T, r *Reader, batchLen int) []Record {
+func drainBatch(t *testing.T, r BatchReader, batchLen int) []Record {
 	t.Helper()
 	var out []Record
 	dst := make([]Record, batchLen)
@@ -48,6 +49,7 @@ func drainBatch(t *testing.T, r *Reader, batchLen int) []Record {
 // TestReadBatchMatchesNext is the decode-parity test: every record decoded
 // by the batched path must be bit-identical to the one-at-a-time path,
 // whatever the destination size and however the reader was constructed.
+// The in-memory Trace.Reader is held to the same records.
 func TestReadBatchMatchesNext(t *testing.T) {
 	tr := randomTrace(7, 10_000)
 	var buf bytes.Buffer
@@ -100,6 +102,13 @@ func TestReadBatchMatchesNext(t *testing.T) {
 			if r.Offset() != int64(len(data)) {
 				t.Errorf("%s batchLen=%d: offset %d after drain, want %d", mk.name, batchLen, r.Offset(), len(data))
 			}
+		}
+		mem := tr.Reader()
+		if got := drainBatch(t, mem, batchLen); !slices.Equal(got, want) {
+			t.Fatalf("Trace.Reader batchLen=%d: records differ from Next", batchLen)
+		}
+		if n, err := mem.ReadBatch(make([]Record, 1)); n != 0 || err != io.EOF {
+			t.Fatalf("Trace.Reader after the last record = (%d, %v), want (0, EOF)", n, err)
 		}
 	}
 }

@@ -174,7 +174,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // NewReaderBytes is NewReader for a trace already resident in memory: the
 // records are decoded straight from data with no intermediate buffer, the
-// fastest way to drive SimulateMany (used by the perf harness, where the
+// fastest way to drive core.Run (used by the perf harness, where the
 // trace bytes are pinned in RAM so disk speed cannot pollute the kernel
 // measurement).
 func NewReaderBytes(data []byte) (*Reader, error) {
@@ -276,7 +276,7 @@ var flagProto = func() (t [256]Record) {
 const BatchSize = 2048
 
 // batchPool recycles ReadBatch destination slices so that streaming
-// consumers (core.SimulateMany, Read, the perf harness) perform no
+// consumers (core.Run, Read, the perf harness) perform no
 // per-chunk allocations in steady state. Pointers-to-slice avoid the
 // allocation that storing a bare slice header in an interface would cost.
 var batchPool = sync.Pool{
@@ -433,4 +433,29 @@ func ReadAll(r BatchReader) (*Trace, error) {
 			return nil, err
 		}
 	}
+}
+
+// Reader returns a BatchReader over the trace's records, so an in-memory
+// trace feeds every streaming consumer (core.Run above all) through the
+// same contract as a decoded file. Each ReadBatch copies the next records
+// into dst; the trace itself is never modified.
+func (t *Trace) Reader() BatchReader { return &sliceReader{t: t} }
+
+// sliceReader is the BatchReader behind Trace.Reader.
+type sliceReader struct {
+	t   *Trace
+	off int
+}
+
+func (r *sliceReader) Name() string { return r.t.Name }
+
+func (r *sliceReader) Len() int { return len(r.t.Records) }
+
+func (r *sliceReader) ReadBatch(dst []Record) (int, error) {
+	if r.off == len(r.t.Records) {
+		return 0, io.EOF
+	}
+	n := copy(dst, r.t.Records[r.off:])
+	r.off += n
+	return n, nil
 }

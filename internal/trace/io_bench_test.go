@@ -46,7 +46,7 @@ func BenchmarkNext(b *testing.B) {
 	}
 }
 
-// BenchmarkReadBatch measures the chunked decode path that SimulateMany
+// BenchmarkReadBatch measures the chunked decode path that core.Run
 // uses, across destination sizes bracketing the pooled
 // BatchSize: the decode cost per record should be flat once the per-call
 // overhead is amortised, which is what justifies 2048 as the pool shape.

@@ -10,7 +10,7 @@ import (
 
 // Reader streams a program's trace one batch at a time: a
 // trace.BatchReader over a running generator, so a consumer such as
-// core.SimulateMany simulates the trace without it ever being held in
+// core.Run simulates the trace without it ever being held in
 // memory. Its records are Generate's, batch by batch, and Len is the
 // counting pass's exact record count.
 //

@@ -212,9 +212,9 @@ func TestReaderStopsEarlyWithoutLeaks(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	r := open()
-	_, err := core.SimulateMany(ctx, []core.Config{core.Standard(), core.Soft()}, cancelAfterFirst{r, cancel})
+	_, err := core.Run(ctx, core.Job{Configs: []core.Config{core.Standard(), core.Soft()}}, cancelAfterFirst{r, cancel})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SimulateMany on a canceled context: err = %v, want context.Canceled", err)
+		t.Fatalf("core.Run on a canceled context: err = %v, want context.Canceled", err)
 	}
 	r.Close()
 
