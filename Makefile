@@ -42,13 +42,13 @@ perf-check:
 # Regenerate every figure of the paper at full scale, refreshing
 # EXPERIMENTS.md, results/*.csv and results/figures.html.
 figures:
-	$(GO) run ./cmd/softcache-bench -all -scale paper -workers 4 \
+	$(GO) run ./cmd/softcache-bench -all -scale paper \
 		-md EXPERIMENTS.md -csv results -html results/figures.html
 
 # Push the fault-injection corpus through the trace -> simulate pipeline:
 # every corrupted input must end in an error, never a panic.
 faults:
-	$(GO) run ./cmd/softcache-bench -faults -workers 4
+	$(GO) run ./cmd/softcache-bench -faults
 
 # Run the simulation service daemon on the default port. See docs/SERVE.md.
 serve:

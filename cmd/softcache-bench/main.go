@@ -5,7 +5,6 @@
 //	softcache-bench -all                   # every figure, paper scale
 //	softcache-bench -fig 6a -fig 7b        # selected figures
 //	softcache-bench -all -scale test       # quick pass at test scale
-//	softcache-bench -all -workers 4        # four figures in flight
 //	softcache-bench -all -journal run.jsonl -resume   # checkpoint/resume
 //	softcache-bench -faults                # fault-injection corpus
 //	softcache-bench -list                  # list figure ids
@@ -13,14 +12,16 @@
 // Each figure prints its table(s) — same rows and series as the paper's
 // plot — followed by the qualitative shape checks. The simulations inside
 // a figure already use every core: the rows of all figures in flight
-// share one process-wide budget of GOMAXPROCS workers, so -workers sets
-// how many figures are in flight, not how many cores they use. Figures
-// run on the experiment harness (internal/harness): -workers at once, each
-// bounded by -timeout, with panics converted into structured failed-run
-// records on stderr and completed figures checkpointed to -journal so an
-// interrupted run resumes with -resume instead of recomputing. Reports are
-// printed in paper order regardless of worker count, so the output is
-// byte-identical (elapsed times aside) whether one worker ran or sixteen.
+// share one process-wide budget of GOMAXPROCS workers. Figures run on the
+// experiment harness (internal/harness): GOMAXPROCS of them in flight
+// (set GOMAXPROCS=1 for one core), each bounded by -timeout, with panics
+// converted into structured failed-run records on stderr and completed
+// figures checkpointed to -journal so an interrupted run resumes with
+// -resume instead of recomputing. A figure's journal key names the
+// figure, scale, seed and kernel version, so a journal written by
+// another kernel generation re-runs rather than replaying stale tables.
+// Reports are printed in paper order regardless of worker count, so the
+// output is byte-identical (elapsed times aside) whatever GOMAXPROCS is.
 //
 // The process exits 0 on success, 1 when any figure fails, panics, times
 // out or has failing shape checks, and 2 on usage errors.
@@ -33,6 +34,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"time"
 
 	"softcache/internal/bench"
@@ -70,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mdPath := fs.String("md", "", "also write a Markdown report (EXPERIMENTS.md format) to this file")
 	csvDir := fs.String("csv", "", "also write one CSV per figure table into this directory")
 	htmlPath := fs.String("html", "", "also write an HTML report with SVG charts to this file")
-	workers := fs.Int("workers", 1, "figures in flight")
 	timeout := fs.Duration("timeout", 0, "per-figure timeout (0 = none)")
 	journal := fs.String("journal", "", "append completed figures to this JSONL checkpoint file")
 	resume := fs.Bool("resume", false, "replay figures already completed in -journal instead of re-running them")
@@ -94,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	opts := harness.Options{
-		Workers:     *workers,
+		Workers:     runtime.GOMAXPROCS(0),
 		Timeout:     *timeout,
 		JournalPath: *journal,
 		Resume:      *resume,
@@ -141,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seen[id] = true
 		id := id
 		units = append(units, harness.Unit[*bench.Report]{
-			Key: fmt.Sprintf("fig:%s/scale=%s/seed=%d", id, *scaleName, *seed),
+			Key: fmt.Sprintf("fig:%s/scale=%s/seed=%d/kernel=%s", id, *scaleName, *seed, core.KernelVersion),
 			Meta: map[string]string{
 				"figure": id,
 				"scale":  *scaleName,

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"softcache/internal/core"
 )
 
 func runBench(t *testing.T, args ...string) (string, string, int) {
@@ -100,19 +103,22 @@ func stripElapsed(s string) string {
 }
 
 // TestParallelMatchesSequential: reports and shape checks are
-// byte-identical whatever the worker count (timing lines aside).
+// byte-identical whatever the worker count, which follows GOMAXPROCS
+// (timing lines aside).
 func TestParallelMatchesSequential(t *testing.T) {
 	args := []string{"-fig", "6a", "-fig", "6b", "-fig", "4a", "-scale", "test"}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seq, errb, code := runBench(t, args...)
 	if code != 0 {
 		t.Fatalf("sequential: exit %d: %s", code, errb)
 	}
-	par, errb, code := runBench(t, append(args, "-workers", "3")...)
+	runtime.GOMAXPROCS(4)
+	par, errb, code := runBench(t, args...)
 	if code != 0 {
 		t.Fatalf("parallel: exit %d: %s", code, errb)
 	}
 	if stripElapsed(seq) != stripElapsed(par) {
-		t.Fatalf("parallel output differs:\n--- workers=1\n%s\n--- workers=3\n%s", seq, par)
+		t.Fatalf("parallel output differs:\n--- GOMAXPROCS=1\n%s\n--- GOMAXPROCS=4\n%s", seq, par)
 	}
 }
 
@@ -140,10 +146,39 @@ func TestJournalResume(t *testing.T) {
 	}
 }
 
+// TestJournalFromAnotherKernelReruns: a figure's key carries the kernel
+// version, so a journal line written under a key without it — as an older
+// kernel generation wrote them — is not replayed.
+func TestJournalFromAnotherKernelReruns(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "bench.jsonl")
+	args := []string{"-fig", "6a", "-scale", "test", "-journal", journal}
+	if _, errb, code := runBench(t, args...); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, errb)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suffix := "/kernel=" + core.KernelVersion
+	if !bytes.Contains(data, []byte(suffix)) {
+		t.Fatalf("journal key lacks %q:\n%s", suffix, data)
+	}
+	if err := os.WriteFile(journal, bytes.ReplaceAll(data, []byte(suffix), nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errb, code := runBench(t, append(args, "-resume")...)
+	if code != 0 {
+		t.Fatalf("resume run: exit %d: %s", code, errb)
+	}
+	if strings.Contains(out, "(resumed)") || strings.Contains(errb, "resumed fig:") {
+		t.Fatalf("figure replayed from a key without the kernel version:\n%s\n%s", out, errb)
+	}
+}
+
 // TestFaultsMode: the fault-injection corpus runs to completion with every
 // case contained.
 func TestFaultsMode(t *testing.T) {
-	out, errb, code := runBench(t, "-faults", "-workers", "4")
+	out, errb, code := runBench(t, "-faults")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}

@@ -8,7 +8,7 @@
 //	softcache-sweep -workload SpMV -config soft \
 //	    -x cache=4,8,16,32 -y vline=0,64,128,256 -metric miss
 //	softcache-sweep -source kernel.loop -x line=16,32,64 -metric traffic
-//	softcache-sweep -workload MV -x cache=4,8,16,32 -workers 4
+//	softcache-sweep -workload MV -x cache=4,8 -journal j.jsonl -resume
 //
 // Axes: cache (KiB), line (bytes), vline (bytes; 0 disables), latency
 // (cycles), assoc (ways), bb (bounce-back lines), sbuf (stream buffers).
@@ -17,15 +17,15 @@
 // The x axis is fused: each matrix row is one unit that simulates all of
 // its configurations in a single pass over the trace (core.Run),
 // so the trace is decoded once per row instead of once per cell. Rows run
-// on the experiment harness (internal/harness): in parallel under
-// -workers, each bounded by -timeout, with panics converted into
-// structured failed-run records on stderr and completed rows checkpointed
-// to -journal so an interrupted sweep resumes with -resume. A journaled
-// row replays only while its config group (the -x axis) is unchanged;
-// reshaping the axis re-runs the rows it touches. Journals written by
-// per-cell versions of this tool do not resume (the keys changed from
-// cell: to row:). The matrix is printed in row-major order regardless of
-// worker count.
+// on the experiment harness (internal/harness): in parallel on GOMAXPROCS
+// workers (set GOMAXPROCS=1 for one core), each bounded by -timeout, with
+// panics converted into structured failed-run records on stderr and
+// completed rows checkpointed to -journal so an interrupted sweep resumes
+// with -resume. A row's journal key names its label and a digest of the
+// trace, the metric, the kernel version and the row's resolved configs,
+// so a journaled row replays only for the same computation: changing the
+// workload, seed, base config, either axis, the metric or -check re-runs
+// it. The matrix is printed in row-major order regardless of worker count.
 //
 // The process exits 0 on success, 1 when any cell fails, and 2 on usage
 // errors (bad axes, unknown metric or config).
@@ -33,11 +33,15 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -68,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	xSpec := fs.String("x", "", "swept axis: key=v1,v2,... (columns)")
 	ySpec := fs.String("y", "", "optional second axis (rows)")
 	metric := fs.String("metric", "amat", "metric: amat, miss or traffic")
-	workers := fs.Int("workers", 1, "sweep rows simulated in parallel")
 	timeout := fs.Duration("timeout", 0, "per-row timeout (0 = none)")
 	journal := fs.String("journal", "", "append completed rows to this JSONL checkpoint file")
 	resume := fs.Bool("resume", false, "replay rows already completed in -journal instead of re-running them")
@@ -84,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return cli.Exit(stderr, tool, cli.Usage(err))
 	}
-	yAxis := core.Axis{Key: "", Values: []int{0}}
+	var yAxis core.Axis
 	if *ySpec != "" {
 		yAxis, err = core.ParseAxis(*ySpec)
 		if err != nil {
@@ -111,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := harness.Options{
-		Workers:     *workers,
+		Workers:     runtime.GOMAXPROCS(0),
 		Timeout:     *timeout,
 		JournalPath: *journal,
 		Resume:      *resume,
@@ -122,31 +125,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One fused unit per matrix row: the x axis becomes a config group
-	// simulated in a single trace pass (core.Run), so the
-	// trace is walked once per row instead of once per cell. -workers
-	// parallelism spans rows; the journal records one entry per
-	// (row, config-group), and resume validates the recorded group against
-	// the current x axis so editing -x re-runs exactly the rows it changes.
+	// simulated in a single trace pass (core.Run), so the trace is walked
+	// once per row instead of once per cell. Rows run in parallel and the
+	// journal records one entry per row.
+	grid, err := core.Grid(base, xAxis, yAxis)
+	if err != nil {
+		return cli.Exit(stderr, tool, cli.Usage(err))
+	}
 	fingerprint := fmt.Sprintf("%016x", t.Fingerprint())
 	xLabels := make([]string, len(xAxis.Values))
 	for i, x := range xAxis.Values {
 		xLabels[i] = fmt.Sprintf("%s=%d", xAxis.Key, x)
 	}
-	var units []harness.Unit[harness.Fused[float64]]
-	for _, y := range yAxis.Values {
-		rowBase := base
-		if yAxis.Key != "" {
-			if rowBase, err = core.ApplyAxis(rowBase, yAxis.Key, y); err != nil {
-				return cli.Exit(stderr, tool, cli.Usage(err))
-			}
-		}
-		cfgs := make([]core.Config, len(xAxis.Values))
-		for i, x := range xAxis.Values {
-			if cfgs[i], err = core.ApplyAxis(rowBase, xAxis.Key, x); err != nil {
-				return cli.Exit(stderr, tool, cli.Usage(err))
-			}
-		}
-		key := fmt.Sprintf("row:%s", xAxis.Key)
+	units := make([]harness.Unit[[]float64], len(grid))
+	for i, cfgs := range grid {
+		label := xAxis.Key
 		meta := map[string]string{
 			"config": *configName,
 			"metric": *metric,
@@ -155,11 +148,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"x":      strings.Join(xLabels, " "),
 		}
 		if yAxis.Key != "" {
-			key = fmt.Sprintf("row:%s=%d,%s", yAxis.Key, y, xAxis.Key)
-			meta[yAxis.Key] = fmt.Sprint(y)
+			label = fmt.Sprintf("%s=%d,%s", yAxis.Key, yAxis.Values[i], xAxis.Key)
+			meta[yAxis.Key] = fmt.Sprint(yAxis.Values[i])
 		}
-		units = append(units, harness.FusedUnit(key, meta, xLabels,
-			func(runCtx context.Context) ([]float64, error) {
+		digest, err := rowDigest(fingerprint, *metric, cfgs)
+		if err != nil {
+			return cli.Exit(stderr, tool, err)
+		}
+		units[i] = harness.Unit[[]float64]{
+			Key:  "row:" + label + "/" + digest,
+			Meta: meta,
+			Run: func(runCtx context.Context) ([]float64, error) {
 				results, err := core.Run(runCtx, core.Job{Configs: cfgs}, t.Reader())
 				if err != nil {
 					return nil, err
@@ -171,7 +170,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 					}
 				}
 				return row, nil
-			}))
+			},
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -179,6 +179,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	results, err := harness.Run(ctx, units, opts)
 	if err != nil {
 		return cli.Exit(stderr, tool, err)
+	}
+	for i := range results {
+		// A journal is outside input: a replayed row of the wrong width
+		// (a hand-edited line) fails instead of misprinting the matrix.
+		if r := &results[i]; r.OK() && len(r.Value) != len(xAxis.Values) {
+			r.Status, r.Err = harness.StatusFailed, fmt.Errorf("journaled row %s has %d values, want %d", r.Key, len(r.Value), len(xAxis.Values))
+			fmt.Fprintln(stderr, r.FailureRecord())
+		}
 	}
 
 	// Header row.
@@ -193,17 +201,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, strings.Join(head, ","))
 
-	for i, y := range yAxis.Values {
+	for i, r := range results {
 		row := make([]string, 0, len(xAxis.Values)+1)
 		if yAxis.Key == "" {
 			row = append(row, *metric)
 		} else {
-			row = append(row, strconv.Itoa(y))
+			row = append(row, strconv.Itoa(yAxis.Values[i]))
 		}
-		r := results[i]
 		for j := range xAxis.Values {
 			if r.OK() {
-				row = append(row, strconv.FormatFloat(r.Value.At(j), 'f', 4, 64))
+				row = append(row, strconv.FormatFloat(r.Value[j], 'f', 4, 64))
 			} else {
 				row = append(row, "error")
 			}
@@ -215,6 +222,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Exit(stderr, tool, fmt.Errorf("%s", s))
 	}
 	return cli.ExitOK
+}
+
+// rowDigest identifies everything a row's values depend on beyond its
+// label: the trace, the metric, the kernel generation and the row's
+// resolved configs (base config, y value, every x value, -check).
+func rowDigest(fingerprint, metric string, cfgs []core.Config) (string, error) {
+	canon, err := json.Marshal(cfgs)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00%s\x00", fingerprint, metric, core.KernelVersion)
+	h.Write(canon)
+	return hex.EncodeToString(h.Sum(nil)[:8]), nil
 }
 
 func loadTrace(workload, source, traceFile, scaleName string, seed uint64) (*trace.Trace, error) {

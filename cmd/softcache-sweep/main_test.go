@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"softcache/internal/core"
 	"softcache/internal/trace"
 	"softcache/internal/workloads"
 )
@@ -140,20 +144,22 @@ func TestSweepErrorPrefix(t *testing.T) {
 }
 
 // TestSweepParallelMatchesSequential: the matrix is byte-identical
-// whatever the worker count.
+// whatever the worker count, which follows GOMAXPROCS.
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	args := []string{"-workload", "SpMV", "-scale", "test",
 		"-x", "cache=4,8,16", "-y", "latency=10,20", "-metric", "miss"}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seq, errb, code := runSweep(t, args...)
 	if code != 0 {
 		t.Fatalf("sequential: exit %d: %s", code, errb)
 	}
-	par, errb, code := runSweep(t, append(args, "-workers", "4")...)
+	runtime.GOMAXPROCS(4)
+	par, errb, code := runSweep(t, args...)
 	if code != 0 {
 		t.Fatalf("parallel: exit %d: %s", code, errb)
 	}
 	if seq != par {
-		t.Fatalf("parallel output differs:\n--- workers=1\n%s--- workers=4\n%s", seq, par)
+		t.Fatalf("parallel output differs:\n--- GOMAXPROCS=1\n%s--- GOMAXPROCS=4\n%s", seq, par)
 	}
 }
 
@@ -179,9 +185,9 @@ func TestSweepResume(t *testing.T) {
 	}
 }
 
-// TestSweepResumeRejectsReshapedAxis: a journaled row is keyed by its row
-// identity but carries its config group; editing -x between runs must
-// re-run the row with the new group rather than replaying a stale value.
+// TestSweepResumeRejectsReshapedAxis: a journaled row's key covers its
+// config group; editing -x between runs must re-run the row with the new
+// group rather than replaying a stale value.
 func TestSweepResumeRejectsReshapedAxis(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
 	_, errb, code := runSweep(t, "-workload", "MV", "-scale", "test",
@@ -201,11 +207,106 @@ func TestSweepResumeRejectsReshapedAxis(t *testing.T) {
 	if cells := strings.Split(lines[1], ","); len(cells) != 3 || cells[1] == "error" || cells[2] == "error" {
 		t.Fatalf("row = %q", lines[1])
 	}
-	if !strings.Contains(errb, "rejected") {
-		t.Fatalf("reshaped axis not reported as rejected: %q", errb)
-	}
 	if strings.Contains(errb, "resumed row:") {
 		t.Fatalf("stale row replayed despite reshaped axis: %q", errb)
+	}
+}
+
+// TestSweepResumeKeyIsComplete: a row resumes only for the computation
+// that journaled it. Changing any input its values depend on — the
+// workload, the metric, the base config, the seed or the other axis —
+// re-runs the row and prints exactly what a fresh run prints; unchanged
+// arguments still resume every row.
+func TestSweepResumeKeyIsComplete(t *testing.T) {
+	base := []string{"-workload", "MV", "-scale", "test", "-x", "cache=4,8"}
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	first, errb, code := runSweep(t, append(base, "-journal", journal)...)
+	if code != 0 {
+		t.Fatalf("journaled run: exit %d: %s", code, errb)
+	}
+	resumed, errb, code := runSweep(t, append(base, "-journal", journal, "-resume")...)
+	if code != 0 || resumed != first {
+		t.Fatalf("unchanged resume: exit %d, matrix\n%s\nwant\n%s", code, resumed, first)
+	}
+	if n := strings.Count(errb, "resumed row:"); n != 1 {
+		t.Fatalf("unchanged resume replayed %d of 1 row: %q", n, errb)
+	}
+
+	// with replaces the flag's value in base, or appends the flag.
+	with := func(flag, value string) []string {
+		args := append([]string(nil), base...)
+		for i := 0; i < len(args); i += 2 {
+			if args[i] == flag {
+				args[i+1] = value
+				return args
+			}
+		}
+		return append(args, flag, value)
+	}
+	for _, args := range [][]string{
+		with("-workload", "SpMV"),
+		with("-metric", "miss"),
+		with("-config", "standard"),
+		with("-seed", "2"),
+		with("-y", fmt.Sprintf("latency=%d,%d", core.DefaultLatency/2, core.DefaultLatency*2)),
+	} {
+		fresh, errb, code := runSweep(t, args...)
+		if code != 0 {
+			t.Fatalf("%v fresh: exit %d: %s", args, code, errb)
+		}
+		// A private copy of the journal, so no case sees another's rows.
+		path := filepath.Join(t.TempDir(), "sweep.jsonl")
+		data, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, errb, code := runSweep(t, append(args, "-journal", path, "-resume")...)
+		if code != 0 {
+			t.Fatalf("%v resumed: exit %d: %s", args, code, errb)
+		}
+		if strings.Contains(errb, "resumed row:") {
+			t.Errorf("%v replayed another run's row: %q", args, errb)
+		}
+		if got != fresh {
+			t.Errorf("%v resumed matrix differs from a fresh run:\n%s\nwant\n%s", args, got, fresh)
+		}
+	}
+}
+
+// TestSweepResumeRejectsTornRow: a journaled row whose value has the
+// wrong width (a hand-edited line) fails the sweep instead of crashing it
+// or printing a torn matrix.
+func TestSweepResumeRejectsTornRow(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	args := []string{"-workload", "MV", "-scale", "test", "-x", "cache=4,8", "-journal", journal}
+	if _, errb, code := runSweep(t, args...); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, errb)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]any
+	if err := json.Unmarshal(data, &e); err != nil {
+		t.Fatal(err)
+	}
+	e["value"] = []float64{1}
+	torn, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, append(torn, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errb, code := runSweep(t, append(args, "-resume")...)
+	if code != 1 {
+		t.Fatalf("torn row: exit %d, want 1\n%s%s", code, out, errb)
+	}
+	if !strings.Contains(out, "amat,error,error") || !strings.Contains(errb, "has 1 values, want 2") {
+		t.Fatalf("torn row not reported:\n%s%s", out, errb)
 	}
 }
 

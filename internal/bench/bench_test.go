@@ -186,7 +186,7 @@ func TestColumnHelpers(t *testing.T) {
 }
 
 // TestRowsShareOneWorkerBudget drives several experiments at once on one
-// shared Context, the way softcache-bench -workers does through the
+// shared Context, the way softcache-bench does through the
 // harness, with rows that nest each. Rows in flight never exceed
 // GOMAXPROCS, the budget is actually used, and at GOMAXPROCS=1 the nested
 // callers still finish: they run their rows themselves instead of waiting
@@ -251,7 +251,7 @@ func TestRowsShareOneWorkerBudget(t *testing.T) {
 }
 
 // TestFiguresFinishOnOneWorker runs the figures with the most rows
-// concurrently, as softcache-bench -workers does, on a budget of one
+// concurrently, as softcache-bench does, on a budget of one
 // worker: they must finish, with the tables a sequential run produces.
 func TestFiguresFinishOnOneWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

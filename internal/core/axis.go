@@ -91,6 +91,33 @@ func ApplyAxis(cfg Config, key string, v int) (Config, error) {
 	return cfg, nil
 }
 
+// Grid builds the configuration matrix of a sweep: one row per y value,
+// each row base with the y value applied and then every x value in turn.
+// A y axis with an empty Key is a one-dimensional sweep: a single row of
+// base under x.
+func Grid(base Config, x, y Axis) ([][]Config, error) {
+	if y.Key == "" {
+		y.Values = []int{0}
+	}
+	var err error
+	rows := make([][]Config, len(y.Values))
+	for i, yv := range y.Values {
+		rowBase := base
+		if y.Key != "" {
+			if rowBase, err = ApplyAxis(base, y.Key, yv); err != nil {
+				return nil, err
+			}
+		}
+		rows[i] = make([]Config, len(x.Values))
+		for j, xv := range x.Values {
+			if rows[i][j], err = ApplyAxis(rowBase, x.Key, xv); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rows, nil
+}
+
 // MetricOf extracts the named scalar metric from a result: amat, miss or
 // traffic (words fetched per reference).
 func MetricOf(name string, r Result) (float64, error) {

@@ -33,9 +33,10 @@ import (
 // Unit is one independent piece of work.
 type Unit[T any] struct {
 	// Key is the stable identity of the unit, used for journaling and
-	// resume. Two units with the same key are assumed interchangeable, so
-	// the key must encode everything the result depends on (figure id,
-	// scale, seed, config, axis point...).
+	// resume. It is the only resume guard: a journaled value is replayed
+	// exactly when its key matches, so the key must encode everything the
+	// result depends on (figure id, scale, seed, trace, configs, metric,
+	// kernel version...).
 	Key string
 	// Meta carries reproduction metadata (workload, config description,
 	// seed, trace fingerprint). It is copied into failed-run records so a
@@ -44,12 +45,6 @@ type Unit[T any] struct {
 	// Run computes the unit's value. It must honour ctx cancellation for
 	// timeouts to take effect (see core.Run).
 	Run func(ctx context.Context) (T, error)
-	// Validate, when non-nil, vets a journal value before it is replayed
-	// on resume. A non-nil error rejects the entry and the unit re-runs —
-	// the structured analogue of an undecodable value. Fused units use it
-	// to detect that the config group behind a key has changed shape since
-	// the journal was written (see FusedUnit).
-	Validate func(T) error
 }
 
 // Status classifies the outcome of one unit.
@@ -237,15 +232,6 @@ func Run[T any](ctx context.Context, units []Unit[T], opts Options) ([]Result[T]
 		if raw, ok := resumable[u.Key]; ok {
 			var v T
 			if err := json.Unmarshal(raw, &v); err == nil {
-				if u.Validate != nil {
-					if verr := validateJournalValue(u, v); verr != nil {
-						if opts.Log != nil {
-							fmt.Fprintf(opts.Log, "harness: journal value for %s rejected (%v), re-running\n", u.Key, verr)
-						}
-						pending = append(pending, i)
-						continue
-					}
-				}
 				results[i] = Result[T]{Key: u.Key, Status: StatusResumed, Value: v, Meta: u.Meta}
 				if opts.Log != nil {
 					fmt.Fprintf(opts.Log, "harness: resumed %s from journal\n", u.Key)
@@ -300,20 +286,6 @@ func Run[T any](ctx context.Context, units []Unit[T], opts Options) ([]Result[T]
 		}
 	}
 	return results, nil
-}
-
-// validateJournalValue runs u.Validate with the same panic containment
-// execute gives u.Run. Journal bytes are external input — hand-edited,
-// written by an older build, or corrupted — so a Validate that panics on a
-// decoded value must reject it (forcing a clean re-run of the unit), not
-// crash the whole resumed run.
-func validateJournalValue[T any](u Unit[T], v T) (verr error) {
-	defer func() {
-		if p := recover(); p != nil {
-			verr = fmt.Errorf("harness: Validate for %s panicked: %v", u.Key, p)
-		}
-	}()
-	return u.Validate(v)
 }
 
 // execute runs one unit with panic containment and the per-unit deadline.

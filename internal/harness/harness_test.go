@@ -165,7 +165,7 @@ func TestJournalAndResume(t *testing.T) {
 	if s := Summarize(results); s.OK != 5 || s.Failed != 5 {
 		t.Fatalf("first pass summary = %+v", s)
 	}
-	entries, err := ReadEntries(journal)
+	entries, err := readEntries(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,5 +224,36 @@ func TestCorruptJournalFailsLoad(t *testing.T) {
 		Options{JournalPath: journal, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want corrupt-journal error naming line 2", err)
+	}
+}
+
+// TestResumeByKeyOnly: the key is the only resume guard. A journaled value
+// replays under its exact key, a different key re-runs, and a value that
+// no longer decodes into the unit's type re-runs instead of resuming.
+func TestResumeByKeyOnly(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "runs.jsonl")
+	if _, err := Run(context.Background(), []Unit[int]{intUnit("k", 7)}, Options{JournalPath: journal}); err != nil {
+		t.Fatal(err)
+	}
+	resume := Options{JournalPath: journal, Resume: true}
+
+	results, err := Run(context.Background(), []Unit[int]{intUnit("k", 8), intUnit("k2", 9)}, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := results[0]; r.Status != StatusResumed || r.Value != 7 {
+		t.Fatalf("same key: %s %d, want resumed 7", r.Status, r.Value)
+	}
+	if r := results[1]; r.Status != StatusOK || r.Value != 9 {
+		t.Fatalf("new key: %s %d, want ok 9", r.Status, r.Value)
+	}
+
+	strUnit := Unit[string]{Key: "k", Run: func(context.Context) (string, error) { return "fresh", nil }}
+	strs, err := Run(context.Background(), []Unit[string]{strUnit}, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := strs[0]; r.Status != StatusOK || r.Value != "fresh" {
+		t.Fatalf("undecodable value: %s %q, want ok \"fresh\"", r.Status, r.Value)
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // Entry is one JSONL journal record: the outcome of one unit. Failed runs
@@ -108,60 +106,36 @@ func (j *journalWriter) Close() error {
 }
 
 // loadJournal reads a JSONL journal and returns the ok values by key (the
-// last ok entry for a key wins). A missing file is an empty journal. A
-// syntactically broken line fails the load: silently skipping it could
-// silently recompute — or worse, skip — work, so the operator must decide
-// (delete the journal or fix the line).
+// last ok entry for a key wins). A missing file is an empty journal.
 func loadJournal(path string) (map[string]json.RawMessage, error) {
-	f, err := os.Open(path)
+	entries, err := readEntries(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("harness: opening journal: %w", err)
+		return nil, err
 	}
-	defer f.Close()
 	out := make(map[string]json.RawMessage)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("harness: journal %s line %d: %w", path, lineNo, err)
-		}
-		if e.Key == "" {
-			return nil, fmt.Errorf("harness: journal %s line %d: entry without key", path, lineNo)
-		}
+	for _, e := range entries {
 		if e.Status == StatusOK && e.Value != nil {
 			out[e.Key] = e.Value
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("harness: reading journal %s: %w", path, err)
-	}
 	return out, nil
 }
 
-// ReadEntries loads every entry of a journal file, for inspection and
-// tests.
-func ReadEntries(path string) ([]Entry, error) {
+// readEntries loads every entry of a journal file. A syntactically broken
+// line or an entry without a key fails the load: silently skipping it
+// could silently recompute — or worse, skip — work, so the operator must
+// decide (delete the journal or fix the line).
+func readEntries(path string) ([]Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("harness: opening journal: %w", err)
 	}
 	defer f.Close()
-	return readEntries(f, path)
-}
-
-func readEntries(r io.Reader, path string) ([]Entry, error) {
 	var out []Entry
-	sc := bufio.NewScanner(r)
+	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	lineNo := 0
 	for sc.Scan() {
@@ -173,6 +147,9 @@ func readEntries(r io.Reader, path string) ([]Entry, error) {
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			return nil, fmt.Errorf("harness: journal %s line %d: %w", path, lineNo, err)
 		}
+		if e.Key == "" {
+			return nil, fmt.Errorf("harness: journal %s line %d: entry without key", path, lineNo)
+		}
 		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
@@ -180,6 +157,3 @@ func readEntries(r io.Reader, path string) ([]Entry, error) {
 	}
 	return out, nil
 }
-
-// entryElapsed is a helper for reports: the entry's elapsed time.
-func (e Entry) Elapsed() time.Duration { return time.Duration(e.ElapsedMS) * time.Millisecond }

@@ -207,7 +207,6 @@ type simPlan struct {
 	traceKey string
 	load     func() (*trace.Trace, error)
 	cfgs     []core.Config
-	descs    []string
 	timeout  int64
 }
 
@@ -233,7 +232,6 @@ func (req *SimulateRequest) validate() (*simPlan, *apiError) {
 			return nil, badRequest("config %d: %v", i, err)
 		}
 		p.cfgs = append(p.cfgs, cfg)
-		p.descs = append(p.descs, core.Describe(cfg))
 	}
 	return p, nil
 }
@@ -258,7 +256,6 @@ type sweepPlan struct {
 	xAxis    core.Axis
 	yAxis    core.Axis // Key == "" for one-dimensional sweeps
 	rows     [][]core.Config
-	rowDescs [][]string
 	timeout  int64
 }
 
@@ -307,21 +304,14 @@ func (req *SweepRequest) validate() (*sweepPlan, *apiError) {
 	if terr != nil {
 		return nil, asAPIError(terr)
 	}
-	p := &sweepPlan{traceKey: key, load: load, metric: metric, xAxis: xAxis, yAxis: yAxis, timeout: req.TimeoutMS}
-	for _, y := range yAxis.Values {
-		rowBase := base
-		if yAxis.Key != "" {
-			if rowBase, err = core.ApplyAxis(rowBase, yAxis.Key, y); err != nil {
-				return nil, badRequest("%v", err)
-			}
-		}
-		cfgs := make([]core.Config, len(xAxis.Values))
-		descs := make([]string, len(xAxis.Values))
-		for i, x := range xAxis.Values {
-			cfg, err := core.ApplyAxis(rowBase, xAxis.Key, x)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
+	rows, err := core.Grid(base, xAxis, yAxis)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	for i, cfgs := range rows {
+		y := yAxis.Values[i]
+		for j, cfg := range cfgs {
+			x := xAxis.Values[j]
 			if cfg.CacheSize > maxCacheKB<<10 || cfg.LineSize > maxLineBytes ||
 				cfg.VirtualLineSize > maxVLine || cfg.Memory.LatencyCycles > maxLatency || cfg.Assoc > maxAssoc {
 				return nil, badRequest("cell %s=%d,%s=%d: geometry exceeds the service limits", xAxis.Key, x, yAxis.Key, y)
@@ -329,13 +319,9 @@ func (req *SweepRequest) validate() (*sweepPlan, *apiError) {
 			if err := cfg.Validate(); err != nil {
 				return nil, badRequest("cell %s=%d: %v", xAxis.Key, x, err)
 			}
-			cfgs[i] = cfg
-			descs[i] = core.Describe(cfg)
 		}
-		p.rows = append(p.rows, cfgs)
-		p.rowDescs = append(p.rowDescs, descs)
 	}
-	return p, nil
+	return &sweepPlan{traceKey: key, load: load, metric: metric, xAxis: xAxis, yAxis: yAxis, rows: rows, timeout: req.TimeoutMS}, nil
 }
 
 // asAPIError converts any error to an apiError, defaulting to 400 (every

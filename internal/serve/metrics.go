@@ -51,7 +51,7 @@ type serverMetrics struct {
 	latencyNS [epCount]atomic.Int64
 	rejected  atomic.Uint64 // 429: queue full
 	timeouts  atomic.Uint64 // 504: per-request deadline
-	panics    atomic.Uint64 // 500: simulation panic contained by the harness
+	panics    atomic.Uint64 // 500: simulation panic recovered by runKernel
 	inflight  atomic.Int64  // requests holding a worker slot
 	queued    atomic.Int64  // requests waiting for a worker slot
 	// Streamed-trace decode volume (POST /v1/simulate/trace): records

@@ -398,6 +398,107 @@ func TestSimulateTimeout504(t *testing.T) {
 	}
 }
 
+// kernelSweep is a /v1/sweep body over the paper-scale MV trace with 128
+// cells: 16 fused passes of about 1.2M records each, seconds of kernel
+// work, so a deadline or a client cancel lands inside core.Run.
+const kernelSweep = `{"workload":"MV","x":"cache=1,2,4,8,16,32,64,128",` +
+	`"y":"latency=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16"%s}`
+
+// warmPaperMV loads the paper-scale MV trace into s's trace cache, so a
+// request for it goes straight from admission to the kernel.
+func warmPaperMV(t *testing.T, s *Server) {
+	t.Helper()
+	key, load, err := traceSelector{Workload: "MV"}.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.traces.Get(context.Background(), key, load); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// statusServer serves s through a listener that reports the status each
+// request ended with; 0 means the handler wrote nothing, which the
+// request counters record as 499.
+func statusServer(t *testing.T, s *Server) (*httptest.Server, <-chan int) {
+	t.Helper()
+	statuses := make(chan int, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w}
+		s.ServeHTTP(sw, r)
+		statuses <- sw.status
+	}))
+	t.Cleanup(ts.Close)
+	return ts, statuses
+}
+
+// TestSweepKernelTimeout504: a deadline that passes inside the kernel is
+// a 504 counted once as a timeout, not a vanished client.
+func TestSweepKernelTimeout504(t *testing.T) {
+	s := New(Config{})
+	warmPaperMV(t, s)
+	ts, statuses := statusServer(t, s)
+
+	code, body := post(t, ts.URL+"/v1/sweep", fmt.Sprintf(kernelSweep, `,"timeout_ms":1`))
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("sweep: %d %s (want 504)", code, body)
+	}
+	if got := <-statuses; got != http.StatusGatewayTimeout {
+		t.Fatalf("handler status %d, want 504", got)
+	}
+	if n := s.met.timeouts.Load(); n != 1 {
+		t.Fatalf("timeout counter %d, want 1", n)
+	}
+	if n := s.met.panics.Load(); n != 0 {
+		t.Fatalf("panic counter %d, want 0", n)
+	}
+}
+
+// TestSweepKernelCancel499: a client that goes away while the kernel runs
+// ends the request as a 499 — nothing written, no timeout counted.
+func TestSweepKernelCancel499(t *testing.T) {
+	s := New(Config{})
+	warmPaperMV(t, s)
+	ts, statuses := statusServer(t, s)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/sweep",
+		strings.NewReader(fmt.Sprintf(kernelSweep, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	go func() {
+		// Cancel once the request holds a worker slot and has had time to
+		// reach the kernel (the trace is already resident).
+		for s.met.inflight.Load() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+	}()
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("sweep finished with %d before the client canceled", resp.StatusCode)
+	}
+
+	select {
+	case got := <-statuses:
+		if got != 0 {
+			t.Fatalf("handler wrote status %d, want nothing (499)", got)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("handler kept running after the client went away")
+	}
+	if n := s.met.timeouts.Load(); n != 0 {
+		t.Fatalf("client cancel recorded as server timeout (%d)", n)
+	}
+	if n := s.met.failures[epSweep].Load(); n != 1 {
+		t.Fatalf("sweep failures %d, want 1 (the 499)", n)
+	}
+}
+
 func TestSweepEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := `{"workload":"MV","scale":"test","config":"soft","x":"cache=4,8","y":"latency=10,20","metric":"amat"}`

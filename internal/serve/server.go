@@ -8,10 +8,10 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"softcache/internal/core"
-	"softcache/internal/harness"
 	"softcache/internal/resultcache"
 	"softcache/internal/trace"
 	"softcache/internal/workloads"
@@ -236,43 +236,36 @@ func (s *Server) loadTrace(ctx context.Context, key string, load func() (*trace.
 	}
 }
 
-// runFused executes one config group as a single harness unit: one fused
-// trace pass (run is core.Run over a cached trace's Reader or over a
-// streamed body) with panic containment and the
-// per-request deadline, mapped to an HTTP outcome. onErr, when non-nil,
-// maps a run error to its status; nil means run errors are the server's
-// fault (500) — the cached path validated everything up front.
-func (s *Server) runFused(ctx context.Context, deadline time.Time, key string, descs []string, run func(context.Context) ([]core.Result, error), onErr func(error) *apiError) ([]core.Result, *apiError) {
-	left := time.Until(deadline)
-	if left <= 0 {
-		s.met.timeouts.Add(1)
-		return nil, &apiError{status: http.StatusGatewayTimeout, msg: "deadline exceeded"}
-	}
-	units := []harness.Unit[harness.Fused[core.Result]]{
-		harness.FusedUnit(key, nil, descs, run),
-	}
-	results, err := harness.Run(ctx, units, harness.Options{Workers: 1, Timeout: left, Log: s.cfg.Log})
-	if err != nil {
-		// Impossible without a journal; fail loudly rather than guessing.
-		return nil, &apiError{status: http.StatusInternalServerError, msg: err.Error()}
-	}
-	res := results[0]
-	switch res.Status {
-	case harness.StatusOK, harness.StatusResumed:
-		return res.Value.Values, nil
-	case harness.StatusPanic:
-		s.met.panics.Add(1)
-		return nil, &apiError{status: http.StatusInternalServerError, msg: "simulation panicked (see server log)"}
-	case harness.StatusTimeout:
-		s.met.timeouts.Add(1)
-		return nil, &apiError{status: http.StatusGatewayTimeout, msg: "simulation deadline exceeded"}
-	case harness.StatusCanceled:
-		return nil, &apiError{status: 499, msg: "client went away"}
-	default:
-		if onErr != nil {
-			return nil, onErr(res.Err)
+// runKernel runs one config group through core.Run under the request's
+// deadline, containing a kernel panic, and maps the outcome to an HTTP
+// status: a panic is 500, the deadline passing is 504, a vanished client
+// (rctx done) is 499. onErr, when non-nil, maps any other run error to
+// its status; nil means such errors are the server's fault (500) — the
+// cached path validated everything up front.
+func (s *Server) runKernel(rctx context.Context, deadline time.Time, cfgs []core.Config, r trace.BatchReader, onErr func(error) *apiError) (results []core.Result, aerr *apiError) {
+	ctx, cancel := context.WithDeadline(rctx, deadline)
+	defer cancel()
+	defer func() {
+		if p := recover(); p != nil {
+			s.met.panics.Add(1)
+			fmt.Fprintf(s.cfg.Log, "serve: simulating %s panicked: %v\n%s", r.Name(), p, debug.Stack())
+			results, aerr = nil, &apiError{status: http.StatusInternalServerError, msg: "simulation panicked (see server log)"}
 		}
-		return nil, &apiError{status: http.StatusInternalServerError, msg: res.Err.Error()}
+	}()
+	results, err := core.Run(ctx, core.Job{Configs: cfgs}, r)
+	switch {
+	case err == nil:
+		return results, nil
+	case rctx.Err() != nil:
+		return nil, &apiError{status: 499, msg: "client went away"}
+	case ctx.Err() != nil:
+		s.met.timeouts.Add(1)
+		fmt.Fprintf(s.cfg.Log, "serve: simulating %s: deadline exceeded: %v\n", r.Name(), err)
+		return nil, &apiError{status: http.StatusGatewayTimeout, msg: "simulation deadline exceeded"}
+	case onErr != nil:
+		return nil, onErr(err)
+	default:
+		return nil, &apiError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
 }
 
@@ -322,13 +315,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if aerr != nil {
 			return nil, aerr
 		}
-		// Pass the cancel-only request context: the deadline rides in
-		// harness.Options.Timeout so the harness can tell a timeout (504)
-		// from a vanished client.
-		results, aerr := s.runFused(r.Context(), deadline, plan.traceKey, plan.descs,
-			func(runCtx context.Context) ([]core.Result, error) {
-				return core.Run(runCtx, core.Job{Configs: plan.cfgs}, tr.Reader())
-			}, nil)
+		// Pass the cancel-only request context: runKernel applies the
+		// deadline itself so it can tell a timeout (504) from a vanished
+		// client.
+		results, aerr := s.runKernel(r.Context(), deadline, plan.cfgs, tr.Reader(), nil)
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -396,13 +386,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		// One fused pass per matrix row, sequential within the request's
 		// single worker slot: request-level parallelism stays with the pool.
-		for i, cfgs := range plan.rows {
-			key := fmt.Sprintf("row:%d", i)
-			rowCfgs := cfgs
-			results, aerr := s.runFused(r.Context(), deadline, key, plan.rowDescs[i],
-				func(runCtx context.Context) ([]core.Result, error) {
-					return core.Run(runCtx, core.Job{Configs: rowCfgs}, tr.Reader())
-				}, nil)
+		for _, cfgs := range plan.rows {
+			results, aerr := s.runKernel(r.Context(), deadline, cfgs, tr.Reader(), nil)
 			if aerr != nil {
 				return nil, aerr
 			}

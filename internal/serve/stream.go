@@ -86,7 +86,6 @@ func (r *budgetReader) ReadBatch(dst []trace.Record) (int, error) {
 // streamPlan is a validated /v1/simulate/trace query string.
 type streamPlan struct {
 	cfgs    []core.Config
-	descs   []string
 	timeout int64
 	format  string
 }
@@ -165,7 +164,6 @@ func parseStreamQuery(q url.Values) (*streamPlan, *apiError) {
 			return nil, badRequest("config %d: %v", i, err)
 		}
 		p.cfgs = append(p.cfgs, cfg)
-		p.descs = append(p.descs, core.Describe(cfg))
 	}
 	return p, nil
 }
@@ -279,10 +277,7 @@ func (s *Server) streamSimulate(rctx context.Context, plan *streamPlan, body io.
 		}
 	}()
 
-	results, aerr := s.runFused(rctx, deadline, "stream:"+rd.Name(), plan.descs,
-		func(runCtx context.Context) ([]core.Result, error) {
-			return core.Run(runCtx, core.Job{Configs: plan.cfgs}, rd)
-		}, streamBodyError)
+	results, aerr := s.runKernel(rctx, deadline, plan.cfgs, rd, streamBodyError)
 	if aerr != nil {
 		return nil, aerr
 	}
