@@ -419,14 +419,41 @@ func (rt *Router) backoff(ctx context.Context, n int) bool {
 	}
 }
 
+// route is the routing preamble both proxy paths share: it counts the
+// request, funds the retry budget, notes key's home shard (owner) for the
+// residency gauge, and returns the shards to try in preference order —
+// breaker-allowed shards first (ring order), then, as a last resort when
+// everything looks down, the tripped ones anyway: trying a probably-dead
+// shard beats refusing outright, and the retry budget bounds the damage.
+// With no shards it writes the 502 and returns a nil sequence.
+func (rt *Router) route(w http.ResponseWriter, key string) (seq []string, owner string) {
+	rt.met.requests.Add(1)
+	rt.budget.Deposit()
+	order := rt.ring.Order(key)
+	if len(order) == 0 {
+		rt.met.errors.Add(1)
+		writeError(w, http.StatusBadGateway, "no shards configured")
+		return nil, ""
+	}
+	owner = order[0]
+	rt.recordKey(key, owner)
+	allowed := make([]string, 0, len(order))
+	denied := make([]string, 0, len(order))
+	for _, s := range order {
+		if rt.states[s].br.Allow() {
+			allowed = append(allowed, s)
+		} else {
+			denied = append(denied, s)
+		}
+	}
+	return append(allowed, denied...), owner
+}
+
 // handleProxy is the routed path: derive the key, walk the ring's
 // preference order with breaker gating, retry under the budget, hedge
 // the first attempt when configured, and relay the first usable
 // response whole.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
-	rt.met.requests.Add(1)
-	rt.budget.Deposit()
-
 	var body []byte
 	if r.Method != http.MethodGet {
 		var err error
@@ -444,29 +471,10 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := routingKey(r.Method, r.URL.Path, body)
-	order := rt.ring.Order(key)
-	if len(order) == 0 {
-		rt.met.errors.Add(1)
-		writeError(w, http.StatusBadGateway, "no shards configured")
+	seq, owner := rt.route(w, key)
+	if seq == nil {
 		return
 	}
-	owner := order[0]
-	rt.recordKey(key, owner)
-
-	// Preference order: breaker-allowed shards first (ring order), then —
-	// as a last resort when everything looks down — the tripped ones
-	// anyway: trying a probably-dead shard beats refusing outright, and
-	// the retry budget bounds the damage.
-	allowed := make([]string, 0, len(order))
-	denied := make([]string, 0, len(order))
-	for _, s := range order {
-		if rt.states[s].br.Allow() {
-			allowed = append(allowed, s)
-		} else {
-			denied = append(denied, s)
-		}
-	}
-	seq := append(allowed, denied...)
 	uri := r.URL.RequestURI()
 
 	// The sequence wraps: with MaxAttempts above the fleet size (the
@@ -502,7 +510,8 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		attempts += tried
 		i += tried
 		if !retryable(out.resp, out.err) {
-			rt.relay(w, out, owner)
+			w.Header().Set("Content-Length", strconv.Itoa(len(out.resp.body)))
+			rt.relay(w, out.shard, owner, out.resp.status, out.resp.header, bytes.NewReader(out.resp.body))
 			return
 		}
 		last = out
@@ -527,15 +536,11 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 // router is willing to hold, so the buffered retry/hedge machinery of
 // handleProxy does not apply: the router reads just enough of the body
 // to fingerprint it (serve.StreamRoutingKey over a bounded prefix),
-// picks the first breaker-admitted shard in ring order, and pipes
+// takes the first shard of the breaker-ordered sequence, and pipes
 // prefix+rest through to it in one unrepeatable attempt. A mid-stream
 // shard death is the client's error to retry — the router cannot replay
 // bytes it never stored.
 func (rt *Router) handleProxyStream(w http.ResponseWriter, r *http.Request) {
-	rt.met.requests.Add(1)
-	rt.met.streamed.Add(1)
-	rt.budget.Deposit()
-
 	prefix := make([]byte, serve.StreamKeyPrefix)
 	n, err := io.ReadFull(r.Body, prefix)
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -545,21 +550,12 @@ func (rt *Router) handleProxyStream(w http.ResponseWriter, r *http.Request) {
 	prefix = prefix[:n]
 
 	key := serve.StreamRoutingKey(prefix)
-	order := rt.ring.Order(key)
-	if len(order) == 0 {
-		rt.met.errors.Add(1)
-		writeError(w, http.StatusBadGateway, "no shards configured")
+	seq, owner := rt.route(w, key)
+	if seq == nil {
 		return
 	}
-	owner := order[0]
-	rt.recordKey(key, owner)
-	shard := owner
-	for _, s := range order {
-		if rt.states[s].br.Allow() {
-			shard = s
-			break
-		}
-	}
+	rt.met.streamed.Add(1)
+	shard := seq[0]
 
 	body := io.MultiReader(bytes.NewReader(prefix), r.Body)
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, shard+r.URL.RequestURI(), body)
@@ -586,23 +582,10 @@ func (rt *Router) handleProxyStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer resp.Body.Close()
 	rt.observe(shard, resp.StatusCode < 500)
-
-	h := w.Header()
-	for _, k := range relayHeaders {
-		if v := resp.Header.Get(k); v != "" {
-			h.Set(k, v)
-		}
-	}
-	rt.countResult(resp.Header.Get(serve.ResultHeader))
-	if shard != owner {
-		h.Set(DegradedHeader, "rerouted")
-		rt.met.rerouted.Add(1)
-	}
-	w.WriteHeader(resp.StatusCode)
 	// The response streams too: a shard dying mid-reply truncates the
 	// client's body, which is the honest outcome for an unrepeatable
 	// request.
-	io.Copy(w, resp.Body)
+	rt.relay(w, shard, owner, resp.StatusCode, resp.Header, resp.Body)
 }
 
 // relayHeaders are the shard response headers the router forwards to the
@@ -626,23 +609,23 @@ func (rt *Router) countResult(outcome string) {
 	}
 }
 
-// relay writes one buffered shard response to the client, marking it
-// degraded when it was served off the key's home shard.
-func (rt *Router) relay(w http.ResponseWriter, out raceOutcome, owner string) {
+// relay writes one shard response to the client: the relayed headers,
+// the result-cache tally, a degraded mark when shard is not the key's
+// home shard, then status and body.
+func (rt *Router) relay(w http.ResponseWriter, shard, owner string, status int, header http.Header, body io.Reader) {
 	h := w.Header()
 	for _, k := range relayHeaders {
-		if v := out.resp.header.Get(k); v != "" {
+		if v := header.Get(k); v != "" {
 			h.Set(k, v)
 		}
 	}
-	rt.countResult(out.resp.header.Get(serve.ResultHeader))
-	if out.shard != owner {
+	rt.countResult(header.Get(serve.ResultHeader))
+	if shard != owner {
 		h.Set(DegradedHeader, "rerouted")
 		rt.met.rerouted.Add(1)
 	}
-	h.Set("Content-Length", strconv.Itoa(len(out.resp.body)))
-	w.WriteHeader(out.resp.status)
-	w.Write(out.resp.body)
+	w.WriteHeader(status)
+	io.Copy(w, body)
 }
 
 // handleHealthz reports the router live when at least one shard's

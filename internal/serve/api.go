@@ -69,8 +69,13 @@ type apiError struct {
 func (e *apiError) Error() string { return e.msg }
 
 // write renders the error as the standard JSON body, with the
-// Retry-After header when the failure is backpressure.
+// Retry-After header when the failure is backpressure. A 499 writes
+// nothing: the client that would read it is gone, and the request
+// counters record the empty response as 499.
 func (e *apiError) write(w http.ResponseWriter) {
+	if e.status == 499 {
+		return
+	}
 	if e.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
 	}

@@ -1,9 +1,9 @@
 package serve
 
 // The durable result cache (internal/resultcache) sits in front of the
-// worker pool: a request whose rendered response is already on disk is
-// answered without claiming a worker slot, decoding a trace, or running
-// the kernel. The cache stores fully rendered response bodies, so the
+// worker pool: a request whose rendered response is already on disk, or
+// is being computed for an identical request, is answered without
+// claiming a worker slot, decoding a trace, or running the kernel. The cache stores fully rendered response bodies, so the
 // hit path is a read + CRC check + write — byte-identical to fresh
 // computation by construction, which the equivalence suites then prove
 // rather than assume. Only successful (200) bodies are cached; errors,
@@ -11,9 +11,7 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"softcache/internal/core"
@@ -104,13 +102,13 @@ func encodeJSON(v any) []byte {
 	return buf.Bytes()
 }
 
-// renderSimulate produces the response body of a successful simulate —
-// the same bytes handleSimulate has always written, now built in memory
-// so they can be stored as well as sent.
-func renderSimulate(format string, tr *trace.Trace, results []core.Result) []byte {
+// renderSimulate produces the body of a successful simulate, whether its
+// trace was materialised (/v1/simulate) or streamed (/v1/simulate/trace):
+// name and refs describe the trace, and tags are read only by the text
+// format. Built in memory so the bytes can be stored as well as sent.
+func renderSimulate(format, name string, refs uint64, tags trace.TagCounts, results []core.Result) []byte {
 	if format == "text" {
 		var buf bytes.Buffer
-		tags := tr.CountTags()
 		for i, res := range results {
 			if i > 0 {
 				buf.WriteByte('\n')
@@ -119,7 +117,7 @@ func renderSimulate(format string, tr *trace.Trace, results []core.Result) []byt
 		}
 		return buf.Bytes()
 	}
-	resp := SimulateResponse{Trace: tr.Name, References: uint64(len(tr.Records))}
+	resp := SimulateResponse{Trace: name, References: refs}
 	for _, res := range results {
 		resp.Results = append(resp.Results, ConfigResult{
 			Config:      res.Config,
@@ -144,46 +142,4 @@ func writeResult(w http.ResponseWriter, format string, body []byte, outcome stri
 		w.Header().Set("Content-Type", "application/json")
 	}
 	w.Write(body)
-}
-
-// resultOutcome maps a Do result to the header value, "" when the cache
-// is disabled.
-func (s *Server) resultOutcome(hit bool) string {
-	if s.results == nil {
-		return ""
-	}
-	if hit {
-		return resultHit
-	}
-	return resultMiss
-}
-
-// resultDo runs compute through the result cache's singleflight (N
-// identical concurrent requests cost one simulation), or directly when
-// no cache is configured. Only successful bodies reach the cache:
-// compute's *apiError travels through resultcache.Do as an error and is
-// unwrapped here.
-func (s *Server) resultDo(ctx context.Context, key string, compute func() ([]byte, *apiError)) ([]byte, bool, *apiError) {
-	if s.results == nil {
-		body, aerr := compute()
-		return body, false, aerr
-	}
-	body, hit, err := s.results.Do(ctx, key, func() ([]byte, error) {
-		body, aerr := compute()
-		if aerr != nil {
-			return nil, aerr
-		}
-		return body, nil
-	})
-	if err != nil {
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return nil, false, ae
-		}
-		if errors.Is(err, context.Canceled) {
-			return nil, false, &apiError{status: 499, msg: "client went away"}
-		}
-		return nil, false, &apiError{status: http.StatusInternalServerError, msg: err.Error()}
-	}
-	return body, hit, nil
 }

@@ -11,11 +11,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"softcache/internal/core"
 	"softcache/internal/metrics"
+	"softcache/internal/resultcache"
 	"softcache/internal/workloads"
 )
 
@@ -381,6 +383,79 @@ func TestQueueFull429(t *testing.T) {
 
 	unstick()
 	wg.Wait()
+}
+
+// TestCoalescedWaitersTakeNoWorkerSlot: with the result cache as the
+// front door, a request identical to one being computed waits for that
+// answer without a worker slot or a queue place, so with one worker and
+// one queue place a third, different request is queued, not rejected.
+func TestCoalescedWaitersTakeNoWorkerSlot(t *testing.T) {
+	rc, err := resultcache.Open(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	s := New(Config{Workers: 1, QueueDepth: 1, ResultCache: rc})
+	var arrived atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived.Add(1)
+		s.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	unstick := stickEntry(s, "workload:MV:test:1")
+	defer unstick()
+
+	send := func(body string) <-chan int {
+		status := make(chan int, 1)
+		go func() {
+			code := 0
+			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				code = resp.StatusCode
+			}
+			status <- code
+		}()
+		return status
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("never saw %s: inflight=%d queued=%d", what, s.met.inflight.Load(), s.met.queued.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	same := `{"workload":"MV","scale":"test","configs":[{"name":"soft"}]}`
+	first, second := send(same), send(same)
+	waitFor("one request holding the worker", func() bool { return arrived.Load() == 2 && s.met.inflight.Load() == 1 })
+	// The identical request reaches its wait within microseconds of
+	// arriving; give it ample time to show up in the queue if it would.
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if q := s.met.queued.Load(); q != 0 {
+			t.Fatalf("the identical request took a queue place (queued=%d)", q)
+		}
+	}
+
+	third := send(`{"workload":"MV","scale":"test","seed":2,"configs":[{"name":"soft"}]}`)
+	waitFor("the different request queued", func() bool { return s.met.queued.Load() == 1 })
+	if n := s.met.rejected.Load(); n != 0 {
+		t.Fatalf("rejected %d requests, want 0", n)
+	}
+
+	// Releasing the stuck trace fails the computing request. Its waiter
+	// then computes for itself and competes for admission like any new
+	// request, so only the queued request's answer is certain.
+	unstick()
+	<-first
+	<-second
+	if code := <-third; code != http.StatusOK {
+		t.Fatalf("queued request answered %d, want 200", code)
+	}
 }
 
 func TestSimulateTimeout504(t *testing.T) {

@@ -144,6 +144,10 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
+// Unwrap exposes the connection's writer to http.ResponseController, which
+// the streamed endpoint uses to bound its body reads by the deadline.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps a handler with the per-endpoint request, failure and
 // latency counters.
 func (s *Server) instrument(ep endpoint, h http.HandlerFunc) http.Handler {
@@ -219,54 +223,98 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 	return d
 }
 
-// loadTrace fetches (or decodes) the plan's trace through the coalescing
-// cache, mapping context errors to HTTP statuses.
-func (s *Server) loadTrace(ctx context.Context, key string, load func() (*trace.Trace, error)) (*trace.Trace, *apiError) {
-	tr, err := s.traces.Get(ctx, key, load)
-	switch {
-	case err == nil:
-		return tr, nil
-	case errors.Is(err, context.DeadlineExceeded):
-		s.met.timeouts.Add(1)
-		return nil, &apiError{status: http.StatusGatewayTimeout, msg: "deadline exceeded while loading trace"}
-	case errors.Is(err, context.Canceled):
-		return nil, &apiError{status: 499, msg: "client went away"}
-	default:
-		return nil, asAPIError(err)
+// admitted is the one request path every computation takes — the
+// simulate and sweep misses of serveResult and every streamed upload: it
+// claims a worker slot, starts the request's deadline at admission, runs
+// work under it, contains a panic as a 500, and maps any other failure
+// through outcome, with onErr for the failures that are neither the
+// deadline's nor the client's.
+func (s *Server) admitted(r *http.Request, timeoutMS int64, onErr func(error) *apiError, work func(ctx context.Context) ([]byte, error)) (body []byte, aerr *apiError) {
+	release, aerr := s.admit(r.Context())
+	if aerr != nil {
+		return nil, aerr
 	}
-}
+	defer release()
 
-// runKernel runs one config group through core.Run under the request's
-// deadline, containing a kernel panic, and maps the outcome to an HTTP
-// status: a panic is 500, the deadline passing is 504, a vanished client
-// (rctx done) is 499. onErr, when non-nil, maps any other run error to
-// its status; nil means such errors are the server's fault (500) — the
-// cached path validated everything up front.
-func (s *Server) runKernel(rctx context.Context, deadline time.Time, cfgs []core.Config, r trace.BatchReader, onErr func(error) *apiError) (results []core.Result, aerr *apiError) {
-	ctx, cancel := context.WithDeadline(rctx, deadline)
+	deadline := time.Now().Add(s.timeoutFor(timeoutMS))
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
 	defer func() {
 		if p := recover(); p != nil {
 			s.met.panics.Add(1)
-			fmt.Fprintf(s.cfg.Log, "serve: simulating %s panicked: %v\n%s", r.Name(), p, debug.Stack())
-			results, aerr = nil, &apiError{status: http.StatusInternalServerError, msg: "simulation panicked (see server log)"}
+			fmt.Fprintf(s.cfg.Log, "serve: %s panicked: %v\n%s", r.URL.Path, p, debug.Stack())
+			body, aerr = nil, &apiError{status: http.StatusInternalServerError, msg: "simulation panicked (see server log)"}
 		}
 	}()
-	results, err := core.Run(ctx, core.Job{Configs: cfgs}, r)
-	switch {
-	case err == nil:
-		return results, nil
-	case rctx.Err() != nil:
-		return nil, &apiError{status: 499, msg: "client went away"}
-	case ctx.Err() != nil:
-		s.met.timeouts.Add(1)
-		fmt.Fprintf(s.cfg.Log, "serve: simulating %s: deadline exceeded: %v\n", r.Name(), err)
-		return nil, &apiError{status: http.StatusGatewayTimeout, msg: "simulation deadline exceeded"}
-	case onErr != nil:
-		return nil, onErr(err)
-	default:
-		return nil, &apiError{status: http.StatusInternalServerError, msg: err.Error()}
+	var err error
+	if body, err = work(ctx); err != nil {
+		return nil, s.outcome(r, deadline, err, onErr)
 	}
+	return body, nil
+}
+
+// outcome is the one rule that turns a failed request into its status.
+// An error a stage already mapped (admission, a bad din body, the spool
+// limit) keeps its status. Otherwise a passed deadline is a 504 — checked
+// before the client, because a read deadline on the connection also
+// cancels the request context — a request whose context is gone is a
+// 499, and anything else is onErr's. A zero deadline means the request
+// was never admitted and so has no deadline of its own.
+func (s *Server) outcome(r *http.Request, deadline time.Time, err error, onErr func(error) *apiError) *apiError {
+	var ae *apiError
+	switch {
+	case errors.As(err, &ae):
+		return ae
+	case !deadline.IsZero() && !time.Now().Before(deadline):
+		s.met.timeouts.Add(1)
+		fmt.Fprintf(s.cfg.Log, "serve: %s: deadline exceeded: %v\n", r.URL.Path, err)
+		return &apiError{status: http.StatusGatewayTimeout, msg: "deadline exceeded"}
+	case r.Context().Err() != nil:
+		return &apiError{status: 499, msg: "client went away"}
+	default:
+		return onErr(err)
+	}
+}
+
+// internalError maps a failure of a request whose inputs were all
+// validated up front: it can only be the server's fault.
+func internalError(err error) *apiError {
+	return &apiError{status: http.StatusInternalServerError, msg: err.Error()}
+}
+
+// serveResult answers a simulate or sweep request with the result cache
+// as the front door: a stored body is served without a worker slot, a
+// request identical to one in flight waits for that one's answer without
+// a worker slot either, and only the request that computes goes through
+// admitted. Without a result cache every request computes.
+func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key, format string, timeoutMS int64, work func(ctx context.Context) ([]byte, error)) {
+	compute := func() ([]byte, error) {
+		body, aerr := s.admitted(r, timeoutMS, internalError, work)
+		if aerr != nil {
+			return nil, aerr
+		}
+		return body, nil
+	}
+	var (
+		body    []byte
+		err     error
+		outcome string
+	)
+	if s.results == nil {
+		body, err = compute()
+	} else {
+		var hit bool
+		body, hit, err = s.results.Do(r.Context(), key, compute)
+		outcome = resultMiss
+		if hit {
+			outcome = resultHit
+		}
+	}
+	if err != nil {
+		s.outcome(r, time.Time{}, err, internalError).write(w)
+		return
+	}
+	writeResult(w, format, body, outcome)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -285,53 +333,22 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want json or text)", format))
 		return
 	}
-
-	// Result-cache fast path: a hit costs no worker slot, no trace, no
-	// kernel run — the rendered body comes straight off the segment log.
-	var key string
-	if s.results != nil {
-		key = s.resultKey("simulate", plan.traceKey, canonicalConfigs(plan.cfgs), format)
-		if body, ok := s.results.Get(key); ok {
-			writeResult(w, format, body, resultHit)
-			return
+	key := s.resultKey("simulate", plan.traceKey, canonicalConfigs(plan.cfgs), format)
+	s.serveResult(w, r, key, format, plan.timeout, func(ctx context.Context) ([]byte, error) {
+		tr, err := s.traces.Get(ctx, plan.traceKey, plan.load)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	release, aerr := s.admit(r.Context())
-	if aerr != nil {
-		if aerr.status != 499 {
-			aerr.write(w)
+		results, err := core.Run(ctx, core.Job{Configs: plan.cfgs}, tr.Reader())
+		if err != nil {
+			return nil, err
 		}
-		return
-	}
-	defer release()
-
-	deadline := time.Now().Add(s.timeoutFor(plan.timeout))
-	ctx, cancel := context.WithDeadline(r.Context(), deadline)
-	defer cancel()
-
-	compute := func() ([]byte, *apiError) {
-		tr, aerr := s.loadTrace(ctx, plan.traceKey, plan.load)
-		if aerr != nil {
-			return nil, aerr
+		var tags trace.TagCounts
+		if format == "text" {
+			tags = tr.CountTags()
 		}
-		// Pass the cancel-only request context: runKernel applies the
-		// deadline itself so it can tell a timeout (504) from a vanished
-		// client.
-		results, aerr := s.runKernel(r.Context(), deadline, plan.cfgs, tr.Reader(), nil)
-		if aerr != nil {
-			return nil, aerr
-		}
-		return renderSimulate(format, tr, results), nil
-	}
-	body, hit, aerr := s.resultDo(r.Context(), key, compute)
-	if aerr != nil {
-		if aerr.status != 499 {
-			aerr.write(w)
-		}
-		return
-	}
-	writeResult(w, format, body, s.resultOutcome(hit))
+		return renderSimulate(format, tr.Name, uint64(len(tr.Records)), tags, results), nil
+	})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -345,34 +362,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		aerr.write(w)
 		return
 	}
-
-	// Result-cache fast path (sweep responses are always JSON).
-	var key string
-	if s.results != nil {
-		key = s.resultKey("sweep", plan.traceKey, canonicalSweep(plan), "json")
-		if body, ok := s.results.Get(key); ok {
-			writeResult(w, "json", body, resultHit)
-			return
-		}
-	}
-
-	release, aerr := s.admit(r.Context())
-	if aerr != nil {
-		if aerr.status != 499 {
-			aerr.write(w)
-		}
-		return
-	}
-	defer release()
-
-	deadline := time.Now().Add(s.timeoutFor(plan.timeout))
-	ctx, cancel := context.WithDeadline(r.Context(), deadline)
-	defer cancel()
-
-	compute := func() ([]byte, *apiError) {
-		tr, aerr := s.loadTrace(ctx, plan.traceKey, plan.load)
-		if aerr != nil {
-			return nil, aerr
+	// Sweep responses are always JSON.
+	key := s.resultKey("sweep", plan.traceKey, canonicalSweep(plan), "json")
+	s.serveResult(w, r, key, "json", plan.timeout, func(ctx context.Context) ([]byte, error) {
+		tr, err := s.traces.Get(ctx, plan.traceKey, plan.load)
+		if err != nil {
+			return nil, err
 		}
 		resp := SweepResponse{
 			Trace:   tr.Name,
@@ -387,30 +382,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// One fused pass per matrix row, sequential within the request's
 		// single worker slot: request-level parallelism stays with the pool.
 		for _, cfgs := range plan.rows {
-			results, aerr := s.runKernel(r.Context(), deadline, cfgs, tr.Reader(), nil)
-			if aerr != nil {
-				return nil, aerr
+			results, err := core.Run(ctx, core.Job{Configs: cfgs}, tr.Reader())
+			if err != nil {
+				return nil, err
 			}
 			row := make([]float64, len(results))
 			for j, res := range results {
 				v, err := core.MetricOf(plan.metric, res)
 				if err != nil {
-					return nil, asAPIError(err)
+					return nil, err
 				}
 				row[j] = v
 			}
 			resp.Rows = append(resp.Rows, row)
 		}
 		return encodeJSON(resp), nil
-	}
-	body, hit, aerr := s.resultDo(r.Context(), key, compute)
-	if aerr != nil {
-		if aerr.status != 499 {
-			aerr.write(w)
-		}
-		return
-	}
-	writeResult(w, "json", body, s.resultOutcome(hit))
+	})
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {

@@ -14,10 +14,8 @@ import (
 	"os"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"softcache/internal/core"
-	"softcache/internal/metrics"
 	"softcache/internal/trace"
 )
 
@@ -54,15 +52,15 @@ func StreamRoutingKey(prefix []byte) string {
 
 // budgetReader enforces the daemon's record budget over any trace
 // format and tallies what streams past: cumulative record count (the
-// response's references field), tag classes (the text report needs
-// them), and the daemon-wide decode counter. The budget is cumulative
-// across the whole body — chunked formats cannot dodge it by announcing
-// small pieces — and exceeding it poisons the reader with ErrTooLarge.
+// response's references field) and, when tags is set, the tag classes
+// the text report needs. The budget is cumulative across the whole body
+// — chunked formats cannot dodge it by announcing small pieces — and
+// exceeding it poisons the reader with ErrTooLarge.
 type budgetReader struct {
 	inner  trace.BatchReader
 	budget int64
-	read   atomic.Int64 // written by the simulation goroutine, read after it finishes
-	tags   trace.TagCounts
+	read   atomic.Int64     // written by the simulation goroutine, read after it finishes
+	tags   *trace.TagCounts // nil: the response format reads no tags
 	err    error
 }
 
@@ -75,7 +73,9 @@ func (r *budgetReader) ReadBatch(dst []trace.Record) (int, error) {
 	}
 	n, err := r.inner.ReadBatch(dst)
 	read := r.read.Add(int64(n))
-	r.tags.AddRecords(dst[:n])
+	if r.tags != nil {
+		r.tags.AddRecords(dst[:n])
+	}
 	if read > r.budget {
 		r.err = fmt.Errorf("%w: body exceeds the %d-record budget", trace.ErrTooLarge, r.budget)
 		return n, r.err
@@ -168,10 +168,11 @@ func parseStreamQuery(q url.Values) (*streamPlan, *apiError) {
 	return p, nil
 }
 
-// streamBodyError maps a streaming simulate failure to its HTTP status.
-// Every error out of the decode-simulate loop is the body's fault — the
-// configs were validated before a byte was read — so the default is 400,
-// with the record budget surfacing as 413 like the JSON body cap does.
+// streamBodyError maps a streaming simulate failure that is neither the
+// deadline's nor the client's to its HTTP status. Every such error is the
+// body's fault — the configs were validated before a byte was read — so
+// the default is 400, with the record budget surfacing as 413 like the
+// JSON body cap does.
 func streamBodyError(err error) *apiError {
 	if errors.Is(err, trace.ErrTooLarge) {
 		return &apiError{status: http.StatusRequestEntityTooLarge, msg: err.Error()}
@@ -225,30 +226,26 @@ func parseStreamEnvelope(env []byte) (fp string, body []byte, ok bool) {
 // exactly like one past the record budget.
 const maxSpoolBytes = 16 << 30
 
-// spoolStreamBody drains the request body (prefix already read plus the
-// rest) into an unlinked temp file while hashing it, returning the
-// replayable spool and the full-body fingerprint. The caller closes the
-// spool; the file itself is already removed.
-func spoolStreamBody(prefix []byte, rest io.Reader) (*os.File, string, *apiError) {
+// spoolStreamBody drains the whole upload into an unlinked temp file while
+// hashing it, returning the replayable spool and the full-body
+// fingerprint. The caller closes the spool; the file itself is already
+// removed.
+func spoolStreamBody(upload io.Reader) (*os.File, string, error) {
 	f, err := os.CreateTemp("", "softcache-stream-")
 	if err != nil {
 		return nil, "", &apiError{status: http.StatusInternalServerError, msg: fmt.Sprintf("spooling stream: %v", err)}
 	}
 	os.Remove(f.Name()) // anonymous: the descriptor is the only reference
 	h := sha256.New()
-	mw := io.MultiWriter(f, h)
-	fail := func(aerr *apiError) (*os.File, string, *apiError) {
+	fail := func(err error) (*os.File, string, error) {
 		f.Close()
-		return nil, "", aerr
+		return nil, "", err
 	}
-	if _, err := mw.Write(prefix); err != nil {
-		return fail(&apiError{status: http.StatusInternalServerError, msg: fmt.Sprintf("spooling stream: %v", err)})
-	}
-	n, err := io.Copy(mw, io.LimitReader(rest, maxSpoolBytes-int64(len(prefix))+1))
+	n, err := io.Copy(io.MultiWriter(f, h), io.LimitReader(upload, maxSpoolBytes+1))
 	if err != nil {
-		return fail(badRequest("reading request body: %v", err))
+		return fail(fmt.Errorf("reading request body: %w", err))
 	}
-	if int64(len(prefix))+n > maxSpoolBytes {
+	if n > maxSpoolBytes {
 		return fail(&apiError{status: http.StatusRequestEntityTooLarge,
 			msg: fmt.Sprintf("stream body exceeds the %d-byte spool limit", int64(maxSpoolBytes))})
 	}
@@ -258,155 +255,102 @@ func spoolStreamBody(prefix []byte, rest io.Reader) (*os.File, string, *apiError
 	return f, hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// streamSimulate decodes a trace body from r and runs the fused kernel
-// over it, returning the rendered response body. Decode accounting is
-// committed whether the run succeeds or not: a stream that fails
-// mid-body still decoded its records and chunks.
-func (s *Server) streamSimulate(rctx context.Context, plan *streamPlan, body io.Reader, deadline time.Time) ([]byte, *apiError) {
-	// The header sniff happens inside the worker slot: it is the first
-	// read of a body that may still be crossing the network.
-	br, err := trace.NewAnyReader(body, "upload")
-	if err != nil {
-		return nil, streamBodyError(err)
-	}
-	rd := &budgetReader{inner: br, budget: s.cfg.MaxTraceRecords}
-	defer func() {
-		s.met.traceRecords.Add(uint64(rd.read.Load()))
-		if sr, ok := br.(*trace.StreamReader); ok {
-			s.met.traceChunks.Add(sr.Chunks())
-		}
-	}()
-
-	results, aerr := s.runKernel(rctx, deadline, plan.cfgs, rd, streamBodyError)
-	if aerr != nil {
-		return nil, aerr
-	}
-
-	if plan.format == "text" {
-		var buf bytes.Buffer
-		for i, res := range results {
-			if i > 0 {
-				buf.WriteByte('\n')
-			}
-			metrics.SimulationReport(&buf, rd.tags, res)
-		}
-		return buf.Bytes(), nil
-	}
-	resp := SimulateResponse{Trace: rd.Name(), References: uint64(rd.read.Load())}
-	for _, res := range results {
-		resp.Results = append(resp.Results, ConfigResult{
-			Config:      res.Config,
-			AMAT:        res.AMAT(),
-			MissRatio:   res.MissRatio(),
-			WordsPerRef: res.Stats.WordsPerReference(),
-			Stats:       res.Stats,
-		})
-	}
-	return encodeJSON(resp), nil
-}
-
 func (s *Server) handleSimulateTrace(w http.ResponseWriter, r *http.Request) {
 	plan, aerr := parseStreamQuery(r.URL.Query())
 	if aerr != nil {
 		aerr.write(w)
 		return
 	}
-
-	release, aerr := s.admit(r.Context())
+	var fp, outcome string
+	body, aerr := s.admitted(r, plan.timeout, streamBodyError, func(ctx context.Context) (body []byte, err error) {
+		// The body's reads share the request's deadline, so a stalled
+		// upload ends in a 504 instead of holding its worker slot. A
+		// writer with no connection behind it (a test recorder) has no
+		// read to bound, so the error is dropped.
+		deadline, _ := ctx.Deadline()
+		_ = http.NewResponseController(w).SetReadDeadline(deadline)
+		body, fp, outcome, err = s.streamSimulate(ctx, plan, r.Body)
+		return body, err
+	})
 	if aerr != nil {
-		if aerr.status != 499 {
-			aerr.write(w)
-		}
+		aerr.write(w)
 		return
 	}
-	defer release()
-
-	deadline := time.Now().Add(s.timeoutFor(plan.timeout))
-
-	if s.results == nil {
-		// No result cache: decode straight off the socket, hashing as it
-		// streams so the response still carries the upload's identity.
-		hr := newHashingReader(r.Body)
-		body, aerr := s.streamSimulate(r.Context(), plan, hr, deadline)
-		if aerr != nil {
-			if aerr.status != 499 {
-				aerr.write(w)
-			}
-			return
-		}
-		io.Copy(io.Discard, hr) // any undecoded trailing bytes are identity too
-		w.Header().Set(TraceFingerprintHeader, hr.sum())
-		writeResult(w, plan.format, body, "")
-		return
-	}
-	s.handleStreamCached(w, r, plan, deadline)
+	w.Header().Set(TraceFingerprintHeader, fp)
+	writeResult(w, plan.format, body, outcome)
 }
 
-// handleStreamCached is the streamed-simulate path with a result cache:
-// identical uploads become lookups instead of re-decodes. The cache entry
-// is keyed by the body's bounded prefix (the router's stream identity);
-// on a candidate hit the body is spooled — not decoded — and served from
-// cache when its full fingerprint matches the stored one. A prefix
-// collision replays the spool through the kernel, so a lookup can cost a
-// spool but never a wrong answer. Each request counts exactly one hit or
-// miss (via Peek + Hit/Miss — streams cannot coalesce through Do because
-// every request owns its own body).
-func (s *Server) handleStreamCached(w http.ResponseWriter, r *http.Request, plan *streamPlan, deadline time.Time) {
-	cfgKey := canonicalConfigs(plan.cfgs)
+// streamSimulate answers one streamed upload inside its worker slot,
+// returning the rendered body, the upload's full fingerprint and the
+// result-cache outcome ("" with no cache configured). With a result
+// cache, identical uploads become lookups instead of re-decodes: the
+// entry is keyed by the body's bounded prefix (the router's stream
+// identity), and when a prefix entry exists the body is spooled — not
+// decoded — and served from the cache if its full fingerprint matches
+// the stored one. A prefix collision replays the spool through the
+// kernel, so a lookup can cost a spool but never a wrong answer. Each
+// request counts exactly one hit or miss (via Peek + Hit/Miss — streams
+// cannot coalesce through Do because every request owns its own body).
+// Decode accounting is committed whether the run succeeds or not: a
+// stream that fails mid-body still decoded its records and chunks.
+func (s *Server) streamSimulate(ctx context.Context, plan *streamPlan, upload io.Reader) (body []byte, fp, outcome string, err error) {
 	prefix := make([]byte, StreamKeyPrefix)
-	n, err := io.ReadFull(r.Body, prefix)
+	n, err := io.ReadFull(upload, prefix)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		badRequest("reading request body: %v", err).write(w)
-		return
+		return nil, "", "", fmt.Errorf("reading request body: %w", err)
 	}
 	prefix = prefix[:n]
-	pkey := s.resultKey("stream", StreamRoutingKey(prefix), cfgKey, plan.format)
+	src := io.MultiReader(bytes.NewReader(prefix), upload)
 
-	if env, ok := s.results.Peek(pkey); ok {
-		if storedFP, cached, ok := parseStreamEnvelope(env); ok {
-			spool, fullFP, aerr := spoolStreamBody(prefix, r.Body)
-			if aerr != nil {
-				aerr.write(w)
-				return
-			}
-			defer spool.Close()
-			if fullFP == storedFP {
-				s.results.Hit()
-				w.Header().Set(TraceFingerprintHeader, fullFP)
-				writeResult(w, plan.format, cached, resultHit)
-				return
-			}
-			// Same prefix, different body: replay the spool through the
-			// kernel. The newest upload takes over the prefix slot.
-			s.results.Miss()
-			body, aerr := s.streamSimulate(r.Context(), plan, spool, deadline)
-			if aerr != nil {
-				if aerr.status != 499 {
-					aerr.write(w)
+	var pkey string
+	if s.results != nil {
+		pkey = s.resultKey("stream", StreamRoutingKey(prefix), canonicalConfigs(plan.cfgs), plan.format)
+		if env, ok := s.results.Peek(pkey); ok {
+			if storedFP, cached, ok := parseStreamEnvelope(env); ok {
+				spool, fullFP, err := spoolStreamBody(src)
+				if err != nil {
+					return nil, "", "", err
 				}
-				return
+				defer spool.Close()
+				if fullFP == storedFP {
+					s.results.Hit()
+					return cached, fullFP, resultHit, nil
+				}
+				// Same prefix, different body: replay the spool. The
+				// newest upload takes over the prefix slot.
+				src = spool
 			}
-			s.results.Put(pkey, streamEnvelope(fullFP, body))
-			w.Header().Set(TraceFingerprintHeader, fullFP)
-			writeResult(w, plan.format, body, resultMiss)
-			return
 		}
+		s.results.Miss()
+		outcome = resultMiss
 	}
 
-	// First sighting of this prefix: decode straight off the socket with
-	// a tee hash, then store the rendered body under the prefix key.
-	s.results.Miss()
-	hr := newHashingReader(io.MultiReader(bytes.NewReader(prefix), r.Body))
-	body, aerr := s.streamSimulate(r.Context(), plan, hr, deadline)
-	if aerr != nil {
-		if aerr.status != 499 {
-			aerr.write(w)
-		}
-		return
+	hr := newHashingReader(src)
+	br, err := trace.NewAnyReader(hr, "upload")
+	if err != nil {
+		return nil, "", "", err
 	}
-	io.Copy(io.Discard, hr)
-	fullFP := hr.sum()
-	s.results.Put(pkey, streamEnvelope(fullFP, body))
-	w.Header().Set(TraceFingerprintHeader, fullFP)
-	writeResult(w, plan.format, body, resultMiss)
+	rd := &budgetReader{inner: br, budget: s.cfg.MaxTraceRecords}
+	var tags trace.TagCounts
+	if plan.format == "text" {
+		rd.tags = &tags
+	}
+	results, err := core.Run(ctx, core.Job{Configs: plan.cfgs}, rd)
+	s.met.traceRecords.Add(uint64(rd.read.Load()))
+	if sr, ok := br.(*trace.StreamReader); ok {
+		s.met.traceChunks.Add(sr.Chunks())
+	}
+	if err != nil {
+		return nil, "", "", err
+	}
+	// Any undecoded trailing bytes are identity too.
+	if _, err := io.Copy(io.Discard, hr); err != nil {
+		return nil, "", "", fmt.Errorf("reading request body: %w", err)
+	}
+	fp = hr.sum()
+	body = renderSimulate(plan.format, rd.Name(), uint64(rd.read.Load()), tags, results)
+	if s.results != nil {
+		s.results.Put(pkey, streamEnvelope(fp, body))
+	}
+	return body, fp, outcome, nil
 }

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"softcache/internal/trace"
 	"softcache/internal/workloads"
@@ -68,34 +71,23 @@ func TestSimulateTraceStreamed(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(resp.Results))
 	}
 
-	// The streamed answer must agree with the materialised endpoint run
-	// over the same uploaded records (din carries addr+dir only, so the
-	// comparison uses the binary upload against the workload baseline).
-	stJSON, bodyJSON := post(t, ts.URL+"/v1/simulate",
-		`{"workload":"MV","scale":"test","configs":[{"name":"soft"},{"name":"standard"}]}`)
-	if stJSON != http.StatusOK {
-		t.Fatalf("materialised simulate: status %d: %s", stJSON, bodyJSON)
-	}
-	var base SimulateResponse
-	if err := json.Unmarshal(bodyJSON, &base); err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Results) != len(resp.Results) {
-		t.Fatalf("result count mismatch: %d vs %d", len(base.Results), len(resp.Results))
-	}
-	for i := range base.Results {
-		if base.Results[i] != resp.Results[i] {
-			t.Fatalf("result %d: streamed %+v != materialised %+v", i, resp.Results[i], base.Results[i])
+	// The streamed answer is byte-identical to the materialised endpoint's
+	// over the same trace, in both formats: one renderer serves both.
+	for _, format := range []string{"json", "text"} {
+		stMat, bodyMat := post(t, ts.URL+"/v1/simulate?format="+format,
+			`{"workload":"MV","scale":"test","configs":[{"name":"soft"},{"name":"standard"}]}`)
+		if stMat != http.StatusOK {
+			t.Fatalf("materialised %s simulate: status %d: %s", format, stMat, bodyMat)
 		}
-	}
-
-	// Text format renders one report per config.
-	stText, bodyText := streamBody(t, ts.URL, "?config=soft&format=text", sctz)
-	if stText != http.StatusOK {
-		t.Fatalf("text stream: status %d: %s", stText, bodyText)
-	}
-	if !strings.Contains(string(bodyText), "AMAT") {
-		t.Fatalf("text report missing AMAT:\n%s", bodyText)
+		for name, upload := range map[string][]byte{"flat": flat, "sctz": sctz} {
+			st, body := streamBody(t, ts.URL, "?config=soft&config=standard&format="+format, upload)
+			if st != http.StatusOK {
+				t.Fatalf("%s %s stream: status %d: %s", name, format, st, body)
+			}
+			if !bytes.Equal(body, bodyMat) {
+				t.Fatalf("%s %s stream differs from /v1/simulate:\nstream: %s\nsimulate: %s", name, format, body, bodyMat)
+			}
+		}
 	}
 
 	// The decode counters must have moved and be rendered in /metrics.
@@ -200,4 +192,76 @@ func TestStreamRoutingKeyStable(t *testing.T) {
 	if StreamRoutingKey(perturbed) == k1 {
 		t.Fatal("different prefix bytes produced the same key")
 	}
+}
+
+// stallUpload sends the first half of body to /v1/simulate/trace and then
+// stalls with the connection open, returning the status the server
+// answered and how long it took. The client gives up after 3 s, so a
+// server that never answers fails the caller's checks instead of hanging
+// the test.
+func stallUpload(t *testing.T, base, query string, body []byte) (int, time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	// Closing the pipe ends the upload: the transport waits for its body
+	// writer before it reports a canceled request.
+	context.AfterFunc(ctx, func() { pw.Close() })
+	go pw.Write(body[:len(body)/2]) // returns once read, or when the pipe closes
+	req, err := http.NewRequestWithContext(ctx, "POST", base+"/v1/simulate/trace"+query, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("stalled upload got no answer after %v: %v", time.Since(start), err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, time.Since(start)
+}
+
+// TestStalledUploadTimesOut: an upload that stalls mid-body is bounded by
+// its request deadline — a 504 within a second, counted once as a
+// timeout, with its worker slot released — on the cache-less path, on a
+// result-cache first sighting, and on the spool path, where a stored
+// entry for the same 64 KiB prefix makes the server spool the body.
+func TestStalledUploadTimesOut(t *testing.T) {
+	_, flat, _ := testTraceBytes(t)
+	if len(flat)/2 <= StreamKeyPrefix {
+		t.Fatalf("half the flat trace is %d bytes; the spool case needs more than the %d-byte prefix", len(flat)/2, StreamKeyPrefix)
+	}
+	const query = "?config=soft&timeout_ms=200"
+	check := func(t *testing.T, s *Server, base string) {
+		t.Helper()
+		code, took := stallUpload(t, base, query, flat)
+		if code != http.StatusGatewayTimeout || took > time.Second {
+			t.Fatalf("stalled upload: status %d after %v, want 504 within 1s", code, took)
+		}
+		if n := s.met.timeouts.Load(); n != 1 {
+			t.Fatalf("timeout counter %d, want 1", n)
+		}
+		if n := s.met.inflight.Load(); n != 0 {
+			t.Fatalf("inflight %d after the answer, want 0", n)
+		}
+	}
+
+	t.Run("no-cache", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		check(t, s, ts.URL)
+	})
+	t.Run("first-sighting", func(t *testing.T) {
+		s, ts, _ := newCachedServer(t, t.TempDir())
+		check(t, s, ts.URL)
+	})
+	t.Run("spool", func(t *testing.T) {
+		s, ts, rc := newCachedServer(t, t.TempDir())
+		if code, body := streamBody(t, ts.URL, query, flat); code != http.StatusOK {
+			t.Fatalf("storing the prefix entry: status %d: %s", code, body)
+		}
+		check(t, s, ts.URL)
+		if st := rc.Stats(); st.Stores != 1 {
+			t.Fatalf("stores %d, want 1: a timed-out upload must not be stored", st.Stores)
+		}
+	})
 }
