@@ -109,14 +109,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Exit(stderr, tool, runFaults(ctx, stdout, *seed, opts))
 	}
 
-	var scale workloads.Scale
-	switch *scaleName {
-	case "paper":
-		scale = workloads.ScalePaper
-	case "test":
-		scale = workloads.ScaleTest
-	default:
-		return cli.Exit(stderr, tool, cli.UsageErrorf("unknown scale %q (want paper or test)", *scaleName))
+	scale, err := workloads.ParseScale(*scaleName)
+	if err != nil {
+		return cli.Exit(stderr, tool, cli.Usage(err))
 	}
 
 	ids := []string(figs)

@@ -29,11 +29,8 @@ import (
 
 	"softcache/internal/cli"
 	"softcache/internal/core"
-	"softcache/internal/lang"
-	"softcache/internal/loopir"
 	"softcache/internal/metrics"
 	"softcache/internal/trace"
-	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
 
@@ -99,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Exit(stderr, tool, cli.UsageErrorf("-warmup %d is negative", *warmup))
 	}
 
-	src, err := openSource(*workload, *source, *traceFile, *scaleName, *seed)
+	src, err := cli.OpenSource(*workload, *source, *traceFile, *scaleName, *seed)
 	if err != nil {
 		return cli.Exit(stderr, tool, err)
 	}
@@ -133,55 +130,4 @@ func (r *tagReader) ReadBatch(dst []trace.Record) (int, error) {
 	}
 	r.tags.AddRecords(recs)
 	return n, err
-}
-
-// source is a streamed trace: a saved file or a running generator.
-type source interface {
-	trace.BatchReader
-	io.Closer
-}
-
-// openSource opens the one selected trace source as a stream: a saved
-// file through trace.OpenFile, a workload or loop-nest program through
-// tracegen.NewReader. No source is ever materialised.
-func openSource(workload, src, traceFile, scaleName string, seed uint64) (source, error) {
-	selected := 0
-	for _, s := range []string{workload, src, traceFile} {
-		if s != "" {
-			selected++
-		}
-	}
-	if selected > 1 {
-		return nil, cli.UsageErrorf("-workload, -source and -trace are mutually exclusive")
-	}
-	var p *loopir.Program
-	switch {
-	case src != "":
-		data, err := os.ReadFile(src)
-		if err != nil {
-			return nil, err
-		}
-		if p, err = lang.Parse(string(data)); err != nil {
-			return nil, fmt.Errorf("%s: %w", src, err)
-		}
-	case traceFile != "":
-		return trace.OpenFile(traceFile)
-	case workload != "":
-		var scale workloads.Scale
-		switch scaleName {
-		case "paper":
-			scale = workloads.ScalePaper
-		case "test":
-			scale = workloads.ScaleTest
-		default:
-			return nil, cli.UsageErrorf("unknown scale %q", scaleName)
-		}
-		var err error
-		if p, err = workloads.BuildProgram(workload, scale); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, cli.UsageErrorf("need -workload or -trace (or -workloads to list)")
-	}
-	return tracegen.NewReader(p, tracegen.Options{Seed: seed})
 }

@@ -48,10 +48,7 @@ import (
 	"softcache/internal/cli"
 	"softcache/internal/core"
 	"softcache/internal/harness"
-	"softcache/internal/lang"
 	"softcache/internal/trace"
-	"softcache/internal/tracegen"
-	"softcache/internal/workloads"
 )
 
 const tool = "softcache-sweep"
@@ -238,47 +235,14 @@ func rowDigest(fingerprint, metric string, cfgs []core.Config) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)[:8]), nil
 }
 
+// loadTrace materialises the swept trace: a sweep walks it once per
+// matrix row, so it holds the records rather than re-reading the source
+// for every row.
 func loadTrace(workload, source, traceFile, scaleName string, seed uint64) (*trace.Trace, error) {
-	selected := 0
-	for _, s := range []string{workload, source, traceFile} {
-		if s != "" {
-			selected++
-		}
+	src, err := cli.OpenSource(workload, source, traceFile, scaleName, seed)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case selected > 1:
-		return nil, cli.UsageErrorf("-workload, -source and -trace are mutually exclusive")
-	case traceFile != "":
-		// A sweep walks the trace once per matrix row, so it materialises
-		// the records rather than re-decoding the file for every row.
-		f, err := trace.OpenFile(traceFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadAll(f)
-	case source != "":
-		data, err := os.ReadFile(source)
-		if err != nil {
-			return nil, err
-		}
-		p, err := lang.Parse(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", source, err)
-		}
-		return tracegen.Generate(p, tracegen.Options{Seed: seed})
-	case workload != "":
-		var scale workloads.Scale
-		switch scaleName {
-		case "paper":
-			scale = workloads.ScalePaper
-		case "test":
-			scale = workloads.ScaleTest
-		default:
-			return nil, cli.UsageErrorf("unknown scale %q", scaleName)
-		}
-		return workloads.Trace(workload, scale, seed)
-	default:
-		return nil, cli.UsageErrorf("need -workload, -source or -trace")
-	}
+	defer src.Close()
+	return trace.ReadAll(src)
 }

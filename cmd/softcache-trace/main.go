@@ -9,15 +9,20 @@
 //	softcache-trace -workload SpMV -stats             # directly from a workload
 //	softcache-trace -in mv.trace -dump -n 20          # first records
 //	softcache-trace -workload MV -program             # print the loop nest
-//	softcache-trace -in big.din.gz -out big.sctz -convert   # streaming convert
+//	softcache-trace -in big.din.gz -out big.sctz      # convert between formats
 //	softcache-trace -in big.sctz -info                # stream metadata + counts
 //	softcache-trace -in big.sctz -verify              # full structural check
 //	softcache-trace -synth 70000000 -out ci.sctz      # adversarial synthetic
 //
-// Conversion, verification, info and synthesis stream in O(batch) memory:
-// a multi-gigabyte capture never materialises. Input formats are sniffed
-// (flat SCTR, compressed SCTZ, din text, gzipped din); the output format
-// follows -format, or the -out extension when -format is auto.
+// -in sniffs the input format (flat SCTR, compressed SCTZ, din text,
+// gzipped din); a din file is named after the file, with its .gz and
+// format extensions stripped. The output format follows -format, or the
+// -out extension when -format is auto. Every source streams to -out in
+// O(batch) memory, so converting a multi-gigabyte capture never
+// materialises it. The trace is held whole only when something needs all
+// of it: -stats, a flat -out (whose header carries the record count) from
+// a source that does not announce its length, or an -out that is the -in
+// file. -info, -verify and -synth stream too.
 package main
 
 import (
@@ -26,16 +31,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"softcache/internal/cli"
-	"softcache/internal/lang"
 	"softcache/internal/locality"
 	"softcache/internal/loopir"
 	"softcache/internal/metrics"
 	"softcache/internal/trace"
-	"softcache/internal/tracegen"
-	"softcache/internal/workloads"
 )
 
 const tool = "softcache-trace"
@@ -51,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workload := fs.String("workload", "", "workload to generate (see softcache-sim -workloads)")
 	source := fs.String("source", "", "loop-nest source file to compile and trace (see internal/lang)")
 	in := fs.String("in", "", "trace file to read (format sniffed: flat, sctz, din, din.gz)")
-	din := fs.String("din", "", "Dinero-format trace file to import (no tags)")
 	out := fs.String("out", "", "write the trace to this file")
 	format := fs.String("format", "auto", "output format: auto, flat, sctz or din (auto picks by -out extension)")
 	scaleName := fs.String("scale", "paper", "workload scale: paper or test")
@@ -60,75 +60,136 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dump := fs.Bool("dump", false, "dump records")
 	n := fs.Int("n", 10, "records to dump")
 	program := fs.Bool("program", false, "print the workload's loop nest with resolved tags")
-	convert := fs.Bool("convert", false, "stream -in/-din to -out without materialising")
-	verify := fs.Bool("verify", false, "stream-decode -in/-din fully, checking structure and checksums")
-	info := fs.Bool("info", false, "print stream metadata and record counts for -in/-din")
+	verify := fs.Bool("verify", false, "stream-decode -in fully, checking structure and checksums")
+	info := fs.Bool("info", false, "print stream metadata and record counts for -in")
 	synth := fs.Uint64("synth", 0, "generate this many synthetic records to -out (compression-adversarial, sctz)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
 
 	modes := 0
-	for _, m := range []bool{*convert, *verify, *info, *synth > 0} {
+	for _, m := range []bool{*verify, *info, *synth > 0} {
 		if m {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return cli.Exit(stderr, tool, cli.UsageErrorf("-convert, -verify, -info and -synth are mutually exclusive"))
+		return cli.Exit(stderr, tool, cli.UsageErrorf("-verify, -info and -synth are mutually exclusive"))
 	}
-	if modes == 1 {
+	var err error
+	switch {
+	case *synth > 0:
+		err = runSynth(stdout, *out, *synth, *seed)
+	case *verify:
+		err = runVerify(stdout, *in)
+	case *info:
+		err = runInfo(stdout, *in)
+	case *program && *in == "":
+		err = printProgram(stdout, *workload, *source, *scaleName)
+	default:
+		keep := 0
+		if *dump {
+			keep = max(*n, 0)
+		}
+		err = runTrace(stdout, *workload, *source, *in, *out, *format, *scaleName, *seed, keep, *stats)
+	}
+	return cli.Exit(stderr, tool, err)
+}
+
+// runTrace streams the named trace to -out (or just through, to count it)
+// and prints its header line, the write confirmation, the first keep
+// records and, with stats, the characterisation.
+func runTrace(stdout io.Writer, workload, source, in, out, format, scale string, seed uint64, keep int, stats bool) error {
+	outFormat := ""
+	if out != "" {
 		var err error
-		switch {
-		case *synth > 0:
-			err = runSynth(stdout, *out, *synth, *seed)
-		case *convert:
-			err = runConvert(stdout, *in, *din, *out, *format)
-		case *verify:
-			err = runVerify(stdout, *in, *din)
-		case *info:
-			err = runInfo(stdout, *in, *din)
+		if outFormat, err = pickFormat(format, out); err != nil {
+			return err
 		}
-		if err != nil {
-			return cli.Exit(stderr, tool, err)
-		}
-		return cli.ExitOK
 	}
-
-	t, err := obtainTrace(stdout, *workload, *source, *in, *din, *scaleName, *seed, *program)
+	src, err := cli.OpenSource(workload, source, in, scale, seed)
 	if err != nil {
-		return cli.Exit(stderr, tool, err)
+		return err
 	}
-	if t == nil {
-		return cli.ExitOK // -program only
-	}
-
-	fmt.Fprintf(stdout, "trace %s: %d references\n", t.Name, t.Len())
-
-	if *out != "" {
-		f, err := pickFormat(*format, *out)
+	var t *trace.Trace
+	var r trace.BatchReader = src
+	if stats || outFormat == "flat" && src.Len() < 0 || sameFile(in, out) {
+		t, err = trace.ReadAll(src)
+		src.Close()
 		if err != nil {
-			return cli.Exit(stderr, tool, err)
+			return err
 		}
-		if err := writeTrace(*out, f, t); err != nil {
-			return cli.Exit(stderr, tool, err)
-		}
-		fmt.Fprintf(stdout, "wrote %s (%s)\n", *out, f)
+		r = t.Reader()
+	} else {
+		defer src.Close()
 	}
 
-	if *dump {
-		for i, r := range t.Records {
-			if i >= *n {
-				break
-			}
-			fmt.Fprintln(stdout, r)
-		}
+	seen := &tally{BatchReader: r, keep: keep}
+	if out != "" {
+		err = writeTrace(out, outFormat, seen)
+	} else {
+		_, err = drain(seen)
 	}
-
-	if *stats {
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "trace %s: %d references\n", r.Name(), seen.count)
+	if out != "" {
+		fmt.Fprintf(stdout, "wrote %s (%s)\n", out, outFormat)
+	}
+	for _, rec := range seen.head {
+		fmt.Fprintln(stdout, rec)
+	}
+	if stats {
 		printStats(stdout, t)
 	}
-	return cli.ExitOK
+	return nil
+}
+
+// tally counts the records streaming past and keeps the first keep of them.
+type tally struct {
+	trace.BatchReader
+	keep  int
+	count int
+	head  []trace.Record
+}
+
+func (t *tally) ReadBatch(dst []trace.Record) (int, error) {
+	n, err := t.BatchReader.ReadBatch(dst)
+	if k := min(n, t.keep-len(t.head)); k > 0 {
+		t.head = append(t.head, dst[:k]...)
+	}
+	t.count += n
+	return n, err
+}
+
+// sameFile reports whether in and out name one existing file, which must
+// be read whole before out is truncated.
+func sameFile(in, out string) bool {
+	if in == "" || out == "" {
+		return false
+	}
+	a, err := os.Stat(in)
+	if err != nil {
+		return false
+	}
+	b, err := os.Stat(out)
+	return err == nil && os.SameFile(a, b)
+}
+
+// printProgram prints the workload's or source file's loop nest with the
+// tags the locality analysis resolves.
+func printProgram(stdout io.Writer, workload, source, scale string) error {
+	p, err := cli.Program(workload, source, scale)
+	if err != nil {
+		return err
+	}
+	tags, err := locality.Analyze(p)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, p.StringTagged(map[int]loopir.Tags(tags)))
+	return nil
 }
 
 // pickFormat resolves the -format flag, using the output extension when
@@ -152,53 +213,39 @@ func pickFormat(format, outPath string) (string, error) {
 	}
 }
 
-func writeTrace(path, format string, t *trace.Trace) error {
+// writeTrace streams r into path in the given format. A failed write
+// removes the partial file, unless path named something other than a
+// regular file beforehand (a device such as /dev/null, a FIFO, a symlink).
+func writeTrace(path, format string, r trace.BatchReader) error {
+	fi, lerr := os.Lstat(path)
+	special := lerr == nil && !fi.Mode().IsRegular()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	switch format {
 	case "sctz":
-		err = trace.WriteSCTZ(f, t)
+		_, err = trace.CopySCTZ(f, r)
 	case "din":
-		err = trace.WriteDin(f, t)
+		_, err = trace.CopyDin(f, r)
 	default:
-		err = trace.Write(f, t)
+		_, err = trace.CopyFlat(f, r)
 	}
-	if err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err != nil && !special {
+		os.Remove(path)
+	}
+	return err
 }
 
-// openInput opens -in (sniffed) or -din (forced din parse) for streaming.
-func openInput(in, din string) (trace.BatchReader, io.Closer, error) {
-	switch {
-	case in != "" && din != "":
-		return nil, nil, cli.UsageErrorf("-in and -din are mutually exclusive")
-	case din != "":
-		f, err := os.Open(din)
-		if err != nil {
-			return nil, nil, err
-		}
-		name := strings.TrimSuffix(filepath.Base(din), ".gz")
-		name = strings.TrimSuffix(name, filepath.Ext(name))
-		r, err := trace.NewDinReader(f, name)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return r, f, nil
-	case in != "":
-		f, err := trace.OpenFile(in)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, f, nil
-	default:
-		return nil, nil, cli.UsageErrorf("need -in or -din")
+// openInput opens -in for -verify and -info.
+func openInput(in string) (*trace.File, error) {
+	if in == "" {
+		return nil, cli.UsageErrorf("need -in")
 	}
+	return trace.OpenFile(in)
 }
 
 func runSynth(stdout io.Writer, out string, n, seed uint64) error {
@@ -226,43 +273,6 @@ func runSynth(stdout io.Writer, out string, n, seed uint64) error {
 	return nil
 }
 
-func runConvert(stdout io.Writer, in, din, out, format string) error {
-	if out == "" {
-		return cli.UsageErrorf("-convert needs -out")
-	}
-	r, closer, err := openInput(in, din)
-	if err != nil {
-		return err
-	}
-	defer closer.Close()
-	f, err := pickFormat(format, out)
-	if err != nil {
-		return err
-	}
-	dst, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	var written uint64
-	switch f {
-	case "sctz":
-		written, err = trace.CopySCTZ(dst, r)
-	case "din":
-		written, err = trace.CopyDin(dst, r)
-	default:
-		written, err = trace.CopyFlat(dst, r)
-	}
-	if err != nil {
-		dst.Close()
-		return err
-	}
-	if err := dst.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "converted %d records to %s (%s)\n", written, out, f)
-	return nil
-}
-
 // drain streams r to completion, returning the record count.
 func drain(r trace.BatchReader) (uint64, error) {
 	batch := trace.GetBatch()
@@ -280,17 +290,17 @@ func drain(r trace.BatchReader) (uint64, error) {
 	}
 }
 
-func runVerify(stdout io.Writer, in, din string) error {
-	r, closer, err := openInput(in, din)
+func runVerify(stdout io.Writer, in string) error {
+	f, err := openInput(in)
 	if err != nil {
 		return err
 	}
-	defer closer.Close()
-	total, err := drain(r)
+	defer f.Close()
+	total, err := drain(f)
 	if err != nil {
 		return fmt.Errorf("verify failed after %d records: %w", total, err)
 	}
-	if sr := streamReaderOf(r); sr != nil {
+	if sr, ok := f.BatchReader.(*trace.StreamReader); ok {
 		fmt.Fprintf(stdout, "verify OK: %d records in %d chunks\n", total, sr.Chunks())
 	} else {
 		fmt.Fprintf(stdout, "verify OK: %d records\n", total)
@@ -298,31 +308,15 @@ func runVerify(stdout io.Writer, in, din string) error {
 	return nil
 }
 
-// streamReaderOf unwraps r down to an SCTZ StreamReader, if that is what
-// is driving it.
-func streamReaderOf(r trace.BatchReader) *trace.StreamReader {
-	if f, ok := r.(*trace.File); ok {
-		r = f.BatchReader
-	}
-	sr, _ := r.(*trace.StreamReader)
-	return sr
-}
-
-func runInfo(stdout io.Writer, in, din string) error {
-	r, closer, err := openInput(in, din)
+func runInfo(stdout io.Writer, in string) error {
+	f, err := openInput(in)
 	if err != nil {
 		return err
 	}
-	defer closer.Close()
+	defer f.Close()
 
 	formatName := "din"
-	mapped := false
-	inner := r
-	if f, ok := r.(*trace.File); ok {
-		mapped = f.Mapped()
-		inner = f.BatchReader
-	}
-	switch inner.(type) {
+	switch f.BatchReader.(type) {
 	case *trace.Reader:
 		formatName = "flat"
 	case *trace.StreamReader:
@@ -330,106 +324,31 @@ func runInfo(stdout io.Writer, in, din string) error {
 	}
 
 	fmt.Fprintf(stdout, "format: %s\n", formatName)
-	fmt.Fprintf(stdout, "name: %s\n", r.Name())
-	if n := r.Len(); n >= 0 {
+	fmt.Fprintf(stdout, "name: %s\n", f.Name())
+	if n := f.Len(); n >= 0 {
 		fmt.Fprintf(stdout, "announced records: %d\n", n)
 	} else {
 		fmt.Fprintf(stdout, "announced records: unknown\n")
 	}
-	total, err := drain(r)
+	total, err := drain(f)
 	if err != nil {
 		return fmt.Errorf("decode failed after %d records: %w", total, err)
 	}
 	fmt.Fprintf(stdout, "records: %d\n", total)
-	path := in
-	if path == "" {
-		path = din
-	}
 	var size int64
-	if st, serr := os.Stat(path); serr == nil {
+	if st, serr := os.Stat(in); serr == nil {
 		size = st.Size()
 		fmt.Fprintf(stdout, "bytes: %d (%.2f B/record)\n", size, float64(size)/float64(max(total, 1)))
 	}
-	if sr := streamReaderOf(r); sr != nil {
+	if sr, ok := f.BatchReader.(*trace.StreamReader); ok {
 		fmt.Fprintf(stdout, "chunks: %d\n", sr.Chunks())
 		if size > 0 {
-			flatSize := int64(total)*15 + 16 + int64(len(r.Name()))
+			flatSize := int64(total)*15 + 16 + int64(len(f.Name()))
 			fmt.Fprintf(stdout, "flat equivalent: %d bytes (%.2fx compression)\n", flatSize, float64(flatSize)/float64(size))
 		}
 	}
-	fmt.Fprintf(stdout, "mapped: %v\n", mapped)
+	fmt.Fprintf(stdout, "mapped: %v\n", f.Mapped())
 	return nil
-}
-
-func obtainTrace(stdout io.Writer, workload, source, in, din, scaleName string, seed uint64, program bool) (*trace.Trace, error) {
-	selected := 0
-	for _, s := range []string{workload, source, in, din} {
-		if s != "" {
-			selected++
-		}
-	}
-	if selected > 1 {
-		return nil, cli.UsageErrorf("-workload, -source, -in and -din are mutually exclusive")
-	}
-	switch {
-	case din != "":
-		f, err := os.Open(din)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadDin(f, strings.TrimSuffix(filepath.Base(din), filepath.Ext(din)))
-	case source != "":
-		data, err := os.ReadFile(source)
-		if err != nil {
-			return nil, err
-		}
-		p, err := lang.Parse(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", source, err)
-		}
-		if program {
-			tags, err := locality.Analyze(p)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(stdout, p.StringTagged(map[int]loopir.Tags(tags)))
-			return nil, nil
-		}
-		return tracegen.Generate(p, tracegen.Options{Seed: seed})
-	case in != "":
-		f, err := trace.OpenFile(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadAll(f)
-	case workload != "":
-		var scale workloads.Scale
-		switch scaleName {
-		case "paper":
-			scale = workloads.ScalePaper
-		case "test":
-			scale = workloads.ScaleTest
-		default:
-			return nil, cli.UsageErrorf("unknown scale %q", scaleName)
-		}
-		p, err := workloads.BuildProgram(workload, scale)
-		if err != nil {
-			return nil, err
-		}
-		if program {
-			tags, err := locality.Analyze(p)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprint(stdout, p.StringTagged(map[int]loopir.Tags(tags)))
-			return nil, nil
-		}
-		return tracegen.Generate(p, tracegen.Options{Seed: seed})
-	default:
-		return nil, cli.UsageErrorf("need -workload, -source, -in or -din")
-	}
 }
 
 func printStats(w io.Writer, t *trace.Trace) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,7 +125,7 @@ func TestDinImport(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0 1000\n1 1008\n2 9999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, errb, code := runTool(t, "-din", path, "-dump", "-n", "5")
+	out, errb, code := runTool(t, "-in", path, "-dump", "-n", "5")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
@@ -135,14 +136,62 @@ func TestDinImport(t *testing.T) {
 		t.Fatalf("write record missing:\n%s", out)
 	}
 	// Mutually exclusive with -workload.
-	if _, _, code := runTool(t, "-din", path, "-workload", "MV"); code == 0 {
-		t.Fatal("-din with -workload should fail")
+	if _, _, code := runTool(t, "-in", path, "-workload", "MV"); code == 0 {
+		t.Fatal("-in with -workload should fail")
 	}
 }
 
-// TestConvertPipeline drives the streaming modes end to end: generate a
-// workload, save it compressed by extension, convert sctz→flat→din→sctz,
-// and check -info/-verify report consistent record counts throughout.
+// TestDinGzipName: a gzipped din file is named by one rule, the file name
+// with its .gz and format extensions stripped, whatever the tool does
+// with it.
+func TestDinGzipName(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "foo.din.gz")
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write([]byte("0 1000\n1 1008\n0 1010\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, zbuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stats"}, "trace foo: 3 references"},
+		{[]string{"-dump", "-n", "1"}, "trace foo: 3 references"},
+		{[]string{"-info"}, "name: foo\n"},
+		{[]string{"-out", filepath.Join(dir, "foo.sctz")}, "trace foo: 3 references"},
+		{[]string{"-out", filepath.Join(dir, "foo.trace")}, "trace foo: 3 references"},
+	} {
+		out, errb, code := runTool(t, append([]string{"-in", path}, c.args...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", c.args, code, errb)
+		}
+		if !strings.Contains(out, c.want) {
+			t.Fatalf("%v: missing %q:\n%s", c.args, c.want, out)
+		}
+	}
+	// The written files carry the name too.
+	for _, written := range []string{"foo.sctz", "foo.trace"} {
+		out, errb, code := runTool(t, "-in", filepath.Join(dir, written), "-info")
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", written, code, errb)
+		}
+		if !strings.Contains(out, "name: foo\n") {
+			t.Fatalf("%s lost the name:\n%s", written, out)
+		}
+	}
+}
+
+// TestConvertPipeline drives conversion end to end: generate a workload,
+// save it compressed by extension, convert sctz→flat→din→sctz and din→flat
+// with -in/-out, and check -info/-verify report consistent record counts
+// throughout.
 func TestConvertPipeline(t *testing.T) {
 	dir := t.TempDir()
 	sctzPath := filepath.Join(dir, "w.sctz")
@@ -155,16 +204,22 @@ func TestConvertPipeline(t *testing.T) {
 	}
 
 	flatPath := filepath.Join(dir, "w.trace")
-	if out, errb, code = runTool(t, "-in", sctzPath, "-out", flatPath, "-convert"); code != 0 {
+	if out, errb, code = runTool(t, "-in", sctzPath, "-out", flatPath); code != 0 {
 		t.Fatalf("convert to flat: exit %d: %s", code, errb)
 	}
 	dinPath := filepath.Join(dir, "w.din")
-	if _, errb, code = runTool(t, "-in", flatPath, "-out", dinPath, "-convert"); code != 0 {
+	if _, errb, code = runTool(t, "-in", flatPath, "-out", dinPath); code != 0 {
 		t.Fatalf("convert to din: exit %d: %s", code, errb)
 	}
 	backPath := filepath.Join(dir, "back.sctz")
-	if _, errb, code = runTool(t, "-din", dinPath, "-out", backPath, "-convert"); code != 0 {
+	if _, errb, code = runTool(t, "-in", dinPath, "-out", backPath); code != 0 {
 		t.Fatalf("convert din back to sctz: exit %d: %s", code, errb)
+	}
+	// Din announces no length, so a flat output (whose header carries the
+	// count) reads it whole first.
+	dinFlatPath := filepath.Join(dir, "back.trace")
+	if _, errb, code = runTool(t, "-in", dinPath, "-out", dinFlatPath); code != 0 {
+		t.Fatalf("convert din to flat: exit %d: %s", code, errb)
 	}
 
 	infoOut, errb, code := runTool(t, "-in", sctzPath, "-info")
@@ -194,9 +249,14 @@ func TestConvertPipeline(t *testing.T) {
 		}
 		return ""
 	}
-	info2, _, _ := runTool(t, "-in", backPath, "-info")
-	if recordsOf(infoOut) == "" || recordsOf(infoOut) != recordsOf(info2) {
-		t.Fatalf("record counts diverged:\n%s\nvs\n%s", infoOut, info2)
+	for _, p := range []string{backPath, dinFlatPath} {
+		info2, errb, code := runTool(t, "-in", p, "-info")
+		if code != 0 {
+			t.Fatalf("info %s: exit %d: %s", p, code, errb)
+		}
+		if recordsOf(infoOut) == "" || recordsOf(infoOut) != recordsOf(info2) {
+			t.Fatalf("record counts diverged:\n%s\nvs\n%s", infoOut, info2)
+		}
 	}
 }
 
@@ -217,6 +277,35 @@ func TestVerifyCorrupt(t *testing.T) {
 	}
 	if _, errb, code := runTool(t, "-in", path, "-verify"); code == 0 {
 		t.Fatalf("corrupt stream passed -verify: %s", errb)
+	}
+	// A conversion that fails mid-stream leaves no partial output.
+	out := filepath.Join(dir, "w.din")
+	if _, errb, code := runTool(t, "-in", path, "-out", out); code == 0 {
+		t.Fatalf("corrupt stream converted: %s", errb)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("partial output left behind: %v", err)
+	}
+}
+
+// TestInPlaceRewrite: an -out naming the -in file is read whole before it
+// is truncated, so a trace converts in place.
+func TestInPlaceRewrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.trace")
+	out, errb, code := runTool(t, "-workload", "MV", "-scale", "test", "-out", path)
+	if code != 0 {
+		t.Fatalf("generate: exit %d: %s", code, errb)
+	}
+	out2, errb, code := runTool(t, "-in", path, "-out", path, "-format", "sctz")
+	if code != 0 {
+		t.Fatalf("rewrite: exit %d: %s", code, errb)
+	}
+	if first := strings.Split(out, "\n")[0]; !strings.HasPrefix(out2, first+"\n") {
+		t.Fatalf("rewrite changed the trace: %q, then %q", first, out2)
+	}
+	info, errb, code := runTool(t, "-in", path, "-verify")
+	if code != 0 || !strings.Contains(info, "chunks") {
+		t.Fatalf("rewritten file is not a healthy sctz stream (exit %d): %s%s", code, info, errb)
 	}
 }
 

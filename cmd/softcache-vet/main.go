@@ -80,11 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.ExitUsage
 	}
 
-	scale := workloads.ScalePaper
-	if *scaleName == "test" {
-		scale = workloads.ScaleTest
-	} else if *scaleName != "paper" {
-		return cli.Exit(stderr, tool, cli.UsageErrorf("unknown scale %q (want paper or test)", *scaleName))
+	scale, err := workloads.ParseScale(*scaleName)
+	if err != nil {
+		return cli.Exit(stderr, tool, cli.Usage(err))
 	}
 
 	opts := vet.Options{

@@ -7,7 +7,7 @@ import (
 	"softcache/internal/trace"
 )
 
-// stream is the decode-loop idiom from trace.Read / core.Run:
+// stream is the decode-loop idiom from trace.ReadAll / core.Run:
 // deferred PutBatch, records copied out by append (the append result
 // grows the destination, not the batch).
 func stream(r *trace.Reader) ([]trace.Record, error) {

@@ -139,11 +139,11 @@ func (o FaultOutcome) Contained(wantParseError bool) bool {
 	return true
 }
 
-// RunFaults pushes every corpus case through trace.Read and — when the
-// stream parses — core.Run with runtime invariant checks
-// enabled, all under the harness's panic containment. It returns the
-// outcomes in corpus order plus the failed-run results for any case that
-// panicked or was mishandled.
+// RunFaults pushes every corpus case through the flat decoder (the corpus
+// is flat by construction) and — when the stream parses — core.Run with
+// runtime invariant checks enabled, all under the harness's panic
+// containment. It returns the outcomes in corpus order plus the failed-run
+// results for any case that panicked or was mishandled.
 func RunFaults(ctx context.Context, corpus []FaultCase, cfg core.Config, opts Options) ([]Result[FaultOutcome], error) {
 	cfg = core.WithRuntimeChecks(cfg, true)
 	units := make([]Unit[FaultOutcome], len(corpus))
@@ -157,7 +157,7 @@ func RunFaults(ctx context.Context, corpus []FaultCase, cfg core.Config, opts Op
 			},
 			Run: func(runCtx context.Context) (FaultOutcome, error) {
 				out := FaultOutcome{Name: fc.Name}
-				tr, err := trace.Read(bytes.NewReader(fc.Data))
+				tr, err := parseFlat(fc.Data)
 				if err != nil {
 					out.ParseErr = err.Error()
 					if !fc.WantParseError {
@@ -179,4 +179,13 @@ func RunFaults(ctx context.Context, corpus []FaultCase, cfg core.Config, opts Op
 		}
 	}
 	return Run(ctx, units, opts)
+}
+
+// parseFlat materialises a flat trace stream with the flat decoder.
+func parseFlat(data []byte) (*trace.Trace, error) {
+	r, err := trace.NewReaderBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return trace.ReadAll(r)
 }

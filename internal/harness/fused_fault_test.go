@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
 	"softcache/internal/core"
-	"softcache/internal/trace"
 	"softcache/internal/workloads"
 )
 
@@ -39,7 +37,7 @@ func TestFaultCorpusFused(t *testing.T) {
 			Key:  "fused-fault:" + fc.Name,
 			Meta: map[string]string{"case": fc.Name},
 			Run: func(runCtx context.Context) ([]float64, error) {
-				parsed, err := trace.Read(bytes.NewReader(fc.Data))
+				parsed, err := parseFlat(fc.Data)
 				if err != nil {
 					if fc.WantParseError {
 						// Rejection is the contained outcome; report a

@@ -174,7 +174,11 @@ func (ts traceSelector) plan() (key string, load func() (*trace.Trace, error), e
 		key = fmt.Sprintf("din:%x", sum[:12])
 		din := ts.Din
 		return key, func() (*trace.Trace, error) {
-			t, err := trace.ReadDin(strings.NewReader(din), "din")
+			r, err := trace.NewDinReader(strings.NewReader(din), "din")
+			if err != nil {
+				return nil, badRequest("%v", err)
+			}
+			t, err := trace.ReadAll(r)
 			if err != nil {
 				return nil, badRequest("%v", err)
 			}
@@ -182,12 +186,10 @@ func (ts traceSelector) plan() (key string, load func() (*trace.Trace, error), e
 		}, nil
 	case ts.Workload != "":
 		scale := workloads.ScalePaper
-		switch ts.Scale {
-		case "", "paper":
-		case "test":
-			scale = workloads.ScaleTest
-		default:
-			return "", nil, badRequest("unknown scale %q (want test or paper)", ts.Scale)
+		if ts.Scale != "" {
+			if scale, err = workloads.ParseScale(ts.Scale); err != nil {
+				return "", nil, badRequest("unknown scale %q (want test or paper)", ts.Scale)
+			}
 		}
 		if _, err := workloads.Get(ts.Workload); err != nil {
 			return "", nil, badRequest("%v", err)

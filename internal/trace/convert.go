@@ -7,11 +7,12 @@ import (
 	"io"
 )
 
-// This file holds the streaming format converters: each copies a
-// BatchReader to an output format one pooled batch at a time, so a
-// multi-gigabyte capture converts in O(batch) memory. The source's
-// ReadBatch errors propagate, so a corrupt input fails the conversion
-// instead of silently truncating the output.
+// This file holds the trace encoders, one per format: each copies a
+// BatchReader to its output format one pooled batch at a time, so a
+// multi-gigabyte capture converts in O(batch) memory. Write and WriteSCTZ
+// are their whole-trace forms over Trace.Reader. The source's ReadBatch
+// errors propagate, so a corrupt input fails the conversion instead of
+// silently truncating the output.
 
 // CopySCTZ streams r into the compressed SCTZ format. When the source
 // knows its length the header announces it; otherwise the stream is

@@ -60,7 +60,7 @@ func NewDinReader(r io.Reader, name string) (*DinReader, error) {
 	if head, _ := br.Peek(2); len(head) == 2 && head[0] == 0x1f && head[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: opening gzip din input: %w", err)
+			return nil, fmt.Errorf("trace: opening gzip din input at byte offset 0: %w", err)
 		}
 		src, gz = zr, zr
 	}
@@ -101,7 +101,7 @@ func (r *DinReader) ReadBatch(dst []Record) (int, error) {
 				// Surface a truncated or corrupt gzip trailer; the scanner
 				// swallows only clean EOFs.
 				if err := r.gz.Close(); err != nil {
-					return n, r.fail(fmt.Errorf("trace: closing gzip din input: %w", err))
+					return n, r.fail(fmt.Errorf("trace: closing gzip din input at byte offset %d: %w", r.offset, err))
 				}
 			}
 			r.done = true
@@ -157,34 +157,4 @@ func (r *DinReader) ReadBatch(dst []Record) (int, error) {
 		r.count++
 	}
 	return n, nil
-}
-
-// ReadDin imports a whole din-format trace (see DinReader for the dialect,
-// gzip handling and limits).
-func ReadDin(r io.Reader, name string) (*Trace, error) {
-	dr, err := NewDinReader(r, name)
-	if err != nil {
-		return nil, err
-	}
-	return ReadAll(dr)
-}
-
-// WriteDin exports the trace in Dinero format (software tags and timing are
-// lost — the format cannot carry them). Software-prefetch records are
-// skipped.
-func WriteDin(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	for _, r := range t.Records {
-		if r.SoftwarePrefetch {
-			continue
-		}
-		label := byte('0')
-		if r.Write {
-			label = '1'
-		}
-		if _, err := fmt.Fprintf(bw, "%c %x\n", label, r.Addr); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -16,7 +16,7 @@ func TestReadDin(t *testing.T) {
 2 4000
 0 2000
 `
-	tr, err := ReadDin(strings.NewReader(src), "din")
+	tr, err := readAll(NewDinReader(strings.NewReader(src), "din"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestReadDinErrors(t *testing.T) {
 		"0 zzzz\n", // bad address
 	}
 	for _, src := range cases {
-		if _, err := ReadDin(strings.NewReader(src), "bad"); err == nil {
+		if _, err := readAll(NewDinReader(strings.NewReader(src), "bad")); err == nil {
 			t.Fatalf("input %q should fail", src)
 		} else if !strings.Contains(err.Error(), "line 1") {
 			t.Fatalf("error %q lacks line number", err)
@@ -60,10 +60,10 @@ func TestDinRoundTrip(t *testing.T) {
 		{Addr: 0x30, Size: 8, SoftwarePrefetch: true}, // dropped on export
 	}}
 	var buf bytes.Buffer
-	if err := WriteDin(&buf, tr); err != nil {
+	if _, err := CopyDin(&buf, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDin(&buf, "rt")
+	got, err := readAll(NewDinReader(&buf, "rt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDinGzip(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		fmt.Fprintf(&text, "%d %x\n", i%3, 0x1000+i*8)
 	}
-	plain, err := ReadDin(bytes.NewReader(text.Bytes()), "gz")
+	plain, err := readAll(NewDinReader(bytes.NewReader(text.Bytes()), "gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDinGzip(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	zipped, err := ReadDin(bytes.NewReader(zbuf.Bytes()), "gz")
+	zipped, err := readAll(NewDinReader(bytes.NewReader(zbuf.Bytes()), "gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDinGzip(t *testing.T) {
 
 	// A truncated gzip stream must error, not silently shorten the trace.
 	trunc := zbuf.Bytes()[:zbuf.Len()-5]
-	if _, err := ReadDin(bytes.NewReader(trunc), "gz"); err == nil {
+	if _, err := readAll(NewDinReader(bytes.NewReader(trunc), "gz")); err == nil {
 		t.Fatal("truncated gzip din input did not error")
 	}
 }

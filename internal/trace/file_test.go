@@ -18,7 +18,7 @@ func TestOpenFileFormats(t *testing.T) {
 	// Din carries only addr/write/gap/size, so build the expectation by
 	// round-tripping through the din text once.
 	var dinBuf bytes.Buffer
-	if err := WriteDin(&dinBuf, tr); err != nil {
+	if _, err := CopyDin(&dinBuf, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
 

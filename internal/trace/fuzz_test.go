@@ -64,8 +64,9 @@ func faultSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzRead feeds arbitrary bytes to the trace parser: it must never panic
-// and must either fail cleanly or return a structurally valid trace.
+// FuzzRead feeds arbitrary bytes to the format sniffer every CLI and the
+// daemon read traces through (NewAnyReader, then ReadAll): it must never
+// panic and must either fail cleanly or return a structurally valid trace.
 func FuzzRead(f *testing.F) {
 	for _, s := range faultSeeds(f) {
 		f.Add(s)
@@ -73,7 +74,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("SCTR"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
+		tr, err := readAll(NewAnyReader(bytes.NewReader(data), "fuzz"))
 		if err != nil {
 			return
 		}
@@ -99,7 +100,7 @@ func FuzzReadDin(f *testing.F) {
 	f.Add("0 zz\n")   // bad address
 	f.Add(strings.Repeat("0 1000\n", 3) + "0 1000")
 	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadDin(strings.NewReader(data), "fuzz")
+		tr, err := readAll(NewDinReader(strings.NewReader(data), "fuzz"))
 		if err != nil {
 			if !strings.Contains(err.Error(), "byte offset") {
 				t.Fatalf("rejection without byte offset: %v", err)
@@ -203,7 +204,7 @@ func FuzzStreamReader(f *testing.F) {
 			t.Fatalf("announced %d records, decoded %d", want, len(tr.Records))
 		}
 		// The streaming and buffered paths must agree bit for bit.
-		tr2, err := ReadSCTZ(bytes.NewReader(data))
+		tr2, err := readAll(NewStreamReader(bytes.NewReader(data)))
 		if err != nil {
 			t.Fatalf("bufio path rejected what the bytes path accepted: %v", err)
 		}

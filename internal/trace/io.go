@@ -39,7 +39,7 @@ const (
 
 // MaxRecords is the record-count budget a stream header may announce.
 // Corrupt or hostile headers routinely carry absurd counts; rejecting them
-// up front bounds both memory (Read's preallocation) and the time a
+// up front bounds both memory (ReadAll's preallocation) and the time a
 // streaming consumer can be made to spend before hitting the inevitable
 // truncation error.
 const MaxRecords = 1 << 31
@@ -52,41 +52,11 @@ var ErrBadFormat = errors.New("trace: bad format")
 // the MaxRecords budget.
 var ErrTooLarge = errors.New("trace: stream exceeds record budget")
 
-// Write serialises the trace to w.
+// Write serialises the trace to w in the flat format: the whole-trace
+// form of CopyFlat.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], formatVersion)
-	if len(t.Name) > 0xffff {
-		return fmt.Errorf("trace: name too long (%d bytes)", len(t.Name))
-	}
-	binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(t.Name)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(t.Records)))
-	if _, err := bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	var buf [recordSize]byte
-	for _, r := range t.Records {
-		binary.LittleEndian.PutUint64(buf[0:8], r.Addr)
-		binary.LittleEndian.PutUint32(buf[8:12], r.RefID)
-		buf[12] = r.Gap
-		buf[13] = r.Size
-		buf[14] = packFlags(r)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	_, err := CopyFlat(w, t.Reader())
+	return err
 }
 
 func packFlags(r Record) byte {
@@ -150,19 +120,17 @@ func (p *bytesPeeker) Discard(n int) (int, error) {
 	return n, nil
 }
 
-// Reader streams a serialised trace record by record, so multi-gigabyte
+// Reader streams a serialised flat trace batch by batch, so multi-gigabyte
 // traces can be simulated without holding them in memory. Create one with
 // NewReader (any source) or NewReaderBytes (resident data, no buffer
-// copies) and pull records with Next or, for throughput, in chunks with
-// ReadBatch, until io.EOF. Errors carry the byte offset into the stream at
-// which the problem was found.
+// copies) and pull records in chunks with ReadBatch until io.EOF. Errors
+// carry the byte offset into the stream at which the problem was found.
 type Reader struct {
 	br        peekReader
 	name      string
 	remaining uint64
 	total     uint64
 	offset    int64 // bytes consumed from the underlying stream
-	buf       [recordSize]byte
 }
 
 // NewReader parses the stream header and positions the reader at the first
@@ -222,36 +190,6 @@ func (r *Reader) Len() int { return int(r.total) }
 // Offset returns the number of bytes consumed from the stream so far.
 func (r *Reader) Offset() int64 { return r.offset }
 
-// Next returns the next record, or io.EOF after the last one. A stream
-// shorter than its header's count yields io.ErrUnexpectedEOF with the byte
-// offset of the truncation.
-func (r *Reader) Next() (Record, error) {
-	if r.remaining == 0 {
-		return Record{}, io.EOF
-	}
-	if n, err := io.ReadFull(r.br, r.buf[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Record{}, fmt.Errorf("trace: reading record %d at byte offset %d: %w",
-			r.total-r.remaining, r.offset+int64(n), err)
-	}
-	r.offset += recordSize
-	r.remaining--
-	buf := r.buf[:]
-	return Record{
-		Addr:             binary.LittleEndian.Uint64(buf[0:8]),
-		RefID:            binary.LittleEndian.Uint32(buf[8:12]),
-		Gap:              buf[12],
-		Size:             buf[13],
-		Write:            buf[14]&flagWrite != 0,
-		Temporal:         buf[14]&flagTemporal != 0,
-		Spatial:          buf[14]&flagSpatial != 0,
-		VirtualHint:      (buf[14] & virtualHintMask) >> virtualHintShift,
-		SoftwarePrefetch: buf[14]&flagSWPrefetch != 0,
-	}, nil
-}
-
 // flagProto maps a record's flags byte to a Record with the five
 // flag-derived fields prefilled, so the ReadBatch decode loop unpacks the
 // byte with a single table load (6 KiB, L1-resident) instead of five
@@ -276,7 +214,7 @@ var flagProto = func() (t [256]Record) {
 const BatchSize = 2048
 
 // batchPool recycles ReadBatch destination slices so that streaming
-// consumers (core.Run, Read, the perf harness) perform no
+// consumers (core.Run, ReadAll, the perf harness) perform no
 // per-chunk allocations in steady state. Pointers-to-slice avoid the
 // allocation that storing a bare slice header in an interface would cost.
 var batchPool = sync.Pool{
@@ -313,10 +251,9 @@ func PutBatch(b *[]Record) {
 // their count together with an io.ErrUnexpectedEOF error carrying the byte
 // offset of the truncation, so n > 0 and err != nil can occur together.
 //
-// One ReadBatch call replaces up to len(dst) Next calls: the records are
-// decoded straight out of the buffered reader's window (Peek/Discard, no
-// staging copy) in a tight loop, which is what lets the streaming simulate
-// path run allocation-free at memory bandwidth.
+// The records are decoded straight out of the buffered reader's window
+// (Peek/Discard, no staging copy) in a tight loop, which is what lets the
+// streaming simulate path run allocation-free at memory bandwidth.
 func (r *Reader) ReadBatch(dst []Record) (int, error) {
 	if r.remaining == 0 {
 		return 0, io.EOF
@@ -390,26 +327,10 @@ type BatchReader interface {
 	ReadBatch(dst []Record) (int, error)
 }
 
-// Read deserialises a whole trace previously written with Write or
-// WriteSCTZ: the leading magic selects the decoder, so every consumer of
-// saved binary traces accepts both formats transparently.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, _ := br.Peek(len(magic)) // short or failed peeks fall through to the flat parser's error
-	var sr BatchReader
-	var err error
-	if string(head) == sctzMagic {
-		sr, err = newStreamReader(br)
-	} else {
-		sr, err = newReader(br)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ReadAll(sr)
-}
-
-// ReadAll drains a BatchReader into a materialised Trace.
+// ReadAll drains a BatchReader into a materialised Trace. A decoder's Len
+// is a claim its input makes, so the preallocation is capped; a source
+// whose Len is exact by construction (a generator) reports it with an
+// ExactLen() bool method and gets its records allocated in one step.
 func ReadAll(r BatchReader) (*Trace, error) {
 	// Cap the preallocation: a corrupt or hostile header must not be able
 	// to demand gigabytes before a single record has been read.
@@ -417,7 +338,7 @@ func ReadAll(r BatchReader) (*Trace, error) {
 	if prealloc < 0 {
 		prealloc = 0
 	}
-	if prealloc > 1<<20 {
+	if x, ok := r.(interface{ ExactLen() bool }); (!ok || !x.ExactLen()) && prealloc > 1<<20 {
 		prealloc = 1 << 20
 	}
 	t := &Trace{Name: r.Name(), Records: make([]Record, 0, prealloc)}

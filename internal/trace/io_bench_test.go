@@ -22,30 +22,6 @@ func synthTrace(n int) *Trace {
 	return t
 }
 
-// BenchmarkNext measures the one-record-at-a-time decode path.
-func BenchmarkNext(b *testing.B) {
-	t := synthTrace(1 << 20)
-	var buf bytes.Buffer
-	if err := Write(&buf, t); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(t.Records)) * recordSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := NewReaderBytes(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := r.Next(); err != nil {
-				break
-			}
-		}
-	}
-}
-
 // BenchmarkReadBatch measures the chunked decode path that core.Run
 // uses, across destination sizes bracketing the pooled
 // BatchSize: the decode cost per record should be flat once the per-call

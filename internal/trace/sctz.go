@@ -412,18 +412,12 @@ func (w *StreamWriter) flushChunk() error {
 // escapeRecordSize is the flat v2 record layout the escape plane reuses.
 const escapeRecordSize = recordSize
 
-// WriteSCTZ serialises the trace in the compressed chunked format. The
-// header carries the exact record count; use a StreamWriter when the count
-// is not known in advance.
+// WriteSCTZ serialises the trace in the compressed chunked format: the
+// whole-trace form of CopySCTZ. The header carries the exact record count;
+// use a StreamWriter when the count is not known in advance.
 func WriteSCTZ(w io.Writer, t *Trace) error {
-	sw, err := newStreamWriter(w, t.Name, uint64(len(t.Records)))
-	if err != nil {
-		return err
-	}
-	if err := sw.Write(t.Records); err != nil {
-		return err
-	}
-	return sw.Close()
+	_, err := CopySCTZ(w, t.Reader())
+	return err
 }
 
 // Decoded records travel through the hot loop as three packed 64-bit
@@ -868,14 +862,4 @@ func (r *StreamReader) commitCursor(pos, ep int, prevRef uint32) {
 	r.pos = pos
 	r.escPos = ep
 	r.prevRef = prevRef
-}
-
-// ReadSCTZ deserialises a whole compressed trace previously written with
-// WriteSCTZ or a StreamWriter.
-func ReadSCTZ(r io.Reader) (*Trace, error) {
-	sr, err := NewStreamReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return ReadAll(sr)
 }

@@ -40,11 +40,11 @@ func TestSCTZDifferentialWorkloads(t *testing.T) {
 			if err := trace.WriteSCTZ(&sctz, tr); err != nil {
 				t.Fatal(err)
 			}
-			fromFlat, err := trace.Read(bytes.NewReader(flat.Bytes()))
+			fromFlat, err := readAny(flat.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromSCTZ, err := trace.Read(bytes.NewReader(sctz.Bytes()))
+			fromSCTZ, err := readAny(sctz.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,4 +91,13 @@ func TestSCTZCompressionRatio(t *testing.T) {
 	if ratio := float64(flatTotal) / float64(sctzTotal); ratio < 3 {
 		t.Fatalf("aggregate compression %0.2fx, want >= 3x", ratio)
 	}
+}
+
+// readAny materialises a serialised trace through the format sniffer.
+func readAny(data []byte) (*trace.Trace, error) {
+	r, err := trace.NewAnyReader(bytes.NewReader(data), "any")
+	if err != nil {
+		return nil, err
+	}
+	return trace.ReadAll(r)
 }

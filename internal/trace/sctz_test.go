@@ -45,7 +45,7 @@ func TestSCTZRoundTripAdversarial(t *testing.T) {
 	for i, n := range sizes {
 		tr := randomTrace(int64(100+i), n)
 		data := sctzBytes(t, tr)
-		got, err := Read(bytes.NewReader(data))
+		got, err := readAll(NewAnyReader(bytes.NewReader(data), "any"))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -67,7 +67,7 @@ func TestSCTZRoundTripWideRefIDs(t *testing.T) {
 			Write: rng.Intn(2) == 0,
 		})
 	}
-	got, err := Read(bytes.NewReader(sctzBytes(t, tr)))
+	got, err := readAll(NewAnyReader(bytes.NewReader(sctzBytes(t, tr)), "any"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSCTZReadBatchSizes(t *testing.T) {
 // TestSCTZEmptyTrace round-trips a zero-record trace.
 func TestSCTZEmptyTrace(t *testing.T) {
 	tr := &Trace{Name: "empty"}
-	got, err := Read(bytes.NewReader(sctzBytes(t, tr)))
+	got, err := readAll(NewAnyReader(bytes.NewReader(sctzBytes(t, tr)), "any"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSCTZTruncation(t *testing.T) {
 	tr := randomTrace(3, 600)
 	data := sctzBytes(t, tr)
 	for cut := 0; cut < len(data); cut++ {
-		_, err := ReadSCTZ(bytes.NewReader(data[:cut]))
+		_, err := readAll(NewStreamReader(bytes.NewReader(data[:cut])))
 		if err == nil {
 			t.Fatalf("cut at %d of %d: truncated stream accepted", cut, len(data))
 		}
@@ -187,7 +187,7 @@ func TestSCTZChecksumFlip(t *testing.T) {
 	for off := headerLen + 8 + 8; off < len(data)-8; off += 11 {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
-		_, err := ReadSCTZ(bytes.NewReader(mut))
+		_, err := readAll(NewStreamReader(bytes.NewReader(mut)))
 		if err == nil {
 			continue // flipped a stored CRC and its plane consistently? impossible; a plane byte flip may land in slack
 		}
@@ -253,20 +253,20 @@ func TestSCTZFraming(t *testing.T) {
 	t.Run("end marker with payload", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(mut[len(mut)-4:], 99)
-		if _, err := ReadSCTZ(bytes.NewReader(mut)); !errors.Is(err, ErrBadFormat) {
+		if _, err := readAll(NewStreamReader(bytes.NewReader(mut))); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("missing end marker", func(t *testing.T) {
 		mut := data[:len(data)-8]
-		if _, err := ReadSCTZ(bytes.NewReader(mut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := readAll(NewStreamReader(bytes.NewReader(mut))); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("short total", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(mut[headerLen-8:headerLen], uint64(len(tr.Records))+1)
-		_, err := ReadSCTZ(bytes.NewReader(mut))
+		_, err := readAll(NewStreamReader(bytes.NewReader(mut)))
 		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "announced") {
 			t.Fatalf("got %v", err)
 		}
@@ -274,7 +274,7 @@ func TestSCTZFraming(t *testing.T) {
 	t.Run("records beyond total", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(mut[headerLen-8:headerLen], uint64(len(tr.Records))-1)
-		_, err := ReadSCTZ(bytes.NewReader(mut))
+		_, err := readAll(NewStreamReader(bytes.NewReader(mut)))
 		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "beyond the announced total") {
 			t.Fatalf("got %v", err)
 		}
@@ -282,39 +282,44 @@ func TestSCTZFraming(t *testing.T) {
 	t.Run("oversized chunk count", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(mut[headerLen:headerLen+4], maxSCTZChunkRecords+1)
-		if _, err := ReadSCTZ(bytes.NewReader(mut)); !errors.Is(err, ErrBadFormat) {
+		if _, err := readAll(NewStreamReader(bytes.NewReader(mut))); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("got %v", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint16(mut[4:6], 9)
-		if _, err := ReadSCTZ(bytes.NewReader(mut)); !errors.Is(err, ErrBadFormat) {
+		if _, err := readAll(NewStreamReader(bytes.NewReader(mut))); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("got %v", err)
 		}
 	})
 }
 
-// TestSCTZSniffedRead proves trace.Read dispatches on the magic: the same
-// call reads flat and compressed streams, and rejects unknown magics with
-// ErrBadFormat (not by misparsing them as din or flat records).
+// TestSCTZSniffedRead proves NewAnyReader dispatches on the magic: the
+// same call reads flat and compressed streams, and an unknown magic is
+// not misparsed as flat or SCTZ records — the sniffer hands it to the din
+// parser, which rejects it by line, while the flat decoder rejects it as
+// ErrBadFormat.
 func TestSCTZSniffedRead(t *testing.T) {
 	tr := randomTrace(21, 500)
 	var flat bytes.Buffer
 	if err := Write(&flat, tr); err != nil {
 		t.Fatal(err)
 	}
-	fromFlat, err := Read(bytes.NewReader(flat.Bytes()))
+	fromFlat, err := readAll(NewAnyReader(bytes.NewReader(flat.Bytes()), "any"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSCTZ, err := Read(bytes.NewReader(sctzBytes(t, tr)))
+	fromSCTZ, err := readAll(NewAnyReader(bytes.NewReader(sctzBytes(t, tr)), "any"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, fromFlat, fromSCTZ)
-	if _, err := Read(bytes.NewReader([]byte("XXXX????"))); !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("unknown magic: got %v", err)
+	if _, err := readAll(NewAnyReader(bytes.NewReader([]byte("XXXX????")), "any")); err == nil || !strings.Contains(err.Error(), "din line 1") {
+		t.Fatalf("unknown magic through the sniffer: got %v", err)
+	}
+	if _, err := readAll(NewReader(bytes.NewReader([]byte("XXXX????")))); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("unknown magic through the flat decoder: got %v", err)
 	}
 }
 

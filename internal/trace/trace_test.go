@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readAll(NewAnyReader(&buf, "any"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestRoundTripEmpty(t *testing.T) {
 	if err := Write(&buf, &Trace{Name: ""}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readAll(NewAnyReader(&buf, "any"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestRoundTripEmpty(t *testing.T) {
 }
 
 func TestReadBadMagic(t *testing.T) {
-	_, err := Read(strings.NewReader("NOPE\x01\x00\x00\x00"))
+	_, err := readAll(NewReader(strings.NewReader("NOPE\x01\x00\x00\x00")))
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}
@@ -112,7 +113,7 @@ func TestReadBadVersion(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[4] = 99 // corrupt the version
-	_, err := Read(bytes.NewReader(b))
+	_, err := readAll(NewAnyReader(bytes.NewReader(b), "any"))
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}
@@ -125,7 +126,7 @@ func TestReadTruncated(t *testing.T) {
 	}
 	b := buf.Bytes()
 	for _, cut := range []int{3, 7, 10, len(b) - 5} {
-		if _, err := Read(bytes.NewReader(b[:cut])); err == nil {
+		if _, err := readAll(NewReader(bytes.NewReader(b[:cut]))); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -153,7 +154,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, tr); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := readAll(NewAnyReader(&buf, "any"))
 		if err != nil || got.Len() != tr.Len() {
 			return false
 		}
@@ -186,7 +187,7 @@ func TestVirtualHintRoundTrip(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readAll(NewAnyReader(&buf, "any"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestReadVersion1(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[4] = 1 // pretend version 1
-	got, err := Read(bytes.NewReader(b))
+	got, err := readAll(NewAnyReader(bytes.NewReader(b), "any"))
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}
@@ -228,20 +229,21 @@ func TestStreamReader(t *testing.T) {
 	if r.Name() != "sample" || r.Len() != tr.Len() {
 		t.Fatalf("header: name=%q len=%d", r.Name(), r.Len())
 	}
+	one := make([]Record, 1)
 	for i := range tr.Records {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+		n, err := r.ReadBatch(one)
+		if n != 1 || err != nil {
+			t.Fatalf("record %d: ReadBatch = (%d, %v)", i, n, err)
 		}
-		if got != tr.Records[i] {
+		if one[0] != tr.Records[i] {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want io.EOF after the last record, got %v", err)
+	if n, err := r.ReadBatch(one); n != 0 || err != io.EOF {
+		t.Fatalf("want (0, io.EOF) after the last record, got (%d, %v)", n, err)
 	}
 	// EOF is sticky.
-	if _, err := r.Next(); err != io.EOF {
+	if n, err := r.ReadBatch(one); n != 0 || err != io.EOF {
 		t.Fatal("EOF must be sticky")
 	}
 }
@@ -256,13 +258,35 @@ func TestStreamReaderTruncatedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := make([]Record, 1)
 	var lastErr error
+	decoded := 0
 	for i := 0; i < 10; i++ {
-		if _, lastErr = r.Next(); lastErr != nil {
+		var n int
+		n, lastErr = r.ReadBatch(one)
+		decoded += n
+		if lastErr != nil {
 			break
 		}
 	}
-	if lastErr == nil || errors.Is(lastErr, io.EOF) && !errors.Is(lastErr, io.ErrUnexpectedEOF) {
+	if !errors.Is(lastErr, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated body must surface ErrUnexpectedEOF, got %v", lastErr)
 	}
+	// The last record lost its tail: it starts at the header's end plus
+	// three whole records.
+	if decoded != 3 {
+		t.Fatalf("decoded %d complete records before the truncation, want 3", decoded)
+	}
+	if want := fmt.Sprintf("byte offset %d", len(b)-5); !strings.Contains(lastErr.Error(), want) {
+		t.Fatalf("error %q does not name the truncation (%s)", lastErr, want)
+	}
+}
+
+// readAll materialises a whole stream through the decoder a constructor
+// returned, or passes on the constructor's error.
+func readAll(r BatchReader, err error) (*Trace, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ReadAll(r)
 }

@@ -78,6 +78,11 @@ func (r *Reader) Name() string { return r.name }
 // could not establish it (generation then reports why).
 func (r *Reader) Len() int { return r.count }
 
+// ExactLen reports that Len, when it is not -1, is the counting pass's
+// exact count rather than a claim read from input, so trace.ReadAll may
+// allocate the records in one step.
+func (r *Reader) ExactLen() bool { return true }
+
 // ReadBatch generates up to len(dst) records into dst, following the
 // trace.BatchReader contract.
 func (r *Reader) ReadBatch(dst []trace.Record) (int, error) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"softcache/internal/core"
+	"softcache/internal/lang"
 	"softcache/internal/locality"
 	"softcache/internal/loopir"
 	"softcache/internal/timing"
@@ -236,5 +237,28 @@ func TestReaderStopsEarlyWithoutLeaks(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines: %d before, %d after the readers were closed", before, after)
+	}
+}
+
+// TestReadAllExactLen: materialising a Reader allocates the counting
+// pass's exact length in one step, even past the preallocation cap
+// trace.ReadAll keeps for decoded headers.
+func TestReadAllExactLen(t *testing.T) {
+	const n = 1<<20 + 5000
+	p, err := lang.Parse(fmt.Sprintf("program big\narray A(%d)\ndo i = 0, %d\nload A(i)\nend\n", n, n-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := tracegen.NewReader(p, tracegen.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err := trace.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) != n || cap(got.Records) != n {
+		t.Fatalf("ReadAll: %d records in a capacity of %d, want %d in %d", len(got.Records), cap(got.Records), n, n)
 	}
 }

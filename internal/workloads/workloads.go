@@ -44,6 +44,17 @@ func (s Scale) String() string {
 	return "test"
 }
 
+// ParseScale maps a scale's name, as String prints it, back to the Scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "paper":
+		return ScalePaper, nil
+	case "test":
+		return ScaleTest, nil
+	}
+	return 0, fmt.Errorf("workloads: unknown scale %q (want paper or test)", name)
+}
+
 // Definition is one registered workload.
 type Definition struct {
 	Name        string

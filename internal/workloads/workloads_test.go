@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"softcache/internal/locality"
@@ -213,6 +214,21 @@ func TestBlockedMMCopyTags(t *testing.T) {
 func TestScaleString(t *testing.T) {
 	if ScaleTest.String() != "test" || ScalePaper.String() != "paper" {
 		t.Fatal("Scale.String broken")
+	}
+}
+
+// TestParseScale: ParseScale inverts String and rejects anything else,
+// including the empty name.
+func TestParseScale(t *testing.T) {
+	for _, sc := range []Scale{ScaleTest, ScalePaper} {
+		if got, err := ParseScale(sc.String()); err != nil || got != sc {
+			t.Fatalf("ParseScale(%q) = %v, %v", sc, got, err)
+		}
+	}
+	for _, bad := range []string{"", "huge", "Paper"} {
+		if _, err := ParseScale(bad); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Fatalf("ParseScale(%q) = %v, want an unknown-scale error", bad, err)
+		}
 	}
 }
 
