@@ -14,10 +14,12 @@
 // With -route the daemon is a cluster router instead of a shard: it
 // consistent-hash shards /v1/simulate and /v1/sweep by trace identity
 // across the listed softcache-served replicas, with health-probe-driven
-// circuit breakers, budgeted retry failover, and optional request
-// hedging (-hedge-after). Shard-only flags (-workers, -queue, -cache-mb,
-// -timeout, -max-timeout, -shard, -result-cache-dir) are ignored in
-// router mode.
+// circuit breakers (-probe-interval), budgeted retry failover, and
+// optional request hedging (-hedge-after). Breaker thresholds, attempt
+// limits and the retry budget are the cluster package's defaults
+// (docs/SERVE.md "Cluster mode"). Shard-only flags (-workers, -queue,
+// -cache-mb, -timeout, -max-timeout, -shard, -result-cache-dir) are
+// ignored in router mode.
 //
 // With -result-cache-dir a shard keeps a durable result cache
 // (internal/resultcache): rendered simulate/sweep/stream responses are
@@ -83,11 +85,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	route := fs.String("route", "", "router mode: comma-separated shard base URLs to consistent-hash across")
 	hedgeAfter := fs.Duration("hedge-after", 0, "router: race a second replica after this delay (0 disables hedging)")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "router: interval between shard /healthz probes")
-	rise := fs.Int("rise", 2, "router: consecutive successes that close a tripped breaker")
-	fall := fs.Int("fall", 3, "router: consecutive failures that trip a shard's breaker")
-	cooldown := fs.Duration("cooldown", 5*time.Second, "router: how long a tripped breaker stays open before trial traffic")
-	retries := fs.Int("retries", 0, "router: extra attempts per request (0 = one full failover pass over the fleet)")
-	retryBudget := fs.Float64("retry-budget", 0.1, "router: retry tokens deposited per request (fraction of traffic retries may add)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
@@ -106,8 +103,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *resultBytes < 1 {
 		return cli.Exit(stderr, tool, cli.UsageErrorf("-result-cache-bytes must be positive"))
 	}
-	if *hedgeAfter < 0 || *probeInterval <= 0 || *rise < 1 || *fall < 1 || *cooldown <= 0 || *retries < 0 || *retryBudget <= 0 {
-		return cli.Exit(stderr, tool, cli.UsageErrorf("router flags out of range: -hedge-after >= 0; -probe-interval, -cooldown, -retry-budget > 0; -rise, -fall >= 1; -retries >= 0"))
+	if *hedgeAfter < 0 || *probeInterval <= 0 {
+		return cli.Exit(stderr, tool, cli.UsageErrorf("router flags out of range: -hedge-after >= 0; -probe-interval > 0"))
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -119,21 +116,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var closeRouter func()
 	if *route != "" {
 		shards := strings.Split(*route, ",")
-		maxAttempts := 0 // 0 = cluster default: one full failover pass
-		if *retries > 0 {
-			maxAttempts = *retries + 1
-		}
 		router, rerr := cluster.New(cluster.Config{
-			Shards:           shards,
-			ProbeInterval:    *probeInterval,
-			Rise:             *rise,
-			Fall:             *fall,
-			Cooldown:         *cooldown,
-			MaxAttempts:      maxAttempts,
-			RetryBudgetRatio: *retryBudget,
-			HedgeAfter:       *hedgeAfter,
-			MaxBodyBytes:     int64(*maxBody) << 20,
-			Log:              stderr,
+			Shards:        shards,
+			ProbeInterval: *probeInterval,
+			HedgeAfter:    *hedgeAfter,
+			MaxBodyBytes:  int64(*maxBody) << 20,
+			Log:           stderr,
 		})
 		if rerr != nil {
 			ln.Close()

@@ -314,8 +314,6 @@ func TestDaemonRouterUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-route", "ftp://nope:1"},
 		{"-route", "a:1,a:1"},
-		{"-rise", "0"},
-		{"-retry-budget", "0"},
 		{"-hedge-after", "-1s"},
 	}
 	for _, args := range cases {

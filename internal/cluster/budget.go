@@ -13,9 +13,8 @@ type retryBudget struct {
 	ratio float64
 	burst float64
 
-	mu        sync.Mutex
-	tokens    float64 // guarded by mu
-	exhausted uint64  // guarded by mu; withdrawals denied
+	mu     sync.Mutex
+	tokens float64 // guarded by mu
 }
 
 // newRetryBudget builds a budget that starts full; non-positive
@@ -46,16 +45,8 @@ func (b *retryBudget) Withdraw() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
-		b.exhausted++
 		return false
 	}
 	b.tokens--
 	return true
-}
-
-// Exhausted reports how many withdrawals the budget denied.
-func (b *retryBudget) Exhausted() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.exhausted
 }

@@ -30,6 +30,13 @@ const DegradedHeader = "X-Softcache-Degraded"
 // growing without bound).
 const maxTrackedKeys = 4096
 
+// Fixed router parameters: no deployment has needed another value.
+const (
+	vnodes           = 64          // virtual nodes per shard on the hash ring
+	probeTimeout     = time.Second // bound on one /healthz probe
+	maxResponseBytes = 64 << 20    // cap on one buffered shard response
+)
+
 // Config sizes the router. The zero value is not usable: Shards is
 // required. Every other field has a default chosen for a small fleet on
 // one rack.
@@ -37,23 +44,18 @@ type Config struct {
 	// Shards is the fleet: base URLs of softcache-served replicas
 	// ("http://host:port"; a bare host:port gets http://). Required.
 	Shards []string
-	// VNodes is the virtual-node count per shard on the hash ring
-	// (default 64).
-	VNodes int
 	// ProbeInterval spaces active /healthz probes (default 2s; negative
 	// disables probing — request outcomes alone drive the breakers).
-	// ProbeTimeout bounds one probe (default 1s).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// Rise and Fall are the breaker thresholds: consecutive successes to
 	// close a half-open circuit (default 2) and consecutive failures to
 	// trip a closed one (default 3). Cooldown holds a tripped circuit
 	// open before trial traffic (default 5s).
 	Rise, Fall int
 	Cooldown   time.Duration
-	// MaxAttempts bounds the attempts for one request, first try
-	// included (default 2x the fleet size: every failover path gets a
-	// chance, wrapped once).
+	// MaxAttempts bounds the attempts for one request, first try, hedge
+	// and retries included (default 2x the fleet size: every failover
+	// path gets a chance, wrapped once).
 	MaxAttempts int
 	// RetryBackoff is the base sleep before retry n, scaled linearly
 	// (default 25ms; negative disables backoff).
@@ -67,12 +69,10 @@ type Config struct {
 	// within this duration, cancelling the loser (0 disables).
 	HedgeAfter time.Duration
 	// MaxBodyBytes caps one proxied request body (default
-	// serve.MaxBodyBytes); MaxResponseBytes caps one buffered shard
-	// response (default 64 MiB). Responses are buffered whole so a shard
-	// dying mid-write is a retryable failure, never a truncated client
-	// response.
-	MaxBodyBytes     int64
-	MaxResponseBytes int64
+	// serve.MaxBodyBytes). Shard responses are buffered whole, up to
+	// 64 MiB, so a shard dying mid-write is a retryable failure, never a
+	// truncated client response.
+	MaxBodyBytes int64
 	// Transport overrides the outbound http.RoundTripper (tests inject
 	// fault transports); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
@@ -81,14 +81,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes < 1 {
-		c.VNodes = 64
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
 	}
 	if c.MaxAttempts < 1 {
 		c.MaxAttempts = 2 * len(c.Shards)
@@ -101,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = serve.MaxBodyBytes
-	}
-	if c.MaxResponseBytes <= 0 {
-		c.MaxResponseBytes = 64 << 20
 	}
 	if c.Log == nil {
 		c.Log = io.Discard
@@ -152,7 +143,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:    cfg,
-		ring:   NewRing(cfg.VNodes),
+		ring:   NewRing(vnodes),
 		states: make(map[string]*shardState, len(cfg.Shards)),
 		met:    &routerMetrics{},
 		budget: newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
@@ -271,50 +262,65 @@ func (rt *Router) keyCounts() map[string]int {
 	return counts
 }
 
-// shardResponse is one fully buffered shard reply: buffering whole means
-// a backend dying mid-body is an attempt failure the router can retry,
-// never a truncated client response.
-type shardResponse struct {
+// outcome is one buffered attempt's result: buffering the response
+// whole means a backend dying mid-body is an attempt failure the router
+// can retry, never a truncated client response.
+type outcome struct {
+	shard  string
 	status int
 	header http.Header
 	body   []byte
+	err    error
+	hedge  bool // the attempt was the hedge of a first attempt
 }
 
-// retryable reports whether an attempt outcome should fail over to the
-// next replica: transport errors (connection refused/reset, truncated
-// body) and 5xx do; every 2xx-4xx — including a shard's 429
-// backpressure, which the router must relay, not amplify — does not.
-func retryable(resp *shardResponse, err error) bool {
-	return err != nil || resp.status >= 500
+// usable reports whether an outcome is an answer to relay. Transport
+// errors (connection refused/reset, truncated body) and 5xx fail over to
+// the next replica; every 2xx-4xx — including a shard's 429
+// backpressure, which the router must relay, not amplify — is relayed.
+func (o outcome) usable() bool { return o.err == nil && o.status < 500 }
+
+// send builds one shard request and sends it: every buffered attempt,
+// streamed pass-through and health probe goes through here. contentType
+// is the client's, if any; length is the body's size (-1 when unknown,
+// as for a chunked upload).
+func (rt *Router) send(ctx context.Context, shard, method, uri, contentType string, body io.Reader, length int64) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, shard+uri, body)
+	if err != nil {
+		return nil, err
+	}
+	req.ContentLength = length
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	return rt.client.Do(req)
 }
 
 // attempt sends the request to one shard and buffers the response.
-func (rt *Router) attempt(ctx context.Context, shard, method, uri string, header http.Header, body []byte) (*shardResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, method, shard+uri, bytes.NewReader(body))
+func (rt *Router) attempt(ctx context.Context, shard, method, uri, contentType string, body []byte) outcome {
+	o := outcome{shard: shard}
+	resp, err := rt.send(ctx, shard, method, uri, contentType, bytes.NewReader(body), int64(len(body)))
 	if err != nil {
-		return nil, err
-	}
-	if ct := header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
+		o.err = err
+		return o
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxResponseBytes+1))
-	if err != nil {
-		return nil, err
+	o.status, o.header = resp.StatusCode, resp.Header
+	o.body, o.err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	if o.err == nil && len(o.body) > maxResponseBytes {
+		o.err = fmt.Errorf("cluster: shard response exceeds %d bytes", maxResponseBytes)
 	}
-	if int64(len(data)) > rt.cfg.MaxResponseBytes {
-		return nil, fmt.Errorf("cluster: shard response exceeds %d bytes", rt.cfg.MaxResponseBytes)
-	}
-	return &shardResponse{status: resp.StatusCode, header: resp.Header.Clone(), body: data}, nil
+	return o
 }
 
-// observe feeds one attempt outcome into the shard's breaker and
-// failure counter. Cancelled losers of a hedge race are never observed.
-func (rt *Router) observe(shard string, ok bool) {
+// observe feeds one outcome — an attempt's or a probe's — into the
+// shard's breaker and failure counter. It ignores outcomes that arrive
+// once ctx, the client's request or the prober's, is done: a client
+// hanging up or the router shutting down says nothing about the shard.
+func (rt *Router) observe(ctx context.Context, shard string, ok bool) {
+	if ctx.Err() != nil {
+		return
+	}
 	st := rt.states[shard]
 	if ok {
 		st.br.Success()
@@ -324,51 +330,61 @@ func (rt *Router) observe(shard string, ok bool) {
 	}
 }
 
-// raceOutcome is one attempt's result during the first (possibly
-// hedged) stage.
-type raceOutcome struct {
-	shard string
-	resp  *shardResponse
-	err   error
-	hedge bool
+// withdraw takes a retry-budget token for a retry or a hedge, counting
+// a denial.
+func (rt *Router) withdraw() bool {
+	if rt.budget.Withdraw() {
+		return true
+	}
+	rt.met.budgetExhausted.Add(1)
+	return false
 }
 
-// race runs the primary attempt and, if it has not answered within
-// HedgeAfter, launches a budget-gated hedge against secondary. The
-// first usable response wins and the loser's context is cancelled; when
-// every launched attempt fails, the last failure is returned. tried
-// reports how many attempts launched (1 or 2).
-func (rt *Router) race(ctx context.Context, primary, secondary, method, uri string, header http.Header, body []byte) (out raceOutcome, tried int) {
-	ch := make(chan raceOutcome, 2)
-	// Both attempt contexts are cancelled on every exit path: the loser
-	// of a won race is cut off here, and its goroutine's pending send
-	// lands in the buffered channel, so nothing leaks.
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	pctx, pcancel := context.WithCancel(ctx)
-	cancels = append(cancels, pcancel)
-	go func() {
-		resp, err := rt.attempt(pctx, primary, method, uri, header, body)
-		ch <- raceOutcome{shard: primary, resp: resp, err: err}
-	}()
-	tried = 1
+// forward runs every attempt of one buffered request and returns the
+// first usable outcome, or the last failure when none was usable or the
+// client went away. Attempt k goes to seq[k mod len(seq)]: with
+// MaxAttempts above the fleet size (the default is 2x), a request that
+// failed once on every replica gets a second pass — transient faults
+// rarely strike the same shard twice. After the first attempt come two
+// kinds, both counted toward MaxAttempts and both drawing on the retry
+// budget:
+//
+//   - a hedge, launched once, when the first attempt has not answered
+//     within HedgeAfter; the first usable response of the two wins;
+//   - a retry, launched only when no attempt is in flight and the last
+//     one failed, after its backoff.
+//
+// An attempt runs on its own goroutine only while a hedge can race it.
+// Returning cancels any attempt still in flight; its goroutine's send
+// lands in the buffered channel, so nothing leaks.
+func (rt *Router) forward(ctx context.Context, seq []string, method, uri, contentType string, body []byte) outcome {
+	actx := ctx
+	var results chan outcome
+	var hedgeAfter <-chan time.Time // nil once no hedge can launch
+	if rt.cfg.HedgeAfter > 0 && len(seq) > 1 && rt.cfg.MaxAttempts > 1 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		results = make(chan outcome, 2) // the first attempt and its hedge
+		timer := time.NewTimer(rt.cfg.HedgeAfter)
+		defer timer.Stop()
+		hedgeAfter = timer.C
+	}
 
-	timer := time.NewTimer(rt.cfg.HedgeAfter)
-	defer timer.Stop()
-
-	hedged := false
-	pending := 1
-	var last raceOutcome
-	for pending > 0 {
-		select {
-		case o := <-ch:
-			pending--
-			if !retryable(o.resp, o.err) {
-				rt.observe(o.shard, true)
+	var last outcome
+	launched, inflight, hedged := 0, 0, false
+	for {
+		hedge := false
+		if inflight > 0 {
+			select {
+			case o := <-results:
+				inflight--
+				hedgeAfter = nil // the first attempt answered, or its hedge is out
+				rt.observe(ctx, o.shard, o.usable())
+				if !o.usable() {
+					last = o
+					continue
+				}
 				if hedged {
 					if o.hedge {
 						rt.met.hedgeWins.Add(1)
@@ -376,31 +392,45 @@ func (rt *Router) race(ctx context.Context, primary, secondary, method, uri stri
 						rt.met.hedgeLosses.Add(1)
 					}
 				}
-				return o, tried
+				return o
+			case <-hedgeAfter:
+				hedgeAfter = nil
+				if !rt.withdraw() {
+					continue
+				}
+				rt.met.hedges.Add(1)
+				hedge, hedged = true, true
 			}
-			rt.observe(o.shard, false)
-			last = o
-		case <-timer.C:
-			if hedged || secondary == "" {
-				continue
+		} else if launched > 0 {
+			// A retry: the last attempt failed and none is in flight.
+			if launched >= rt.cfg.MaxAttempts || ctx.Err() != nil || !rt.withdraw() {
+				return last
 			}
-			hedged = true
-			if !rt.budget.Withdraw() {
-				rt.met.budgetExhausted.Add(1)
-				continue
+			rt.met.retries.Add(1)
+			if !rt.backoff(ctx, launched) {
+				return last
 			}
-			rt.met.hedges.Add(1)
-			tried = 2
-			pending++
-			sctx, scancel := context.WithCancel(ctx)
-			cancels = append(cancels, scancel)
-			go func() {
-				resp, err := rt.attempt(sctx, secondary, method, uri, header, body)
-				ch <- raceOutcome{shard: secondary, resp: resp, err: err, hedge: true}
-			}()
 		}
+
+		shard := seq[launched%len(seq)]
+		launched++
+		if hedge || hedgeAfter != nil {
+			// The hedge, or a first attempt a hedge may yet race: run aside.
+			inflight++
+			go func() {
+				o := rt.attempt(actx, shard, method, uri, contentType, body)
+				o.hedge = hedge
+				results <- o
+			}()
+			continue
+		}
+		o := rt.attempt(actx, shard, method, uri, contentType, body)
+		rt.observe(ctx, shard, o.usable())
+		if o.usable() {
+			return o
+		}
+		last = o
 	}
-	return last, tried
 }
 
 // backoff sleeps before retry n (1-based), scaled linearly off the base,
@@ -449,10 +479,9 @@ func (rt *Router) route(w http.ResponseWriter, key string) (seq []string, owner 
 	return append(allowed, denied...), owner
 }
 
-// handleProxy is the routed path: derive the key, walk the ring's
-// preference order with breaker gating, retry under the budget, hedge
-// the first attempt when configured, and relay the first usable
-// response whole.
+// handleProxy is the routed path: derive the key, take the ring's
+// breaker-gated preference order, forward the request along it, and
+// relay the first usable response whole.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method != http.MethodGet {
@@ -475,57 +504,22 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	if seq == nil {
 		return
 	}
-	uri := r.URL.RequestURI()
-
-	// The sequence wraps: with MaxAttempts above the fleet size (the
-	// default is 2x), a request that failed once on every replica gets a
-	// second pass — transient faults rarely strike the same shard twice.
-	attempts, i := 0, 0
-	var last raceOutcome
-	for attempts < rt.cfg.MaxAttempts {
-		var out raceOutcome
-		tried := 1
-		if attempts == 0 {
-			if rt.cfg.HedgeAfter > 0 && len(seq) > 1 {
-				out, tried = rt.race(r.Context(), seq[0], seq[1], r.Method, uri, r.Header, body)
-			} else {
-				resp, err := rt.attempt(r.Context(), seq[0], r.Method, uri, r.Header, body)
-				out = raceOutcome{shard: seq[0], resp: resp, err: err}
-				rt.observe(out.shard, !retryable(resp, err))
-			}
-		} else {
-			if !rt.budget.Withdraw() {
-				rt.met.budgetExhausted.Add(1)
-				break
-			}
-			rt.met.retries.Add(1)
-			if !rt.backoff(r.Context(), attempts) {
-				return // client went away mid-backoff
-			}
-			shard := seq[i%len(seq)]
-			resp, err := rt.attempt(r.Context(), shard, r.Method, uri, r.Header, body)
-			out = raceOutcome{shard: shard, resp: resp, err: err}
-			rt.observe(out.shard, !retryable(resp, err))
-		}
-		attempts += tried
-		i += tried
-		if !retryable(out.resp, out.err) {
-			w.Header().Set("Content-Length", strconv.Itoa(len(out.resp.body)))
-			rt.relay(w, out.shard, owner, out.resp.status, out.resp.header, bytes.NewReader(out.resp.body))
-			return
-		}
-		last = out
-		if r.Context().Err() != nil {
-			return // client went away; don't burn budget on its behalf
-		}
+	o := rt.forward(r.Context(), seq, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
+	if o.usable() {
+		w.Header().Set("Content-Length", strconv.Itoa(len(o.body)))
+		rt.relay(w, o.shard, owner, o.status, o.header, bytes.NewReader(o.body))
+		return
+	}
+	if r.Context().Err() != nil {
+		return // client went away; nobody is left to answer
 	}
 
 	rt.met.errors.Add(1)
 	msg := "all shard attempts failed"
-	if last.err != nil {
-		msg = fmt.Sprintf("%s; last error from %s: %v", msg, last.shard, last.err)
-	} else if last.resp != nil {
-		msg = fmt.Sprintf("%s; last status from %s: %d", msg, last.shard, last.resp.status)
+	if o.err != nil {
+		msg = fmt.Sprintf("%s; last error from %s: %v", msg, o.shard, o.err)
+	} else {
+		msg = fmt.Sprintf("%s; last status from %s: %d", msg, o.shard, o.status)
 	}
 	fmt.Fprintf(rt.cfg.Log, "cluster: %s %s key=%s: %s\n", r.Method, r.URL.Path, key, msg)
 	writeError(w, http.StatusBadGateway, msg)
@@ -533,8 +527,8 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 
 // handleProxyStream routes one streamed trace-simulate request
 // (POST /v1/simulate/trace). The body can be larger than any buffer the
-// router is willing to hold, so the buffered retry/hedge machinery of
-// handleProxy does not apply: the router reads just enough of the body
+// router is willing to hold, so forward's retries and hedges do not
+// apply: the router reads just enough of the body
 // to fingerprint it (serve.StreamRoutingKey over a bounded prefix),
 // takes the first shard of the breaker-ordered sequence, and pipes
 // prefix+rest through to it in one unrepeatable attempt. A mid-stream
@@ -557,23 +551,13 @@ func (rt *Router) handleProxyStream(w http.ResponseWriter, r *http.Request) {
 	rt.met.streamed.Add(1)
 	shard := seq[0]
 
-	body := io.MultiReader(bytes.NewReader(prefix), r.Body)
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, shard+r.URL.RequestURI(), body)
-	if err != nil {
-		rt.met.errors.Add(1)
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("building shard request: %v", err))
-		return
-	}
 	// The prefix was consumed from r.Body, so the stitched body's length
 	// is exactly the client's Content-Length (or unknown for chunked
 	// uploads, which the shard accepts just as well).
-	req.ContentLength = r.ContentLength
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := rt.client.Do(req)
+	body := io.MultiReader(bytes.NewReader(prefix), r.Body)
+	resp, err := rt.send(r.Context(), shard, http.MethodPost, r.URL.RequestURI(), r.Header.Get("Content-Type"), body, r.ContentLength)
 	if err != nil {
-		rt.observe(shard, false)
+		rt.observe(r.Context(), shard, false)
 		rt.met.errors.Add(1)
 		fmt.Fprintf(rt.cfg.Log, "cluster: %s %s key=%s: stream attempt to %s: %v\n",
 			r.Method, r.URL.Path, key, shard, err)
@@ -581,7 +565,7 @@ func (rt *Router) handleProxyStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	rt.observe(shard, resp.StatusCode < 500)
+	rt.observe(r.Context(), shard, resp.StatusCode < 500)
 	// The response streams too: a shard dying mid-reply truncates the
 	// client's body, which is the honest outcome for an unrepeatable
 	// request.
@@ -671,15 +655,11 @@ func (rt *Router) probeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(st *shardState) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			ok := rt.probe(pctx, st.url)
 			st.probeOK.Store(ok)
-			if ok {
-				st.br.Success()
-			} else if ctx.Err() == nil { // shutdown is not a shard failure
-				st.br.Failure()
-			}
+			rt.observe(ctx, st.url, ok)
 		}(st)
 	}
 	wg.Wait()
@@ -687,11 +667,7 @@ func (rt *Router) probeAll(ctx context.Context) {
 
 // probe is one active /healthz check.
 func (rt *Router) probe(ctx context.Context, shard string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shard+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
+	resp, err := rt.send(ctx, shard, http.MethodGet, "/healthz", "", nil, 0)
 	if err != nil {
 		return false
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -535,5 +536,194 @@ func TestRouterGETRoutesByPath(t *testing.T) {
 		if resp.StatusCode != 200 || !strings.Contains(string(data), "workloads") {
 			t.Fatalf("GET /v1/workloads via router: %d %s", resp.StatusCode, data)
 		}
+	}
+}
+
+// TestRouterClientHangupsAreNotShardFailures: clients timing out against
+// a stalled but healthy shard say nothing about the shard, so its
+// failure count stays 0, its breaker stays closed and the router's
+// /healthz stays 200.
+func TestRouterClientHangupsAreNotShardFailures(t *testing.T) {
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Drain the body so the server notices the router hanging up.
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	t.Cleanup(stalled.Close)
+	shard, err := normalizeShard(stalled.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Shards: []string{shard}, ProbeInterval: -1, Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	// Count finished simulate handlers, so the metrics are read only
+	// after the router has seen every hang-up through.
+	var handled sync.WaitGroup
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rt.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/simulate" {
+			handled.Done()
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	client := &http.Client{Timeout: 30 * time.Millisecond}
+	for seed := uint64(1); seed <= 3; seed++ {
+		handled.Add(1)
+		resp, err := client.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(simBody(seed)))
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("seed %d: answered %d by a stalled shard, want a client timeout", seed, resp.StatusCode)
+		}
+	}
+	handled.Wait()
+
+	m := routerMetricsBody(t, ts.URL)
+	if v := metricValue(t, m, fmt.Sprintf("softcache_router_shard_failures_total{shard=%q}", shard)); v != 0 {
+		t.Errorf("shard_failures_total=%v after client hang-ups, want 0", v)
+	}
+	if v := metricValue(t, m, fmt.Sprintf("softcache_router_breaker_open{shard=%q}", shard)); v != 0 {
+		t.Errorf("breaker_open=%v after client hang-ups, want 0", v)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after client hang-ups: %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestRouterHedgeAccountingWhenBudgetDenies: a hedge the retry budget
+// denies never launched, so the primary's answer is neither a hedge win
+// nor a hedge loss.
+func TestRouterHedgeAccountingWhenBudgetDenies(t *testing.T) {
+	fast := httptest.NewServer(serve.New(serve.Config{ShardID: "fast", Log: io.Discard}))
+	t.Cleanup(fast.Close)
+	slowShard := serve.New(serve.Config{ShardID: "slow", Log: io.Discard})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		slowShard.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+
+	rt, ts := newTestRouter(t, Config{
+		Shards:           []string{fast.URL, slow.URL},
+		HedgeAfter:       5 * time.Millisecond,
+		RetryBudgetBurst: 1,
+	})
+	slowURL, err := normalizeShard(slow.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := simBody(seedOwnedBy(t, rt, slowURL))
+	want := baseline(t, body)
+	// The first request spends the budget's one token on its hedge; the
+	// second request's hedge is denied and its slow primary answers.
+	for i := 0; i < 2; i++ {
+		code, _, got := post(t, ts.URL+"/v1/simulate", body)
+		if code != 200 || string(got) != string(want) {
+			t.Fatalf("request %d: %d, byte-identical=%v", i, code, string(got) == string(want))
+		}
+	}
+	m := routerMetricsBody(t, ts.URL)
+	hedges := metricValue(t, m, "softcache_router_hedges_total")
+	wins := metricValue(t, m, "softcache_router_hedge_wins_total")
+	losses := metricValue(t, m, "softcache_router_hedge_losses_total")
+	if hedges != 1 {
+		t.Errorf("hedges_total=%v, want 1", hedges)
+	}
+	if wins+losses > hedges {
+		t.Errorf("hedge accounting inconsistent: wins %v + losses %v > hedges %v", wins, losses, hedges)
+	}
+	if v := metricValue(t, m, "softcache_router_retry_budget_exhausted_total"); v != 1 {
+		t.Errorf("retry_budget_exhausted_total=%v, want 1 (the denied hedge)", v)
+	}
+}
+
+// TestRouterHedgeThenRetry covers the path where a hedge and a retry
+// meet. The home shard stalls past HedgeAfter and then fails, and the
+// hedge target fails, so the retry must go to the third shard in ring
+// order. With every shard failing, the request stops at exactly
+// MaxAttempts shard calls.
+func TestRouterHedgeThenRetry(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		thirdOK   bool
+		wantCode  int
+		wantCalls int64
+		wantRetry float64
+	}{
+		{"third shard answers", true, http.StatusOK, 3, 1},
+		{"every shard fails", false, http.StatusBadGateway, 6, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := serve.New(serve.Config{ShardID: "good", Log: io.Discard})
+			var calls atomic.Int64
+			var order atomic.Pointer[[]string] // ring order of the request's key
+			handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				seq := *order.Load()
+				switch "http://" + r.Host {
+				case seq[0]:
+					time.Sleep(30 * time.Millisecond)
+				case seq[2]:
+					if tc.thirdOK {
+						good.ServeHTTP(w, r)
+						return
+					}
+				}
+				http.Error(w, "shard failed", http.StatusInternalServerError)
+			})
+			shards := make([]string, 3)
+			for i := range shards {
+				s := httptest.NewServer(handler)
+				t.Cleanup(s.Close)
+				shards[i] = s.URL
+			}
+			rt, ts := newTestRouter(t, Config{
+				Shards:       shards,
+				HedgeAfter:   5 * time.Millisecond,
+				RetryBackoff: -1,
+			})
+			seq := rt.ring.Order(simKey(1))
+			order.Store(&seq)
+
+			code, header, got := post(t, ts.URL+"/v1/simulate", simBody(1))
+			if code != tc.wantCode {
+				t.Fatalf("status %d, want %d: %s", code, tc.wantCode, got)
+			}
+			if tc.thirdOK {
+				if string(got) != string(baseline(t, simBody(1))) {
+					t.Fatal("retried response is not byte-identical to the baseline")
+				}
+				if header.Get("X-Softcache-Shard") != "good" {
+					t.Fatalf("answered by %q, want the third shard", header.Get("X-Softcache-Shard"))
+				}
+			}
+			if n := calls.Load(); n != tc.wantCalls {
+				t.Errorf("shard calls=%d, want %d", n, tc.wantCalls)
+			}
+			m := routerMetricsBody(t, ts.URL)
+			if v := metricValue(t, m, "softcache_router_hedges_total"); v != 1 {
+				t.Errorf("hedges_total=%v, want 1", v)
+			}
+			if v := metricValue(t, m, "softcache_router_retries_total"); v != tc.wantRetry {
+				t.Errorf("retries_total=%v, want %v", v, tc.wantRetry)
+			}
+			wins := metricValue(t, m, "softcache_router_hedge_wins_total")
+			losses := metricValue(t, m, "softcache_router_hedge_losses_total")
+			if wins+losses != 0 {
+				t.Errorf("hedge wins %v + losses %v, want 0: no racing attempt answered", wins, losses)
+			}
+		})
 	}
 }
