@@ -13,7 +13,6 @@ package softcache_test
 import (
 	"context"
 	"os"
-	"sync"
 	"testing"
 
 	"softcache/internal/bench"
@@ -23,11 +22,6 @@ import (
 	"softcache/internal/workloads"
 )
 
-var (
-	ctxOnce  sync.Once
-	benchCtx *bench.Context
-)
-
 func benchScale() workloads.Scale {
 	if os.Getenv("SOFTCACHE_BENCH_SCALE") == "paper" {
 		return workloads.ScalePaper
@@ -35,21 +29,26 @@ func benchScale() workloads.Scale {
 	return workloads.ScaleTest
 }
 
-func benchContext() *bench.Context {
-	ctxOnce.Do(func() { benchCtx = bench.NewContext(benchScale(), 1) })
-	return benchCtx
-}
-
-// runFigure executes the experiment b.N times (traces are cached in the
-// shared context, so iterations measure simulation, not generation).
+// runFigure executes the experiment b.N times, each over a fresh context:
+// a context keeps every answer it simulated, so a shared one would time
+// lookups from the second iteration on. The named workload traces are
+// generated with the clock stopped, so iterations measure simulation, not
+// generation.
 func runFigure(b *testing.B, id string) {
 	e, err := bench.Get(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := benchContext()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ctx := bench.NewContext(benchScale(), 1)
+		for _, name := range workloads.Names() {
+			if _, err := ctx.Trace(name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
 		r, err := e.Run(ctx)
 		if err != nil {
 			b.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"softcache/internal/core"
+	"softcache/internal/flight"
 	"softcache/internal/loopir"
 	"softcache/internal/metrics"
 	"softcache/internal/timing"
@@ -26,19 +27,32 @@ import (
 )
 
 // Context carries experiment-wide state: the workload scale, the trace
-// seed, a cache of the named workload traces (the ones requested through
-// Trace), so each of them is generated once per process instead of once
-// per configuration, and the worker budget every figure's rows share.
+// seed, the worker budget every figure's rows share, and two pass-scoped
+// memos that keep a figure pass from doing the same work twice:
+//
+//   - the named workload traces (the ones requested through Trace), each
+//     generated once per Context instead of once per configuration;
+//   - the answers of SimulateMany, keyed by trace name and core.Config, so
+//     a (trace, config) pair several figures ask for is simulated once.
+//     Check arms the runtime checker inside the config, so checked and
+//     unchecked runs never share an answer.
+//
+// Both memos are filled through one coalescing primitive (flight.Group):
+// concurrent requests for one key wait for the caller computing it, and a
+// failed or cancelled computation is never stored, so its waiters and
+// later callers compute the key again rather than inherit another figure's
+// error.
 //
 // The parameterised variants some figures sweep (block size, leading
 // dimension, issue gap, prefetch distance) are read by a single
 // experiment: they are never materialised but streamed from the running
-// generator (tracegen.Reader) into the fused kernel, one batch at a time.
+// generator (tracegen.Reader) into the fused kernel, one batch at a time,
+// and are not memoised.
 //
 // Context is safe for concurrent use: the experiment harness runs several
-// figures at once against one shared Context, each named trace is still
-// generated exactly once, and the rows of every figure in flight run on
-// one budget of runtime.GOMAXPROCS(0) workers (see each).
+// figures at once against one shared Context, each named trace and each
+// answer is still computed exactly once, and the rows of every figure in
+// flight run on one budget of runtime.GOMAXPROCS(0) workers (see each).
 type Context struct {
 	Scale workloads.Scale
 	Seed  uint64
@@ -46,8 +60,9 @@ type Context struct {
 	// every simulation run through this context.
 	Check bool
 
-	ctx    context.Context
-	traces *traceCache
+	ctx     context.Context
+	traces  *memo[string, *trace.Trace]
+	answers *memo[answerKey, core.Result]
 	// budget holds one token per row running anywhere on this Context or
 	// its WithContext copies; its capacity is the worker count.
 	budget chan struct{}
@@ -56,18 +71,37 @@ type Context struct {
 	inRow bool
 }
 
-// traceCache deduplicates trace generation across concurrent experiments:
-// the first requester of a workload generates it inside a sync.Once, later
-// requesters block on that Once and share the result.
-type traceCache struct {
-	mu sync.Mutex
-	m  map[string]*traceEntry // guarded by mu
+// answerKey names one simulation: a config over a named workload trace.
+type answerKey struct {
+	trace string
+	cfg   core.Config
 }
 
-type traceEntry struct {
-	once sync.Once
-	t    *trace.Trace
-	err  error
+// memo is the map behind a flight.Group: it keeps every value the group's
+// flights computed.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V // guarded by mu
+	*flight.Group[K, V]
+}
+
+func newMemo[K comparable, V any]() *memo[K, V] {
+	s := &memo[K, V]{m: make(map[K]V)}
+	s.Group = flight.New[K, V](s)
+	return s
+}
+
+func (s *memo[K, V]) Load(key K) (V, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[key]
+	return v, ok
+}
+
+func (s *memo[K, V]) Store(key K, val V) {
+	s.mu.Lock()
+	s.m[key] = val
+	s.mu.Unlock()
 }
 
 // NewContext builds a context at the given scale. Seed 0 selects the
@@ -77,17 +111,19 @@ func NewContext(scale workloads.Scale, seed uint64) *Context {
 		seed = 1
 	}
 	return &Context{
-		Scale:  scale,
-		Seed:   seed,
-		traces: &traceCache{m: make(map[string]*traceEntry)},
-		budget: make(chan struct{}, runtime.GOMAXPROCS(0)),
+		Scale:   scale,
+		Seed:    seed,
+		traces:  newMemo[string, *trace.Trace](),
+		answers: newMemo[answerKey, core.Result](),
+		budget:  make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 }
 
 // WithContext returns a copy of c whose simulations are canceled when ctx
-// is. The trace cache and the worker budget are shared with c, so
-// per-experiment contexts handed out by the harness still generate each
-// workload once and together never run more rows than there are workers.
+// is. The memos and the worker budget are shared with c, so
+// per-experiment contexts handed out by the harness still compute each
+// trace and answer once and together never run more rows than there are
+// workers.
 func (c *Context) WithContext(ctx context.Context) *Context {
 	c2 := *c
 	c2.ctx = ctx
@@ -102,32 +138,48 @@ func (c *Context) context() context.Context {
 }
 
 // Trace returns the tagged trace of the named workload, building it at
-// most once process-wide even when experiments race for it.
+// most once per Context even when experiments race for it. A failed
+// build is not kept: the next call tries again.
 func (c *Context) Trace(name string) (*trace.Trace, error) {
-	c.traces.mu.Lock()
-	e, ok := c.traces.m[name]
-	if !ok {
-		e = &traceEntry{}
-		c.traces.m[name] = e
-	}
-	c.traces.mu.Unlock()
-	e.once.Do(func() {
-		e.t, e.err = workloads.Trace(name, c.Scale, c.Seed)
+	t, _, err := c.traces.Do(c.context(), name, func() (*trace.Trace, error) {
+		return workloads.Trace(name, c.Scale, c.Seed)
 	})
-	return e.t, e.err
+	return t, err
 }
 
-// SimulateMany runs every configuration over the named workload's trace
-// in one fused pass (core.Run over the cached trace), honouring the
-// context's cancellation and invariant-check settings: each record batch
-// is walked once and fed to all simulators, so a figure's whole config
-// axis costs one trace traversal. Results are index-aligned with cfgs.
+// simulate runs one fused pass of SimulateMany: cfgs over the named
+// workload's trace. Tests wrap it to count the passes.
+var simulate = func(ctx context.Context, name string, cfgs []core.Config, t *trace.Trace) ([]core.Result, error) {
+	return core.Run(ctx, core.Job{Configs: cfgs}, t.Reader())
+}
+
+// SimulateMany returns the result of every configuration over the named
+// workload's trace, index-aligned with cfgs, honouring the context's
+// cancellation and invariant-check settings. Answers the Context already
+// holds are looked up; the configs nobody has computed or is computing
+// run in one fused pass (core.Run over the cached trace), which walks each
+// record batch once for all of them; configs another row is computing are
+// waited for after that pass. When every answer is known, no pass runs at
+// all. A waiting row keeps its worker token: the row it waits on already
+// holds one and computes its answers before it waits on anything itself,
+// so no wait can close a cycle.
 func (c *Context) SimulateMany(name string, cfgs []core.Config) ([]core.Result, error) {
-	t, err := c.Trace(name)
-	if err != nil {
-		return nil, err
+	cfgs = c.checked(cfgs)
+	keys := make([]answerKey, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = answerKey{name, cfg}
 	}
-	return core.Run(c.context(), core.Job{Configs: c.checked(cfgs)}, t.Reader())
+	return c.answers.DoMany(c.context(), keys, func(own []int) ([]core.Result, error) {
+		t, err := c.Trace(name)
+		if err != nil {
+			return nil, err
+		}
+		job := make([]core.Config, len(own))
+		for j, i := range own {
+			job[j] = cfgs[i]
+		}
+		return simulate(c.context(), name, job, t)
+	})
 }
 
 // simulateProgram streams p's trace, generated with the context's seed and

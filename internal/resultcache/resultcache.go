@@ -25,6 +25,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"softcache/internal/flight"
 )
 
 const (
@@ -65,8 +67,10 @@ type Cache struct {
 	segs    map[uint64]*segment // guarded by mu
 	active  *segment            // guarded by mu
 	nextSeq uint64              // guarded by mu
-	flights map[string]*flight  // guarded by mu
 	closed  bool                // guarded by mu
+
+	// flights coalesces Do's computations over the segment log.
+	flights *flight.Group[string, []byte]
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -86,12 +90,14 @@ type entry struct {
 	elem *list.Element
 }
 
-// flight is one in-progress computation other callers coalesce onto.
-type flight struct {
-	done chan struct{} // closed once val/err are set
-	val  []byte
-	err  error
-}
+// logStore is the segment log as the store behind Do's flights.
+type logStore struct{ c *Cache }
+
+func (s logStore) Load(key string) ([]byte, bool) { return s.c.Peek(key) }
+
+// Store errors (disk full, closed mid-run) do not fail the request: the
+// computed value is still correct, it is just not durable.
+func (s logStore) Store(key string, val []byte) { s.c.Put(key, val) }
 
 // Open loads (or creates) the cache directory, rebuilding the index from
 // the segment log. budget is the live-byte budget (values below 1 MiB are
@@ -117,8 +123,8 @@ func Open(dir string, budget, segmentBytes int64) (*Cache, error) {
 		index:    make(map[string]*entry),
 		ll:       list.New(),
 		segs:     make(map[uint64]*segment),
-		flights:  make(map[string]*flight),
 	}
+	c.flights = flight.New[string, []byte](logStore{c})
 	if err := c.loadSegments(); err != nil {
 		c.Close()
 		return nil, err
@@ -253,54 +259,24 @@ func (c *Cache) Put(key string, val []byte) error {
 // caller's wait; on a closed cache Do degrades to calling compute
 // directly.
 func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	for {
-		if v, ok := c.Get(key); ok {
-			return v, true, nil
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			v, err := compute()
-			return v, false, err
-		}
-		if _, ok := c.index[key]; ok {
-			// A computer stored the value between our failed Get and
-			// acquiring the lock; loop back and read it rather than
-			// computing a second time.
-			c.mu.Unlock()
-			continue
-		}
-		if f, ok := c.flights[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if f.err == nil {
-				c.hits.Add(1)
-				return f.val, true, nil
-			}
-			continue // the computer failed; take a turn ourselves
-		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[key] = f
-		c.mu.Unlock()
-
-		c.misses.Add(1)
-		f.val, f.err = compute()
-		if f.err == nil {
-			// Store errors (disk full, closed mid-run) do not fail the
-			// request: the computed value is still correct, it is just not
-			// durable.
-			c.Put(key, f.val)
-		}
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-		close(f.done)
-		return f.val, false, f.err
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		val, err := compute()
+		return val, false, err
 	}
+	val, computed, err := c.flights.Do(ctx, key, func() ([]byte, error) {
+		c.misses.Add(1)
+		return compute()
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	if !computed {
+		c.hits.Add(1)
+	}
+	return val, !computed, nil
 }
 
 // removeLocked drops one live entry and reclaims its segment if that was
