@@ -35,7 +35,7 @@ func TestFlagsProbe(t *testing.T) {
 	for _, f := range flags {
 		names[f.Name] = true
 	}
-	for _, want := range []string{"poolescape", "lockguard", "ctxpoll", "metrictext", "cliexit"} {
+	for _, want := range []string{"poolescape", "lockguard", "cliexit"} {
 		if !names[want] {
 			t.Errorf("-flags missing analyzer %q", want)
 		}

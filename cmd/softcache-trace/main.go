@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -273,21 +274,15 @@ func runSynth(stdout io.Writer, out string, n, seed uint64) error {
 	return nil
 }
 
-// drain streams r to completion, returning the record count.
+// drain streams r to completion, returning the record count, which on
+// a read error counts the complete records before it.
 func drain(r trace.BatchReader) (uint64, error) {
-	batch := trace.GetBatch()
-	defer trace.PutBatch(batch)
 	var total uint64
-	for {
-		n, err := r.ReadBatch(*batch)
-		total += uint64(n)
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
+	err := trace.Each(context.Background(), r, func(recs []trace.Record) error {
+		total += uint64(len(recs))
+		return nil
+	})
+	return total, err
 }
 
 func runVerify(stdout io.Writer, in string) error {

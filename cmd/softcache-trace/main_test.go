@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -285,6 +286,32 @@ func TestVerifyCorrupt(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Fatalf("partial output left behind: %v", err)
+	}
+}
+
+// TestVerifyTruncatedFlat: -verify on a flat trace cut mid-record exits
+// 1 and counts exactly the complete records before the cut.
+func TestVerifyTruncatedFlat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.trace")
+	if _, errb, code := runTool(t, "-workload", "MV", "-scale", "test", "-out", path); code != 0 {
+		t.Fatalf("generate: exit %d: %s", code, errb)
+	}
+	whole, errb, code := runTool(t, "-in", path, "-verify")
+	var n int
+	if _, err := fmt.Sscanf(whole, "verify OK: %d records", &n); code != 0 || err != nil {
+		t.Fatalf("verify whole trace (exit %d): %s%s", code, whole, errb)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ten records and half of one more cut off the end.
+	if err := os.WriteFile(path, data[:len(data)-10*15-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errb, code = runTool(t, "-in", path, "-verify")
+	if want := fmt.Sprintf("verify failed after %d records", n-11); code != 1 || !strings.Contains(errb, want) {
+		t.Fatalf("truncated verify: exit %d, stderr %q; want exit 1 and %q", code, errb, want)
 	}
 }
 

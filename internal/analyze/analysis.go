@@ -10,18 +10,19 @@
 // hardware assistance; softcache-vet applies that to the workload
 // programs, and this package applies it to the runtime that simulates
 // them. The shipped analyzers (package internal/analyze/...) encode the
-// invariants the pooling, locking and serving layers rely on:
+// invariants the pooling, locking and exit paths rely on:
 //
 //   - poolescape:  a trace.GetBatch buffer must not escape or be used
-//     after its PutBatch
+//     after its PutBatch (benchmark/layers.go is the last holder outside
+//     trace.Each; the analyzer goes when the pool is unexported)
 //   - lockguard:   fields annotated "// guarded by <mu>" are only
 //     touched with that mutex held
-//   - ctxpoll:     batch/unit-consuming loops in context-taking
-//     functions must poll the context
-//   - metrictext:  hand-rolled Prometheus text stays well-formed and in
-//     sync with the counters it renders
 //   - cliexit:     process exit flows through internal/cli, not bare
 //     os.Exit/log.Fatal
+//
+// Two conventions that once had analyzers of their own now hold by
+// construction: trace.Each is the one batch loop and polls its context,
+// and internal/prom renders only registered, validated series.
 //
 // A finding can be suppressed at the offending line with
 //

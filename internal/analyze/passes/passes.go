@@ -9,9 +9,7 @@ import (
 
 	"softcache/internal/analyze"
 	"softcache/internal/analyze/cliexit"
-	"softcache/internal/analyze/ctxpoll"
 	"softcache/internal/analyze/lockguard"
-	"softcache/internal/analyze/metrictext"
 	"softcache/internal/analyze/poolescape"
 )
 
@@ -19,9 +17,7 @@ import (
 func All() []*analyze.Analyzer {
 	return []*analyze.Analyzer{
 		cliexit.Analyzer,
-		ctxpoll.Analyzer,
 		lockguard.Analyzer,
-		metrictext.Analyzer,
 		poolescape.Analyzer,
 	}
 }

@@ -1,85 +1,73 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync/atomic"
+	"slices"
+
+	"softcache/internal/prom"
 )
 
-// routerMetrics holds the router's own counters, all atomics so the
-// proxy path updates them without a lock; /metrics renders a snapshot in
-// the Prometheus text exposition format, same hand-rolled discipline as
-// internal/serve (and checked by the same metrictext analyzer).
+// routerMetrics holds the router's own counters. Each is registered once
+// in reg, which renders /metrics together with the per-shard breaker,
+// probe, failure and residency series; the proxy path updates a counter
+// with one atomic add and no lookup.
 type routerMetrics struct {
-	requests        atomic.Uint64 // proxied requests accepted by the router
-	retries         atomic.Uint64 // failed attempts retried on another replica
-	hedges          atomic.Uint64 // hedge attempts launched
-	hedgeWins       atomic.Uint64 // hedge responses relayed to the client
-	hedgeLosses     atomic.Uint64 // primary responses relayed after a hedge launched
-	rerouted        atomic.Uint64 // responses served off the key's home shard
-	budgetExhausted atomic.Uint64 // retries/hedges denied by the retry budget
-	errors          atomic.Uint64 // 502s: every attempt failed
-	streamed        atomic.Uint64 // unbuffered pass-through requests (/v1/simulate/trace)
-	resultHits      atomic.Uint64 // relayed responses stamped X-Softcache-Result: hit
-	resultMisses    atomic.Uint64 // relayed responses stamped X-Softcache-Result: miss
+	reg             prom.Registry
+	requests        *prom.Counter // proxied requests accepted by the router
+	retries         *prom.Counter // failed attempts retried on another replica
+	hedges          *prom.Counter // hedge attempts launched
+	hedgeWins       *prom.Counter // hedge responses relayed to the client
+	hedgeLosses     *prom.Counter // primary responses relayed after a hedge launched
+	rerouted        *prom.Counter // responses served off the key's home shard
+	budgetExhausted *prom.Counter // retries/hedges denied by the retry budget
+	errors          *prom.Counter // 502s: every attempt failed
+	streamed        *prom.Counter // unbuffered pass-through requests (/v1/simulate/trace)
+	resultHits      *prom.Counter // relayed responses stamped X-Softcache-Result: hit
+	resultMisses    *prom.Counter // relayed responses stamped X-Softcache-Result: miss
 }
 
-// writeMetrics renders the router counters plus the per-shard breaker,
-// probe and residency state.
-func (rt *Router) writeMetrics(w io.Writer) {
-	m := rt.met
-	fmt.Fprintf(w, "# TYPE softcache_router_requests_total counter\nsoftcache_router_requests_total %d\n", m.requests.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_retries_total counter\nsoftcache_router_retries_total %d\n", m.retries.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_hedges_total counter\nsoftcache_router_hedges_total %d\n", m.hedges.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_hedge_wins_total counter\nsoftcache_router_hedge_wins_total %d\n", m.hedgeWins.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_hedge_losses_total counter\nsoftcache_router_hedge_losses_total %d\n", m.hedgeLosses.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_rerouted_total counter\nsoftcache_router_rerouted_total %d\n", m.rerouted.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_retry_budget_exhausted_total counter\nsoftcache_router_retry_budget_exhausted_total %d\n", m.budgetExhausted.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_errors_total counter\nsoftcache_router_errors_total %d\n", m.errors.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_streamed_total counter\nsoftcache_router_streamed_total %d\n", m.streamed.Load())
+// newRouterMetrics registers the router counters, then the series of
+// each shard of the fleet New built, in shard order.
+func newRouterMetrics(rt *Router) *routerMetrics {
+	m := &routerMetrics{}
+	r := &m.reg
+	m.requests = r.Counter("softcache_router_requests_total")
+	m.retries = r.Counter("softcache_router_retries_total")
+	m.hedges = r.Counter("softcache_router_hedges_total")
+	m.hedgeWins = r.Counter("softcache_router_hedge_wins_total")
+	m.hedgeLosses = r.Counter("softcache_router_hedge_losses_total")
+	m.rerouted = r.Counter("softcache_router_rerouted_total")
+	m.budgetExhausted = r.Counter("softcache_router_retry_budget_exhausted_total")
+	m.errors = r.Counter("softcache_router_errors_total")
+	m.streamed = r.Counter("softcache_router_streamed_total")
 	// Fleet-level result-cache traffic, tallied off the relayed
 	// X-Softcache-Result header: what fraction of answered requests were
 	// fetched from a shard's durable result cache vs recomputed.
-	fmt.Fprintf(w, "# TYPE softcache_router_result_hits_total counter\nsoftcache_router_result_hits_total %d\n", m.resultHits.Load())
-	fmt.Fprintf(w, "# TYPE softcache_router_result_misses_total counter\nsoftcache_router_result_misses_total %d\n", m.resultMisses.Load())
+	m.resultHits = r.Counter("softcache_router_result_hits_total")
+	m.resultMisses = r.Counter("softcache_router_result_misses_total")
 
 	shards := make([]string, 0, len(rt.states))
 	for s := range rt.states {
 		shards = append(shards, s)
 	}
-	sort.Strings(shards)
-	keys := rt.keyCounts()
+	slices.Sort(shards)
+	for _, s := range shards {
+		st := rt.states[s]
+		r.CounterFunc("softcache_router_breaker_opens_total", st.br.Opens, "shard", s)
+		r.GaugeFunc("softcache_router_breaker_open", func() int64 { return oneIf(st.br.State() == breakerOpen) }, "shard", s)
+		r.GaugeFunc("softcache_router_shard_up", func() int64 { return oneIf(st.probeOK.Load()) }, "shard", s)
+		st.failures = r.Counter("softcache_router_shard_failures_total", "shard", s)
+		// Residency observability: how many distinct trace keys each
+		// shard owns among those the router has routed, so a failover
+		// decision's cache-warmth cost is measurable rather than guessed.
+		r.GaugeFunc("softcache_router_shard_keys", func() int64 { return rt.shardKeys(s) }, "shard", s)
+	}
+	return m
+}
 
-	fmt.Fprintln(w, "# TYPE softcache_router_breaker_opens_total counter")
-	for _, s := range shards {
-		fmt.Fprintf(w, "softcache_router_breaker_opens_total{shard=%q} %d\n", s, rt.states[s].br.Opens())
+// oneIf renders a condition as a 0/1 gauge value.
+func oneIf(b bool) int64 {
+	if b {
+		return 1
 	}
-	fmt.Fprintln(w, "# TYPE softcache_router_breaker_open gauge")
-	for _, s := range shards {
-		open := 0
-		if rt.states[s].br.State() == breakerOpen {
-			open = 1
-		}
-		fmt.Fprintf(w, "softcache_router_breaker_open{shard=%q} %d\n", s, open)
-	}
-	fmt.Fprintln(w, "# TYPE softcache_router_shard_up gauge")
-	for _, s := range shards {
-		up := 0
-		if rt.states[s].probeOK.Load() {
-			up = 1
-		}
-		fmt.Fprintf(w, "softcache_router_shard_up{shard=%q} %d\n", s, up)
-	}
-	fmt.Fprintln(w, "# TYPE softcache_router_shard_failures_total counter")
-	for _, s := range shards {
-		fmt.Fprintf(w, "softcache_router_shard_failures_total{shard=%q} %d\n", s, rt.states[s].failures.Load())
-	}
-	// Residency observability: how many distinct trace keys each shard
-	// owns among those the router has routed, so a failover decision's
-	// cache-warmth cost is measurable rather than guessed.
-	fmt.Fprintln(w, "# TYPE softcache_router_shard_keys gauge")
-	for _, s := range shards {
-		fmt.Fprintf(w, "softcache_router_shard_keys{shard=%q} %d\n", s, keys[s])
-	}
+	return 0
 }

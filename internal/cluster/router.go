@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"softcache/internal/prom"
 	"softcache/internal/serve"
 )
 
@@ -107,7 +108,7 @@ type shardState struct {
 	url      string
 	br       *breaker
 	probeOK  atomic.Bool   // last active probe outcome
-	failures atomic.Uint64 // failed attempts against this shard
+	failures *prom.Counter // failed attempts against this shard
 }
 
 // Router consistent-hash shards simulate/sweep requests across a fleet
@@ -145,7 +146,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   NewRing(vnodes),
 		states: make(map[string]*shardState, len(cfg.Shards)),
-		met:    &routerMetrics{},
 		budget: newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
 		client: &http.Client{Transport: transport},
 		mux:    http.NewServeMux(),
@@ -165,13 +165,14 @@ func New(cfg Config) (*Router, error) {
 		rt.states[u] = st
 		rt.ring.Add(u)
 	}
+	rt.met = newRouterMetrics(rt)
 
 	rt.mux.HandleFunc("POST /v1/simulate", rt.handleProxy)
 	rt.mux.HandleFunc("POST /v1/simulate/trace", rt.handleProxyStream)
 	rt.mux.HandleFunc("POST /v1/sweep", rt.handleProxy)
 	rt.mux.HandleFunc("GET /v1/workloads", rt.handleProxy)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	rt.mux.Handle("GET /metrics", &rt.met.reg)
 
 	rt.probeDone = make(chan struct{})
 	pctx, cancel := context.WithCancel(context.Background())
@@ -251,15 +252,17 @@ func (rt *Router) recordKey(key, owner string) {
 	rt.keys[key] = owner
 }
 
-// keyCounts snapshots the tracked keys per owning shard.
-func (rt *Router) keyCounts() map[string]int {
+// shardKeys counts the tracked routing keys the shard owns.
+func (rt *Router) shardKeys(shard string) int64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	counts := make(map[string]int, len(rt.states))
+	var n int64
 	for _, owner := range rt.keys {
-		counts[owner]++
+		if owner == shard {
+			n++
+		}
 	}
-	return counts
+	return n
 }
 
 // outcome is one buffered attempt's result: buffering the response
@@ -624,11 +627,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.WriteHeader(http.StatusServiceUnavailable)
 	io.WriteString(w, "no live shards\n")
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.writeMetrics(w)
 }
 
 // probeLoop drives the active health checks: one immediate round, then

@@ -35,7 +35,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"softcache/internal/cache"
 	"softcache/internal/mem"
@@ -260,9 +259,10 @@ type Job struct {
 	Warmup  int
 }
 
-// Run is the simulation entry point: one pass of r drives a fresh
-// simulator per configuration, each batch fed to every simulator before
-// the next is read, so a configuration matrix pays the trace decode once.
+// Run is the simulation entry point: one pass of r through trace.Each
+// drives a fresh simulator per configuration, each batch fed to every
+// simulator before the next is read, so a configuration matrix pays the
+// trace decode once.
 // The results are index-aligned with job.Configs and identical to one Run
 // per configuration. r is Trace.Reader for an in-memory trace, or any
 // streamed source (trace.OpenFile, tracegen.NewReader), which is never
@@ -281,19 +281,12 @@ func Run(ctx context.Context, job Job, r trace.BatchReader) ([]Result, error) {
 		return nil, err
 	}
 	warm := job.Warmup // records left before the statistics reset
-	batch := trace.GetBatch()
-	defer trace.PutBatch(batch)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: simulating %s: %w", r.Name(), err)
-		}
-		n, err := r.ReadBatch(*batch)
-		recs := (*batch)[:n]
+	err = trace.Each(ctx, r, func(recs []trace.Record) error {
 		if warm > 0 {
-			k := min(warm, n)
+			k := min(warm, len(recs))
 			for _, sim := range sims {
 				sim.AccessAll(recs[:k])
-				if k == warm || err == io.EOF { // warmup done, or it outlasted the trace
+				if k == warm {
 					sim.ResetStats()
 				}
 			}
@@ -302,11 +295,14 @@ func Run(ctx context.Context, job Job, r trace.BatchReader) ([]Result, error) {
 		for _, sim := range sims {
 			sim.AccessAll(recs)
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: simulating %s: %w", r.Name(), err)
+	}
+	if warm > 0 { // the warmup outlasted the trace
+		for _, sim := range sims {
+			sim.ResetStats()
 		}
 	}
 	return manyResults(r.Name(), job.Configs, sims), nil

@@ -11,3 +11,11 @@ package core
 // otherwise identical request. Pure performance work (fusion, pooling)
 // that is proven byte-identical does not need a bump.
 const KernelVersion = "softcache-kernel/1"
+
+// KernelFingerprint is a sha256 over the answers KernelVersion names:
+// every uint64 statistic of each named config over each test-scale
+// workload, and the rendered bodies of a fixed simulate and sweep
+// request (internal/serve's TestKernelFingerprint computes it). A change
+// that moves it bumps KernelVersion and sets the new fingerprint in the
+// same edit.
+const KernelFingerprint = "87eaa7f13344bdc742e43fb28f3ab8d55fb4cecbee51f4cf5ce122360c7c9107"

@@ -488,21 +488,13 @@ func newLeg(ctx context.Context, s Spec, traces corpus) (leg, error) {
 
 // drain reads r to EOF and checks it yielded n records.
 func drain(ctx context.Context, r trace.BatchReader, n int) error {
-	batch := trace.GetBatch()
-	defer trace.PutBatch(batch)
 	total := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		m, err := r.ReadBatch(*batch)
-		total += m
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
+	err := trace.Each(ctx, r, func(recs []trace.Record) error {
+		total += len(recs)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if total != n {
 		return fmt.Errorf("perf: %s decoded %d records, want %d", r.Name(), total, n)

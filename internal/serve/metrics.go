@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-	"sync/atomic"
 	"time"
 
+	"softcache/internal/prom"
 	"softcache/internal/resultcache"
 )
 
@@ -40,89 +38,90 @@ func (e endpoint) String() string {
 	return "unknown"
 }
 
-// serverMetrics holds the daemon's own counters: requests and outcomes per
-// endpoint, latency totals, and pool occupancy. All fields are atomics so
-// handlers update them without a lock; /metrics renders a snapshot in the
-// Prometheus text exposition format (hand-rolled — no client library, the
-// format is just lines of "name{labels} value").
+// serverMetrics holds the daemon's own series: requests and outcomes per
+// endpoint, latency totals, and pool occupancy. Each is registered once
+// in reg, which renders /metrics; handlers update them with one atomic
+// add and no lookup.
 type serverMetrics struct {
-	requests  [epCount]atomic.Uint64
-	failures  [epCount]atomic.Uint64 // responses with status >= 400
-	latencyNS [epCount]atomic.Int64
-	rejected  atomic.Uint64 // 429: queue full
-	timeouts  atomic.Uint64 // 504: per-request deadline
-	panics    atomic.Uint64 // 500: simulation panic recovered by admitted
-	inflight  atomic.Int64  // requests holding a worker slot
-	queued    atomic.Int64  // requests waiting for a worker slot
+	reg      prom.Registry
+	requests [epCount]*prom.Counter
+	failures [epCount]*prom.Counter // responses with status >= 400
+	latency  [epCount]*prom.Seconds
+	rejected *prom.Counter // 429: queue full
+	timeouts *prom.Counter // 504: per-request deadline
+	panics   *prom.Counter // 500: simulation panic recovered by admitted
+	inflight *prom.Gauge   // requests holding a worker slot
+	queued   *prom.Gauge   // requests waiting for a worker slot
 	// Streamed-trace decode volume (POST /v1/simulate/trace): records
 	// decoded from request bodies and, for SCTZ bodies, chunks framed.
-	traceRecords atomic.Uint64
-	traceChunks  atomic.Uint64
+	traceRecords *prom.Counter
+	traceChunks  *prom.Counter
 }
 
-// observe records one finished request.
-func (m *serverMetrics) observe(ep endpoint, status int, d time.Duration) {
-	m.requests[ep].Add(1)
-	m.latencyNS[ep].Add(int64(d))
-	if status >= 400 {
-		m.failures[ep].Add(1)
+// newServerMetrics registers the daemon's series, with those the trace
+// and result caches own read from their Stats when /metrics renders.
+// shardID labels the daemon in a fleet ("" outside cluster mode);
+// results is nil when no result cache is configured, in which case its
+// series render as zeros so dashboards see a stable set.
+func newServerMetrics(shardID string, cache *TraceCache, results *resultcache.Cache) *serverMetrics {
+	m := &serverMetrics{}
+	r := &m.reg
+	r.Gauge("softcache_shard_info", "shard", shardID).Add(1)
+	for ep := endpoint(0); ep < epCount; ep++ {
+		m.requests[ep] = r.Counter("softcache_requests_total", "endpoint", ep.String())
 	}
-}
+	for ep := endpoint(0); ep < epCount; ep++ {
+		m.failures[ep] = r.Counter("softcache_request_failures_total", "endpoint", ep.String())
+	}
+	for ep := endpoint(0); ep < epCount; ep++ {
+		m.latency[ep] = r.Seconds("softcache_request_seconds_total", "endpoint", ep.String())
+	}
+	m.rejected = r.Counter("softcache_queue_rejections_total")
+	m.timeouts = r.Counter("softcache_request_timeouts_total")
+	m.panics = r.Counter("softcache_simulation_panics_total")
+	m.inflight = r.Gauge("softcache_inflight_requests")
+	m.queued = r.Gauge("softcache_queued_requests")
+	m.traceRecords = r.Counter("softcache_trace_decode_records_total")
+	m.traceChunks = r.Counter("softcache_trace_decode_chunks_total")
 
-// WriteTo renders the counters (and the trace and result caches') as
-// Prometheus text. shardID labels the daemon in a fleet ("" outside
-// cluster mode); results is nil when no result cache is configured, in
-// which case its series render as zeros so dashboards see a stable set.
-func (m *serverMetrics) WriteTo(w io.Writer, cache *TraceCache, results *resultcache.Cache, shardID string) {
-	fmt.Fprintf(w, "# TYPE softcache_shard_info gauge\nsoftcache_shard_info{shard=%q} 1\n", shardID)
-	fmt.Fprintln(w, "# TYPE softcache_requests_total counter")
-	for ep := endpoint(0); ep < epCount; ep++ {
-		fmt.Fprintf(w, "softcache_requests_total{endpoint=%q} %d\n", ep, m.requests[ep].Load())
-	}
-	fmt.Fprintln(w, "# TYPE softcache_request_failures_total counter")
-	for ep := endpoint(0); ep < epCount; ep++ {
-		fmt.Fprintf(w, "softcache_request_failures_total{endpoint=%q} %d\n", ep, m.failures[ep].Load())
-	}
-	fmt.Fprintln(w, "# TYPE softcache_request_seconds_total counter")
-	for ep := endpoint(0); ep < epCount; ep++ {
-		secs := float64(m.latencyNS[ep].Load()) / float64(time.Second)
-		fmt.Fprintf(w, "softcache_request_seconds_total{endpoint=%q} %.6f\n", ep, secs)
-	}
-	fmt.Fprintf(w, "# TYPE softcache_queue_rejections_total counter\nsoftcache_queue_rejections_total %d\n", m.rejected.Load())
-	fmt.Fprintf(w, "# TYPE softcache_request_timeouts_total counter\nsoftcache_request_timeouts_total %d\n", m.timeouts.Load())
-	fmt.Fprintf(w, "# TYPE softcache_simulation_panics_total counter\nsoftcache_simulation_panics_total %d\n", m.panics.Load())
-	fmt.Fprintf(w, "# TYPE softcache_inflight_requests gauge\nsoftcache_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# TYPE softcache_queued_requests gauge\nsoftcache_queued_requests %d\n", m.queued.Load())
-	fmt.Fprintf(w, "# TYPE softcache_trace_decode_records_total counter\nsoftcache_trace_decode_records_total %d\n", m.traceRecords.Load())
-	fmt.Fprintf(w, "# TYPE softcache_trace_decode_chunks_total counter\nsoftcache_trace_decode_chunks_total %d\n", m.traceChunks.Load())
-
-	cs := cache.Stats()
-	fmt.Fprintf(w, "# TYPE softcache_trace_cache_hits_total counter\nsoftcache_trace_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# TYPE softcache_trace_cache_misses_total counter\nsoftcache_trace_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# TYPE softcache_trace_decodes_total counter\nsoftcache_trace_decodes_total %d\n", cs.Decodes)
-	fmt.Fprintf(w, "# TYPE softcache_trace_cache_evictions_total counter\nsoftcache_trace_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(w, "# TYPE softcache_trace_load_failures_total counter\nsoftcache_trace_load_failures_total %d\n", cs.LoadFailures)
-	fmt.Fprintf(w, "# TYPE softcache_trace_cache_bytes gauge\nsoftcache_trace_cache_bytes %d\n", cs.Bytes)
-	fmt.Fprintf(w, "# TYPE softcache_trace_cache_entries gauge\nsoftcache_trace_cache_entries %d\n", cs.Entries)
+	r.CounterFunc("softcache_trace_cache_hits_total", func() uint64 { return cache.Stats().Hits })
+	r.CounterFunc("softcache_trace_cache_misses_total", func() uint64 { return cache.Stats().Misses })
+	r.CounterFunc("softcache_trace_decodes_total", func() uint64 { return cache.Stats().Decodes })
+	r.CounterFunc("softcache_trace_cache_evictions_total", func() uint64 { return cache.Stats().Evictions })
+	r.CounterFunc("softcache_trace_load_failures_total", func() uint64 { return cache.Stats().LoadFailures })
+	r.GaugeFunc("softcache_trace_cache_bytes", func() int64 { return cache.Stats().Bytes })
+	r.GaugeFunc("softcache_trace_cache_entries", func() int64 { return int64(cache.Stats().Entries) })
 	// Residency headroom: budget alongside occupancy makes the
 	// eviction pressure on this shard's cache a first-class signal for
 	// failover decisions instead of a guess.
-	fmt.Fprintf(w, "# TYPE softcache_trace_cache_budget_bytes gauge\nsoftcache_trace_cache_budget_bytes %d\n", cs.Budget)
+	r.GaugeFunc("softcache_trace_cache_budget_bytes", func() int64 { return cache.Stats().Budget })
 
 	// Durable result cache (internal/resultcache). Hits are responses
 	// served from the segment log (or a coalesced flight); misses are
 	// simulations actually run through the cache; corruptions are records
 	// that failed their CRC on read and degraded to a miss.
-	var rs resultcache.Stats
-	if results != nil {
-		rs = results.Stats()
+	rs := func() resultcache.Stats {
+		if results == nil {
+			return resultcache.Stats{}
+		}
+		return results.Stats()
 	}
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_hits_total counter\nsoftcache_result_cache_hits_total %d\n", rs.Hits)
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_misses_total counter\nsoftcache_result_cache_misses_total %d\n", rs.Misses)
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_stores_total counter\nsoftcache_result_cache_stores_total %d\n", rs.Stores)
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_evictions_total counter\nsoftcache_result_cache_evictions_total %d\n", rs.Evictions)
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_corruptions_total counter\nsoftcache_result_cache_corruptions_total %d\n", rs.Corruptions)
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_bytes gauge\nsoftcache_result_cache_bytes %d\n", rs.Bytes)
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_entries gauge\nsoftcache_result_cache_entries %d\n", rs.Entries)
-	fmt.Fprintf(w, "# TYPE softcache_result_cache_segments gauge\nsoftcache_result_cache_segments %d\n", rs.Segments)
+	r.CounterFunc("softcache_result_cache_hits_total", func() uint64 { return rs().Hits })
+	r.CounterFunc("softcache_result_cache_misses_total", func() uint64 { return rs().Misses })
+	r.CounterFunc("softcache_result_cache_stores_total", func() uint64 { return rs().Stores })
+	r.CounterFunc("softcache_result_cache_evictions_total", func() uint64 { return rs().Evictions })
+	r.CounterFunc("softcache_result_cache_corruptions_total", func() uint64 { return rs().Corruptions })
+	r.GaugeFunc("softcache_result_cache_bytes", func() int64 { return rs().Bytes })
+	r.GaugeFunc("softcache_result_cache_entries", func() int64 { return int64(rs().Entries) })
+	r.GaugeFunc("softcache_result_cache_segments", func() int64 { return int64(rs().Segments) })
+	return m
+}
+
+// observe records one finished request.
+func (m *serverMetrics) observe(ep endpoint, status int, d time.Duration) {
+	m.requests[ep].Add(1)
+	m.latency[ep].Add(d)
+	if status >= 400 {
+		m.failures[ep].Add(1)
+	}
 }

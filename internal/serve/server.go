@@ -109,16 +109,16 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		traces:  NewTraceCache(cfg.CacheBytes),
 		results: cfg.ResultCache,
-		met:     &serverMetrics{},
 		sem:     make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
 	}
+	s.met = newServerMetrics(cfg.ShardID, s.traces, s.results)
 	s.mux.Handle("POST /v1/simulate", s.instrument(epSimulate, s.handleSimulate))
 	s.mux.Handle("POST /v1/simulate/trace", s.instrument(epSimulateTrace, s.handleSimulateTrace))
 	s.mux.Handle("POST /v1/sweep", s.instrument(epSweep, s.handleSweep))
 	s.mux.Handle("GET /v1/workloads", s.instrument(epWorkloads, s.handleWorkloads))
 	s.mux.Handle("GET /healthz", s.instrument(epHealthz, s.handleHealthz))
-	s.mux.Handle("GET /metrics", s.instrument(epMetrics, s.handleMetrics))
+	s.mux.Handle("GET /metrics", s.instrument(epMetrics, s.met.reg.ServeHTTP))
 	return s
 }
 
@@ -422,9 +422,4 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.WriteTo(w, s.traces, s.results, s.cfg.ShardID)
 }

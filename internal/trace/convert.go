@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -26,7 +27,7 @@ func CopySCTZ(w io.Writer, r BatchReader) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := copyBatches(sw.Write, r); err != nil {
+	if err := Each(context.Background(), r, sw.Write); err != nil {
 		return sw.Count(), err
 	}
 	if err := sw.Close(); err != nil {
@@ -62,7 +63,7 @@ func CopyFlat(w io.Writer, r BatchReader) (uint64, error) {
 		return 0, err
 	}
 	var written uint64
-	err := copyBatches(func(recs []Record) error {
+	err := Each(context.Background(), r, func(recs []Record) error {
 		var buf [recordSize]byte
 		for i := range recs {
 			rec := &recs[i]
@@ -77,7 +78,7 @@ func CopyFlat(w io.Writer, r BatchReader) (uint64, error) {
 		}
 		written += uint64(len(recs))
 		return nil
-	}, r)
+	})
 	if err != nil {
 		return written, err
 	}
@@ -93,7 +94,7 @@ func CopyFlat(w io.Writer, r BatchReader) (uint64, error) {
 func CopyDin(w io.Writer, r BatchReader) (uint64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var written uint64
-	err := copyBatches(func(recs []Record) error {
+	err := Each(context.Background(), r, func(recs []Record) error {
 		for i := range recs {
 			rec := &recs[i]
 			if rec.SoftwarePrefetch {
@@ -109,29 +110,9 @@ func CopyDin(w io.Writer, r BatchReader) (uint64, error) {
 			written++
 		}
 		return nil
-	}, r)
+	})
 	if err != nil {
 		return written, err
 	}
 	return written, bw.Flush()
-}
-
-// copyBatches drains r through a pooled batch, handing each chunk to sink.
-func copyBatches(sink func([]Record) error, r BatchReader) error {
-	batch := GetBatch()
-	defer PutBatch(batch)
-	for {
-		n, rerr := r.ReadBatch(*batch)
-		if n > 0 {
-			if err := sink((*batch)[:n]); err != nil {
-				return err
-			}
-		}
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			return rerr
-		}
-	}
 }

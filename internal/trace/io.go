@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -213,10 +214,10 @@ var flagProto = func() (t [256]Record) {
 // small enough (2048 records, ~64 KiB decoded) to stay cache-resident.
 const BatchSize = 2048
 
-// batchPool recycles ReadBatch destination slices so that streaming
-// consumers (core.Run, ReadAll, the perf harness) perform no
-// per-chunk allocations in steady state. Pointers-to-slice avoid the
-// allocation that storing a bare slice header in an interface would cost.
+// batchPool recycles ReadBatch destination slices so that Each, the one
+// batch loop, performs no per-chunk allocations in steady state.
+// Pointers-to-slice avoid the allocation that storing a bare slice header
+// in an interface would cost.
 var batchPool = sync.Pool{
 	New: func() interface{} {
 		b := make([]Record, BatchSize)
@@ -225,7 +226,8 @@ var batchPool = sync.Pool{
 }
 
 // GetBatch returns a pooled BatchSize-record slice for use as a ReadBatch
-// destination. Return it with PutBatch when done.
+// destination. Return it with PutBatch when done. It is exported for
+// benchmark/layers.go only: every other loop over a trace is Each.
 func GetBatch() *[]Record { return batchPool.Get().(*[]Record) }
 
 // PutBatch returns a batch obtained from GetBatch to the pool. Buffers
@@ -234,13 +236,44 @@ func GetBatch() *[]Record { return batchPool.Get().(*[]Record) }
 // recycled: a short buffer would silently shrink every later ReadBatch
 // that borrows it, and an oversized one defeats the cache-residency the
 // batch size was chosen for. The length is reset to the full shape so a
-// recycled buffer never leaks a previous caller's n.
+// recycled buffer never leaks a previous caller's n. Like GetBatch, it is
+// exported for benchmark/layers.go only.
 func PutBatch(b *[]Record) {
 	if b == nil || cap(*b) != BatchSize {
 		return
 	}
 	*b = (*b)[:BatchSize]
 	batchPool.Put(b)
+}
+
+// Each is the one batch loop: it drains r through one pooled batch,
+// handing fn each chunk of records in order. A chunk is valid only
+// during the call, as with bufio.Scanner.Bytes: the batch is reused by
+// the next read, so fn copies what it keeps. ctx is polled once before
+// each read and its error returned as is. Records decoded together with
+// a read error reach fn before that error is returned; io.EOF ends the
+// loop with a nil error. An error from fn stops the loop with no further
+// read and is returned as is.
+func Each(ctx context.Context, r BatchReader, fn func([]Record) error) error {
+	batch := GetBatch()
+	defer PutBatch(batch)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n, rerr := r.ReadBatch(*batch)
+		if n > 0 {
+			if err := fn((*batch)[:n]); err != nil {
+				return err
+			}
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
 }
 
 // ReadBatch decodes up to len(dst) records into dst and returns the number
@@ -342,18 +375,14 @@ func ReadAll(r BatchReader) (*Trace, error) {
 		prealloc = 1 << 20
 	}
 	t := &Trace{Name: r.Name(), Records: make([]Record, 0, prealloc)}
-	batch := GetBatch()
-	defer PutBatch(batch)
-	for {
-		n, err := r.ReadBatch(*batch)
-		t.Records = append(t.Records, (*batch)[:n]...)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
+	err := Each(context.Background(), r, func(recs []Record) error {
+		t.Records = append(t.Records, recs...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return t, nil
 }
 
 // Reader returns a BatchReader over the trace's records, so an in-memory
