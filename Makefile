@@ -12,12 +12,13 @@ build:
 # Static diagnostics: Go's own vet, the softcache-analyze invariant suite
 # over the codebase itself (see docs/ANALYSIS.md "Codebase analyzers"),
 # then softcache-vet over the example DSL program and every built-in
-# benchmark (error-severity findings fail).
+# benchmark, the latter with the tag-precision audit (error-severity
+# findings fail).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/softcache-analyze ./...
 	$(GO) run ./cmd/softcache-vet -source examples/dsl/stencil.loop
-	$(GO) run ./cmd/softcache-vet -workload all -scale test
+	$(GO) run ./cmd/softcache-vet -workload all -scale test -audit
 
 test:
 	$(GO) test ./...

@@ -1,8 +1,9 @@
 // Package softcache_test hosts the repository-level benchmark harness: one
 // testing.B target per figure of the paper (BenchmarkFig01a …
-// BenchmarkFig12, BenchmarkAblations) plus micro-benchmarks of the
-// simulator and trace generator. Kernel, fused and decode throughput are
-// measured and gated by cmd/softcache-perf instead (docs/PERF.md).
+// BenchmarkFig12, BenchmarkAblations, BenchmarkTagAudit) plus
+// micro-benchmarks of the simulator and trace generator. Kernel, fused and
+// decode throughput are measured and gated by cmd/softcache-perf instead
+// (docs/PERF.md).
 //
 // The figure benchmarks run at test scale by default so `go test -bench=.`
 // stays fast; set SOFTCACHE_BENCH_SCALE=paper to regenerate the figures at
@@ -84,6 +85,7 @@ func BenchmarkFig12SW(b *testing.B)   { runFigure(b, "12sw") }
 func BenchmarkRelated(b *testing.B)   { runFigure(b, "related") }
 func BenchmarkIssueRate(b *testing.B) { runFigure(b, "issue") }
 func BenchmarkSummary(b *testing.B)   { runFigure(b, "summary") }
+func BenchmarkTagAudit(b *testing.B)  { runFigure(b, "tag-audit") }
 
 // --- micro-benchmarks ----------------------------------------------------
 

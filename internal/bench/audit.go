@@ -16,9 +16,28 @@ func init() {
 	})
 }
 
+// audit scores the named benchmark's static tags against the reuse in the
+// trace the context holds for it — the trace the tagaudit pass of
+// vet.Run would generate, record for record.
+func (c *Context) audit(name string) (*vet.AuditReport, error) {
+	p, err := workloads.BuildProgram(name, c.Scale)
+	if err != nil {
+		return nil, err
+	}
+	t, err := c.Trace(name)
+	if err != nil {
+		return nil, err
+	}
+	a, err := vet.Audit(p, t, vet.Options{Seed: c.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("tag-audit: %s: %w", name, err)
+	}
+	return a, nil
+}
+
 // runTagAudit quantifies the paper's central premise — that the §2.3
 // elementary analysis derives *trustworthy* tags. For each benchmark the
-// generated trace is replayed through the reuse-distance oracle
+// trace the context holds is replayed through the reuse-distance oracle
 // (stackdist.ObserveReuse) and the static temporal/spatial tags are
 // scored against the reuse each dynamic reference actually exhibits,
 // weighted by dynamic count. High precision is what the hardware needs:
@@ -32,17 +51,9 @@ func runTagAudit(ctx *Context) (*Report, error) {
 		"T-precision", "T-recall", "S-precision", "S-recall")
 	names := workloads.Benchmarks()
 	audits := make([]*vet.AuditReport, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
-		p, err := workloads.BuildProgram(names[i], rc.Scale)
-		if err != nil {
-			return err
-		}
-		res, err := vet.Run(p, vet.Options{Audit: true, Seed: rc.Seed})
-		if err != nil {
-			return fmt.Errorf("tag-audit: %s: %w", names[i], err)
-		}
-		audits[i] = res.Audit
-		return nil
+	err := ctx.each(len(names), func(rc *Context, i int) (err error) {
+		audits[i], err = rc.audit(names[i])
+		return err
 	})
 	if err != nil {
 		return nil, err

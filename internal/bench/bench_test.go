@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 
 	"softcache/internal/core"
 	"softcache/internal/harness"
+	"softcache/internal/vet"
 	"softcache/internal/workloads"
 )
 
@@ -326,4 +328,30 @@ func TestEachReportsLowestFailingRow(t *testing.T) {
 		return nil
 	})
 	t.Fatal("each returned instead of re-raising the row's panic")
+}
+
+// TestTagAuditMatchesVet: the tag-audit figure replays the trace the
+// context holds, while softcache-vet's tagaudit pass generates its own.
+// For every benchmark the two reports must be identical, which pins the
+// two traces to the same addresses, reference ids, prefetch flags and
+// order — everything the audit reads (the seed moves only issue gaps).
+func TestTagAuditMatchesVet(t *testing.T) {
+	for _, name := range workloads.Benchmarks() {
+		fromCtx, err := sharedCtx.audit(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := workloads.BuildProgram(name, workloads.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := vet.Run(p, vet.Options{Audit: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromCtx, res.Audit) {
+			t.Errorf("%s: audit of the context's trace differs from vet's\ncontext: %+v\nvet:     %+v",
+				name, fromCtx, res.Audit)
+		}
+	}
 }

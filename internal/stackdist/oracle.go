@@ -21,7 +21,11 @@
 // twice (forward and reversed) and OR-ing the observations.
 package stackdist
 
-import "softcache/internal/trace"
+import (
+	"math"
+
+	"softcache/internal/trace"
+)
 
 // Reuse holds the per-record observation bits produced by the oracle.
 type Reuse struct {
@@ -33,79 +37,129 @@ type Reuse struct {
 	Spatial bool
 }
 
-// lineState tracks enough per-line history to answer "when was this line
-// last touched at a word different from the current one" in O(1): the two
-// most recent *distinct* words and their touch times.
-type lineState struct {
-	lastWord  uint64
-	lastTime  int
-	otherTime int // latest touch at a word != lastWord (0 = never)
+// dense is a trace's data references over compact ids.
+type dense struct {
+	// word holds one entry per record: the dense id of its word (its
+	// address), or -1 for a software prefetch, which is a hint, not a
+	// reference.
+	word []int32
+	// line maps a word id to the dense id of its cache line.
+	line []int32
+	// lines is the number of distinct lines; refs the number of records
+	// that are not software prefetches.
+	lines, refs int
 }
 
-// reuseScanner performs one directional pass over an address stream.
-type reuseScanner struct {
-	an    *Analyzer
-	lines map[uint64]*lineState
-	elem  map[uint64]int // word -> time of latest touch
-}
-
-func newReuseScanner(n int) *reuseScanner {
-	return &reuseScanner{
-		an:    NewAnalyzer(n),
-		lines: make(map[uint64]*lineState, n/4),
-		elem:  make(map[uint64]int, n/2),
+// densify maps each record's word and line to dense ids, in order of first
+// touch: one map lookup per record, and one more per distinct word.
+func densify(t *trace.Trace, lineBytes int) dense {
+	if len(t.Records) >= math.MaxInt32 {
+		panic("stackdist: trace too long for int32 times")
 	}
+	d := dense{word: make([]int32, len(t.Records))}
+	words := make(map[uint64]int32)
+	lines := make(map[uint64]int32)
+	for i, rec := range t.Records {
+		if rec.SoftwarePrefetch {
+			d.word[i] = -1
+			continue
+		}
+		d.refs++
+		w, ok := words[rec.Addr]
+		if !ok {
+			w = int32(len(d.line))
+			words[rec.Addr] = w
+			key := rec.Addr / uint64(lineBytes)
+			l, ok := lines[key]
+			if !ok {
+				l = int32(len(lines))
+				lines[key] = l
+			}
+			d.line = append(d.line, l)
+		}
+		d.word[i] = w
+	}
+	d.lines = len(lines)
+	return d
+}
+
+// reuseScan performs one directional pass over a dense trace. Times count
+// the pass's references from 1; 0 means "never".
+type reuseScan struct {
+	wordLast  []int32 // word -> time of latest touch
+	lineLast  []int32 // line -> time of latest touch
+	lineWord  []int32 // line -> word of that touch
+	lineOther []int32 // line -> latest touch at a word != lineWord
+	// tree holds a marker at each line's latest touch. It is nil when the
+	// trace has no more distinct lines than the window, which then never
+	// binds.
+	tree   fenwick
+	seen   int // distinct lines touched so far
+	now    int32
+	window int
+}
+
+func newReuseScan(d dense, window int) *reuseScan {
+	s := &reuseScan{
+		wordLast:  make([]int32, len(d.line)),
+		lineLast:  make([]int32, d.lines),
+		lineWord:  make([]int32, d.lines),
+		lineOther: make([]int32, d.lines),
+		window:    window,
+	}
+	if d.lines > window {
+		s.tree = newFenwick(d.refs)
+	}
+	return s
 }
 
 // step processes one reference and reports the reuse observed *behind* it
 // in this pass's scan direction, measured in distinct lines touched since.
-func (s *reuseScanner) step(line, word uint64, window int) (r Reuse) {
-	// distinctSince(t) = distinct lines touched strictly between time t
-	// and now. Each line touched in that interval has exactly one
-	// latest-access marker inside it (markers only move forward in time).
-	now := s.an.now + 1 // Access below will advance the clock to this
-	if tE, ok := s.elem[word]; ok {
+func (s *reuseScan) step(w, l int32) (r Reuse) {
+	now := s.now + 1
+	if tE := s.wordLast[w]; tE > 0 {
 		// Same word touched before: temporal reuse if it is close enough.
-		if s.distinctBetween(tE, now) <= window {
-			r.Temporal = true
-		}
+		r.Temporal = s.within(tE, now)
 	}
-	if ls, ok := s.lines[line]; ok {
-		// Find the latest touch of this line at a *different* word.
-		tS := 0
-		if ls.lastWord != word {
-			tS = ls.lastTime
-		} else {
-			tS = ls.otherTime
-		}
-		if tS > 0 && s.distinctBetween(tS, now) <= window {
-			r.Spatial = true
-		}
+	// The latest touch of this line at a *different* word.
+	tS := s.lineOther[l]
+	if s.lineWord[l] != w {
+		tS = s.lineLast[l]
 	}
-	// Advance the clock and the per-line Fenwick markers.
-	s.an.Access(line)
-	s.elem[word] = now
-	ls := s.lines[line]
-	if ls == nil {
-		ls = &lineState{}
-		s.lines[line] = ls
+	if tS > 0 {
+		r.Spatial = s.within(tS, now)
 	}
-	if ls.lastWord == word && ls.lastTime > 0 {
-		ls.lastTime = now
-	} else {
-		if ls.lastTime > 0 {
-			ls.otherTime = ls.lastTime
+
+	s.now = now
+	last := s.lineLast[l]
+	if last == 0 {
+		s.seen++
+	}
+	if s.tree != nil {
+		if last > 0 {
+			s.tree.add(last, -1)
 		}
-		ls.lastWord = word
-		ls.lastTime = now
+		s.tree.add(now, 1)
 	}
+	s.wordLast[w] = now
+	if s.lineWord[l] != w {
+		s.lineOther[l] = last
+		s.lineWord[l] = w
+	}
+	s.lineLast[l] = now
 	return r
 }
 
-// distinctBetween counts distinct lines touched strictly between times t
-// and now (the reference at time now itself not yet recorded).
-func (s *reuseScanner) distinctBetween(t, now int) int {
-	return s.an.query(now-1) - s.an.query(t)
+// within reports whether at most window distinct lines were touched
+// strictly between times t and now. That count can exceed neither the
+// steps elapsed nor the trace's distinct lines, so the tree is asked only
+// when both exceed the window. Each line touched in the interval has
+// exactly one latest-touch marker after t (markers only move forward).
+func (s *reuseScan) within(t, now int32) bool {
+	if int(now-t-1) <= s.window || s.tree == nil {
+		return true
+	}
+	return s.seen-s.tree.sum(t) <= s.window
 }
 
 // ObserveReuse replays the trace through the oracle and returns one Reuse
@@ -120,26 +174,24 @@ func ObserveReuse(t *trace.Trace, lineBytes, windowLines int) []Reuse {
 	if windowLines <= 0 {
 		windowLines = 1 << 16
 	}
+	d := densify(t, lineBytes)
 	out := make([]Reuse, len(t.Records))
 
 	// Backward observations: scan forward, each step sees its past.
-	fwd := newReuseScanner(t.Len())
-	for i, rec := range t.Records {
-		if rec.SoftwarePrefetch {
-			continue
+	s := newReuseScan(d, windowLines)
+	for i, w := range d.word {
+		if w >= 0 {
+			out[i] = s.step(w, d.line[w])
 		}
-		out[i] = fwd.step(rec.Addr/uint64(lineBytes), rec.Addr, windowLines)
 	}
 	// Forward observations: scan the reversed trace, OR into place.
-	rev := newReuseScanner(t.Len())
-	for i := len(t.Records) - 1; i >= 0; i-- {
-		rec := t.Records[i]
-		if rec.SoftwarePrefetch {
-			continue
+	s = newReuseScan(d, windowLines)
+	for i := len(d.word) - 1; i >= 0; i-- {
+		if w := d.word[i]; w >= 0 {
+			r := s.step(w, d.line[w])
+			out[i].Temporal = out[i].Temporal || r.Temporal
+			out[i].Spatial = out[i].Spatial || r.Spatial
 		}
-		r := rev.step(rec.Addr/uint64(lineBytes), rec.Addr, windowLines)
-		out[i].Temporal = out[i].Temporal || r.Temporal
-		out[i].Spatial = out[i].Spatial || r.Spatial
 	}
 	return out
 }

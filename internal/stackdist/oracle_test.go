@@ -3,6 +3,7 @@ package stackdist
 import (
 	"testing"
 
+	"softcache/internal/timing"
 	"softcache/internal/trace"
 )
 
@@ -76,5 +77,63 @@ func TestObserveReuseSkipsPrefetches(t *testing.T) {
 	}
 	if r[1].Temporal {
 		t.Errorf("prefetch counted as a providing touch: %+v", r[1])
+	}
+}
+
+// naiveReuse is the oracle by brute force, O(n²): for each reference it
+// walks outwards in one direction, collecting the lines touched in
+// between in a set, until the set outgrows the window.
+func naiveReuse(tr *trace.Trace, lineBytes, window int) []Reuse {
+	out := make([]Reuse, len(tr.Records))
+	look := func(i, dir int) Reuse {
+		var r Reuse
+		me := tr.Records[i]
+		between := map[uint64]bool{}
+		for j := i + dir; j >= 0 && j < len(tr.Records) && len(between) <= window; j += dir {
+			o := tr.Records[j]
+			if o.SoftwarePrefetch {
+				continue
+			}
+			if o.Addr == me.Addr {
+				r.Temporal = true
+			} else if o.Addr/uint64(lineBytes) == me.Addr/uint64(lineBytes) {
+				r.Spatial = true
+			}
+			between[o.Addr/uint64(lineBytes)] = true
+		}
+		return r
+	}
+	for i, rec := range tr.Records {
+		if rec.SoftwarePrefetch {
+			continue
+		}
+		past, future := look(i, -1), look(i, 1)
+		out[i] = Reuse{
+			Temporal: past.Temporal || future.Temporal,
+			Spatial:  past.Spatial || future.Spatial,
+		}
+	}
+	return out
+}
+
+// TestObserveReuseMatchesNaive cross-checks the oracle against the brute
+// force on random traces with software prefetches, over windows from 1 to
+// past the distinct-line count: the engine keeps its Fenwick tree only
+// while the trace has more distinct lines than the window, so both the
+// tree and the tree-less path run.
+func TestObserveReuseMatchesNaive(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		rng := timing.NewRNG(seed)
+		lines := 2 + rng.Intn(30)
+		tr := randomTrace(rng, 300, lines)
+		for window := 1; window <= lines+2; window++ {
+			got, want := ObserveReuse(tr, 32, window), naiveReuse(tr, 32, window)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d, %d lines, window %d, record %d (%+v): observed %+v, naive %+v",
+						seed, lines, window, i, tr.Records[i], got[i], want[i])
+				}
+			}
+		}
 	}
 }

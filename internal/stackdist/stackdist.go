@@ -8,71 +8,40 @@
 // touched since the previous access to the same line. A fully-associative
 // LRU cache of C lines misses exactly the references with distance >= C
 // (plus first touches), so one pass yields the miss ratio of every cache
-// size at once. The implementation uses a Fenwick tree over access
-// timestamps: O(log n) per reference.
+// size at once.
+//
+// Both passes here (Analyze and the reuse oracle, ObserveReuse) run on one
+// dense engine: lines (and, for the oracle, words) get int32 ids in order
+// of first touch, so per-line and per-word state lives in slices, and
+// distinct-line counts come from one int32 Fenwick tree over access times,
+// sized to the trace: O(log n) a query.
 package stackdist
 
-import "softcache/internal/trace"
+import (
+	"math"
 
-// Analyzer computes stack distances online, one line address at a time.
-type Analyzer struct {
-	lastUse map[uint64]int // line -> timestamp of previous access
-	tree    []int          // Fenwick tree over timestamps: 1 = line's latest access
-	now     int
-}
+	"softcache/internal/trace"
+)
 
-// NewAnalyzer returns an analyzer sized for about n accesses (the
-// structure grows if exceeded).
-func NewAnalyzer(n int) *Analyzer {
-	if n < 16 {
-		n = 16
-	}
-	return &Analyzer{
-		lastUse: make(map[uint64]int, n/4),
-		tree:    make([]int, n+1),
+// fenwick is a Fenwick tree over access times 1..n, holding a 1 at the
+// time of each line's latest access, so a prefix sum counts the lines last
+// touched by then.
+type fenwick []int32
+
+func newFenwick(n int) fenwick { return make(fenwick, n+1) }
+
+func (f fenwick) add(i int32, delta int32) {
+	for ; int(i) < len(f); i += i & -i {
+		f[i] += delta
 	}
 }
 
-// Access records a reference to the given line address and returns its
-// stack distance; first is true for a first touch (infinite distance).
-func (a *Analyzer) Access(line uint64) (distance int, first bool) {
-	a.now++
-	if a.now >= len(a.tree) {
-		// A Fenwick tree cannot grow by zero-extension (the new upper
-		// nodes must cover sums of earlier ranges): rebuild from the
-		// current markers — one per resident line, in lastUse.
-		a.tree = make([]int, 2*len(a.tree))
-		for _, ts := range a.lastUse {
-			a.update(ts, 1)
-		}
+func (f fenwick) sum(i int32) int {
+	s := int32(0)
+	for ; i > 0; i -= i & -i {
+		s += f[i]
 	}
-	last, seen := a.lastUse[line]
-	if seen {
-		// Distinct lines touched in (last, now): each has exactly one
-		// "latest access" marker in that window.
-		distance = a.query(a.now-1) - a.query(last)
-		a.update(last, -1)
-	}
-	a.update(a.now, 1)
-	a.lastUse[line] = a.now
-	return distance, !seen
-}
-
-// DistinctLines returns the number of distinct lines seen so far.
-func (a *Analyzer) DistinctLines() int { return len(a.lastUse) }
-
-func (a *Analyzer) update(i, delta int) {
-	for ; i < len(a.tree); i += i & (-i) {
-		a.tree[i] += delta
-	}
-}
-
-func (a *Analyzer) query(i int) int {
-	s := 0
-	for ; i > 0; i -= i & (-i) {
-		s += a.tree[i]
-	}
-	return s
+	return int(s)
 }
 
 // Profile is the result of a full-trace stack-distance pass at line
@@ -98,22 +67,41 @@ func Analyze(t *trace.Trace, lineSize, maxTracked int) Profile {
 	if maxTracked <= 0 {
 		maxTracked = 1 << 14
 	}
-	a := NewAnalyzer(t.Len())
+	if len(t.Records) >= math.MaxInt32 {
+		panic("stackdist: trace too long for int32 times")
+	}
 	p := Profile{Histogram: make([]uint64, maxTracked+1)}
+	// One pass needs only line ids, assigned on first touch: the map is
+	// asked once per reference, and per-line state lives in a slice.
+	ids := make(map[uint64]int32)
+	var last []int32 // line id -> time of latest access
+	tree := newFenwick(len(t.Records))
+	now := int32(0)
 	for _, r := range t.Records {
 		if r.SoftwarePrefetch {
 			continue
 		}
-		d, first := a.Access(r.Addr / uint64(lineSize))
+		now++
 		p.References++
-		if first {
+		key := r.Addr / uint64(lineSize)
+		l, seen := ids[key]
+		if !seen {
+			ids[key] = int32(len(last))
+			last = append(last, now)
 			p.Compulsory++
+			tree.add(now, 1)
 			continue
 		}
-		if d > maxTracked {
-			d = maxTracked
+		// Distinct lines touched in (last[l], now): one marker each after
+		// last[l], out of one marker per line seen so far.
+		dist := len(last) - tree.sum(last[l])
+		if dist > maxTracked {
+			dist = maxTracked
 		}
-		p.Histogram[d]++
+		p.Histogram[dist]++
+		tree.add(last[l], -1)
+		tree.add(now, 1)
+		last[l] = now
 	}
 	return p
 }

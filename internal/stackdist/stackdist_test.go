@@ -1,6 +1,7 @@
 package stackdist
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -8,63 +9,73 @@ import (
 	"softcache/internal/trace"
 )
 
+// TestAnalyzerBasic: A B C A A — the second A has distance 2 (B, C),
+// the third 0; the three first touches are compulsory.
 func TestAnalyzerBasic(t *testing.T) {
-	a := NewAnalyzer(16)
-	// Stream: A B C A  -> A's second access has distance 2 (B, C).
-	if _, first := a.Access(1); !first {
-		t.Fatal("A is a first touch")
+	p := Analyze(mkTrace(1, 2, 3, 1, 1), 32, 16)
+	if p.Compulsory != 3 || p.References != 5 {
+		t.Fatalf("profile = %+v", p)
 	}
-	a.Access(2)
-	a.Access(3)
-	d, first := a.Access(1)
-	if first || d != 2 {
-		t.Fatalf("distance = %d first=%v, want 2 false", d, first)
-	}
-	// Immediate re-access: distance 0.
-	if d, _ := a.Access(1); d != 0 {
-		t.Fatalf("re-access distance = %d, want 0", d)
-	}
-	if a.DistinctLines() != 3 {
-		t.Fatalf("distinct = %d", a.DistinctLines())
+	if p.Histogram[2] != 1 || p.Histogram[0] != 1 {
+		t.Fatalf("histogram = %v, want one distance 2 and one distance 0", p.Histogram[:4])
 	}
 }
 
-func TestAnalyzerGrows(t *testing.T) {
-	a := NewAnalyzer(4)
-	for i := 0; i < 1000; i++ {
-		a.Access(uint64(i))
+// naiveProfile is Mattson's algorithm on an explicit LRU stack: the
+// distance of a re-access is its line's depth below the top.
+func naiveProfile(tr *trace.Trace, lineSize, maxTracked int) Profile {
+	p := Profile{Histogram: make([]uint64, maxTracked+1)}
+	var stack []uint64 // most recent last
+	for _, r := range tr.Records {
+		if r.SoftwarePrefetch {
+			continue
+		}
+		line := r.Addr / uint64(lineSize)
+		p.References++
+		found := false
+		for j := len(stack) - 1; j >= 0; j-- {
+			if stack[j] == line {
+				d := len(stack) - 1 - j
+				if d > maxTracked {
+					d = maxTracked
+				}
+				p.Histogram[d]++
+				stack = append(stack[:j], stack[j+1:]...)
+				found = true
+				break
+			}
+		}
+		if !found {
+			p.Compulsory++
+		}
+		stack = append(stack, line)
 	}
-	d, first := a.Access(0)
-	if first || d != 999 {
-		t.Fatalf("distance = %d first=%v, want 999 false", d, first)
-	}
+	return p
 }
 
-// TestAnalyzerMatchesNaive cross-checks the Fenwick implementation against
-// a brute-force LRU stack on random streams.
+// randomTrace draws n records over lines lines of 4 words each (32-byte
+// lines of 8-byte words), about one in eight a software prefetch.
+func randomTrace(rng *timing.RNG, n, lines int) *trace.Trace {
+	tr := &trace.Trace{Name: "random"}
+	for i := 0; i < n; i++ {
+		tr.Append(trace.Record{
+			Addr:             uint64(rng.Intn(lines*4)) * 8,
+			Size:             8,
+			SoftwarePrefetch: rng.Intn(8) == 0,
+		})
+	}
+	return tr
+}
+
+// TestAnalyzerMatchesNaive cross-checks Analyze against a brute-force LRU
+// stack on random streams, with a histogram bound below the distinct-line
+// count so the overflow bucket fills too.
 func TestAnalyzerMatchesNaive(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := timing.NewRNG(seed)
-		a := NewAnalyzer(64)
-		var stack []uint64 // most recent last
-		for i := 0; i < 500; i++ {
-			line := uint64(rng.Intn(40))
-			// Naive distance: position from the top of the stack.
-			naive, found := -1, false
-			for j := len(stack) - 1; j >= 0; j-- {
-				if stack[j] == line {
-					naive = len(stack) - 1 - j
-					found = true
-					stack = append(stack[:j], stack[j+1:]...)
-					break
-				}
-			}
-			stack = append(stack, line)
-			d, first := a.Access(line)
-			if first == found {
-				return false
-			}
-			if found && d != naive {
+		tr := randomTrace(rng, 500, 40)
+		for _, maxTracked := range []int{8, 64} {
+			if !reflect.DeepEqual(Analyze(tr, 32, maxTracked), naiveProfile(tr, 32, maxTracked)) {
 				return false
 			}
 		}

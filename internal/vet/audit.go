@@ -3,7 +3,9 @@ package vet
 import (
 	"fmt"
 
+	"softcache/internal/loopir"
 	"softcache/internal/stackdist"
+	"softcache/internal/trace"
 	"softcache/internal/tracegen"
 )
 
@@ -77,15 +79,23 @@ type AuditReport struct {
 	Spatial  PrecisionRecall `json:"spatial"`
 }
 
-// Audit generates the program's trace and scores the tagging against the
-// reuse oracle. It is the engine behind the tagaudit pass, exported for
-// cmd/softcache-vet's all-workloads table and the bench experiment.
-func Audit(ctx *Context) (*AuditReport, error) {
-	opts := ctx.Opts
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
+// Audit scores p's static tags against the reuse observed in tr, which
+// must be p's trace under the tags the analysis derives (tracegen.Generate
+// of p, or workloads.Trace of its workload). opts.Seed only labels the
+// report with the seed tr was generated with; Audit generates nothing.
+// The tagaudit pass generates its own trace and shares the scoring.
+func Audit(p *loopir.Program, tr *trace.Trace, opts Options) (*AuditReport, error) {
+	ctx, err := newContext(p, opts)
+	if err != nil {
+		return nil, err
 	}
+	return audit(ctx, tr), nil
+}
+
+// audit scores the context's tagging against the reuse oracle's replay of
+// tr.
+func audit(ctx *Context, tr *trace.Trace) *AuditReport {
+	opts := ctx.Opts
 	lineBytes := opts.LineBytes
 	if lineBytes <= 0 {
 		lineBytes = 32
@@ -93,13 +103,6 @@ func Audit(ctx *Context) (*AuditReport, error) {
 	window := opts.WindowLines
 	if window <= 0 {
 		window = 1 << 16
-	}
-	tr, err := tracegen.GenerateTagged(ctx.Prog, ctx.Tags, tracegen.Options{
-		Seed:       seed,
-		MaxRecords: opts.MaxRecords,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("trace generation: %w", err)
 	}
 	reuse := stackdist.ObserveReuse(tr, lineBytes, window)
 
@@ -126,7 +129,7 @@ func Audit(ctx *Context) (*AuditReport, error) {
 	rep := &AuditReport{
 		Program:     ctx.Prog.Name,
 		Records:     uint64(tr.Len()),
-		Seed:        seed,
+		Seed:        auditSeed(opts),
 		LineBytes:   lineBytes,
 		WindowLines: window,
 	}
@@ -164,17 +167,26 @@ func Audit(ctx *Context) (*AuditReport, error) {
 	}
 	rep.Temporal.finish()
 	rep.Spatial.finish()
-	return rep, nil
+	return rep
+}
+
+// auditSeed is the trace-generation seed of an audit (0 means 1).
+func auditSeed(opts Options) uint64 {
+	if opts.Seed == 0 {
+		return 1
+	}
+	return opts.Seed
 }
 
 // runTagAudit is the pass wrapper: it stores the structured report on the
 // context (Run lifts it into the Result) and emits findings for sites
 // whose tags disagree badly with the observed reuse.
 func runTagAudit(ctx *Context) ([]Finding, error) {
-	rep, err := Audit(ctx)
+	tr, err := tracegen.GenerateTagged(ctx.Prog, ctx.Tags, tracegen.Options{Seed: auditSeed(ctx.Opts)})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace generation: %w", err)
 	}
+	rep := audit(ctx, tr)
 	ctx.audit = rep
 	var findings []Finding
 	for _, ra := range rep.Refs {

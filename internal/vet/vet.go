@@ -125,9 +125,6 @@ type Options struct {
 	// LineBytes is the cache-line size for the oracle (0 means 32, the
 	// paper's physical line).
 	LineBytes int
-	// MaxRecords bounds audit trace generation (0 means the tracegen
-	// default).
-	MaxRecords int
 }
 
 // Context carries the analysed program through the passes.
@@ -166,11 +163,10 @@ func (r *Result) HasErrors() bool { return r.Count(Error) > 0 }
 // passes only when opts.Audit is set). The program is finalized as a side
 // effect.
 func Run(p *loopir.Program, opts Options) (*Result, error) {
-	g, err := depend.Analyze(p)
+	ctx, err := newContext(p, opts)
 	if err != nil {
-		return nil, fmt.Errorf("vet: %w", err)
+		return nil, err
 	}
-	ctx := &Context{Prog: p, Graph: g, Tags: locality.Derive(g, locality.Options{}), Opts: opts}
 	res := &Result{Program: p.Name}
 	for _, pass := range passes {
 		if pass.Dynamic && !opts.Audit {
@@ -187,6 +183,15 @@ func Run(p *loopir.Program, opts Options) (*Result, error) {
 	}
 	sortFindings(res.Findings)
 	return res, nil
+}
+
+// newContext analyses p (finalizing it) and derives its tagging.
+func newContext(p *loopir.Program, opts Options) (*Context, error) {
+	g, err := depend.Analyze(p)
+	if err != nil {
+		return nil, fmt.Errorf("vet: %w", err)
+	}
+	return &Context{Prog: p, Graph: g, Tags: locality.Derive(g, locality.Options{}), Opts: opts}, nil
 }
 
 // sortFindings orders by severity (errors first), then source position,
