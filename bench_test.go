@@ -19,6 +19,7 @@ import (
 	"softcache/internal/bench"
 	"softcache/internal/core"
 	"softcache/internal/locality"
+	"softcache/internal/loopir"
 	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
@@ -116,16 +117,51 @@ func BenchmarkSimulateSoftPrefetch(b *testing.B) {
 	benchmarkSimulator(b, core.WithPrefetch(core.Soft(), true))
 }
 
+// BenchmarkTraceGeneration times tracegen.Generate per variant class the
+// figures generate: every named workload, one 12sw prefetch variant and
+// one 11b blocked matrix-matrix variant. ns/record makes the classes
+// comparable across trace lengths.
 func BenchmarkTraceGeneration(b *testing.B) {
-	p, err := workloads.BuildProgram("MV", benchScale())
-	if err != nil {
-		b.Fatal(err)
+	type variant struct {
+		name  string
+		build func() (*loopir.Program, error)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tracegen.Generate(p, tracegen.Options{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+	var vs []variant
+	for _, name := range workloads.Names() {
+		vs = append(vs, variant{name, func() (*loopir.Program, error) {
+			return workloads.BuildProgram(name, benchScale())
+		}})
+	}
+	vs = append(vs,
+		variant{"MDG/swpf=4", func() (*loopir.Program, error) {
+			p, err := workloads.BuildProgram("MDG", benchScale())
+			if err != nil {
+				return nil, err
+			}
+			_, err = locality.InsertPrefetches(p, 4)
+			return p, err
+		}},
+		variant{"BlockedMM/ld=120/copy", func() (*loopir.Program, error) {
+			return workloads.BlockedMM(benchScale(), 120, true)
+		}},
+	)
+	for _, v := range vs {
+		b.Run(v.name, func(b *testing.B) {
+			p, err := v.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			records := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := tracegen.Generate(p, tracegen.Options{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				records += tr.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
 	}
 }
 

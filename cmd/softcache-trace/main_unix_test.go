@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // TestFailedWriteKeepsSpecialTarget: a conversion that fails mid-stream
@@ -50,7 +51,8 @@ func TestFailedWriteKeepsSpecialTarget(t *testing.T) {
 	}
 
 	for _, out := range []string{fifo, link} {
-		if _, errb, code := runTool(t, "-in", in, "-out", out, "-format", "flat"); code == 0 {
+		_, errb, code := runTool(t, "-in", in, "-out", out, "-format", "flat")
+		if code == 0 {
 			t.Fatalf("-out %s: corrupt stream converted: %s", filepath.Base(out), errb)
 		}
 		fi, err := os.Lstat(out)
@@ -61,10 +63,34 @@ func TestFailedWriteKeepsSpecialTarget(t *testing.T) {
 			t.Fatalf("-out %s replaced by a regular file", filepath.Base(out))
 		}
 		if out == fifo {
-			<-drained
+			awaitReader(t, fifo, drained, errb)
 		}
 	}
 	if _, err := os.Stat(target); err != nil {
 		t.Fatalf("symlink target removed: %v", err)
+	}
+}
+
+// awaitReader waits for the FIFO's reader goroutine to finish. A tool that
+// failed before it opened the FIFO leaves the reader blocked in open(2),
+// so while it waits it opens and closes the FIFO's write end, which
+// succeeds once the reader is in open and releases it to read end of file.
+// It fails the test with the tool's stderr if the reader does not finish.
+func awaitReader(t *testing.T, fifo string, drained <-chan struct{}, stderr string) {
+	t.Helper()
+	timeout := time.After(30 * time.Second)
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-drained:
+			return
+		case <-timeout:
+			t.Fatalf("FIFO reader still blocked 30s after the tool exited; tool stderr: %s", stderr)
+		case <-tick.C:
+			if fd, err := syscall.Open(fifo, syscall.O_WRONLY|syscall.O_NONBLOCK, 0); err == nil {
+				syscall.Close(fd)
+			}
+		}
 	}
 }

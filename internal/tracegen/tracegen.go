@@ -5,10 +5,17 @@
 // locality analysis, and a time gap drawn from the fig. 4b distribution at
 // generation time (so repeated simulations of one trace are identical).
 //
-// The program is first compiled to a small closure tree with loop variables
-// held in integer slots, which keeps generation fast enough for
-// multi-million-reference traces. Generate materialises the trace;
-// NewReader streams the same records batch by batch.
+// The program is first compiled, with loop variables held in integer
+// slots. An innermost loop whose accesses and prefetches all have affine
+// subscripts (calls may sit among them) takes a strided form: at loop
+// entry each subscript is evaluated once, each reference then moves by a
+// fixed element delta per iteration, and the iterations at which it stays
+// inside its array follow in closed form, so no record re-evaluates a
+// subscript. Every other loop, one with an indirect subscript or a nested
+// loop, walks its body one iteration at a time over a closure per
+// statement. Both feed one record path, so they draw the same gaps and
+// fail at the same record. Generate materialises the trace; NewReader
+// streams the same records batch by batch.
 package tracegen
 
 import (
@@ -203,21 +210,12 @@ func (g *generator) compileBody(body []loopir.Stmt) (action, error) {
 				return nil, err
 			}
 			actions = append(actions, a)
-		case *loopir.Access:
-			a, err := g.compileAccess(s)
-			if err != nil {
-				return nil, err
-			}
-			actions = append(actions, a)
+		case *loopir.Access, *loopir.Prefetch:
+			r, _ := g.compileRef(s)
+			actions = append(actions, r.walk)
 		case *loopir.Call:
 			// Opaque call: contributes no references. (Its cost shows up
 			// only through the time-gap model, as in the paper.)
-		case *loopir.Prefetch:
-			a, err := g.compilePrefetch(s)
-			if err != nil {
-				return nil, err
-			}
-			actions = append(actions, a)
 		default:
 			return nil, fmt.Errorf("tracegen: unknown statement %T", st)
 		}
@@ -232,35 +230,113 @@ func (g *generator) compileBody(body []loopir.Stmt) (action, error) {
 	}, nil
 }
 
-func (g *generator) compileLoop(l *loopir.Loop) (action, error) {
-	lo := g.compileSub(l.Lower)
-	hi := g.compileSub(l.Upper)
-	slot := g.slot(l.Var)
+// bounds is a compiled loop header.
+type bounds struct {
+	lo, hi valueFn
+	slot   int
+	step   int
+}
+
+func (g *generator) compileBounds(l *loopir.Loop) bounds {
 	step := l.Step
 	if step == 0 {
 		step = 1
+	}
+	return bounds{lo: g.compileSub(l.Lower), hi: g.compileSub(l.Upper), slot: g.slot(l.Var), step: step}
+}
+
+// enter evaluates the bounds and returns the loop variable's first value
+// and the number of iterations.
+func (b *bounds) enter(g *generator) (from, n int, err error) {
+	if from, err = b.lo(g); err != nil {
+		return 0, 0, err
+	}
+	to, err := b.hi(g)
+	if err != nil || from > to {
+		return 0, 0, err
+	}
+	return from, (to-from)/b.step + 1, nil
+}
+
+// compileLoop compiles an innermost loop whose subscripts are all affine
+// to its strided form, and any other loop to a walk over its compiled
+// body, one iteration at a time.
+func (g *generator) compileLoop(l *loopir.Loop) (action, error) {
+	b := g.compileBounds(l)
+	if refs, ok := g.compileStrided(l, b.step); ok {
+		return b.strided(refs), nil
 	}
 	body, err := g.compileBody(l.Body)
 	if err != nil {
 		return nil, err
 	}
 	return func(g *generator) error {
-		from, err := lo(g)
+		from, n, err := b.enter(g)
 		if err != nil {
 			return err
 		}
-		to, err := hi(g)
-		if err != nil {
-			return err
-		}
-		for i := from; i <= to; i += step {
-			g.env[slot] = i
+		for k := 0; k < n; k++ {
+			g.env[b.slot] = from + k*b.step
 			if err := body(g); err != nil {
 				return err
 			}
 		}
 		return nil
 	}, nil
+}
+
+// strided is the action of a loop compiled to its strided form. At loop
+// entry it evaluates every subscript once and finds, in closed form, the
+// first iteration at which a demand access leaves its array. It emits
+// every iteration before that one, then that iteration's references up
+// to the failing access, in body order, and fails with the walk's error.
+// The loop variable ends at the last iteration, as on the walk.
+func (b *bounds) strided(refs []stridedRef) action {
+	return func(g *generator) error {
+		from, n, err := b.enter(g)
+		if err != nil || n == 0 {
+			return err
+		}
+		g.env[b.slot] = from
+		stop, failing := n, 0
+		for j := range refs {
+			r := &refs[j]
+			r.enter(g, n)
+			if f := r.failsAt(); !r.rec.SoftwarePrefetch && f < stop {
+				stop, failing = f, j
+			}
+		}
+		for k := 0; k < stop; k++ {
+			if err := g.emitIteration(k, refs); err != nil {
+				return err
+			}
+		}
+		if stop == n {
+			g.env[b.slot] = from + (n-1)*b.step
+			return nil
+		}
+		g.env[b.slot] = from + stop*b.step
+		if err := g.emitIteration(stop, refs[:failing]); err != nil {
+			return err
+		}
+		return refs[failing].walk(g)
+	}
+}
+
+// emitIteration emits iteration k of a strided loop's references and
+// advances each to the next iteration. A prefetch emits only inside its
+// in-range iterations.
+func (g *generator) emitIteration(k int, refs []stridedRef) error {
+	for j := range refs {
+		r := &refs[j]
+		if r.lo <= k && k < r.hi {
+			if err := g.emit(r.at(r.idx)); err != nil {
+				return err
+			}
+		}
+		r.idx += r.delta
+	}
+	return nil
 }
 
 // countFn evaluates the number of records a compiled statement list emits
@@ -274,14 +350,14 @@ var errBoundTooLarge = errors.New("tracegen: record bound exceeds MaxRecords")
 
 // compileCount compiles the counting pass that sizes the trace before
 // generation. It walks the loop nest like the generator but counts each
-// access once per iteration instead of emitting it, and computes
-// prefetch-free innermost loops in closed form, so it costs a small
-// fraction of the generation it sizes. Prefetches are counted only when
-// their target is in range, exactly as the generator drops them, so the
-// count is exact. Any error it meets (a loop bound or prefetch subscript
-// reading a data array out of range, or errBoundTooLarge) makes the
-// caller fall back to growing Records, so generation reports its errors
-// exactly as it would without the pass.
+// access once per iteration instead of emitting it, and counts innermost
+// loops in closed form, so it costs a small fraction of the generation it
+// sizes. Prefetches are counted only when their target is in range,
+// exactly as the generator drops them, so the count is exact. Any error
+// it meets (a loop bound or prefetch subscript reading a data array out
+// of range, or errBoundTooLarge) makes the caller fall back to growing
+// Records, so generation reports its errors exactly as it would without
+// the pass.
 func (g *generator) compileCount(body []loopir.Stmt) countFn {
 	static := countAccesses(body)
 	var parts []countFn
@@ -290,9 +366,9 @@ func (g *generator) compileCount(body []loopir.Stmt) countFn {
 		case *loopir.Loop:
 			parts = append(parts, g.compileLoopCount(s))
 		case *loopir.Prefetch:
-			target := g.compilePrefetchTarget(s)
+			r, _ := g.compileRef(s)
 			parts = append(parts, func(g *generator) (int, error) {
-				if _, ok, err := target(g); !ok || err != nil {
+				if _, ok, err := r.index(g); !ok || err != nil {
 					return 0, err
 				}
 				return 1, nil
@@ -314,51 +390,49 @@ func (g *generator) compileCount(body []loopir.Stmt) countFn {
 	}
 }
 
-// compileLoopCount counts one loop: an innermost loop without prefetches
-// as trips times its accesses, any other by running its iterations over
-// the counting body.
+// compileLoopCount counts one loop. An innermost loop without prefetches,
+// or one in strided form, counts in closed form: trips times its
+// accesses, plus the in-range iterations of each prefetch. Any other loop
+// runs its iterations over the counting body.
 func (g *generator) compileLoopCount(l *loopir.Loop) countFn {
-	lo := g.compileSub(l.Lower)
-	hi := g.compileSub(l.Upper)
-	slot := g.slot(l.Var)
-	step := l.Step
-	if step == 0 {
-		step = 1
-	}
+	b := g.compileBounds(l)
 	body := g.compileCount(l.Body)
 	per := countAccesses(l.Body)
-	closed := !containsLoopOrPrefetch(l.Body)
+	refs, closed := g.compileStrided(l, b.step)
+	if !closed {
+		closed = !containsLoopOrPrefetch(l.Body)
+	}
 	return func(g *generator) (int, error) {
-		from, err := lo(g)
-		if err != nil {
+		from, n, err := b.enter(g)
+		if err != nil || n == 0 {
 			return 0, err
-		}
-		to, err := hi(g)
-		if err != nil {
-			return 0, err
-		}
-		if from > to {
-			return 0, nil
 		}
 		if closed {
-			trips := (to-from)/step + 1
-			if per > 0 && trips > g.max/per {
+			if per > 0 && n > g.max/per {
 				return 0, errBoundTooLarge
 			}
-			return trips * per, nil
+			c := n * per
+			g.env[b.slot] = from
+			for j := range refs {
+				if r := &refs[j]; r.rec.SoftwarePrefetch {
+					r.enter(g, n)
+					c += r.hi - r.lo
+				}
+			}
+			return c, nil
 		}
-		n := 0
-		for i := from; i <= to; i += step {
-			g.env[slot] = i
-			c, err := body(g)
+		c := 0
+		for k := 0; k < n; k++ {
+			g.env[b.slot] = from + k*b.step
+			m, err := body(g)
 			if err != nil {
 				return 0, err
 			}
-			if n += c; n > g.max {
+			if c += m; c > g.max {
 				return 0, errBoundTooLarge
 			}
 		}
-		return n, nil
+		return c, nil
 	}
 }
 
@@ -384,96 +458,182 @@ func containsLoopOrPrefetch(body []loopir.Stmt) bool {
 	return false
 }
 
-// compilePrefetchTarget compiles the element index a prefetch targets. ok
-// is false when a subscript falls outside its dimension: the prefetch is
-// then dropped (non-faulting semantics), by the generator and the counting
-// pass alike.
-func (g *generator) compilePrefetchTarget(pf *loopir.Prefetch) func(*generator) (idx int, ok bool, err error) {
-	strides := g.prog.Arrays[pf.Array].Strides()
-	dims := g.prog.Arrays[pf.Array].Dims
-	subs := make([]valueFn, len(pf.Index))
-	for i, s := range pf.Index {
-		subs[i] = g.compileSub(s)
-	}
-	return func(g *generator) (int, bool, error) {
-		idx := 0
-		for d, fn := range subs {
-			v, err := fn(g)
-			if err != nil {
-				return 0, false, err
-			}
-			if v < 0 || v >= dims[d] {
-				return 0, false, nil
-			}
-			idx += v * strides[d]
-		}
-		return idx, true, nil
-	}
+// ref is a compiled array reference, a demand access or a §4.4 software
+// prefetch: its subscripts, its array's geometry, and the record it
+// emits, less the address.
+type ref struct {
+	subs    []valueFn
+	dims    []int
+	strides []int
+	base    uint64
+	elem    int
+	name    string
+	rec     trace.Record
 }
 
-// compilePrefetch compiles a §4.4 software-prefetch instruction. Unlike a
-// demand access, an out-of-range address drops the prefetch silently
-// (non-faulting semantics) instead of aborting generation.
-func (g *generator) compilePrefetch(pf *loopir.Prefetch) (action, error) {
-	target := g.compilePrefetchTarget(pf)
-	base := g.prog.Arrays[pf.Array].Base
-	elem := g.prog.Arrays[pf.Array].ElemSize
-	return func(g *generator) error {
-		idx, ok, err := target(g)
-		if !ok || err != nil {
+// compileRef compiles an access or prefetch statement and returns its
+// subscripts with it.
+func (g *generator) compileRef(st loopir.Stmt) (*ref, []loopir.Subscript) {
+	var array string
+	var index []loopir.Subscript
+	var rec trace.Record
+	switch s := st.(type) {
+	case *loopir.Access:
+		array, index = s.Array, s.Index
+		t := g.tags[s.ID]
+		rec = trace.Record{RefID: uint32(s.ID), Write: s.Write, Temporal: t.Temporal, Spatial: t.Spatial}
+		if t.Spatial {
+			rec.VirtualHint = trace.EncodeVirtualHint(t.VirtualBytes)
+		}
+	case *loopir.Prefetch:
+		array, index = s.Array, s.Index
+		rec = trace.Record{SoftwarePrefetch: true}
+	default:
+		panic(fmt.Sprintf("tracegen: %T is not a reference", st))
+	}
+	arr := g.prog.Arrays[array]
+	rec.Size = uint8(arr.ElemSize)
+	r := &ref{dims: arr.Dims, strides: arr.Strides(), base: arr.Base, elem: arr.ElemSize, name: arr.Name, rec: rec}
+	for _, s := range index {
+		r.subs = append(r.subs, g.compileSub(s))
+	}
+	return r, index
+}
+
+// index evaluates r's element index. ok is false when a subscript falls
+// outside its dimension.
+func (r *ref) index(g *generator) (idx int, ok bool, err error) {
+	for d, sub := range r.subs {
+		v, err := sub(g)
+		if err != nil {
+			return 0, false, err
+		}
+		if v < 0 || v >= r.dims[d] {
+			return 0, false, nil
+		}
+		idx += v * r.strides[d]
+	}
+	return idx, true, nil
+}
+
+// at is r's record for element idx.
+func (r *ref) at(idx int) trace.Record {
+	rec := r.rec
+	rec.Addr = r.base + uint64(idx*r.elem)
+	return rec
+}
+
+// walk is r's action on the closure walk: it evaluates r's subscripts and
+// emits its record. A demand access out of range fails generation; a
+// prefetch out of range is dropped silently (non-faulting semantics).
+func (r *ref) walk(g *generator) error {
+	idx := 0
+	for d, sub := range r.subs {
+		v, err := sub(g)
+		if err != nil {
 			return err
 		}
-		return g.emit(trace.Record{
-			Addr:             base + uint64(idx*elem),
-			Size:             uint8(elem),
-			SoftwarePrefetch: true,
-		})
-	}, nil
+		if v < 0 || v >= r.dims[d] {
+			if r.rec.SoftwarePrefetch {
+				return nil
+			}
+			return fmt.Errorf("tracegen: subscript %d out of range [0,%d) in dim %d of %s (ref %d)",
+				v, r.dims[d], d, r.name, r.rec.RefID)
+		}
+		idx += v * r.strides[d]
+	}
+	return g.emit(r.at(idx))
 }
 
-func (g *generator) compileAccess(a *loopir.Access) (action, error) {
-	arr := g.prog.Arrays[a.Array]
-	strides := arr.Strides()
-	dims := arr.Dims
-	subs := make([]valueFn, len(a.Index))
-	for i, s := range a.Index {
-		subs[i] = g.compileSub(s)
-	}
-	t := g.tags[a.ID]
-	base := arr.Base
-	elem := arr.ElemSize
-	size := arr.Size()
-	name := arr.Name
-	refID := uint32(a.ID)
-	write := a.Write
-	var vlHint uint8
-	if t.Spatial {
-		vlHint = trace.EncodeVirtualHint(t.VirtualBytes)
-	}
-	return func(g *generator) error {
-		idx := 0
-		for d, fn := range subs {
-			v, err := fn(g)
-			if err != nil {
-				return err
-			}
-			if v < 0 || v >= dims[d] {
-				return fmt.Errorf("tracegen: subscript %d out of range [0,%d) in dim %d of %s (ref %d)",
-					v, dims[d], d, name, refID)
-			}
-			idx += v * strides[d]
-		}
-		if idx < 0 || idx >= size {
-			return fmt.Errorf("tracegen: linear index %d out of range for %s", idx, name)
-		}
-		return g.emit(trace.Record{
-			Addr:        base + uint64(idx*elem),
-			RefID:       refID,
-			Size:        uint8(elem),
-			Write:       write,
-			Temporal:    t.Temporal,
-			Spatial:     t.Spatial,
-			VirtualHint: vlHint,
-		})
-	}, nil
+// stridedRef is a reference of a loop in strided form: every subscript is
+// affine, so across the loop's iterations each moves by a fixed step.
+type stridedRef struct {
+	*ref
+	steps []int // each subscript's change per iteration
+	// Set by enter for the current loop entry:
+	idx   int // element index at the current iteration
+	delta int // its change per iteration
+	lo    int // [lo,hi): the iterations at which every subscript
+	hi    int // is in range
 }
+
+// compileStrided compiles the references of l in body order, in strided
+// form. ok is false unless l is innermost and every subscript of its
+// accesses and prefetches is affine: a loop with an indirect subscript or
+// a nested loop stays on the walk.
+func (g *generator) compileStrided(l *loopir.Loop, step int) (refs []stridedRef, ok bool) {
+	for _, st := range l.Body {
+		switch st.(type) {
+		case *loopir.Call:
+			continue
+		case *loopir.Access, *loopir.Prefetch:
+		default:
+			return nil, false
+		}
+		r, index := g.compileRef(st)
+		sr := stridedRef{ref: r}
+		for _, sub := range index {
+			if sub.Ind != nil {
+				return nil, false
+			}
+			coef := 0
+			for _, t := range sub.Terms {
+				if t.Var == l.Var {
+					coef += t.Coef
+				}
+			}
+			sr.steps = append(sr.steps, coef*step)
+		}
+		refs = append(refs, sr)
+	}
+	return refs, true
+}
+
+// enter starts r on a loop entry of n > 0 iterations, with the loop
+// variable at its first value: it evaluates each subscript once and sets
+// r's index, delta and in-range iterations.
+func (r *stridedRef) enter(g *generator, n int) {
+	r.idx, r.delta, r.lo, r.hi = 0, 0, 0, n
+	for d, sub := range r.subs {
+		v, _ := sub(g) // affine: evaluation cannot fail
+		lo, hi := inRange(v, r.steps[d], r.dims[d], n)
+		r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
+		r.idx += v * r.strides[d]
+		r.delta += r.steps[d] * r.strides[d]
+	}
+	r.hi = max(r.hi, r.lo)
+}
+
+// failsAt is the first iteration at which r is out of range, or n when
+// it never is: a demand access fails there, a prefetch is dropped.
+func (r *stridedRef) failsAt() int {
+	if r.lo > 0 {
+		return 0
+	}
+	return r.hi
+}
+
+// inRange returns the iterations k of [0,n) at which v + k*s lies in
+// [0,dim), as [lo,hi), empty when hi <= lo.
+func inRange(v, s, dim, n int) (lo, hi int) {
+	switch {
+	case s > 0:
+		lo, hi = ceilDiv(-v, s), floorDiv(dim-1-v, s)+1
+	case s < 0:
+		lo, hi = ceilDiv(v-dim+1, -s), floorDiv(v, -s)+1
+	case v >= 0 && v < dim:
+		lo, hi = 0, n
+	}
+	return max(lo, 0), min(hi, n)
+}
+
+// floorDiv and ceilDiv divide by b > 0, rounding down and up.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
+func ceilDiv(a, b int) int { return -floorDiv(-a, b) }
