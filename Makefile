@@ -62,6 +62,8 @@ result-race:
 	$(GO) test -race -count=1 ./internal/resultcache
 	$(GO) test -race -count=1 -run 'Result|Fingerprint|PrefixCollision|RestartedShard' \
 		./internal/serve ./internal/cluster ./cmd/softcache-served
+	$(GO) test -race -count=10 ./internal/flight
+	$(GO) test -race -count=10 -run TraceCache ./internal/serve
 
 examples:
 	$(GO) run ./examples/quickstart

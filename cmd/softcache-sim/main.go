@@ -110,9 +110,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cli.ExitOK
 }
 
-// tagReader clears the tags -strip-temporal and -strip-spatial ask for
-// (as Trace.StripTags does), then tallies the tag classes of every record
-// streaming past for the report.
+// tagReader clears the tags -strip-temporal and -strip-spatial ask for,
+// then tallies the tag classes of every record streaming past for the
+// report.
 type tagReader struct {
 	trace.BatchReader
 	stripT, stripS bool

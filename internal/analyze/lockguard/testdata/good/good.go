@@ -9,7 +9,7 @@ type counter struct {
 	m  map[int]int // guarded by mu
 }
 
-// window is the lock/touch/unlock shape of TraceCache.Get.
+// window locks, touches a guarded field and unlocks, with no defer.
 func window(c *counter) {
 	c.mu.Lock()
 	c.n++

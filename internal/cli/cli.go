@@ -68,11 +68,6 @@ func Operational(err error) error {
 	return &operationalError{err}
 }
 
-// OperationalErrorf builds an error that Code maps to ExitOperational.
-func OperationalErrorf(format string, args ...any) error {
-	return &operationalError{fmt.Errorf(format, args...)}
-}
-
 // IsOperational reports whether err is (or wraps) an operational error.
 func IsOperational(err error) bool {
 	var oe *operationalError

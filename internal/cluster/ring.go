@@ -18,9 +18,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // ringPoint is one virtual node: a position on the hash circle owned by
@@ -30,27 +30,30 @@ type ringPoint struct {
 	shard string
 }
 
-// Ring is a consistent-hash ring with virtual nodes. Keys map to the
-// shard owning the first point clockwise of the key's hash; Order walks
-// on from there, yielding every shard in failover-preference order.
-// Membership changes move only the keys the departed (or arrived) shard
+// ring is a consistent-hash ring with virtual nodes over a fixed fleet.
+// Keys map to the shard owning the first point clockwise of the key's
+// hash; Order walks on from there, yielding every shard in
+// failover-preference order. A shard's points depend only on its own
+// name, so adding or removing a shard moves only the keys that shard
 // owns — the property the rebalance tests pin.
-type Ring struct {
-	vnodes int
-
-	mu     sync.RWMutex
-	points []ringPoint     // guarded by mu; sorted by hash
-	shards map[string]bool // guarded by mu
+type ring struct {
+	points []ringPoint // sorted by hash
+	shards int
 }
 
-// NewRing builds a ring with the given virtual-node count per shard
-// (values below 1 become 64, plenty to keep the key split within a few
-// percent of even for small fleets).
-func NewRing(vnodes int) *Ring {
-	if vnodes < 1 {
-		vnodes = 64
+// newRing builds a ring with vnodes virtual nodes for each of shards,
+// which must be distinct.
+func newRing(shards []string, vnodes int) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(shards)*vnodes), shards: len(shards)}
+	for _, s := range shards {
+		for v := 0; v < vnodes; v++ {
+			r.points = append(r.points, ringPoint{hash: fnv1a(fmt.Sprintf("%s#%d", s, v)), shard: s})
+		}
 	}
-	return &Ring{vnodes: vnodes, shards: make(map[string]bool)}
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.shard, b.shard))
+	})
+	return r
 }
 
 // fnv1a is the ring's hash — the same function trace.Fingerprint uses,
@@ -74,83 +77,16 @@ func fnv1a(s string) uint64 {
 	return h ^ (h >> 31)
 }
 
-// Add inserts shards (idempotently) and re-sorts the circle.
-func (r *Ring) Add(shards ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range shards {
-		if s == "" || r.shards[s] {
-			continue
-		}
-		r.shards[s] = true
-		for v := 0; v < r.vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: fnv1a(fmt.Sprintf("%s#%d", s, v)), shard: s})
-		}
-	}
-	pts := r.points // local alias: the sort closure runs with mu held
-	sort.Slice(pts, func(i, j int) bool { return pts[i].hash < pts[j].hash })
-}
-
-// Remove deletes a shard's virtual nodes; keys it owned redistribute to
-// their clockwise successors, every other key keeps its owner.
-func (r *Ring) Remove(shard string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.shards[shard] {
-		return
-	}
-	delete(r.shards, shard)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Shards returns the current membership in no particular order.
-func (r *Ring) Shards() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.shards))
-	for s := range r.shards {
-		out = append(out, s)
-	}
-	return out
-}
-
-// Len reports the number of member shards.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.shards)
-}
-
-// Owner returns the shard owning key, or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.points[r.searchLocked(key)].shard
-}
-
 // Order returns every shard in preference order for key: the owner
 // first, then each distinct shard met walking clockwise. This is the
 // router's failover sequence — replica i+1 picks up when replica i is
-// down, and the order is stable for a fixed membership.
-func (r *Ring) Order(key string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return nil
-	}
-	start := r.searchLocked(key)
-	out := make([]string, 0, len(r.shards))
-	seen := make(map[string]bool, len(r.shards))
-	for i := 0; i < len(r.points) && len(out) < len(r.shards); i++ {
+// down, and the order is stable for a fixed fleet.
+func (r *ring) Order(key string) []string {
+	h := fnv1a(key)
+	start, _ := slices.BinarySearchFunc(r.points, h, func(p ringPoint, h uint64) int { return cmp.Compare(p.hash, h) })
+	out := make([]string, 0, r.shards)
+	seen := make(map[string]bool, r.shards)
+	for i := 0; i < len(r.points) && len(out) < r.shards; i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !seen[p.shard] {
 			seen[p.shard] = true
@@ -158,16 +94,4 @@ func (r *Ring) Order(key string) []string {
 		}
 	}
 	return out
-}
-
-// searchLocked finds the index of the first point clockwise of key's
-// hash. Caller holds mu.
-func (r *Ring) searchLocked(key string) int {
-	h := fnv1a(key)
-	pts := r.points // local alias: the search closure runs with mu held
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
-	if i == len(pts) {
-		i = 0
-	}
-	return i
 }

@@ -15,24 +15,34 @@ func testKeys(n int) []string {
 	return keys
 }
 
+// owners maps each key to its owner on r.
+func owners(r *ring, keys []string) map[string]string {
+	m := make(map[string]string, len(keys))
+	for _, k := range keys {
+		m[k] = r.Order(k)[0]
+	}
+	return m
+}
+
+// TestRingOwnerStable: a key's owner depends on the fleet, not on the
+// order its shards are listed in.
 func TestRingOwnerStable(t *testing.T) {
-	r := NewRing(64)
-	r.Add("a", "b", "c")
+	a := newRing([]string{"a", "b", "c"}, 64)
+	b := newRing([]string{"c", "a", "b"}, 64)
 	for _, k := range testKeys(100) {
-		if r.Owner(k) != r.Owner(k) {
-			t.Fatalf("owner of %q not stable", k)
+		if oa, ob := a.Order(k)[0], b.Order(k)[0]; oa != ob {
+			t.Fatalf("owner of %q is %s or %s by listing order", k, oa, ob)
 		}
 	}
 }
 
 func TestRingDistribution(t *testing.T) {
-	r := NewRing(64)
 	shards := []string{"s1", "s2", "s3", "s4"}
-	r.Add(shards...)
+	r := newRing(shards, 64)
 	counts := make(map[string]int)
 	n := 4000
-	for _, k := range testKeys(n) {
-		counts[r.Owner(k)]++
+	for _, owner := range owners(r, testKeys(n)) {
+		counts[owner]++
 	}
 	if len(counts) != len(shards) {
 		t.Fatalf("only %d of %d shards own keys: %v", len(counts), len(shards), counts)
@@ -46,67 +56,51 @@ func TestRingDistribution(t *testing.T) {
 }
 
 // TestRingRemoveMovesOnlyDepartedKeys pins the consistent-hashing
-// property the router's cache-residency story depends on: removing a
-// shard relocates only the keys it owned.
+// property the router's cache-residency story depends on: a fleet without
+// one shard relocates only the keys that shard owned.
 func TestRingRemoveMovesOnlyDepartedKeys(t *testing.T) {
-	r := NewRing(64)
-	r.Add("s1", "s2", "s3")
 	keys := testKeys(1000)
-	before := make(map[string]string, len(keys))
+	before := owners(newRing([]string{"s1", "s2", "s3", "s4"}, 64), keys)
+	after := owners(newRing([]string{"s1", "s2", "s3"}, 64), keys)
 	for _, k := range keys {
-		before[k] = r.Owner(k)
-	}
-	r.Remove("s2")
-	for _, k := range keys {
-		after := r.Owner(k)
-		if after == "s2" {
+		if after[k] == "s4" {
 			t.Fatalf("key %q still owned by removed shard", k)
 		}
-		if before[k] != "s2" && after != before[k] {
-			t.Fatalf("key %q moved %s -> %s though its owner stayed in the ring", k, before[k], after)
+		if before[k] != "s4" && after[k] != before[k] {
+			t.Fatalf("key %q moved %s -> %s though its owner stayed in the fleet", k, before[k], after[k])
 		}
 	}
 }
 
-// TestRingAddMovesKeysOnlyToNewShard: joining a shard may claim keys,
-// but every key that moves must move to the joiner.
+// TestRingAddMovesKeysOnlyToNewShard: a fleet with one more shard may
+// give it keys, but every key that moves must move to the added shard.
 func TestRingAddMovesKeysOnlyToNewShard(t *testing.T) {
-	r := NewRing(64)
-	r.Add("s1", "s2", "s3")
 	keys := testKeys(1000)
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Owner(k)
-	}
-	r.Add("s4")
+	before := owners(newRing([]string{"s1", "s2", "s3"}, 64), keys)
+	after := owners(newRing([]string{"s1", "s2", "s3", "s4"}, 64), keys)
 	moved := 0
 	for _, k := range keys {
-		after := r.Owner(k)
-		if after != before[k] {
+		if after[k] != before[k] {
 			moved++
-			if after != "s4" {
-				t.Fatalf("key %q moved %s -> %s, not to the joining shard", k, before[k], after)
+			if after[k] != "s4" {
+				t.Fatalf("key %q moved %s -> %s, not to the added shard", k, before[k], after[k])
 			}
 		}
 	}
 	if moved == 0 {
-		t.Fatal("joining shard claimed no keys")
+		t.Fatal("added shard claimed no keys")
 	}
 	if moved > len(keys)/2 {
-		t.Fatalf("joining shard claimed %d of %d keys, far above the ~1/4 consistent hashing promises", moved, len(keys))
+		t.Fatalf("added shard claimed %d of %d keys, far above the ~1/4 consistent hashing promises", moved, len(keys))
 	}
 }
 
 func TestRingOrder(t *testing.T) {
-	r := NewRing(64)
-	r.Add("s1", "s2", "s3")
+	r := newRing([]string{"s1", "s2", "s3"}, 64)
 	for _, k := range testKeys(50) {
 		order := r.Order(k)
 		if len(order) != 3 {
 			t.Fatalf("order for %q lists %d shards, want 3: %v", k, len(order), order)
-		}
-		if order[0] != r.Owner(k) {
-			t.Fatalf("order[0]=%s but owner=%s", order[0], r.Owner(k))
 		}
 		seen := make(map[string]bool)
 		for _, s := range order {
@@ -115,23 +109,5 @@ func TestRingOrder(t *testing.T) {
 			}
 			seen[s] = true
 		}
-	}
-}
-
-func TestRingEmptyAndIdempotent(t *testing.T) {
-	r := NewRing(0) // 0 -> default vnodes
-	if r.Owner("k") != "" || r.Order("k") != nil || r.Len() != 0 {
-		t.Fatal("empty ring should own nothing")
-	}
-	r.Add("s1")
-	r.Add("s1") // idempotent
-	r.Add("")   // ignored
-	if r.Len() != 1 {
-		t.Fatalf("Len=%d after duplicate add, want 1", r.Len())
-	}
-	r.Remove("missing") // no-op
-	r.Remove("s1")
-	if r.Len() != 0 || r.Owner("k") != "" {
-		t.Fatal("ring not empty after removing the only shard")
 	}
 }

@@ -117,7 +117,7 @@ type shardState struct {
 // mount on an http.Server, and Close when done (stops the prober).
 type Router struct {
 	cfg    Config
-	ring   *Ring
+	ring   *ring
 	states map[string]*shardState // immutable after New
 	met    *routerMetrics
 	budget *retryBudget
@@ -144,13 +144,13 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:    cfg,
-		ring:   NewRing(vnodes),
 		states: make(map[string]*shardState, len(cfg.Shards)),
 		budget: newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
 		client: &http.Client{Transport: transport},
 		mux:    http.NewServeMux(),
 		keys:   make(map[string]string),
 	}
+	urls := make([]string, 0, len(cfg.Shards))
 	for _, s := range cfg.Shards {
 		u, err := normalizeShard(s)
 		if err != nil {
@@ -163,8 +163,9 @@ func New(cfg Config) (*Router, error) {
 		// Optimistic until the first probe or request says otherwise.
 		st.probeOK.Store(true)
 		rt.states[u] = st
-		rt.ring.Add(u)
+		urls = append(urls, u)
 	}
+	rt.ring = newRing(urls, vnodes)
 	rt.met = newRouterMetrics(rt)
 
 	rt.mux.HandleFunc("POST /v1/simulate", rt.handleProxy)

@@ -99,7 +99,7 @@ func baseline(t *testing.T, body string) []byte {
 func seedOwnedBy(t *testing.T, rt *Router, shard string) uint64 {
 	t.Helper()
 	for seed := uint64(1); seed < 10000; seed++ {
-		if rt.ring.Owner(simKey(seed)) == shard {
+		if rt.ring.Order(simKey(seed))[0] == shard {
 			return seed
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"softcache/internal/flight"
 	"softcache/internal/trace"
 )
 
@@ -20,41 +21,24 @@ const recordMemBytes = int64(unsafe.Sizeof(trace.Record{}))
 // slip under the budget for free.
 const entryOverheadBytes = 256
 
-// TraceCache is the daemon's decoded-trace store: an LRU cache with a byte
-// budget that also coalesces concurrent loads of the same key. The first
-// request for a key decodes (or generates) the trace; every request that
-// arrives while that load is in flight blocks on the same entry and shares
-// the result, so N concurrent requests for one workload cost exactly one
-// decode — the property the service E2E tests pin via the hit/decode
-// counters.
+// TraceCache is the daemon's decoded-trace store: a byte-budgeted LRU
+// whose loads coalesce through flight.Group. The first request for a key
+// decodes (or generates) the trace; every request that arrives while that
+// load is in flight waits for it and shares the result, so N concurrent
+// requests for one workload cost exactly one decode — the property the
+// service E2E tests pin via the hit/decode counters.
 //
-// Loads that fail are not cached: the error is delivered to every
-// coalesced waiter, the entry is removed, and the next request retries.
-// Eviction only considers completed entries (an in-flight load has unknown
-// size and active waiters) and always keeps the most recently used entry
-// resident, so a single trace larger than the whole budget still serves
-// requests instead of thrashing on every call.
+// The cache follows flight's rules: a waiter's wait ends with its own
+// ctx, and a load that fails or panics is neither cached nor shared — its
+// caller gets the error (or the panic) and its waiters retry with their
+// own loads.
 type TraceCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64                  // guarded by mu
-	ll      *list.List             // guarded by mu; front = most recently used; completed entries only
-	entries map[string]*traceEntry // guarded by mu
+	lru     traceLRU
+	flights *flight.Group[string, *trace.Trace]
 
 	hits         atomic.Uint64
-	misses       atomic.Uint64
-	decodes      atomic.Uint64
-	evictions    atomic.Uint64
+	loads        atomic.Uint64
 	loadFailures atomic.Uint64
-}
-
-type traceEntry struct {
-	key   string
-	ready chan struct{} // closed once tr/err are set
-	tr    *trace.Trace
-	err   error
-	bytes int64
-	elem  *list.Element // nil while the load is in flight
 }
 
 // NewTraceCache returns a cache with the given byte budget (values below
@@ -64,11 +48,13 @@ func NewTraceCache(budget int64) *TraceCache {
 	if budget < 1<<20 {
 		budget = 1 << 20
 	}
-	return &TraceCache{
+	c := &TraceCache{lru: traceLRU{
 		budget:  budget,
 		ll:      list.New(),
-		entries: make(map[string]*traceEntry),
-	}
+		entries: make(map[string]*list.Element),
+	}}
+	c.flights = flight.New[string, *trace.Trace](&c.lru)
+	return c
 }
 
 // traceBytes estimates the resident size of a decoded trace.
@@ -76,70 +62,84 @@ func traceBytes(t *trace.Trace) int64 {
 	return int64(len(t.Records))*recordMemBytes + int64(len(t.Name)) + entryOverheadBytes
 }
 
-// Get returns the trace for key, loading it with load on a miss. Concurrent
-// Gets for the same key share one load call. ctx aborts only this caller's
-// wait — an in-flight load always runs to completion so the other waiters
-// (and the cache) still get its result.
+// Get returns the trace for key, loading it with load on a miss.
+// Concurrent Gets for the same key share one load call. ctx ends only this
+// caller's wait: a load in flight runs to completion for its own caller
+// (and the cache).
 func (c *TraceCache) Get(ctx context.Context, key string, load func() (*trace.Trace, error)) (*trace.Trace, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		if e.elem != nil {
-			c.ll.MoveToFront(e.elem)
+	tr, loaded, err := c.flights.Do(ctx, key, func() (tr *trace.Trace, err error) {
+		c.loads.Add(1)
+		failed := true // until load returns a trace; a panic keeps it set
+		defer func() {
+			if failed {
+				c.loadFailures.Add(1)
+			}
+		}()
+		tr, err = load()
+		if err == nil && tr == nil {
+			err = errors.New("serve: trace loader returned no trace")
 		}
-		c.mu.Unlock()
+		failed = err != nil
+		return tr, err
+	})
+	if err == nil && !loaded {
 		c.hits.Add(1)
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return e.tr, e.err
 	}
-	e := &traceEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	c.decodes.Add(1)
-	e.tr, e.err = load()
-	if e.err == nil && e.tr == nil {
-		e.err = errors.New("serve: trace loader returned no trace")
-	}
-	if e.err == nil {
-		e.bytes = traceBytes(e.tr)
-	}
-	close(e.ready)
-
-	c.mu.Lock()
-	if e.err != nil {
-		// Failed loads are not cached: the waiters already blocked on this
-		// entry share the error, later requests retry from scratch.
-		delete(c.entries, key)
-		c.loadFailures.Add(1)
-	} else {
-		e.elem = c.ll.PushFront(e)
-		c.used += e.bytes
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	return e.tr, e.err
+	return tr, err
 }
 
-// evictLocked drops least-recently-used completed entries until the budget
-// holds, always keeping the most recent entry resident. Callers holding a
-// *trace.Trace are unaffected — eviction only drops the cache's reference.
-func (c *TraceCache) evictLocked() {
-	for c.used > c.budget && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		e := back.Value.(*traceEntry)
-		c.ll.Remove(back)
-		delete(c.entries, e.key)
-		c.used -= e.bytes
-		c.evictions.Add(1)
+// traceLRU is the store behind the cache's flights: completed traces
+// under a byte budget, least recently used evicted first. The newest
+// entry always stays resident, so a single trace larger than the whole
+// budget still serves requests instead of thrashing on every call.
+type traceLRU struct {
+	budget int64
+
+	mu      sync.Mutex
+	used    int64                    // guarded by mu
+	ll      *list.List               // guarded by mu; front = most recently used
+	entries map[string]*list.Element // guarded by mu; values are *lruEntry
+
+	evictions atomic.Uint64
+}
+
+type lruEntry struct {
+	key string
+	tr  *trace.Trace
+}
+
+// Load returns the trace stored under key and marks it most recently used.
+func (l *traceLRU) Load(key string) (*trace.Trace, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	el, ok := l.entries[key]
+	if !ok {
+		return nil, false
+	}
+	l.ll.MoveToFront(el)
+	return el.Value.(*lruEntry).tr, true
+}
+
+// Store inserts tr as the most recently used entry and evicts down to the
+// budget. A flight stores a key only after a claimed miss, so key is never
+// already present. Callers holding an evicted *trace.Trace are unaffected:
+// eviction only drops the cache's reference.
+func (l *traceLRU) Store(key string, tr *trace.Trace) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.entries[key] = l.ll.PushFront(&lruEntry{key, tr})
+	l.used += traceBytes(tr)
+	for l.used > l.budget && l.ll.Len() > 1 {
+		e := l.ll.Remove(l.ll.Back()).(*lruEntry)
+		delete(l.entries, e.key)
+		l.used -= traceBytes(e.tr)
+		l.evictions.Add(1)
 	}
 }
 
 // TraceCacheStats is a snapshot of the cache counters for /metrics.
+// Misses and Decodes are the one count of loads run; Hits counts the Gets
+// answered without running their own load.
 type TraceCacheStats struct {
 	Hits, Misses, Decodes, Evictions, LoadFailures uint64
 	Bytes, Budget                                  int64
@@ -148,17 +148,18 @@ type TraceCacheStats struct {
 
 // Stats snapshots the counters and current occupancy.
 func (c *TraceCache) Stats() TraceCacheStats {
-	c.mu.Lock()
-	bytes, entries := c.used, c.ll.Len()
-	c.mu.Unlock()
+	c.lru.mu.Lock()
+	bytes, entries := c.lru.used, c.lru.ll.Len()
+	c.lru.mu.Unlock()
+	loads := c.loads.Load()
 	return TraceCacheStats{
 		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Decodes:      c.decodes.Load(),
-		Evictions:    c.evictions.Load(),
+		Misses:       loads,
+		Decodes:      loads,
+		Evictions:    c.lru.evictions.Load(),
 		LoadFailures: c.loadFailures.Load(),
 		Bytes:        bytes,
-		Budget:       c.budget,
+		Budget:       c.lru.budget,
 		Entries:      entries,
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"softcache/internal/trace"
 )
@@ -68,7 +68,7 @@ func TestTraceCacheCoalescesConcurrentLoads(t *testing.T) {
 func TestTraceCacheEvictsLRU(t *testing.T) {
 	perEntry := traceBytes(fakeTrace("e", 1000))
 	c := NewTraceCache(1 << 20) // fits ~3 such entries per budget below
-	c.budget = perEntry*3 + perEntry/2
+	c.lru.budget = perEntry*3 + perEntry/2
 
 	load := func(name string) func() (*trace.Trace, error) {
 		return func() (*trace.Trace, error) { return fakeTrace(name, 1000), nil }
@@ -102,7 +102,7 @@ func TestTraceCacheEvictsLRU(t *testing.T) {
 
 func TestTraceCacheKeepsOversizedResident(t *testing.T) {
 	c := NewTraceCache(1 << 20)
-	c.budget = 1 // every entry is over budget
+	c.lru.budget = 1 // every entry is over budget
 	ctx := context.Background()
 	var loads atomic.Int64
 	load := func() (*trace.Trace, error) {
@@ -143,44 +143,96 @@ func TestTraceCacheLoadErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestTraceCacheErrorSharedWithWaiters(t *testing.T) {
+// parkSpy is a context whose first Done call, made when a Get starts
+// waiting on another caller's load, closes parked.
+type parkSpy struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func newParkSpy() *parkSpy {
+	return &parkSpy{Context: context.Background(), parked: make(chan struct{})}
+}
+
+func (s *parkSpy) Done() <-chan struct{} {
+	s.once.Do(func() { close(s.parked) })
+	return s.Context.Done()
+}
+
+// TestTraceCacheErrorReachesOnlyClaimant: a failed load's error goes to
+// the Get that ran it and no further. A Get parked on that load runs its
+// own load once the first one fails, and succeeds.
+func TestTraceCacheErrorReachesOnlyClaimant(t *testing.T) {
 	c := NewTraceCache(1 << 20)
 	boom := errors.New("decode failed")
 	started := make(chan struct{})
 	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var waiterErr error
+	claimant := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		_, waiterErr = c.Get(context.Background(), "k", func() (*trace.Trace, error) {
+		_, err := c.Get(context.Background(), "k", func() (*trace.Trace, error) {
 			close(started)
 			<-release
 			return nil, boom
 		})
+		claimant <- err
 	}()
 	<-started
-	done := make(chan error, 1)
+	spy := newParkSpy()
+	waiter := make(chan error, 1)
+	var waiterLoads atomic.Int64
 	go func() {
-		_, err := c.Get(context.Background(), "k", func() (*trace.Trace, error) {
-			t.Error("waiter ran its own load during an in-flight load")
-			return nil, errors.New("unexpected load")
+		tr, err := c.Get(spy, "k", func() (*trace.Trace, error) {
+			waiterLoads.Add(1)
+			return fakeTrace("k", 10), nil
 		})
-		done <- err
+		if err == nil && tr.Name != "k" {
+			err = fmt.Errorf("waiter got trace %q", tr.Name)
+		}
+		waiter <- err
 	}()
-	// The waiter's hit increment marks it as parked on the in-flight entry;
-	// only then may the load be released (otherwise the waiter races the
-	// post-failure cleanup and becomes a second loader).
-	for c.hits.Load() == 0 {
-		runtime.Gosched()
-	}
+	<-spy.parked // the waiter waits on the claimant's load
 	close(release)
-	wg.Wait()
-	if !errors.Is(waiterErr, boom) {
-		t.Fatalf("loader got %v", waiterErr)
+	if err := <-claimant; !errors.Is(err, boom) {
+		t.Fatalf("claimant got %v, want %v", err, boom)
 	}
-	if err := <-done; !errors.Is(err, boom) {
-		t.Fatalf("waiter got %v, want the shared load error", err)
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter got %v, want its own load's trace", err)
+	}
+	if waiterLoads.Load() != 1 {
+		t.Fatalf("waiter ran %d loads, want 1", waiterLoads.Load())
+	}
+	s := c.Stats()
+	if s.LoadFailures != 1 || s.Misses != 2 || s.Hits != 0 || s.Entries != 1 {
+		t.Fatalf("failures=%d misses=%d hits=%d entries=%d, want 1/2/0/1",
+			s.LoadFailures, s.Misses, s.Hits, s.Entries)
+	}
+}
+
+// TestTraceCachePanickingLoadFreesKey: a load that panics hands its panic
+// to its own caller and leaves the key free, so the next Get loads it
+// rather than waiting for a load that will never land.
+func TestTraceCachePanickingLoadFreesKey(t *testing.T) {
+	c := NewTraceCache(1 << 20)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the load's panic did not reach its caller")
+			}
+		}()
+		c.Get(context.Background(), "k", func() (*trace.Trace, error) { panic("decoder bug") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	tr, err := c.Get(ctx, "k", func() (*trace.Trace, error) { return fakeTrace("k", 10), nil })
+	if err != nil {
+		t.Fatalf("get after a panicking load: %v", err)
+	}
+	if tr.Name != "k" {
+		t.Fatalf("got trace %q, want k", tr.Name)
+	}
+	if s := c.Stats(); s.LoadFailures != 1 || s.Misses != 2 {
+		t.Fatalf("failures=%d misses=%d, want 1 and 2", s.LoadFailures, s.Misses)
 	}
 }
 
@@ -228,7 +280,7 @@ func TestTraceCacheCanceledWaiter(t *testing.T) {
 // byte accounting.
 func TestTraceCacheConcurrentChurn(t *testing.T) {
 	c := NewTraceCache(1 << 20)
-	c.budget = traceBytes(fakeTrace("e", 500)) * 2
+	c.lru.budget = traceBytes(fakeTrace("e", 500)) * 2
 
 	const workers = 8
 	const iters = 200
@@ -259,16 +311,23 @@ func TestTraceCacheConcurrentChurn(t *testing.T) {
 	if s.Hits+s.Misses != workers*iters {
 		t.Fatalf("hits+misses = %d, want %d", s.Hits+s.Misses, workers*iters)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.used > c.budget && c.ll.Len() > 1 {
-		t.Fatalf("budget not enforced: used=%d budget=%d entries=%d", c.used, c.budget, c.ll.Len())
+	checkBytes(t, c)
+	if s.Bytes > s.Budget && s.Entries > 1 {
+		t.Fatalf("budget not enforced: used=%d budget=%d entries=%d", s.Bytes, s.Budget, s.Entries)
 	}
+}
+
+// checkBytes fails t unless the cache's byte count is the sum of its
+// entries' sizes.
+func checkBytes(t *testing.T, c *TraceCache) {
+	t.Helper()
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
 	var sum int64
-	for e := c.ll.Front(); e != nil; e = e.Next() {
-		sum += e.Value.(*traceEntry).bytes
+	for e := c.lru.ll.Front(); e != nil; e = e.Next() {
+		sum += traceBytes(e.Value.(*lruEntry).tr)
 	}
-	if sum != c.used {
-		t.Fatalf("byte accounting drifted: sum=%d used=%d", sum, c.used)
+	if sum != c.lru.used {
+		t.Fatalf("byte accounting drifted: sum=%d used=%d", sum, c.lru.used)
 	}
 }

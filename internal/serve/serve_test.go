@@ -18,6 +18,7 @@ import (
 	"softcache/internal/core"
 	"softcache/internal/metrics"
 	"softcache/internal/resultcache"
+	"softcache/internal/trace"
 	"softcache/internal/workloads"
 )
 
@@ -58,23 +59,29 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// stickEntry plants a loading entry that never completes under key, so
-// requests for it block until their deadline — the deterministic way to
-// occupy workers (429 tests) and trip deadlines (504 tests). The returned
-// func completes the load with an error, releasing every waiter.
-func stickEntry(s *Server, key string) (unstick func()) {
-	e := &traceEntry{key: key, ready: make(chan struct{})}
-	s.traces.mu.Lock()
-	s.traces.entries[key] = e
-	s.traces.mu.Unlock()
+// blockLoad starts a Get for key whose load blocks until the returned
+// func is called, and returns once that load is running. Requests for key
+// then wait on it until their deadline — the deterministic way to occupy
+// workers (429 tests) and trip deadlines (504 tests). The returned func
+// fails the blocked load; its waiters then run their own loads.
+func blockLoad(s *Server, key string) (release func()) {
+	started := make(chan struct{})
+	unblock := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.traces.Get(context.Background(), key, func() (*trace.Trace, error) {
+			close(started)
+			<-unblock
+			return nil, fmt.Errorf("test: load released")
+		})
+	}()
+	<-started
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			e.err = fmt.Errorf("test: entry released")
-			close(e.ready)
-			s.traces.mu.Lock()
-			delete(s.traces.entries, key)
-			s.traces.mu.Unlock()
+			close(unblock)
+			<-done
 		})
 	}
 }
@@ -336,11 +343,11 @@ func TestSimulateDin(t *testing.T) {
 func TestQueueFull429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	key := "workload:MV:test:1"
-	unstick := stickEntry(s, key)
-	defer unstick()
+	release := blockLoad(s, key)
+	defer release()
 
 	req := `{"workload":"MV","scale":"test","configs":[{"name":"soft"}]}`
-	// First request occupies the only worker (blocked on the stuck entry),
+	// First request occupies the only worker (waiting on the blocked load),
 	// second fills the queue; the third must bounce with 429 immediately.
 	hold := func() {
 		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(req))
@@ -381,7 +388,7 @@ func TestQueueFull429(t *testing.T) {
 		t.Fatalf("rejected counter %d, want 1", s.met.rejected.Load())
 	}
 
-	unstick()
+	release()
 	wg.Wait()
 }
 
@@ -402,8 +409,8 @@ func TestCoalescedWaitersTakeNoWorkerSlot(t *testing.T) {
 		s.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	unstick := stickEntry(s, "workload:MV:test:1")
-	defer unstick()
+	release := blockLoad(s, "workload:MV:test:1")
+	defer release()
 
 	send := func(body string) <-chan int {
 		status := make(chan int, 1)
@@ -447,26 +454,25 @@ func TestCoalescedWaitersTakeNoWorkerSlot(t *testing.T) {
 		t.Fatalf("rejected %d requests, want 0", n)
 	}
 
-	// Releasing the stuck trace fails the computing request. Its waiter
-	// then computes for itself and competes for admission like any new
-	// request, so only the queued request's answer is certain.
-	unstick()
-	<-first
-	<-second
-	if code := <-third; code != http.StatusOK {
-		t.Fatalf("queued request answered %d, want 200", code)
+	// Releasing the blocked load fails only that load: the computing
+	// request then loads the trace itself, and every request is answered.
+	release()
+	for i, status := range []<-chan int{first, second, third} {
+		if code := <-status; code != http.StatusOK {
+			t.Fatalf("request %d answered %d, want 200", i+1, code)
+		}
 	}
 }
 
 func TestSimulateTimeout504(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	unstick := stickEntry(s, "workload:SpMV:test:9")
-	defer unstick()
+	release := blockLoad(s, "workload:SpMV:test:9")
+	defer release()
 
 	req := `{"workload":"SpMV","scale":"test","seed":9,"configs":[{"name":"soft"}],"timeout_ms":50}`
 	code, body := post(t, ts.URL+"/v1/simulate", req)
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("stuck trace: %d %s (want 504)", code, body)
+		t.Fatalf("blocked trace load: %d %s (want 504)", code, body)
 	}
 	if s.met.timeouts.Load() != 1 {
 		t.Fatalf("timeout counter %d, want 1", s.met.timeouts.Load())
@@ -618,8 +624,8 @@ func TestSweepEndpoint(t *testing.T) {
 // counts with the sentinel 499 status.
 func TestCanceledClientLeavesNoFailure(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	unstick := stickEntry(s, "workload:MV:test:5")
-	defer unstick()
+	release := blockLoad(s, "workload:MV:test:5")
+	defer release()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -117,14 +117,5 @@ func TestServeSoak(t *testing.T) {
 	}
 
 	// Byte accounting must have survived the eviction churn.
-	s.traces.mu.Lock()
-	var sum int64
-	for e := s.traces.ll.Front(); e != nil; e = e.Next() {
-		sum += e.Value.(*traceEntry).bytes
-	}
-	used := s.traces.used
-	s.traces.mu.Unlock()
-	if sum != used {
-		t.Fatalf("cache byte accounting drifted: sum=%d used=%d", sum, used)
-	}
+	checkBytes(t, s.traces)
 }

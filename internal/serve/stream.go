@@ -23,11 +23,14 @@ import (
 // IS the trace (flat SCTR, compressed SCTZ, or din text — sniffed, like
 // every other trace entry point), the config group rides in query
 // parameters, and the records flow from the socket through the fused
-// kernel in pooled batches. Nothing is materialised and nothing is
-// cached, so the endpoint is exempt from MaxBodyBytes: the bound that
-// matters for a stream is records decoded, which Config.MaxTraceRecords
-// caps (softcache-served's -max-trace-records flag). A multi-gigabyte
-// capture simulates in O(batch) memory.
+// kernel in pooled batches. The trace is never materialised and never
+// enters the trace cache, so the endpoint is exempt from MaxBodyBytes:
+// the bound that matters for a stream is records decoded, which
+// Config.MaxTraceRecords caps (softcache-served's -max-trace-records
+// flag). A multi-gigabyte capture simulates in O(batch) memory. With a
+// result cache configured, the rendered response is cached like any
+// other, keyed on the body's 64 KiB-prefix identity (StreamRoutingKey)
+// and checked against the whole body's fingerprint on a hit.
 
 // StreamKeyPrefix is how many leading body bytes StreamRoutingKey
 // fingerprints. The cluster router cannot buffer a streamed body to
@@ -40,8 +43,8 @@ const StreamKeyPrefix = 64 << 10
 // StreamRoutingKey derives the consistent-hash key for a streamed trace
 // body from its bounded prefix (up to StreamKeyPrefix bytes). It is the
 // streaming analogue of RoutingKey: same trace bytes, same key, same
-// home shard — even though no shard caches the stream, affinity keeps a
-// re-uploaded trace's load on one replica instead of spraying the fleet.
+// home shard — so a re-uploaded trace lands on the replica whose result
+// cache already holds its answer, instead of spraying the fleet.
 func StreamRoutingKey(prefix []byte) string {
 	if len(prefix) > StreamKeyPrefix {
 		prefix = prefix[:StreamKeyPrefix]

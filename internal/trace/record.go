@@ -107,23 +107,6 @@ func (t *Trace) Len() int { return len(t.Records) }
 // Append adds a record.
 func (t *Trace) Append(r Record) { t.Records = append(t.Records, r) }
 
-// StripTags returns a copy of the trace with temporal and/or spatial bits
-// cleared. It is used to run the software-oblivious baseline configurations
-// on exactly the same reference stream.
-func (t *Trace) StripTags(stripTemporal, stripSpatial bool) *Trace {
-	out := &Trace{Name: t.Name, Records: make([]Record, len(t.Records))}
-	copy(out.Records, t.Records)
-	for i := range out.Records {
-		if stripTemporal {
-			out.Records[i].Temporal = false
-		}
-		if stripSpatial {
-			out.Records[i].Spatial = false
-		}
-	}
-	return out
-}
-
 // TagCounts summarises how many records fall into each of the four tag
 // classes (fig. 4a).
 type TagCounts struct {

@@ -46,25 +46,6 @@ func TestCountTags(t *testing.T) {
 	}
 }
 
-func TestStripTags(t *testing.T) {
-	tr := sample()
-	noT := tr.StripTags(true, false)
-	if got := noT.CountTags(); got.TemporalOnly != 0 || got.Both != 0 {
-		t.Fatalf("temporal tags survived: %+v", got)
-	}
-	if got := noT.CountTags(); got.SpatialOnly != 2 {
-		t.Fatalf("spatial tags should survive: %+v", got)
-	}
-	// The original is untouched.
-	if got := tr.CountTags(); got.Both != 1 {
-		t.Fatal("StripTags mutated the original")
-	}
-	none := tr.StripTags(true, true)
-	if got := none.CountTags(); got.None != 4 {
-		t.Fatalf("all tags should be gone: %+v", got)
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	tr := sample()
 	var buf bytes.Buffer
