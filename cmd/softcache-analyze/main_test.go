@@ -121,14 +121,19 @@ func TestAnalyzerSelection(t *testing.T) {
 }
 
 // stageDirtyPackage writes a package with one cliexit violation inside
-// the module (so go list can see it) and removes it afterwards.
+// the module (so go list can see it) and removes it afterwards, together
+// with testdata when nothing else is left in it, so the checkout ends as
+// it began.
 func stageDirtyPackage(t *testing.T) string {
 	t.Helper()
 	dir := filepath.Join("testdata", "staged_"+strings.ReplaceAll(t.Name(), "/", "_"))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { os.RemoveAll(dir) })
+	t.Cleanup(func() {
+		os.RemoveAll(dir)
+		os.Remove("testdata") // fails, leaving it, unless it is empty
+	})
 	src := `package dirty
 
 import "os"

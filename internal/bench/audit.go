@@ -51,7 +51,7 @@ func runTagAudit(ctx *Context) (*Report, error) {
 		"T-precision", "T-recall", "S-precision", "S-recall")
 	names := workloads.Benchmarks()
 	audits := make([]*vet.AuditReport, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) (err error) {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) (err error) {
 		audits[i], err = rc.audit(names[i])
 		return err
 	})

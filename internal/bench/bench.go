@@ -7,11 +7,13 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +22,6 @@ import (
 	"softcache/internal/flight"
 	"softcache/internal/loopir"
 	"softcache/internal/metrics"
-	"softcache/internal/timing"
 	"softcache/internal/trace"
 	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
@@ -44,10 +45,11 @@ import (
 // error.
 //
 // The parameterised variants some figures sweep (block size, leading
-// dimension, issue gap, prefetch distance) are read by a single
-// experiment: they are never materialised but streamed from the running
-// generator (tracegen.Reader) into the fused kernel, one batch at a time,
-// and are not memoised.
+// dimension, prefetch distance) are read by a single experiment: they are
+// never materialised but streamed from the running generator
+// (tracegen.Reader) into the fused kernel, one batch at a time, and are
+// not memoised. The issue-gap variants need no generator at all: they
+// replay the named traces with their gaps rewritten (simulateGap).
 //
 // Context is safe for concurrent use: the experiment harness runs several
 // figures at once against one shared Context, each named trace and each
@@ -182,14 +184,13 @@ func (c *Context) SimulateMany(name string, cfgs []core.Config) ([]core.Result, 
 	})
 }
 
-// simulateProgram streams p's trace, generated with the context's seed and
-// the given gap model (nil selects the paper's fig. 4b distribution), into
-// one fused pass over cfgs (core.Run). It serves the single-use
-// variants figures sweep (block size, leading dimension, issue gap,
-// prefetch distance): the trace is never materialised, so a variant in
-// flight holds one record batch, not its whole trace.
-func (c *Context) simulateProgram(p *loopir.Program, gaps *timing.GapModel, cfgs ...core.Config) ([]core.Result, error) {
-	r, err := tracegen.NewReader(p, tracegen.Options{Seed: c.Seed, Gaps: gaps})
+// simulateProgram streams p's trace, generated with the context's seed,
+// into one fused pass over cfgs (core.Run). It serves the single-use
+// variants figures sweep (block size, leading dimension, prefetch
+// distance): the trace is never materialised, so a variant in flight holds
+// one record batch, not its whole trace.
+func (c *Context) simulateProgram(p *loopir.Program, cfgs ...core.Config) ([]core.Result, error) {
+	r, err := tracegen.NewReader(p, tracegen.Options{Seed: c.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -226,6 +227,21 @@ func (c *Context) checked(cfgs []core.Config) []core.Config {
 // the budget has tokens. A panicking row is re-raised on the caller's
 // goroutine once the other rows have finished.
 func (c *Context) each(n int, fn func(rc *Context, i int) error) error {
+	return c.runRows(n, nil, fn)
+}
+
+// eachWorkload is each over rows that read named workloads' traces, row i
+// reading names[i]. Rows are handed out longest trace first (ties in index
+// order): the longest row is the one that would otherwise leave a token
+// idle at the end while it finishes alone, as Slalom, nearly two thirds
+// of the benchmarks' records, does when it starts sixth.
+func (c *Context) eachWorkload(names []string, fn func(rc *Context, i int) error) error {
+	return c.runRows(len(names), names, fn)
+}
+
+// runRows is each, and with names set eachWorkload. The rows are sized
+// once the caller holds its token, so that work stays inside the budget.
+func (c *Context) runRows(n int, names []string, fn func(rc *Context, i int) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -241,6 +257,10 @@ func (c *Context) each(n int, fn func(rc *Context, i int) error) error {
 		cp.inRow = true
 		rc = &cp
 	}
+	var order []int
+	if names != nil {
+		order = c.longestFirst(names)
+	}
 	errs := make([]error, n)
 	panics := make([]any, n)
 	var next atomic.Int64
@@ -249,8 +269,14 @@ func (c *Context) each(n int, fn func(rc *Context, i int) error) error {
 		if failed.Load() {
 			return 0, false
 		}
-		i := int(next.Add(1) - 1)
-		return i, i < n
+		k := int(next.Add(1) - 1)
+		if k >= n {
+			return 0, false
+		}
+		if order != nil {
+			return order[k], true
+		}
+		return k, true
 	}
 	run := func(i int) {
 		defer func() {
@@ -292,6 +318,57 @@ func (c *Context) each(n int, fn func(rc *Context, i int) error) error {
 		}
 	}
 	return nil
+}
+
+// repeatEach returns names with each name repeated k times in a row: row
+// i of a figure that runs k variants of every workload reads the trace of
+// repeatEach(names, k)[i], names[i/k].
+func repeatEach(names []string, k int) []string {
+	out := make([]string, 0, len(names)*k)
+	for _, name := range names {
+		for range k {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// longestFirst returns the row indices of names sorted by descending
+// record count of each row's trace, ties kept in index order.
+func (c *Context) longestFirst(names []string) []int {
+	lens := make(map[string]int, len(names))
+	for _, name := range names {
+		if _, ok := lens[name]; !ok {
+			lens[name] = c.records(name)
+		}
+	}
+	order := make([]int, len(names))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(lens[names[b]], lens[names[a]]) })
+	return order
+}
+
+// records returns the record count of the named workload's trace: the
+// trace's length when the Context holds it, otherwise tracegen's counting
+// pass, which sizes the trace at a small fraction of the cost of
+// generating it. It returns -1 when neither can tell; the row that reads
+// the trace then reports why.
+func (c *Context) records(name string) int {
+	if t, ok := c.traces.Load(name); ok {
+		return t.Len()
+	}
+	p, err := workloads.BuildProgram(name, c.Scale)
+	if err != nil {
+		return -1
+	}
+	r, err := tracegen.NewReader(p, tracegen.Options{Seed: c.Seed})
+	if err != nil {
+		return -1
+	}
+	defer r.Close()
+	return r.Len()
 }
 
 // Check is one qualitative shape assertion.
@@ -403,7 +480,8 @@ func RunAll(ctx *Context) ([]*Report, error) {
 // amatTable runs the given configurations over the given workloads and
 // returns a workloads × configs AMAT table (the shape of most figures).
 // The config axis is fused: each workload's trace is walked once for the
-// whole row rather than once per column; the rows run in parallel (each).
+// whole row rather than once per column; the rows run in parallel,
+// longest trace first (eachWorkload).
 func amatTable(ctx *Context, title string, names []string, configs []namedConfig, metric func(core.Result) float64) (*metrics.Table, error) {
 	cols := make([]string, len(configs))
 	cfgs := make([]core.Config, len(configs))
@@ -412,7 +490,7 @@ func amatTable(ctx *Context, title string, names []string, configs []namedConfig
 		cfgs[i] = c.cfg
 	}
 	rows := make([][]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
 		results, err := rc.SimulateMany(names[i], cfgs)
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)

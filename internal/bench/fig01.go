@@ -30,7 +30,7 @@ func runFig1a(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable("Fraction of references per reuse distance", "benchmark", metrics.ReuseBuckets...)
 	names := workloads.Benchmarks()
 	dists := make([][5]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
 		t, err := rc.Trace(names[i])
 		if err != nil {
 			return err
@@ -66,7 +66,7 @@ func runFig1b(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable("Fraction of references per vector length", "benchmark", metrics.VectorBuckets...)
 	names := workloads.Benchmarks()
 	dists := make([][6]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
 		t, err := rc.Trace(names[i])
 		if err != nil {
 			return err

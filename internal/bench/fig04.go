@@ -31,7 +31,7 @@ func runFig4a(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable("Fraction of trace entries per tag class", "benchmark", metrics.TagClasses...)
 	names := workloads.Benchmarks()
 	fracs := make([][4]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
 		t, err := rc.Trace(names[i])
 		if err != nil {
 			return err
@@ -87,7 +87,7 @@ func runFig4b(ctx *Context) (*Report, error) {
 
 	names := []string{"MV", "LIV"}
 	dists := make([][9]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
 		t, err := rc.Trace(names[i])
 		if err != nil {
 			return err

@@ -69,7 +69,7 @@ func runFig6b(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable("Share of hits per structure (Soft)", "benchmark", "main cache", "bounce-back")
 	names := workloads.Benchmarks()
 	shares := make([]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
 		res, err := rc.SimulateMany(names[i], []core.Config{core.Soft()})
 		if err != nil {
 			return err

@@ -57,7 +57,7 @@ func runFig9a(ctx *Context) (*Report, error) {
 	}
 	names := workloads.Benchmarks()
 	rows := make([][]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, b int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, b int) error {
 		results, err := rc.SimulateMany(names[b], cfgs)
 		if err != nil {
 			return err

@@ -40,13 +40,13 @@ func runFig10a(ctx *Context) (*Report, error) {
 	// the codes present in both experiments.
 	// Rows 2i and 2i+1 are base i's kernel and whole program.
 	bases := []string{"MDG", "BDN", "DYF", "TRF"}
-	gains := make([]float64, 2*len(bases))
-	err = ctx.each(len(gains), func(rc *Context, i int) error {
-		name := bases[i/2]
-		if i%2 == 0 {
-			name += "-kernel"
-		}
-		res, err := rc.SimulateMany(name, []core.Config{core.Standard(), core.Soft()})
+	gainNames := make([]string, 0, 2*len(bases))
+	for _, base := range bases {
+		gainNames = append(gainNames, base+"-kernel", base)
+	}
+	gains := make([]float64, len(gainNames))
+	err = ctx.eachWorkload(gainNames, func(rc *Context, i int) error {
+		res, err := rc.SimulateMany(gainNames[i], []core.Config{core.Standard(), core.Soft()})
 		if err != nil {
 			return err
 		}
@@ -93,7 +93,7 @@ func runFig10b(ctx *Context) (*Report, error) {
 	}
 	names := workloads.Benchmarks()
 	rows := make([][]float64, len(names))
-	err := ctx.each(len(names), func(rc *Context, b int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, b int) error {
 		results, err := rc.SimulateMany(names[b], cfgs)
 		if err != nil {
 			return err

@@ -45,7 +45,7 @@ func runFig11a(ctx *Context) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		res, err := rc.simulateProgram(p, nil, core.Standard(), core.Soft())
+		res, err := rc.simulateProgram(p, core.Standard(), core.Soft())
 		if err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func runFig11b(ctx *Context) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		res, err := rc.simulateProgram(p, nil, core.Standard(), core.Soft())
+		res, err := rc.simulateProgram(p, core.Standard(), core.Soft())
 		if err != nil {
 			return err
 		}

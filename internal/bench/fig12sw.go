@@ -37,7 +37,7 @@ func runFig12SW(ctx *Context) (*Report, error) {
 	names := workloads.Benchmarks()
 	per := 1 + len(distances)
 	runs := make([][]float64, len(names)*per)
-	err := ctx.each(len(runs), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(repeatEach(names, per), func(rc *Context, i int) error {
 		name, k := names[i/per], i%per
 		if k == 0 {
 			base, err := rc.SimulateMany(name, []core.Config{core.Soft(), core.WithPrefetch(core.Soft(), true)})
@@ -54,7 +54,7 @@ func runFig12SW(ctx *Context) (*Report, error) {
 		if _, err := locality.InsertPrefetches(p, distances[k-1]); err != nil {
 			return err
 		}
-		res, err := rc.simulateProgram(p, nil, core.Soft())
+		res, err := rc.simulateProgram(p, core.Soft())
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,7 @@ import (
 
 	"softcache/internal/core"
 	"softcache/internal/metrics"
-	"softcache/internal/timing"
+	"softcache/internal/trace"
 	"softcache/internal/workloads"
 )
 
@@ -17,7 +17,7 @@ func init() {
 	})
 }
 
-// runIssueRate regenerates the benchmark traces with *constant* issue gaps
+// runIssueRate replays the benchmark traces with *constant* issue gaps
 // of 1-8 cycles (instead of the fig. 4b distribution) and measures the
 // Soft design's AMAT advantage. The paper notes a cache design is
 // sensitive to the processor request issue rate: at very high issue rates
@@ -33,17 +33,13 @@ func runIssueRate(ctx *Context) (*Report, error) {
 	}
 	tbl := metrics.NewTable("AMAT(Standard) - AMAT(Soft) at constant issue gaps", "benchmark", cols...)
 
-	// Run b*len(gaps)+i is benchmark b at gaps[i]. Every run builds its
-	// own program: generation finalises and analyses it, so concurrent
-	// runs must not share one.
+	// Run b*len(gaps)+i is benchmark b at gaps[i], replayed from the
+	// trace the context holds.
 	names := workloads.Benchmarks()
-	runs := make([][]core.Result, len(names)*len(gaps))
-	err := ctx.each(len(runs), func(rc *Context, i int) error {
-		p, err := workloads.BuildProgram(names[i/len(gaps)], rc.Scale)
-		if err != nil {
-			return err
-		}
-		runs[i], err = rc.simulateProgram(p, timing.Constant(gaps[i%len(gaps)]), core.Standard(), core.Soft())
+	rowNames := repeatEach(names, len(gaps))
+	runs := make([][]core.Result, len(rowNames))
+	err := ctx.eachWorkload(rowNames, func(rc *Context, i int) (err error) {
+		runs[i], err = rc.simulateGap(rowNames[i], gaps[i%len(gaps)], core.Standard(), core.Soft())
 		return err
 	})
 	if err != nil {
@@ -80,4 +76,38 @@ func runIssueRate(ctx *Context) (*Report, error) {
 	r.check("swap-lock stalls are a small share of access time even at 1-cycle gaps",
 		lockStallShare < 0.05, fmt.Sprintf("mean share %.3f", lockStallShare))
 	return r, nil
+}
+
+// simulateGap runs cfgs in one fused pass over the named workload's trace
+// replayed at a constant issue gap (gapReader): the trace tracegen would
+// generate with timing.Constant(gap), without generating it again.
+func (c *Context) simulateGap(name string, gap int, cfgs ...core.Config) ([]core.Result, error) {
+	t, err := c.Trace(name)
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(c.context(), core.Job{Configs: c.checked(cfgs)}, &gapReader{BatchReader: t.Reader(), gap: uint8(gap)})
+}
+
+// gapReader replays a trace with every record's gap set to gap, except
+// the first record's, which stays 0. That is exactly the trace tracegen
+// generates with a constant gap model: the seed feeds only the gap
+// sampler, so the addresses, tags and order do not change with it, and
+// the generator zeroes the first record's gap whatever the model draws.
+type gapReader struct {
+	trace.BatchReader
+	gap  uint8
+	read int // records handed out so far
+}
+
+func (r *gapReader) ReadBatch(dst []trace.Record) (int, error) {
+	n, err := r.BatchReader.ReadBatch(dst)
+	for i := range dst[:n] {
+		dst[i].Gap = r.gap
+	}
+	if r.read == 0 && n > 0 {
+		dst[0].Gap = 0
+	}
+	r.read += n
+	return n, err
 }

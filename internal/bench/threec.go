@@ -38,7 +38,7 @@ func runThreeC(ctx *Context) (*Report, error) {
 		std, soft core.Result
 	}
 	rows := make([]row, len(names))
-	err := ctx.each(len(names), func(rc *Context, i int) error {
+	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
 		t, err := rc.Trace(names[i])
 		if err != nil {
 			return err

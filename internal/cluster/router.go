@@ -459,16 +459,12 @@ func (rt *Router) backoff(ctx context.Context, n int) bool {
 // breaker-allowed shards first (ring order), then, as a last resort when
 // everything looks down, the tripped ones anyway: trying a probably-dead
 // shard beats refusing outright, and the retry budget bounds the damage.
-// With no shards it writes the 502 and returns a nil sequence.
-func (rt *Router) route(w http.ResponseWriter, key string) (seq []string, owner string) {
+// The sequence is never empty: New rejects an empty fleet, and the ring
+// lists every shard for every key.
+func (rt *Router) route(key string) (seq []string, owner string) {
 	rt.met.requests.Add(1)
 	rt.budget.Deposit()
 	order := rt.ring.Order(key)
-	if len(order) == 0 {
-		rt.met.errors.Add(1)
-		writeError(w, http.StatusBadGateway, "no shards configured")
-		return nil, ""
-	}
 	owner = order[0]
 	rt.recordKey(key, owner)
 	allowed := make([]string, 0, len(order))
@@ -504,10 +500,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := routingKey(r.Method, r.URL.Path, body)
-	seq, owner := rt.route(w, key)
-	if seq == nil {
-		return
-	}
+	seq, owner := rt.route(key)
 	o := rt.forward(r.Context(), seq, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
 	if o.usable() {
 		w.Header().Set("Content-Length", strconv.Itoa(len(o.body)))
@@ -548,10 +541,7 @@ func (rt *Router) handleProxyStream(w http.ResponseWriter, r *http.Request) {
 	prefix = prefix[:n]
 
 	key := serve.StreamRoutingKey(prefix)
-	seq, owner := rt.route(w, key)
-	if seq == nil {
-		return
-	}
+	seq, owner := rt.route(key)
 	rt.met.streamed.Add(1)
 	shard := seq[0]
 
