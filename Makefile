@@ -64,6 +64,7 @@ result-race:
 		./internal/serve ./internal/cluster ./cmd/softcache-served
 	$(GO) test -race -count=10 ./internal/flight
 	$(GO) test -race -count=10 -run TraceCache ./internal/serve
+	$(GO) test -race -count=10 -run TestServeSoak ./internal/serve
 
 examples:
 	$(GO) run ./examples/quickstart

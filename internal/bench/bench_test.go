@@ -125,9 +125,10 @@ func TestContextCachesTraces(t *testing.T) {
 }
 
 // TestVariantFiguresHonourContext: the figures that generate their own
-// variant traces (block size, leading dimension, issue gap, prefetch
-// distance) run them through the context, so a canceled context stops
-// each of them with an error wrapping context.Canceled.
+// variant traces (block size, leading dimension, prefetch distance), and
+// issue, which replays the Context's traces with rewritten gaps, run them
+// through the context, so a canceled context stops each of them with an
+// error wrapping context.Canceled.
 func TestVariantFiguresHonourContext(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -96,8 +96,9 @@ func New(cfg Config) (*Simulator, error) {
 		s.prefDegree = 1
 	}
 	// The paper's default organisation (direct-mapped, power-of-two
-	// geometry, whole-line fills) gets a hand-inlined hit path in Access:
-	// one masked load and no function calls for two-thirds of all records.
+	// geometry, whole-line fills) has its hits served by AccessAll's
+	// batched loop: one masked load and no function calls for two-thirds
+	// of all records.
 	s.plainDM = !s.pseudoAssoc && s.subblocks == 0 && s.main.ways == 1 && s.main.maskable
 	return s, nil
 }
@@ -121,52 +122,61 @@ func (s *Simulator) ResetStats() {
 	s.memory.ResetStats()
 }
 
-// AccessAll processes recs in order, exactly as len(recs) Access calls
-// would (the refmodel differential suite pins the equivalence). It is the
-// per-batch entry point of the batched kernel (core.Run): besides
-// removing the per-record call boundary, it runs the paper's default
-// organisation — plain direct-mapped hits, the bulk of every trace — in
-// a register-resident loop: the cycle clock, the LRU tick and the
-// statistics counters live in locals across each run of consecutive fast
-// hits and are flushed back to the simulator only when a record needs
-// the general path (a miss, a software prefetch) or the batch ends. That
-// keeps roughly a dozen per-record memory read-modify-writes
-// out of the hit path, which is what makes the trace decode a visible
-// fraction of the record budget — and therefore what the fused
-// multi-configuration pass (decode once, simulate N times) can win back.
-func (s *Simulator) AccessAll(recs []trace.Record) {
-	if !s.plainDM || s.sb != nil || s.cfg.RuntimeChecks {
+// Access simulates one reference and returns its cost in cycles (including
+// any stall waiting for a locked cache). It is a one-record AccessAll.
+func (s *Simulator) Access(r trace.Record) int {
+	one := [1]trace.Record{r}
+	return int(s.AccessAll(one[:]))
+}
+
+// AccessAll processes recs in order and returns the sum of their costs in
+// cycles; Access is a one-record call, and core.Run hands it whole
+// batches. On a plain direct-mapped main cache, the paper's default, hits
+// — the bulk of every trace — run in a register-resident loop: the cycle
+// clock and the statistics counters stay in locals across each run of
+// consecutive hits and are flushed back only when a record needs the
+// general path (a miss, a software prefetch, a store that must invalidate
+// a stream buffer) or the batch ends. Under RuntimeChecks each run is one
+// record long and the checker runs after it. Every other organisation
+// takes the general path record by record.
+func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
+	var total uint64
+	if !s.plainDM {
 		for i := range recs {
-			s.Access(recs[i])
+			total += uint64(s.access(recs[i]))
 		}
-		return
+		return total
 	}
-	m := s.main
-	lines := m.lines
-	setMask := m.setMask
-	shift := m.shift
+	lines := s.main.lines
+	setMask := s.main.setMask
+	shift := s.main.shift
 	hitCycles := uint64(s.cfg.HitCycles)
 	useTemporal := s.cfg.UseTemporalTags
 	writeBack := s.cfg.Writes == WriteBackAllocate
-	fifo := m.policy == ReplaceFIFO
+	storesLeave := s.sb != nil // a store must invalidate any stream covering its line
+	checks := s.cfg.RuntimeChecks
 
-	i := 0
-	for i < len(recs) {
-		// One run of consecutive plain direct-mapped hits. The mutable
-		// state the fast path touches is loaded into locals here and
-		// flushed after the inner loop, so the loop body performs no
-		// simulator-struct stores besides the line metadata itself.
-		var refs, reads, writes, mainHits, tempSets, cost, lockStall uint64
-		now, freeAt, tick := s.now, s.freeAt, m.tick
-		j := i
-		for ; j < len(recs); j++ {
-			r := &recs[j]
+	for i := 0; i < len(recs); {
+		run := recs[i:]
+		if checks {
+			run = run[:1]
+		}
+		// One run of consecutive hits. The mutable state the loop touches
+		// is loaded into locals here and flushed after it, so the loop
+		// body performs no simulator-struct stores besides the line
+		// metadata itself. A 1-way set's victim is its lone slot, so the
+		// hit leaves the line's LRU stamp alone.
+		var refs, writes, tempSets, cost, lockStall uint64
+		now, freeAt := s.now, s.freeAt
+		j := 0
+		for ; j < len(run); j++ {
+			r := &run[j]
 			la := r.Addr >> shift
 			l := &lines[la&setMask]
-			if r.SoftwarePrefetch || l.flags&flagValid == 0 || l.tag != la {
+			hit := l.flags&flagValid != 0 && l.tag == la
+			if !hit || r.SoftwarePrefetch || (r.Write && storesLeave) {
 				break // general path below
 			}
-			// Mirror of Access's hand-inlined direct-mapped hit path.
 			refs++
 			issue := now + uint64(r.Gap)
 			var stall uint64
@@ -175,10 +185,6 @@ func (s *Simulator) AccessAll(recs []trace.Record) {
 				issue = freeAt
 			}
 			service := hitCycles
-			if !fifo {
-				tick++
-				l.lru = tick
-			}
 			if r.Write {
 				writes++
 				if writeBack {
@@ -186,38 +192,42 @@ func (s *Simulator) AccessAll(recs []trace.Record) {
 				} else {
 					service += uint64(s.memory.PostWrite(8, issue))
 				}
-			} else {
-				reads++
 			}
 			if useTemporal && r.Temporal && l.flags&flagTemporal == 0 {
 				l.flags |= flagTemporal
 				tempSets++
 			}
-			mainHits++
 			cost += stall + service
 			lockStall += stall
 			now = issue + service
 			freeAt = now
 		}
 		s.stats.References += refs
-		s.stats.Reads += reads
+		s.stats.Reads += refs - writes
 		s.stats.Writes += writes
-		s.stats.MainHits += mainHits
+		s.stats.MainHits += refs
 		s.stats.TemporalBitSets += tempSets
 		s.stats.CostCycles += cost
 		s.stats.LockStallCycles += lockStall
-		s.now, s.freeAt, m.tick = now, freeAt, tick
-		i = j
-		if i < len(recs) {
-			s.Access(recs[i])
+		s.now, s.freeAt = now, freeAt
+		total += cost
+		i += j
+		if j < len(run) {
+			total += uint64(s.access(recs[i]))
 			i++
+		} else if checks {
+			s.runChecks()
 		}
 	}
+	return total
 }
 
-// Access simulates one reference and returns its cost in cycles (including
-// any stall waiting for a locked cache).
-func (s *Simulator) Access(r trace.Record) int {
+// access simulates one reference through the general path: every
+// organisation's main-cache probe, then the bounce-back, bypass and
+// stream-buffer structures, then the miss. On a plain direct-mapped cache
+// AccessAll has already served the hits, so access sees only misses,
+// software prefetches and stream-buffer stores there.
+func (s *Simulator) access(r trace.Record) int {
 	if r.SoftwarePrefetch {
 		return s.softwarePrefetch(r)
 	}
@@ -253,33 +263,8 @@ func (s *Simulator) Access(r trace.Record) int {
 	}
 
 	var service, lock int
-	hit := false
-	if s.plainDM {
-		// Hand-inlined tryMainHit for the plain direct-mapped case: the
-		// whole hit — probe, LRU touch, write policy, temporal bit — runs
-		// without a function call (storeUpdate inlines). Behaviour is
-		// identical to the general path below, which still serves
-		// associative, column-associative and sub-blocked organisations.
-		if l := &s.main.lines[la&s.main.setMask]; l.flags&flagValid != 0 && l.tag == la {
-			hit = true
-			service = s.cfg.HitCycles
-			if s.main.policy != ReplaceFIFO {
-				s.main.tick++
-				l.lru = s.main.tick
-			}
-			if r.Write {
-				service += s.storeUpdate(&l.flags)
-			}
-			if temporal && l.flags&flagTemporal == 0 {
-				l.flags |= flagTemporal
-				s.stats.TemporalBitSets++
-			}
-			s.stats.MainHits++
-		}
-	}
 	switch {
-	case hit:
-	case !s.plainDM && s.tryMainHit(la, subIdx, r.Write, temporal, &service):
+	case s.tryMainHit(la, subIdx, r.Write, temporal, &service):
 
 	case s.cfg.Bypass != BypassNone && !temporal:
 		service = s.bypassAccess(la, r)
@@ -368,19 +353,14 @@ func (s *Simulator) tryMainHit(la uint64, subIdx int, write, temporal bool, serv
 		s.stats.SubblockFills++
 		*service = s.cfg.HitCycles + s.memory.Fetch(0, 0, s.cfg.SubblockSize, 0)
 		l.subValid |= 1 << subIdx
-		s.main.touch(l)
-		if write {
-			*service += s.storeUpdate(&l.flags)
-		}
-		s.setTemporal(&l.flags, temporal)
-		return true
+	} else {
+		s.stats.MainHits++
 	}
 	s.main.touch(l)
 	if write {
 		*service += s.storeUpdate(&l.flags)
 	}
 	s.setTemporal(&l.flags, temporal)
-	s.stats.MainHits++
 	return true
 }
 
@@ -415,25 +395,28 @@ func (s *Simulator) placeFetchedLine(la uint64, write, temporal bool) {
 	if s.main.lookup(la) != nil {
 		return
 	}
-	var old line
-	var l *line
-	if s.pseudoAssoc {
-		old, l = s.columnInstall(la)
-	} else {
-		l = s.main.victimWay(la, s.cfg.TemporalPriorityReplacement)
-		old = s.main.install(l, la)
-	}
+	old, l := s.place(la)
 	if write {
 		s.storeUpdate(&l.flags)
 	}
 	s.setTemporal(&l.flags, temporal)
 	if old.valid() {
-		if n := s.evictMainLine(old, nil); n > 0 {
-			for i := 0; i < n; i++ {
-				s.memory.WritebackOutsideMiss()
-			}
+		for range s.evictMainLine(old, nil) {
+			s.memory.WritebackOutsideMiss()
 		}
 	}
+}
+
+// place installs line address la in the main cache, following the
+// rehash-bit policy in the column-associative organisation and the
+// replacement policy otherwise, and returns the displaced contents (invalid
+// if none) together with the slot the new line occupies.
+func (s *Simulator) place(la uint64) (old line, l *line) {
+	if s.pseudoAssoc {
+		return s.columnInstall(la)
+	}
+	l = s.main.victimWay(la, s.cfg.TemporalPriorityReplacement)
+	return s.main.install(l, la), l
 }
 
 // setTemporal implements the §2.2 rule: a temporal-tagged access sets the
@@ -448,24 +431,14 @@ func (s *Simulator) setTemporal(flags *uint8, temporal bool) {
 // storeUpdate applies the write policy to a store hitting the line with
 // the given flags: under write-back the line is dirtied; under the
 // write-through policies the word is posted to the write buffer and any
-// buffer-full stall is returned.
+// buffer-full stall is returned. A store that misses and allocates hides
+// that stall under the in-flight fetch, so miss ignores it.
 func (s *Simulator) storeUpdate(flags *uint8) int {
 	if s.cfg.Writes == WriteBackAllocate {
 		*flags |= flagDirty
 		return 0
 	}
 	return s.memory.PostWrite(8, s.curIssue)
-}
-
-// storeUpdateOnFill applies the write policy when a store miss allocates:
-// under write-back the fresh line is dirtied; under write-through the word
-// is posted to the write buffer, hidden under the in-flight miss.
-func (s *Simulator) storeUpdateOnFill(flags *uint8) {
-	if s.cfg.Writes == WriteBackAllocate {
-		*flags |= flagDirty
-		return
-	}
-	s.memory.PostWrite(8, s.curIssue)
 }
 
 // tryBounceBackHit probes the bounce-back cache; on a hit the entry is
@@ -557,17 +530,10 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 	if s.subblocks > 0 {
 		// Sub-block placement: replace the whole directory entry but
 		// fetch only the referenced subblock.
-		var old line
-		var l *line
-		if s.pseudoAssoc {
-			old, l = s.columnInstall(la)
-		} else {
-			l = s.main.victimWay(la, s.cfg.TemporalPriorityReplacement)
-			old = s.main.install(l, la)
-		}
+		old, l := s.place(la)
 		l.subValid = 1 << subIdx
 		if write {
-			s.storeUpdateOnFill(&l.flags)
+			s.storeUpdate(&l.flags)
 		}
 		s.setTemporal(&l.flags, temporal)
 		dirty := 0
@@ -628,17 +594,10 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 		if s.main.lookup(cand) != nil {
 			continue
 		}
-		var old line
-		var nl *line
-		if s.pseudoAssoc {
-			old, nl = s.columnInstall(cand)
-		} else {
-			nl = s.main.victimWay(cand, s.cfg.TemporalPriorityReplacement)
-			old = s.main.install(nl, cand)
-		}
+		old, nl := s.place(cand)
 		if cand == la {
 			if write {
-				s.storeUpdateOnFill(&nl.flags)
+				s.storeUpdate(&nl.flags)
 			}
 			s.setTemporal(&nl.flags, temporal)
 		}

@@ -35,7 +35,8 @@ func (s *Simulator) violated(invariant, format string, args ...interface{}) {
 	})
 }
 
-// runChecks is called at the end of every Access when RuntimeChecks is on.
+// runChecks runs after every reference when RuntimeChecks is on: at the
+// end of the general path, or after AccessAll's one-record hit run.
 func (s *Simulator) runChecks() {
 	st := s.stats
 	// 1. Hit/miss accounting: every reference is served by exactly one of

@@ -59,7 +59,11 @@ func variants() []variant {
 // naive reference model in lockstep. On the first diverging per-record
 // cost it reports the record index, the record itself and both simulators'
 // statistics at that point; afterwards the full Stats structs (memory
-// counters included) must match field for field.
+// counters included) must match field for field. A second kernel then
+// replays the same records through AccessAll in chunks of seeded random
+// size, so runs of batched hits are checked too: each chunk's returned
+// cost must equal the reference costs of its records, and the final Stats
+// must match again.
 func runDifferential(t *testing.T, cfg cache.Config, records []trace.Record) {
 	t.Helper()
 	opt, err := cache.New(cfg)
@@ -70,6 +74,7 @@ func runDifferential(t *testing.T, cfg cache.Config, records []trace.Record) {
 	if err != nil {
 		t.Fatalf("refmodel.New: %v", err)
 	}
+	costs := make([]int, len(records))
 	for i, r := range records {
 		co := opt.Access(r)
 		cr := ref.Access(r)
@@ -77,11 +82,34 @@ func runDifferential(t *testing.T, cfg cache.Config, records []trace.Record) {
 			t.Fatalf("divergence at record %d: %+v\noptimized cost %d, reference cost %d\noptimized state: %+v\nreference state: %+v",
 				i, r, co, cr, opt.Stats(), ref.Stats())
 		}
+		costs[i] = cr
 	}
 	so, sr := opt.Stats(), ref.Stats()
 	if !reflect.DeepEqual(so, sr) {
 		t.Fatalf("final stats diverge after %d records:\noptimized: %+v\nreference: %+v",
 			len(records), so, sr)
+	}
+
+	batched, err := cache.New(cfg)
+	if err != nil {
+		t.Fatalf("cache.New: %v", err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for lo := 0; lo < len(records); {
+		hi := min(lo+1+rng.Intn(4096), len(records))
+		var want uint64
+		for _, c := range costs[lo:hi] {
+			want += uint64(c)
+		}
+		if got := batched.AccessAll(records[lo:hi]); got != want {
+			t.Fatalf("AccessAll over records [%d,%d): cost %d, reference cost %d\nbatched state: %+v",
+				lo, hi, got, want, batched.Stats())
+		}
+		lo = hi
+	}
+	if sb := batched.Stats(); !reflect.DeepEqual(sb, sr) {
+		t.Fatalf("batched final stats diverge after %d records:\nbatched:   %+v\nreference: %+v",
+			len(records), sb, sr)
 	}
 }
 

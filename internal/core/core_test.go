@@ -454,11 +454,12 @@ func TestRunWarmup(t *testing.T) {
 	}
 }
 
-// TestSimulateContextMatchesAccessLoop pins Run, which hands the batched
-// kernel BatchSize-record chunks, to a plain per-record Access
-// loop for every named design, with and without the runtime invariant
-// checker. The random trace spans many chunks and a partial last one, and
-// carries software prefetches; MV is a structured workload.
+// TestSimulateContextMatchesAccessLoop pins Run, which hands AccessAll
+// BatchSize-record chunks, to a per-record Access loop (one-record
+// AccessAll calls, so every hit run ends after one record) for every
+// named design, with and without the runtime invariant checker. The
+// random trace spans many chunks and a partial last one, and carries
+// software prefetches; MV is a structured workload.
 func TestSimulateContextMatchesAccessLoop(t *testing.T) {
 	mv, err := workloads.Trace("MV", workloads.ScaleTest, 1)
 	if err != nil {

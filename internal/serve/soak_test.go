@@ -105,15 +105,24 @@ func TestServeSoak(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("post-soak simulate: %d %s", code, body)
 	}
-	code, mb := get(t, ts.URL+"/metrics")
-	if code != 200 {
-		t.Fatalf("post-soak metrics: %d", code)
-	}
-	if v := metricValue(t, string(mb), "softcache_inflight_requests"); v != 0 {
-		t.Fatalf("inflight gauge %v after drain, want 0", v)
-	}
-	if v := metricValue(t, string(mb), "softcache_queued_requests"); v != 0 {
-		t.Fatalf("queued gauge %v after drain, want 0", v)
+	// Both gauges must drain to 0. A client that cancelled returns before
+	// its handler does, so the handler may still hold its worker slot
+	// when the clients are done: poll rather than read once.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, mb := get(t, ts.URL+"/metrics")
+		if code != 200 {
+			t.Fatalf("post-soak metrics: %d", code)
+		}
+		inflight := metricValue(t, string(mb), "softcache_inflight_requests")
+		queued := metricValue(t, string(mb), "softcache_queued_requests")
+		if inflight == 0 && queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gauges did not drain within 5s: inflight %v, queued %v, want 0", inflight, queued)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Byte accounting must have survived the eviction churn.
