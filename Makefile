@@ -13,10 +13,13 @@ build:
 # over the codebase itself (see docs/ANALYSIS.md "Codebase analyzers"),
 # then softcache-vet over the example DSL program and every built-in
 # benchmark, the latter with the tag-precision audit (error-severity
-# findings fail).
+# findings fail). The analyzers run as a go vet tool, so _test.go files
+# are checked too.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/softcache-analyze ./...
+	tmp=$$(mktemp -d) && $(GO) build -o $$tmp/softcache-analyze ./cmd/softcache-analyze && \
+		$(GO) vet -vettool=$$tmp/softcache-analyze ./...; \
+		status=$$?; rm -rf "$$tmp"; exit $$status
 	$(GO) run ./cmd/softcache-vet -source examples/dsl/stencil.loop
 	$(GO) run ./cmd/softcache-vet -workload all -scale test -audit
 

@@ -1,9 +1,23 @@
 package cache
 
-import (
-	"fmt"
+import "fmt"
 
-	"softcache/internal/mem"
+// The paper's fixed timings and structure sizes (§3.1, §5). Each has one
+// value in every design the paper evaluates, so none is a Config field.
+const (
+	// hitCycles is the main-cache hit time.
+	hitCycles = 1
+	// bounceBackCycles is the bounce-back cache's access time (the
+	// paper's conservative estimate).
+	bounceBackCycles = 3
+	// swapLockCycles is how long both caches stay locked after a swap
+	// beyond the access time.
+	swapLockCycles = 2
+	// streamBufferDepth is the FIFO depth of each stream buffer, as in
+	// Jouppi's design.
+	streamBufferDepth = 4
+	// bypassBufferLines is the buffered-bypass buffer capacity in lines.
+	bypassBufferLines = 8
 )
 
 // BypassMode selects the bypass baseline of fig. 3a.
@@ -37,8 +51,8 @@ func (m BypassMode) String() string {
 }
 
 // WritePolicy selects how stores interact with the cache. The paper's
-// design is write-back with write-allocate (the default); the alternatives
-// exist for the ablation benches, following the taxonomy of Jouppi's
+// design is write-back with write-allocate (the default); write-through
+// exists for the ablation benches, following the taxonomy of Jouppi's
 // "Cache Write Policies and Performance" the paper cites for its write
 // timing.
 type WritePolicy int
@@ -50,9 +64,6 @@ const (
 	// WriteThroughAllocate: stores allocate on miss but every store also
 	// posts its word to the write buffer; lines are never dirty.
 	WriteThroughAllocate
-	// WriteThroughNoAllocate: store misses do not allocate; the word goes
-	// straight to the write buffer.
-	WriteThroughNoAllocate
 )
 
 func (p WritePolicy) String() string {
@@ -61,8 +72,6 @@ func (p WritePolicy) String() string {
 		return "write-back"
 	case WriteThroughAllocate:
 		return "write-through"
-	case WriteThroughNoAllocate:
-		return "write-through-no-allocate"
 	default:
 		return fmt.Sprintf("WritePolicy(%d)", int(p))
 	}
@@ -96,7 +105,11 @@ func (p ReplacementPolicy) String() string {
 	}
 }
 
-// PrefetchConfig describes the §4.4 prefetch mechanism.
+// PrefetchConfig describes the §4.4 prefetch mechanism. Each prefetch
+// action fetches one physical line (the paper's progressive prefetch for
+// latencies up to ~25 cycles), and at most half the bounce-back entries
+// hold prefetched lines at once: beyond that a new prefetched line
+// replaces the LRU prefetched line.
 type PrefetchConfig struct {
 	// Enabled turns prefetching on.
 	Enabled bool
@@ -104,15 +117,6 @@ type PrefetchConfig struct {
 	// the spatial hint (the paper's scheme). When false, every miss
 	// initiates a next-line prefetch (the "Stand.+Prefetching" baseline).
 	SoftwareGuided bool
-	// MaxResident bounds the number of prefetched lines allowed to sit in
-	// the bounce-back cache at once; beyond it a new prefetched line
-	// replaces the LRU prefetched line. Zero means a default of half the
-	// bounce-back entries.
-	MaxResident int
-	// Degree is the number of consecutive physical lines fetched per
-	// prefetch action. The paper uses 1 (progressive prefetch) for
-	// latencies up to ~25 cycles.
-	Degree int
 }
 
 // Config fully describes a simulated memory hierarchy. The zero value is
@@ -126,8 +130,9 @@ type Config struct {
 	// Assoc is the main cache associativity (1 = direct mapped).
 	Assoc int
 
-	// HitCycles is the main-cache hit time (1 in the paper).
-	HitCycles int
+	// LatencyCycles is the memory latency t_lat: the time between issuing
+	// a miss request and the arrival of its first line (paper default 20).
+	LatencyCycles int
 
 	// SubblockSize enables sub-block placement (§2.1's contrast case, as
 	// in the PowerPC's 64-byte lines with 32-byte subblocks): the
@@ -153,11 +158,6 @@ type Config struct {
 	// BounceBackAssoc is its associativity; 0 or >= BounceBackLines means
 	// fully associative.
 	BounceBackAssoc int
-	// BounceBackCycles is its access time (3 in the paper, conservative).
-	BounceBackCycles int
-	// SwapLockCycles is how long both caches stay locked after a swap
-	// beyond the access time (2 in the paper).
-	SwapLockCycles int
 	// BounceBackEnabled activates the bounce-back of temporal lines; with
 	// it false the structure is a plain victim cache.
 	BounceBackEnabled bool
@@ -169,13 +169,9 @@ type Config struct {
 
 	// StreamBuffers adds Jouppi-style stream buffers (§5 related work)
 	// between the cache and memory: each demand miss (re)allocates the
-	// LRU buffer to prefetch the following StreamBufferDepth lines; a
-	// miss matching a buffer head pops the line into the cache. 0
-	// disables the mechanism.
+	// LRU buffer to prefetch the following four lines; a miss matching a
+	// buffer head pops the line into the cache. 0 disables the mechanism.
 	StreamBuffers int
-	// StreamBufferDepth is the FIFO depth of each stream buffer
-	// (default 4, as in Jouppi's design).
-	StreamBufferDepth int
 
 	// ColumnAssociative turns the direct-mapped cache into a
 	// column-associative/pseudo-associative organisation (§5 related
@@ -212,14 +208,9 @@ type Config struct {
 
 	// Bypass selects the fig. 3a baseline behaviour.
 	Bypass BypassMode
-	// BypassBufferLines is the buffered-bypass buffer capacity in lines.
-	BypassBufferLines int
 
 	// Prefetch configures §4.4 prefetching.
 	Prefetch PrefetchConfig
-
-	// Memory is the memory-system model.
-	Memory mem.Config
 
 	// RuntimeChecks enables the opt-in runtime invariant checker: cheap
 	// accounting invariants (hits+misses == references, words-fetched
@@ -234,9 +225,6 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if err := c.Memory.Validate(); err != nil {
-		return err
-	}
 	if c.CacheSize <= 0 || !isPow2(c.CacheSize) {
 		return fmt.Errorf("cache: CacheSize must be a positive power of two, got %d", c.CacheSize)
 	}
@@ -249,8 +237,8 @@ func (c Config) Validate() error {
 	if c.CacheSize%(c.LineSize*c.Assoc) != 0 {
 		return fmt.Errorf("cache: CacheSize %d not divisible by LineSize*Assoc %d", c.CacheSize, c.LineSize*c.Assoc)
 	}
-	if c.HitCycles <= 0 {
-		return fmt.Errorf("cache: HitCycles must be positive, got %d", c.HitCycles)
+	if c.LatencyCycles < 0 {
+		return fmt.Errorf("cache: negative LatencyCycles %d", c.LatencyCycles)
 	}
 	if c.VirtualLineSize != 0 {
 		if !isPow2(c.VirtualLineSize) || c.VirtualLineSize < c.LineSize {
@@ -277,37 +265,20 @@ func (c Config) Validate() error {
 	if c.BounceBackLines < 0 {
 		return fmt.Errorf("cache: negative BounceBackLines %d", c.BounceBackLines)
 	}
-	if c.BounceBackLines > 0 && c.BounceBackCycles <= 0 {
-		return fmt.Errorf("cache: BounceBackCycles must be positive when the bounce-back cache exists")
-	}
 	if c.BounceBackAssoc < 0 {
 		return fmt.Errorf("cache: negative BounceBackAssoc %d", c.BounceBackAssoc)
 	}
 	if c.BounceBackAssoc > 0 && c.BounceBackLines%c.BounceBackAssoc != 0 {
 		return fmt.Errorf("cache: BounceBackLines %d not divisible by BounceBackAssoc %d", c.BounceBackLines, c.BounceBackAssoc)
 	}
-	if c.SwapLockCycles < 0 {
-		return fmt.Errorf("cache: negative SwapLockCycles %d", c.SwapLockCycles)
-	}
-	if c.Bypass == BypassBuffered && c.BypassBufferLines <= 0 {
-		return fmt.Errorf("cache: BypassBuffered requires BypassBufferLines > 0")
-	}
 	if c.Bypass != BypassNone && !c.UseTemporalTags {
 		return fmt.Errorf("cache: bypass modes need UseTemporalTags (the temporal hint decides what bypasses)")
 	}
-	if c.Prefetch.Enabled {
-		if c.BounceBackLines == 0 {
-			return fmt.Errorf("cache: prefetching uses the bounce-back cache as prefetch buffer; BounceBackLines must be > 0")
-		}
-		if c.Prefetch.Degree < 0 {
-			return fmt.Errorf("cache: negative prefetch degree %d", c.Prefetch.Degree)
-		}
+	if c.Prefetch.Enabled && c.BounceBackLines == 0 {
+		return fmt.Errorf("cache: prefetching uses the bounce-back cache as prefetch buffer; BounceBackLines must be > 0")
 	}
 	if c.StreamBuffers < 0 {
 		return fmt.Errorf("cache: negative StreamBuffers %d", c.StreamBuffers)
-	}
-	if c.StreamBufferDepth < 0 {
-		return fmt.Errorf("cache: negative StreamBufferDepth %d", c.StreamBufferDepth)
 	}
 	if c.TemporalPriorityReplacement && c.Replacement != ReplaceLRU {
 		return fmt.Errorf("cache: temporal-priority replacement is defined on top of LRU")

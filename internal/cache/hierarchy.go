@@ -30,14 +30,13 @@ type Simulator struct {
 	freeAt uint64 // cache locked until this cycle (swap locks)
 
 	fetchScratch []uint64 // reusable candidate-line buffer
-	maxPrefetch  int
-	prefDegree   int
-	pseudoAssoc  bool   // column-associative main cache
-	plainDM      bool   // direct-mapped pow2 main, no subblocks: hit fast path
-	subblocks    int    // subblocks per line (0 = sub-block placement off)
-	lineMask     uint64 // LineSize-1: in-line byte offset mask
-	subShift     uint   // log2(SubblockSize)
-	curIssue     uint64 // issue cycle of the access being processed
+	maxPrefetch  int      // cap on resident prefetched bounce-back lines
+	pseudoAssoc  bool     // column-associative main cache
+	plainDM      bool     // direct-mapped pow2 main, no subblocks: hit fast path
+	subblocks    int      // subblocks per line (0 = sub-block placement off)
+	lineMask     uint64   // LineSize-1: in-line byte offset mask
+	subShift     uint     // log2(SubblockSize)
+	curIssue     uint64   // issue cycle of the access being processed
 
 	// seenMain / seenBB are the invariant checker's scratch sets. They
 	// live on the simulator and are cleared in place so the periodic
@@ -52,10 +51,7 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	memory, err := mem.NewSystem(cfg.Memory)
-	if err != nil {
-		return nil, err
-	}
+	memory := mem.NewSystem(cfg.LatencyCycles)
 	ways := cfg.Assoc
 	if cfg.ColumnAssociative {
 		// A column-associative cache is modelled as a pseudo-associative
@@ -72,29 +68,17 @@ func New(cfg Config) (*Simulator, error) {
 		s.bb = newBounceBackCache(cfg.BounceBackLines, cfg.BounceBackAssoc)
 	}
 	if cfg.StreamBuffers > 0 {
-		depth := cfg.StreamBufferDepth
-		if depth == 0 {
-			depth = 4
-		}
-		s.sb = newStreamBufferSet(cfg.StreamBuffers, depth, cfg.LineSize,
-			memory.TransferCycles(cfg.LineSize))
+		s.sb = newStreamBufferSet(cfg.StreamBuffers, cfg.LineSize, memory.TransferCycles(cfg.LineSize))
 	}
 	if cfg.Bypass == BypassBuffered {
-		s.bypass = newBounceBackCache(cfg.BypassBufferLines, 0)
+		s.bypass = newBounceBackCache(bypassBufferLines, 0)
 	}
 	if cfg.SubblockSize > 0 {
 		s.subblocks = cfg.LineSize / cfg.SubblockSize
 		s.lineMask = uint64(cfg.LineSize - 1)
 		s.subShift = log2(cfg.SubblockSize)
 	}
-	s.maxPrefetch = cfg.Prefetch.MaxResident
-	if s.maxPrefetch == 0 && cfg.BounceBackLines > 0 {
-		s.maxPrefetch = cfg.BounceBackLines / 2
-	}
-	s.prefDegree = cfg.Prefetch.Degree
-	if s.prefDegree == 0 {
-		s.prefDegree = 1
-	}
+	s.maxPrefetch = cfg.BounceBackLines / 2
 	// The paper's default organisation (direct-mapped, power-of-two
 	// geometry, whole-line fills) has its hits served by AccessAll's
 	// batched loop: one masked load and no function calls for two-thirds
@@ -102,9 +86,6 @@ func New(cfg Config) (*Simulator, error) {
 	s.plainDM = !s.pseudoAssoc && s.subblocks == 0 && s.main.ways == 1 && s.main.maskable
 	return s, nil
 }
-
-// Config returns the configuration the simulator was built with.
-func (s *Simulator) Config() Config { return s.cfg }
 
 // Stats returns the counters accumulated so far (memory counters included).
 func (s *Simulator) Stats() Stats {
@@ -150,7 +131,6 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 	lines := s.main.lines
 	setMask := s.main.setMask
 	shift := s.main.shift
-	hitCycles := uint64(s.cfg.HitCycles)
 	useTemporal := s.cfg.UseTemporalTags
 	writeBack := s.cfg.Writes == WriteBackAllocate
 	storesLeave := s.sb != nil // a store must invalidate any stream covering its line
@@ -184,7 +164,7 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 				stall = freeAt - issue
 				issue = freeAt
 			}
-			service := hitCycles
+			service := uint64(hitCycles)
 			if r.Write {
 				writes++
 				if writeBack {
@@ -270,16 +250,10 @@ func (s *Simulator) access(r trace.Record) int {
 		service = s.bypassAccess(la, r)
 
 	case s.bb != nil && s.tryBounceBackHit(la, r.Write, temporal, &lock):
-		service = s.cfg.BounceBackCycles
-		lock += s.cfg.SwapLockCycles
+		service = bounceBackCycles
+		lock += swapLockCycles
 
 	case s.sb != nil && s.tryStreamBufferHit(la, issue, r.Write, temporal, &service):
-
-	case r.Write && s.cfg.Writes == WriteThroughNoAllocate:
-		// Store miss without allocation: the word goes straight to the
-		// write buffer; nothing is fetched.
-		s.stats.Misses++
-		service = s.cfg.HitCycles + s.memory.PostWrite(int(r.Size), issue)
 
 	default:
 		service = s.miss(la, subIdx, r.Write, temporal, spatial, trace.VirtualHintBytes(r.VirtualHint))
@@ -313,14 +287,7 @@ func (s *Simulator) softwarePrefetch(r trace.Record) int {
 	const issueCost = 1
 	s.now = issue + issueCost
 	if s.bb != nil {
-		la := s.main.lineAddr(r.Addr)
-		if s.main.lookup(la) == nil && s.bb.lookup(la) == nil {
-			s.memory.PrefetchFetch(1, s.cfg.LineSize)
-			s.stats.PrefetchesIssued++
-			victim := s.bb.victimFor(la, true, s.maxPrefetch)
-			displaced := s.bb.install(victim, bbEntry{tag: la, flags: flagPrefetched})
-			s.handleBBEviction(displaced, nil, false)
-		}
+		s.issuePrefetch(s.main.lineAddr(r.Addr), false)
 	}
 	return issueCost
 }
@@ -332,12 +299,12 @@ func (s *Simulator) softwarePrefetch(r trace.Record) int {
 // fast next time.
 func (s *Simulator) tryMainHit(la uint64, subIdx int, write, temporal bool, service *int) bool {
 	var l *line
-	*service = s.cfg.HitCycles
+	*service = hitCycles
 	if s.pseudoAssoc {
 		var slow bool
 		l, slow = s.columnProbe(la)
 		if slow {
-			*service = s.cfg.HitCycles + 1
+			*service = hitCycles + 1
 			s.stats.ColumnSlowHits++
 		}
 	} else {
@@ -351,7 +318,7 @@ func (s *Simulator) tryMainHit(la uint64, subIdx int, write, temporal bool, serv
 		// absent — refill just that subblock (§2.1's sectored design).
 		s.stats.Misses++
 		s.stats.SubblockFills++
-		*service = s.cfg.HitCycles + s.memory.Fetch(0, 0, s.cfg.SubblockSize, 0)
+		*service = hitCycles + s.memory.Fetch(0, 0, s.cfg.SubblockSize, 0)
 		l.subValid |= 1 << subIdx
 	} else {
 		s.stats.MainHits++
@@ -376,7 +343,7 @@ func (s *Simulator) tryStreamBufferHit(la uint64, issue uint64, write, temporal 
 	if b == nil {
 		return false
 	}
-	*service = s.cfg.HitCycles
+	*service = hitCycles
 	if ready > issue {
 		*service += int(ready - issue)
 	}
@@ -479,7 +446,7 @@ func (s *Simulator) tryBounceBackHit(la uint64, write, temporal bool, lock *int)
 
 	if wasPrefetched && s.cfg.Prefetch.Enabled {
 		*lock++ // extra main-cache stall cycle for the presence check
-		s.issuePrefetch(la+1, s.prefDegree, false)
+		s.issuePrefetch(la+1, false)
 	}
 	return true
 }
@@ -494,7 +461,7 @@ func (s *Simulator) bypassAccess(la uint64, r trace.Record) int {
 				e.flags |= flagDirty
 			}
 			s.stats.BypassBufferHits++
-			return s.cfg.HitCycles
+			return hitCycles
 		}
 	}
 	s.stats.Misses++
@@ -502,7 +469,7 @@ func (s *Simulator) bypassAccess(la uint64, r trace.Record) int {
 	case BypassPlain:
 		// Fetch only the referenced word; allocate nothing.
 		s.stats.BypassMemFetches++
-		return s.cfg.HitCycles + s.memory.Fetch(0, 0, int(r.Size), 0)
+		return hitCycles + s.memory.Fetch(0, 0, int(r.Size), 0)
 	case BypassBuffered:
 		penalty := s.memory.Fetch(1, s.cfg.LineSize, 0, 0)
 		victim := s.bypass.victimForEvict(la)
@@ -514,7 +481,7 @@ func (s *Simulator) bypassAccess(la uint64, r trace.Record) int {
 		if old.valid() && old.dirty() {
 			s.memory.WritebackOutsideMiss()
 		}
-		return s.cfg.HitCycles + penalty
+		return hitCycles + penalty
 	default:
 		panic("cache: bypassAccess called with bypass disabled")
 	}
@@ -541,7 +508,7 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 			dirty = 1
 		}
 		s.stats.SubblockFills++
-		return s.cfg.HitCycles + s.memory.Fetch(0, 0, s.cfg.SubblockSize, dirty)
+		return hitCycles + s.memory.Fetch(0, 0, s.cfg.SubblockSize, dirty)
 	}
 
 	fetch := s.fetchScratch[:0]
@@ -612,7 +579,7 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 		// A demand miss (re)allocates the LRU stream buffer to prefetch
 		// the lines following the miss (Jouppi's scheme): the stream's
 		// lines arrive behind the demand line, one bus transfer apart.
-		completion := s.curIssue + uint64(s.cfg.HitCycles+penalty)
+		completion := s.curIssue + uint64(hitCycles+penalty)
 		bytes := s.sb.allocate(la, completion, 0)
 		if bytes > 0 {
 			s.memory.PrefetchFetch(bytes/s.cfg.LineSize, s.cfg.LineSize)
@@ -628,10 +595,10 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 		} else {
 			next = la + 1
 		}
-		s.issuePrefetch(next, s.prefDegree, true)
+		s.issuePrefetch(next, true)
 	}
 
-	return s.cfg.HitCycles + penalty
+	return hitCycles + penalty
 }
 
 // evictMainLine routes a line displaced from the main cache: into the
@@ -711,23 +678,20 @@ func (s *Simulator) discard(e bbEntry, underMiss bool) int {
 	return 0
 }
 
-// issuePrefetch fetches n consecutive physical lines starting at line
-// address la into the bounce-back cache, marked prefetched. Lines already
-// resident anywhere are skipped (the software hint already filtered useless
-// prefetches, §4.4, so prefetch-on-miss filtering is not needed — this
-// residence check only avoids duplication).
-func (s *Simulator) issuePrefetch(la uint64, n int, underMiss bool) {
-	for i := 0; i < n; i++ {
-		cand := la + uint64(i)
-		if s.main.lookup(cand) != nil || s.bb.lookup(cand) != nil {
-			continue
-		}
-		s.memory.PrefetchFetch(1, s.cfg.LineSize)
-		s.stats.PrefetchesIssued++
-		victim := s.bb.victimFor(cand, true, s.maxPrefetch)
-		displaced := s.bb.install(victim, bbEntry{tag: cand, flags: flagPrefetched})
-		s.handleBBEviction(displaced, nil, underMiss)
+// issuePrefetch fetches physical line la into the bounce-back cache,
+// marked prefetched. A line already resident anywhere is skipped (the
+// software hint already filtered useless prefetches, §4.4, so
+// prefetch-on-miss filtering is not needed — this residence check only
+// avoids duplication).
+func (s *Simulator) issuePrefetch(la uint64, underMiss bool) {
+	if s.main.lookup(la) != nil || s.bb.lookup(la) != nil {
+		return
 	}
+	s.memory.PrefetchFetch(1, s.cfg.LineSize)
+	s.stats.PrefetchesIssued++
+	victim := s.bb.victimFor(la, true, s.maxPrefetch)
+	displaced := s.bb.install(victim, bbEntry{tag: la, flags: flagPrefetched})
+	s.handleBBEviction(displaced, nil, underMiss)
 }
 
 func contains(s []uint64, v uint64) bool {

@@ -3,7 +3,6 @@ package cache
 import (
 	"testing"
 
-	"softcache/internal/mem"
 	"softcache/internal/trace"
 )
 
@@ -11,16 +10,10 @@ import (
 // direct-mapped cache (32 sets of 32 B), 20-cycle latency, 16 B/cycle bus.
 func testConfig() Config {
 	return Config{
-		CacheSize: 1024,
-		LineSize:  32,
-		Assoc:     1,
-		HitCycles: 1,
-		Memory: mem.Config{
-			LatencyCycles:        20,
-			BusBytesPerCycle:     16,
-			WriteBufferEntries:   8,
-			VictimTransferCycles: 2,
-		},
+		CacheSize:     1024,
+		LineSize:      32,
+		Assoc:         1,
+		LatencyCycles: 20,
 	}
 }
 
@@ -28,8 +21,6 @@ func softTestConfig() Config {
 	c := testConfig()
 	c.VirtualLineSize = 64
 	c.BounceBackLines = 4
-	c.BounceBackCycles = 3
-	c.SwapLockCycles = 2
 	c.BounceBackEnabled = true
 	c.UseTemporalTags = true
 	c.UseSpatialTags = true
@@ -128,7 +119,7 @@ func TestDirtyVictimWriteback(t *testing.T) {
 
 func TestWritebackStallWhenTransfersExceedLatency(t *testing.T) {
 	cfg := testConfig()
-	cfg.Memory.LatencyCycles = 1 // transfers (2 cycles) cannot hide
+	cfg.LatencyCycles = 1 // transfers (2 cycles) cannot hide
 	s := mustSim(t, cfg)
 	s.Access(recW(0))
 	s.Access(rec(1024))
@@ -385,7 +376,6 @@ func TestBypassPlain(t *testing.T) {
 func TestBypassBuffered(t *testing.T) {
 	cfg := testConfig()
 	cfg.Bypass = BypassBuffered
-	cfg.BypassBufferLines = 2
 	cfg.UseTemporalTags = true
 	s := mustSim(t, cfg)
 	s.Access(rec(0)) // miss: line into the bypass buffer
@@ -403,7 +393,7 @@ func TestBypassBuffered(t *testing.T) {
 
 func TestPrefetchOnSpatialMiss(t *testing.T) {
 	cfg := softTestConfig()
-	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true, Degree: 1}
+	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true}
 	s := mustSim(t, cfg)
 	s.Access(recS(0)) // virtual fill 0-63, prefetch line 64 into BB
 	info := s.Inspect(64)
@@ -417,7 +407,7 @@ func TestPrefetchOnSpatialMiss(t *testing.T) {
 
 func TestProgressivePrefetchOnPrefetchHit(t *testing.T) {
 	cfg := softTestConfig()
-	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true, Degree: 1}
+	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true}
 	s := mustSim(t, cfg)
 	s.Access(recS(0)) // prefetches 64
 	s.Access(rec(64)) // hit on prefetched line: swap + prefetch 96
@@ -436,9 +426,7 @@ func TestProgressivePrefetchOnPrefetchHit(t *testing.T) {
 func TestUnguidedPrefetchOnEveryMiss(t *testing.T) {
 	cfg := testConfig()
 	cfg.BounceBackLines = 4
-	cfg.BounceBackCycles = 3
-	cfg.SwapLockCycles = 2
-	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: false, Degree: 1}
+	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: false}
 	s := mustSim(t, cfg)
 	s.Access(rec(0)) // untagged miss still prefetches next line
 	if s.Inspect(32).Where != InBounceBack {
@@ -446,21 +434,32 @@ func TestUnguidedPrefetchOnEveryMiss(t *testing.T) {
 	}
 }
 
+// TestPrefetchMaxResident: at most half the bounce-back entries hold
+// prefetched lines, so with four entries the third prefetch replaces the
+// LRU prefetched line even though a free entry remains.
 func TestPrefetchMaxResident(t *testing.T) {
 	cfg := softTestConfig()
 	cfg.BounceBackLines = 4
-	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true, Degree: 1, MaxResident: 1}
+	cfg.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true}
 	s := mustSim(t, cfg)
-	s.Access(recS(0))    // prefetch 64
-	s.Access(recS(4096)) // prefetch 4096+64: must replace the previous prefetched entry
+	addrs := []uint64{4096, 8192, 12288}
+	for _, a := range addrs {
+		s.Access(trace.Record{Addr: a, Size: 8, Gap: 1, SoftwarePrefetch: true})
+	}
+	if s.Stats().PrefetchesIssued != 3 {
+		t.Fatalf("prefetches issued = %d, want 3", s.Stats().PrefetchesIssued)
+	}
 	pf := 0
-	for _, la := range []uint64{64, 4096 + 64} {
-		if s.Inspect(la).Prefetched {
+	for _, a := range addrs {
+		if s.Inspect(a).Prefetched {
 			pf++
 		}
 	}
-	if pf != 1 {
-		t.Fatalf("resident prefetched lines = %d, want 1 (MaxResident)", pf)
+	if pf != 2 {
+		t.Fatalf("resident prefetched lines = %d, want 2 (half of 4 entries)", pf)
+	}
+	if s.Inspect(addrs[0]).Where != Absent {
+		t.Fatalf("the LRU prefetched line should have been replaced, got %+v", s.Inspect(addrs[0]))
 	}
 }
 
@@ -533,16 +532,13 @@ func TestConfigValidation(t *testing.T) {
 		{"non-pow2 line", func(c *Config) { c.LineSize = 48 }},
 		{"zero assoc", func(c *Config) { c.Assoc = 0 }},
 		{"indivisible geometry", func(c *Config) { c.CacheSize = 1024; c.LineSize = 512; c.Assoc = 3 }},
-		{"zero hit time", func(c *Config) { c.HitCycles = 0 }},
 		{"virtual smaller than physical", func(c *Config) { c.VirtualLineSize = 16 }},
 		{"non-pow2 virtual", func(c *Config) { c.VirtualLineSize = 96 }},
 		{"negative bounce-back", func(c *Config) { c.BounceBackLines = -1 }},
-		{"bb without access time", func(c *Config) { c.BounceBackLines = 4; c.BounceBackCycles = 0 }},
-		{"bb assoc indivisible", func(c *Config) { c.BounceBackLines = 4; c.BounceBackCycles = 3; c.BounceBackAssoc = 3 }},
-		{"buffered bypass without buffer", func(c *Config) { c.Bypass = BypassBuffered; c.UseTemporalTags = true }},
+		{"bb assoc indivisible", func(c *Config) { c.BounceBackLines = 4; c.BounceBackAssoc = 3 }},
 		{"bypass without temporal tags", func(c *Config) { c.Bypass = BypassPlain }},
 		{"prefetch without bb", func(c *Config) { c.Prefetch.Enabled = true }},
-		{"bad memory", func(c *Config) { c.Memory.BusBytesPerCycle = 0 }},
+		{"bad memory", func(c *Config) { c.LatencyCycles = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -572,9 +568,6 @@ func TestRunAndConfigAccessors(t *testing.T) {
 	if st := s.Stats(); st.References != 3 {
 		t.Fatalf("AccessAll processed %d references", st.References)
 	}
-	if s.Config().CacheSize != cfg.CacheSize {
-		t.Fatal("Config accessor broken")
-	}
 }
 
 func TestDerivedStats(t *testing.T) {
@@ -584,7 +577,7 @@ func TestDerivedStats(t *testing.T) {
 	s.Access(rec(1024)) // conflict miss
 	s.Access(rec(0))    // bounce-back hit
 	st := s.Stats()
-	if st.MissRatio() != 0.5 || st.HitRatio() != 0.5 {
+	if st.MissRatio() != 0.5 {
 		t.Fatalf("miss ratio = %v", st.MissRatio())
 	}
 	if mf := st.MainHitFraction(); mf != 0.5 {
@@ -632,7 +625,7 @@ func TestStructureCounters(t *testing.T) {
 }
 
 func TestStreamBufferContains(t *testing.T) {
-	sb := newStreamBufferSet(1, 4, 32, 2)
+	sb := newStreamBufferSet(1, 32, 2)
 	sb.allocate(10, 0, 0)
 	if !sb.contains(11) || !sb.contains(14) || sb.contains(15) || sb.contains(10) {
 		t.Fatal("contains window wrong")

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"softcache/internal/mem"
 	"softcache/internal/trace"
 )
 
@@ -13,21 +12,13 @@ func checkedConfig() Config {
 		CacheSize:         1024,
 		LineSize:          32,
 		Assoc:             1,
-		HitCycles:         1,
 		VirtualLineSize:   64,
 		BounceBackLines:   8,
-		BounceBackCycles:  3,
-		SwapLockCycles:    2,
 		BounceBackEnabled: true,
 		UseTemporalTags:   true,
 		UseSpatialTags:    true,
 		RuntimeChecks:     true,
-		Memory: mem.Config{
-			LatencyCycles:        20,
-			BusBytesPerCycle:     16,
-			WriteBufferEntries:   8,
-			VictimTransferCycles: 2,
-		},
+		LatencyCycles:     20,
 	}
 }
 
@@ -62,7 +53,6 @@ func TestRuntimeChecksPassOnHealthySimulations(t *testing.T) {
 		"standard": func() Config {
 			c := checkedConfig()
 			c.BounceBackLines = 0
-			c.BounceBackCycles = 0
 			c.VirtualLineSize = 0
 			return c
 		},
@@ -70,7 +60,6 @@ func TestRuntimeChecksPassOnHealthySimulations(t *testing.T) {
 		"subblock": func() Config {
 			c := checkedConfig()
 			c.BounceBackLines = 0
-			c.BounceBackCycles = 0
 			c.VirtualLineSize = 0
 			c.LineSize = 64
 			c.SubblockSize = 32
@@ -79,7 +68,6 @@ func TestRuntimeChecksPassOnHealthySimulations(t *testing.T) {
 		"bypass": func() Config {
 			c := checkedConfig()
 			c.BounceBackLines = 0
-			c.BounceBackCycles = 0
 			c.VirtualLineSize = 0
 			c.Bypass = BypassPlain
 			return c
@@ -87,7 +75,6 @@ func TestRuntimeChecksPassOnHealthySimulations(t *testing.T) {
 		"stream-buffers": func() Config {
 			c := checkedConfig()
 			c.BounceBackLines = 0
-			c.BounceBackCycles = 0
 			c.VirtualLineSize = 0
 			c.StreamBuffers = 4
 			return c

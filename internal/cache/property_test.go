@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"softcache/internal/mem"
 	"softcache/internal/timing"
 	"softcache/internal/trace"
 )
@@ -30,17 +29,13 @@ func randomTrace(seed uint64, n int, region uint64) []trace.Record {
 }
 
 // propertyConfigs is the set of designs the invariant properties must hold
-// for.
+// for: small caches, so conflicts are frequent, around the paper's fixed
+// timings and buffer sizes.
 func propertyConfigs() map[string]Config {
-	small := Config{
-		CacheSize: 512, LineSize: 32, Assoc: 1, HitCycles: 1,
-		Memory: mem.Config{LatencyCycles: 10, BusBytesPerCycle: 16, WriteBufferEntries: 4, VictimTransferCycles: 2},
-	}
+	small := Config{CacheSize: 512, LineSize: 32, Assoc: 1, LatencyCycles: 10}
 	soft := small
 	soft.VirtualLineSize = 128
 	soft.BounceBackLines = 4
-	soft.BounceBackCycles = 3
-	soft.SwapLockCycles = 2
 	soft.BounceBackEnabled = true
 	soft.UseTemporalTags = true
 	soft.UseSpatialTags = true
@@ -50,7 +45,7 @@ func propertyConfigs() map[string]Config {
 	assoc.TemporalPriorityReplacement = true
 
 	prefetch := soft
-	prefetch.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true, Degree: 2, MaxResident: 2}
+	prefetch.Prefetch = PrefetchConfig{Enabled: true, SoftwareGuided: true}
 
 	victim := soft
 	victim.BounceBackEnabled = false
@@ -58,7 +53,6 @@ func propertyConfigs() map[string]Config {
 	bypass := small
 	bypass.UseTemporalTags = true
 	bypass.Bypass = BypassBuffered
-	bypass.BypassBufferLines = 2
 
 	admission := soft
 	admission.TemporalOnlyAdmission = true
@@ -108,7 +102,7 @@ func TestPropertyCostsPositive(t *testing.T) {
 		}
 		lastNow := uint64(0)
 		for _, r := range randomTrace(seed, 300, 2048) {
-			if cost := s.Access(r); cost < cfg.HitCycles {
+			if cost := s.Access(r); cost < hitCycles {
 				return false
 			}
 			if s.now < lastNow {
@@ -174,10 +168,8 @@ func TestPropertyTagSafetyBounceBack(t *testing.T) {
 // bounce-back whose target line is part of the in-flight miss is canceled.
 func TestBounceBackCancelOnInflight(t *testing.T) {
 	cfg := Config{
-		CacheSize: 512, LineSize: 32, Assoc: 1, HitCycles: 1,
-		BounceBackLines: 1, BounceBackCycles: 3, SwapLockCycles: 2,
-		BounceBackEnabled: true, UseTemporalTags: true, UseSpatialTags: true,
-		Memory: mem.Config{LatencyCycles: 10, BusBytesPerCycle: 16, WriteBufferEntries: 4, VictimTransferCycles: 2},
+		CacheSize: 512, LineSize: 32, Assoc: 1, LatencyCycles: 10,
+		BounceBackLines: 1, BounceBackEnabled: true, UseTemporalTags: true, UseSpatialTags: true,
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -205,10 +197,8 @@ func TestBounceBackCancelOnInflight(t *testing.T) {
 // write-buffer slot; with the buffer full the transfer is aborted.
 func TestBounceBackAbortOnFullWriteBuffer(t *testing.T) {
 	cfg := Config{
-		CacheSize: 512, LineSize: 32, Assoc: 1, HitCycles: 1,
-		BounceBackLines: 1, BounceBackCycles: 3, SwapLockCycles: 2,
-		BounceBackEnabled: true, UseTemporalTags: true,
-		Memory: mem.Config{LatencyCycles: 10, BusBytesPerCycle: 16, WriteBufferEntries: 0, VictimTransferCycles: 2},
+		CacheSize: 512, LineSize: 32, Assoc: 1, LatencyCycles: 10,
+		BounceBackLines: 1, BounceBackEnabled: true, UseTemporalTags: true,
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -220,10 +210,14 @@ func TestBounceBackAbortOnFullWriteBuffer(t *testing.T) {
 	s.Access(w) // dirty the occupant of set 0
 	// Now force the BB entry (line 0) out: a victim from set 1 enters BB.
 	s.Access(rec(32))
+	// Fill the write buffer; the bounce-back below happens before the
+	// next miss request gives it a chance to drain.
+	for s.memory.WritebackOutsideMiss() {
+	}
 	s.Access(rec(512 + 32)) // 32 -> BB, line 0 must bounce onto dirty set 0
 	st := s.Stats()
 	if st.BounceBackAborted != 1 {
-		t.Fatalf("aborted = %d, want 1 (write buffer has 0 entries)", st.BounceBackAborted)
+		t.Fatalf("aborted = %d, want 1 (write buffer full)", st.BounceBackAborted)
 	}
 	if s.Inspect(0).Where != Absent {
 		t.Fatal("aborted bounce-back should discard the entry")

@@ -48,7 +48,6 @@ func variants() []variant {
 		{"PrefetchSW", core.WithPrefetch(core.Soft(), true)},
 		{"PrefetchHW", core.WithPrefetch(core.Soft(), false)},
 		{"WriteThroughAlloc", core.WithWritePolicy(core.Standard(), cache.WriteThroughAllocate)},
-		{"WriteThroughNoAllo", core.WithWritePolicy(core.Standard(), cache.WriteThroughNoAllocate)},
 		{"Random2", random2},
 		{"FIFO2", fifo2},
 		{"TinySoft", tinySoft},

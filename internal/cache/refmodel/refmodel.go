@@ -237,6 +237,16 @@ func (c *setCache) positionOf(target *slot) position {
 	panic("refmodel: slot not part of cache")
 }
 
+// The paper's fixed timings and structure sizes, spelled out here from
+// §3.1 and §5 rather than taken from package cache.
+const (
+	hitTime          = 1 // main-cache hit
+	bounceBackTime   = 3 // bounce-back cache access
+	swapLock         = 2 // both caches locked after a swap, beyond the access
+	streamDepth      = 4 // Jouppi's stream-buffer FIFO depth
+	bypassBufferSize = 8 // buffered-bypass lines
+)
+
 // Simulator is the naive reference hierarchy. Build with New, drive with
 // Access, read counters with Stats — the same contract as cache.Simulator.
 type Simulator struct {
@@ -252,7 +262,6 @@ type Simulator struct {
 	freeAt uint64
 
 	maxPrefetch int
-	prefDegree  int
 	pseudoAssoc bool
 	subblocks   int
 	curIssue    uint64
@@ -263,10 +272,7 @@ func New(cfg cache.Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	memory, err := mem.NewSystem(cfg.Memory)
-	if err != nil {
-		return nil, err
-	}
+	memory := mem.NewSystem(cfg.LatencyCycles)
 	ways := cfg.Assoc
 	if cfg.ColumnAssociative {
 		ways = 2
@@ -281,32 +287,22 @@ func New(cfg cache.Config) (*Simulator, error) {
 		s.bb = newSetCache(cfg.BounceBackLines, bbWays(cfg.BounceBackLines, cfg.BounceBackAssoc), cache.ReplaceLRU)
 	}
 	if cfg.StreamBuffers > 0 {
-		depth := cfg.StreamBufferDepth
-		if depth == 0 {
-			depth = 4
-		}
 		s.sb = &refStreamBuffers{
 			count:    cfg.StreamBuffers,
-			depth:    depth,
+			depth:    streamDepth,
 			lineSize: cfg.LineSize,
 			transfer: memory.TransferCycles(cfg.LineSize),
 			bufs:     make([]*refStreamBuffer, cfg.StreamBuffers),
 		}
 	}
 	if cfg.Bypass == cache.BypassBuffered {
-		s.bypass = newSetCache(cfg.BypassBufferLines, 0, cache.ReplaceLRU)
+		s.bypass = newSetCache(bypassBufferSize, 0, cache.ReplaceLRU)
 	}
 	if cfg.SubblockSize > 0 {
 		s.subblocks = cfg.LineSize / cfg.SubblockSize
 	}
-	s.maxPrefetch = cfg.Prefetch.MaxResident
-	if s.maxPrefetch == 0 && cfg.BounceBackLines > 0 {
-		s.maxPrefetch = cfg.BounceBackLines / 2
-	}
-	s.prefDegree = cfg.Prefetch.Degree
-	if s.prefDegree == 0 {
-		s.prefDegree = 1
-	}
+	// At most half the bounce-back entries may hold prefetched lines.
+	s.maxPrefetch = cfg.BounceBackLines / 2
 	return s, nil
 }
 
@@ -373,14 +369,10 @@ func (s *Simulator) Access(r trace.Record) int {
 		service = s.bypassAccess(la, r)
 
 	case s.bb != nil && s.tryBounceBackHit(la, r.Write, temporal, &lock):
-		service = s.cfg.BounceBackCycles
-		lock += s.cfg.SwapLockCycles
+		service = bounceBackTime
+		lock += swapLock
 
 	case s.sb != nil && s.tryStreamBufferHit(la, issue, r.Write, temporal, &service):
-
-	case r.Write && s.cfg.Writes == cache.WriteThroughNoAllocate:
-		s.stats.Misses++
-		service = s.cfg.HitCycles + s.memory.PostWrite(int(r.Size), issue)
 
 	default:
 		service = s.miss(la, subIdx, r.Write, temporal, spatial, trace.VirtualHintBytes(r.VirtualHint))
@@ -454,12 +446,12 @@ func (s *Simulator) storeUpdateOnFill(l *slot) {
 
 func (s *Simulator) tryMainHit(la uint64, subIdx int, write, temporal bool, service *int) bool {
 	var l *slot
-	*service = s.cfg.HitCycles
+	*service = hitTime
 	if s.pseudoAssoc {
 		var slow bool
 		l, slow = s.columnProbe(la)
 		if slow {
-			*service = s.cfg.HitCycles + 1
+			*service = hitTime + 1
 			s.stats.ColumnSlowHits++
 		}
 	} else {
@@ -471,7 +463,7 @@ func (s *Simulator) tryMainHit(la uint64, subIdx int, write, temporal bool, serv
 	if s.subblocks > 0 && !l.SubValid[subIdx] {
 		s.stats.Misses++
 		s.stats.SubblockFills++
-		*service = s.cfg.HitCycles + s.memory.Fetch(0, 0, s.cfg.SubblockSize, 0)
+		*service = hitTime + s.memory.Fetch(0, 0, s.cfg.SubblockSize, 0)
 		l.SubValid[subIdx] = true
 		s.main.touch(l)
 		if write {
@@ -519,7 +511,7 @@ func (s *Simulator) tryBounceBackHit(la uint64, write, temporal bool, lock *int)
 
 	if wasPrefetched && s.cfg.Prefetch.Enabled {
 		*lock++
-		s.issuePrefetch(la+1, s.prefDegree, false)
+		s.issuePrefetch(la+1, false)
 	}
 	return true
 }
@@ -532,14 +524,14 @@ func (s *Simulator) bypassAccess(la uint64, r trace.Record) int {
 				e.Dirty = true
 			}
 			s.stats.BypassBufferHits++
-			return s.cfg.HitCycles
+			return hitTime
 		}
 	}
 	s.stats.Misses++
 	switch s.cfg.Bypass {
 	case cache.BypassPlain:
 		s.stats.BypassMemFetches++
-		return s.cfg.HitCycles + s.memory.Fetch(0, 0, int(r.Size), 0)
+		return hitTime + s.memory.Fetch(0, 0, int(r.Size), 0)
 	case cache.BypassBuffered:
 		penalty := s.memory.Fetch(1, s.cfg.LineSize, 0, 0)
 		victim := s.bypass.victimForEvict(la)
@@ -547,7 +539,7 @@ func (s *Simulator) bypassAccess(la uint64, r trace.Record) int {
 		if old.Valid && old.Dirty {
 			s.memory.WritebackOutsideMiss()
 		}
-		return s.cfg.HitCycles + penalty
+		return hitTime + penalty
 	default:
 		panic("refmodel: bypassAccess called with bypass disabled")
 	}
@@ -575,7 +567,7 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 			dirty = 1
 		}
 		s.stats.SubblockFills++
-		return s.cfg.HitCycles + s.memory.Fetch(0, 0, s.cfg.SubblockSize, dirty)
+		return hitTime + s.memory.Fetch(0, 0, s.cfg.SubblockSize, dirty)
 	}
 
 	var fetch []uint64 // naive: fresh list every miss
@@ -638,7 +630,7 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 	penalty := s.memory.Fetch(len(fetch), s.cfg.LineSize, 0, dirtyWB)
 
 	if s.sb != nil {
-		completion := s.curIssue + uint64(s.cfg.HitCycles+penalty)
+		completion := s.curIssue + uint64(hitTime+penalty)
 		bytes := s.sb.allocate(la, completion, 0)
 		if bytes > 0 {
 			s.memory.PrefetchFetch(bytes/s.cfg.LineSize, s.cfg.LineSize)
@@ -653,10 +645,10 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 		} else {
 			next = la + 1
 		}
-		s.issuePrefetch(next, s.prefDegree, true)
+		s.issuePrefetch(next, true)
 	}
 
-	return s.cfg.HitCycles + penalty
+	return hitTime + penalty
 }
 
 func (s *Simulator) evictMainLine(old slot, inflight []uint64) int {
@@ -713,18 +705,17 @@ func (s *Simulator) discard(e slot, underMiss bool) int {
 	return 0
 }
 
-func (s *Simulator) issuePrefetch(la uint64, n int, underMiss bool) {
-	for i := 0; i < n; i++ {
-		cand := la + uint64(i)
-		if s.main.lookup(cand) != nil || s.bb.lookup(cand) != nil {
-			continue
-		}
-		s.memory.PrefetchFetch(1, s.cfg.LineSize)
-		s.stats.PrefetchesIssued++
-		victim := s.bb.victimForBB(cand, true, s.maxPrefetch)
-		displaced := s.bb.installEntry(victim, cand, false, false, true)
-		s.handleBBEviction(displaced, nil, underMiss)
+// issuePrefetch fetches the one physical line la into the bounce-back
+// cache unless it is already resident somewhere.
+func (s *Simulator) issuePrefetch(la uint64, underMiss bool) {
+	if s.main.lookup(la) != nil || s.bb.lookup(la) != nil {
+		return
 	}
+	s.memory.PrefetchFetch(1, s.cfg.LineSize)
+	s.stats.PrefetchesIssued++
+	victim := s.bb.victimForBB(la, true, s.maxPrefetch)
+	displaced := s.bb.installEntry(victim, la, false, false, true)
+	s.handleBBEviction(displaced, nil, underMiss)
 }
 
 func containsAddr(s []uint64, v uint64) bool {
@@ -814,7 +805,7 @@ func (s *Simulator) tryStreamBufferHit(la uint64, issue uint64, write, temporal 
 	if i < 0 {
 		return false
 	}
-	*service = s.cfg.HitCycles
+	*service = hitTime
 	if ready > issue {
 		*service += int(ready - issue)
 	}

@@ -5,7 +5,6 @@ import "testing"
 func streamConfig() Config {
 	c := testConfig()
 	c.StreamBuffers = 2
-	c.StreamBufferDepth = 4
 	return c
 }
 

@@ -93,9 +93,6 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(s.References)
 }
 
-// HitRatio returns 1 - MissRatio.
-func (s Stats) HitRatio() float64 { return 1 - s.MissRatio() }
-
 // MainHitFraction returns the share of all hits served by the main cache
 // (fig. 6b's "repartition of cache hits").
 func (s Stats) MainHitFraction() float64 {

@@ -11,8 +11,8 @@ package cache
 // falls out of this model naturally: interleaved streams thrash the LRU
 // buffer allocation.
 type streamBuffer struct {
-	head    uint64   // line address the head comparator watches
-	readyAt []uint64 // cycle at which each FIFO slot's line arrives
+	head    uint64                    // line address the head comparator watches
+	readyAt [streamBufferDepth]uint64 // cycle at which each FIFO slot's line arrives
 	valid   bool
 	lru     uint64
 }
@@ -20,26 +20,17 @@ type streamBuffer struct {
 // streamBufferSet is the collection of buffers plus its timing parameters.
 type streamBufferSet struct {
 	bufs     []streamBuffer
-	depth    int
 	lineSize int
 	transfer int // bus cycles per line
 	tick     uint64
 }
 
-func newStreamBufferSet(count, depth, lineSize, transferCycles int) *streamBufferSet {
-	s := &streamBufferSet{
+func newStreamBufferSet(count, lineSize, transferCycles int) *streamBufferSet {
+	return &streamBufferSet{
 		bufs:     make([]streamBuffer, count),
-		depth:    depth,
 		lineSize: lineSize,
 		transfer: transferCycles,
 	}
-	// The FIFO slots are allocated once here and reused across stream
-	// (re)assignments: allocate() runs on every demand miss of a
-	// stream-buffer configuration, squarely inside the steady-state loop.
-	for i := range s.bufs {
-		s.bufs[i].readyAt = make([]uint64, depth)
-	}
-	return s
 }
 
 // probe checks every head comparator for line address la. On a hit it
@@ -62,7 +53,7 @@ func (s *streamBufferSet) pop(b *streamBuffer, now uint64) int {
 	s.tick++
 	b.lru = s.tick
 	b.head++
-	copy(b.readyAt, b.readyAt[1:])
+	copy(b.readyAt[:], b.readyAt[1:])
 	last := now
 	if n := len(b.readyAt); n > 1 && b.readyAt[n-2] > last {
 		last = b.readyAt[n-2]
@@ -93,10 +84,10 @@ func (s *streamBufferSet) allocate(la uint64, now uint64, latency int) int {
 	victim.head = la + 1
 	victim.valid = true
 	victim.lru = s.tick
-	for i := 0; i < s.depth; i++ {
+	for i := 0; i < streamBufferDepth; i++ {
 		victim.readyAt[i] = now + uint64(latency) + uint64((i+1)*s.transfer)
 	}
-	return s.depth * s.lineSize
+	return streamBufferDepth * s.lineSize
 }
 
 // contains reports whether any slot of any buffer already covers la (used
@@ -107,7 +98,7 @@ func (s *streamBufferSet) contains(la uint64) bool {
 		if !b.valid {
 			continue
 		}
-		if la >= b.head && la < b.head+uint64(s.depth) {
+		if la >= b.head && la < b.head+uint64(streamBufferDepth) {
 			return true
 		}
 	}
@@ -119,7 +110,7 @@ func (s *streamBufferSet) contains(la uint64) bool {
 func (s *streamBufferSet) invalidate(la uint64) {
 	for i := range s.bufs {
 		b := &s.bufs[i]
-		if b.valid && la >= b.head && la < b.head+uint64(s.depth) {
+		if b.valid && la >= b.head && la < b.head+uint64(streamBufferDepth) {
 			b.valid = false
 		}
 	}

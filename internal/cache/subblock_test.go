@@ -92,7 +92,6 @@ func TestSubblockValidation(t *testing.T) {
 	}
 	cfg = subblockConfig()
 	cfg.BounceBackLines = 8
-	cfg.BounceBackCycles = 3
 	if _, err := New(cfg); err == nil {
 		t.Fatal("subblocks + bounce-back must be rejected")
 	}

@@ -26,48 +26,26 @@ func TestWriteThroughNeverDirties(t *testing.T) {
 	}
 }
 
-func TestWriteThroughNoAllocate(t *testing.T) {
-	cfg := testConfig()
-	cfg.Writes = WriteThroughNoAllocate
-	s := mustSim(t, cfg)
-	cost := s.Access(recW(0))
-	if cost != 1 {
-		t.Fatalf("no-allocate store miss cost = %d, want 1 (write buffer absorbs it)", cost)
-	}
-	if s.Inspect(0).Where != Absent {
-		t.Fatal("no-allocate store miss must not allocate")
-	}
-	st := s.Stats()
-	if st.Mem.BytesFetched != 0 {
-		t.Fatal("no fetch traffic expected")
-	}
-	if st.Mem.BytesWritten != 8 {
-		t.Fatalf("bytes written = %d, want 8", st.Mem.BytesWritten)
-	}
-	// Loads still allocate.
-	s.Access(rec(0))
-	if s.Inspect(0).Where != InMain {
-		t.Fatal("load miss must still allocate")
-	}
-}
-
 func TestWriteThroughBufferFullStalls(t *testing.T) {
 	cfg := testConfig()
-	cfg.Writes = WriteThroughNoAllocate
-	cfg.Memory.WriteBufferEntries = 1
-	cfg.Memory.VictimTransferCycles = 8 // slow drain
+	cfg.Writes = WriteThroughAllocate
 	s := mustSim(t, cfg)
-	// Back-to-back stores with 1-cycle gaps: the 8-cycle drain cannot
-	// keep up, so some stores stall.
+	// Back-to-back stores to one line, one per cycle: the 8-entry buffer
+	// drains one entry per 2-cycle transfer, so it fills and later stores
+	// stall.
+	const stores = 64
 	totalCost := 0
-	for i := 0; i < 8; i++ {
-		totalCost += s.Access(recW(uint64(8 * i)))
+	for i := 0; i < stores; i++ {
+		r := recW(uint64(8 * (i % 4)))
+		r.Gap = 0
+		totalCost += s.Access(r)
 	}
 	if s.Stats().Mem.WriteThroughStalls == 0 {
-		t.Fatal("expected write-through stalls with a tiny buffer")
+		t.Fatal("expected write-through stalls once the buffer fills")
 	}
-	if totalCost <= 8 {
-		t.Fatalf("total cost %d should exceed 8 pure hits", totalCost)
+	// One allocating miss (1 + 20 + 2 cycles), then hits of 1 cycle each.
+	if totalCost <= 23+stores-1 {
+		t.Fatalf("total cost %d should exceed one miss and %d pure hits", totalCost, stores-1)
 	}
 }
 
@@ -79,22 +57,19 @@ func TestWriteBackDefaultUnchanged(t *testing.T) {
 		t.Fatal("zero WritePolicy must be write-back-allocate")
 	}
 	if WriteBackAllocate.String() != "write-back" ||
-		WriteThroughAllocate.String() != "write-through" ||
-		WriteThroughNoAllocate.String() != "write-through-no-allocate" {
+		WriteThroughAllocate.String() != "write-through" {
 		t.Fatal("WritePolicy.String broken")
 	}
 }
 
 func TestWritePolicyInvariants(t *testing.T) {
-	for _, pol := range []WritePolicy{WriteThroughAllocate, WriteThroughNoAllocate} {
-		cfg := softTestConfig()
-		cfg.Writes = pol
-		s := mustSim(t, cfg)
-		for i, r := range randomTrace(31, 3000, 4096) {
-			s.Access(r)
-			if msg := s.CheckInvariants(); msg != "" {
-				t.Fatalf("%v: after access %d: %s", pol, i, msg)
-			}
+	cfg := softTestConfig()
+	cfg.Writes = WriteThroughAllocate
+	s := mustSim(t, cfg)
+	for i, r := range randomTrace(31, 3000, 4096) {
+		s.Access(r)
+		if msg := s.CheckInvariants(); msg != "" {
+			t.Fatalf("after access %d: %s", i, msg)
 		}
 	}
 }

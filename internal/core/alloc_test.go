@@ -19,22 +19,21 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	configs := map[string]Config{
-		"Standard":           Standard(),
-		"Soft":               Soft(),
-		"SoftVariable":       SoftVariable(),
-		"SoftTemporal":       SoftTemporal(),
-		"SoftSpatial":        SoftSpatial(),
-		"Victim":             Victim(),
-		"BypassPlain":        BypassPlain(),
-		"BypassBuffered":     BypassBuffered(),
-		"SetAssoc2":          SetAssoc(Soft(), 2),
-		"SimplifiedSoft2":    SimplifiedSoftAssoc(2),
-		"StreamBuffers":      StandardStreamBuffers(),
-		"ColumnAssociative":  ColumnAssociative(),
-		"Subblocked":         Subblocked(),
-		"PrefetchSW":         WithPrefetch(Soft(), true),
-		"WriteThroughAlloc":  WithWritePolicy(Standard(), cache.WriteThroughAllocate),
-		"WriteThroughNoAllo": WithWritePolicy(Standard(), cache.WriteThroughNoAllocate),
+		"Standard":          Standard(),
+		"Soft":              Soft(),
+		"SoftVariable":      SoftVariable(),
+		"SoftTemporal":      SoftTemporal(),
+		"SoftSpatial":       SoftSpatial(),
+		"Victim":            Victim(),
+		"BypassPlain":       BypassPlain(),
+		"BypassBuffered":    BypassBuffered(),
+		"SetAssoc2":         SetAssoc(Soft(), 2),
+		"SimplifiedSoft2":   SimplifiedSoftAssoc(2),
+		"StreamBuffers":     StandardStreamBuffers(),
+		"ColumnAssociative": ColumnAssociative(),
+		"Subblocked":        Subblocked(),
+		"PrefetchSW":        WithPrefetch(Soft(), true),
+		"WriteThroughAlloc": WithWritePolicy(Standard(), cache.WriteThroughAllocate),
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {

@@ -62,9 +62,7 @@ func checkAxisValue(key string, v int) error {
 	return nil
 }
 
-// ApplyAxis returns cfg with the swept parameter set to v. Setting bb on a
-// configuration without a bounce-back structure fills in the paper's
-// access/lock timings so the resulting design is valid.
+// ApplyAxis returns cfg with the swept parameter set to v.
 func ApplyAxis(cfg Config, key string, v int) (Config, error) {
 	switch key {
 	case "cache":
@@ -74,15 +72,11 @@ func ApplyAxis(cfg Config, key string, v int) (Config, error) {
 	case "vline":
 		cfg.VirtualLineSize = v
 	case "latency":
-		cfg.Memory.LatencyCycles = v
+		cfg.LatencyCycles = v
 	case "assoc":
 		cfg.Assoc = v
 	case "bb":
 		cfg.BounceBackLines = v
-		if v > 0 && cfg.BounceBackCycles == 0 {
-			cfg.BounceBackCycles = 3
-			cfg.SwapLockCycles = 2
-		}
 	case "sbuf":
 		cfg.StreamBuffers = v
 	default:

@@ -12,12 +12,12 @@ func TestGrid(t *testing.T) {
 	cell := func(cacheKB, latency int) Config {
 		c := Soft()
 		c.CacheSize = cacheKB << 10
-		c.Memory.LatencyCycles = latency
+		c.LatencyCycles = latency
 		return c
 	}
-	lat := Soft().Memory.LatencyCycles
+	lat := Soft().LatencyCycles
 	withBB := Standard()
-	withBB.BounceBackLines, withBB.BounceBackCycles, withBB.SwapLockCycles = 4, 3, 2
+	withBB.BounceBackLines = 4
 	cases := []struct {
 		name    string
 		base    Config
@@ -49,7 +49,7 @@ func TestGrid(t *testing.T) {
 			want: [][]Config{{cell(4, 7)}},
 		},
 		{
-			name: "bb fills in the bounce-back timings",
+			name: "bb adds a bounce-back cache",
 			base: Standard(),
 			x:    Axis{Key: "bb", Values: []int{4}},
 			want: [][]Config{{withBB}},

@@ -37,18 +37,18 @@ import (
 	"fmt"
 
 	"softcache/internal/cache"
-	"softcache/internal/mem"
 	"softcache/internal/trace"
 )
 
-// Paper-wide default parameters (§3.1, "Notations and Parameters").
+// Paper-wide default parameters (§3.1, "Notations and Parameters"). The
+// parameters no figure varies (hit, bounce-back and swap-lock times, bus
+// width, write buffer) are constants of packages cache and mem.
 const (
 	DefaultCacheSize   = 8 * 1024
 	DefaultLineSize    = 32
 	DefaultVirtualLine = 64
 	DefaultBounceBack  = 8 // lines (256 bytes of 32-byte lines)
 	DefaultLatency     = 20
-	DefaultBusBytes    = 16
 )
 
 // Config is re-exported so callers only import core.
@@ -69,16 +69,10 @@ func (r Result) MissRatio() float64 { return r.Stats.MissRatio() }
 
 func baseConfig() Config {
 	return Config{
-		CacheSize: DefaultCacheSize,
-		LineSize:  DefaultLineSize,
-		Assoc:     1,
-		HitCycles: 1,
-		Memory: mem.Config{
-			LatencyCycles:        DefaultLatency,
-			BusBytesPerCycle:     DefaultBusBytes,
-			WriteBufferEntries:   8,
-			VictimTransferCycles: 2,
-		},
+		CacheSize:     DefaultCacheSize,
+		LineSize:      DefaultLineSize,
+		Assoc:         1,
+		LatencyCycles: DefaultLatency,
 	}
 }
 
@@ -90,8 +84,6 @@ func Standard() Config { return baseConfig() }
 func Victim() Config {
 	c := baseConfig()
 	c.BounceBackLines = DefaultBounceBack
-	c.BounceBackCycles = 3
-	c.SwapLockCycles = 2
 	return c
 }
 
@@ -139,7 +131,6 @@ func SoftSpatial() Config {
 func StandardStreamBuffers() Config {
 	c := baseConfig()
 	c.StreamBuffers = 4
-	c.StreamBufferDepth = 4
 	return c
 }
 
@@ -176,7 +167,6 @@ func BypassPlain() Config {
 func BypassBuffered() Config {
 	c := BypassPlain()
 	c.Bypass = cache.BypassBuffered
-	c.BypassBufferLines = 8
 	return c
 }
 
@@ -207,14 +197,8 @@ func SimplifiedSoftAssoc(ways int) Config {
 func WithPrefetch(cfg Config, softwareGuided bool) Config {
 	if cfg.BounceBackLines == 0 {
 		cfg.BounceBackLines = DefaultBounceBack
-		cfg.BounceBackCycles = 3
-		cfg.SwapLockCycles = 2
 	}
-	cfg.Prefetch = cache.PrefetchConfig{
-		Enabled:        true,
-		SoftwareGuided: softwareGuided,
-		Degree:         1,
-	}
+	cfg.Prefetch = cache.PrefetchConfig{Enabled: true, SoftwareGuided: softwareGuided}
 	return cfg
 }
 
@@ -226,7 +210,7 @@ func WithWritePolicy(cfg Config, p cache.WritePolicy) Config {
 
 // WithLatency sets the memory latency in cycles.
 func WithLatency(cfg Config, cycles int) Config {
-	cfg.Memory.LatencyCycles = cycles
+	cfg.LatencyCycles = cycles
 	return cfg
 }
 

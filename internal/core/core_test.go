@@ -266,6 +266,65 @@ func TestMetamorphicOracles(t *testing.T) {
 	}
 }
 
+// TestFillCostClosedForm checks every demand fill against the paper's cost
+// formula (§2.1, §3.1): a miss costs the 1-cycle probe, the latency, and
+// the bus time of the bytes it fetches at 16 bytes per cycle, or
+// 1 + t_lat + ceil(bytes/16). Each test-scale workload is replayed one
+// record at a time with a 200-cycle issue gap, so no access waits on a
+// swap lock and every dirty-victim transfer hides under the latency. The
+// bytes a miss fetches for itself are the growth of BytesFetched less one
+// line per prefetch it issued. Stream buffers are left out: a miss also
+// refills its stream, and that traffic lands in BytesFetched without a
+// counter to split it out.
+func TestFillCostClosedForm(t *testing.T) {
+	const hit, busBytes = 1, 16 // the paper's hit time and bus width
+	for _, w := range workloads.Names() {
+		tr, err := workloads.Trace(w, workloads.ScaleTest, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range ConfigNames() {
+			if name == "stream-buffers" {
+				continue
+			}
+			cfg, err := ConfigByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := NewSimulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mismatches := 0
+			prev := sim.Stats()
+			for i, r := range tr.Records {
+				r.Gap = 200
+				cost := sim.Access(r)
+				cur := sim.Stats()
+				if cur.Misses > prev.Misses {
+					demand := int(cur.Mem.BytesFetched-prev.Mem.BytesFetched) -
+						cfg.LineSize*int(cur.PrefetchesIssued-prev.PrefetchesIssued)
+					want := hit + cfg.LatencyCycles + (demand+busBytes-1)/busBytes
+					if cost != want {
+						if mismatches < 3 {
+							t.Errorf("%s on %s, record %d (%+v): miss cost %d, want %d for %d demand bytes",
+								name, w, i, r, cost, want, demand)
+						}
+						mismatches++
+					}
+				}
+				prev = cur
+			}
+			if prev.Misses == 0 {
+				t.Errorf("%s on %s: no misses to check", name, w)
+			}
+			if mismatches > 0 {
+				t.Errorf("%s on %s: %d of %d misses off the closed form", name, w, mismatches, prev.Misses)
+			}
+		}
+	}
+}
+
 func TestResultHelpers(t *testing.T) {
 	r := Result{Stats: cache.Stats{References: 10, CostCycles: 25, Misses: 2}}
 	if r.AMAT() != 2.5 || r.MissRatio() != 0.2 {

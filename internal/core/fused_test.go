@@ -41,7 +41,6 @@ func fusedVariants() []Config {
 		WithPrefetch(Soft(), true),
 		WithPrefetch(Soft(), false),
 		WithWritePolicy(Standard(), cache.WriteThroughAllocate),
-		WithWritePolicy(Standard(), cache.WriteThroughNoAllocate),
 		random2,
 		fifo2,
 		tinySoft,

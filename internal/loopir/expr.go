@@ -146,26 +146,6 @@ func (s Subscript) normTerms() []Term {
 	return out
 }
 
-// SameShape reports whether a and b have identical affine terms (and no
-// indirection), i.e. they differ at most by a constant. Two references with
-// SameShape linearised subscripts are "uniformly generated" in the paper's
-// terminology.
-func SameShape(a, b Subscript) bool {
-	if a.Ind != nil || b.Ind != nil {
-		return false
-	}
-	ta, tb := a.normTerms(), b.normTerms()
-	if len(ta) != len(tb) {
-		return false
-	}
-	for i := range ta {
-		if ta[i] != tb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (s Subscript) String() string {
 	var parts []string
 	for _, t := range s.normTerms() {

@@ -43,21 +43,6 @@ func TestIndirectUses(t *testing.T) {
 	}
 }
 
-func TestSameShape(t *testing.T) {
-	a := Sum(V("j"), SV(100, "i"))          // j + 100i
-	b := Plus(Sum(V("j"), SV(100, "i")), 7) // j + 100i + 7
-	c := Sum(V("j"), SV(99, "i"))
-	if !SameShape(a, b) {
-		t.Fatal("a and b are uniformly generated")
-	}
-	if SameShape(a, c) {
-		t.Fatal("different coefficients are not uniformly generated")
-	}
-	if SameShape(a, Load("X", V("i"))) {
-		t.Fatal("indirect subscripts are never uniformly generated")
-	}
-}
-
 func TestSubscriptString(t *testing.T) {
 	s := Plus(Sum(V("i"), SV(-1, "k")), 2)
 	str := s.String()

@@ -10,51 +10,18 @@
 // the stall.
 package mem
 
-import "fmt"
-
-// Config describes the memory system.
-type Config struct {
-	// LatencyCycles is the time between issuing a miss request and the
-	// arrival of the first line (t_lat). The paper's default is 20.
-	LatencyCycles int
-	// BusBytesPerCycle is the memory bus bandwidth (w_b). The paper uses
-	// 16 bytes/cycle.
-	BusBytesPerCycle int
-	// WriteBufferEntries is the capacity of the write buffer; the paper
+// The paper's memory-side constants (§2.1, §3.1).
+const (
+	// busBytesPerCycle is the memory bus bandwidth w_b.
+	busBytesPerCycle = 16
+	// writeBufferEntries is the capacity of the write buffer; the paper
 	// assumes a small buffer and aborts bounce-backs onto dirty lines when
-	// it is full. 0 means "no write buffer": every dirty victim stalls.
-	WriteBufferEntries int
-	// VictimTransferCycles is the cost of moving one dirty line to the
-	// write buffer (2 cycles in the paper's design).
-	VictimTransferCycles int
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.LatencyCycles < 0 {
-		return fmt.Errorf("mem: negative latency %d", c.LatencyCycles)
-	}
-	if c.BusBytesPerCycle <= 0 {
-		return fmt.Errorf("mem: bus bandwidth must be positive, got %d", c.BusBytesPerCycle)
-	}
-	if c.WriteBufferEntries < 0 {
-		return fmt.Errorf("mem: negative write buffer size %d", c.WriteBufferEntries)
-	}
-	if c.VictimTransferCycles < 0 {
-		return fmt.Errorf("mem: negative victim transfer cost %d", c.VictimTransferCycles)
-	}
-	return nil
-}
-
-// DefaultConfig returns the paper's memory parameters.
-func DefaultConfig() Config {
-	return Config{
-		LatencyCycles:        20,
-		BusBytesPerCycle:     16,
-		WriteBufferEntries:   8,
-		VictimTransferCycles: 2,
-	}
-}
+	// it is full.
+	writeBufferEntries = 8
+	// victimTransferCycles is the cost of moving one dirty line to the
+	// write buffer.
+	victimTransferCycles = 2
+)
 
 // Stats accumulates memory-side counters.
 type Stats struct {
@@ -83,7 +50,7 @@ type Stats struct {
 // System is the memory + bus + write buffer model. It is not a data store:
 // the simulator is trace-driven and only timing and traffic are modelled.
 type System struct {
-	cfg Config
+	latency int // t_lat: cycles from a miss request to its first line
 	// pending is the current write-buffer occupancy. The buffer drains
 	// one entry per miss request that reaches memory (a coarse but
 	// adequate drain model: the bus is otherwise idle between misses) and,
@@ -93,20 +60,14 @@ type System struct {
 	stats     Stats
 }
 
-// NewSystem builds a memory system; the configuration must be valid.
-func NewSystem(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &System{cfg: cfg}, nil
-}
+// NewSystem builds a memory system whose miss requests see latency cycles
+// (t_lat, the paper's default is 20) before their first line arrives. The
+// latency must be non-negative.
+func NewSystem(latency int) *System { return &System{latency: latency} }
 
 // ResetStats clears the accumulated counters; write-buffer occupancy and
 // drain state are preserved (they are machine state, not statistics).
 func (s *System) ResetStats() { s.stats = Stats{} }
-
-// Config returns the configuration the system was built with.
-func (s *System) Config() Config { return s.cfg }
 
 // Stats returns a copy of the accumulated counters.
 func (s *System) Stats() Stats { return s.stats }
@@ -117,7 +78,7 @@ func (s *System) TransferCycles(bytes int) int {
 	if bytes <= 0 {
 		return 0
 	}
-	return (bytes + s.cfg.BusBytesPerCycle - 1) / s.cfg.BusBytesPerCycle
+	return (bytes + busBytesPerCycle - 1) / busBytesPerCycle
 }
 
 // Fetch models a miss request that reads the given physical lines from
@@ -132,15 +93,15 @@ func (s *System) Fetch(lines, lineBytes, extraBytes, dirtyVictims int) int {
 	s.stats.BytesFetched += uint64(bytes)
 	s.stats.LinesFetched += uint64(lines)
 
-	penalty := s.cfg.LatencyCycles + s.TransferCycles(bytes)
+	penalty := s.latency + s.TransferCycles(bytes)
 
 	// Victim transfers proceed while the request is outstanding; only the
 	// excess beyond the latency window extends the stall (paper §2.1).
 	if dirtyVictims > 0 {
 		s.stats.Writebacks += uint64(dirtyVictims)
-		transfer := dirtyVictims * s.cfg.VictimTransferCycles
-		if transfer > s.cfg.LatencyCycles {
-			extra := transfer - s.cfg.LatencyCycles
+		transfer := dirtyVictims * victimTransferCycles
+		if transfer > s.latency {
+			extra := transfer - s.latency
 			penalty += extra
 			s.stats.WritebackStallCycles += uint64(extra)
 		}
@@ -164,14 +125,14 @@ func (s *System) PrefetchFetch(lines, lineBytes int) {
 }
 
 // PostWrite records a write-through store of the given size at cycle now.
-// The write buffer drains one entry per VictimTransferCycles of elapsed
+// The write buffer drains one entry per victimTransferCycles of elapsed
 // time (the bus is free between misses); a store finding it full waits one
 // transfer for a slot and that stall is returned in cycles.
 func (s *System) PostWrite(bytes int, now uint64) int {
 	s.stats.BytesWritten += uint64(bytes)
 	// Time-based drain.
-	if s.cfg.VictimTransferCycles > 0 && now > s.lastDrain {
-		drained := int(now-s.lastDrain) / s.cfg.VictimTransferCycles
+	if now > s.lastDrain {
+		drained := int(now-s.lastDrain) / victimTransferCycles
 		if drained > 0 {
 			s.pending -= drained
 			if s.pending < 0 {
@@ -181,9 +142,9 @@ func (s *System) PostWrite(bytes int, now uint64) int {
 		}
 	}
 	s.stats.Writebacks++
-	if s.cfg.WriteBufferEntries == 0 || s.pending >= s.cfg.WriteBufferEntries {
+	if s.pending >= writeBufferEntries {
 		s.stats.WriteThroughStalls++
-		return s.cfg.VictimTransferCycles
+		return victimTransferCycles
 	}
 	s.pending++
 	return 0
@@ -195,7 +156,7 @@ func (s *System) PostWrite(bytes int, now uint64) int {
 // abort the operation (paper §2.2: "the transfer is aborted if the write
 // buffer is full").
 func (s *System) WritebackOutsideMiss() bool {
-	if s.cfg.WriteBufferEntries == 0 || s.pending >= s.cfg.WriteBufferEntries {
+	if s.pending >= writeBufferEntries {
 		s.stats.WriteBufferFullAborts++
 		return false
 	}
@@ -209,9 +170,9 @@ func (s *System) WriteBufferOccupancy() int { return s.pending }
 
 func (s *System) bufferPut(n int) {
 	s.pending += n
-	if s.cfg.WriteBufferEntries > 0 && s.pending > s.cfg.WriteBufferEntries {
+	if s.pending > writeBufferEntries {
 		// Overflow during a miss is already accounted for by the stall
 		// model; clamp occupancy to capacity.
-		s.pending = s.cfg.WriteBufferEntries
+		s.pending = writeBufferEntries
 	}
 }

@@ -2,45 +2,8 @@ package mem
 
 import "testing"
 
-func validConfig() Config {
-	return Config{
-		LatencyCycles:        20,
-		BusBytesPerCycle:     16,
-		WriteBufferEntries:   2,
-		VictimTransferCycles: 2,
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"negative latency", func(c *Config) { c.LatencyCycles = -1 }},
-		{"zero bus", func(c *Config) { c.BusBytesPerCycle = 0 }},
-		{"negative write buffer", func(c *Config) { c.WriteBufferEntries = -1 }},
-		{"negative transfer", func(c *Config) { c.VictimTransferCycles = -1 }},
-	}
-	for _, tc := range cases {
-		cfg := validConfig()
-		tc.mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("%s: expected error", tc.name)
-		}
-		if _, err := NewSystem(cfg); err == nil {
-			t.Fatalf("%s: NewSystem accepted invalid config", tc.name)
-		}
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-}
-
 func TestTransferCycles(t *testing.T) {
-	s, err := NewSystem(validConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewSystem(20)
 	cases := []struct{ bytes, want int }{
 		{0, 0}, {-5, 0}, {1, 1}, {16, 1}, {17, 2}, {32, 2}, {64, 4},
 	}
@@ -52,7 +15,7 @@ func TestTransferCycles(t *testing.T) {
 }
 
 func TestFetchPenalty(t *testing.T) {
-	s, _ := NewSystem(validConfig())
+	s := NewSystem(20)
 	// One 32-byte line: 20 + 2.
 	if got := s.Fetch(1, 32, 0, 0); got != 22 {
 		t.Fatalf("penalty = %d, want 22", got)
@@ -72,7 +35,7 @@ func TestFetchPenalty(t *testing.T) {
 }
 
 func TestVictimTransfersHiddenUnderLatency(t *testing.T) {
-	s, _ := NewSystem(validConfig())
+	s := NewSystem(20)
 	// 5 dirty victims x 2 cycles = 10 < 20 latency: fully hidden.
 	if got := s.Fetch(1, 32, 0, 5); got != 22 {
 		t.Fatalf("penalty = %d, want 22 (transfers hidden)", got)
@@ -93,12 +56,14 @@ func TestVictimTransfersHiddenUnderLatency(t *testing.T) {
 }
 
 func TestWriteBufferOutsideMiss(t *testing.T) {
-	s, _ := NewSystem(validConfig()) // capacity 2
-	if !s.WritebackOutsideMiss() || !s.WritebackOutsideMiss() {
-		t.Fatal("buffer should accept 2 entries")
+	s := NewSystem(20) // capacity 8
+	for i := 0; i < 8; i++ {
+		if !s.WritebackOutsideMiss() {
+			t.Fatalf("buffer rejected entry %d of 8", i+1)
+		}
 	}
 	if s.WritebackOutsideMiss() {
-		t.Fatal("third entry should be rejected")
+		t.Fatal("ninth entry should be rejected")
 	}
 	if s.Stats().WriteBufferFullAborts != 1 {
 		t.Fatalf("aborts = %d", s.Stats().WriteBufferFullAborts)
@@ -108,22 +73,13 @@ func TestWriteBufferOutsideMiss(t *testing.T) {
 	if !s.WritebackOutsideMiss() {
 		t.Fatal("buffer should have drained one slot")
 	}
-	if s.WriteBufferOccupancy() != 2 {
+	if s.WriteBufferOccupancy() != 8 {
 		t.Fatalf("occupancy = %d", s.WriteBufferOccupancy())
 	}
 }
 
-func TestZeroCapacityWriteBuffer(t *testing.T) {
-	cfg := validConfig()
-	cfg.WriteBufferEntries = 0
-	s, _ := NewSystem(cfg)
-	if s.WritebackOutsideMiss() {
-		t.Fatal("zero-capacity buffer must reject writebacks")
-	}
-}
-
 func TestPrefetchFetchCountsTrafficOnly(t *testing.T) {
-	s, _ := NewSystem(validConfig())
+	s := NewSystem(20)
 	s.PrefetchFetch(2, 32)
 	st := s.Stats()
 	if st.BytesFetched != 64 || st.LinesFetched != 2 {
@@ -135,38 +91,33 @@ func TestPrefetchFetchCountsTrafficOnly(t *testing.T) {
 }
 
 func TestWriteBufferClamp(t *testing.T) {
-	s, _ := NewSystem(validConfig())
-	s.Fetch(1, 32, 0, 10) // more victims than the 2-entry buffer
-	if s.WriteBufferOccupancy() > 2 {
+	s := NewSystem(20)
+	s.Fetch(1, 32, 0, 10) // more victims than the 8-entry buffer
+	if s.WriteBufferOccupancy() > 8 {
 		t.Fatalf("occupancy %d exceeds capacity", s.WriteBufferOccupancy())
 	}
 }
 
-func TestConfigAccessor(t *testing.T) {
-	s, _ := NewSystem(validConfig())
-	if s.Config() != validConfig() {
-		t.Fatal("Config accessor broken")
-	}
-}
-
 func TestPostWrite(t *testing.T) {
-	s, _ := NewSystem(validConfig()) // 2-entry buffer, 2-cycle transfer
-	if stall := s.PostWrite(8, 0); stall != 0 {
-		t.Fatalf("first post stalled %d", stall)
+	s := NewSystem(20) // 8-entry buffer, 2-cycle transfer
+	for i := 0; i < 8; i++ {
+		if stall := s.PostWrite(8, 0); stall != 0 {
+			t.Fatalf("post %d of 8 stalled %d", i+1, stall)
+		}
 	}
-	if stall := s.PostWrite(8, 0); stall != 0 {
-		t.Fatalf("second post stalled %d", stall)
-	}
-	// Buffer full at the same cycle: the third post stalls one transfer.
+	// Buffer full at the same cycle: the ninth post stalls one transfer.
 	if stall := s.PostWrite(8, 0); stall != 2 {
 		t.Fatalf("full-buffer post stalled %d, want 2", stall)
 	}
 	st := s.Stats()
-	if st.BytesWritten != 24 || st.WriteThroughStalls != 1 {
+	if st.BytesWritten != 72 || st.WriteThroughStalls != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Time-based drain: 10 cycles later both entries have drained.
-	if stall := s.PostWrite(8, 10); stall != 0 {
+	// Time-based drain: 16 cycles later all eight entries have drained.
+	if stall := s.PostWrite(8, 16); stall != 0 {
 		t.Fatal("drained buffer must accept the post")
+	}
+	if s.WriteBufferOccupancy() != 1 {
+		t.Fatalf("occupancy = %d after a full drain and one post", s.WriteBufferOccupancy())
 	}
 }

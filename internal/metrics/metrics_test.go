@@ -160,9 +160,6 @@ func TestTableFormatting(t *testing.T) {
 	if tbl.Rows() != 2 || tbl.Value(0, 1) != 2.25 || tbl.RowLabelAt(1) != "longer-name" {
 		t.Fatal("accessors broken")
 	}
-	if tbl.ColumnIndex("b") != 1 || tbl.ColumnIndex("zz") != -1 {
-		t.Fatal("ColumnIndex broken")
-	}
 	if s := tbl.String(); !strings.Contains(s, "Title") {
 		t.Fatal("String broken")
 	}

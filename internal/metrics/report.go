@@ -44,16 +44,6 @@ func (t *Table) Value(row, col int) float64 { return t.rows[row].values[col] }
 // RowLabelAt returns the label of row i.
 func (t *Table) RowLabelAt(i int) string { return t.rows[i].label }
 
-// ColumnIndex returns the index of the named column, or -1.
-func (t *Table) ColumnIndex(name string) int {
-	for i, c := range t.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Fprint renders the table with the given value format (e.g. "%.3f").
 func (t *Table) Fprint(w io.Writer, format string) {
 	if format == "" {

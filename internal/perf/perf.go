@@ -90,8 +90,6 @@ func softGrid() (names []string, cfgs []core.Config) {
 				cfg.BounceBackLines = 0
 				cfg.BounceBackEnabled = false
 				cfg.UseTemporalTags = false
-				cfg.BounceBackCycles = 0
-				cfg.SwapLockCycles = 0
 			}
 			names = append(names, fmt.Sprintf("vl%d-bb%d", vl, bbTag))
 			cfgs = append(cfgs, cfg)

@@ -320,7 +320,7 @@ func (req *SweepRequest) validate() (*sweepPlan, *apiError) {
 		for j, cfg := range cfgs {
 			x := xAxis.Values[j]
 			if cfg.CacheSize > maxCacheKB<<10 || cfg.LineSize > maxLineBytes ||
-				cfg.VirtualLineSize > maxVLine || cfg.Memory.LatencyCycles > maxLatency || cfg.Assoc > maxAssoc {
+				cfg.VirtualLineSize > maxVLine || cfg.LatencyCycles > maxLatency || cfg.Assoc > maxAssoc {
 				return nil, badRequest("cell %s=%d,%s=%d: geometry exceeds the service limits", xAxis.Key, x, yAxis.Key, y)
 			}
 			if err := cfg.Validate(); err != nil {

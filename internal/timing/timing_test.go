@@ -1,9 +1,6 @@
 package timing
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
@@ -53,24 +50,6 @@ func TestFloat64Range(t *testing.T) {
 		if v := r.Float64(); v < 0 || v >= 1 {
 			t.Fatalf("Float64() = %v", v)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		n := 20
-		p := NewRNG(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
