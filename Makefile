@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench perf perf-check figures faults serve result-race examples clean
+.PHONY: all build test vet bench bench-pair perf perf-check figures faults serve result-race examples clean
 
 all: build vet test
 
@@ -30,6 +30,17 @@ test:
 # full-size runs).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark on this checkout against BASE, in PAIRS
+# alternating pairs of SECONDS-long WORKLOAD runs: every run, then each
+# metric's per-side median and quartiles, the change's wins and the ratio
+# of the medians. BASE defaults to the merge-base of HEAD and main.
+WORKLOAD ?= figures
+PAIRS ?= 10
+SECONDS ?= 20
+bench-pair:
+	$(GO) run ./cmd/softcache-benchpair $(if $(BASE),-base $(BASE)) \
+		-workload $(WORKLOAD) -pairs $(PAIRS) -seconds $(SECONDS)
 
 # Every pinned perf row (kernel, fused and decode layers at test and paper
 # scale); refreshes the committed BENCH_kernel.json baseline (run on a quiet

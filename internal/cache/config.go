@@ -295,11 +295,3 @@ func (c Config) Validate() error {
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// virtualLines returns how many physical lines one virtual line spans (>= 1).
-func (c Config) virtualLines() int {
-	if c.VirtualLineSize <= c.LineSize {
-		return 1
-	}
-	return c.VirtualLineSize / c.LineSize
-}

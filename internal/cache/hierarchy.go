@@ -36,6 +36,7 @@ type Simulator struct {
 	subblocks    int      // subblocks per line (0 = sub-block placement off)
 	lineMask     uint64   // LineSize-1: in-line byte offset mask
 	subShift     uint     // log2(SubblockSize)
+	virtualLines int      // physical lines per default virtual line (>= 1)
 	curIssue     uint64   // issue cycle of the access being processed
 
 	// seenMain / seenBB are the invariant checker's scratch sets. They
@@ -79,10 +80,14 @@ func New(cfg Config) (*Simulator, error) {
 		s.subShift = log2(cfg.SubblockSize)
 	}
 	s.maxPrefetch = cfg.BounceBackLines / 2
+	s.virtualLines = 1
+	if cfg.VirtualLineSize > cfg.LineSize {
+		s.virtualLines = cfg.VirtualLineSize / cfg.LineSize
+	}
 	// The paper's default organisation (direct-mapped, power-of-two
-	// geometry, whole-line fills) has its hits served by AccessAll's
-	// batched loop: one masked load and no function calls for two-thirds
-	// of all records.
+	// geometry, whole-line fills) has its hits served by hitRun: one
+	// masked load per hit and one call per run of hits, for most of all
+	// records.
 	s.plainDM = !s.pseudoAssoc && s.subblocks == 0 && s.main.ways == 1 && s.main.maskable
 	return s, nil
 }
@@ -113,11 +118,14 @@ func (s *Simulator) Access(r trace.Record) int {
 // AccessAll processes recs in order and returns the sum of their costs in
 // cycles; Access is a one-record call, and core.Run hands it whole
 // batches. On a plain direct-mapped main cache, the paper's default, hits
-// — the bulk of every trace — run in a register-resident loop: the cycle
-// clock and the statistics counters stay in locals across each run of
-// consecutive hits and are flushed back only when a record needs the
-// general path (a miss, a software prefetch, a store that must invalidate
-// a stream buffer) or the batch ends. Under RuntimeChecks each run is one
+// — the bulk of every trace — are served a run at a time by hitRun, which
+// carries only the run's length, gap sum, store count and temporal-bit
+// count. The clock, the stall and the cost are settled once per run from
+// those: only a run's first hit can stall, because every hit leaves the
+// cache free at its own completion, so the next one never issues before
+// it. A record the loop cannot serve (a miss, a software prefetch, a store
+// that must post a write-through word or invalidate a stream buffer) ends
+// the run and takes the general path. Under RuntimeChecks each run is one
 // record long and the checker runs after it. Every other organisation
 // takes the general path record by record.
 func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
@@ -128,71 +136,36 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 		}
 		return total
 	}
-	lines := s.main.lines
-	setMask := s.main.setMask
-	shift := s.main.shift
-	useTemporal := s.cfg.UseTemporalTags
-	writeBack := s.cfg.Writes == WriteBackAllocate
-	storesLeave := s.sb != nil // a store must invalidate any stream covering its line
+	// Stores leave the loop when the general path has more to do than
+	// dirty the line: post the word (write-through) or invalidate any
+	// stream covering it.
+	storesLeave := s.cfg.Writes != WriteBackAllocate || s.sb != nil
 	checks := s.cfg.RuntimeChecks
-
 	for i := 0; i < len(recs); {
 		run := recs[i:]
 		if checks {
 			run = run[:1]
 		}
-		// One run of consecutive hits. The mutable state the loop touches
-		// is loaded into locals here and flushed after it, so the loop
-		// body performs no simulator-struct stores besides the line
-		// metadata itself. A 1-way set's victim is its lone slot, so the
-		// hit leaves the line's LRU stamp alone.
-		var refs, writes, tempSets, cost, lockStall uint64
-		now, freeAt := s.now, s.freeAt
-		j := 0
-		for ; j < len(run); j++ {
-			r := &run[j]
-			la := r.Addr >> shift
-			l := &lines[la&setMask]
-			hit := l.flags&flagValid != 0 && l.tag == la
-			if !hit || r.SoftwarePrefetch || (r.Write && storesLeave) {
-				break // general path below
-			}
-			refs++
-			issue := now + uint64(r.Gap)
+		n, gaps, writes, tempSets := hitRun(run, s.main.lines, s.main.shift, storesLeave, s.cfg.UseTemporalTags)
+		if n > 0 {
 			var stall uint64
-			if issue < freeAt {
-				stall = freeAt - issue
-				issue = freeAt
+			if issue := s.now + uint64(recs[i].Gap); issue < s.freeAt {
+				stall = s.freeAt - issue
 			}
-			service := uint64(hitCycles)
-			if r.Write {
-				writes++
-				if writeBack {
-					l.flags |= flagDirty
-				} else {
-					service += uint64(s.memory.PostWrite(8, issue))
-				}
-			}
-			if useTemporal && r.Temporal && l.flags&flagTemporal == 0 {
-				l.flags |= flagTemporal
-				tempSets++
-			}
-			cost += stall + service
-			lockStall += stall
-			now = issue + service
-			freeAt = now
+			cost := stall + uint64(n)*hitCycles
+			s.stats.References += uint64(n)
+			s.stats.Reads += uint64(n) - writes
+			s.stats.Writes += writes
+			s.stats.MainHits += uint64(n)
+			s.stats.TemporalBitSets += tempSets
+			s.stats.CostCycles += cost
+			s.stats.LockStallCycles += stall
+			s.now += gaps + cost
+			s.freeAt = s.now
+			total += cost
+			i += n
 		}
-		s.stats.References += refs
-		s.stats.Reads += refs - writes
-		s.stats.Writes += writes
-		s.stats.MainHits += refs
-		s.stats.TemporalBitSets += tempSets
-		s.stats.CostCycles += cost
-		s.stats.LockStallCycles += lockStall
-		s.now, s.freeAt = now, freeAt
-		total += cost
-		i += j
-		if j < len(run) {
+		if n < len(run) {
 			total += uint64(s.access(recs[i]))
 			i++
 		} else if checks {
@@ -202,11 +175,54 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 	return total
 }
 
+// hitRun scans the leading run of records in run that hit a plain
+// direct-mapped main cache and need nothing beyond the line's own flags: a
+// store dirties the line (unless storesLeave ends the run at it), a
+// temporal-tagged reference sets its temporal bit under useTemporal. It
+// returns the run's length, the sum of its gaps, its store count and the
+// number of temporal bits it set. lines is the whole cache, one line per
+// set and a power-of-two count of them, so the set index is a mask of the
+// line address. A 1-way set's victim is its lone slot, so the hits leave
+// the LRU stamps alone. It stays out of line so that the loop has the
+// registers to itself.
+//
+//go:noinline
+func hitRun(run []trace.Record, lines []line, shift uint, storesLeave, useTemporal bool) (n int, gaps, writes, tempSets uint64) {
+	// With the empty case out of the way and the mask taken from the
+	// length, the compiler proves every line index in bounds; the clamped
+	// shift needs no range check either.
+	if len(lines) == 0 {
+		return 0, 0, 0, 0
+	}
+	mask := uint64(len(lines) - 1)
+	shift &= 63
+	for i := range run {
+		r := &run[i]
+		la := r.Addr >> shift
+		l := &lines[la&mask]
+		f := l.flags
+		if f&flagValid == 0 || l.tag != la || r.SoftwarePrefetch || (r.Write && storesLeave) {
+			return i, gaps, writes, tempSets
+		}
+		if r.Write {
+			writes++
+			f |= flagDirty
+		}
+		if useTemporal && r.Temporal && f&flagTemporal == 0 {
+			f |= flagTemporal
+			tempSets++
+		}
+		l.flags = f
+		gaps += uint64(r.Gap)
+	}
+	return len(run), gaps, writes, tempSets
+}
+
 // access simulates one reference through the general path: every
 // organisation's main-cache probe, then the bounce-back, bypass and
 // stream-buffer structures, then the miss. On a plain direct-mapped cache
 // AccessAll has already served the hits, so access sees only misses,
-// software prefetches and stream-buffer stores there.
+// software prefetches and the stores that leave hitRun there.
 func (s *Simulator) access(r trace.Record) int {
 	if r.SoftwarePrefetch {
 		return s.softwarePrefetch(r)
@@ -512,7 +528,7 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 	}
 
 	fetch := s.fetchScratch[:0]
-	nv := s.cfg.virtualLines()
+	nv := s.virtualLines
 	if spatial && s.cfg.VariableVirtualLines && vlBytes > 0 {
 		if n := vlBytes / s.cfg.LineSize; n >= 1 {
 			nv = n
