@@ -9,16 +9,19 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# Static diagnostics: Go's own vet, the softcache-analyze invariant suite
-# over the codebase itself (see docs/ANALYSIS.md "Codebase analyzers"),
-# then softcache-vet over the example DSL program and every built-in
-# benchmark, the latter with the tag-precision audit (error-severity
-# findings fail). The analyzers run as a go vet tool, so _test.go files
-# are checked too.
+# Static diagnostics: Go's own vet and the softcache-analyze invariant
+# suite (a go vet tool, built once; see docs/ANALYSIS.md "Codebase
+# analyzers") over this module and over benchmark/, a module of its own
+# that reaches this one through a replace directive, findings in _test.go
+# files included; then softcache-vet over the example DSL program and
+# every built-in benchmark, the latter with the tag-precision audit
+# (error-severity findings fail).
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	tmp=$$(mktemp -d) && $(GO) build -o $$tmp/softcache-analyze ./cmd/softcache-analyze && \
-		$(GO) vet -vettool=$$tmp/softcache-analyze ./...; \
+		$(GO) vet -vettool=$$tmp/softcache-analyze ./... && \
+		(cd benchmark && $(GO) vet -vettool=$$tmp/softcache-analyze ./...); \
 		status=$$?; rm -rf "$$tmp"; exit $$status
 	$(GO) run ./cmd/softcache-vet -source examples/dsl/stencil.loop
 	$(GO) run ./cmd/softcache-vet -workload all -scale test -audit

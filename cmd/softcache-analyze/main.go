@@ -1,26 +1,19 @@
 // Command softcache-analyze runs softcache's own static-analysis suite
-// (internal/analyze/passes) over the module's packages. It speaks two
-// dialects:
+// (internal/analyze/passes) as a go vet tool:
 //
-// Standalone, the everyday form:
-//
-//	softcache-analyze [-json] [-tests] [-<analyzer>...] [packages]
-//
-// loads the named packages (default ./...) through `go list -export`
-// and prints findings as "file:line:col: message [analyzer]" lines on
-// stdout, or as one JSON object per line under -json. Exit codes follow
-// the linter convention shared with softcache-vet: 0 clean, 1 findings,
-// 2 the analysis itself could not run.
-//
-// Unitchecker, for the build system:
-//
-//	go vet -vettool=$(which softcache-analyze) ./...
+//	go build -o softcache-analyze ./cmd/softcache-analyze
+//	go vet -vettool=$(pwd)/softcache-analyze ./...
 //
 // cmd/go probes the tool with -V=full and -flags, then invokes it once
 // per package with a .cfg work unit; the tool type-checks from the
-// export data cmd/go already built and reports findings on stderr.
-// This is how CI runs the suite — incremental, cached, and parallel
-// across packages for free.
+// export data cmd/go already built, runs every analyzer and reports
+// findings on stderr, those in _test.go files included. go vet forwards
+// -json (the aggregate JSON on stdout) and -c (accepted, ignored).
+// Incremental, cached and parallel across packages come from cmd/go.
+//
+// Any other argument, such as a package pattern, is a usage error
+// (exit 2). A unit the analysis could not run exits 2 as well; findings
+// exit 1.
 package main
 
 import (
@@ -51,88 +44,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		analyze.PrintFlags(stdout, passes.All())
+		analyze.PrintFlags(stdout)
 		return cli.ExitOK
 	}
 
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit one JSON object per finding (standalone) or vet aggregate JSON (unitchecker)")
-	tests := fs.Bool("tests", false, "also report findings located in _test.go files")
+	jsonOut := fs.Bool("json", false, "emit the go vet aggregate JSON on stdout")
 	fs.Int("c", -1, "accepted for go vet compatibility; ignored")
-	selected := make(map[string]*bool)
-	for _, a := range passes.All() {
-		selected[a.Name] = fs.Bool(a.Name, false, "run the "+a.Name+" analyzer ("+a.Doc+")")
-	}
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: %s [flags] [packages]\n\nAnalyzers (all run when none is selected):\n", tool)
+		fmt.Fprintf(stderr, "usage: go vet -vettool=$(pwd)/%s [packages]\n\nAnalyzers (all run):\n", tool)
 		for _, a := range passes.All() {
-			fmt.Fprintf(stderr, "  -%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintln(stderr, "\nFlags:")
+		fmt.Fprintln(stderr, "\nFlags (go vet forwards them):")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
-	var names []string
-	for _, a := range passes.All() {
-		if *selected[a.Name] {
-			names = append(names, a.Name)
-		}
-	}
-	analyzers, err := passes.Select(names)
-	if err != nil {
-		return cli.Exit(stderr, tool, cli.Usage(err))
-	}
-	opts := analyze.Options{Tests: *tests}
-
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(rest[0], analyzers, opts, *jsonOut, stdout, stderr)
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		return cli.Exit(stderr, tool, cli.UsageErrorf(
+			"runs only as a go vet tool: go build -o %[1]s ./cmd/%[1]s && go vet -vettool=$(pwd)/%[1]s [packages]", tool))
 	}
-	return runStandalone(rest, analyzers, opts, *jsonOut, stdout, stderr)
-}
-
-// runStandalone loads packages itself and prints findings on stdout.
-func runStandalone(patterns []string, analyzers []*analyze.Analyzer, opts analyze.Options, jsonOut bool, stdout, stderr io.Writer) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := analyze.Load(".", patterns)
-	if err != nil {
-		return cli.Exit(stderr, tool, cli.Operational(err))
-	}
-	found := false
-	for _, pkg := range pkgs {
-		diags, err := analyze.RunAnalyzers(pkg, analyzers, opts)
-		if err != nil {
-			return cli.Exit(stderr, tool, cli.Operational(err))
-		}
-		if len(diags) == 0 {
-			continue
-		}
-		found = true
-		if jsonOut {
-			if err := analyze.WriteDiagnosticsJSON(stdout, pkg.Fset, diags); err != nil {
-				return cli.Exit(stderr, tool, cli.Operational(err))
-			}
-		} else {
-			analyze.WriteDiagnosticsText(stdout, pkg.Fset, diags)
-		}
-	}
-	if found {
-		return cli.ExitFailure
-	}
-	return cli.ExitOK
+	return runUnit(rest[0], *jsonOut, stdout, stderr)
 }
 
 // runUnit handles one go vet work unit. Text findings go to stderr and
 // exit 1 (any nonzero fails the vet run); under go vet -json the
 // aggregate JSON goes to stdout and the exit is 0 so cmd/go can keep
 // collecting.
-func runUnit(cfgFile string, analyzers []*analyze.Analyzer, opts analyze.Options, jsonOut bool, stdout, stderr io.Writer) int {
-	diags, fset, pkgID, err := analyze.Unitchecker(cfgFile, analyzers, opts)
+func runUnit(cfgFile string, jsonOut bool, stdout, stderr io.Writer) int {
+	diags, fset, pkgID, err := analyze.Unitchecker(cfgFile, passes.All())
 	if err != nil {
 		return cli.Exit(stderr, tool, cli.Operational(err))
 	}

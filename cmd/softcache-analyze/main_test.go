@@ -31,14 +31,12 @@ func TestFlagsProbe(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &flags); err != nil {
 		t.Fatalf("-flags is not JSON: %v\n%s", err, out.String())
 	}
-	names := make(map[string]bool)
+	var names []string
 	for _, f := range flags {
-		names[f.Name] = true
+		names = append(names, f.Name)
 	}
-	for _, want := range []string{"poolescape", "lockguard", "cliexit"} {
-		if !names[want] {
-			t.Errorf("-flags missing analyzer %q", want)
-		}
+	if strings.Join(names, " ") != "json c" {
+		t.Fatalf("-flags lists %v, want [json c]", names)
 	}
 }
 
@@ -49,81 +47,34 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestOperationalErrorsExitTwo: a work unit that cannot be read and a
+// package pattern (the tool has no loader of its own) both exit 2, the
+// latter pointing at go vet -vettool.
 func TestOperationalErrorsExitTwo(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"./does/not/exist/..."}, &out, &errb)
-	if code != cli.ExitOperational {
-		t.Fatalf("broken load: exit %d, want %d; stderr %s", code, cli.ExitOperational, errb.String())
+	if code := run([]string{"missing.cfg"}, &out, &errb); code != cli.ExitOperational {
+		t.Fatalf("missing cfg: exit %d, want %d", code, cli.ExitOperational)
 	}
 	if !strings.Contains(errb.String(), "softcache-analyze:") {
 		t.Fatalf("operational error not prefixed: %q", errb.String())
 	}
-	var cfgOut, cfgErr bytes.Buffer
-	if code := run([]string{"missing.cfg"}, &cfgOut, &cfgErr); code != cli.ExitOperational {
-		t.Fatalf("missing cfg: exit %d, want %d", code, cli.ExitOperational)
-	}
-}
 
-func TestCleanPackageExitsZero(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"softcache/internal/cli"}, &out, &errb); code != cli.ExitOK {
-		t.Fatalf("clean package: exit %d\nstdout %s\nstderr %s", code, out.String(), errb.String())
-	}
-	if out.Len() != 0 {
-		t.Fatalf("clean package produced output: %s", out.String())
-	}
-}
-
-// TestFindingsExitOne runs the suite standalone over a dirty fixture
-// package staged in a throwaway module-relative directory.
-func TestFindingsExitOne(t *testing.T) {
-	dir := stageDirtyPackage(t)
-	var out, errb bytes.Buffer
-	code := run([]string{"./" + filepath.ToSlash(dir) + "/..."}, &out, &errb)
-	if code != cli.ExitFailure {
-		t.Fatalf("dirty package: exit %d, want %d\nstdout %s\nstderr %s", code, cli.ExitFailure, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "[cliexit]") {
-		t.Fatalf("finding not rendered with analyzer tag: %s", out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-json", "./" + filepath.ToSlash(dir) + "/..."}, &out, &errb)
-	if code != cli.ExitFailure {
-		t.Fatalf("dirty package -json: exit %d, want %d", code, cli.ExitFailure)
-	}
-	for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
-		var d struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
+	for _, args := range [][]string{{"./..."}, {"-json", "softcache/internal/cli"}, {}} {
+		out.Reset()
+		errb.Reset()
+		if code := run(args, &out, &errb); code != cli.ExitUsage {
+			t.Fatalf("%q: exit %d, want %d; stderr %s", args, code, cli.ExitUsage, errb.String())
 		}
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("-json line %q: %v", line, err)
-		}
-		if d.Analyzer != "cliexit" || d.Line == 0 {
-			t.Fatalf("unexpected JSON diagnostic %+v", d)
+		if !strings.Contains(errb.String(), "go vet -vettool") {
+			t.Fatalf("%q: message does not point to go vet -vettool: %q", args, errb.String())
 		}
 	}
 }
 
-// TestAnalyzerSelection: with -poolescape only, the cliexit finding in
-// the dirty package is not reported.
-func TestAnalyzerSelection(t *testing.T) {
-	dir := stageDirtyPackage(t)
-	var out, errb bytes.Buffer
-	code := run([]string{"-poolescape", "./" + filepath.ToSlash(dir) + "/..."}, &out, &errb)
-	if code != cli.ExitOK {
-		t.Fatalf("-poolescape over cliexit-dirty package: exit %d\nstdout %s\nstderr %s", code, out.String(), errb.String())
-	}
-}
-
-// stageDirtyPackage writes a package with one cliexit violation inside
-// the module (so go list can see it) and removes it afterwards, together
-// with testdata when nothing else is left in it, so the checkout ends as
-// it began.
+// stageDirtyPackage writes a package with one cliexit violation in
+// dirty.go and one in dirty_test.go inside the module (so go vet can
+// see it) and removes it afterwards, together with testdata when
+// nothing else is left in it, so the checkout ends as it began.
 func stageDirtyPackage(t *testing.T) string {
 	t.Helper()
 	dir := filepath.Join("testdata", "staged_"+strings.ReplaceAll(t.Name(), "/", "_"))
@@ -145,12 +96,16 @@ func bail() {
 	if err := os.WriteFile(filepath.Join(dir, "dirty.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	testSrc := strings.Replace(src, "func bail()", "func bailInTest()", 1)
+	if err := os.WriteFile(filepath.Join(dir, "dirty_test.go"), []byte(testSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	return dir
 }
 
 // TestGoVetVettool drives the real protocol end to end: build the
-// binary, hand it to go vet, and check both the clean and the dirty
-// path.
+// binary, hand it to go vet, and check the clean path, the dirty path
+// with its finding in a _test.go file, and the -json aggregate.
 func TestGoVetVettool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and runs go vet")
@@ -166,13 +121,49 @@ func TestGoVetVettool(t *testing.T) {
 		t.Fatalf("go vet -vettool over clean package: %v\n%s", err, out)
 	}
 
-	dir := stageDirtyPackage(t)
-	vet = exec.Command("go", "vet", "-vettool="+bin, "./"+filepath.ToSlash(dir)+"/...")
+	pattern := "./" + filepath.ToSlash(stageDirtyPackage(t)) + "/..."
+	vet = exec.Command("go", "vet", "-vettool="+bin, pattern)
 	out, err := vet.CombinedOutput()
 	if err == nil {
 		t.Fatalf("go vet -vettool over dirty package succeeded:\n%s", out)
 	}
-	if !strings.Contains(string(out), "terminates the process from a library package") {
-		t.Fatalf("vet output missing the cliexit finding:\n%s", out)
+	for _, file := range []string{"dirty.go", "dirty_test.go"} {
+		want := file + ":6:2: os.Exit terminates the process from a library package"
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("vet output missing %q:\n%s", want, out)
+		}
+	}
+
+	// Under -json cmd/go prints a "# <package>" line before each unit's
+	// aggregate object and exits 0: findings are data, not failure.
+	vet = exec.Command("go", "vet", "-json", "-vettool="+bin, pattern)
+	out, err = vet.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go vet -json -vettool: %v\n%s", err, out)
+	}
+	var objects strings.Builder
+	for _, line := range strings.SplitAfter(string(out), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			objects.WriteString(line)
+		}
+	}
+	var posns []string
+	dec := json.NewDecoder(strings.NewReader(objects.String()))
+	for dec.More() {
+		var agg map[string]map[string][]struct {
+			Posn    string `json:"posn"`
+			Message string `json:"message"`
+		}
+		if err := dec.Decode(&agg); err != nil {
+			t.Fatalf("go vet -json output: %v\n%s", err, out)
+		}
+		for _, byAnalyzer := range agg {
+			for _, d := range byAnalyzer["cliexit"] {
+				posns = append(posns, d.Posn)
+			}
+		}
+	}
+	if !strings.Contains(strings.Join(posns, " "), "dirty_test.go:6:2") {
+		t.Fatalf("go vet -json names no cliexit finding in dirty_test.go (cliexit findings %v):\n%s", posns, out)
 	}
 }

@@ -1,10 +1,10 @@
 // Package analyze is the static-analysis framework softcache points at
 // its own source: a small, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic)
-// plus the three drivers the analyzers run under — a standalone loader
-// built on `go list -export` (package loading), the `go vet -vettool`
-// unitchecker protocol (unitchecker.go), and an analysistest-style
-// fixture harness (package analyzetest).
+// plus the two drivers the analyzers run under: the `go vet -vettool`
+// unitchecker protocol (unitchecker.go), which cmd/softcache-analyze
+// speaks, and an analysistest-style fixture harness (package
+// analyzetest). Both report findings in _test.go files too.
 //
 // The paper's thesis is that static analysis can substitute for
 // hardware assistance; softcache-vet applies that to the workload
@@ -44,15 +44,14 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, suppression comments
-	// and command-line selection. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and suppression
+	// comments. It must be a valid identifier.
 	Name string
-	// Doc is a one-line description shown by -analyzers listings.
+	// Doc is a one-line description shown in the command's usage.
 	Doc string
 	// Run applies the analyzer to one package, reporting findings
 	// through pass.Report/Reportf. A returned error is an operational
@@ -117,19 +116,11 @@ func newInfo() *types.Info {
 	}
 }
 
-// Options configure a driver run.
-type Options struct {
-	// Tests includes findings (and suppression directives) located in
-	// _test.go files. Type-checking always sees every file in the
-	// package; this only filters what is reported.
-	Tests bool
-}
-
 // RunAnalyzers applies the analyzers to pkg and returns the surviving
 // findings in position order: analyzer findings minus honored
 // suppressions, plus the suppression-hygiene findings (reasonless or
 // unused ignores). An analyzer returning an error aborts the run.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -147,10 +138,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, opts Options) ([]Diagnost
 			return nil, fmt.Errorf("analyze: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	if !opts.Tests {
-		diags = dropTestFileDiags(pkg.Fset, diags)
-	}
-	diags = applyIgnores(pkg, analyzers, diags, opts)
+	diags = applyIgnores(pkg, analyzers, diags)
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := pkg.Fset.Position(diags[i].Pos), pkg.Fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
@@ -165,15 +153,4 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, opts Options) ([]Diagnost
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, nil
-}
-
-// dropTestFileDiags filters findings positioned in _test.go files.
-func dropTestFileDiags(fset *token.FileSet, diags []Diagnostic) []Diagnostic {
-	kept := diags[:0]
-	for _, d := range diags {
-		if !strings.HasSuffix(fset.Position(d.Pos).Filename, "_test.go") {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }

@@ -68,7 +68,7 @@ func f() {
 	_ = x
 }
 `})
-	diags, err := RunAnalyzers(pkg, []*Analyzer{stub}, Options{})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{stub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSuppressionHygiene(t *testing.T) {
 //softcache:ignore otherling unknown analyzers are someone else's directive
 func f() {}
 `})
-	diags, err := RunAnalyzers(pkg, []*Analyzer{stub}, Options{})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{stub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,29 +115,25 @@ func f() {}
 	}
 }
 
-func TestTestFileFiltering(t *testing.T) {
-	files := map[string]string{
+// TestTestFileFindingsReported: findings and suppressions in _test.go
+// files count like any other.
+func TestTestFileFindingsReported(t *testing.T) {
+	pkg := checkSource(t, map[string]string{
 		"fx.go":      "package fx\n\nfunc f() {\n\tx := 0\n\tx++\n\t_ = x\n}\n",
-		"fx_test.go": "package fx\n\nfunc g() {\n\ty := 0\n\ty++\n\t_ = y\n}\n",
-	}
-	pkg := checkSource(t, files)
-	diags, err := RunAnalyzers(pkg, []*Analyzer{stub}, Options{})
+		"fx_test.go": "package fx\n\nfunc g() {\n\ty := 0\n\ty++\n\ty++ //softcache:ignore stub suppressed in a test file\n\t_ = y\n}\n",
+	})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{stub})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 {
-		t.Fatalf("Tests=false: want 1 finding (fx.go only), got %v", messages(diags))
+	var got []string
+	for _, d := range diags {
+		p := pkg.Fset.Position(d.Pos)
+		got = append(got, p.Filename+":"+strconv.Itoa(p.Line)+" "+d.Analyzer)
 	}
-	if f := pkg.Fset.Position(diags[0].Pos).Filename; f != "fx.go" {
-		t.Fatalf("Tests=false finding in %s, want fx.go", f)
-	}
-
-	diags, err = RunAnalyzers(pkg, []*Analyzer{stub}, Options{Tests: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("Tests=true: want findings in both files, got %v", messages(diags))
+	want := []string{"fx.go:5 stub", "fx_test.go:5 stub"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("findings %v, want %v", got, want)
 	}
 }
 
@@ -147,7 +143,7 @@ func TestDiagnosticOrder(t *testing.T) {
 		"a.go": "package fx\n\nfunc a() {\n\tm := 0\n\tm++\n\t_ = m\n}\n",
 	}
 	pkg := checkSource(t, files)
-	diags, err := RunAnalyzers(pkg, []*Analyzer{stub}, Options{})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{stub})
 	if err != nil {
 		t.Fatal(err)
 	}

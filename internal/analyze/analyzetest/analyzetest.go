@@ -40,8 +40,6 @@ type Config struct {
 	// fixture wants to tell, e.g. "softcache/cmd/fake". Defaults to
 	// "softcache/fixture/<dir base name>".
 	Path string
-	// Tests reports findings in _test.go fixture files too.
-	Tests bool
 }
 
 // Run applies the analyzer to the fixture package in dir (relative to
@@ -80,7 +78,7 @@ func RunAnalyzers(t *testing.T, analyzers []*analyze.Analyzer, dir string, cfg C
 	if err != nil {
 		t.Fatalf("analyzetest: %v", err)
 	}
-	diags, err := analyze.RunAnalyzers(pkg, analyzers, analyze.Options{Tests: cfg.Tests})
+	diags, err := analyze.RunAnalyzers(pkg, analyzers)
 	if err != nil {
 		t.Fatalf("analyzetest: %v", err)
 	}

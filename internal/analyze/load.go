@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -17,81 +16,10 @@ import (
 	"sync"
 )
 
-// The standalone loader: resolve package patterns with one
-// `go list -deps -export -json` invocation, parse the target packages
-// from source, and type-check them against the export data of their
-// dependencies. Everything runs offline out of the build cache — no
-// network, no GOPATH assumptions, no third-party loader.
-
-// listPackage is the subset of `go list -json` output the loader needs.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	DepOnly    bool
-	Incomplete bool
-	Error      *struct{ Err string }
-}
-
-// Load resolves patterns (./..., specific import paths) in dir and
-// returns the matched packages parsed and type-checked. Test files are
-// not loaded — the unitchecker path (driven by go vet) covers those.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("analyze: go list %s: %v: %s",
-			strings.Join(patterns, " "), err, strings.TrimSpace(errb.String()))
-	}
-
-	exports := make(map[string]string)
-	var targets []*listPackage
-	dec := json.NewDecoder(&out)
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analyze: decoding go list output: %w", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("analyze: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			q := p
-			targets = append(targets, &q)
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, func(path string) (string, error) {
-		if f, ok := exports[path]; ok {
-			return f, nil
-		}
-		return "", fmt.Errorf("no export data for %q", path)
-	})
-
-	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := CheckFiles(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
+// Package loading: parse a package's files from source and type-check
+// them against gc export data. The unitchecker finds that data through
+// its vet config; the analyzetest harness asks `go list -export`.
+// Everything runs offline out of the build cache.
 
 // CheckFiles parses the named files (relative names resolved against
 // dir) and type-checks them as one package with the given import path.
@@ -130,8 +58,8 @@ func NewExportImporter(fset *token.FileSet, find func(path string) (string, erro
 	})
 }
 
-// moduleExportImporter resolves import paths by shelling out to
-// `go list -export` on demand, caching per process. It backs the
+// moduleExports caches, per process, the export file `go list -export`
+// named for each import path. It backs ModuleImporter and so the
 // analyzetest harness, where fixture files import real module packages
 // (softcache/internal/trace and friends) without a surrounding go list
 // universe.

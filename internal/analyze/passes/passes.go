@@ -1,12 +1,8 @@
-// Package passes is the registry of softcache's own analyzers — the
-// single list every driver (cmd/softcache-analyze standalone, the
-// go vet -vettool path, and the suite tests) runs, so "the suite" means
-// the same thing everywhere.
+// Package passes is the registry of softcache's own analyzers: the one
+// list cmd/softcache-analyze runs, whole, under go vet -vettool.
 package passes
 
 import (
-	"fmt"
-
 	"softcache/internal/analyze"
 	"softcache/internal/analyze/cliexit"
 	"softcache/internal/analyze/lockguard"
@@ -20,27 +16,4 @@ func All() []*analyze.Analyzer {
 		lockguard.Analyzer,
 		poolescape.Analyzer,
 	}
-}
-
-// Select resolves analyzer names to the suite subset, preserving the
-// registry order. An unknown name is an operational error.
-func Select(names []string) ([]*analyze.Analyzer, error) {
-	if len(names) == 0 {
-		return All(), nil
-	}
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []*analyze.Analyzer
-	for _, a := range All() {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	for n := range want {
-		return nil, fmt.Errorf("unknown analyzer %q", n)
-	}
-	return out, nil
 }

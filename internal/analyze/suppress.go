@@ -29,12 +29,8 @@ type ignoreDirective struct {
 // parseIgnores collects every well-formed directive in the package and
 // reports malformed ones (missing analyzer or missing reason) as
 // findings under the pseudo-analyzer name "ignore".
-func parseIgnores(pkg *Package, opts Options) (directives []*ignoreDirective, malformed []Diagnostic) {
+func parseIgnores(pkg *Package) (directives []*ignoreDirective, malformed []Diagnostic) {
 	for _, f := range pkg.Files {
-		filename := pkg.Fset.Position(f.Pos()).Filename
-		if !opts.Tests && strings.HasSuffix(filename, "_test.go") {
-			continue
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//"+ignorePrefix)
@@ -100,8 +96,8 @@ func standaloneComment(fset *token.FileSet, f *ast.File, pos token.Pos) bool {
 // applyIgnores filters diags through the package's directives and
 // appends the hygiene findings: malformed directives and directives
 // that matched nothing.
-func applyIgnores(pkg *Package, analyzers []*Analyzer, diags []Diagnostic, opts Options) []Diagnostic {
-	directives, malformed := parseIgnores(pkg, opts)
+func applyIgnores(pkg *Package, analyzers []*Analyzer, diags []Diagnostic) []Diagnostic {
+	directives, malformed := parseIgnores(pkg)
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true

@@ -62,9 +62,9 @@ func PrintVersion(w io.Writer, progname string) {
 	fmt.Fprintf(w, "%s version devel comments-go-here buildID=%02x\n", progname, h.Sum(nil))
 }
 
-// PrintFlags emits the -flags JSON: the per-analyzer selection bools
-// plus the driver flags cmd/go is allowed to forward.
-func PrintFlags(w io.Writer, analyzers []*Analyzer) {
+// PrintFlags emits the -flags JSON: the flags cmd/go is allowed to
+// forward. Every analyzer always runs, so none has a flag.
+func PrintFlags(w io.Writer) {
 	type flagDesc struct {
 		Name  string `json:"Name"`
 		Bool  bool   `json:"Bool"`
@@ -72,11 +72,7 @@ func PrintFlags(w io.Writer, analyzers []*Analyzer) {
 	}
 	flags := []flagDesc{
 		{Name: "json", Bool: true, Usage: "emit JSON diagnostics"},
-		{Name: "tests", Bool: true, Usage: "also report findings in _test.go files"},
 		{Name: "c", Bool: false, Usage: "display offending line with this many lines of context (ignored)"},
-	}
-	for _, a := range analyzers {
-		flags = append(flags, flagDesc{Name: a.Name, Bool: true, Usage: "enable " + a.Name + " analysis"})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "\t")
@@ -86,7 +82,7 @@ func PrintFlags(w io.Writer, analyzers []*Analyzer) {
 // Unitchecker processes one cfg file and returns the diagnostics (nil
 // for fact-only units) along with the unit's package ID for -json
 // aggregation. Operational failures return an error.
-func Unitchecker(cfgFile string, analyzers []*Analyzer, opts Options) ([]Diagnostic, *token.FileSet, string, error) {
+func Unitchecker(cfgFile string, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, string, error) {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		return nil, nil, "", err
@@ -121,7 +117,7 @@ func Unitchecker(cfgFile string, analyzers []*Analyzer, opts Options) ([]Diagnos
 		}
 		return nil, nil, cfg.ID, err
 	}
-	diags, err := RunAnalyzers(pkg, analyzers, opts)
+	diags, err := RunAnalyzers(pkg, analyzers)
 	return diags, fset, cfg.ID, err
 }
 
@@ -149,34 +145,6 @@ func relPosition(pos token.Position) string {
 
 func hasDotDotPrefix(p string) bool {
 	return p == ".." || len(p) >= 3 && p[:3] == ".."+string(filepath.Separator)
-}
-
-// jsonDiagnostic is the one-line machine shape shared by the vet JSON
-// protocol and softcache-analyze -json.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteDiagnosticsJSON renders findings one JSON object per line.
-func WriteDiagnosticsJSON(w io.Writer, fset *token.FileSet, diags []Diagnostic) error {
-	enc := json.NewEncoder(w)
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		if err := enc.Encode(jsonDiagnostic{
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteVetJSON renders findings in the aggregate shape `go vet -json`

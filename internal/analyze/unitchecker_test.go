@@ -22,7 +22,7 @@ func TestPrintVersion(t *testing.T) {
 
 func TestPrintFlags(t *testing.T) {
 	var buf bytes.Buffer
-	PrintFlags(&buf, []*Analyzer{stub})
+	PrintFlags(&buf)
 	var flags []struct {
 		Name  string
 		Bool  bool
@@ -31,14 +31,14 @@ func TestPrintFlags(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &flags); err != nil {
 		t.Fatalf("-flags output is not a JSON flag list: %v\n%s", err, buf.String())
 	}
-	names := make(map[string]bool)
+	// go vet forwards only what -flags lists: the aggregate JSON switch
+	// and the context-lines count. Every analyzer always runs.
+	var names []string
 	for _, f := range flags {
-		names[f.Name] = true
+		names = append(names, f.Name)
 	}
-	for _, want := range []string{"json", "tests", "stub"} {
-		if !names[want] {
-			t.Errorf("-flags output missing %q: %s", want, buf.String())
-		}
+	if strings.Join(names, " ") != "json c" {
+		t.Fatalf("-flags lists %v, want [json c]", names)
 	}
 }
 
@@ -50,33 +50,6 @@ func diagFixture() (*token.FileSet, []Diagnostic) {
 	return fset, []Diagnostic{
 		{Pos: f.Pos(10), Analyzer: "stub", Message: "first"},
 		{Pos: f.Pos(20), Analyzer: "stub", Message: "second"},
-	}
-}
-
-func TestWriteDiagnosticsJSONIsOneObjectPerLine(t *testing.T) {
-	fset, diags := diagFixture()
-	var buf bytes.Buffer
-	if err := WriteDiagnosticsJSON(&buf, fset, diags); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want one JSON object per finding, got %d lines:\n%s", len(lines), buf.String())
-	}
-	for _, line := range lines {
-		var d struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("line %q is not a JSON object: %v", line, err)
-		}
-		if d.File != "pkg/file.go" || d.Analyzer != "stub" || d.Line == 0 {
-			t.Errorf("diagnostic fields not populated: %+v", d)
-		}
 	}
 }
 
@@ -99,18 +72,5 @@ func TestWriteVetJSONShape(t *testing.T) {
 	}
 	if len(byAnalyzer["stub"]) != 2 {
 		t.Fatalf("want 2 stub findings, got %v", byAnalyzer)
-	}
-}
-
-func TestLoadTypechecksRealPackage(t *testing.T) {
-	pkgs, err := Load("../..", []string{"softcache/internal/cli"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 || pkgs[0].Types.Name() != "cli" {
-		t.Fatalf("Load: got %v", pkgs)
-	}
-	if len(pkgs[0].Files) == 0 || pkgs[0].Info == nil {
-		t.Fatal("Load returned an unparsed or untyped package")
 	}
 }

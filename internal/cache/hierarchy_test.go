@@ -225,14 +225,17 @@ func TestSwapLockStallsNextAccess(t *testing.T) {
 	s := mustSim(t, softTestConfig())
 	s.Access(rec(0))
 	s.Access(rec(1024))
-	s.Access(rec(0)) // swap: cache locked 2 extra cycles
-	// Next access arrives 1 cycle later (Gap=1), within the lock window:
-	// it pays a 1-cycle stall on top of its hit.
-	got := s.Access(rec(1024 + 8)) // BB hit... wait: 1024 now in BB; use a main hit
-	_ = got
+	s.Access(rec(0)) // swap: 0 back in main, 1024 in BB, both locked 2 more cycles
+	// The next access issues 1 cycle later (Gap=1), inside the lock
+	// window, and hits 1024's line in the bounce-back cache: a 1-cycle
+	// stall, then the 3-cycle bounce-back time.
+	if got := s.Access(rec(1024 + 8)); got != 1+3 {
+		t.Fatalf("cost %d, want 1 stall + 3 bounce-back", got)
+	}
 	st := s.Stats()
-	if st.LockStallCycles == 0 {
-		t.Fatal("expected a lock stall after the swap")
+	if st.LockStallCycles != 1 || st.BounceBackHits != 2 || st.Swaps != 2 {
+		t.Fatalf("LockStallCycles %d BounceBackHits %d Swaps %d, want 1 2 2",
+			st.LockStallCycles, st.BounceBackHits, st.Swaps)
 	}
 }
 

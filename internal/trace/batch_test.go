@@ -181,6 +181,7 @@ func TestPutBatchRejectsForeignShapes(t *testing.T) {
 	// grab a generous handful).
 	held := make([]*[]Record, 32)
 	for i := range held {
+		//softcache:ignore poolescape holding the batches is what drains the pool; held[0] goes back shrunk and the rest at the end
 		held[i] = GetBatch()
 	}
 
