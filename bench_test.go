@@ -91,9 +91,9 @@ func BenchmarkTagAudit(b *testing.B)  { runFigure(b, "tag-audit") }
 
 // --- micro-benchmarks ----------------------------------------------------
 
-// benchmarkSimulator measures per-reference simulation cost and reports the
-// resulting AMAT as a custom metric, so regressions in either speed or
-// model behaviour are visible.
+// benchmarkSimulator measures per-reference simulation cost, in
+// ns/record, and reports the resulting AMAT as a custom metric, so
+// regressions in either speed or model behaviour are visible.
 func benchmarkSimulator(b *testing.B, cfg core.Config) {
 	tr, err := workloads.Trace("MV", benchScale(), 1)
 	if err != nil {
@@ -110,6 +110,7 @@ func benchmarkSimulator(b *testing.B, cfg core.Config) {
 	}
 	b.ReportMetric(amat, "AMAT-cycles")
 	b.ReportMetric(float64(tr.Len()), "refs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/record")
 }
 
 func BenchmarkSimulateStandard(b *testing.B) { benchmarkSimulator(b, core.Standard()) }
@@ -117,6 +118,11 @@ func BenchmarkSimulateSoft(b *testing.B)     { benchmarkSimulator(b, core.Soft()
 func BenchmarkSimulateSoftPrefetch(b *testing.B) {
 	benchmarkSimulator(b, core.WithPrefetch(core.Soft(), true))
 }
+
+// BenchmarkSimulateSetAssoc times a set-associative cache, the fig. 9b
+// simplified soft design at two ways, whose hits AccessAll batches like
+// the direct-mapped ones.
+func BenchmarkSimulateSetAssoc(b *testing.B) { benchmarkSimulator(b, core.SimplifiedSoftAssoc(2)) }
 
 // BenchmarkSimulateHits times the direct-mapped hit loop alone: an
 // all-hit trace (a 4 KB sweep in 8-byte words, one store in four, gap 1)

@@ -32,7 +32,7 @@ type Simulator struct {
 	fetchScratch []uint64 // reusable candidate-line buffer
 	maxPrefetch  int      // cap on resident prefetched bounce-back lines
 	pseudoAssoc  bool     // column-associative main cache
-	plainDM      bool     // direct-mapped pow2 main, no subblocks: hit fast path
+	batchHits    bool     // pow2 main, whole-line fills: hitRun serves hits
 	subblocks    int      // subblocks per line (0 = sub-block placement off)
 	lineMask     uint64   // LineSize-1: in-line byte offset mask
 	subShift     uint     // log2(SubblockSize)
@@ -84,11 +84,11 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.VirtualLineSize > cfg.LineSize {
 		s.virtualLines = cfg.VirtualLineSize / cfg.LineSize
 	}
-	// The paper's default organisation (direct-mapped, power-of-two
-	// geometry, whole-line fills) has its hits served by hitRun: one
-	// masked load per hit and one call per run of hits, for most of all
-	// records.
-	s.plainDM = !s.pseudoAssoc && s.subblocks == 0 && s.main.ways == 1 && s.main.maskable
+	// A main cache of power-of-two geometry with whole-line fills, the
+	// paper's direct-mapped default and the set-associative baselines, has
+	// its hits served a run at a time by hitRun or assocHitRun, for most
+	// of all records.
+	s.batchHits = !s.pseudoAssoc && s.subblocks == 0 && s.main.maskable
 	return s, nil
 }
 
@@ -117,20 +117,23 @@ func (s *Simulator) Access(r trace.Record) int {
 
 // AccessAll processes recs in order and returns the sum of their costs in
 // cycles; Access is a one-record call, and core.Run hands it whole
-// batches. On a plain direct-mapped main cache, the paper's default, hits
-// — the bulk of every trace — are served a run at a time by hitRun, which
+// batches. On a main cache of power-of-two geometry with whole-line
+// fills, direct-mapped or set-associative under any replacement policy
+// and temporal priority, hits — the bulk of every trace — are served a
+// run at a time by hitRun (assocHitRun for more than one way), which
 // carries only the run's length, gap sum, store count and temporal-bit
 // count. The clock, the stall and the cost are settled once per run from
 // those: only a run's first hit can stall, because every hit leaves the
 // cache free at its own completion, so the next one never issues before
-// it. A record the loop cannot serve (a miss, a software prefetch, a store
-// that must post a write-through word or invalidate a stream buffer) ends
-// the run and takes the general path. Under RuntimeChecks each run is one
-// record long and the checker runs after it. Every other organisation
-// takes the general path record by record.
+// it. A record the loop cannot serve (a miss, a software prefetch, a
+// store that must post a write-through word or invalidate a stream
+// buffer) ends the run and takes the general path. Under RuntimeChecks
+// each run is one record long and the checker runs after it.
+// Column-associative and sub-blocked caches take the general path record
+// by record.
 func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 	var total uint64
-	if !s.plainDM {
+	if !s.batchHits {
 		for i := range recs {
 			total += uint64(s.access(recs[i]))
 		}
@@ -146,7 +149,13 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 		if checks {
 			run = run[:1]
 		}
-		n, gaps, writes, tempSets := hitRun(run, s.main.lines, s.main.shift, storesLeave, s.cfg.UseTemporalTags)
+		var n int
+		var gaps, writes, tempSets uint64
+		if s.main.ways == 1 {
+			n, gaps, writes, tempSets = hitRun(run, s.main.lines, s.main.shift, storesLeave, s.cfg.UseTemporalTags)
+		} else {
+			n, gaps, writes, tempSets = assocHitRun(run, s.main, storesLeave, s.cfg.UseTemporalTags)
+		}
 		if n > 0 {
 			var stall uint64
 			if issue := s.now + uint64(recs[i].Gap); issue < s.freeAt {
@@ -175,16 +184,18 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 	return total
 }
 
-// hitRun scans the leading run of records in run that hit a plain
-// direct-mapped main cache and need nothing beyond the line's own flags: a
-// store dirties the line (unless storesLeave ends the run at it), a
-// temporal-tagged reference sets its temporal bit under useTemporal. It
-// returns the run's length, the sum of its gaps, its store count and the
-// number of temporal bits it set. lines is the whole cache, one line per
-// set and a power-of-two count of them, so the set index is a mask of the
-// line address. A 1-way set's victim is its lone slot, so the hits leave
-// the LRU stamps alone. It stays out of line so that the loop has the
-// registers to itself.
+// hitRun scans the leading run of records in run that hit a direct-mapped
+// main cache and need nothing beyond the line's own flags: a store dirties
+// the line (unless storesLeave ends the run at it), a temporal-tagged
+// reference sets its temporal bit under useTemporal. It returns the run's
+// length, the sum of its gaps, its store count and the number of temporal
+// bits it set. lines is the whole cache, one line per set and a
+// power-of-two count of them, so the set index is a mask of the line
+// address. A 1-way set's victim is its lone slot, so the hits leave the
+// LRU stamps alone. It stays out of line so that the loop has the
+// registers to itself: folding the set-associative scan into it spilled
+// its counters and nearly doubled BenchmarkSimulateHits, hence
+// assocHitRun.
 //
 //go:noinline
 func hitRun(run []trace.Record, lines []line, shift uint, storesLeave, useTemporal bool) (n int, gaps, writes, tempSets uint64) {
@@ -218,11 +229,62 @@ func hitRun(run []trace.Record, lines []line, shift uint, storesLeave, useTempor
 	return len(run), gaps, writes, tempSets
 }
 
+// assocHitRun is hitRun for a set-associative main cache c with a
+// power-of-two set count, under any replacement policy: it scans each
+// record's set for its line, and each hit refreshes the line's LRU stamp
+// exactly as touch does (not under FIFO, where the fill order decides).
+//
+//go:noinline
+func assocHitRun(run []trace.Record, c *mainCache, storesLeave, useTemporal bool) (n int, gaps, writes, tempSets uint64) {
+	lines, tick, ways, setMask := c.lines, c.tick, c.ways, c.setMask
+	shift := c.shift & 63
+	stamp := c.policy != ReplaceFIFO
+	n = len(run)
+	for i := range run {
+		r := &run[i]
+		if r.SoftwarePrefetch || (r.Write && storesLeave) {
+			n = i
+			break
+		}
+		la := r.Addr >> shift
+		base := int(la&setMask) * ways
+		set := lines[base : base+ways]
+		var l *line
+		for w := range set {
+			if o := &set[w]; o.tag == la && o.flags&flagValid != 0 {
+				l = o
+				break
+			}
+		}
+		if l == nil {
+			n = i
+			break
+		}
+		f := l.flags
+		if r.Write {
+			writes++
+			f |= flagDirty
+		}
+		if useTemporal && r.Temporal && f&flagTemporal == 0 {
+			f |= flagTemporal
+			tempSets++
+		}
+		l.flags = f
+		if stamp {
+			tick++
+			l.lru = tick
+		}
+		gaps += uint64(r.Gap)
+	}
+	c.tick = tick
+	return n, gaps, writes, tempSets
+}
+
 // access simulates one reference through the general path: every
 // organisation's main-cache probe, then the bounce-back, bypass and
-// stream-buffer structures, then the miss. On a plain direct-mapped cache
-// AccessAll has already served the hits, so access sees only misses,
-// software prefetches and the stores that leave hitRun there.
+// stream-buffer structures, then the miss. Where hitRun serves hits,
+// AccessAll has already served them, so access sees only misses, software
+// prefetches and the stores that leave hitRun there.
 func (s *Simulator) access(r trace.Record) int {
 	if r.SoftwarePrefetch {
 		return s.softwarePrefetch(r)

@@ -130,7 +130,8 @@ func (s *System) PrefetchFetch(lines, lineBytes int) {
 // transfer for a slot and that stall is returned in cycles.
 func (s *System) PostWrite(bytes int, now uint64) int {
 	s.stats.BytesWritten += uint64(bytes)
-	// Time-based drain.
+	// Time-based drain. The drain clock advances by the whole transfers
+	// it drained, so the remainder of an odd gap counts towards the next.
 	if now > s.lastDrain {
 		drained := int(now-s.lastDrain) / victimTransferCycles
 		if drained > 0 {
@@ -138,7 +139,7 @@ func (s *System) PostWrite(bytes int, now uint64) int {
 			if s.pending < 0 {
 				s.pending = 0
 			}
-			s.lastDrain = now
+			s.lastDrain += uint64(drained * victimTransferCycles)
 		}
 	}
 	s.stats.Writebacks++

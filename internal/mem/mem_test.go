@@ -121,3 +121,22 @@ func TestPostWrite(t *testing.T) {
 		t.Fatalf("occupancy = %d after a full drain and one post", s.WriteBufferOccupancy())
 	}
 }
+
+// TestPostWriteDrainKeepsRemainder: stores posted three cycles apart
+// drain three entries every six cycles while adding two, so a full buffer
+// empties. A drain clock reset to the post's cycle would drop the odd
+// cycle and drain one entry per post, holding the buffer full.
+func TestPostWriteDrainKeepsRemainder(t *testing.T) {
+	s := NewSystem(20)
+	for i := 0; i < writeBufferEntries; i++ {
+		s.PostWrite(8, 0)
+	}
+	for i := 1; i <= 30; i++ {
+		if stall := s.PostWrite(8, uint64(3*i)); stall != 0 {
+			t.Fatalf("post %d at cycle %d stalled %d cycles", i, 3*i, stall)
+		}
+	}
+	if got := s.WriteBufferOccupancy(); got != 1 {
+		t.Fatalf("occupancy %d after the spaced posts, want 1", got)
+	}
+}

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"softcache/internal/idtable"
 	"softcache/internal/trace"
 )
 
@@ -22,18 +23,21 @@ func ReuseDistances(t *trace.Trace, granularity int) [5]float64 {
 	if granularity <= 0 {
 		granularity = 8
 	}
-	last := make(map[uint64]int, 1<<16) // addr -> index of previous access
+	var ids idtable.Table
+	var last []int // key id -> index of its previous access
 	var counts [5]int
 	n := len(t.Records)
 	for i, r := range t.Records {
-		key := r.Addr / uint64(granularity)
-		if j, ok := last[key]; ok {
-			counts[bucketReuse(i-j)]++
+		id, fresh := ids.ID(r.Addr / uint64(granularity))
+		if fresh {
+			last = append(last, i)
+			continue
 		}
-		last[key] = i
+		counts[bucketReuse(i-last[id])]++
+		last[id] = i
 	}
 	// Addresses never accessed again: one terminal "no reuse" entry each.
-	counts[0] += len(last)
+	counts[0] += ids.Len()
 	var out [5]float64
 	if n == 0 {
 		return out

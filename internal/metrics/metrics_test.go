@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"softcache/internal/timing"
 	"softcache/internal/trace"
 )
 
@@ -184,5 +185,45 @@ func TestTableBars(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "##########") {
 		t.Fatalf("max bar should span the full width:\n%s", out)
+	}
+}
+
+// naiveReuseDistances is ReuseDistances over a Go map from key to the
+// index of its previous access.
+func naiveReuseDistances(t *trace.Trace, granularity int) [5]float64 {
+	last := map[uint64]int{}
+	var counts [5]int
+	for i, r := range t.Records {
+		key := r.Addr / uint64(granularity)
+		if j, ok := last[key]; ok {
+			counts[bucketReuse(i-j)]++
+		}
+		last[key] = i
+	}
+	counts[0] += len(last)
+	var out [5]float64
+	for i, c := range counts {
+		out[i] = float64(c) / float64(len(t.Records))
+	}
+	return out
+}
+
+// TestReuseDistancesMatchNaive: on random traces with up to a few
+// thousand distinct keys, far past the id table's starting size (256
+// slots), and reuse distances in every bucket, ReuseDistances equals the
+// map reference at two granularities.
+func TestReuseDistancesMatchNaive(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		rng := timing.NewRNG(seed)
+		tr := &trace.Trace{Name: "random"}
+		keys := 100 << seed
+		for i := 0; i < 30_000; i++ {
+			tr.Append(trace.Record{Addr: uint64(rng.Intn(keys)) * 8, Size: 8})
+		}
+		for _, g := range []int{8, 32} {
+			if got, want := ReuseDistances(tr, g), naiveReuseDistances(tr, g); got != want {
+				t.Fatalf("seed %d, %d keys, granularity %d: %v, naive %v", seed, keys, g, got, want)
+			}
+		}
 	}
 }

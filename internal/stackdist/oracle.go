@@ -24,6 +24,7 @@ package stackdist
 import (
 	"math"
 
+	"softcache/internal/idtable"
 	"softcache/internal/trace"
 )
 
@@ -51,35 +52,27 @@ type dense struct {
 }
 
 // densify maps each record's word and line to dense ids, in order of first
-// touch: one map lookup per record, and one more per distinct word.
+// touch: one table lookup per record, and one more per distinct word.
 func densify(t *trace.Trace, lineBytes int) dense {
 	if len(t.Records) >= math.MaxInt32 {
 		panic("stackdist: trace too long for int32 times")
 	}
 	d := dense{word: make([]int32, len(t.Records))}
-	words := make(map[uint64]int32)
-	lines := make(map[uint64]int32)
+	var words, lines idtable.Table
 	for i, rec := range t.Records {
 		if rec.SoftwarePrefetch {
 			d.word[i] = -1
 			continue
 		}
 		d.refs++
-		w, ok := words[rec.Addr]
-		if !ok {
-			w = int32(len(d.line))
-			words[rec.Addr] = w
-			key := rec.Addr / uint64(lineBytes)
-			l, ok := lines[key]
-			if !ok {
-				l = int32(len(lines))
-				lines[key] = l
-			}
+		w, fresh := words.ID(rec.Addr)
+		if fresh {
+			l, _ := lines.ID(rec.Addr / uint64(lineBytes))
 			d.line = append(d.line, l)
 		}
 		d.word[i] = w
 	}
-	d.lines = len(lines)
+	d.lines = lines.Len()
 	return d
 }
 

@@ -120,8 +120,23 @@ func naiveReuse(tr *trace.Trace, lineBytes, window int) []Reuse {
 // force on random traces with software prefetches, over windows from 1 to
 // past the distinct-line count: the engine keeps its Fenwick tree only
 // while the trace has more distinct lines than the window, so both the
-// tree and the tree-less path run.
+// tree and the tree-less path run. One larger trace takes the id tables
+// through several doublings.
 func TestObserveReuseMatchesNaive(t *testing.T) {
+	// Past the id tables' starting size (256 slots): about 650 distinct
+	// words over 200 lines, under windows that bind and one that does
+	// not.
+	rng := timing.NewRNG(99)
+	big := randomTrace(rng, 1500, 200)
+	for _, window := range []int{4, 50, 400} {
+		got, want := ObserveReuse(big, 32, window), naiveReuse(big, 32, window)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("200 lines, window %d, record %d (%+v): observed %+v, naive %+v",
+					window, i, big.Records[i], got[i], want[i])
+			}
+		}
+	}
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := timing.NewRNG(seed)
 		lines := 2 + rng.Intn(30)

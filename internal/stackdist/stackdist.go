@@ -12,14 +12,15 @@
 //
 // Both passes here (Analyze and the reuse oracle, ObserveReuse) run on one
 // dense engine: lines (and, for the oracle, words) get int32 ids in order
-// of first touch, so per-line and per-word state lives in slices, and
-// distinct-line counts come from one int32 Fenwick tree over access times,
-// sized to the trace: O(log n) a query.
+// of first touch from an idtable.Table, so per-line and per-word state
+// lives in slices, and distinct-line counts come from one int32 Fenwick
+// tree over access times, sized to the trace: O(log n) a query.
 package stackdist
 
 import (
 	"math"
 
+	"softcache/internal/idtable"
 	"softcache/internal/trace"
 )
 
@@ -71,9 +72,9 @@ func Analyze(t *trace.Trace, lineSize, maxTracked int) Profile {
 		panic("stackdist: trace too long for int32 times")
 	}
 	p := Profile{Histogram: make([]uint64, maxTracked+1)}
-	// One pass needs only line ids, assigned on first touch: the map is
+	// One pass needs only line ids, assigned on first touch: the table is
 	// asked once per reference, and per-line state lives in a slice.
-	ids := make(map[uint64]int32)
+	var ids idtable.Table
 	var last []int32 // line id -> time of latest access
 	tree := newFenwick(len(t.Records))
 	now := int32(0)
@@ -83,10 +84,8 @@ func Analyze(t *trace.Trace, lineSize, maxTracked int) Profile {
 		}
 		now++
 		p.References++
-		key := r.Addr / uint64(lineSize)
-		l, seen := ids[key]
-		if !seen {
-			ids[key] = int32(len(last))
+		l, fresh := ids.ID(r.Addr / uint64(lineSize))
+		if fresh {
 			last = append(last, now)
 			p.Compulsory++
 			tree.add(now, 1)

@@ -69,20 +69,24 @@ func randomTrace(rng *timing.RNG, n, lines int) *trace.Trace {
 
 // TestAnalyzerMatchesNaive cross-checks Analyze against a brute-force LRU
 // stack on random streams, with a histogram bound below the distinct-line
-// count so the overflow bucket fills too.
+// count so the overflow bucket fills too. The second stream touches about
+// 1100 distinct lines, so the line-id table grows past its starting size
+// (256 slots) several times.
 func TestAnalyzerMatchesNaive(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := timing.NewRNG(seed)
-		tr := randomTrace(rng, 500, 40)
-		for _, maxTracked := range []int{8, 64} {
-			if !reflect.DeepEqual(Analyze(tr, 32, maxTracked), naiveProfile(tr, 32, maxTracked)) {
-				return false
+	for _, c := range []struct{ n, lines int }{{500, 40}, {4000, 1200}} {
+		f := func(seed uint64) bool {
+			rng := timing.NewRNG(seed)
+			tr := randomTrace(rng, c.n, c.lines)
+			for _, maxTracked := range []int{8, 64} {
+				if !reflect.DeepEqual(Analyze(tr, 32, maxTracked), naiveProfile(tr, 32, maxTracked)) {
+					return false
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatalf("%d records over %d lines: %v", c.n, c.lines, err)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package timing
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // GapBucket is one entry of a discrete inter-reference time distribution:
 // gaps of Cycles cycles occur with probability Weight (weights are
@@ -13,9 +16,15 @@ type GapBucket struct {
 // GapModel samples inter-reference time gaps from a fixed discrete
 // distribution. It implements the paper's scheme: a pessimistic 1
 // cycle/instruction model summarised by the fig. 4b histogram.
+//
+// A model is read-only once built, so goroutines may share one.
 type GapModel struct {
 	cycles []int
 	cum    []float64 // cumulative, normalised to 1.0
+	// cut[i] is floor(cum[i]·2^53): Sample's uniform draw u53/2^53
+	// exceeds cum[i] exactly when u53 > cut[i], so the draw stays in
+	// integers. The last bucket's cut is 2^53, above every draw.
+	cut []uint64
 	// lut[k] is the first bucket index whose cumulative probability
 	// exceeds k/256 — a starting point that makes Sample O(1) in practice
 	// instead of a binary search per reference.
@@ -68,6 +77,7 @@ func NewGapModel(buckets []GapBucket) (*GapModel, error) {
 	m := &GapModel{
 		cycles: make([]int, len(buckets)),
 		cum:    make([]float64, len(buckets)),
+		cut:    make([]uint64, len(buckets)),
 	}
 	acc := 0.0
 	for i, b := range buckets {
@@ -76,6 +86,9 @@ func NewGapModel(buckets []GapBucket) (*GapModel, error) {
 		m.cum[i] = acc
 	}
 	m.cum[len(m.cum)-1] = 1.0 // guard against FP drift
+	for i, c := range m.cum {
+		m.cut[i] = uint64(c * (1 << 53)) // exact: a power-of-two scale
+	}
 	for k := range m.lut {
 		u := float64(k) / 256
 		i := 0
@@ -87,21 +100,30 @@ func NewGapModel(buckets []GapBucket) (*GapModel, error) {
 	return m, nil
 }
 
-// PaperGapModel returns the fig. 4b distribution; it panics only if the
+// paperGapModel is the fig. 4b model, built once: it panics only if the
 // built-in table is malformed, which is covered by tests.
-func PaperGapModel() *GapModel {
+var paperGapModel = sync.OnceValue(func() *GapModel {
 	m, err := NewGapModel(PaperGapBuckets)
 	if err != nil {
 		panic(err)
 	}
 	return m
-}
+})
 
-// Sample draws one gap (in cycles, >= 1).
-func (m *GapModel) Sample(rng *RNG) int {
-	u := rng.Float64()
-	i := m.lut[int(u*256)]
-	for i < len(m.cum)-1 && m.cum[i] < u {
+// PaperGapModel returns the fig. 4b distribution. Every call returns the
+// same read-only model.
+func PaperGapModel() *GapModel { return paperGapModel() }
+
+// Sample draws one gap (in cycles, >= 1): the gap whose bucket holds the
+// uniform draw u53/2^53 of RNG.Float64.
+func (m *GapModel) Sample(rng *RNG) int { return m.gapAt(rng.Uint64() >> 11) }
+
+// gapAt returns the gap of the first bucket whose cumulative probability
+// is not below u53/2^53, comparing in integers: u53>>45 is the LUT cell
+// int(u*256), and u53 > cut[i] is cum[i] < u.
+func (m *GapModel) gapAt(u53 uint64) int {
+	i := m.lut[u53>>45]
+	for u53 > m.cut[i] {
 		i++
 	}
 	return m.cycles[i]

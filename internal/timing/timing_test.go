@@ -124,3 +124,56 @@ func TestGapModelMeanMatchesPaperBallpark(t *testing.T) {
 		t.Fatalf("paper gap mean %.2f outside plausible window", mean)
 	}
 }
+
+// floatGap is the sampler in floating point, as Sample drew before it
+// moved to integers: the reference gapAt must match draw for draw.
+func floatGap(m *GapModel, u53 uint64) int {
+	u := float64(u53) / (1 << 53)
+	i := m.lut[int(u*256)]
+	for i < len(m.cum)-1 && m.cum[i] < u {
+		i++
+	}
+	return m.cycles[i]
+}
+
+// TestGapAtMatchesFloat: the integer draw picks the float reference's
+// bucket at both edges of every LUT cell, around every bucket boundary
+// and on a million random states, for the paper's model, a constant one
+// and one with a bucket narrower than a LUT cell.
+func TestGapAtMatchesFloat(t *testing.T) {
+	narrow, err := NewGapModel([]GapBucket{{Cycles: 1, Weight: 0.5}, {Cycles: 2, Weight: 1e-6}, {Cycles: 3, Weight: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*GapModel{"paper": PaperGapModel(), "constant": Constant(3), "narrow": narrow}
+	const top = 1<<53 - 1
+	for name, m := range models {
+		var probes []uint64
+		for k := uint64(0); k < 256; k++ {
+			probes = append(probes, k<<45, (k+1)<<45-1)
+		}
+		for _, c := range m.cut {
+			for d := -2; d <= 2; d++ {
+				if u := int64(c) + int64(d); u >= 0 && u <= top {
+					probes = append(probes, uint64(u))
+				}
+			}
+		}
+		for _, u := range probes {
+			if got, want := m.gapAt(u), floatGap(m, u); got != want {
+				t.Fatalf("%s: u53 %#x: gapAt %d, float reference %d", name, u, got, want)
+			}
+		}
+		rng := NewRNG(11)
+		for i := 0; i < 1_000_000; i++ {
+			ref := *rng
+			got := m.Sample(rng)
+			if want := floatGap(m, ref.Uint64()>>11); got != want {
+				t.Fatalf("%s: draw %d: Sample %d, float reference %d", name, i, got, want)
+			}
+		}
+	}
+	if narrow.gapAt(narrow.cut[0]+1) != 2 {
+		t.Fatal("the narrow bucket is never drawn")
+	}
+}

@@ -11,11 +11,17 @@
 // entry each subscript is evaluated once, each reference then moves by a
 // fixed element delta per iteration, and the iterations at which it stays
 // inside its array follow in closed form, so no record re-evaluates a
-// subscript. Every other loop, one with an indirect subscript or a nested
-// loop, walks its body one iteration at a time over a closure per
-// statement. Both feed one record path, so they draw the same gaps and
-// fail at the same record. Generate materialises the trace; NewReader
-// streams the same records batch by batch.
+// subscript. The iterations at which every reference is in range are
+// written a chunk at a time, whole iterations straight into the
+// destination batch with the RNG state in a local. Every other loop, one
+// with an indirect subscript or a nested loop, walks its body one
+// iteration at a time over a closure per statement, emitting one record
+// at a time. Both follow one set of record and gap rules (every record
+// draws a gap in program order, the first record's gap is 0, a full
+// batch is flushed before the next record, the record past MaxRecords
+// fails), so chunked and per-record generation yield the same records
+// and fail at the same record. Generate materialises the trace;
+// NewReader streams the same records batch by batch.
 package tracegen
 
 import (
@@ -127,10 +133,12 @@ type generator struct {
 	flush func() error
 }
 
-// emit draws r's gap and appends r to recs. It is the one record path of
-// both Generate and Reader, so the two yield identical records and fail
-// at the same record when the trace outgrows MaxRecords.
-func (g *generator) emit(r trace.Record) error {
+// emit appends r's record for element idx to recs and draws its gap, by
+// the record and gap rules of the package comment; emitChunk writes whole
+// iterations by the same rules. It writes the record into its slot
+// before setting the gap there, rather than building it aside and
+// copying it in.
+func (g *generator) emit(r *ref, idx int) error {
 	if g.n >= g.max {
 		return fmt.Errorf("tracegen: trace exceeds MaxRecords=%d (workload mis-sized?)", g.max)
 	}
@@ -139,13 +147,44 @@ func (g *generator) emit(r trace.Record) error {
 			return err
 		}
 	}
-	r.Gap = uint8(g.gaps.Sample(g.rng))
+	g.recs = append(g.recs, r.rec)
+	rec := &g.recs[len(g.recs)-1]
+	rec.Addr = r.base + uint64(idx*r.elem)
+	gap := uint8(g.gaps.Sample(g.rng))
 	if g.n == 0 {
-		r.Gap = 0
+		gap = 0
 	}
-	g.recs = append(g.recs, r)
+	rec.Gap = gap
 	g.n++
 	return nil
+}
+
+// emitChunk writes iters whole iterations of a strided loop whose
+// references are all in range straight into recs, which must have room
+// for them, and advances each reference past them. The RNG state stays
+// in a local for the whole chunk.
+func (g *generator) emitChunk(refs []stridedRef, iters int) {
+	start := len(g.recs)
+	out := g.recs[start : start+iters*len(refs)]
+	rng := *g.rng
+	o := 0
+	for k := 0; k < iters; k++ {
+		for j := range refs {
+			r := &refs[j]
+			rec := &out[o]
+			*rec = r.rec
+			rec.Addr = r.base + uint64(r.idx*r.elem)
+			rec.Gap = uint8(g.gaps.Sample(&rng))
+			r.idx += r.delta
+			o++
+		}
+	}
+	*g.rng = rng
+	if g.n == 0 && len(out) > 0 {
+		out[0].Gap = 0
+	}
+	g.recs = g.recs[:start+len(out)]
+	g.n += len(out)
 }
 
 // action is a compiled statement: it executes against the generator state.
@@ -306,10 +345,8 @@ func (b *bounds) strided(refs []stridedRef) action {
 				stop, failing = f, j
 			}
 		}
-		for k := 0; k < stop; k++ {
-			if err := g.emitIteration(k, refs); err != nil {
-				return err
-			}
+		if err := g.emitIterations(stop, refs); err != nil {
+			return err
 		}
 		if stop == n {
 			g.env[b.slot] = from + (n-1)*b.step
@@ -323,6 +360,38 @@ func (b *bounds) strided(refs []stridedRef) action {
 	}
 }
 
+// emitIterations emits iterations [0,stop) of a strided loop. The
+// iterations at which every reference, prefetches included, is in range
+// are written a chunk at a time, each chunk as many whole iterations as
+// recs has room for; the others, and an iteration that does not fit,
+// take emitIteration's record-at-a-time path, which flushes or fails at
+// the right record.
+func (g *generator) emitIterations(stop int, refs []stridedRef) error {
+	if len(refs) == 0 {
+		return nil
+	}
+	lo, hi := 0, stop
+	for j := range refs {
+		lo, hi = max(lo, refs[j].lo), min(hi, refs[j].hi)
+	}
+	for k := 0; k < stop; {
+		if k >= lo && k < hi {
+			// Room before emit would flush the batch or fail at MaxRecords.
+			room := min(cap(g.recs)-len(g.recs), g.max-g.n)
+			if iters := min(room/len(refs), hi-k); iters > 0 {
+				g.emitChunk(refs, iters)
+				k += iters
+				continue
+			}
+		}
+		if err := g.emitIteration(k, refs); err != nil {
+			return err
+		}
+		k++
+	}
+	return nil
+}
+
 // emitIteration emits iteration k of a strided loop's references and
 // advances each to the next iteration. A prefetch emits only inside its
 // in-range iterations.
@@ -330,7 +399,7 @@ func (g *generator) emitIteration(k int, refs []stridedRef) error {
 	for j := range refs {
 		r := &refs[j]
 		if r.lo <= k && k < r.hi {
-			if err := g.emit(r.at(r.idx)); err != nil {
+			if err := g.emit(r.ref, r.idx); err != nil {
 				return err
 			}
 		}
@@ -516,13 +585,6 @@ func (r *ref) index(g *generator) (idx int, ok bool, err error) {
 	return idx, true, nil
 }
 
-// at is r's record for element idx.
-func (r *ref) at(idx int) trace.Record {
-	rec := r.rec
-	rec.Addr = r.base + uint64(idx*r.elem)
-	return rec
-}
-
 // walk is r's action on the closure walk: it evaluates r's subscripts and
 // emits its record. A demand access out of range fails generation; a
 // prefetch out of range is dropped silently (non-faulting semantics).
@@ -542,7 +604,7 @@ func (r *ref) walk(g *generator) error {
 		}
 		idx += v * r.strides[d]
 	}
-	return g.emit(r.at(idx))
+	return g.emit(r, idx)
 }
 
 // stridedRef is a reference of a loop in strided form: every subscript is
