@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-pair perf perf-check figures faults serve result-race examples clean
+.PHONY: all build test vet bench bench-pair perf figures faults serve result-race examples clean
 
 all: build vet test
 
@@ -38,6 +38,8 @@ bench:
 # alternating pairs of SECONDS-long WORKLOAD runs: every run, then each
 # metric's per-side median and quartiles, the change's wins and the ratio
 # of the medians. BASE defaults to the merge-base of HEAD and main.
+# WORKLOAD=perf pairs the quick perf rows instead, each side running its
+# own softcache-perf (SECONDS does not apply). Nothing is gated.
 WORKLOAD ?= figures
 PAIRS ?= 10
 SECONDS ?= 20
@@ -46,16 +48,11 @@ bench-pair:
 		-workload $(WORKLOAD) -pairs $(PAIRS) -seconds $(SECONDS)
 
 # Every pinned perf row (kernel, fused and decode layers at test and paper
-# scale); refreshes the committed BENCH_kernel.json baseline (run on a quiet
-# machine). See docs/PERF.md.
+# scale); refreshes the committed BENCH_kernel.json trajectory record (run
+# on a quiet machine) and fails when the corpus-weighted sctz decode is
+# slower than flat. See docs/PERF.md.
 perf:
 	$(GO) run ./cmd/softcache-perf -out BENCH_kernel.json
-
-# The test-scale rows gated against the committed baseline: every row's
-# ns/record within 15% (what CI runs).
-perf-check:
-	$(GO) run ./cmd/softcache-perf -quick -baseline BENCH_kernel.json \
-		-out /tmp/bench-current.json -max-regress 0.15
 
 # Regenerate every figure of the paper at full scale, refreshing
 # EXPERIMENTS.md, results/*.csv and results/figures.html.
@@ -72,9 +69,11 @@ faults:
 serve:
 	$(GO) run ./cmd/softcache-served
 
-# The result-cache equivalence layer under the race detector — what CI's
-# "result-cache equivalence suite" step runs. See docs/SERVE.md "Result
-# cache".
+# The result-cache equivalence layer under the race detector, on its own:
+# the cache's tests and the differential suites once, then the coalescing
+# primitive, the trace cache and the daemon's soak test ten times over.
+# CI runs the first two lines as part of its `go test -race ./...` and the
+# last three in its repeated race step. See docs/SERVE.md "Result cache".
 result-race:
 	$(GO) test -race -count=1 ./internal/resultcache
 	$(GO) test -race -count=1 -run 'Result|Fingerprint|PrefixCollision|RestartedShard' \

@@ -66,3 +66,47 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// A row only one side reports (renamed or added by the change) is printed
+// as absent on the other side: no wins, no ratio, never a 0 that reads as
+// a lower-is-better win.
+func TestSummarizeOneSidedRows(t *testing.T) {
+	base := []map[string]float64{{"kernel/old": 10, "shared": 5}, {"kernel/old": 12, "shared": 6}}
+	change := []map[string]float64{{"kernel/new": 9, "shared": 4}, {"kernel/new": 11, "shared": 7}}
+	rows := map[string][]string{}
+	for _, l := range strings.Split(strings.TrimSpace(summarize(base, change, nil)), "\n")[1:] {
+		f := strings.Fields(l)
+		rows[f[0]] = f
+	}
+	if len(rows) != 3 {
+		t.Fatalf("want 3 rows (the union of both sides), got %v", rows)
+	}
+	old, renamed, shared := strings.Join(rows["kernel/old"], " "), strings.Join(rows["kernel/new"], " "), strings.Join(rows["shared"], " ")
+	if !strings.HasPrefix(old, "kernel/old 11 [10.5, 11.5] absent - -") {
+		t.Errorf("base-only row %q", old)
+	}
+	if !strings.HasPrefix(renamed, "kernel/new absent 10 [9.5, 10.5] - -") {
+		t.Errorf("change-only row %q", renamed)
+	}
+	if !strings.HasSuffix(shared, " 1/2 1.000") {
+		t.Errorf("shared row %q", shared)
+	}
+}
+
+func TestParsePerfReadsEveryRow(t *testing.T) {
+	report := `{"schema":"softcache-perf/v5","quick":true,"rows":[
+		{"name":"kernel/MV/test/vl64-bb1","layer":"kernel","ns_per_record":13.5,"allocs_per_op":28},
+		{"name":"decode/MV/test/sctz","layer":"decode","ns_per_record":4.25,"bytes":1000}]}`
+	m, err := parsePerf([]byte(report))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 2 || m["kernel/MV/test/vl64-bb1"] != 13.5 || m["decode/MV/test/sctz"] != 4.25 {
+		t.Errorf("parsed %v", m)
+	}
+	for _, bad := range []string{"not json", `{"schema":"softcache-perf/v5","rows":[]}`} {
+		if _, err := parsePerf([]byte(bad)); err == nil {
+			t.Errorf("%q parsed", bad)
+		}
+	}
+}

@@ -2,26 +2,24 @@
 // rows, each the ns/record of one pass over one trace, across three layers
 // (kernel: one single-config pass per config; fused: one core.Run
 // pass for a whole config set; decode: one flat SCTR or compressed SCTZ
-// streaming drain). It writes the machine-readable BENCH_kernel.json
-// artifact and a markdown delta report with the derived fused speedups and
-// codec ratios and, when a baseline is given, gates every row's ns/record
-// against it, plus a corpus-weighted "sctz at or below flat" budget that
-// holds the run to itself.
+// streaming drain). It writes the machine-readable JSON report and a
+// markdown report with the derived fused speedups and codec ratios.
 //
 // Usage:
 //
-//	softcache-perf                          # all rows -> BENCH_kernel.json
-//	softcache-perf -quick                   # test-scale rows only (CI smoke)
-//	softcache-perf -baseline BENCH_kernel.json -out /tmp/now.json
-//	softcache-perf -quick -max-regress 0.15 # fail >15% ns/record regressions
-//	softcache-perf -md report.md            # write the delta report to a file
+//	softcache-perf                    # all rows -> BENCH_kernel.json
+//	softcache-perf -quick -out q.json # test-scale rows only
+//	softcache-perf -md report.md      # write the markdown report to a file
 //
-// With no -baseline, an existing -out file from a previous run is used as
-// the baseline before being overwritten. The delta report goes to stdout
-// unless -md names a file.
+// The markdown report goes to stdout unless -md names a file. A run that
+// measured the paper-scale decode rows is held to the corpus-weighted
+// "sctz at or below flat" budget (perf.CodecBudget); a -quick run has no
+// such rows and says so. Two revisions are compared by running each one's
+// own softcache-perf in alternating pairs: softcache-benchpair -workload
+// perf (make bench-pair WORKLOAD=perf).
 //
-// The process exits 0 on success, 1 when a row fails or the regression
-// gate trips, and 2 on usage errors.
+// The process exits 0 on success, 1 when a row fails or the codec budget
+// is exceeded, and 2 on usage errors.
 package main
 
 import (
@@ -46,11 +44,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "run only the test-scale rows (CI smoke)")
+	quick := fs.Bool("quick", false, "run only the test-scale rows")
 	out := fs.String("out", "BENCH_kernel.json", "write the JSON report here")
-	baseline := fs.String("baseline", "", "compare against this previous JSON report (default: the pre-existing -out file)")
-	maxRegress := fs.Float64("max-regress", 0, "fail when any row's ns/record regresses by more than this fraction vs the baseline (0 disables)")
-	md := fs.String("md", "", "write the markdown delta report to this file (default: stdout)")
+	md := fs.String("md", "", "write the markdown report to this file (default: stdout)")
 	minTime := fs.Duration("min-time", 0, "minimum measurement time per row (default 300ms, 100ms with -quick)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -58,36 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return cli.Exit(stderr, tool, cli.UsageErrorf("unexpected arguments: %v", fs.Args()))
 	}
-	return cli.Exit(stderr, tool, runPerf(*quick, *out, *baseline, *maxRegress, *md, *minTime, stdout, stderr))
+	return cli.Exit(stderr, tool, runPerf(*quick, *out, *md, *minTime, stdout, stderr))
 }
 
-func runPerf(quick bool, out, baseline string, maxRegress float64, md string, minTime time.Duration, stdout, stderr io.Writer) error {
-	if maxRegress < 0 {
-		return cli.UsageErrorf("-max-regress must be >= 0, got %g", maxRegress)
-	}
-
-	// Load the baseline before the run (and before -out is overwritten).
-	basePath := baseline
-	if basePath == "" {
-		if _, err := os.Stat(out); err == nil {
-			basePath = out
-		}
-	}
-	var base *perf.Report
-	if basePath != "" {
-		var err error
-		base, err = perf.ReadJSON(basePath)
-		if err != nil {
-			if baseline != "" {
-				return err // an explicit baseline must parse
-			}
-			fmt.Fprintf(stderr, "%s: ignoring unreadable previous report %s: %v\n", tool, basePath, err)
-		}
-	}
-	if baseline != "" && base == nil {
-		return fmt.Errorf("baseline %s not loaded", baseline)
-	}
-
+func runPerf(quick bool, out, md string, minTime time.Duration, stdout, stderr io.Writer) error {
 	runner := perf.Runner{MinTime: minTime, Log: stderr}
 	if quick && minTime == 0 {
 		runner.MinTime = 100 * time.Millisecond
@@ -105,7 +75,7 @@ func runPerf(quick bool, out, baseline string, maxRegress float64, md string, mi
 	}
 	fmt.Fprintf(stderr, "%s: wrote %s (%d rows)\n", tool, out, len(report.Rows))
 
-	rendered := perf.Markdown(base, report)
+	rendered := perf.Markdown(report)
 	if md != "" {
 		if err := os.WriteFile(md, []byte(rendered), 0o644); err != nil {
 			return err
@@ -114,11 +84,9 @@ func runPerf(quick bool, out, baseline string, maxRegress float64, md string, mi
 		fmt.Fprint(stdout, rendered)
 	}
 
-	if base != nil && maxRegress > 0 {
-		if err := perf.Gate(base, report, maxRegress); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "%s: regression gate passed (budget %.0f%%)\n", tool, maxRegress*100)
+	checked, err := perf.CodecBudget(report)
+	if !checked {
+		fmt.Fprintf(stderr, "%s: codec budget not checked: no paper-scale flat/sctz decode rows in this run\n", tool)
 	}
-	return nil
+	return err
 }

@@ -15,20 +15,15 @@ func runPerfCmd(t *testing.T, args ...string) (string, string, int) {
 	return out.String(), errb.String(), code
 }
 
+// TestQuickRunAndGate runs the quick rows once: the JSON report is
+// written, the markdown report goes to stdout, and the codec budget says
+// in one line that a test-scale run has nothing for it to check.
 func TestQuickRunAndGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the quick rows twice")
+		t.Skip("runs the quick rows")
 	}
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "BENCH_kernel.json")
-
-	// Each row is timed over at least 20ms: long enough that one scheduler
-	// stall on a loaded host cannot inflate a row tenfold and trip the
-	// gate below, short enough to keep the two runs near a second.
-	const minTime = "20ms"
-
-	// First run: no baseline exists yet; plain report to stdout.
-	out, errb, code := runPerfCmd(t, "-quick", "-min-time", minTime, "-out", jsonPath)
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_kernel.json")
+	out, errb, code := runPerfCmd(t, "-quick", "-min-time", "20ms", "-out", jsonPath)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
@@ -38,36 +33,15 @@ func TestQuickRunAndGate(t *testing.T) {
 	if _, err := os.Stat(jsonPath); err != nil {
 		t.Fatalf("JSON artifact not written: %v", err)
 	}
-
-	// Second run: the previous -out file becomes the baseline, the delta
-	// column appears, and the gate runs (two back-to-back runs of the same
-	// binary stay within a generous budget).
-	mdPath := filepath.Join(dir, "delta.md")
-	out, errb, code = runPerfCmd(t, "-quick", "-min-time", minTime, "-out", jsonPath,
-		"-max-regress", "9", "-md", mdPath)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errb)
-	}
-	md, err := os.ReadFile(mdPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(md), "Δ ns/record") {
-		t.Fatalf("delta report lacks delta column:\n%s", md)
-	}
-	if !strings.Contains(errb, "regression gate passed") {
-		t.Fatalf("gate did not run:\n%s", errb)
+	if n := strings.Count(errb, "codec budget not checked"); n != 1 {
+		t.Fatalf("quick run printed %d codec-budget lines, want 1:\n%s", n, errb)
 	}
 }
 
 func TestUsageErrors(t *testing.T) {
-	if _, _, code := runPerfCmd(t, "extra-arg"); code != 2 {
-		t.Fatalf("positional argument: exit %d, want 2", code)
-	}
-	if _, _, code := runPerfCmd(t, "-max-regress", "-1"); code != 2 {
-		t.Fatalf("negative budget: exit %d, want 2", code)
-	}
-	if _, _, code := runPerfCmd(t, "-baseline", "/nonexistent.json"); code != 1 {
-		t.Fatalf("missing explicit baseline: exit %d, want 1", code)
+	for _, args := range [][]string{{"extra-arg"}, {"-baseline", "x"}, {"-max-regress", "0.15"}} {
+		if _, _, code := runPerfCmd(t, args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 // Package perf is the kernel performance-regression suite: a pinned set
 // of rows, each the cost of one pass over one trace in ns/record, run
 // through the experiment harness and emitted as machine-readable JSON
-// (BENCH_kernel.json) plus a markdown delta report against a previous run.
+// (BENCH_kernel.json) plus a markdown report. Two revisions are compared
+// by running each one's own suite in alternating pairs
+// (cmd/softcache-benchpair -workload perf); the one check a run makes of
+// itself is CodecBudget.
 //
 // A row is (layer, workload, scale, set). Three layers are measured:
 //
@@ -55,8 +58,8 @@ type Spec struct {
 	Set      string
 }
 
-// Name is the row's stable identity, layer/workload/scale/set: baselines
-// match rows by it.
+// Name is the row's stable identity, layer/workload/scale/set: reports
+// and paired runs match rows by it.
 func (s Spec) Name() string {
 	return rowName(s.Layer, s.Workload, s.Scale.String(), s.Set)
 }
@@ -99,8 +102,8 @@ func softGrid() (names []string, cfgs []core.Config) {
 }
 
 // Configs builds the row's config set. Set names are pinned: the same
-// name always denotes the same ordered config list, so baseline rows stay
-// comparable across runs.
+// name always denotes the same ordered config list, so a row stays
+// comparable across runs and revisions.
 func (s Spec) Configs() ([]core.Config, error) {
 	switch s.Set {
 	case "size-line-12":
@@ -142,8 +145,8 @@ func (s Spec) Configs() ([]core.Config, error) {
 	return nil, fmt.Errorf("perf: unknown config set %q", s.Set)
 }
 
-// Rows returns the pinned rows. quick drops the paper-scale rows (CI
-// smoke runs); the full set is the release measurement.
+// Rows returns the pinned rows. quick drops the paper-scale rows (paired
+// runs); the full set is the trajectory record.
 //
 //   - kernel over each one-config point of the soft grid on MV;
 //   - fused and kernel on the same multi-config set, the pair whose ratio
@@ -229,8 +232,8 @@ const SchemaID = "softcache-perf/v5"
 // minIters bounds each unit's timed loop from below, with Runner.MinTime.
 const minIters = 3
 
-// seed is the workload trace seed: the paper's. A baseline taken at
-// another seed would gate a different trace.
+// seed is the workload trace seed: the paper's. A row measured at another
+// seed would time a different trace.
 const seed = 1
 
 // Runner executes the rows. The zero value uses sensible defaults.

@@ -219,33 +219,13 @@ func TestRunnerReportAndGate(t *testing.T) {
 		t.Fatalf("round trip lost data: %+v", loaded)
 	}
 
-	// Identical runs pass any relative gate; the measured test-scale
-	// decode rows are outside the paper-scale absolute budget.
-	if err := Gate(loaded, report, 0.15); err != nil {
-		t.Fatalf("identical reports tripped the gate: %v", err)
+	// A test-scale run measures no paper-scale codec pair, so the
+	// corpus-weighted sctz <= flat budget has nothing to check.
+	if checked, err := CodecBudget(report); checked || err != nil {
+		t.Fatalf("test-scale rows: codec budget checked %v, err %v", checked, err)
 	}
-	// A doubled ns/record on one row of any layer trips it and names the
-	// row, the kernel loop leg and the flat codec included.
-	for i, row := range report.Rows {
-		slow := *report
-		slow.Rows = append([]Row(nil), report.Rows...)
-		slow.Rows[i].NsPerRecord *= 2
-		err := Gate(loaded, &slow, 0.15)
-		if err == nil || !strings.Contains(err.Error(), row.Name) {
-			t.Errorf("2x regression of %s: gate error %v does not name it", row.Name, err)
-		}
-	}
-	// New rows (absent from the baseline) never trip the relative gate.
-	fresh := *report
-	extra := report.Rows[0]
-	extra.Name, extra.NsPerRecord = "kernel/synthetic/test/new", 1e6
-	fresh.Rows = append(append([]Row(nil), report.Rows...), extra)
-	if err := Gate(loaded, &fresh, 0.15); err != nil {
-		t.Fatalf("baseline-less row tripped the gate: %v", err)
-	}
-
-	// The corpus-weighted sctz <= flat budget is absolute: against an
-	// identical baseline, paper-scale sctz at 1.05x flat fails.
+	// The budget holds a run to itself: paper-scale sctz at 1.05x flat
+	// fails, at 0.95x it passes.
 	paper := workloads.ScalePaper.String()
 	overBudget := &Report{Schema: SchemaID, Rows: []Row{
 		{Name: rowName(layerDecode, "MV", paper, codecFlat), Layer: layerDecode, Workload: "MV", Scale: paper,
@@ -253,41 +233,34 @@ func TestRunnerReportAndGate(t *testing.T) {
 		{Name: rowName(layerDecode, "MV", paper, codecSCTZ), Layer: layerDecode, Workload: "MV", Scale: paper,
 			Set: codecSCTZ, Configs: 1, Records: 1000, NsPerRecord: 10.5},
 	}}
-	err = Gate(overBudget, overBudget, 0.15)
-	if err == nil || !strings.Contains(err.Error(), "corpus-weighted") {
-		t.Fatalf("paper-scale sctz at 1.05x flat: gate error %v does not name the corpus-weighted budget", err)
+	checked, err := CodecBudget(overBudget)
+	if !checked || err == nil || !strings.Contains(err.Error(), "corpus-weighted") {
+		t.Fatalf("paper-scale sctz at 1.05x flat: checked %v, error %v does not name the corpus-weighted budget", checked, err)
+	}
+	if mdOver := Markdown(overBudget); !strings.Contains(mdOver, "corpus-weighted") {
+		t.Errorf("report lacks the corpus-weighted line:\n%s", mdOver)
 	}
 	overBudget.Rows[1].NsPerRecord = 9.5
-	if err := Gate(overBudget, overBudget, 0.15); err != nil {
-		t.Fatalf("paper-scale sctz at 0.95x flat tripped the gate: %v", err)
+	if checked, err := CodecBudget(overBudget); !checked || err != nil {
+		t.Fatalf("paper-scale sctz at 0.95x flat: checked %v, err %v", checked, err)
 	}
 
-	mdPlain := Markdown(nil, report)
-	baseHost := *loaded
-	baseHost.CPUs = 64
-	mdDelta := Markdown(&baseHost, report)
+	md := Markdown(report)
 	for _, row := range report.Rows {
-		if !strings.Contains(mdPlain, row.Name) || !strings.Contains(mdDelta, row.Name) {
+		if !strings.Contains(md, row.Name) {
 			t.Errorf("markdown report missing row %s", row.Name)
 		}
 	}
 	for _, want := range []string{"fused speedup", "compression"} {
-		if !strings.Contains(mdPlain, want) {
-			t.Errorf("report lacks the derived %q line:\n%s", want, mdPlain)
+		if !strings.Contains(md, want) {
+			t.Errorf("report lacks the derived %q line:\n%s", want, md)
 		}
-	}
-	if !strings.Contains(mdDelta, "Δ ns/record") || !strings.Contains(mdDelta, "Baseline:") ||
-		!strings.Contains(mdDelta, "64 CPUs") {
-		t.Errorf("delta report lacks the delta column or the baseline host:\n%s", mdDelta)
-	}
-	if mdOver := Markdown(nil, overBudget); !strings.Contains(mdOver, "corpus-weighted") {
-		t.Errorf("report lacks the corpus-weighted line:\n%s", mdOver)
 	}
 }
 
-// TestCommittedBaselineCoversEveryRow holds the committed baseline to the
-// pinned rows: a renamed or added row without a baseline entry would
-// never be gated.
+// TestCommittedBaselineCoversEveryRow holds the committed trajectory
+// record to the pinned rows: BENCH_kernel.json must carry every row, so a
+// renamed or added row is recorded with the change that makes it.
 func TestCommittedBaselineCoversEveryRow(t *testing.T) {
 	base, err := ReadJSON(filepath.Join("..", "..", "BENCH_kernel.json"))
 	if err != nil {
