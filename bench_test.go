@@ -150,6 +150,36 @@ func BenchmarkSimulateHits(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 }
 
+// BenchmarkSimulateMisses times the general path alone: a sweep of one
+// word per line over 64 KB (eight times the paper's soft cache, one store
+// in four, gap 1) replayed through AccessAll on Soft after one warming
+// pass, so every record misses the main cache and the bounce-back cache
+// and its fill displaces a line through the bounce-back cache, reported
+// in ns/record.
+func BenchmarkSimulateMisses(b *testing.B) {
+	recs := make([]trace.Record, 64<<10/core.DefaultLineSize)
+	for i := range recs {
+		recs[i] = trace.Record{Addr: uint64(i * core.DefaultLineSize), Gap: 1, Size: 8, Write: i%4 == 3}
+	}
+	sim, err := core.NewSimulator(core.Soft())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.AccessAll(recs)
+	warm := sim.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.AccessAll(recs)
+	}
+	b.StopTimer()
+	st := sim.Stats()
+	if misses := st.Misses - warm.Misses; misses != uint64(b.N*len(recs)) || st.BounceBackHits != 0 {
+		b.Fatalf("%d misses and %d bounce-back hits over %d records, want every record to miss both caches",
+			misses, st.BounceBackHits, b.N*len(recs))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+}
+
 // BenchmarkTraceGeneration times tracegen.Generate per variant class the
 // figures generate: every named workload, one 12sw prefetch variant and
 // one 11b blocked matrix-matrix variant. ns/record makes the classes

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"softcache/internal/core"
 	"softcache/internal/workloads"
 )
 
@@ -26,6 +27,29 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden figure CSVs in
 //
 //	SOFTCACHE_GOLDEN_SCALE=paper go test ./internal/bench -run TestGoldenFigures -timeout 60m
 const goldenScaleEnv = "SOFTCACHE_GOLDEN_SCALE"
+
+// checkCycleConservation checks the cycle-conservation identity
+// (cache.Stats.ModelCostCycles) on every answer ctx's figures simulated.
+func checkCycleConservation(t *testing.T, ctx *Context) {
+	t.Helper()
+	ctx.answers.mu.Lock()
+	defer ctx.answers.mu.Unlock()
+	checked := 0
+	for k, res := range ctx.answers.m {
+		want, ok := res.Stats.ModelCostCycles(k.cfg)
+		if !ok {
+			continue
+		}
+		checked++
+		if res.Stats.CostCycles != want {
+			t.Errorf("%s / %s: CostCycles %d, the cost model charges %d for the counted events",
+				k.trace, core.Describe(k.cfg), res.Stats.CostCycles, want)
+		}
+	}
+	if checked == 0 {
+		t.Error("no answer has a closed-form cost to check")
+	}
+}
 
 // TestGoldenFigures regenerates every figure experiment and compares the
 // CSV output byte for byte against the committed goldens. Any behavioural
@@ -50,6 +74,7 @@ func TestGoldenFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCycleConservation(t, ctx)
 	outDir := t.TempDir()
 	var files []string
 	for _, r := range reports {

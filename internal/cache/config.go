@@ -231,6 +231,11 @@ func (c Config) Validate() error {
 	if c.LineSize <= 0 || !isPow2(c.LineSize) {
 		return fmt.Errorf("cache: LineSize must be a positive power of two, got %d", c.LineSize)
 	}
+	if c.LineSize < 2 {
+		// A line address then has its top bit clear, so the bounce-back
+		// cache can mark an empty slot with the all-ones tag.
+		return fmt.Errorf("cache: LineSize must be at least 2 bytes, got %d", c.LineSize)
+	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache: Assoc must be positive, got %d", c.Assoc)
 	}

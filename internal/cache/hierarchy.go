@@ -127,15 +127,17 @@ func (s *Simulator) Access(r trace.Record) int {
 // cache free at its own completion, so the next one never issues before
 // it. A record the loop cannot serve (a miss, a software prefetch, a
 // store that must post a write-through word or invalidate a stream
-// buffer) ends the run and takes the general path. Under RuntimeChecks
-// each run is one record long and the checker runs after it.
-// Column-associative and sub-blocked caches take the general path record
-// by record.
+// buffer) ends the run and takes the general path. When it is neither
+// a prefetch nor such a store, the loop has already probed the main
+// cache and missed, so access is told so and does not probe again. Under
+// RuntimeChecks each run is one record long and the checker runs after
+// it. Column-associative and sub-blocked caches take the general path
+// record by record.
 func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 	var total uint64
 	if !s.batchHits {
 		for i := range recs {
-			total += uint64(s.access(recs[i]))
+			total += uint64(s.access(recs[i], false))
 		}
 		return total
 	}
@@ -175,7 +177,8 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 			i += n
 		}
 		if n < len(run) {
-			total += uint64(s.access(recs[i]))
+			r := recs[i]
+			total += uint64(s.access(r, !r.SoftwarePrefetch && !(r.Write && storesLeave)))
 			i++
 		} else if checks {
 			s.runChecks()
@@ -284,8 +287,10 @@ func assocHitRun(run []trace.Record, c *mainCache, storesLeave, useTemporal bool
 // organisation's main-cache probe, then the bounce-back, bypass and
 // stream-buffer structures, then the miss. Where hitRun serves hits,
 // AccessAll has already served them, so access sees only misses, software
-// prefetches and the stores that leave hitRun there.
-func (s *Simulator) access(r trace.Record) int {
+// prefetches and the stores that leave hitRun there. mainMissed reports
+// that the caller has already found la absent from the main cache, so the
+// main-cache probe is skipped.
+func (s *Simulator) access(r trace.Record, mainMissed bool) int {
 	if r.SoftwarePrefetch {
 		return s.softwarePrefetch(r)
 	}
@@ -322,7 +327,7 @@ func (s *Simulator) access(r trace.Record) int {
 
 	var service, lock int
 	switch {
-	case s.tryMainHit(la, subIdx, r.Write, temporal, &service):
+	case !mainMissed && s.tryMainHit(la, subIdx, r.Write, temporal, &service):
 
 	case s.cfg.Bypass != BypassNone && !temporal:
 		service = s.bypassAccess(la, r)
@@ -496,12 +501,13 @@ func (s *Simulator) tryBounceBackHit(la uint64, write, temporal bool, lock *int)
 		return false
 	}
 	e := s.bb.lookup(la)
-	if e == nil {
+	if e < 0 {
 		return false
 	}
 	s.stats.BounceBackHits++
 	s.stats.Swaps++
-	wasPrefetched := e.prefetched()
+	flags := s.bb.flags[e]
+	wasPrefetched := flags&flagPrefetched != 0
 	if wasPrefetched {
 		s.stats.PrefetchHits++
 	}
@@ -509,17 +515,22 @@ func (s *Simulator) tryBounceBackHit(la uint64, write, temporal bool, lock *int)
 	// Move the bounce-back entry into the main cache...
 	vw := s.main.victimWay(la, s.cfg.TemporalPriorityReplacement)
 	old := s.main.install(vw, la)
-	vw.flags |= e.flags & flagDirtyTemporal
+	vw.flags |= flags & flagDirtyTemporal
 	if write {
 		s.storeUpdate(&vw.flags)
 	}
 	s.setTemporal(&vw.flags, temporal)
 
-	// ...and the displaced main line into the freed bounce-back slot.
+	// ...and the displaced main line into the freed bounce-back slot,
+	// which is its set's next victim, so it displaces nothing. A line of
+	// another bounce-back set (a set count that does not divide the main
+	// cache's) is evicted into its own set instead, like any displaced
+	// line, outside a miss.
+	s.bb.invalidate(e)
 	if old.valid() {
-		s.bb.install(e, bbEntry{tag: old.tag, flags: old.flags & flagDirtyTemporal})
-	} else {
-		s.bb.invalidate(e)
+		victim := s.bb.victimFor(old.tag, false, 0)
+		displaced := s.bb.install(victim, bbEntry{tag: old.tag, flags: old.flags & flagDirtyTemporal})
+		s.handleBBEviction(displaced, nil, false)
 	}
 
 	if wasPrefetched && s.cfg.Prefetch.Enabled {
@@ -533,10 +544,10 @@ func (s *Simulator) tryBounceBackHit(la uint64, write, temporal bool, lock *int)
 // (fig. 3a baselines). The main cache has already missed.
 func (s *Simulator) bypassAccess(la uint64, r trace.Record) int {
 	if s.cfg.Bypass == BypassBuffered {
-		if e := s.bypass.lookup(la); e != nil {
+		if e := s.bypass.lookup(la); e >= 0 {
 			s.bypass.touch(e)
 			if r.Write {
-				e.flags |= flagDirty
+				s.bypass.flags[e] |= flagDirty
 			}
 			s.stats.BypassBufferHits++
 			return hitCycles
@@ -550,7 +561,7 @@ func (s *Simulator) bypassAccess(la uint64, r trace.Record) int {
 		return hitCycles + s.memory.Fetch(0, 0, int(r.Size), 0)
 	case BypassBuffered:
 		penalty := s.memory.Fetch(1, s.cfg.LineSize, 0, 0)
-		victim := s.bypass.victimForEvict(la)
+		victim := s.bypass.victimFor(la, false, 0)
 		var flags uint8
 		if r.Write {
 			flags = flagDirty
@@ -625,7 +636,7 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 		// memory copy wins), which is incoherent hardware but keeps the
 		// simulator's no-duplication invariant.
 		if s.bb != nil && cand != la {
-			if e := s.bb.lookup(cand); e != nil {
+			if e := s.bb.lookup(cand); e >= 0 {
 				if s.cfg.NoCoherenceChecks {
 					s.bb.invalidate(e)
 				} else {
@@ -634,9 +645,12 @@ func (s *Simulator) miss(la uint64, subIdx int, write, temporal, spatial bool, v
 				}
 			}
 		}
-		// A bounce-back triggered by an earlier placement of this very
-		// miss may have re-installed cand already; never duplicate.
-		if s.main.lookup(cand) != nil {
+		// Never duplicate a line. Only a candidate the coherence checks
+		// did not probe can be resident: la itself has missed, the
+		// candidate loop found every other one absent, and no placement
+		// of this miss can bring one back, because handleBBEviction
+		// cancels any bounce-back onto a line in flight.
+		if s.cfg.NoCoherenceChecks && cand != la && s.main.lookup(cand) != nil {
 			continue
 		}
 		old, nl := s.place(cand)
@@ -690,7 +704,7 @@ func (s *Simulator) evictMainLine(old line, inflight []uint64) int {
 		}
 		return 0
 	}
-	victim := s.bb.victimForEvict(old.tag)
+	victim := s.bb.victimFor(old.tag, false, 0)
 	displaced := s.bb.install(victim, bbEntry{tag: old.tag, flags: old.flags & flagDirtyTemporal})
 	return s.handleBBEviction(displaced, inflight, true)
 }
@@ -762,7 +776,7 @@ func (s *Simulator) discard(e bbEntry, underMiss bool) int {
 // prefetch-on-miss filtering is not needed — this residence check only
 // avoids duplication).
 func (s *Simulator) issuePrefetch(la uint64, underMiss bool) {
-	if s.main.lookup(la) != nil || s.bb.lookup(la) != nil {
+	if s.main.lookup(la) != nil || s.bb.lookup(la) >= 0 {
 		return
 	}
 	s.memory.PrefetchFetch(1, s.cfg.LineSize)
@@ -823,7 +837,8 @@ func (s *Simulator) Inspect(addr uint64) LineInfo {
 		return LineInfo{Where: InMain, Dirty: l.dirty(), Temporal: l.temporal()}
 	}
 	if s.bb != nil {
-		if e := s.bb.lookup(la); e != nil {
+		if i := s.bb.lookup(la); i >= 0 {
+			e := s.bb.entry(i)
 			return LineInfo{Where: InBounceBack, Dirty: e.dirty(), Temporal: e.temporal(), Prefetched: e.prefetched()}
 		}
 	}
@@ -859,20 +874,19 @@ func (s *Simulator) CheckInvariants() string {
 	}
 	if s.bb != nil {
 		if s.seenBB == nil {
-			s.seenBB = make(map[uint64]bool, len(s.bb.entries))
+			s.seenBB = make(map[uint64]bool, len(s.bb.tags))
 		} else {
 			clear(s.seenBB)
 		}
-		for i := range s.bb.entries {
-			e := &s.bb.entries[i]
-			if !e.valid() {
+		for _, tag := range s.bb.tags {
+			if tag == invalidTag {
 				continue
 			}
-			if s.seenBB[e.tag] {
+			if s.seenBB[tag] {
 				return "duplicate line in bounce-back cache"
 			}
-			s.seenBB[e.tag] = true
-			if s.seenMain[e.tag] {
+			s.seenBB[tag] = true
+			if s.seenMain[tag] {
 				return "line resident in both main and bounce-back caches"
 			}
 		}

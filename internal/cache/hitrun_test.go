@@ -183,7 +183,7 @@ func TestSetAssocRunsMatchGeneralPath(t *testing.T) {
 			}
 			var want uint64
 			for _, r := range recs {
-				want += uint64(general.access(r))
+				want += uint64(general.access(r, false))
 			}
 			whole := mustSim(t, cfg)
 			chunked := mustSim(t, cfg)

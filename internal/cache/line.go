@@ -108,17 +108,27 @@ func (c *mainCache) setIndex(la uint64) int {
 }
 
 // lookup returns the way holding line address la, or nil. The
-// direct-mapped power-of-two organisation (the paper's default, and the
-// hottest probe in the whole simulator) is special-cased to a single
-// masked load.
+// direct-mapped organisation (the paper's default, and the hottest probe
+// in the whole simulator) is a single masked load: its set count,
+// CacheSize/LineSize, is a power of two (Validate). The set scan stays
+// out of line. lookup itself cannot inline: Go charges a call that is not
+// inlined 57 of its budget of 80, and the masked probe costs more than
+// the rest.
 func (c *mainCache) lookup(la uint64) *line {
-	if c.ways == 1 && c.maskable {
-		l := &c.lines[la&c.setMask]
-		if l.flags&flagValid != 0 && l.tag == la {
+	if c.ways == 1 {
+		if l := &c.lines[la&c.setMask]; l.tag == la && l.flags&flagValid != 0 {
 			return l
 		}
 		return nil
 	}
+	return c.lookupSet(la)
+}
+
+// lookupSet is lookup's scan of a set of more than one way, kept out of
+// lookup so that the direct-mapped probe stays short.
+//
+//go:noinline
+func (c *mainCache) lookupSet(la uint64) *line {
 	base := c.setIndex(la) * c.ways
 	set := c.lines[base : base+c.ways]
 	for w := range set {
@@ -152,13 +162,21 @@ func (c *mainCache) touch(l *line) {
 // paper's dynamic adjustment ("once a data has been bounced back, its
 // temporal bit is reset" — §2.2): without it, dead reusable data would pin
 // its set forever.
+//
+// The direct-mapped victim, the lone slot of the set, is taken inline in
+// the caller; the scan of a larger set is victimWaySet.
 func (c *mainCache) victimWay(la uint64, temporalPriority bool) *line {
 	if c.ways == 1 {
 		// Direct-mapped: the victim is the lone slot whatever the policy,
 		// and the temporal lease below cannot trigger (lruAny and
 		// lruNonTemporal would be the same way).
-		return &c.lines[c.setIndex(la)]
+		return &c.lines[la&c.setMask]
 	}
+	return c.victimWaySet(la, temporalPriority)
+}
+
+// victimWaySet is victimWay's scan of a set of more than one way.
+func (c *mainCache) victimWaySet(la uint64, temporalPriority bool) *line {
 	base := c.setIndex(la) * c.ways
 	set := c.lines[base : base+c.ways]
 	var lruAny, lruNonTemporal *line

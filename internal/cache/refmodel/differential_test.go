@@ -29,6 +29,18 @@ func variants() []variant {
 	fifo2 := core.SetAssoc(core.Standard(), 2)
 	fifo2.Replacement = cache.ReplaceFIFO
 	tinySoft := core.WithGeometry(core.Soft(), 2048, 16, 64)
+	noCoherence := core.Soft()
+	noCoherence.NoCoherenceChecks = true
+	temporalAdmission := core.Soft()
+	temporalAdmission.TemporalOnlyAdmission = true
+	bb4way := core.Soft()
+	bb4way.BounceBackAssoc = 4
+	// Three sets of four: the set index is a modulo, and a swap's
+	// displaced main line can belong to another set than the hit's.
+	bb3sets := core.Soft()
+	bb3sets.BounceBackLines, bb3sets.BounceBackAssoc = 12, 4
+	bb1 := core.Soft()
+	bb1.BounceBackLines = 1
 	return []variant{
 		{"Standard", core.Standard()},
 		{"Soft", core.Soft()},
@@ -51,6 +63,11 @@ func variants() []variant {
 		{"Random2", random2},
 		{"FIFO2", fifo2},
 		{"TinySoft", tinySoft},
+		{"SoftNoCoherence", noCoherence},
+		{"SoftTemporalAdmission", temporalAdmission},
+		{"BounceBack4Way", bb4way},
+		{"BounceBack3Sets", bb3sets},
+		{"BounceBack1", bb1},
 	}
 }
 
@@ -88,6 +105,7 @@ func runDifferential(t *testing.T, cfg cache.Config, records []trace.Record) {
 		t.Fatalf("final stats diverge after %d records:\noptimized: %+v\nreference: %+v",
 			len(records), so, sr)
 	}
+	checkCycles(t, cfg, so)
 
 	batched, err := cache.New(cfg)
 	if err != nil {
@@ -109,6 +127,17 @@ func runDifferential(t *testing.T, cfg cache.Config, records []trace.Record) {
 	if sb := batched.Stats(); !reflect.DeepEqual(sb, sr) {
 		t.Fatalf("batched final stats diverge after %d records:\nbatched:   %+v\nreference: %+v",
 			len(records), sb, sr)
+	}
+}
+
+// checkCycles fails t unless st conserves cycles under cfg: CostCycles
+// must equal the sum the cost model charges for its counted events
+// (cache.Stats.ModelCostCycles), where that sum has a closed form.
+func checkCycles(t *testing.T, cfg cache.Config, st cache.Stats) {
+	t.Helper()
+	if want, ok := st.ModelCostCycles(cfg); ok && st.CostCycles != want {
+		t.Fatalf("CostCycles %d, the cost model charges %d for the counted events (off by %d): %+v",
+			st.CostCycles, want, int64(st.CostCycles)-int64(want), st)
 	}
 }
 
@@ -232,6 +261,7 @@ func TestSimulateManyDifferential(t *testing.T) {
 					t.Errorf("%s: fused stats diverge from reference model:\nfused:     %+v\nreference: %+v",
 						v.name, fused[i].Stats, ref.Stats())
 				}
+				checkCycles(t, v.cfg, fused[i].Stats)
 			}
 		})
 	}
@@ -327,6 +357,7 @@ func TestShardedDifferential(t *testing.T) {
 							t.Errorf("%s (checks=%v) diverges from reference model:\ngot:       %+v\nreference: %+v",
 								e.name, checks, got.Stats, want)
 						}
+						checkCycles(t, v.cfg, got.Stats)
 					}
 				}
 			})
@@ -335,8 +366,9 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // FuzzDifferential lets the fuzzer search for a trace and design point on
-// which the two implementations disagree. The seed corpus covers each
-// mechanism family; the fuzzer mutates from there.
+// which the two implementations disagree. The configs are variants(); the
+// seed corpus covers each mechanism family and every bounce-back variant;
+// the fuzzer mutates from there.
 func FuzzDifferential(f *testing.F) {
 	vs := variants()
 	f.Add(int64(1), uint16(500), uint8(0))
@@ -345,6 +377,11 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(4), uint16(1500), uint8(12))
 	f.Add(int64(5), uint16(800), uint8(13))
 	f.Add(int64(6), uint16(900), uint8(19))
+	// The bounce-back variants at the end of the matrix: coherence
+	// checks off, temporal-only admission, 4-way, three sets, one line.
+	for i := len(vs) - 5; i < len(vs); i++ {
+		f.Add(int64(i), uint16(1200), uint8(i))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, cfgIdx uint8) {
 		v := vs[int(cfgIdx)%len(vs)]
 		records := randomRecords(seed, int(n)%4096+1)

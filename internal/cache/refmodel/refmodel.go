@@ -177,7 +177,8 @@ func (c *setCache) victimForBB(la uint64, insertingPrefetched bool, maxPrefetche
 	return lruAny
 }
 
-// victimForEvict mirrors bounceBackCache.victimForEvict.
+// victimForEvict mirrors bounceBackCache.victimFor without the prefetch
+// quota: the first invalid slot, else the LRU one.
 func (c *setCache) victimForEvict(la uint64) *slot {
 	set := c.slots[c.setIndex(la)]
 	var lruAny *slot
@@ -503,10 +504,19 @@ func (s *Simulator) tryBounceBackHit(la uint64, write, temporal bool, lock *int)
 	}
 	s.setTemporal(vw, temporal)
 
-	if old.Valid {
-		s.bb.installEntry(e, old.Tag, old.Dirty, old.Temporal, false)
-	} else {
+	switch {
+	case !old.Valid:
 		s.bb.clear(e)
+	case s.bb.setIndex(old.Tag) == s.bb.setIndex(la):
+		s.bb.installEntry(e, old.Tag, old.Dirty, old.Temporal, false)
+	default:
+		// The displaced line belongs to another bounce-back set: it is
+		// evicted into that set, and what it displaces leaves outside a
+		// miss.
+		s.bb.clear(e)
+		victim := s.bb.victimForEvict(old.Tag)
+		displaced := s.bb.installEntry(victim, old.Tag, old.Dirty, old.Temporal, false)
+		s.handleBBEviction(displaced, nil, false)
 	}
 
 	if wasPrefetched && s.cfg.Prefetch.Enabled {

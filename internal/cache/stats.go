@@ -111,3 +111,48 @@ func (s Stats) WordsPerReference() float64 {
 	}
 	return float64(s.Mem.BytesFetched) / 8 / float64(s.References)
 }
+
+// ModelCostCycles returns the CostCycles that the cost model (§2.1, §2.2,
+// DESIGN.md §6) charges for the events s counts under cfg, and whether
+// that sum has a closed form for cfg. It is the cycle-conservation
+// identity: a correct run's CostCycles equals it.
+//
+//	CostCycles = MainHits + 3·BounceBackHits + Misses·(1 + t_lat)
+//	           + (BytesFetched − LineSize·PrefetchesIssued)/w_b
+//	           + WritebackStallCycles + LockStallCycles + 2·WriteThroughStalls
+//
+// with w_b = mem.BusBytesPerCycle, plus these per-mechanism terms:
+//   - a column-associative hit in the slow way costs one more cycle
+//     (ColumnSlowHits);
+//   - a buffered-bypass hit costs one cycle (BypassBufferHits);
+//   - a plain-bypass word fetch and a subblock refill take whole bus
+//     cycles, so their bytes leave the byte sum and each fetch adds its
+//     own rounded-up cycles instead (one for a word of at most w_b bytes).
+//
+// There is no closed form, and ok is false, with stream buffers (a stream
+// hit waits for its line to arrive), with a line that is not a whole
+// number of bus cycles (a multi-line fill rounds once, not per line), and
+// under a write-through policy: a store that misses or hits the
+// bounce-back cache counts a full write buffer in WriteThroughStalls but
+// is not charged for it, and the counters do not tell those stalls apart
+// (so under write-back, the one policy with a closed form, the last term
+// is zero).
+func (s Stats) ModelCostCycles(cfg Config) (cycles uint64, ok bool) {
+	const wb = mem.BusBytesPerCycle
+	if cfg.StreamBuffers > 0 || cfg.LineSize%wb != 0 || cfg.Writes != WriteBackAllocate {
+		return 0, false
+	}
+	m := s.Mem
+	// The byte sum without word and subblock bytes: the lines fetched on
+	// demand or into the bypass buffer, prefetched lines left out.
+	transfer := (m.LinesFetched - s.PrefetchesIssued) * uint64(cfg.LineSize) / wb
+	transfer += s.BypassMemFetches
+	if cfg.SubblockSize > 0 {
+		transfer += s.SubblockFills * uint64((cfg.SubblockSize+wb-1)/wb)
+	}
+	cycles = s.MainHits + s.ColumnSlowHits + s.BypassBufferHits +
+		bounceBackCycles*s.BounceBackHits +
+		s.Misses*uint64(hitCycles+cfg.LatencyCycles) + transfer +
+		m.WritebackStallCycles + s.LockStallCycles + 2*m.WriteThroughStalls
+	return cycles, true
+}

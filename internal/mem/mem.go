@@ -12,8 +12,8 @@ package mem
 
 // The paper's memory-side constants (§2.1, §3.1).
 const (
-	// busBytesPerCycle is the memory bus bandwidth w_b.
-	busBytesPerCycle = 16
+	// BusBytesPerCycle is the memory bus bandwidth w_b.
+	BusBytesPerCycle = 16
 	// writeBufferEntries is the capacity of the write buffer; the paper
 	// assumes a small buffer and aborts bounce-backs onto dirty lines when
 	// it is full.
@@ -78,7 +78,7 @@ func (s *System) TransferCycles(bytes int) int {
 	if bytes <= 0 {
 		return 0
 	}
-	return (bytes + busBytesPerCycle - 1) / busBytesPerCycle
+	return (bytes + BusBytesPerCycle - 1) / BusBytesPerCycle
 }
 
 // Fetch models a miss request that reads the given physical lines from
