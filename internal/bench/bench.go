@@ -232,9 +232,10 @@ func (c *Context) each(n int, fn func(rc *Context, i int) error) error {
 
 // eachWorkload is each over rows that read named workloads' traces, row i
 // reading names[i]. Rows are handed out longest trace first (ties in index
-// order): the longest row is the one that would otherwise leave a token
-// idle at the end while it finishes alone, as Slalom, nearly two thirds
-// of the benchmarks' records, does when it starts sixth.
+// order, and one row per distinct trace before any repeat, see
+// longestFirst): the longest row is the one that would otherwise leave a
+// token idle at the end while it finishes alone, as Slalom, nearly two
+// thirds of the benchmarks' records, does when it starts sixth.
 func (c *Context) eachWorkload(names []string, fn func(rc *Context, i int) error) error {
 	return c.runRows(len(names), names, fn)
 }
@@ -333,12 +334,21 @@ func repeatEach(names []string, k int) []string {
 	return out
 }
 
-// longestFirst returns the row indices of names sorted by descending
-// record count of each row's trace, ties kept in index order.
+// longestFirst returns the row indices of names in the order rows start:
+// the first row of each distinct trace, then the rows that repeat a
+// trace, each group in descending record count of its trace, ties in
+// index order. The first row to read a trace the Context does not hold
+// builds it, and a row that repeats that trace waits for the build with
+// its worker token held; starting every trace's first row before any
+// repeat keeps the other workers building and simulating the other
+// traces meanwhile.
 func (c *Context) longestFirst(names []string) []int {
 	lens := make(map[string]int, len(names))
-	for _, name := range names {
-		if _, ok := lens[name]; !ok {
+	repeat := make([]bool, len(names))
+	for i, name := range names {
+		if _, ok := lens[name]; ok {
+			repeat[i] = true
+		} else {
 			lens[name] = c.records(name)
 		}
 	}
@@ -346,7 +356,15 @@ func (c *Context) longestFirst(names []string) []int {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(lens[names[b]], lens[names[a]]) })
+	slices.SortStableFunc(order, func(a, b int) int {
+		if repeat[a] != repeat[b] {
+			if repeat[b] {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(lens[names[b]], lens[names[a]])
+	})
 	return order
 }
 
@@ -477,11 +495,39 @@ func RunAll(ctx *Context) ([]*Report, error) {
 	return reports, nil
 }
 
-// amatTable runs the given configurations over the given workloads and
-// returns a workloads × configs AMAT table (the shape of most figures).
-// The config axis is fused: each workload's trace is walked once for the
-// whole row rather than once per column; the rows run in parallel,
-// longest trace first (eachWorkload).
+// simulateCells returns every config's result over every named
+// workload's trace: out[i][j] is cfgs[j] over names[i]. Each (workload,
+// config) cell is its own one-config SimulateMany. A resident trace is
+// read in place, so a fused pass over a workload's configs would share no
+// decode, while cells keep every worker busy to the end: the longest
+// trace's configs, which would otherwise run on one worker as a row,
+// spread over all of them (eachWorkload starts them first). The memo
+// still simulates each (trace, config) pair once.
+func (c *Context) simulateCells(names []string, cfgs []core.Config) ([][]core.Result, error) {
+	k := len(cfgs)
+	cells := make([]core.Result, len(names)*k)
+	err := c.eachWorkload(repeatEach(names, k), func(rc *Context, i int) error {
+		name := names[i/k]
+		res, err := rc.SimulateMany(name, cfgs[i%k:i%k+1])
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		cells[i] = res[0]
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]core.Result, len(names))
+	for i := range out {
+		out[i] = cells[i*k : (i+1)*k : (i+1)*k]
+	}
+	return out, nil
+}
+
+// amatTable runs the given configurations over the given workloads
+// (simulateCells) and returns a workloads × configs table of metric (the
+// shape of most figures).
 func amatTable(ctx *Context, title string, names []string, configs []namedConfig, metric func(core.Result) float64) (*metrics.Table, error) {
 	cols := make([]string, len(configs))
 	cfgs := make([]core.Config, len(configs))
@@ -489,24 +535,17 @@ func amatTable(ctx *Context, title string, names []string, configs []namedConfig
 		cols[i] = c.label
 		cfgs[i] = c.cfg
 	}
-	rows := make([][]float64, len(names))
-	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
-		results, err := rc.SimulateMany(names[i], cfgs)
-		if err != nil {
-			return fmt.Errorf("%s: %w", names[i], err)
-		}
-		rows[i] = make([]float64, len(configs))
-		for j, res := range results {
-			rows[i][j] = metric(res)
-		}
-		return nil
-	})
+	results, err := ctx.simulateCells(names, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	tbl := metrics.NewTable(title, "benchmark", cols...)
 	for i, name := range names {
-		tbl.AddRow(name, rows[i]...)
+		row := make([]float64, len(cfgs))
+		for j, res := range results[i] {
+			row[j] = metric(res)
+		}
+		tbl.AddRow(name, row...)
 	}
 	return tbl, nil
 }

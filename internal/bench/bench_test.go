@@ -124,6 +124,39 @@ func TestContextCachesTraces(t *testing.T) {
 	}
 }
 
+// TestIssueLeavesContextTracesIntact: issue replays the Context's traces
+// through gapReader, which rewrites each record's gap. Each reads a
+// resident trace in place, so the rewrite must stay in gapReader's own
+// batch: every trace the Context holds fingerprints the same after the
+// figure as before it.
+func TestIssueLeavesContextTracesIntact(t *testing.T) {
+	ctx := NewContext(workloads.ScaleTest, 1)
+	before := map[string]uint64{}
+	for _, name := range workloads.Benchmarks() {
+		tr, err := ctx.Trace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = tr.Fingerprint()
+	}
+	e, err := Get("issue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, fp := range before {
+		tr, err := ctx.Trace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Fingerprint(); got != fp {
+			t.Errorf("%s: fingerprint %#x after issue, %#x before", name, got, fp)
+		}
+	}
+}
+
 // TestVariantFiguresHonourContext: the figures that generate their own
 // variant traces (block size, leading dimension, prefetch distance), and
 // issue, which replays the Context's traces with rewritten gaps, run them

@@ -68,20 +68,13 @@ func runFig6b(ctx *Context) (*Report, error) {
 	r := &Report{ID: "6b", Title: "Repartition of Cache Hits"}
 	tbl := metrics.NewTable("Share of hits per structure (Soft)", "benchmark", "main cache", "bounce-back")
 	names := workloads.Benchmarks()
-	shares := make([]float64, len(names))
-	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
-		res, err := rc.SimulateMany(names[i], []core.Config{core.Soft()})
-		if err != nil {
-			return err
-		}
-		shares[i] = res[0].Stats.MainHitFraction()
-		return nil
-	})
+	results, err := ctx.simulateCells(names, []core.Config{core.Soft()})
 	if err != nil {
 		return nil, err
 	}
 	minMain := 1.0
-	for i, mf := range shares {
+	for i, res := range results {
+		mf := res[0].Stats.MainHitFraction()
 		tbl.AddRow(names[i], mf, 1-mf)
 		if mf < minMain {
 			minMain = mf

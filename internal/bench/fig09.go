@@ -47,8 +47,7 @@ func runFig9a(ctx *Context) (*Report, error) {
 		cols[i] = g.label
 	}
 	tbl := metrics.NewTable("% of misses removed by Soft", "benchmark", cols...)
-	// Standard/Soft pairs for every geometry, fused into one trace pass
-	// per workload.
+	// Standard/Soft pairs for every geometry.
 	cfgs := make([]core.Config, 0, 2*len(fig9aGeometries))
 	for _, g := range fig9aGeometries {
 		cfgs = append(cfgs,
@@ -56,26 +55,18 @@ func runFig9a(ctx *Context) (*Report, error) {
 			core.WithGeometry(core.Soft(), g.cacheSize, g.lineSize, 2*g.lineSize))
 	}
 	names := workloads.Benchmarks()
-	rows := make([][]float64, len(names))
-	err := ctx.eachWorkload(names, func(rc *Context, b int) error {
-		results, err := rc.SimulateMany(names[b], cfgs)
-		if err != nil {
-			return err
-		}
+	results, err := ctx.simulateCells(names, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for b, res := range results {
 		row := make([]float64, len(fig9aGeometries))
 		for i := range fig9aGeometries {
-			sres, fres := results[2*i], results[2*i+1]
+			sres, fres := res[2*i], res[2*i+1]
 			if sres.MissRatio() > 0 {
 				row[i] = 100 * (sres.MissRatio() - fres.MissRatio()) / sres.MissRatio()
 			}
 		}
-		rows[b] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for b, row := range rows {
 		tbl.AddRow(names[b], row...)
 	}
 	r.Tables = append(r.Tables, tbl)

@@ -44,22 +44,15 @@ func runFig10a(ctx *Context) (*Report, error) {
 	for _, base := range bases {
 		gainNames = append(gainNames, base+"-kernel", base)
 	}
-	gains := make([]float64, len(gainNames))
-	err = ctx.eachWorkload(gainNames, func(rc *Context, i int) error {
-		res, err := rc.SimulateMany(gainNames[i], []core.Config{core.Standard(), core.Soft()})
-		if err != nil {
-			return err
-		}
-		gains[i] = 1 - res[1].AMAT()/res[0].AMAT()
-		return nil
-	})
+	results, err := ctx.simulateCells(gainNames, []core.Config{core.Standard(), core.Soft()})
 	if err != nil {
 		return nil, err
 	}
+	gain := func(res []core.Result) float64 { return 1 - res[1].AMAT()/res[0].AMAT() }
 	kernelGain, fullGain := 0.0, 0.0
 	for i := range bases {
-		kernelGain += gains[2*i]
-		fullGain += gains[2*i+1]
+		kernelGain += gain(results[2*i])
+		fullGain += gain(results[2*i+1])
 	}
 	kernelGain /= float64(len(bases))
 	fullGain /= float64(len(bases))
@@ -83,8 +76,7 @@ func runFig10b(ctx *Context) (*Report, error) {
 		cols[i] = fmt.Sprintf("lat=%d", l)
 	}
 	tbl := metrics.NewTable("AMAT(Standard) - AMAT(Soft)", "benchmark", cols...)
-	// The whole latency axis, Standard and Soft interleaved, in one fused
-	// pass per workload.
+	// The whole latency axis, Standard and Soft interleaved.
 	cfgs := make([]core.Config, 0, 2*len(fig10bLatencies))
 	for _, lat := range fig10bLatencies {
 		cfgs = append(cfgs,
@@ -92,23 +84,15 @@ func runFig10b(ctx *Context) (*Report, error) {
 			core.WithLatency(core.Soft(), lat))
 	}
 	names := workloads.Benchmarks()
-	rows := make([][]float64, len(names))
-	err := ctx.eachWorkload(names, func(rc *Context, b int) error {
-		results, err := rc.SimulateMany(names[b], cfgs)
-		if err != nil {
-			return err
-		}
-		row := make([]float64, len(fig10bLatencies))
-		for i := range fig10bLatencies {
-			row[i] = results[2*i].AMAT() - results[2*i+1].AMAT()
-		}
-		rows[b] = row
-		return nil
-	})
+	results, err := ctx.simulateCells(names, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	for b, row := range rows {
+	for b, res := range results {
+		row := make([]float64, len(fig10bLatencies))
+		for i := range fig10bLatencies {
+			row[i] = res[2*i].AMAT() - res[2*i+1].AMAT()
+		}
 		tbl.AddRow(names[b], row...)
 	}
 	r.Tables = append(r.Tables, tbl)

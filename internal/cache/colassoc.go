@@ -12,18 +12,12 @@ package cache
 // slot (a "guest") is evicted first.
 
 // columnHomeWay returns which way of the folded set is the primary
-// location of line address la (the most significant bit of the original
-// direct-mapped index). The folded line count is CacheSize/LineSize, a
-// power of two, so the index reduction is a mask.
+// location of line address la: the most significant bit of the original
+// direct-mapped index. The folded cache has a power-of-two set count
+// (Validate) and two ways, so that bit is the one just above the set
+// index.
 func (s *Simulator) columnHomeWay(la uint64) int {
-	total := uint64(s.main.sets * s.main.ways)
-	var orig uint64
-	if total&(total-1) == 0 {
-		orig = la & (total - 1)
-	} else {
-		orig = la % total
-	}
-	if orig >= uint64(s.main.sets) {
+	if la&uint64(s.main.sets) != 0 {
 		return 1
 	}
 	return 0

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"softcache/internal/mem"
 	"softcache/internal/trace"
 )
@@ -32,7 +34,6 @@ type Simulator struct {
 	fetchScratch []uint64 // reusable candidate-line buffer
 	maxPrefetch  int      // cap on resident prefetched bounce-back lines
 	pseudoAssoc  bool     // column-associative main cache
-	batchHits    bool     // pow2 main, whole-line fills: hitRun serves hits
 	subblocks    int      // subblocks per line (0 = sub-block placement off)
 	lineMask     uint64   // LineSize-1: in-line byte offset mask
 	subShift     uint     // log2(SubblockSize)
@@ -84,11 +85,6 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.VirtualLineSize > cfg.LineSize {
 		s.virtualLines = cfg.VirtualLineSize / cfg.LineSize
 	}
-	// A main cache of power-of-two geometry with whole-line fills, the
-	// paper's direct-mapped default and the set-associative baselines, has
-	// its hits served a run at a time by hitRun or assocHitRun, for most
-	// of all records.
-	s.batchHits = !s.pseudoAssoc && s.subblocks == 0 && s.main.maskable
 	return s, nil
 }
 
@@ -117,35 +113,37 @@ func (s *Simulator) Access(r trace.Record) int {
 
 // AccessAll processes recs in order and returns the sum of their costs in
 // cycles; Access is a one-record call, and core.Run hands it whole
-// batches. On a main cache of power-of-two geometry with whole-line
-// fills, direct-mapped or set-associative under any replacement policy
-// and temporal priority, hits — the bulk of every trace — are served a
-// run at a time by hitRun (assocHitRun for more than one way), which
-// carries only the run's length, gap sum, store count and temporal-bit
-// count. The clock, the stall and the cost are settled once per run from
-// those: only a run's first hit can stall, because every hit leaves the
-// cache free at its own completion, so the next one never issues before
-// it. A record the loop cannot serve (a miss, a software prefetch, a
+// batches. Every organisation has one batched loop that serves its main
+// hits, the bulk of every trace, a run at a time: hitRun on a plain
+// direct-mapped cache, assocHitRun on a set-associative or sub-blocked
+// one (a sub-blocked hit needs its subblock valid), columnHitRun on a
+// column-associative one (a hit in the primary slot). A loop carries only
+// the run's length, gap sum, store count and temporal-bit count, and the
+// clock, the stall and the cost are settled once per run from those: only
+// a run's first hit can stall, because every hit leaves the cache free at
+// its own completion, so the next one never issues before it.
+//
+// A software prefetch ends a run and is served here: it takes its issue
+// slot, and only a prefetch whose line is on neither chip structure, with
+// a bounce-back cache to take it, does more. Every other record a loop
+// cannot serve ends the run and takes the general path, access: a miss, a
 // store that must post a write-through word or invalidate a stream
-// buffer) ends the run and takes the general path. When it is neither
-// a prefetch nor such a store, the loop has already probed the main
-// cache and missed, so access is told so and does not probe again. Under
-// RuntimeChecks each run is one record long and the checker runs after
-// it. Column-associative and sub-blocked caches take the general path
-// record by record.
+// buffer, a column-associative hit in the secondary slot, a sub-blocked
+// hit on an invalid subblock. When the loop has already probed a plain
+// cache and missed, access is told so and does not probe again. On a
+// plain direct-mapped cache each next record's slot is probed here, and
+// the records that miss go to access in turn without a call of hitRun
+// that would serve none. Under RuntimeChecks each run is one record long
+// and the checker runs after it.
 func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
-	var total uint64
-	if !s.batchHits {
-		for i := range recs {
-			total += uint64(s.access(recs[i], false))
-		}
-		return total
-	}
 	// Stores leave the loop when the general path has more to do than
 	// dirty the line: post the word (write-through) or invalidate any
 	// stream covering it.
 	storesLeave := s.cfg.Writes != WriteBackAllocate || s.sb != nil
+	plain := !s.pseudoAssoc && s.subblocks == 0
+	direct := plain && s.main.ways == 1
 	checks := s.cfg.RuntimeChecks
+	var total uint64
 	for i := 0; i < len(recs); {
 		run := recs[i:]
 		if checks {
@@ -153,10 +151,13 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 		}
 		var n int
 		var gaps, writes, tempSets uint64
-		if s.main.ways == 1 {
+		switch {
+		case direct:
 			n, gaps, writes, tempSets = hitRun(run, s.main.lines, s.main.shift, storesLeave, s.cfg.UseTemporalTags)
-		} else {
-			n, gaps, writes, tempSets = assocHitRun(run, s.main, storesLeave, s.cfg.UseTemporalTags)
+		case s.pseudoAssoc:
+			n, gaps, writes, tempSets = columnHitRun(run, s.main, storesLeave, s.cfg.UseTemporalTags)
+		default:
+			n, gaps, writes, tempSets = assocHitRun(run, s.main, s.subShift, s.subblocks > 0, storesLeave, s.cfg.UseTemporalTags)
 		}
 		if n > 0 {
 			var stall uint64
@@ -176,15 +177,57 @@ func (s *Simulator) AccessAll(recs []trace.Record) uint64 {
 			total += cost
 			i += n
 		}
-		if n < len(run) {
-			r := recs[i]
-			total += uint64(s.access(r, !r.SoftwarePrefetch && !(r.Write && storesLeave)))
+		if n == len(run) {
+			if checks {
+				s.runChecks()
+			}
+			continue
+		}
+		// recs[i] ended the run. It, and on a direct-mapped cache every
+		// next record that the slot probe does not find, is served here;
+		// a record that hits goes back to the loop.
+		missed := plain
+		for {
+			if r := &recs[i]; r.SoftwarePrefetch {
+				total += s.softwarePrefetch(r)
+			} else {
+				total += uint64(s.access(r, missed && !(r.Write && storesLeave)))
+			}
 			i++
-		} else if checks {
-			s.runChecks()
+			if !direct || i == len(recs) {
+				break
+			}
+			if r := &recs[i]; !r.SoftwarePrefetch && !(r.Write && storesLeave) {
+				la := r.Addr >> s.main.shift
+				if l := &s.main.lines[la&s.main.setMask]; l.tag == la && l.flags&flagValid != 0 {
+					break
+				}
+			}
+			missed = true
 		}
 	}
 	return total
+}
+
+// softwarePrefetch serves an explicit prefetch instruction (§4.4
+// extension): it occupies one issue slot, never stalls the processor (a
+// pending swap lock delays its issue but is charged to nobody), and —
+// when the line is absent from both caches — rides the bus into the
+// bounce-back cache marked prefetched, exactly like a hardware-initiated
+// prefetch. Without a bounce-back structure (no prefetch buffer), or with
+// the line already on chip, it is a no-op beyond its issue slot. Prefetch
+// instructions are excluded from the AMAT denominator
+// (References/CostCycles) so AMAT stays comparable across variants; their
+// count and traffic are reported separately. It returns the issue slot's
+// cycle.
+func (s *Simulator) softwarePrefetch(r *trace.Record) uint64 {
+	const issueCost = 1
+	s.stats.SoftwarePrefetches++
+	s.now = max(s.now+uint64(r.Gap), s.freeAt) + issueCost
+	if s.bb != nil {
+		s.issuePrefetch(s.main.lineAddr(r.Addr), false)
+	}
+	return issueCost
 }
 
 // hitRun scans the leading run of records in run that hit a direct-mapped
@@ -232,15 +275,19 @@ func hitRun(run []trace.Record, lines []line, shift uint, storesLeave, useTempor
 	return len(run), gaps, writes, tempSets
 }
 
-// assocHitRun is hitRun for a set-associative main cache c with a
-// power-of-two set count, under any replacement policy: it scans each
-// record's set for its line, and each hit refreshes the line's LRU stamp
-// exactly as touch does (not under FIFO, where the fill order decides).
+// assocHitRun is hitRun for any other main cache c but a
+// column-associative one: it scans each record's set for its line, and
+// each hit refreshes the line's LRU stamp exactly as touch does (not
+// under FIFO, where the fill order decides). Under subblocked a hit also
+// needs the record's subblock valid, the subblock index being the line
+// offset shifted down by subShift; a hole ends the run.
 //
 //go:noinline
-func assocHitRun(run []trace.Record, c *mainCache, storesLeave, useTemporal bool) (n int, gaps, writes, tempSets uint64) {
+func assocHitRun(run []trace.Record, c *mainCache, subShift uint, subblocked, storesLeave, useTemporal bool) (n int, gaps, writes, tempSets uint64) {
 	lines, tick, ways, setMask := c.lines, c.tick, c.ways, c.setMask
 	shift := c.shift & 63
+	offMask := uint64(1)<<shift - 1
+	subShift &= 63
 	stamp := c.policy != ReplaceFIFO
 	n = len(run)
 	for i := range run {
@@ -259,41 +306,77 @@ func assocHitRun(run []trace.Record, c *mainCache, storesLeave, useTemporal bool
 				break
 			}
 		}
-		if l == nil {
+		if l == nil || subblocked && l.subValid&(1<<((r.Addr&offMask)>>subShift)) == 0 {
 			n = i
 			break
 		}
-		f := l.flags
-		if r.Write {
-			writes++
-			f |= flagDirty
-		}
-		if useTemporal && r.Temporal && f&flagTemporal == 0 {
-			f |= flagTemporal
-			tempSets++
-		}
-		l.flags = f
+		gaps, writes, tempSets = hitLine(l, r, gaps, writes, tempSets, useTemporal)
 		if stamp {
 			tick++
 			l.lru = tick
 		}
-		gaps += uint64(r.Gap)
 	}
 	c.tick = tick
 	return n, gaps, writes, tempSets
 }
 
-// access simulates one reference through the general path: every
-// organisation's main-cache probe, then the bounce-back, bypass and
-// stream-buffer structures, then the miss. Where hitRun serves hits,
-// AccessAll has already served them, so access sees only misses, software
-// prefetches and the stores that leave hitRun there. mainMissed reports
-// that the caller has already found la absent from the main cache, so the
-// main-cache probe is skipped.
-func (s *Simulator) access(r trace.Record, mainMissed bool) int {
-	if r.SoftwarePrefetch {
-		return s.softwarePrefetch(r)
+// columnHitRun is assocHitRun for a column-associative main cache c: a
+// record hits only in its primary slot, the way of its folded set that
+// columnHomeWay names, the bit of la just above the set index. A hit in
+// the secondary slot costs a cycle more and swaps the two slots, so it
+// ends the run.
+//
+//go:noinline
+func columnHitRun(run []trace.Record, c *mainCache, storesLeave, useTemporal bool) (n int, gaps, writes, tempSets uint64) {
+	lines, tick, setMask := c.lines, c.tick, c.setMask
+	shift := c.shift & 63
+	homeShift := uint(bits.Len64(setMask))
+	stamp := c.policy != ReplaceFIFO
+	n = len(run)
+	for i := range run {
+		r := &run[i]
+		la := r.Addr >> shift
+		l := &lines[(la&setMask)<<1|la>>homeShift&1]
+		if l.flags&flagValid == 0 || l.tag != la || r.SoftwarePrefetch || (r.Write && storesLeave) {
+			n = i
+			break
+		}
+		gaps, writes, tempSets = hitLine(l, r, gaps, writes, tempSets, useTemporal)
+		if stamp {
+			tick++
+			l.lru = tick
+		}
 	}
+	c.tick = tick
+	return n, gaps, writes, tempSets
+}
+
+// hitLine applies a batched hit by r to line l, as hitRun does inline,
+// and returns the run's gap sum, store count and temporal-bit count with
+// r's added.
+func hitLine(l *line, r *trace.Record, gaps, writes, tempSets uint64, useTemporal bool) (uint64, uint64, uint64) {
+	f := l.flags
+	if r.Write {
+		writes++
+		f |= flagDirty
+	}
+	if useTemporal && r.Temporal && f&flagTemporal == 0 {
+		f |= flagTemporal
+		tempSets++
+	}
+	l.flags = f
+	return gaps + uint64(r.Gap), writes, tempSets
+}
+
+// access simulates one demand reference through the general path: every
+// organisation's main-cache probe, then the bounce-back, bypass and
+// stream-buffer structures, then the miss. AccessAll has already served
+// the main hits its loops batch and every software prefetch, so access
+// sees only misses, the stores that leave a loop, and on the
+// column-associative and sub-blocked caches their slow hits and holes.
+// mainMissed reports that the caller has already found la absent from
+// the main cache, so the main-cache probe is skipped.
+func (s *Simulator) access(r *trace.Record, mainMissed bool) int {
 	s.stats.References++
 	if r.Write {
 		s.stats.Writes++
@@ -330,7 +413,7 @@ func (s *Simulator) access(r trace.Record, mainMissed bool) int {
 	case !mainMissed && s.tryMainHit(la, subIdx, r.Write, temporal, &service):
 
 	case s.cfg.Bypass != BypassNone && !temporal:
-		service = s.bypassAccess(la, r)
+		service = s.bypassAccess(la, *r)
 
 	case s.bb != nil && s.tryBounceBackHit(la, r.Write, temporal, &lock):
 		service = bounceBackCycles
@@ -351,28 +434,6 @@ func (s *Simulator) access(r trace.Record, mainMissed bool) int {
 		s.runChecks()
 	}
 	return cost
-}
-
-// softwarePrefetch services an explicit prefetch instruction (§4.4
-// extension): it occupies one issue slot, never stalls the processor, and
-// — when the line is absent from both caches — rides the bus into the
-// bounce-back cache marked prefetched, exactly like a hardware-initiated
-// prefetch. Without a bounce-back structure (no prefetch buffer) it is a
-// no-op beyond its issue slot. Prefetch instructions are excluded from the
-// AMAT denominator (References/CostCycles) so AMAT stays comparable across
-// variants; their count and traffic are reported separately.
-func (s *Simulator) softwarePrefetch(r trace.Record) int {
-	s.stats.SoftwarePrefetches++
-	issue := s.now + uint64(r.Gap)
-	if issue < s.freeAt {
-		issue = s.freeAt
-	}
-	const issueCost = 1
-	s.now = issue + issueCost
-	if s.bb != nil {
-		s.issuePrefetch(s.main.lineAddr(r.Addr), false)
-	}
-	return issueCost
 }
 
 // tryMainHit probes the main cache; on a hit it updates LRU, dirty and the

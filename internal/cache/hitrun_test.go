@@ -175,46 +175,159 @@ func TestSetAssocRunsMatchGeneralPath(t *testing.T) {
 			cfg.Assoc = ways
 			cfg.Replacement = v.policy
 			cfg.TemporalPriorityReplacement = v.priority
-			recs := setAssocTrace(cfg, uint64(ways*10+int(v.policy)+1))
-
-			general := mustSim(t, cfg)
-			if !general.batchHits {
-				t.Fatalf("%d-way %s: hits not batched", ways, v.name)
-			}
-			var want uint64
-			for _, r := range recs {
-				want += uint64(general.access(r, false))
-			}
-			whole := mustSim(t, cfg)
-			chunked := mustSim(t, cfg)
-			got := whole.AccessAll(recs)
-			var gotChunked uint64
-			for i := 0; i < len(recs); i += 37 {
-				gotChunked += chunked.AccessAll(recs[i:min(i+37, len(recs))])
-			}
-			name := fmt.Sprintf("%d-way %s", ways, v.name)
-			st := general.Stats()
-			if st.LockStallCycles == 0 || st.MainHits == 0 || st.Writes == 0 || st.TemporalBitSets == 0 {
-				t.Fatalf("%s: the trace must hit, store, set temporal bits and stall on a lock: %+v", name, st)
-			}
-			for _, b := range []struct {
-				how  string
-				s    *Simulator
-				cost uint64
-			}{{"one batch", whole, got}, {"37-record batches", chunked, gotChunked}} {
-				if b.cost != want || b.s.Stats() != st || b.s.now != general.now || b.s.freeAt != general.freeAt {
-					t.Fatalf("%s, %s: cost %d, clock %d/%d, stats %+v\ngeneral path: cost %d, clock %d/%d, stats %+v",
-						name, b.how, b.cost, b.s.now, b.s.freeAt, b.s.Stats(), want, general.now, general.freeAt, st)
-				}
-				if !reflect.DeepEqual(b.s.main, general.main) {
-					t.Fatalf("%s, %s: main cache state differs from the general path's", name, b.how)
-				}
-				if got, want := nextVictims(b.s.main, v.priority), nextVictims(general.main, v.priority); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s, %s: next victims %v, general path's %v", name, b.how, got, want)
-				}
+			recs := prefetchTrace(cfg, uint64(ways*10+int(v.policy)+1))
+			general := checkBatchedMatchesGeneral(t, fmt.Sprintf("%d-way %s", ways, v.name), cfg, recs)
+			if st := general.Stats(); st.LockStallCycles == 0 || st.MainHits == 0 || st.Writes == 0 || st.TemporalBitSets == 0 {
+				t.Fatalf("%d-way %s: the trace must hit, store, set temporal bits and stall on a lock: %+v", ways, v.name, st)
 			}
 		}
 	}
+}
+
+// prefetchTrace is setAssocTrace with every kind of software prefetch
+// spliced in after its opening conflicts: one to a line in the main cache,
+// one to a line the conflicts pushed to the bounce-back cache (when there
+// is one), one to a line on neither; then a bounce-back hit, whose swap
+// locks the caches, followed at once by a prefetch that opens a run of
+// hits while the lock is pending. The random tail prefetches one record
+// in ten.
+func prefetchTrace(cfg Config, seed uint64) []trace.Record {
+	recs := setAssocTrace(cfg, seed)
+	stride := uint64(cfg.CacheSize / cfg.Assoc)
+	opening := 2 * (cfg.Assoc + 1) // the first pass over the set
+	pf := func(addr uint64, gap uint8) trace.Record {
+		return trace.Record{Addr: addr, SoftwarePrefetch: true, Gap: gap}
+	}
+	spliced := append([]trace.Record(nil), recs[:opening]...)
+	spliced = append(spliced,
+		pf(uint64(cfg.Assoc)*stride, 1), // the last line touched: in main
+		pf(0, 0),                        // the first: evicted, in the bounce-back cache
+		pf(1<<22, 2),                    // never touched
+		rec(0),                          // a bounce-back hit and its swap
+		pf(16, 0),                       // line 0, in main again, under the lock
+		rec(8), rec(16), rec(24))
+	tail := recs[opening:]
+	for i := range tail {
+		if i%10 == 5 {
+			tail[i] = pf(tail[i].Addr, tail[i].Gap)
+		}
+	}
+	return append(spliced, tail...)
+}
+
+// TestBatchedRunsMatchGeneralPath: on every main-cache organisation, with
+// and without a prefetch buffer, AccessAll in random chunks leaves what
+// the general path leaves one record at a time, over a trace whose
+// software prefetches hit the main cache, hit the bounce-back cache, miss
+// both, and open a run under a pending swap lock.
+func TestBatchedRunsMatchGeneralPath(t *testing.T) {
+	standard := testConfig()
+	twoWay := softTestConfig()
+	twoWay.Assoc = 2
+	column := testConfig()
+	column.ColumnAssociative = true
+	columnSoft := softTestConfig()
+	columnSoft.ColumnAssociative = true
+	sub := testConfig()
+	sub.LineSize, sub.SubblockSize = 64, 16
+	sub2 := sub
+	sub2.Assoc = 2
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"standard", standard}, {"soft", softTestConfig()}, {"2-way soft", twoWay},
+		{"column-associative", column}, {"column-associative soft", columnSoft},
+		{"sub-blocked", sub}, {"sub-blocked 2-way", sub2},
+	} {
+		recs := prefetchTrace(c.cfg, uint64(len(c.name)))
+		general := checkBatchedMatchesGeneral(t, c.name, c.cfg, recs)
+		st := general.Stats()
+		if st.MainHits == 0 || st.Misses == 0 || st.SoftwarePrefetches == 0 {
+			t.Fatalf("%s: the trace must hit, miss and prefetch: %+v", c.name, st)
+		}
+		if c.cfg.BounceBackLines > 0 && (st.BounceBackHits == 0 || st.PrefetchesIssued == 0 || st.LockStallCycles == 0) {
+			t.Fatalf("%s: the trace must hit the bounce-back cache, prefetch into it and stall on a lock: %+v", c.name, st)
+		}
+		if c.cfg.ColumnAssociative && st.ColumnSlowHits == 0 {
+			t.Fatalf("%s: the trace must take slow hits: %+v", c.name, st)
+		}
+	}
+}
+
+// checkBatchedMatchesGeneral replays recs on cfg one record at a time
+// through the general path, and through AccessAll whole and in chunks of
+// seeded random size, and fails t unless all three agree: costs, Stats,
+// clock, the lines of both caches (LRU stamps and the tick left out on a
+// plain direct-mapped cache, whose hit loop does not stamp and whose
+// victim is the lone slot) and the next victim of every set. It returns
+// the general-path simulator. On a cache with a prefetch buffer, recs
+// must prefetch lines in the main cache, in the bounce-back cache and on
+// neither, one of them under a pending swap lock.
+func checkBatchedMatchesGeneral(t *testing.T, name string, cfg Config, recs []trace.Record) *Simulator {
+	t.Helper()
+	general := mustSim(t, cfg)
+	var want uint64
+	seen := map[LineWhere]int{}
+	locked := 0
+	for i := range recs {
+		r := &recs[i]
+		if !r.SoftwarePrefetch {
+			want += uint64(general.access(r, false))
+			continue
+		}
+		seen[general.Inspect(r.Addr).Where]++
+		if general.now+uint64(r.Gap) < general.freeAt {
+			locked++
+		}
+		want += general.softwarePrefetch(r)
+	}
+	if cfg.BounceBackLines > 0 && (seen[InMain] == 0 || seen[InBounceBack] == 0 || seen[Absent] == 0 || locked == 0) {
+		t.Fatalf("%s: prefetches by where their line was %v, %d under a lock; want every kind, one locked", name, seen, locked)
+	}
+	whole := mustSim(t, cfg)
+	chunked := mustSim(t, cfg)
+	got := whole.AccessAll(recs)
+	var gotChunked uint64
+	rng := uint64(len(recs))
+	for lo := 0; lo < len(recs); {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		hi := min(lo+1+int(rng>>33%97), len(recs))
+		gotChunked += chunked.AccessAll(recs[lo:hi])
+		lo = hi
+	}
+	st := general.Stats()
+	for _, b := range []struct {
+		how  string
+		s    *Simulator
+		cost uint64
+	}{{"one batch", whole, got}, {"random chunks", chunked, gotChunked}} {
+		if b.cost != want || b.s.Stats() != st || b.s.now != general.now || b.s.freeAt != general.freeAt {
+			t.Fatalf("%s, %s: cost %d, clock %d/%d, stats %+v\ngeneral path: cost %d, clock %d/%d, stats %+v",
+				name, b.how, b.cost, b.s.now, b.s.freeAt, b.s.Stats(), want, general.now, general.freeAt, st)
+		}
+		if !reflect.DeepEqual(mainState(b.s), mainState(general)) || !reflect.DeepEqual(b.s.bb, general.bb) {
+			t.Fatalf("%s, %s: cache state differs from the general path's", name, b.how)
+		}
+		if got, want := nextVictims(b.s.main, cfg.TemporalPriorityReplacement), nextVictims(general.main, cfg.TemporalPriorityReplacement); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %s: next victims %v, general path's %v", name, b.how, got, want)
+		}
+	}
+	return general
+}
+
+// mainState returns a copy of s's main cache to compare, without the LRU
+// stamps and tick on a plain direct-mapped cache.
+func mainState(s *Simulator) mainCache {
+	c := *s.main
+	c.lines = append([]line(nil), c.lines...)
+	if c.ways == 1 && !s.pseudoAssoc && s.subblocks == 0 {
+		c.tick = 0
+		for i := range c.lines {
+			c.lines[i].lru = 0
+		}
+	}
+	return c
 }
 
 // nextVictims returns the index in c.lines of the way each set would

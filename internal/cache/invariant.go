@@ -105,3 +105,18 @@ func (s *Simulator) checkBouncedBack(tag uint64) {
 			"line %#x still temporal after bounce-back", tag)
 	}
 }
+
+// CheckCycleConservation asserts the cycle-conservation identity at the
+// end of a run: where the cost model has a closed form for the
+// configuration (Stats.ModelCostCycles), the run's CostCycles must equal
+// the sum it charges for the counted events. A mismatch panics with an
+// *InvariantError naming traceName, config and both numbers. core.Run
+// calls it at the end of every run under RuntimeChecks.
+func (s *Simulator) CheckCycleConservation(traceName, config string) {
+	st := s.Stats()
+	if want, ok := st.ModelCostCycles(s.cfg); ok && st.CostCycles != want {
+		s.violated("cycle conservation",
+			"trace %s, config %s: CostCycles %d, but the cost model charges %d for the counted events",
+			traceName, config, st.CostCycles, want)
+	}
+}

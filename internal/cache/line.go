@@ -21,8 +21,8 @@
 //
 // The data structures are built for throughput: line metadata is packed
 // into flat slices of fixed-size structs (one flags byte instead of a bool
-// per property), set indexing uses a mask when the set count is a power of
-// two (the common case — a 64-bit divide costs more than a whole hit
+// per property), main-cache set indexing is a mask (Validate makes the set
+// count a power of two, and a 64-bit divide costs more than a whole hit
 // lookup), and the steady-state simulate loop performs no heap allocations
 // (verified by TestAccessSteadyStateZeroAllocs in package core). The
 // deliberately naive map-based model in cache/refmodel cross-checks that
@@ -62,8 +62,7 @@ type mainCache struct {
 	ways     int
 	lineSize int
 	shift    uint   // log2(lineSize)
-	setMask  uint64 // sets-1 when sets is a power of two
-	maskable bool   // set indexing may use setMask instead of modulo
+	setMask  uint64 // sets-1; sets is a power of two
 	lines    []line
 	tick     uint64
 	policy   ReplacementPolicy
@@ -78,7 +77,6 @@ func newMainCache(sizeBytes, lineSize, ways int, policy ReplacementPolicy) *main
 		lineSize: lineSize,
 		shift:    log2(lineSize),
 		setMask:  uint64(sets - 1),
-		maskable: isPow2(sets),
 		lines:    make([]line, sets*ways),
 		policy:   policy,
 		rng:      0x9e3779b97f4a7c15,
@@ -96,16 +94,10 @@ func log2(n int) uint {
 // lineAddr converts a byte address to a line address.
 func (c *mainCache) lineAddr(addr uint64) uint64 { return addr >> c.shift }
 
-// setIndex maps a line address to its set. Cache geometry is almost always
-// a power of two (Validate requires pow2 size and line size; only an odd
-// associativity breaks it), so the hot path is a mask; the modulo fallback
-// keeps odd-way configurations working.
-func (c *mainCache) setIndex(la uint64) int {
-	if c.maskable {
-		return int(la & c.setMask)
-	}
-	return int(la % uint64(c.sets))
-}
+// setIndex maps a line address to its set. Validate makes CacheSize and
+// LineSize powers of two, and LineSize*Assoc must divide CacheSize, so
+// Assoc and the set count are powers of two as well: the index is a mask.
+func (c *mainCache) setIndex(la uint64) int { return int(la & c.setMask) }
 
 // lookup returns the way holding line address la, or nil. The
 // direct-mapped organisation (the paper's default, and the hottest probe

@@ -10,7 +10,9 @@ import (
 	"softcache/internal/cache"
 	"softcache/internal/cache/refmodel"
 	"softcache/internal/core"
+	"softcache/internal/locality"
 	"softcache/internal/trace"
+	"softcache/internal/tracegen"
 	"softcache/internal/workloads"
 )
 
@@ -141,9 +143,15 @@ func checkCycles(t *testing.T, cfg cache.Config, st cache.Stats) {
 	}
 }
 
+// prefetchVariant is the one fig. 12sw variant in the workload sweep,
+// MDG with software prefetches inserted at distance 4: the named
+// workloads carry no prefetch records.
+const prefetchVariant = "MDG-swpf4"
+
 // TestDifferentialWorkloads cross-checks every design point against every
-// paper benchmark at test scale. -short trims the matrix to one row and
-// one column (every config on MV, every workload on Soft).
+// paper benchmark at test scale, and against prefetchVariant. -short
+// trims the matrix to one row and one column (every config on MV, every
+// workload on Soft).
 func TestDifferentialWorkloads(t *testing.T) {
 	traces := map[string][]trace.Record{}
 	for _, name := range workloads.Benchmarks() {
@@ -153,8 +161,20 @@ func TestDifferentialWorkloads(t *testing.T) {
 		}
 		traces[name] = tr.Records
 	}
+	p, err := workloads.BuildProgram("MDG", workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := locality.InsertPrefetches(p, 4); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracegen.Generate(p, tracegen.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces[prefetchVariant] = tr.Records
 	for _, v := range variants() {
-		for _, w := range workloads.Benchmarks() {
+		for _, w := range append(workloads.Benchmarks(), prefetchVariant) {
 			if testing.Short() && v.name != "Soft" && w != "MV" {
 				continue
 			}

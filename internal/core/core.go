@@ -253,7 +253,9 @@ type Job struct {
 // materialised. The loop allocates nothing in steady state.
 //
 // Once job.Warmup records have run, the batch is split there and every
-// simulator's statistics are reset, excluding cold misses. ctx is polled
+// simulator's statistics are reset, excluding cold misses. A config under
+// RuntimeChecks ends its run with the cycle-conservation check
+// (cache.Simulator.CheckCycleConservation). ctx is polled
 // once per batch; on cancellation or a read error the partial results are
 // discarded and the error is returned wrapped.
 func Run(ctx context.Context, job Job, r trace.BatchReader) ([]Result, error) {
@@ -287,6 +289,11 @@ func Run(ctx context.Context, job Job, r trace.BatchReader) ([]Result, error) {
 	if warm > 0 { // the warmup outlasted the trace
 		for _, sim := range sims {
 			sim.ResetStats()
+		}
+	}
+	for i, sim := range sims {
+		if job.Configs[i].RuntimeChecks {
+			sim.CheckCycleConservation(r.Name(), Describe(job.Configs[i]))
 		}
 	}
 	return manyResults(r.Name(), job.Configs, sims), nil

@@ -127,3 +127,44 @@ func TestEachStopsOnFnError(t *testing.T) {
 		t.Fatalf("fn called %d times after %d reads, want 1 and 1", calls, r.reads)
 	}
 }
+
+// TestEachReadsResidentTraceInPlace: over a Trace's own reader, Each
+// hands fn views of the trace's records, BatchSize at most, each clipped
+// to its own length so an append cannot reach the next chunk, and polls
+// ctx before every chunk; a context cancelled during fn stops the loop
+// before the next chunk.
+func TestEachReadsResidentTraceInPlace(t *testing.T) {
+	tr := randomTrace(3, 2*BatchSize+100)
+	next := 0
+	err := Each(context.Background(), tr.Reader(), func(chunk []Record) error {
+		if len(chunk) == 0 || len(chunk) > BatchSize || cap(chunk) != len(chunk) {
+			t.Fatalf("chunk at record %d: len %d, cap %d; want 1 to %d records, capacity clipped", next, len(chunk), cap(chunk), BatchSize)
+		}
+		if &chunk[0] != &tr.Records[next] {
+			t.Fatalf("chunk at record %d is a copy, not a view of the trace", next)
+		}
+		next += len(chunk)
+		return nil
+	})
+	if err != nil || next != tr.Len() {
+		t.Fatalf("err %v after %d records, want nil after %d", err, next, tr.Len())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	err = Each(ctx, tr.Reader(), func([]Record) error {
+		calls++
+		if calls == 2 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || calls != 2 {
+		t.Fatalf("fn called %d times, err %v; want 2 calls, then context.Canceled", calls, err)
+	}
+	cancel()
+	if err := Each(ctx, (&Trace{Name: "empty"}).Reader(), func([]Record) error { return nil }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("empty trace under a cancelled context: err %v, want context.Canceled", err)
+	}
+}

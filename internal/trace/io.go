@@ -254,7 +254,16 @@ func PutBatch(b *[]Record) {
 // a read error reach fn before that error is returned; io.EOF ends the
 // loop with a nil error. An error from fn stops the loop with no further
 // read and is returned as is.
+//
+// A resident trace's reader (Trace.Reader itself, not a wrapper around
+// it) is read in place: fn is handed capacity-clipped views of the
+// trace's own records, at most BatchSize at a time, with no pool and no
+// copy. Those chunks are read-only: fn must not write them, because the
+// trace is shared by every reader of it.
 func Each(ctx context.Context, r BatchReader, fn func([]Record) error) error {
+	if sr, ok := r.(*sliceReader); ok {
+		return sr.each(ctx, fn)
+	}
 	batch := GetBatch()
 	defer PutBatch(batch)
 	for {
@@ -388,7 +397,8 @@ func ReadAll(r BatchReader) (*Trace, error) {
 // Reader returns a BatchReader over the trace's records, so an in-memory
 // trace feeds every streaming consumer (core.Run above all) through the
 // same contract as a decoded file. Each ReadBatch copies the next records
-// into dst; the trace itself is never modified.
+// into dst, and Each reads the records in place; the trace itself is
+// never modified.
 func (t *Trace) Reader() BatchReader { return &sliceReader{t: t} }
 
 // sliceReader is the BatchReader behind Trace.Reader.
@@ -408,4 +418,25 @@ func (r *sliceReader) ReadBatch(dst []Record) (int, error) {
 	n := copy(dst, r.t.Records[r.off:])
 	r.off += n
 	return n, nil
+}
+
+// each is Each over the rest of r's trace, read in place. Like Each's
+// loop, it polls ctx before every chunk and once more before it finds the
+// end.
+func (r *sliceReader) each(ctx context.Context, fn func([]Record) error) error {
+	recs := r.t.Records
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if r.off == len(recs) {
+			return nil
+		}
+		lo := r.off
+		hi := min(lo+BatchSize, len(recs))
+		r.off = hi
+		if err := fn(recs[lo:hi:hi]); err != nil {
+			return err
+		}
+	}
 }
