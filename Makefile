@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-pair perf figures faults serve result-race examples clean
+.PHONY: all build test vet bench bench-pair perf figures serve result-race examples clean
 
 all: build vet test
 
@@ -59,11 +59,6 @@ perf:
 figures:
 	$(GO) run ./cmd/softcache-bench -all -scale paper \
 		-md EXPERIMENTS.md -csv results -html results/figures.html
-
-# Push the fault-injection corpus through the trace -> simulate pipeline:
-# every corrupted input must end in an error, never a panic.
-faults:
-	$(GO) run ./cmd/softcache-bench -faults
 
 # Run the simulation service daemon on the default port. See docs/SERVE.md.
 serve:

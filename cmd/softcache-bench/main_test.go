@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"softcache/internal/core"
 )
 
 func runBench(t *testing.T, args ...string) (string, string, int) {
@@ -75,7 +73,6 @@ func TestBenchErrors(t *testing.T) {
 		{},                            // nothing selected
 		{"-fig", "nope"},              // unknown figure
 		{"-fig", "6a", "-scale", "x"}, // bad scale
-		{"-fig", "6a", "-resume"},     // -resume without -journal
 		{"-fig", "6a", "-fig", "6a"},  // duplicate figure = duplicate unit key
 	}
 	for _, args := range cases {
@@ -94,7 +91,7 @@ func TestBenchErrors(t *testing.T) {
 func stripElapsed(s string) string {
 	var keep []string
 	for _, l := range strings.Split(s, "\n") {
-		if strings.HasPrefix(l, "(elapsed ") || strings.HasPrefix(l, "(resumed)") {
+		if strings.HasPrefix(l, "(elapsed ") {
 			continue
 		}
 		keep = append(keep, l)
@@ -119,73 +116,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if stripElapsed(seq) != stripElapsed(par) {
 		t.Fatalf("parallel output differs:\n--- GOMAXPROCS=1\n%s\n--- GOMAXPROCS=4\n%s", seq, par)
-	}
-}
-
-// TestJournalResume: a second run against the same journal replays the
-// figure from the checkpoint — same report, marked "(resumed)".
-func TestJournalResume(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "bench.jsonl")
-	args := []string{"-fig", "6a", "-scale", "test", "-journal", journal}
-	first, errb, code := runBench(t, args...)
-	if code != 0 {
-		t.Fatalf("first run: exit %d: %s", code, errb)
-	}
-	second, errb, code := runBench(t, append(args, "-resume")...)
-	if code != 0 {
-		t.Fatalf("resume run: exit %d: %s", code, errb)
-	}
-	if !strings.Contains(second, "(resumed)") {
-		t.Fatalf("resumed run not marked:\n%s", second)
-	}
-	if !strings.Contains(errb, "resumed fig:6a/scale=test/seed=1") {
-		t.Fatalf("resume not reported on stderr: %q", errb)
-	}
-	if stripElapsed(first) != stripElapsed(second) {
-		t.Fatalf("resumed report differs:\n--- fresh\n%s\n--- resumed\n%s", first, second)
-	}
-}
-
-// TestJournalFromAnotherKernelReruns: a figure's key carries the kernel
-// version, so a journal line written under a key without it — as an older
-// kernel generation wrote them — is not replayed.
-func TestJournalFromAnotherKernelReruns(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "bench.jsonl")
-	args := []string{"-fig", "6a", "-scale", "test", "-journal", journal}
-	if _, errb, code := runBench(t, args...); code != 0 {
-		t.Fatalf("first run: exit %d: %s", code, errb)
-	}
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suffix := "/kernel=" + core.KernelVersion
-	if !bytes.Contains(data, []byte(suffix)) {
-		t.Fatalf("journal key lacks %q:\n%s", suffix, data)
-	}
-	if err := os.WriteFile(journal, bytes.ReplaceAll(data, []byte(suffix), nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, errb, code := runBench(t, append(args, "-resume")...)
-	if code != 0 {
-		t.Fatalf("resume run: exit %d: %s", code, errb)
-	}
-	if strings.Contains(out, "(resumed)") || strings.Contains(errb, "resumed fig:") {
-		t.Fatalf("figure replayed from a key without the kernel version:\n%s\n%s", out, errb)
-	}
-}
-
-// TestFaultsMode: the fault-injection corpus runs to completion with every
-// case contained.
-func TestFaultsMode(t *testing.T) {
-	out, errb, code := runBench(t, "-faults")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errb)
-	}
-	for _, want := range []string{"truncated-mid-stream", "tag-flip-temporal", "rejected by reader", "0 uncontained"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -8,7 +8,6 @@
 //	softcache-sweep -workload SpMV -config soft \
 //	    -x cache=4,8,16,32 -y vline=0,64,128,256 -metric miss
 //	softcache-sweep -source kernel.loop -x line=16,32,64 -metric traffic
-//	softcache-sweep -workload MV -x cache=4,8 -journal j.jsonl -resume
 //
 // Axes: cache (KiB), line (bytes), vline (bytes; 0 disables), latency
 // (cycles), assoc (ways), bb (bounce-back lines), sbuf (stream buffers).
@@ -19,13 +18,8 @@
 // so the trace is decoded once per row instead of once per cell. Rows run
 // on the experiment harness (internal/harness): in parallel on GOMAXPROCS
 // workers (set GOMAXPROCS=1 for one core), each bounded by -timeout, with
-// panics converted into structured failed-run records on stderr and
-// completed rows checkpointed to -journal so an interrupted sweep resumes
-// with -resume. A row's journal key names its label and a digest of the
-// trace, the metric, the kernel version and the row's resolved configs,
-// so a journaled row replays only for the same computation: changing the
-// workload, seed, base config, either axis, the metric or -check re-runs
-// it. The matrix is printed in row-major order regardless of worker count.
+// panics converted into structured failed-run records on stderr. The
+// matrix is printed in row-major order regardless of worker count.
 //
 // The process exits 0 on success, 1 when any cell fails, and 2 on usage
 // errors (bad axes, unknown metric or config).
@@ -33,9 +27,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -70,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ySpec := fs.String("y", "", "optional second axis (rows)")
 	metric := fs.String("metric", "amat", "metric: amat, miss or traffic")
 	timeout := fs.Duration("timeout", 0, "per-row timeout (0 = none)")
-	journal := fs.String("journal", "", "append completed rows to this JSONL checkpoint file")
-	resume := fs.Bool("resume", false, "replay rows already completed in -journal instead of re-running them")
 	check := fs.Bool("check", false, "enable runtime invariant checking in every simulation (slower)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -110,21 +99,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Exit(stderr, tool, err)
 	}
 
-	opts := harness.Options{
-		Workers:     runtime.GOMAXPROCS(0),
-		Timeout:     *timeout,
-		JournalPath: *journal,
-		Resume:      *resume,
-		Log:         stderr,
-	}
-	if opts.Resume && opts.JournalPath == "" {
-		return cli.Exit(stderr, tool, cli.UsageErrorf("-resume requires -journal"))
-	}
-
 	// One fused unit per matrix row: the x axis becomes a config group
 	// simulated in a single trace pass (core.Run), so the trace is walked
-	// once per row instead of once per cell. Rows run in parallel and the
-	// journal records one entry per row.
+	// once per row instead of once per cell. Rows run in parallel.
 	grid, err := core.Grid(base, xAxis, yAxis)
 	if err != nil {
 		return cli.Exit(stderr, tool, cli.Usage(err))
@@ -148,12 +125,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			label = fmt.Sprintf("%s=%d,%s", yAxis.Key, yAxis.Values[i], xAxis.Key)
 			meta[yAxis.Key] = fmt.Sprint(yAxis.Values[i])
 		}
-		digest, err := rowDigest(fingerprint, *metric, cfgs)
-		if err != nil {
-			return cli.Exit(stderr, tool, err)
-		}
 		units[i] = harness.Unit[[]float64]{
-			Key:  "row:" + label + "/" + digest,
+			Key:  "row:" + label,
 			Meta: meta,
 			Run: func(runCtx context.Context) ([]float64, error) {
 				results, err := core.Run(runCtx, core.Job{Configs: cfgs}, t.Reader())
@@ -173,18 +146,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	results, err := harness.Run(ctx, units, opts)
-	if err != nil {
-		return cli.Exit(stderr, tool, err)
-	}
-	for i := range results {
-		// A journal is outside input: a replayed row of the wrong width
-		// (a hand-edited line) fails instead of misprinting the matrix.
-		if r := &results[i]; r.OK() && len(r.Value) != len(xAxis.Values) {
-			r.Status, r.Err = harness.StatusFailed, fmt.Errorf("journaled row %s has %d values, want %d", r.Key, len(r.Value), len(xAxis.Values))
-			fmt.Fprintln(stderr, r.FailureRecord())
-		}
-	}
+	results := harness.Run(ctx, units, harness.Options{
+		Workers: runtime.GOMAXPROCS(0),
+		Timeout: *timeout,
+		Log:     stderr,
+	})
 
 	// Header row.
 	head := make([]string, 0, len(xAxis.Values)+1)
@@ -219,20 +185,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.Exit(stderr, tool, fmt.Errorf("%s", s))
 	}
 	return cli.ExitOK
-}
-
-// rowDigest identifies everything a row's values depend on beyond its
-// label: the trace, the metric, the kernel generation and the row's
-// resolved configs (base config, y value, every x value, -check).
-func rowDigest(fingerprint, metric string, cfgs []core.Config) (string, error) {
-	canon, err := json.Marshal(cfgs)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00", fingerprint, metric, core.KernelVersion)
-	h.Write(canon)
-	return hex.EncodeToString(h.Sum(nil)[:8]), nil
 }
 
 // loadTrace materialises the swept trace: a sweep walks it once per

@@ -262,11 +262,7 @@ func TestRowsShareOneWorkerBudget(t *testing.T) {
 		}
 		finished := make(chan []harness.Result[int])
 		go func() {
-			results, err := harness.Run(context.Background(), units, harness.Options{Workers: len(units)})
-			if err != nil {
-				t.Error(err)
-			}
-			finished <- results
+			finished <- harness.Run(context.Background(), units, harness.Options{Workers: len(units)})
 		}()
 		select {
 		case results := <-finished:
@@ -306,11 +302,7 @@ func TestFiguresFinishOnOneWorker(t *testing.T) {
 	}
 	finished := make(chan []harness.Result[*Report])
 	go func() {
-		results, err := harness.Run(context.Background(), units, harness.Options{Workers: len(units)})
-		if err != nil {
-			t.Error(err)
-		}
-		finished <- results
+		finished <- harness.Run(context.Background(), units, harness.Options{Workers: len(units)})
 	}()
 	select {
 	case results := <-finished:

@@ -21,9 +21,7 @@ func WriteMarkdown(w io.Writer, reports []*Report, scale string, elapsed time.Du
 	fmt.Fprintf(w, "figure carries *shape checks*: the qualitative claims the paper makes\n")
 	fmt.Fprintf(w, "about that figure, asserted against the measured data.\n\n")
 	fmt.Fprintf(w, "Figures run on the experiment harness (docs/HARNESS.md): GOMAXPROCS\n")
-	fmt.Fprintf(w, "workers run them with byte-identical output, and `-journal`/`-resume`\n")
-	fmt.Fprintf(w, "checkpoint completed figures so an interrupted regeneration resumes\n")
-	fmt.Fprintf(w, "without recomputation.\n\n")
+	fmt.Fprintf(w, "workers run them with byte-identical output.\n\n")
 
 	passed, total := 0, 0
 	for _, r := range reports {

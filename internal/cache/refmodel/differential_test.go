@@ -43,6 +43,10 @@ func variants() []variant {
 	bb3sets.BounceBackLines, bb3sets.BounceBackAssoc = 12, 4
 	bb1 := core.Soft()
 	bb1.BounceBackLines = 1
+	// What softcache-sweep -config column-assoc -x bb=8 builds: the
+	// column-associative hit loop with a bounce-back cache behind it.
+	columnBB := core.ColumnAssociative()
+	columnBB.BounceBackLines = 8
 	return []variant{
 		{"Standard", core.Standard()},
 		{"Soft", core.Soft()},
@@ -70,6 +74,7 @@ func variants() []variant {
 		{"BounceBack4Way", bb4way},
 		{"BounceBack3Sets", bb3sets},
 		{"BounceBack1", bb1},
+		{"ColumnAssocBB", columnBB},
 	}
 }
 
@@ -398,8 +403,9 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(5), uint16(800), uint8(13))
 	f.Add(int64(6), uint16(900), uint8(19))
 	// The bounce-back variants at the end of the matrix: coherence
-	// checks off, temporal-only admission, 4-way, three sets, one line.
-	for i := len(vs) - 5; i < len(vs); i++ {
+	// checks off, temporal-only admission, 4-way, three sets, one line,
+	// and column-associative with eight lines.
+	for i := len(vs) - 6; i < len(vs); i++ {
 		f.Add(int64(i), uint16(1200), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, cfgIdx uint8) {

@@ -1,9 +1,9 @@
 // Package chaos is a deterministic fault-injection proxy for the
 // cluster tests: it sits between the router and one shard and corrupts
 // a seeded, reproducible fraction of the calls passing through. It is
-// the wire-level counterpart of harness.Corpus — where the corpus
-// mangles serialised traces (truncations, flipped bytes, absurd
-// counts), the proxy mangles the transport the same ways:
+// the wire-level counterpart of internal/harness's test corpus — where
+// the corpus mangles serialised traces (truncations, flipped bytes,
+// absurd counts), the proxy mangles the transport the same ways:
 //
 //   - drop: the connection is severed before any response (the wire
 //     analogue of the corpus's truncated-empty);

@@ -11,8 +11,8 @@
 //
 // The fault paths are exercised, not hoped for: internal/cluster/chaos
 // is a deterministic fault-injection proxy (drops, stalls, 5xx bursts,
-// partial writes — the wire-level analogue of harness.Corpus's corrupted
-// trace vocabulary) that the test suite places between router and shards.
+// partial writes — the wire-level analogue of the corrupted-trace
+// vocabulary of internal/harness's test corpus) that the test suite places between router and shards.
 //
 // See docs/SERVE.md "Cluster mode" for topology and failure semantics.
 package cluster

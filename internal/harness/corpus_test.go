@@ -142,9 +142,9 @@ func (o FaultOutcome) Contained(wantParseError bool) bool {
 // RunFaults pushes every corpus case through the flat decoder (the corpus
 // is flat by construction) and — when the stream parses — core.Run with
 // runtime invariant checks enabled, all under the harness's panic
-// containment. It returns the outcomes in corpus order plus the failed-run
-// results for any case that panicked or was mishandled.
-func RunFaults(ctx context.Context, corpus []FaultCase, cfg core.Config, opts Options) ([]Result[FaultOutcome], error) {
+// containment. It returns the outcomes in corpus order, with a failed-run
+// result for any case that panicked or was mishandled.
+func RunFaults(ctx context.Context, corpus []FaultCase, cfg core.Config, opts Options) []Result[FaultOutcome] {
 	cfg = core.WithRuntimeChecks(cfg, true)
 	units := make([]Unit[FaultOutcome], len(corpus))
 	for i, fc := range corpus {

@@ -2,24 +2,11 @@ package harness
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"softcache/internal/core"
 	"softcache/internal/workloads"
 )
-
-func appendLine(path, line string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(line + "\n"); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // TestFaultCorpusContained is the acceptance check for fault injection:
 // every corrupted/truncated/tag-flipped trace must flow through the
@@ -47,10 +34,7 @@ func TestFaultCorpusContained(t *testing.T) {
 		{"soft-variable", core.SoftVariable()},
 	} {
 		t.Run(cfgCase.name, func(t *testing.T) {
-			results, err := RunFaults(context.Background(), corpus, cfgCase.cfg, Options{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := RunFaults(context.Background(), corpus, cfgCase.cfg, Options{Workers: 4})
 			for i, r := range results {
 				if r.Status == StatusPanic {
 					t.Errorf("case %s: panic escaped the pipeline:\n%s", corpus[i].Name, r.FailureRecord())
@@ -115,10 +99,7 @@ func TestInvariantPanicBecomesFailedRun(t *testing.T) {
 			panic("cache: invariant \"hit/miss accounting\" violated after 10 references: injected")
 		},
 	}}
-	results, err := Run(context.Background(), units, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(context.Background(), units, Options{})
 	if results[0].Status != StatusPanic {
 		t.Fatalf("status = %s, want panic", results[0].Status)
 	}

@@ -1,26 +1,23 @@
-// Package harness is the resilient parallel experiment runner underneath
-// softcache-bench and softcache-sweep. It executes independent units of
-// work (figure regenerations, sweep points, fault-injection cases) on a
-// bounded worker pool, each under a context.Context with an optional
-// per-run timeout, and treats the simulation stack as untrusted:
+// Package harness is the worker pool underneath softcache-bench,
+// softcache-sweep and softcache-perf. It executes independent units of
+// work (figure regenerations, sweep rows, perf units) on a bounded pool,
+// each under a context.Context with an optional per-unit timeout, and
+// treats the simulation stack as untrusted:
 //
 //   - a panic inside a unit is recovered and converted into a structured
 //     failed-run record (key, error, stack, reproduction metadata) instead
 //     of crashing the process;
-//   - every completed unit is journaled to a JSONL checkpoint file, so an
-//     interrupted run resumes without recomputing finished work;
-//   - cancellation (Ctrl-C, a deadline) stops scheduling new units,
-//     flushes the journal and reports the remaining units as canceled.
+//   - cancellation (Ctrl-C, a deadline) stops scheduling new units and
+//     reports the remaining units as canceled.
 //
 // Results are always returned in submission order regardless of worker
 // count, so callers that render reports sequentially produce byte-identical
-// output whether they ran with one worker or sixteen.
+// output whether they ran with one worker or sixteen. Nothing a unit
+// computes is persisted.
 package harness
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -32,11 +29,8 @@ import (
 
 // Unit is one independent piece of work.
 type Unit[T any] struct {
-	// Key is the stable identity of the unit, used for journaling and
-	// resume. It is the only resume guard: a journaled value is replayed
-	// exactly when its key matches, so the key must encode everything the
-	// result depends on (figure id, scale, seed, trace, configs, metric,
-	// kernel version...).
+	// Key names the unit in failed-run records; keys must be unique
+	// within one Run.
 	Key string
 	// Meta carries reproduction metadata (workload, config description,
 	// seed, trace fingerprint). It is copied into failed-run records so a
@@ -53,9 +47,6 @@ type Status string
 const (
 	// StatusOK means the unit completed and its value is valid.
 	StatusOK Status = "ok"
-	// StatusResumed means the value was replayed from the journal without
-	// re-running the unit.
-	StatusResumed Status = "resumed"
 	// StatusFailed means Run returned an error.
 	StatusFailed Status = "failed"
 	// StatusPanic means Run panicked; the panic value and stack were
@@ -81,7 +72,7 @@ type Result[T any] struct {
 }
 
 // OK reports whether the result carries a usable value.
-func (r Result[T]) OK() bool { return r.Status == StatusOK || r.Status == StatusResumed }
+func (r Result[T]) OK() bool { return r.Status == StatusOK }
 
 // FailureRecord renders the structured failed-run record for stderr and
 // logs: one line of summary plus the reproduction metadata, and the stack
@@ -130,30 +121,22 @@ type Options struct {
 	// Timeout bounds each unit's execution; 0 disables the per-unit
 	// deadline. Units must be context-aware for the bound to bite.
 	Timeout time.Duration
-	// JournalPath, when non-empty, appends one JSONL record per completed
-	// unit (ok and failed alike) to this file.
-	JournalPath string
-	// Resume replays units whose key has an ok record in the journal
-	// instead of re-running them. Requires JournalPath.
-	Resume bool
-	// Log, when non-nil, receives one-line progress notes (resumes,
-	// failures). The matrix/report rendering stays with the caller.
+	// Log, when non-nil, receives the failed-run record of every unit
+	// that did not produce a value. Report rendering stays with the
+	// caller.
 	Log io.Writer
 }
 
 // Summary aggregates the outcome counts of a Run.
 type Summary struct {
-	Total, OK, Resumed, Failed, Panicked, TimedOut, Canceled int
+	Total, OK, Failed, Panicked, TimedOut, Canceled int
 }
 
 // Failures returns how many units did not produce a value.
 func (s Summary) Failures() int { return s.Failed + s.Panicked + s.TimedOut + s.Canceled }
 
 func (s Summary) String() string {
-	parts := []string{fmt.Sprintf("%d/%d ok", s.OK+s.Resumed, s.Total)}
-	if s.Resumed > 0 {
-		parts = append(parts, fmt.Sprintf("%d resumed", s.Resumed))
-	}
+	parts := []string{fmt.Sprintf("%d/%d ok", s.OK, s.Total)}
 	if s.Failed > 0 {
 		parts = append(parts, fmt.Sprintf("%d failed", s.Failed))
 	}
@@ -176,8 +159,6 @@ func Summarize[T any](results []Result[T]) Summary {
 		switch r.Status {
 		case StatusOK:
 			s.OK++
-		case StatusResumed:
-			s.Resumed++
 		case StatusFailed:
 			s.Failed++
 		case StatusPanic:
@@ -193,65 +174,19 @@ func Summarize[T any](results []Result[T]) Summary {
 
 // Run executes the units on a worker pool and returns their results in
 // submission order. Unit failures (errors, panics, timeouts) are reported
-// in the results, not as the returned error, which is reserved for harness
-// infrastructure failures (an unreadable or unwritable journal) and for
-// duplicate unit keys.
-func Run[T any](ctx context.Context, units []Unit[T], opts Options) ([]Result[T], error) {
-	if opts.Resume && opts.JournalPath == "" {
-		return nil, errors.New("harness: Resume requires JournalPath")
-	}
+// in the results. Keys are built by the caller's code, so a duplicate key
+// is a programming error and panics before any unit runs.
+func Run[T any](ctx context.Context, units []Unit[T], opts Options) []Result[T] {
 	seen := make(map[string]bool, len(units))
 	for _, u := range units {
 		if seen[u.Key] {
-			return nil, fmt.Errorf("harness: duplicate unit key %q", u.Key)
+			panic(fmt.Sprintf("harness: duplicate unit key %q", u.Key))
 		}
 		seen[u.Key] = true
 	}
 
-	var resumable map[string]json.RawMessage
-	if opts.Resume {
-		var err error
-		resumable, err = loadJournal(opts.JournalPath)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var journal *journalWriter
-	if opts.JournalPath != "" {
-		var err error
-		journal, err = openJournal(opts.JournalPath)
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
-
+	workers := min(max(opts.Workers, 1), max(len(units), 1))
 	results := make([]Result[T], len(units))
-	var pending []int
-	for i, u := range units {
-		if raw, ok := resumable[u.Key]; ok {
-			var v T
-			if err := json.Unmarshal(raw, &v); err == nil {
-				results[i] = Result[T]{Key: u.Key, Status: StatusResumed, Value: v, Meta: u.Meta}
-				if opts.Log != nil {
-					fmt.Fprintf(opts.Log, "harness: resumed %s from journal\n", u.Key)
-				}
-				continue
-			}
-			// An undecodable journal value (format drift) falls through to
-			// a normal re-run.
-		}
-		pending = append(pending, i)
-	}
-
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pending) && len(pending) > 0 {
-		workers = len(pending)
-	}
-
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -265,27 +200,18 @@ func Run[T any](ctx context.Context, units []Unit[T], opts Options) ([]Result[T]
 				} else {
 					results[idx] = execute(ctx, u, opts.Timeout)
 				}
-				if journal != nil && results[idx].Status != StatusCanceled {
-					journal.append(toEntry(results[idx]))
-				}
 				if opts.Log != nil && !results[idx].OK() {
 					fmt.Fprintln(opts.Log, results[idx].FailureRecord())
 				}
 			}
 		}()
 	}
-	for _, idx := range pending {
+	for idx := range units {
 		jobs <- idx
 	}
 	close(jobs)
 	wg.Wait()
-
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return results
 }
 
 // execute runs one unit with panic containment and the per-unit deadline.

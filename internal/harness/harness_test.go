@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,10 +19,7 @@ func TestRunPreservesSubmissionOrder(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		units = append(units, intUnit(fmt.Sprintf("u%d", i), i))
 	}
-	results, err := Run(context.Background(), units, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(context.Background(), units, Options{Workers: 8})
 	for i, r := range results {
 		if !r.OK() || r.Value != i {
 			t.Fatalf("result %d = %+v, want value %d", i, r, i)
@@ -45,10 +41,7 @@ func TestPanicContainment(t *testing.T) {
 		},
 		intUnit("after", 2),
 	}
-	results, err := Run(context.Background(), units, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(context.Background(), units, Options{Workers: 2})
 	if !results[0].OK() || !results[2].OK() {
 		t.Fatal("healthy units must survive a sibling panic")
 	}
@@ -72,10 +65,7 @@ func TestFailedUnitDoesNotStopOthers(t *testing.T) {
 		{Key: "bad", Run: func(context.Context) (int, error) { return 0, errors.New("nope") }},
 		intUnit("good", 7),
 	}
-	results, err := Run(context.Background(), units, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(context.Background(), units, Options{Workers: 1})
 	if results[0].Status != StatusFailed || results[0].Err == nil {
 		t.Fatalf("results[0] = %+v", results[0])
 	}
@@ -92,10 +82,7 @@ func TestTimeout(t *testing.T) {
 			return 0, ctx.Err()
 		},
 	}}
-	results, err := Run(context.Background(), units, Options{Timeout: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(context.Background(), units, Options{Timeout: 10 * time.Millisecond})
 	if results[0].Status != StatusTimeout {
 		t.Fatalf("status = %s, want timeout", results[0].Status)
 	}
@@ -123,10 +110,7 @@ func TestCancellationSkipsPendingUnits(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	results, err := Run(ctx, units, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := Run(ctx, units, Options{Workers: 1})
 	if results[0].Status != StatusCanceled {
 		t.Fatalf("first = %s, want canceled", results[0].Status)
 	}
@@ -136,124 +120,12 @@ func TestCancellationSkipsPendingUnits(t *testing.T) {
 	}
 }
 
-func TestJournalAndResume(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "runs.jsonl")
-	var firstRuns atomic.Int32
-	mk := func(counter *atomic.Int32, failEven bool) []Unit[int] {
-		var units []Unit[int]
-		for i := 0; i < 10; i++ {
-			i := i
-			units = append(units, Unit[int]{
-				Key: fmt.Sprintf("point%d", i),
-				Run: func(context.Context) (int, error) {
-					counter.Add(1)
-					if failEven && i%2 == 0 {
-						return 0, fmt.Errorf("transient failure %d", i)
-					}
-					return i * i, nil
-				},
-			})
-		}
-		return units
-	}
-
-	// First pass: even points fail, odd points succeed and are journaled.
-	results, err := Run(context.Background(), mk(&firstRuns, true), Options{Workers: 3, JournalPath: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Summarize(results); s.OK != 5 || s.Failed != 5 {
-		t.Fatalf("first pass summary = %+v", s)
-	}
-	entries, err := readEntries(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 10 {
-		t.Fatalf("journal entries = %d, want 10 (failures are journaled too)", len(entries))
-	}
-
-	// Second pass: odd points resume from the journal without re-running;
-	// even points (previously failed) are retried and now succeed.
-	var secondRuns atomic.Int32
-	results, err = Run(context.Background(), mk(&secondRuns, false),
-		Options{Workers: 3, JournalPath: journal, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if !r.OK() || r.Value != i*i {
-			t.Fatalf("resumed result %d = %+v", i, r)
-		}
-		wantStatus := StatusResumed
-		if i%2 == 0 {
-			wantStatus = StatusOK
-		}
-		if r.Status != wantStatus {
-			t.Fatalf("result %d status = %s, want %s", i, r.Status, wantStatus)
-		}
-	}
-	if got := secondRuns.Load(); got != 5 {
-		t.Fatalf("second pass executed %d units, want 5 (journaled runs must not recompute)", got)
-	}
-}
-
-func TestResumeRequiresJournal(t *testing.T) {
-	if _, err := Run(context.Background(), []Unit[int]{intUnit("a", 1)}, Options{Resume: true}); err == nil {
-		t.Fatal("Resume without JournalPath must fail")
-	}
-}
-
 func TestDuplicateKeysRejected(t *testing.T) {
 	units := []Unit[int]{intUnit("same", 1), intUnit("same", 2)}
-	if _, err := Run(context.Background(), units, Options{}); err == nil {
-		t.Fatal("duplicate keys must fail")
-	}
-}
-
-func TestCorruptJournalFailsLoad(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "runs.jsonl")
-	if _, err := Run(context.Background(), []Unit[int]{intUnit("a", 1)}, Options{JournalPath: journal}); err != nil {
-		t.Fatal(err)
-	}
-	// Append a broken line; resume must refuse rather than silently skip.
-	if err := appendLine(journal, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Run(context.Background(), []Unit[int]{intUnit("a", 1)},
-		Options{JournalPath: journal, Resume: true})
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("err = %v, want corrupt-journal error naming line 2", err)
-	}
-}
-
-// TestResumeByKeyOnly: the key is the only resume guard. A journaled value
-// replays under its exact key, a different key re-runs, and a value that
-// no longer decodes into the unit's type re-runs instead of resuming.
-func TestResumeByKeyOnly(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "runs.jsonl")
-	if _, err := Run(context.Background(), []Unit[int]{intUnit("k", 7)}, Options{JournalPath: journal}); err != nil {
-		t.Fatal(err)
-	}
-	resume := Options{JournalPath: journal, Resume: true}
-
-	results, err := Run(context.Background(), []Unit[int]{intUnit("k", 8), intUnit("k2", 9)}, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := results[0]; r.Status != StatusResumed || r.Value != 7 {
-		t.Fatalf("same key: %s %d, want resumed 7", r.Status, r.Value)
-	}
-	if r := results[1]; r.Status != StatusOK || r.Value != 9 {
-		t.Fatalf("new key: %s %d, want ok 9", r.Status, r.Value)
-	}
-
-	strUnit := Unit[string]{Key: "k", Run: func(context.Context) (string, error) { return "fresh", nil }}
-	strs, err := Run(context.Background(), []Unit[string]{strUnit}, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := strs[0]; r.Status != StatusOK || r.Value != "fresh" {
-		t.Fatalf("undecodable value: %s %q, want ok \"fresh\"", r.Status, r.Value)
-	}
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), `duplicate unit key "same"`) {
+			t.Fatalf("recovered %v, want a duplicate-key panic", p)
+		}
+	}()
+	Run(context.Background(), units, Options{})
 }

@@ -281,10 +281,7 @@ func (r Runner) Run(ctx context.Context, specs []Spec) (*Report, error) {
 			},
 		}
 	}
-	results, err := harness.Run(ctx, units, harness.Options{Workers: 1, Log: r.Log})
-	if err != nil {
-		return nil, fmt.Errorf("perf: %w", err)
-	}
+	results := harness.Run(ctx, units, harness.Options{Workers: 1, Log: r.Log})
 
 	report := &Report{
 		Schema:    SchemaID,

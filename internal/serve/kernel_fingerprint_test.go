@@ -14,10 +14,10 @@ import (
 )
 
 // TestKernelFingerprint ties core.KernelVersion to the answers it names.
-// The durable result cache and the harness journals key stored answers
-// by the version, so a change that alters any simulated statistic or
-// any rendered response byte must bump it, or a stored answer of the old
-// kernel is served as the new one's. The fingerprint hashes every uint64
+// The durable result cache keys stored answers by the version, so a
+// change that alters any simulated statistic or any rendered response
+// byte must bump it, or a stored answer of the old kernel is served as
+// the new one's. The fingerprint hashes every uint64
 // field of cache.Stats for each named config over each test-scale
 // workload, then the bodies of a fixed simulate request (JSON and text)
 // and a fixed sweep request.
