@@ -49,18 +49,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit the go vet aggregate JSON on stdout")
 	fs.Int("c", -1, "accepted for go vet compatibility; ignored")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: go vet -vettool=$(pwd)/%s [packages]\n\nAnalyzers (all run):\n", tool)
+		fmt.Fprintf(fs.Output(), "usage: go vet -vettool=$(pwd)/%s [packages]\n\nAnalyzers (all run):\n", tool)
 		for _, a := range passes.All() {
-			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintln(stderr, "\nFlags (go vet forwards them):")
+		fmt.Fprintln(fs.Output(), "\nFlags (go vet forwards them):")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 	rest := fs.Args()

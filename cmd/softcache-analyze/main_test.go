@@ -45,6 +45,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	if code := run([]string{"-nosuchflag"}, &out, &errb); code != cli.ExitUsage {
 		t.Fatalf("bad flag: exit %d, want %d", code, cli.ExitUsage)
 	}
+	if !strings.HasPrefix(errb.String(), "softcache-analyze: flag provided but not defined") {
+		t.Fatalf("bad flag: stderr not prefixed: %q", errb.String())
+	}
 }
 
 // TestOperationalErrorsExitTwo: a work unit that cannot be read and a

@@ -54,7 +54,6 @@ func main() {
 // run executes the tool; split from main for testing.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var figs figList
 	fs.Var(&figs, "fig", "figure id to run (repeatable); see -list")
 	all := fs.Bool("all", false, "run every figure")
@@ -67,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	htmlPath := fs.String("html", "", "also write an HTML report with SVG charts to this file")
 	timeout := fs.Duration("timeout", 0, "per-figure timeout (0 = none)")
 	check := fs.Bool("check", false, "enable runtime invariant checking in every simulation (slower)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 

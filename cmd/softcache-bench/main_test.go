@@ -74,6 +74,7 @@ func TestBenchErrors(t *testing.T) {
 		{"-fig", "nope"},              // unknown figure
 		{"-fig", "6a", "-scale", "x"}, // bad scale
 		{"-fig", "6a", "-fig", "6a"},  // duplicate figure = duplicate unit key
+		{"-nosuchflag"},               // the flag package's own diagnostic
 	}
 	for _, args := range cases {
 		_, errb, code := runBench(t, args...)

@@ -58,12 +58,11 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	base := fs.String("base", "", "base revision (default: the merge-base of HEAD and main)")
 	workload := fs.String("workload", "figures", "benchmark workload to run on both sides, or perf for the perf rows")
 	pairs := fs.Int("pairs", 10, "number of alternating pairs")
 	seconds := fs.Float64("seconds", 20, "measured seconds per benchmark run (not perf)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 	if fs.NArg() > 0 {

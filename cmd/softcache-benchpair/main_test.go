@@ -61,8 +61,12 @@ func TestSummarizeCountsWinsByDirection(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-pairs", "0"}, {"-seconds", "-1"}, {"extra"}, {"-nope"}} {
-		if code := run(args, io.Discard, io.Discard); code != 2 {
+		var errb strings.Builder
+		if code := run(args, io.Discard, &errb); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.HasPrefix(errb.String(), "softcache-benchpair: ") {
+			t.Errorf("%v: stderr not prefixed: %q", args, errb.String())
 		}
 	}
 }

@@ -43,12 +43,11 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run only the test-scale rows")
 	out := fs.String("out", "BENCH_kernel.json", "write the JSON report here")
 	md := fs.String("md", "", "write the markdown report to this file (default: stdout)")
 	minTime := fs.Duration("min-time", 0, "minimum measurement time per row (default 300ms, 100ms with -quick)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 	if fs.NArg() > 0 {

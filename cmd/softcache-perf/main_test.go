@@ -40,8 +40,12 @@ func TestQuickRunAndGate(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"extra-arg"}, {"-baseline", "x"}, {"-max-regress", "0.15"}} {
-		if _, _, code := runPerfCmd(t, args...); code != 2 {
+		_, errb, code := runPerfCmd(t, args...)
+		if code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.HasPrefix(errb, "softcache-perf: ") {
+			t.Errorf("%v: stderr not prefixed: %q", args, errb)
 		}
 	}
 }

@@ -69,7 +69,6 @@ func main() {
 // streams, and returns the process exit code. Split from main for testing.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8265", "listen address (host:port; :0 picks a free port)")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "requests allowed to wait for a worker before 429")
@@ -85,7 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	route := fs.String("route", "", "router mode: comma-separated shard base URLs to consistent-hash across")
 	hedgeAfter := fs.Duration("hedge-after", 0, "router: race a second replica after this delay (0 disables hedging)")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "router: interval between shard /healthz probes")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 	if fs.NArg() > 0 {

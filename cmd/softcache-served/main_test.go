@@ -159,6 +159,9 @@ func TestDaemonUsageErrors(t *testing.T) {
 		if code != 2 {
 			t.Fatalf("args %v: exit %d, want 2 (stderr %q)", args, code, errb.String())
 		}
+		if !strings.HasPrefix(errb.String(), "softcache-served: ") {
+			t.Fatalf("args %v: stderr not prefixed: %q", args, errb.String())
+		}
 	}
 }
 

@@ -18,6 +18,10 @@
 // Configurations: standard, victim, soft, soft-temporal, soft-spatial,
 // soft-variable, bypass, bypass-buffer, simplified-2way, soft-prefetch,
 // standard-prefetch, stream-buffers, column-assoc, subblock.
+//
+// -cache, -line, -vline, -latency and -assoc take the ranges of core's
+// override table (see -h). A set flag is applied as given: -latency 0
+// means zero cycles, and a value out of range is a usage error (exit 2).
 package main
 
 import (
@@ -43,24 +47,24 @@ func main() {
 // run executes the tool with the given arguments, writing to the supplied
 // streams, and returns the process exit code. Split from main for testing.
 func run(args []string, stdout, stderr io.Writer) int {
-	flag := flag.NewFlagSet(tool, flag.ContinueOnError)
-	flag.SetOutput(stderr)
-	workload := flag.String("workload", "", "workload name (see -workloads)")
-	source := flag.String("source", "", "loop-nest source file to compile, trace and simulate")
-	traceFile := flag.String("trace", "", "binary trace file to simulate instead of a workload")
-	configName := flag.String("config", "soft", "configuration name")
-	scaleName := flag.String("scale", "paper", "workload scale: paper or test")
-	seed := flag.Uint64("seed", 1, "trace generation seed")
-	latency := flag.Int("latency", 0, "override memory latency (cycles)")
-	vline := flag.Int("vline", -1, "override virtual line size (bytes; 0 disables)")
-	cacheKB := flag.Int("cache", 0, "override cache size (KiB)")
-	lineSize := flag.Int("line", 0, "override physical line size (bytes)")
-	assoc := flag.Int("assoc", 0, "override associativity")
-	stripT := flag.Bool("strip-temporal", false, "clear temporal tags in the trace")
-	stripS := flag.Bool("strip-spatial", false, "clear spatial tags in the trace")
-	warmup := flag.Int("warmup", 0, "exclude the first N references from the statistics (steady state)")
-	listW := flag.Bool("workloads", false, "list workloads and exit")
-	if err := flag.Parse(args); err != nil {
+	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
+	workload := fs.String("workload", "", "workload name (see -workloads)")
+	source := fs.String("source", "", "loop-nest source file to compile, trace and simulate")
+	traceFile := fs.String("trace", "", "binary trace file to simulate instead of a workload")
+	configName := fs.String("config", "soft", "configuration name")
+	scaleName := fs.String("scale", "paper", "workload scale: paper or test")
+	seed := fs.Uint64("seed", 1, "trace generation seed")
+	// Override flags are named after core's override keys.
+	fs.Int("latency", 0, "override memory latency (cycles, 0-1048576)")
+	fs.Int("vline", 0, "override virtual line size (bytes, 0-65536; 0 disables)")
+	fs.Int("cache", 0, "override cache size (KiB, 1-65536)")
+	fs.Int("line", 0, "override physical line size (bytes, 1-4096)")
+	fs.Int("assoc", 0, "override associativity (ways, 1-1024)")
+	stripT := fs.Bool("strip-temporal", false, "clear temporal tags in the trace")
+	stripS := fs.Bool("strip-spatial", false, "clear spatial tags in the trace")
+	warmup := fs.Int("warmup", 0, "exclude the first N references from the statistics (steady state)")
+	listW := fs.Bool("workloads", false, "list workloads and exit")
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 
@@ -76,20 +80,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return cli.Exit(stderr, tool, cli.Usage(err))
 	}
-	if *latency > 0 {
-		cfg = core.WithLatency(cfg, *latency)
-	}
-	if *vline >= 0 {
-		cfg.VirtualLineSize = *vline
-	}
-	if *cacheKB > 0 {
-		cfg.CacheSize = *cacheKB << 10
-	}
-	if *lineSize > 0 {
-		cfg.LineSize = *lineSize
-	}
-	if *assoc > 0 {
-		cfg.Assoc = *assoc
+	fs.Visit(func(f *flag.Flag) {
+		if _, ok := core.LookupOverride(f.Name); ok && err == nil {
+			cfg, err = core.ApplyAxis(cfg, f.Name, f.Value.(flag.Getter).Get().(int))
+		}
+	})
+	if err != nil {
+		return cli.Exit(stderr, tool, cli.Usage(err))
 	}
 
 	if *warmup < 0 {

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"softcache/internal/cli"
 	"softcache/internal/core"
 	"softcache/internal/metrics"
 	"softcache/internal/trace"
@@ -132,8 +135,93 @@ func TestOutputIsSharedReport(t *testing.T) {
 }
 
 func TestBadFlag(t *testing.T) {
-	if _, _, code := runSim(t, "-definitely-not-a-flag"); code != 2 {
+	_, errb, code := runSim(t, "-definitely-not-a-flag")
+	if code != 2 {
 		t.Fatal("unknown flag should exit 2")
+	}
+	if !strings.HasPrefix(errb, "softcache-sim: flag provided but not defined") {
+		t.Fatalf("stderr not prefixed: %q", errb)
+	}
+}
+
+// simOverrideFlags are the flags named after core's override keys.
+var simOverrideFlags = []string{"cache", "line", "vline", "latency", "assoc"}
+
+// TestOverrideBounds sets each override flag at the edges of core's
+// override table. A set flag is applied as given: out of range is a usage
+// error (exit 2), never a flag dropped in favour of the named design's
+// value; in range prints the report of exactly that config, or fails
+// (exit 1) only where Validate rejects it. -latency 0 means zero cycles.
+func TestOverrideBounds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "small.din")
+	var din strings.Builder
+	for i := 0; i < 256; i++ {
+		fmt.Fprintf(&din, "%d %x\n", i%2, 0x1000+i*12)
+	}
+	if err := os.WriteFile(path, []byte(din.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range simOverrideFlags {
+		o, ok := core.LookupOverride(key)
+		if !ok {
+			t.Fatalf("flag -%s names no override", key)
+		}
+		for _, v := range []int{o.Min - 1, o.Min, o.Max, o.Max + 1} {
+			out, errb, code := runSim(t, "-trace", path, "-"+key, strconv.Itoa(v))
+			cfg, _ := core.ApplyAxis(core.Soft(), key, v)
+			switch {
+			case v < o.Min || v > o.Max:
+				if code != 2 || !strings.Contains(errb, "out of range") {
+					t.Errorf("-%s %d: exit %d (%q), want usage error 2", key, v, code, errb)
+				}
+			case cfg.Validate() != nil:
+				if code != 1 {
+					t.Errorf("-%s %d: exit %d (%q), want 1 (%v)", key, v, code, errb, cfg.Validate())
+				}
+			case code != 0:
+				t.Errorf("-%s %d: exit %d: %s", key, v, code, errb)
+			default:
+				src, err := cli.OpenSource("", "", path, "paper", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := trace.ReadAll(src)
+				src.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := core.Run(context.Background(), core.Job{Configs: []core.Config{cfg}}, tr.Reader())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				metrics.SimulationReport(&want, tr.CountTags(), res[0])
+				if out != want.String() {
+					t.Errorf("-%s %d: report differs from the config set as given:\n--- CLI\n%s--- want\n%s", key, v, out, want.String())
+				}
+			}
+		}
+	}
+	// The table's other keys are no softcache-sim flags.
+	if _, _, code := runSim(t, "-trace", path, "-bb", "1"); code != 2 {
+		t.Errorf("-bb: exit %d, want 2", code)
+	}
+}
+
+// TestUsageStatesRanges: each override flag's usage line states the
+// table's range for it.
+func TestUsageStatesRanges(t *testing.T) {
+	_, errb, code := runSim(t, "-h")
+	if code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	for _, key := range simOverrideFlags {
+		o, _ := core.LookupOverride(key)
+		_, usage, _ := strings.Cut(errb, "  -"+key+" int\n")
+		usage, _, _ = strings.Cut(usage, "\n")
+		if want := fmt.Sprintf("%d-%d", o.Min, o.Max); !strings.Contains(usage, want) {
+			t.Errorf("-%s usage %q does not state the range %s", key, usage, want)
+		}
 	}
 }
 

@@ -9,9 +9,12 @@
 //	    -x cache=4,8,16,32 -y vline=0,64,128,256 -metric miss
 //	softcache-sweep -source kernel.loop -x line=16,32,64 -metric traffic
 //
-// Axes: cache (KiB), line (bytes), vline (bytes; 0 disables), latency
-// (cycles), assoc (ways), bb (bounce-back lines), sbuf (stream buffers).
-// Metrics: amat, miss, traffic.
+// Axes, with the inclusive ranges of core's override table (the daemon's
+// /v1/sweep accepts the same): cache 1-65536 (KiB), line 1-4096 (bytes),
+// vline 0-65536 (bytes; 0 disables), latency 0-1048576 (cycles), assoc
+// 1-1024 (ways), bb 0-1024 (bounce-back lines), sbuf 0-64 (stream
+// buffers). A value out of range is a usage error. Metrics: amat, miss,
+// traffic.
 //
 // The x axis is fused: each matrix row is one unit that simulates all of
 // its configurations in a single pass over the trace (core.Run),
@@ -50,19 +53,18 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	workload := fs.String("workload", "", "workload name")
 	source := fs.String("source", "", "loop-nest source file")
 	traceFile := fs.String("trace", "", "saved trace file to sweep (any format: flat, sctz, din, din.gz)")
 	configName := fs.String("config", "soft", "base configuration (as in softcache-sim)")
 	scaleName := fs.String("scale", "paper", "workload scale: paper or test")
 	seed := fs.Uint64("seed", 1, "trace generation seed")
-	xSpec := fs.String("x", "", "swept axis: key=v1,v2,... (columns)")
+	xSpec := fs.String("x", "", "swept axis: key=v1,v2,... (columns); keys and ranges: cache 1-65536 KiB, line 1-4096, vline 0-65536, latency 0-1048576, assoc 1-1024, bb 0-1024, sbuf 0-64")
 	ySpec := fs.String("y", "", "optional second axis (rows)")
 	metric := fs.String("metric", "amat", "metric: amat, miss or traffic")
 	timeout := fs.Duration("timeout", 0, "per-row timeout (0 = none)")
 	check := fs.Bool("check", false, "enable runtime invariant checking in every simulation (slower)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 	if *xSpec == "" {

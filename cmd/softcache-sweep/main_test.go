@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"softcache/internal/core"
 	"softcache/internal/trace"
 	"softcache/internal/workloads"
 )
@@ -128,14 +130,66 @@ func TestSweepAxisEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSweepErrorPrefix: every diagnostic is prefixed with the tool name.
-func TestSweepErrorPrefix(t *testing.T) {
-	_, errb, code := runSweep(t, "-workload", "MV", "-scale", "test", "-x", "zz=5")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+// TestSweepOverrideBounds sweeps every key of core's override table at the
+// table's edges over a small trace: out of range is a usage error (exit
+// 2); in range runs, and fails (exit 1) only where Validate rejects the
+// cell. Values above the daemon's caps (cache=131072) are usage errors
+// here too.
+func TestSweepOverrideBounds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "small.din")
+	var din strings.Builder
+	for i := 0; i < 256; i++ {
+		fmt.Fprintf(&din, "%d %x\n", i%2, 0x1000+i*12)
 	}
-	if !strings.HasPrefix(errb, "softcache-sweep: ") {
-		t.Fatalf("stderr not prefixed: %q", errb)
+	if err := os.WriteFile(path, []byte(din.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range core.Overrides() {
+		for _, v := range []int{o.Min - 1, o.Min, o.Max, o.Max + 1} {
+			want := 0
+			if v < o.Min || v > o.Max {
+				want = 2
+			} else if cfg, _ := core.ApplyAxis(core.Soft(), o.Key, v); cfg.Validate() != nil {
+				want = 1
+			}
+			x := fmt.Sprintf("%s=%d", o.Key, v)
+			if _, errb, code := runSweep(t, "-trace", path, "-x", x); code != want {
+				t.Errorf("-x %s: exit %d, want %d (stderr %q)", x, code, want, errb)
+			}
+		}
+	}
+	if _, errb, code := runSweep(t, "-trace", path, "-x", "cache=131072"); code != 2 || !strings.Contains(errb, "out of range") {
+		t.Errorf("-x cache=131072: exit %d (%q), want usage error 2", code, errb)
+	}
+}
+
+// TestSweepUsageStatesRanges: -x's usage line states every key of core's
+// override table with its range.
+func TestSweepUsageStatesRanges(t *testing.T) {
+	_, errb, code := runSweep(t, "-h")
+	if code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	_, usage, _ := strings.Cut(errb, "  -x string\n")
+	usage, _, _ = strings.Cut(usage, "\n")
+	for _, o := range core.Overrides() {
+		if want := fmt.Sprintf("%s %d-%d", o.Key, o.Min, o.Max); !strings.Contains(usage, want) {
+			t.Errorf("-x usage %q does not state %q", usage, want)
+		}
+	}
+}
+
+// TestSweepErrorPrefix: every diagnostic is prefixed with the tool name,
+// the flag package's own included.
+func TestSweepErrorPrefix(t *testing.T) {
+	for _, args := range [][]string{{"-x", "zz=5"}, {"-nosuchflag"}} {
+		_, errb, code := runSweep(t, append([]string{"-workload", "MV", "-scale", "test"}, args...)...)
+		if code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.HasPrefix(errb, "softcache-sweep: ") {
+			t.Fatalf("%v: stderr not prefixed: %q", args, errb)
+		}
 	}
 }
 

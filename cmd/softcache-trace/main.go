@@ -49,7 +49,6 @@ func main() {
 // run executes the tool; split from main for testing.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	workload := fs.String("workload", "", "workload to generate (see softcache-sim -workloads)")
 	source := fs.String("source", "", "loop-nest source file to compile and trace (see internal/lang)")
 	in := fs.String("in", "", "trace file to read (format sniffed: flat, sctz, din, din.gz)")
@@ -64,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verify := fs.Bool("verify", false, "stream-decode -in fully, checking structure and checksums")
 	info := fs.Bool("info", false, "print stream metadata and record counts for -in")
 	synth := fs.Uint64("synth", 0, "generate this many synthetic records to -out (compression-adversarial, sctz)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 

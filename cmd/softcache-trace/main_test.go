@@ -90,6 +90,9 @@ func TestTraceErrors(t *testing.T) {
 			t.Fatalf("args %v should fail", args)
 		}
 	}
+	if _, errb, code := runTool(t, "-nosuchflag"); code != 2 || !strings.HasPrefix(errb, "softcache-trace: ") {
+		t.Fatalf("unknown flag: exit %d, stderr %q; want 2 and the tool prefix", code, errb)
+	}
 }
 
 func TestSourceFile(t *testing.T) {

@@ -48,7 +48,6 @@ func main() {
 // run executes the tool; split from main for testing.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(tool, flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	source := fs.String("source", "", "loop-nest source file to vet (see internal/lang)")
 	workload := fs.String("workload", "", `built-in workload to vet, or "all" for the 9 benchmarks`)
 	scaleName := fs.String("scale", "paper", "workload scale: paper or test")
@@ -59,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	deps := fs.Bool("deps", false, "print the dependence graph and resolved tags before the findings")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of human-readable text")
 	listPasses := fs.Bool("passes", false, "list the registered passes and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args, stderr); err != nil {
 		return cli.ExitUsage
 	}
 

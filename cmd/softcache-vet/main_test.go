@@ -277,4 +277,7 @@ func TestUsageErrors(t *testing.T) {
 	if _, _, code := runTool(t, "-workload", "MV", "-scale", "huge"); code != 2 {
 		t.Fatalf("bad scale: exit %d, want 2", code)
 	}
+	if _, errb, code := runTool(t, "-nosuchflag"); code != 2 || !strings.HasPrefix(errb, "softcache-vet: ") {
+		t.Fatalf("unknown flag: exit %d, stderr %q; want 2 and the tool prefix", code, errb)
+	}
 }

@@ -5,6 +5,7 @@ package cli
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -108,4 +109,22 @@ func Exit(w io.Writer, tool string, err error) int {
 		Errorln(w, tool, err)
 	}
 	return Code(err)
+}
+
+// Parse parses args into fs and leaves fs writing to stderr. The flag
+// package's own diagnostics (an unknown flag, a malformed value) are
+// prefixed with the tool's name, like every other diagnostic, and are
+// followed by the usage text; -h prints the usage alone. A non-nil error
+// means the command should exit ExitUsage.
+func Parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	fs.SetOutput(stderr)
+	if err != nil {
+		if err != flag.ErrHelp {
+			Errorln(stderr, fs.Name(), err)
+		}
+		fs.Usage()
+	}
+	return err
 }

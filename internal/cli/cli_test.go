@@ -2,6 +2,7 @@ package cli
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -56,5 +57,38 @@ func TestExit(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "tool: nope") {
 		t.Fatalf("stderr = %q", b.String())
+	}
+}
+
+// TestParse: the flag package's own diagnostics carry the tool prefix and
+// are followed by the usage text once; -h prints the usage alone; both
+// return an error, so the command exits ExitUsage.
+func TestParse(t *testing.T) {
+	for _, tc := range []struct {
+		args       []string
+		wantPrefix string
+	}{
+		{[]string{"-nosuchflag"}, "tool: flag provided but not defined: -nosuchflag\n"},
+		{[]string{"-n", "x"}, `tool: invalid value "x" for flag -n: parse error` + "\n"},
+		{[]string{"-h"}, "Usage of tool:\n"},
+	} {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		fs.Int("n", 0, "a number")
+		var errb strings.Builder
+		if err := Parse(fs, tc.args, &errb); err == nil {
+			t.Errorf("%v: no error", tc.args)
+		}
+		if got := errb.String(); !strings.HasPrefix(got, tc.wantPrefix) || strings.Count(got, "Usage of tool:") != 1 {
+			t.Errorf("%v: stderr %q, want it to start %q and hold the usage once", tc.args, got, tc.wantPrefix)
+		}
+	}
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	n := fs.Int("n", 0, "a number")
+	var errb strings.Builder
+	if err := Parse(fs, []string{"-n", "3"}, &errb); err != nil || *n != 3 || errb.Len() != 0 {
+		t.Errorf("good flags: err %v, n %d, stderr %q", err, *n, errb.String())
+	}
+	if fs.Output() != &errb {
+		t.Error("fs does not write to stderr after Parse")
 	}
 }

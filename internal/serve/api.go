@@ -33,11 +33,10 @@ import (
 	"softcache/internal/workloads"
 )
 
-// Request validation limits. The simulator itself accepts any power-of-two
-// geometry, but a shared daemon must bound what one request can make it
-// allocate or chew on; these are generous multiples of the paper's design
-// space (8 KiB cache, 32 B lines) and anything beyond them is rejected
-// with 400 rather than attempted.
+// Request-shape limits. The config values a request may set are bounded
+// by core's override table (core.Overrides); these bound how much one
+// request may ask for, and anything beyond them is rejected with 400
+// rather than attempted.
 const (
 	// MaxBodyBytes is the default request-body cap (a din upload
 	// dominates); Config.MaxBodyBytes overrides it per daemon.
@@ -48,11 +47,6 @@ const (
 	MaxAxisValues = 128
 	MaxSweepCells = 4096
 
-	maxCacheKB   = 1 << 16 // 64 MiB cache
-	maxLineBytes = 1 << 12 // 4 KiB lines
-	maxVLine     = 1 << 16 // 64 KiB virtual lines
-	maxLatency   = 1 << 20
-	maxAssoc     = 1 << 10
 	maxTimeoutMS = 1 << 31
 )
 
@@ -88,8 +82,9 @@ func badRequest(format string, args ...any) *apiError {
 
 // ConfigSpec selects one cache configuration: a named design point (see
 // core.ConfigNames) plus the same overrides softcache-sim exposes as
-// flags. A zero override leaves the named design's value in place; vline
-// is a pointer because 0 is meaningful there (it disables virtual lines).
+// flags, each checked against core's override table. A zero override
+// leaves the named design's value in place; vline is a pointer because 0
+// is meaningful there (it disables virtual lines).
 type ConfigSpec struct {
 	Name    string `json:"name,omitempty"` // default "soft"
 	CacheKB int    `json:"cache_kb,omitempty"`
@@ -106,43 +101,22 @@ func (cs ConfigSpec) build() (core.Config, error) {
 		name = "soft"
 	}
 	cfg, err := core.ConfigByName(name)
-	if err != nil {
-		return core.Config{}, err
-	}
-	if cs.CacheKB < 0 || cs.CacheKB > maxCacheKB {
-		return core.Config{}, fmt.Errorf("cache_kb %d out of range [0, %d]", cs.CacheKB, maxCacheKB)
-	}
-	if cs.CacheKB > 0 {
-		cfg.CacheSize = cs.CacheKB << 10
-	}
-	if cs.Line < 0 || cs.Line > maxLineBytes {
-		return core.Config{}, fmt.Errorf("line %d out of range [0, %d]", cs.Line, maxLineBytes)
-	}
-	if cs.Line > 0 {
-		cfg.LineSize = cs.Line
-	}
-	if cs.VLine != nil {
-		if *cs.VLine < 0 || *cs.VLine > maxVLine {
-			return core.Config{}, fmt.Errorf("vline %d out of range [0, %d]", *cs.VLine, maxVLine)
+	set := func(key string, v int) {
+		if err == nil && v != 0 {
+			cfg, err = core.ApplyAxis(cfg, key, v)
 		}
-		cfg.VirtualLineSize = *cs.VLine
 	}
-	if cs.Latency < 0 || cs.Latency > maxLatency {
-		return core.Config{}, fmt.Errorf("latency %d out of range [0, %d]", cs.Latency, maxLatency)
+	set("cache", cs.CacheKB)
+	set("line", cs.Line)
+	set("latency", cs.Latency)
+	set("assoc", cs.Assoc)
+	if err == nil && cs.VLine != nil {
+		cfg, err = core.ApplyAxis(cfg, "vline", *cs.VLine)
 	}
-	if cs.Latency > 0 {
-		cfg = core.WithLatency(cfg, cs.Latency)
+	if err == nil {
+		err = cfg.Validate()
 	}
-	if cs.Assoc < 0 || cs.Assoc > maxAssoc {
-		return core.Config{}, fmt.Errorf("assoc %d out of range [0, %d]", cs.Assoc, maxAssoc)
-	}
-	if cs.Assoc > 0 {
-		cfg.Assoc = cs.Assoc
-	}
-	if err := cfg.Validate(); err != nil {
-		return core.Config{}, err
-	}
-	return cfg, nil
+	return cfg, err
 }
 
 // traceSelector is the part of a request that names the trace: a built-in
@@ -315,16 +289,10 @@ func (req *SweepRequest) validate() (*sweepPlan, *apiError) {
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	for i, cfgs := range rows {
-		y := yAxis.Values[i]
+	for _, cfgs := range rows {
 		for j, cfg := range cfgs {
-			x := xAxis.Values[j]
-			if cfg.CacheSize > maxCacheKB<<10 || cfg.LineSize > maxLineBytes ||
-				cfg.VirtualLineSize > maxVLine || cfg.LatencyCycles > maxLatency || cfg.Assoc > maxAssoc {
-				return nil, badRequest("cell %s=%d,%s=%d: geometry exceeds the service limits", xAxis.Key, x, yAxis.Key, y)
-			}
 			if err := cfg.Validate(); err != nil {
-				return nil, badRequest("cell %s=%d: %v", xAxis.Key, x, err)
+				return nil, badRequest("cell %s=%d: %v", xAxis.Key, xAxis.Values[j], err)
 			}
 		}
 	}

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"softcache/internal/core"
 )
 
 // FuzzSimulateRequest fuzzes the JSON request decoder and config/axis
 // validation of both POST endpoints: arbitrary bodies must produce either
-// a valid plan or a client error — never a panic. (Execution is not
-// fuzzed; planning is where untrusted input is interpreted.)
+// a client error or a plan whose every config lies inside core's override
+// table and passes Validate — never a panic. (Execution is not fuzzed;
+// planning is where untrusted input is interpreted.)
 func FuzzSimulateRequest(f *testing.F) {
 	seeds := []string{
 		``,
@@ -38,6 +42,16 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{"workload":"MV","configs":[` + strings.Repeat(`{},`, 64) + `{}]}`,
 		"{\"workload\":\"MV\",\"configs\":[{}]}garbage",
 	}
+	seeds = append(seeds,
+		`{"workload":"MV","x":"bb=2000000000"}`,
+		`{"workload":"MV","x":"cache=4","y":"sbuf=2000000000"}`)
+	for _, o := range core.Overrides() {
+		seeds = append(seeds, fmt.Sprintf(`{"workload":"MV","x":"%s=%d"}`, o.Key, o.Max+1))
+	}
+	for key, field := range specFields {
+		o, _ := core.LookupOverride(key)
+		seeds = append(seeds, fmt.Sprintf(`{"workload":"MV","configs":[{%q:%d}]}`, field, o.Max+1))
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -47,6 +61,9 @@ func FuzzSimulateRequest(f *testing.F) {
 		var sim SimulateRequest
 		if aerr := decodeRequest(r, &sim, MaxBodyBytes); aerr == nil {
 			if plan, aerr := sim.validate(); aerr == nil {
+				for _, cfg := range plan.cfgs {
+					checkPlanned(t, cfg)
+				}
 				// The trace loader interprets untrusted din bytes: it must
 				// fail cleanly, never panic. (Workload loads hit the
 				// generator, which is trusted and slow — skip those.)
@@ -59,7 +76,27 @@ func FuzzSimulateRequest(f *testing.F) {
 		r = httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body))
 		var sw SweepRequest
 		if aerr := decodeRequest(r, &sw, MaxBodyBytes); aerr == nil {
-			sw.validate()
+			if plan, aerr := sw.validate(); aerr == nil {
+				for _, row := range plan.rows {
+					for _, cfg := range row {
+						checkPlanned(t, cfg)
+					}
+				}
+			}
 		}
 	})
+}
+
+// checkPlanned fails when a config an accepted request would simulate
+// lies outside core's override table or fails Validate.
+func checkPlanned(t *testing.T, cfg core.Config) {
+	t.Helper()
+	for _, o := range core.Overrides() {
+		if v := o.Of(cfg); v < o.Min || v > o.Max {
+			t.Fatalf("accepted %s=%d, outside [%d, %d]", o.Key, v, o.Min, o.Max)
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("accepted a config Validate rejects: %v", err)
+	}
 }

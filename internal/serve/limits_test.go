@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
+
+	"softcache/internal/core"
 )
 
 // TestMaxBodyBytes413 pins the configurable body cap: a request over the
@@ -96,5 +101,111 @@ func TestRoutingKey(t *testing.T) {
 	}
 	if _, err := RoutingKey([]byte(`not json`)); err == nil {
 		t.Fatal("RoutingKey accepted a non-JSON body")
+	}
+}
+
+// specFields maps the override keys a ConfigSpec can set to their wire
+// names: the JSON fields of /v1/simulate and the query parameters of
+// /v1/simulate/trace.
+var specFields = map[string]string{"cache": "cache_kb", "line": "line", "vline": "vline", "latency": "latency", "assoc": "assoc"}
+
+// TestOverrideBoundsEveryEndpoint runs every daemon front door over every
+// key it accepts at the edges of core's override table: below the
+// minimum, the minimum, the maximum and one past it. Out of range is a 400
+// before anything runs; in range is refused only by Validate's rules
+// between fields. A zero JSON field or query parameter means "unset", so
+// below the minimum is -1 there, and a zero there leaves the named
+// design's value.
+func TestOverrideBoundsEveryEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for key := range specFields {
+		if _, ok := core.LookupOverride(key); !ok {
+			t.Fatalf("ConfigSpec field %q names no override", key)
+		}
+	}
+	for _, o := range core.Overrides() {
+		for _, v := range []int{o.Min - 1, o.Min, o.Max, o.Max + 1} {
+			in := v >= o.Min && v <= o.Max
+			expect := func(v int) (core.Config, error) {
+				if v < o.Min || v > o.Max {
+					return core.Config{}, fmt.Errorf("core: %s=%d out of range", o.Key, v)
+				}
+				cfg, err := core.ApplyAxis(core.Soft(), o.Key, v)
+				if err == nil {
+					err = cfg.Validate()
+				}
+				return cfg, err
+			}
+			check := func(door string, v int, got []core.Config, aerr *apiError, want core.Config, wantErr error) {
+				t.Helper()
+				switch {
+				case wantErr != nil && aerr == nil:
+					t.Errorf("%s %s=%d: accepted, want %v", door, o.Key, v, wantErr)
+				case wantErr == nil && aerr != nil:
+					t.Errorf("%s %s=%d: %v", door, o.Key, v, aerr)
+				case aerr != nil && !strings.Contains(aerr.msg, wantErr.Error()):
+					t.Errorf("%s %s=%d: error %q, want it to name %q", door, o.Key, v, aerr.msg, wantErr)
+				case aerr == nil && (len(got) != 1 || got[0] != want):
+					t.Errorf("%s %s=%d: built %+v, want %+v", door, o.Key, v, got, want)
+				}
+			}
+
+			want, wantErr := expect(v)
+			x := fmt.Sprintf("%s=%d", o.Key, v)
+			sw := SweepRequest{traceSelector: traceSelector{Workload: "MV", Scale: "test"}, X: x}
+			plan, aerr := sw.validate()
+			var cells []core.Config
+			if aerr == nil {
+				cells = plan.rows[0]
+			}
+			check("/v1/sweep", v, cells, aerr, want, wantErr)
+			if !in {
+				body := fmt.Sprintf(`{"workload":"MV","scale":"test","x":%q}`, x)
+				if code, resp := post(t, ts.URL+"/v1/sweep", body); code != http.StatusBadRequest {
+					t.Errorf("/v1/sweep %s: status %d, want 400 (%s)", x, code, resp)
+				}
+			}
+
+			field, ok := specFields[o.Key]
+			if !ok {
+				continue
+			}
+			wire := v
+			if !in && v < o.Min {
+				wire = -1
+			}
+			want, wantErr = expect(wire)
+			if wire == 0 && o.Key != "vline" {
+				want, wantErr = core.Soft(), nil // zero is "unset"
+			}
+			var sim SimulateRequest
+			if err := json.Unmarshal([]byte(fmt.Sprintf(`{"workload":"MV","scale":"test","configs":[{%q:%d}]}`, field, wire)), &sim); err != nil {
+				t.Fatal(err)
+			}
+			splan, aerr := sim.validate()
+			var got []core.Config
+			if aerr == nil {
+				got = splan.cfgs
+			}
+			check("/v1/simulate", wire, got, aerr, want, wantErr)
+
+			stream, aerr := parseStreamQuery(url.Values{field: {strconv.Itoa(wire)}})
+			got = nil
+			if aerr == nil {
+				got = stream.cfgs
+			}
+			check("/v1/simulate/trace", wire, got, aerr, want, wantErr)
+
+			if !in {
+				body := fmt.Sprintf(`{"workload":"MV","scale":"test","configs":[{%q:%d}]}`, field, wire)
+				if code, resp := post(t, ts.URL+"/v1/simulate", body); code != http.StatusBadRequest {
+					t.Errorf("/v1/simulate %s=%d: status %d, want 400 (%s)", field, wire, code, resp)
+				}
+				q := fmt.Sprintf("%s/v1/simulate/trace?%s=%d", ts.URL, field, wire)
+				if code, resp := post(t, q, ""); code != http.StatusBadRequest {
+					t.Errorf("/v1/simulate/trace %s=%d: status %d, want 400 (%s)", field, wire, code, resp)
+				}
+			}
+		}
 	}
 }

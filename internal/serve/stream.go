@@ -98,50 +98,35 @@ type streamPlan struct {
 // (one result per name, same order), and the numeric overrides apply to
 // every named config, exactly like softcache-sim's flags.
 func parseStreamQuery(q url.Values) (*streamPlan, *apiError) {
-	known := map[string]bool{
-		"config": true, "cache_kb": true, "line": true, "vline": true,
-		"latency": true, "assoc": true, "timeout_ms": true, "format": true,
+	spec := ConfigSpec{VLine: new(int)}
+	timeoutMS := 0
+	ints := [...]struct {
+		key string
+		dst *int
+	}{
+		{"cache_kb", &spec.CacheKB}, {"line", &spec.Line}, {"vline", spec.VLine},
+		{"latency", &spec.Latency}, {"assoc", &spec.Assoc}, {"timeout_ms", &timeoutMS},
 	}
 	for k := range q {
-		if !known[k] {
+		known := k == "config" || k == "format"
+		for _, p := range ints {
+			known = known || k == p.key
+		}
+		if !known {
 			return nil, badRequest("unknown query parameter %q", k)
 		}
 	}
-	intParam := func(key string) (int, *apiError) {
-		v := q.Get(key)
-		if v == "" {
-			return 0, nil
+	for _, p := range ints {
+		if v := q.Get(p.key); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return nil, badRequest("query parameter %s=%q is not an integer", p.key, v)
+			}
+			*p.dst = n
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, badRequest("query parameter %s=%q is not an integer", key, v)
-		}
-		return n, nil
 	}
-	spec := ConfigSpec{}
-	var aerr *apiError
-	if spec.CacheKB, aerr = intParam("cache_kb"); aerr != nil {
-		return nil, aerr
-	}
-	if spec.Line, aerr = intParam("line"); aerr != nil {
-		return nil, aerr
-	}
-	if q.Get("vline") != "" {
-		v, aerr := intParam("vline")
-		if aerr != nil {
-			return nil, aerr
-		}
-		spec.VLine = &v
-	}
-	if spec.Latency, aerr = intParam("latency"); aerr != nil {
-		return nil, aerr
-	}
-	if spec.Assoc, aerr = intParam("assoc"); aerr != nil {
-		return nil, aerr
-	}
-	timeoutMS, aerr := intParam("timeout_ms")
-	if aerr != nil {
-		return nil, aerr
+	if q.Get("vline") == "" {
+		spec.VLine = nil
 	}
 	if timeoutMS < 0 || int64(timeoutMS) > maxTimeoutMS {
 		return nil, badRequest("timeout_ms %d out of range [0, %d]", timeoutMS, maxTimeoutMS)
