@@ -180,10 +180,14 @@ func BenchmarkSimulateMisses(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 }
 
-// BenchmarkTraceGeneration times tracegen.Generate per variant class the
-// figures generate: every named workload, one 12sw prefetch variant and
-// one 11b blocked matrix-matrix variant. ns/record makes the classes
-// comparable across trace lengths.
+// BenchmarkTraceGeneration times trace generation per variant class the
+// figures generate: every named workload, one 12sw prefetch variant, one
+// 11b blocked matrix-matrix variant and one 11a blocked matrix-vector
+// variant. Each is timed twice: materialised by tracegen.Generate, which
+// runs the counting pass to size the trace, and as stream/, a
+// tracegen.NewReader drained by trace.Each, which is how the figures
+// feed their variants to the simulator, per-stream setup included.
+// ns/record makes the classes comparable across trace lengths.
 func BenchmarkTraceGeneration(b *testing.B) {
 	type variant struct {
 		name  string
@@ -207,6 +211,9 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		variant{"BlockedMM/ld=120/copy", func() (*loopir.Program, error) {
 			return workloads.BlockedMM(benchScale(), 120, true)
 		}},
+		variant{"BlockedMV/b=50", func() (*loopir.Program, error) {
+			return workloads.BlockedMV(benchScale(), 50)
+		}},
 	)
 	for _, v := range vs {
 		b.Run(v.name, func(b *testing.B) {
@@ -222,6 +229,28 @@ func BenchmarkTraceGeneration(b *testing.B) {
 					b.Fatal(err)
 				}
 				records += tr.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
+		b.Run("stream/"+v.name, func(b *testing.B) {
+			p, err := v.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			records := 0
+			count := func(recs []trace.Record) error {
+				records += len(recs)
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := tracegen.NewReader(p, tracegen.Options{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := trace.Each(context.Background(), r, count); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 		})

@@ -21,7 +21,8 @@
 //
 // -cache, -line, -vline, -latency and -assoc take the ranges of core's
 // override table (see -h). A set flag is applied as given: -latency 0
-// means zero cycles, and a value out of range is a usage error (exit 2).
+// means zero cycles, and a value out of range, or one that makes a
+// config Validate rejects (-line 3), is a usage error (exit 2).
 package main
 
 import (
@@ -85,6 +86,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg, err = core.ApplyAxis(cfg, f.Name, f.Value.(flag.Getter).Get().(int))
 		}
 	})
+	if err == nil {
+		err = cfg.Validate()
+	}
 	if err != nil {
 		return cli.Exit(stderr, tool, cli.Usage(err))
 	}

@@ -150,8 +150,9 @@ var simOverrideFlags = []string{"cache", "line", "vline", "latency", "assoc"}
 // TestOverrideBounds sets each override flag at the edges of core's
 // override table. A set flag is applied as given: out of range is a usage
 // error (exit 2), never a flag dropped in favour of the named design's
-// value; in range prints the report of exactly that config, or fails
-// (exit 1) only where Validate rejects it. -latency 0 means zero cycles.
+// value; in range prints the report of exactly that config, or is a
+// usage error (exit 2) too where Validate rejects it. -latency 0 means
+// zero cycles.
 func TestOverrideBounds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "small.din")
 	var din strings.Builder
@@ -175,8 +176,8 @@ func TestOverrideBounds(t *testing.T) {
 					t.Errorf("-%s %d: exit %d (%q), want usage error 2", key, v, code, errb)
 				}
 			case cfg.Validate() != nil:
-				if code != 1 {
-					t.Errorf("-%s %d: exit %d (%q), want 1 (%v)", key, v, code, errb, cfg.Validate())
+				if code != 2 {
+					t.Errorf("-%s %d: exit %d (%q), want usage error 2 (%v)", key, v, code, errb, cfg.Validate())
 				}
 			case code != 0:
 				t.Errorf("-%s %d: exit %d: %s", key, v, code, errb)

@@ -25,7 +25,8 @@
 // matrix is printed in row-major order regardless of worker count.
 //
 // The process exits 0 on success, 1 when any cell fails, and 2 on usage
-// errors (bad axes, unknown metric or config).
+// errors (bad axes, a cell whose config Validate rejects, unknown metric
+// or config).
 package main
 
 import (
@@ -96,23 +97,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *check {
 		base = core.WithRuntimeChecks(base, true)
 	}
-	t, err := loadTrace(*workload, *source, *traceFile, *scaleName, *seed)
-	if err != nil {
-		return cli.Exit(stderr, tool, err)
-	}
 
-	// One fused unit per matrix row: the x axis becomes a config group
-	// simulated in a single trace pass (core.Run), so the trace is walked
-	// once per row instead of once per cell. Rows run in parallel.
+	// Every cell is checked before the trace is loaded or anything runs.
 	grid, err := core.Grid(base, xAxis, yAxis)
 	if err != nil {
 		return cli.Exit(stderr, tool, cli.Usage(err))
+	}
+	for _, row := range grid {
+		for _, cfg := range row {
+			if err := cfg.Validate(); err != nil {
+				return cli.Exit(stderr, tool, cli.Usage(err))
+			}
+		}
+	}
+	t, err := loadTrace(*workload, *source, *traceFile, *scaleName, *seed)
+	if err != nil {
+		return cli.Exit(stderr, tool, err)
 	}
 	fingerprint := fmt.Sprintf("%016x", t.Fingerprint())
 	xLabels := make([]string, len(xAxis.Values))
 	for i, x := range xAxis.Values {
 		xLabels[i] = fmt.Sprintf("%s=%d", xAxis.Key, x)
 	}
+	// One fused unit per matrix row: the x axis becomes a config group
+	// simulated in a single trace pass (core.Run), so the trace is walked
+	// once per row instead of once per cell. Rows run in parallel.
 	units := make([]harness.Unit[[]float64], len(grid))
 	for i, cfgs := range grid {
 		label := xAxis.Key

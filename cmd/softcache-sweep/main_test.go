@@ -132,9 +132,8 @@ func TestSweepAxisEdgeCases(t *testing.T) {
 
 // TestSweepOverrideBounds sweeps every key of core's override table at the
 // table's edges over a small trace: out of range is a usage error (exit
-// 2); in range runs, and fails (exit 1) only where Validate rejects the
-// cell. Values above the daemon's caps (cache=131072) are usage errors
-// here too.
+// 2), and so is a cell Validate rejects; any other value runs. Values
+// above the daemon's caps (cache=131072) are usage errors here too.
 func TestSweepOverrideBounds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "small.din")
 	var din strings.Builder
@@ -150,7 +149,7 @@ func TestSweepOverrideBounds(t *testing.T) {
 			if v < o.Min || v > o.Max {
 				want = 2
 			} else if cfg, _ := core.ApplyAxis(core.Soft(), o.Key, v); cfg.Validate() != nil {
-				want = 1
+				want = 2
 			}
 			x := fmt.Sprintf("%s=%d", o.Key, v)
 			if _, errb, code := runSweep(t, "-trace", path, "-x", x); code != want {

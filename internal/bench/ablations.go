@@ -45,7 +45,17 @@ func runAblations(ctx *Context) (*Report, error) {
 	noCoherence := core.Soft()
 	noCoherence.NoCoherenceChecks = true
 
-	tbl, err := amatTable(ctx, "AMAT (cycles)", workloads.Benchmarks(), []namedConfig{
+	// Replacement policies on a plain 2-way cache: the paper uses LRU
+	// everywhere; FIFO and Random are the classic alternatives.
+	lru2 := core.SetAssoc(core.Standard(), 2)
+	fifo2 := lru2
+	fifo2.Replacement = cache.ReplaceFIFO
+	rand2 := lru2
+	rand2.Replacement = cache.ReplaceRandom
+
+	// One set of cells for all three tables, so the pass has one ramp-down
+	// tail instead of three.
+	configs := []namedConfig{
 		{"Soft", admitAll},
 		{"AdmitTemporal", admitTemporal},
 		{"BB 4-way", bb4way},
@@ -53,20 +63,21 @@ func runAblations(ctx *Context) (*Report, error) {
 		{"NoCoherence", noCoherence},
 		{"VariableVL", core.SoftVariable()},
 		{"WriteThrough", core.WithWritePolicy(core.Soft(), cache.WriteThroughAllocate)},
-	}, amat)
+		{"LRU", lru2},
+		{"FIFO", fifo2},
+		{"Random", rand2},
+	}
+	names := workloads.Benchmarks()
+	results, err := ctx.simulateCells(names, configsOf(configs))
 	if err != nil {
 		return nil, err
 	}
+	tbl := cellTable("AMAT (cycles)", names, configs, results, []int{0, 1, 2, 3, 4, 5, 6}, amat)
 	r.Tables = append(r.Tables, tbl)
 
 	// Traffic comparison for the coherence ablation.
-	trafficTbl, err := amatTable(ctx, "Words fetched per reference", workloads.Benchmarks(), []namedConfig{
-		{"Soft", admitAll},
-		{"NoCoherence", noCoherence},
-	}, func(res core.Result) float64 { return res.Stats.WordsPerReference() })
-	if err != nil {
-		return nil, err
-	}
+	trafficTbl := cellTable("Words fetched per reference", names, configs, results, []int{0, 4},
+		func(res core.Result) float64 { return res.Stats.WordsPerReference() })
 	r.Tables = append(r.Tables, trafficTbl)
 
 	gAll, gTemp := columnGeomean(tbl, 0), columnGeomean(tbl, 1)
@@ -93,21 +104,7 @@ func runAblations(ctx *Context) (*Report, error) {
 	r.check("write-back (the paper's choice) is at least as good as write-through",
 		gAll <= gWT*1.02, fmt.Sprintf("geomean %.3f vs %.3f", gAll, gWT))
 
-	// Replacement policies on a plain 2-way cache: the paper uses LRU
-	// everywhere; FIFO and Random are the classic alternatives.
-	lru2 := core.SetAssoc(core.Standard(), 2)
-	fifo2 := lru2
-	fifo2.Replacement = cache.ReplaceFIFO
-	rand2 := lru2
-	rand2.Replacement = cache.ReplaceRandom
-	replTbl, err := amatTable(ctx, "2-way replacement policies (AMAT)", workloads.Benchmarks(), []namedConfig{
-		{"LRU", lru2},
-		{"FIFO", fifo2},
-		{"Random", rand2},
-	}, amat)
-	if err != nil {
-		return nil, err
-	}
+	replTbl := cellTable("2-way replacement policies (AMAT)", names, configs, results, []int{7, 8, 9}, amat)
 	r.Tables = append(r.Tables, replTbl)
 	gLRU, gFIFO, gRand := columnGeomean(replTbl, 0), columnGeomean(replTbl, 1), columnGeomean(replTbl, 2)
 	r.check("LRU is competitive with FIFO and Random on the 2-way cache",

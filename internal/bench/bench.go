@@ -529,30 +529,46 @@ func (c *Context) simulateCells(names []string, cfgs []core.Config) ([][]core.Re
 // (simulateCells) and returns a workloads × configs table of metric (the
 // shape of most figures).
 func amatTable(ctx *Context, title string, names []string, configs []namedConfig, metric func(core.Result) float64) (*metrics.Table, error) {
-	cols := make([]string, len(configs))
-	cfgs := make([]core.Config, len(configs))
-	for i, c := range configs {
-		cols[i] = c.label
-		cfgs[i] = c.cfg
-	}
-	results, err := ctx.simulateCells(names, cfgs)
+	results, err := ctx.simulateCells(names, configsOf(configs))
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(title, "benchmark", cols...)
+	cols := make([]int, len(configs))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cellTable(title, names, configs, results, cols, metric), nil
+}
+
+// cellTable returns the workloads × configs[cols] table of metric over
+// results, simulateCells' answer for names × configs.
+func cellTable(title string, names []string, configs []namedConfig, results [][]core.Result, cols []int, metric func(core.Result) float64) *metrics.Table {
+	labels := make([]string, len(cols))
+	for i, c := range cols {
+		labels[i] = configs[c].label
+	}
+	tbl := metrics.NewTable(title, "benchmark", labels...)
 	for i, name := range names {
-		row := make([]float64, len(cfgs))
-		for j, res := range results[i] {
-			row[j] = metric(res)
+		row := make([]float64, len(cols))
+		for j, c := range cols {
+			row[j] = metric(results[i][c])
 		}
 		tbl.AddRow(name, row...)
 	}
-	return tbl, nil
+	return tbl
 }
 
 type namedConfig struct {
 	label string
 	cfg   core.Config
+}
+
+func configsOf(configs []namedConfig) []core.Config {
+	cfgs := make([]core.Config, len(configs))
+	for i, c := range configs {
+		cfgs[i] = c.cfg
+	}
+	return cfgs
 }
 
 // amat is the default metric.

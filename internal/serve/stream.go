@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -50,8 +49,11 @@ func StreamRoutingKey(prefix []byte) string {
 		prefix = prefix[:StreamKeyPrefix]
 	}
 	sum := sha256.Sum256(prefix)
-	return fmt.Sprintf("stream:%x", sum[:12])
+	return streamKey(sum[:])
 }
+
+// streamKey formats the routing key of a prefix's SHA-256 digest.
+func streamKey(sum []byte) string { return fmt.Sprintf("stream:%x", sum[:12]) }
 
 // budgetReader enforces the daemon's record budget over any trace
 // format and tallies what streams past: cumulative record count (the
@@ -168,18 +170,39 @@ func streamBodyError(err error) *apiError {
 	return badRequest("%v", err)
 }
 
-// hashingReader tees everything read through it into a SHA-256, so the
-// stream's content fingerprint falls out of the decode pass for free.
+// hashingReader reads an upload's body and tees it into one SHA-256, so
+// the stream's content fingerprint falls out of the decode pass for free.
+// The body's prefix (its first StreamKeyPrefix bytes) is read before the
+// reader is made and hashed first, and its routing key is taken from the
+// running hash at that point: Sum leaves the state as it is, so no byte
+// is hashed twice.
 type hashingReader struct {
-	r io.Reader
-	h hash.Hash
+	prefix    []byte // the prefix's bytes not yet read; already hashed
+	r         io.Reader
+	h         hash.Hash
+	prefixKey string // StreamRoutingKey of the prefix
 }
 
-func newHashingReader(r io.Reader) *hashingReader {
-	return &hashingReader{r: r, h: sha256.New()}
+// readPrefix reads upload's prefix and returns a hashingReader over the
+// whole body.
+func readPrefix(upload io.Reader) (*hashingReader, error) {
+	prefix := make([]byte, StreamKeyPrefix)
+	n, err := io.ReadFull(upload, prefix)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return nil, fmt.Errorf("reading request body: %w", err)
+	}
+	hr := &hashingReader{prefix: prefix[:n], r: upload, h: sha256.New()}
+	hr.h.Write(hr.prefix)
+	hr.prefixKey = streamKey(hr.h.Sum(nil))
+	return hr, nil
 }
 
 func (hr *hashingReader) Read(p []byte) (int, error) {
+	if len(hr.prefix) > 0 {
+		n := copy(p, hr.prefix)
+		hr.prefix = hr.prefix[n:]
+		return n, nil
+	}
 	n, err := hr.r.Read(p)
 	hr.h.Write(p[:n])
 	return n, err
@@ -214,22 +237,20 @@ func parseStreamEnvelope(env []byte) (fp string, body []byte, ok bool) {
 // exactly like one past the record budget.
 const maxSpoolBytes = 16 << 30
 
-// spoolStreamBody drains the whole upload into an unlinked temp file while
-// hashing it, returning the replayable spool and the full-body
-// fingerprint. The caller closes the spool; the file itself is already
-// removed.
-func spoolStreamBody(upload io.Reader) (*os.File, string, error) {
+// spoolStreamBody drains the whole upload into an unlinked temp file,
+// returning the replayable spool. The caller closes the spool; the file
+// itself is already removed.
+func spoolStreamBody(upload io.Reader) (*os.File, error) {
 	f, err := os.CreateTemp("", "softcache-stream-")
 	if err != nil {
-		return nil, "", &apiError{status: http.StatusInternalServerError, msg: fmt.Sprintf("spooling stream: %v", err)}
+		return nil, &apiError{status: http.StatusInternalServerError, msg: fmt.Sprintf("spooling stream: %v", err)}
 	}
 	os.Remove(f.Name()) // anonymous: the descriptor is the only reference
-	h := sha256.New()
-	fail := func(err error) (*os.File, string, error) {
+	fail := func(err error) (*os.File, error) {
 		f.Close()
-		return nil, "", err
+		return nil, err
 	}
-	n, err := io.Copy(io.MultiWriter(f, h), io.LimitReader(upload, maxSpoolBytes+1))
+	n, err := io.Copy(f, io.LimitReader(upload, maxSpoolBytes+1))
 	if err != nil {
 		return fail(fmt.Errorf("reading request body: %w", err))
 	}
@@ -240,7 +261,7 @@ func spoolStreamBody(upload io.Reader) (*os.File, string, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return fail(&apiError{status: http.StatusInternalServerError, msg: fmt.Sprintf("spooling stream: %v", err)})
 	}
-	return f, hex.EncodeToString(h.Sum(nil)), nil
+	return f, nil
 }
 
 func (s *Server) handleSimulateTrace(w http.ResponseWriter, r *http.Request) {
@@ -282,29 +303,28 @@ func (s *Server) handleSimulateTrace(w http.ResponseWriter, r *http.Request) {
 // Decode accounting is committed whether the run succeeds or not: a
 // stream that fails mid-body still decoded its records and chunks.
 func (s *Server) streamSimulate(ctx context.Context, plan *streamPlan, upload io.Reader) (body []byte, fp, outcome string, err error) {
-	prefix := make([]byte, StreamKeyPrefix)
-	n, err := io.ReadFull(upload, prefix)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, "", "", fmt.Errorf("reading request body: %w", err)
+	hr, err := readPrefix(upload)
+	if err != nil {
+		return nil, "", "", err
 	}
-	prefix = prefix[:n]
-	src := io.MultiReader(bytes.NewReader(prefix), upload)
+	var src io.Reader = hr
 
 	var pkey string
 	if s.results != nil {
-		pkey = s.resultKey("stream", StreamRoutingKey(prefix), canonicalConfigs(plan.cfgs), plan.format)
+		pkey = s.resultKey("stream", hr.prefixKey, canonicalConfigs(plan.cfgs), plan.format)
 		if env, ok := s.results.Peek(pkey); ok {
 			if storedFP, cached, ok := parseStreamEnvelope(env); ok {
-				spool, fullFP, err := spoolStreamBody(src)
+				spool, err := spoolStreamBody(hr)
 				if err != nil {
 					return nil, "", "", err
 				}
 				defer spool.Close()
-				if fullFP == storedFP {
+				if fullFP := hr.sum(); fullFP == storedFP {
 					s.results.Hit()
 					return cached, fullFP, resultHit, nil
 				}
-				// Same prefix, different body: replay the spool. The
+				// Same prefix, different body: replay the spool (hr,
+				// drained, already holds the whole body's hash). The
 				// newest upload takes over the prefix slot.
 				src = spool
 			}
@@ -313,8 +333,7 @@ func (s *Server) streamSimulate(ctx context.Context, plan *streamPlan, upload io
 		outcome = resultMiss
 	}
 
-	hr := newHashingReader(src)
-	br, err := trace.NewAnyReader(hr, "upload")
+	br, err := trace.NewAnyReader(src, "upload")
 	if err != nil {
 		return nil, "", "", err
 	}

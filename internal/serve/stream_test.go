@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"softcache/internal/trace"
@@ -191,6 +194,44 @@ func TestStreamRoutingKeyStable(t *testing.T) {
 	perturbed[8] ^= 1
 	if StreamRoutingKey(perturbed) == k1 {
 		t.Fatal("different prefix bytes produced the same key")
+	}
+}
+
+// TestStreamPrefixHashedOnce: for bodies shorter than, exactly and longer
+// than the routing prefix, the key read from the running body hash is
+// StreamRoutingKey's, and the bytes read back and their fingerprint are
+// the body's and its SHA-256, however small the reads.
+func TestStreamPrefixHashedOnce(t *testing.T) {
+	for _, size := range []int{1000, StreamKeyPrefix, StreamKeyPrefix + 5000} {
+		body := make([]byte, size)
+		for i := range body {
+			body[i] = byte(i*7 + i>>8)
+		}
+		sum := sha256.Sum256(body)
+		for _, small := range []bool{false, true} {
+			var upload io.Reader = bytes.NewReader(body)
+			if small {
+				upload = iotest.HalfReader(upload)
+			}
+			hr, err := readPrefix(upload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := StreamRoutingKey(body); hr.prefixKey != want {
+				t.Errorf("%d bytes: prefix key %s, want %s", size, hr.prefixKey, want)
+			}
+			var read io.Reader = hr
+			if small {
+				read = iotest.OneByteReader(hr)
+			}
+			got, err := io.ReadAll(read)
+			if err != nil || !bytes.Equal(got, body) {
+				t.Fatalf("%d bytes: read back %d bytes (%v), want the body", size, len(got), err)
+			}
+			if fp := hr.sum(); fp != hex.EncodeToString(sum[:]) {
+				t.Errorf("%d bytes: fingerprint %s, want %x", size, fp, sum)
+			}
+		}
 	}
 }
 

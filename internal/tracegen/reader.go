@@ -12,7 +12,7 @@ import (
 // trace.BatchReader over a running generator, so a consumer such as
 // core.Run simulates the trace without it ever being held in
 // memory. Its records are Generate's, batch by batch, and Len is the
-// counting pass's exact record count.
+// counting pass's exact record count, counted when first asked for.
 //
 // The generator runs on a goroutine of its own but never alongside its
 // consumer: it fills the batch ReadBatch hands it, returns it and waits
@@ -20,10 +20,11 @@ import (
 // before io.EOF or an error must call Close, which ends that goroutine.
 // A Reader is not safe for concurrent use.
 type Reader struct {
-	name  string
-	count int
-	g     *generator
-	run   action
+	name    string
+	count   int // the counting pass's answer, once counted
+	counted bool
+	g       *generator
+	run     action
 
 	fill   chan []trace.Record // ReadBatch -> generator: the next batch to fill
 	filled chan batch          // generator -> ReadBatch: the batch, filled
@@ -59,7 +60,6 @@ func NewReader(p *loopir.Program, opts Options) (*Reader, error) {
 	}
 	r := &Reader{
 		name:   p.Name,
-		count:  g.count,
 		g:      g,
 		run:    run,
 		fill:   make(chan []trace.Record),
@@ -75,8 +75,15 @@ func NewReader(p *loopir.Program, opts Options) (*Reader, error) {
 func (r *Reader) Name() string { return r.name }
 
 // Len returns the trace's record count, or -1 when the counting pass
-// could not establish it (generation then reports why).
-func (r *Reader) Len() int { return r.count }
+// could not establish it (generation then reports why). The first call
+// runs the counting pass; a Reader whose length nobody asks for never
+// runs it. Len may be called at any point, between ReadBatch calls too.
+func (r *Reader) Len() int {
+	if !r.counted {
+		r.count, r.counted = r.g.records(), true
+	}
+	return r.count
+}
 
 // ExactLen reports that Len, when it is not -1, is the counting pass's
 // exact count rather than a claim read from input, so trace.ReadAll may

@@ -262,3 +262,52 @@ func TestReadAllExactLen(t *testing.T) {
 		t.Fatalf("ReadAll: %d records in a capacity of %d, want %d in %d", len(got.Records), cap(got.Records), n, n)
 	}
 }
+
+// TestReaderLenMidStream: Len first asked between ReadBatch calls runs
+// the counting pass on its own state: it returns the final record count,
+// and the records streamed before and after it are Generate's.
+func TestReaderLenMidStream(t *testing.T) {
+	for _, name := range []string{"MV", "SpMV", "MDG"} {
+		p, err := workloads.BuildProgram(name, workloads.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tracegen.Generate(p, tracegen.Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := tracegen.NewReader(p, tracegen.Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]trace.Record, 777)
+		var got []trace.Record
+		for i := 0; i < 3; i++ {
+			n, err := r.ReadBatch(dst)
+			if err != nil {
+				t.Fatalf("%s: batch %d: %v", name, i, err)
+			}
+			got = append(got, dst[:n]...)
+		}
+		if n := r.Len(); n != want.Len() {
+			t.Errorf("%s: Len after %d records = %d, want %d", name, len(got), n, want.Len())
+		}
+		rest, err := readAll(r, 777)
+		r.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got = append(got, rest...)
+		if len(got) != want.Len() {
+			t.Fatalf("%s: streamed %d records, want %d", name, len(got), want.Len())
+		}
+		for i := range got {
+			if got[i] != want.Records[i] {
+				t.Fatalf("%s: record %d = %+v, want %+v", name, i, got[i], want.Records[i])
+			}
+		}
+		if n := r.Len(); n != want.Len() {
+			t.Errorf("%s: Len after the last record = %d, want %d", name, n, want.Len())
+		}
+	}
+}

@@ -13,15 +13,21 @@
 // inside its array follow in closed form, so no record re-evaluates a
 // subscript. The iterations at which every reference is in range are
 // written a chunk at a time, whole iterations straight into the
-// destination batch with the RNG state in a local. Every other loop, one
-// with an indirect subscript or a nested loop, walks its body one
-// iteration at a time over a closure per statement, emitting one record
-// at a time. Both follow one set of record and gap rules (every record
-// draws a gap in program order, the first record's gap is 0, a full
-// batch is flushed before the next record, the record past MaxRecords
-// fails), so chunked and per-record generation yield the same records
-// and fail at the same record. Generate materialises the trace;
-// NewReader streams the same records batch by batch.
+// destination batch. Every other loop, one with an indirect subscript or
+// a nested loop, walks its body one iteration at a time over a closure
+// per statement, emitting one record at a time. Both follow one set of
+// record and gap rules (record n's gap is gap n of the (model, seed) gap
+// sequence, the first record's gap is 0, a full batch is flushed before
+// the next record, the record past MaxRecords fails), so chunked and
+// per-record generation yield the same records and fail at the same
+// record. Gap n of the sequence is the n-th Sample of timing.NewRNG(seed)
+// whatever the program, so generation reads it from the process's shared
+// gap stream (timing.Gaps) instead of drawing it again for every trace.
+// The counting pass, which sizes a trace exactly, is compiled with the
+// program but runs only when the count is read: Generate runs it to
+// allocate the records once, a Reader on its first Len. Generate
+// materialises the trace; NewReader streams the same records batch by
+// batch.
 package tracegen
 
 import (
@@ -65,8 +71,8 @@ func GenerateTagged(p *loopir.Program, tags locality.Tagging, opts Options) (*tr
 	if err != nil {
 		return nil, err
 	}
-	if g.count >= 0 {
-		g.recs = make([]trace.Record, 0, g.count)
+	if n := g.records(); n >= 0 {
+		g.recs = make([]trace.Record, 0, n)
 	}
 	if err := run(g); err != nil {
 		return nil, err
@@ -81,10 +87,8 @@ func analyze(p *loopir.Program) (locality.Tagging, error) {
 	return locality.Analyze(p)
 }
 
-// newGenerator compiles p into a generator and the action that runs it,
-// then runs the counting pass: g.count is the exact record count, or -1
-// when the pass failed or passed MaxRecords (generation then reports the
-// problem itself, exactly as it would without the pass).
+// newGenerator compiles p into a generator, with its counting pass, and
+// the action that runs it.
 func newGenerator(p *loopir.Program, tags locality.Tagging, opts Options) (*generator, action, error) {
 	if err := p.Finalize(); err != nil {
 		return nil, nil, err
@@ -98,8 +102,7 @@ func newGenerator(p *loopir.Program, tags locality.Tagging, opts Options) (*gene
 	g := &generator{
 		prog:  p,
 		tags:  tags,
-		rng:   timing.NewRNG(opts.Seed),
-		gaps:  opts.Gaps,
+		gaps:  opts.Gaps.Gaps(opts.Seed),
 		max:   opts.MaxRecords,
 		slots: map[string]int{},
 	}
@@ -107,12 +110,8 @@ func newGenerator(p *loopir.Program, tags locality.Tagging, opts Options) (*gene
 	if err != nil {
 		return nil, nil, err
 	}
-	count := g.compileCount(p.Body)
+	g.count = g.compileCount(p.Body)
 	g.env = make([]int, len(g.slots))
-	g.count = -1
-	if n, err := count(g); err == nil {
-		g.count = n
-	}
 	return g, run, nil
 }
 
@@ -120,10 +119,11 @@ func newGenerator(p *loopir.Program, tags locality.Tagging, opts Options) (*gene
 type generator struct {
 	prog  *loopir.Program
 	tags  locality.Tagging
-	rng   *timing.RNG
-	gaps  *timing.GapModel
+	gaps  timing.Gaps
+	run   []uint8 // the gap run being read, from gaps.Next
+	at    int     // the next gap's index in run
 	max   int
-	count int            // records the program emits (counting pass); -1 if unknown
+	count countFn        // the counting pass (records)
 	slots map[string]int // loop variable -> env slot
 	env   []int
 	n     int            // records emitted so far
@@ -133,7 +133,20 @@ type generator struct {
 	flush func() error
 }
 
-// emit appends r's record for element idx to recs and draws its gap, by
+// records runs the counting pass and returns the exact record count, or
+// -1 when the pass failed or passed MaxRecords (generation then reports
+// the problem itself, exactly as it would without the pass). The pass
+// runs on an environment of its own, so it may run before, during or
+// after generation without disturbing it.
+func (g *generator) records() int {
+	n, err := g.count(&generator{max: g.max, env: make([]int, len(g.env))})
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// emit appends r's record for element idx to recs and reads its gap, by
 // the record and gap rules of the package comment; emitChunk writes whole
 // iterations by the same rules. It writes the record into its slot
 // before setting the gap there, rather than building it aside and
@@ -150,7 +163,11 @@ func (g *generator) emit(r *ref, idx int) error {
 	g.recs = append(g.recs, r.rec)
 	rec := &g.recs[len(g.recs)-1]
 	rec.Addr = r.base + uint64(idx*r.elem)
-	gap := uint8(g.gaps.Sample(g.rng))
+	if g.at == len(g.run) {
+		g.run, g.at = g.gaps.Next(), 0
+	}
+	gap := g.run[g.at]
+	g.at++
 	if g.n == 0 {
 		gap = 0
 	}
@@ -161,12 +178,12 @@ func (g *generator) emit(r *ref, idx int) error {
 
 // emitChunk writes iters whole iterations of a strided loop whose
 // references are all in range straight into recs, which must have room
-// for them, and advances each reference past them. The RNG state stays
-// in a local for the whole chunk.
+// for them, and advances each reference past them. The gaps follow in a
+// second pass, a run at a time (emit reads one gap inline: the per-record
+// walk is slower through a shared helper).
 func (g *generator) emitChunk(refs []stridedRef, iters int) {
 	start := len(g.recs)
 	out := g.recs[start : start+iters*len(refs)]
-	rng := *g.rng
 	o := 0
 	for k := 0; k < iters; k++ {
 		for j := range refs {
@@ -174,12 +191,22 @@ func (g *generator) emitChunk(refs []stridedRef, iters int) {
 			rec := &out[o]
 			*rec = r.rec
 			rec.Addr = r.base + uint64(r.idx*r.elem)
-			rec.Gap = uint8(g.gaps.Sample(&rng))
 			r.idx += r.delta
 			o++
 		}
 	}
-	*g.rng = rng
+	for rest := out; len(rest) > 0; {
+		if g.at == len(g.run) {
+			g.run, g.at = g.gaps.Next(), 0
+		}
+		gaps := g.run[g.at:min(len(g.run), g.at+len(rest))]
+		seg := rest[:len(gaps)]
+		for i := range seg {
+			seg[i].Gap = gaps[i]
+		}
+		g.at += len(gaps)
+		rest = rest[len(gaps):]
+	}
 	if g.n == 0 && len(out) > 0 {
 		out[0].Gap = 0
 	}
