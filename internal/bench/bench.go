@@ -33,8 +33,8 @@ import (
 //
 //   - the named workload traces (the ones requested through Trace), each
 //     generated once per Context instead of once per configuration;
-//   - the answers of SimulateMany, keyed by trace name and core.Config, so
-//     a (trace, config) pair several figures ask for is simulated once.
+//   - the answers of Simulate, keyed by trace name and core.Config, so a
+//     (trace, config) pair several figures ask for is simulated once.
 //     Check arms the runtime checker inside the config, so checked and
 //     unchecked runs never share an answer.
 //
@@ -149,39 +149,35 @@ func (c *Context) Trace(name string) (*trace.Trace, error) {
 	return t, err
 }
 
-// simulate runs one fused pass of SimulateMany: cfgs over the named
-// workload's trace. Tests wrap it to count the passes.
-var simulate = func(ctx context.Context, name string, cfgs []core.Config, t *trace.Trace) ([]core.Result, error) {
-	return core.Run(ctx, core.Job{Configs: cfgs}, t.Reader())
+// simulate runs cfg over the named workload's trace for Simulate. Tests
+// wrap it to count the simulations.
+var simulate = func(ctx context.Context, name string, cfg core.Config, t *trace.Trace) (core.Result, error) {
+	res, err := core.Run(ctx, core.Job{Configs: []core.Config{cfg}}, t.Reader())
+	if err != nil {
+		return core.Result{}, err
+	}
+	return res[0], nil
 }
 
-// SimulateMany returns the result of every configuration over the named
-// workload's trace, index-aligned with cfgs, honouring the context's
-// cancellation and invariant-check settings. Answers the Context already
-// holds are looked up; the configs nobody has computed or is computing
-// run in one fused pass (core.Run over the cached trace), which walks each
-// record batch once for all of them; configs another row is computing are
-// waited for after that pass. When every answer is known, no pass runs at
-// all. A waiting row keeps its worker token: the row it waits on already
-// holds one and computes its answers before it waits on anything itself,
-// so no wait can close a cycle.
-func (c *Context) SimulateMany(name string, cfgs []core.Config) ([]core.Result, error) {
-	cfgs = c.checked(cfgs)
-	keys := make([]answerKey, len(cfgs))
-	for i, cfg := range cfgs {
-		keys[i] = answerKey{name, cfg}
+// Simulate returns the result of cfg over the named workload's trace,
+// honouring the context's cancellation and invariant-check settings. An
+// answer the Context already holds is looked up; one another row is
+// computing is waited for; otherwise this call runs it (core.Run over the
+// cached trace) and stores it. A waiting row keeps its worker token: the
+// row it waits on already holds one and needs no other to compute, so no
+// wait can close a cycle.
+func (c *Context) Simulate(name string, cfg core.Config) (core.Result, error) {
+	if c.Check {
+		cfg.RuntimeChecks = true
 	}
-	return c.answers.DoMany(c.context(), keys, func(own []int) ([]core.Result, error) {
+	res, _, err := c.answers.Do(c.context(), answerKey{name, cfg}, func() (core.Result, error) {
 		t, err := c.Trace(name)
 		if err != nil {
-			return nil, err
+			return core.Result{}, err
 		}
-		job := make([]core.Config, len(own))
-		for j, i := range own {
-			job[j] = cfgs[i]
-		}
-		return simulate(c.context(), name, job, t)
+		return simulate(c.context(), name, cfg, t)
 	})
+	return res, err
 }
 
 // simulateProgram streams p's trace, generated with the context's seed,
@@ -497,22 +493,20 @@ func RunAll(ctx *Context) ([]*Report, error) {
 
 // simulateCells returns every config's result over every named
 // workload's trace: out[i][j] is cfgs[j] over names[i]. Each (workload,
-// config) cell is its own one-config SimulateMany. A resident trace is
-// read in place, so a fused pass over a workload's configs would share no
-// decode, while cells keep every worker busy to the end: the longest
-// trace's configs, which would otherwise run on one worker as a row,
-// spread over all of them (eachWorkload starts them first). The memo
-// still simulates each (trace, config) pair once.
+// config) cell is its own Simulate call. A resident trace is read in
+// place, so a fused pass over a workload's configs would share no decode,
+// while cells keep every worker busy to the end: the longest trace's
+// configs, which would otherwise run on one worker as a row, spread over
+// all of them (eachWorkload starts them first). The memo still simulates
+// each (trace, config) pair once.
 func (c *Context) simulateCells(names []string, cfgs []core.Config) ([][]core.Result, error) {
 	k := len(cfgs)
 	cells := make([]core.Result, len(names)*k)
 	err := c.eachWorkload(repeatEach(names, k), func(rc *Context, i int) error {
-		name := names[i/k]
-		res, err := rc.SimulateMany(name, cfgs[i%k:i%k+1])
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		var err error
+		if cells[i], err = rc.Simulate(names[i/k], cfgs[i%k]); err != nil {
+			return fmt.Errorf("%s: %w", names[i/k], err)
 		}
-		cells[i] = res[0]
 		return nil
 	})
 	if err != nil {

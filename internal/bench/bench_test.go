@@ -238,8 +238,12 @@ func TestRowsShareOneWorkerBudget(t *testing.T) {
 			defer inFlight.Add(-1)
 			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 			}
-			_, err := rc.SimulateMany(name, []core.Config{core.Standard(), core.Soft()})
-			return err
+			for _, cfg := range []core.Config{core.Standard(), core.Soft()} {
+				if _, err := rc.Simulate(name, cfg); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 		names := workloads.Benchmarks()
 		row := func(rc *Context, i int) error {

@@ -32,44 +32,41 @@ func runFig12SW(ctx *Context) (*Report, error) {
 	}
 	tbl := metrics.NewTable("AMAT (cycles)", "benchmark", cols...)
 
-	// Each benchmark is 1+len(distances) runs: the cached trace under
-	// Soft and Soft+HWpf, then one prefetching variant per distance.
+	// Each benchmark is 2+len(distances) cells: the cached trace under
+	// Soft and under Soft+HWpf, then one prefetching variant per distance.
 	names := workloads.Benchmarks()
-	per := 1 + len(distances)
-	runs := make([][]float64, len(names)*per)
+	base := []core.Config{core.Soft(), core.WithPrefetch(core.Soft(), true)}
+	per := len(base) + len(distances)
+	amats := make([]float64, len(names)*per)
 	err := ctx.eachWorkload(repeatEach(names, per), func(rc *Context, i int) error {
 		name, k := names[i/per], i%per
-		if k == 0 {
-			base, err := rc.SimulateMany(name, []core.Config{core.Soft(), core.WithPrefetch(core.Soft(), true)})
+		if k < len(base) {
+			res, err := rc.Simulate(name, base[k])
 			if err != nil {
 				return err
 			}
-			runs[i] = []float64{base[0].AMAT(), base[1].AMAT()}
+			amats[i] = res.AMAT()
 			return nil
 		}
 		p, err := workloads.BuildProgram(name, rc.Scale)
 		if err != nil {
 			return err
 		}
-		if _, err := locality.InsertPrefetches(p, distances[k-1]); err != nil {
+		if _, err := locality.InsertPrefetches(p, distances[k-len(base)]); err != nil {
 			return err
 		}
 		res, err := rc.simulateProgram(p, core.Soft())
 		if err != nil {
 			return err
 		}
-		runs[i] = []float64{res[0].AMAT()}
+		amats[i] = res[0].AMAT()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for b, name := range names {
-		row := make([]float64, 0, len(cols))
-		for _, run := range runs[b*per : (b+1)*per] {
-			row = append(row, run...)
-		}
-		tbl.AddRow(name, row...)
+		tbl.AddRow(name, amats[b*per:(b+1)*per]...)
 	}
 	r.Tables = append(r.Tables, tbl)
 

@@ -14,30 +14,28 @@ import (
 	"softcache/internal/workloads"
 )
 
-// passCounter replaces the fused kernel pass of SimulateMany for one test:
-// it counts the simulations of every (trace, config) key and runs before,
-// when set, ahead of each pass.
+// passCounter replaces the simulation behind Simulate for one test: it
+// counts the simulations of every (trace, config) key and runs before,
+// when set, ahead of each one.
 type passCounter struct {
 	mu     sync.Mutex
 	perKey map[answerKey]int
-	before func(name string, cfgs []core.Config)
+	before func(name string, cfg core.Config)
 }
 
 func countPasses(t *testing.T) *passCounter {
 	pc := &passCounter{perKey: map[answerKey]int{}}
 	orig := simulate
 	t.Cleanup(func() { simulate = orig })
-	simulate = func(ctx context.Context, name string, cfgs []core.Config, tr *trace.Trace) ([]core.Result, error) {
+	simulate = func(ctx context.Context, name string, cfg core.Config, tr *trace.Trace) (core.Result, error) {
 		pc.mu.Lock()
-		for _, cfg := range cfgs {
-			pc.perKey[answerKey{name, cfg}]++
-		}
+		pc.perKey[answerKey{name, cfg}]++
 		before := pc.before
 		pc.mu.Unlock()
 		if before != nil {
-			before(name, cfgs)
+			before(name, cfg)
 		}
-		return orig(ctx, name, cfgs, tr)
+		return orig(ctx, name, cfg, tr)
 	}
 	return pc
 }
@@ -62,7 +60,7 @@ func (c *Context) answerCount() int {
 }
 
 // TestRunAllSimulatesEachKeyOnce: over one pass of every figure, each
-// (trace, config) pair the figures ask SimulateMany for is simulated
+// (trace, config) pair the figures ask Simulate for is simulated
 // exactly once, however many figures and rows ask for it. At test scale
 // and seed 1 the figures ask for 442 distinct pairs.
 func TestRunAllSimulatesEachKeyOnce(t *testing.T) {
@@ -84,7 +82,7 @@ func TestRunAllSimulatesEachKeyOnce(t *testing.T) {
 	}
 }
 
-// doneSpy is a context whose first Done call, made when a SimulateMany
+// doneSpy is a context whose first Done call, made when a Simulate
 // caller starts waiting on another caller's flight, closes waiting.
 type doneSpy struct {
 	context.Context
@@ -97,14 +95,14 @@ func (s *doneSpy) Done() <-chan struct{} {
 	return s.Context.Done()
 }
 
-// nextPass returns the release channel of the next pass to start.
+// nextPass returns the release channel of the next simulation to start.
 func nextPass(t *testing.T, passes <-chan chan struct{}) chan struct{} {
 	t.Helper()
 	select {
 	case release := <-passes:
 		return release
 	case <-time.After(time.Minute):
-		t.Fatal("no simulation pass started")
+		t.Fatal("no simulation started")
 		return nil
 	}
 }
@@ -116,36 +114,40 @@ func nextPass(t *testing.T, passes <-chan chan struct{}) chan struct{} {
 func TestCancelledAnswerIsNotKept(t *testing.T) {
 	pc := countPasses(t)
 	base := NewContext(workloads.ScaleTest, 1)
-	want, err := NewContext(workloads.ScaleTest, 1).SimulateMany("MV", []core.Config{core.Standard(), core.Soft()})
-	if err != nil {
-		t.Fatal(err)
+	fresh := NewContext(workloads.ScaleTest, 1)
+	var want [2]core.Result
+	for i, cfg := range []core.Config{core.Standard(), core.Soft()} {
+		var err error
+		if want[i], err = fresh.Simulate("MV", cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pc.perKey = map[answerKey]int{}
-	cfgs := []core.Config{core.Standard()}
+	cfg := core.Standard()
 
 	// A figure cancelled before its pass: nothing is stored, and the next
 	// live call computes the answer.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := base.WithContext(dead).SimulateMany("MV", cfgs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled SimulateMany: err = %v, want context.Canceled", err)
+	if _, err := base.WithContext(dead).Simulate("MV", cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Simulate: err = %v, want context.Canceled", err)
 	}
 	if n := base.answerCount(); n != 0 {
 		t.Fatalf("a cancelled pass left %d answers", n)
 	}
-	got, err := base.SimulateMany("MV", cfgs)
-	if err != nil || got[0] != want[0] {
+	got, err := base.Simulate("MV", cfg)
+	if err != nil || got != want[0] {
 		t.Fatalf("live call after the cancelled one = (%v, %v), want %v", got, err, want[0])
 	}
-	if n := pc.count("MV", cfgs[0]); n != 2 {
+	if n := pc.count("MV", cfg); n != 2 {
 		t.Fatalf("MV simulated %d times, want 2 (cancelled, then live)", n)
 	}
 
 	// A figure cancelled mid-pass while another waits on its answer.
-	cfgs = []core.Config{core.Soft()}
+	cfg = core.Soft()
 	passes := make(chan chan struct{}, 2)
 	pc.mu.Lock()
-	pc.before = func(string, []core.Config) {
+	pc.before = func(string, core.Config) {
 		release := make(chan struct{})
 		passes <- release
 		<-release
@@ -154,18 +156,18 @@ func TestCancelledAnswerIsNotKept(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	claimant := make(chan error)
 	go func() {
-		_, err := base.WithContext(runCtx).SimulateMany("MV", cfgs)
+		_, err := base.WithContext(runCtx).Simulate("MV", cfg)
 		claimant <- err
 	}()
 	first := nextPass(t, passes) // the claimant's pass is running
 	spy := &doneSpy{Context: context.Background(), waiting: make(chan struct{})}
 	type result struct {
-		res []core.Result
+		res core.Result
 		err error
 	}
 	waiter := make(chan result)
 	go func() {
-		res, err := base.WithContext(spy).SimulateMany("MV", cfgs)
+		res, err := base.WithContext(spy).Simulate("MV", cfg)
 		waiter <- result{res, err}
 	}()
 	<-spy.waiting
@@ -179,10 +181,10 @@ func TestCancelledAnswerIsNotKept(t *testing.T) {
 		t.Fatalf("memo holds %d answers while the waiter recomputes, want only the first key's", n)
 	}
 	close(second)
-	if r := <-waiter; r.err != nil || r.res[0] != want[1] {
+	if r := <-waiter; r.err != nil || r.res != want[1] {
 		t.Fatalf("waiter = (%v, %v), want %v", r.res, r.err, want[1])
 	}
-	if n := pc.count("MV", cfgs[0]); n != 2 {
+	if n := pc.count("MV", cfg); n != 2 {
 		t.Fatalf("MV/Soft simulated %d times, want 2 (cancelled, then the waiter's)", n)
 	}
 }
@@ -197,8 +199,10 @@ func TestCheckedRunsNeverShareAnswers(t *testing.T) {
 	checked.Check = true
 	cfgs := []core.Config{core.Standard(), core.Soft()}
 	for _, c := range []*Context{plain, checked, plain, checked} {
-		if _, err := c.SimulateMany("MV", cfgs); err != nil {
-			t.Fatal(err)
+		for _, cfg := range cfgs {
+			if _, err := c.Simulate("MV", cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if n := pc.keys(); n != 4 {
@@ -217,7 +221,7 @@ func (pc *passCounter) parkPass() (started, release chan struct{}) {
 	started, release = make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	pc.mu.Lock()
-	pc.before = func(name string, _ []core.Config) {
+	pc.before = func(name string, _ core.Config) {
 		if name == "MV" {
 			once.Do(func() {
 				close(started)
@@ -230,8 +234,8 @@ func (pc *passCounter) parkPass() (started, release chan struct{}) {
 }
 
 // armedSpy is a context whose first Done call after arm closes waiting.
-// Armed just before a row's SimulateMany, whose keys another caller
-// holds, it reports the row parked on that caller's flight.
+// Armed just before a row's Simulate, whose key another caller holds, it
+// reports the row parked on that caller's flight.
 type armedSpy struct {
 	context.Context
 	armed   atomic.Bool
@@ -255,10 +259,10 @@ func TestWaitingRowKeepsItsToken(t *testing.T) {
 	pc := countPasses(t)
 	ctx := NewContext(workloads.ScaleTest, 1)
 	started, release := pc.parkPass()
-	cfgs := []core.Config{core.Standard()}
+	cfg := core.Standard()
 	errc := make(chan error, 2)
 	go func() { // not a row: holds no token while it computes
-		_, err := ctx.SimulateMany("MV", cfgs)
+		_, err := ctx.Simulate("MV", cfg)
 		errc <- err
 	}()
 	<-started
@@ -266,7 +270,7 @@ func TestWaitingRowKeepsItsToken(t *testing.T) {
 	go func() {
 		errc <- ctx.WithContext(spy).each(1, func(rc *Context, _ int) error {
 			spy.armed.Store(true)
-			_, err := rc.SimulateMany("MV", cfgs)
+			_, err := rc.Simulate("MV", cfg)
 			return err
 		})
 	}()
@@ -285,7 +289,7 @@ func TestWaitingRowKeepsItsToken(t *testing.T) {
 			t.Fatal("the claimant stalled behind the waiting row")
 		}
 	}
-	if n := pc.count("MV", cfgs[0]); n != 1 {
+	if n := pc.count("MV", cfg); n != 1 {
 		t.Fatalf("MV simulated %d times, want once", n)
 	}
 	if n := len(ctx.budget); n != 0 {
@@ -303,22 +307,22 @@ func TestFiguresWaitingOnOneAnswerFinish(t *testing.T) {
 	pc := countPasses(t)
 	ctx := NewContext(workloads.ScaleTest, 1)
 	started, release := pc.parkPass()
-	cfgs := []core.Config{core.Standard()}
+	cfg := core.Standard()
 	errc := make(chan error, 3)
 	go func() {
-		_, err := ctx.SimulateMany("MV", cfgs)
+		_, err := ctx.Simulate("MV", cfg)
 		errc <- err
 	}()
 	<-started
 	row := func(rc *Context, i int) error {
-		if _, err := rc.SimulateMany("MV", cfgs); err != nil {
+		if _, err := rc.Simulate("MV", cfg); err != nil {
 			return err
 		}
 		if i != 0 {
 			return nil
 		}
 		return rc.each(2, func(rc *Context, _ int) error {
-			_, err := rc.SimulateMany("MV", cfgs)
+			_, err := rc.Simulate("MV", cfg)
 			return err
 		})
 	}
@@ -337,7 +341,7 @@ func TestFiguresWaitingOnOneAnswerFinish(t *testing.T) {
 			t.Fatal("figures deadlocked waiting on one answer")
 		}
 	}
-	if n := pc.count("MV", cfgs[0]); n != 1 {
+	if n := pc.count("MV", cfg); n != 1 {
 		t.Fatalf("MV simulated %d times, want once", n)
 	}
 	if n := len(ctx.budget); n != 0 {

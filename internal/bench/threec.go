@@ -6,6 +6,7 @@ import (
 	"softcache/internal/core"
 	"softcache/internal/metrics"
 	"softcache/internal/stackdist"
+	"softcache/internal/trace"
 	"softcache/internal/workloads"
 )
 
@@ -32,31 +33,37 @@ func runThreeC(ctx *Context) (*Report, error) {
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Standard-cache misses per 1000 references (%d-line capacity)", capacityLines),
 		"benchmark", "compulsory", "capacity", "conflict", "removed by Soft")
+	// Each benchmark is three cells: its stack-distance profile and its
+	// Standard and Soft answers, so the simulations of Slalom, the longest
+	// trace, run beside its profile rather than after it on one worker.
 	names := workloads.Benchmarks()
 	type row struct {
-		split     stackdist.Classification
+		profile   stackdist.Profile
 		std, soft core.Result
 	}
 	rows := make([]row, len(names))
-	err := ctx.eachWorkload(names, func(rc *Context, i int) error {
-		t, err := rc.Trace(names[i])
-		if err != nil {
-			return err
+	err := ctx.eachWorkload(repeatEach(names, 3), func(rc *Context, i int) error {
+		name, r := names[i/3], &rows[i/3]
+		var err error
+		switch i % 3 {
+		case 0:
+			var t *trace.Trace
+			if t, err = rc.Trace(name); err == nil {
+				r.profile = stackdist.Analyze(t, std.LineSize, 4*capacityLines)
+			}
+		case 1:
+			r.std, err = rc.Simulate(name, std)
+		case 2:
+			r.soft, err = rc.Simulate(name, core.Soft())
 		}
-		profile := stackdist.Analyze(t, std.LineSize, 4*capacityLines)
-		results, err := rc.SimulateMany(names[i], []core.Config{std, core.Soft()})
-		if err != nil {
-			return err
-		}
-		rows[i] = row{profile.Classify(capacityLines, results[0].Stats.Misses), results[0], results[1]}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	sumRemoved, sumCompCap := 0.0, 0.0
 	for i, r := range rows {
-		c := r.split
+		c := r.profile.Classify(capacityLines, r.std.Stats.Misses)
 		per := 1000.0 / float64(r.std.Stats.References)
 		removed := float64(r.std.Stats.Misses-r.soft.Stats.Misses) * per
 		tbl.AddRow(names[i],

@@ -3,7 +3,6 @@ package flight
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,74 +200,9 @@ func TestValueStoredBeforeClaimIsNotRecomputed(t *testing.T) {
 	}
 }
 
-func TestDoManyComputesOnlyUnknownKeysInOneCall(t *testing.T) {
-	s := newStore()
-	s.Store("b", 2)
-	g := New[string, int](s)
-	var calls [][]int
-	compute := func(own []int) ([]int, error) {
-		calls = append(calls, slices.Clone(own))
-		out := make([]int, len(own))
-		for j, i := range own {
-			out[j] = 10 + i
-		}
-		return out, nil
-	}
-	keys := []string{"a", "b", "c", "a"}
-	vals, err := g.DoMany(context.Background(), keys, compute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{10, 2, 12, 10}; !slices.Equal(vals, want) {
-		t.Fatalf("vals = %v, want %v", vals, want)
-	}
-	if len(calls) != 1 || !slices.Equal(calls[0], []int{0, 2}) {
-		t.Fatalf("compute calls = %v, want one over [0 2]", calls)
-	}
-	if vals, err := g.DoMany(context.Background(), keys, compute); err != nil || vals[2] != 12 || len(calls) != 1 {
-		t.Fatalf("all keys known: DoMany = (%v, %v) after %d calls, want no call", vals, err, len(calls))
-	}
-}
-
-// TestDoManyComputesBeforeWaiting: a caller that claims one key and
-// finds another in the air computes its own claim first, while the other
-// flight is still running, and waits only after that.
-func TestDoManyComputesBeforeWaiting(t *testing.T) {
-	g := New[string, int](newStore())
-	xStarted, xRelease := make(chan struct{}), make(chan struct{})
-	go g.Do(context.Background(), "x", func() (int, error) {
-		close(xStarted)
-		<-xRelease
-		return 1, nil
-	})
-	<-xStarted
-	type result struct {
-		vals []int
-		err  error
-	}
-	done := make(chan result)
-	go func() {
-		vals, err := g.DoMany(context.Background(), []string{"y", "x"}, func(own []int) ([]int, error) {
-			if !slices.Equal(own, []int{0}) {
-				t.Errorf("own = %v, want [0]", own)
-			}
-			close(xRelease) // x is still in the air: y was computed first
-			return []int{2}, nil
-		})
-		done <- result{vals, err}
-	}()
-	select {
-	case r := <-done:
-		if r.err != nil || !slices.Equal(r.vals, []int{2, 1}) {
-			t.Fatalf("DoMany = %+v, want [2 1]", r)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("DoMany waited on x before computing y")
-	}
-}
-
-// TestPanickingComputeDropsItsClaims: a panic in compute reaches its
-// caller, and the keys it claimed are not left in the air.
+// TestPanickingComputeDropsItsClaims: a panic in the computation reaches
+// its caller, the key it claimed is not left in the air, and the next
+// caller computes it.
 func TestPanickingComputeDropsItsClaims(t *testing.T) {
 	s := newStore()
 	g := New[string, int](s)
@@ -278,12 +212,12 @@ func TestPanickingComputeDropsItsClaims(t *testing.T) {
 				t.Fatalf("recovered %v", p)
 			}
 		}()
-		g.DoMany(context.Background(), []string{"p", "q"}, func([]int) ([]int, error) { panic("compute panicked") })
+		g.Do(context.Background(), "p", func() (int, error) { panic("compute panicked") })
 	}()
 	if g.inFlight() != 0 || s.len() != 0 {
 		t.Fatalf("after a panic: %d flights, %d stored", g.inFlight(), s.len())
 	}
-	if v, _, err := g.Do(context.Background(), "p", func() (int, error) { return 3, nil }); err != nil || v != 3 {
-		t.Fatalf("Do after the panic = (%d, %v)", v, err)
+	if v, c, err := g.Do(context.Background(), "p", func() (int, error) { return 3, nil }); err != nil || v != 3 || !c {
+		t.Fatalf("Do after the panic = (%d, %v, %v), want its own computed 3", v, c, err)
 	}
 }
